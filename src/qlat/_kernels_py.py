@@ -13,6 +13,7 @@ Vectors are tuples of ints in [0, p); matrices are tuples of row tuples.
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 
 __all__ = [
     "isotropic_lines",
@@ -95,14 +96,8 @@ def quadric_points_mod(p, k, n, half_gram, limit):
 
 
 def _mat_mul(A, B, p):
-    n = len(A)
-    m = len(B[0])
-    k = len(B)
     Bt = tuple(zip(*B))
-    return tuple(
-        tuple(sum(A[i][t] * Bt[j][t] for t in range(k)) % p for j in range(m))
-        for i in range(n)
-    )
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in Bt) for row in A)
 
 
 def group_closure(gens, p, limit):

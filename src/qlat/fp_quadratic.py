@@ -12,6 +12,16 @@ special isometries of the whole space, constructive reflection
 factorization with spinor norms (odd p), and orbits of isotropic lines
 under the stabilizer of a subspace.
 
+Per-space invariants
+--------------------
+An ``FpQuadSpace`` is frozen, so whatever depends only on it is computed
+at most once and kept on the instance: the Gram matrix, nondegeneracy,
+the Witt decomposition, |SO(V)|, and (for ``witt_extension``) the
+materialized special orthogonal group with each element's inverse and
+the orbit indices built from it.  Equality, hashing and ``repr`` see only
+``p`` and ``half_gram``; two equal spaces built apart compute the same
+values independently.
+
 Canonical vector order
 ----------------------
 Normalized projective representatives (leading nonzero coordinate 1) are
@@ -23,10 +33,10 @@ first nonzero vector in this order is (1, 0, ..., 0).  All "smallest" and
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import product
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import kernels
@@ -68,14 +78,12 @@ def _inv_mod(a: int, p: int) -> int:
 
 
 def _mat_vec(M: Matrix, v: Sequence[int], p: int) -> Vector:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) % p for row in M)
+    return tuple([sum(map(mul, row, v)) % p for row in M])
 
 
 def _mat_mul(A: Matrix, B: Matrix, p: int) -> Matrix:
     Bt = tuple(zip(*B))
-    return tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) % p for col in Bt) for row in A
-    )
+    return tuple([tuple([sum(map(mul, row, col)) % p for col in Bt]) for row in A])
 
 
 def _identity_mat(n: int) -> Matrix:
@@ -90,16 +98,21 @@ def _rref(rows: Iterable[Sequence[int]], p: int) -> tuple[list[list[int]], list[
     n_rows, n_cols = len(m), len(m[0])
     r = 0
     for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if piv is None:
+        for piv in range(r, n_rows):
+            if m[piv][c]:
+                break
+        else:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = _inv_mod(m[r][c], p)
-        m[r] = [(x * inv) % p for x in m[r]]
+        row = m[piv]
+        m[piv] = m[r]
+        if row[c] != 1:
+            inv = _inv_mod(row[c], p)
+            row = [(x * inv) % p for x in row]
+        m[r] = row
         for i in range(n_rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -148,22 +161,26 @@ def _inv_mat(M: Matrix, p: int) -> Matrix:
 
 
 def _det_mod(rows: Matrix, p: int) -> int:
-    m = [list(r) for r in rows]
+    m = [[x % p for x in r] for r in rows]
     n = len(m)
     det = 1
     for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] % p), None)
-        if piv is None:
+        for piv in range(col, n):
+            if m[piv][col]:
+                break
+        else:
             return 0
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             det = -det
-        det = (det * m[col][col]) % p
-        inv = _inv_mod(m[col][col], p)
+        row = m[col]
+        det = (det * row[col]) % p
+        inv = _inv_mod(row[col], p)
         for i in range(col + 1, n):
-            if m[i][col] % p:
-                f = (m[i][col] * inv) % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[col])]
+            f = m[i][col]
+            if f:
+                f = (f * inv) % p
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
     return det % p
 
 
@@ -213,7 +230,12 @@ def _check_prime(p: int) -> None:
 
 @dataclass(frozen=True)
 class FpQuadSpace:
-    """Quadratic space over F_p given by an upper-triangular half-Gram."""
+    """Quadratic space over F_p given by an upper-triangular half-Gram.
+
+    Invariants that depend only on the space are computed once and kept on
+    the instance (see the module docstring); equality, hashing and ``repr``
+    see only ``p`` and ``half_gram``.
+    """
 
     p: int
     half_gram: Matrix
@@ -235,34 +257,46 @@ class FpQuadSpace:
         return len(self.half_gram)
 
     def gram(self) -> Matrix:
-        return _gram_rows(self)
+        return self._gram
 
     def q(self, v: Sequence[int]) -> int:
-        hg = self.half_gram
-        p = self.p
-        total = 0
-        for i, vi in enumerate(v):
-            if vi % p:
-                row = hg[i]
-                total += vi * sum(row[j] * v[j] for j in range(i, len(v)))
-        return total % p
+        # row i of the upper-triangular half-Gram is zero left of column i
+        return sum(
+            vi * sum(map(mul, row, v)) for vi, row in zip(v, self.half_gram) if vi
+        ) % self.p
 
     def b(self, x: Sequence[int], y: Sequence[int]) -> int:
-        B = self.gram()
-        return sum(xi * sum(B[i][j] * y[j] for j in range(len(y))) for i, xi in enumerate(x)) % self.p
+        return sum(
+            xi * sum(map(mul, row, y)) for xi, row in zip(x, self._gram) if xi
+        ) % self.p
 
     def is_nondegenerate(self) -> bool:
         """True iff the bilinear form B has zero radical."""
-        return _det_mod(self.gram(), self.p) != 0
+        return self._nondegenerate
 
+    @cached_property
+    def _gram(self) -> Matrix:
+        hg, n = self.half_gram, self.dim
+        return tuple(
+            tuple((hg[i][j] + hg[j][i]) % self.p for j in range(n)) for i in range(n)
+        )
 
-@lru_cache(maxsize=None)
-def _gram_rows(V: FpQuadSpace) -> Matrix:
-    hg = V.half_gram
-    n = V.dim
-    return tuple(
-        tuple((hg[i][j] + hg[j][i]) % V.p for j in range(n)) for i in range(n)
-    )
+    @cached_property
+    def _nondegenerate(self) -> bool:
+        return _det_mod(self._gram, self.p) != 0
+
+    @cached_property
+    def _witt(self) -> WittDecomposition:
+        return _witt_decomposition(self)
+
+    @cached_property
+    def _so_order(self) -> int:
+        return _so_order(self)
+
+    @cached_property
+    def _group_cache(self) -> dict:
+        """Filled by ``_witness_from_group``: SO(V), inverses, orbit indices."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -303,22 +337,22 @@ class FpIsometry:
     matrix: Matrix
 
     def __post_init__(self) -> None:
-        p = self.space.p
-        n = self.space.dim
-        m = tuple(tuple(int(x) % p for x in row) for row in self.matrix)
+        V = self.space
+        p, n = V.p, V.dim
+        m = tuple([tuple([int(x) % p for x in row]) for row in self.matrix])
         if len(m) != n or any(len(r) != n for r in m):
             raise PreconditionError("isometry matrix has wrong shape")
         object.__setattr__(self, "matrix", m)
-        if _det_mod(m, p) == 0:
+        if self.det() == 0:
             raise PreconditionError("isometry matrix is singular")
-        cols = [tuple(m[i][j] for i in range(n)) for j in range(n)]
-        V = self.space
+        cols = tuple(zip(*m))
         B = V.gram()
-        for j in range(n):
-            if V.q(cols[j]) != V.half_gram[j][j]:
+        for j, col in enumerate(cols):
+            if V.q(col) != V.half_gram[j][j]:
                 raise PreconditionError("matrix does not preserve the quadratic form")
+            b_col = _mat_vec(B, col, p)  # [x, col] = x . b_col
             for i in range(j):
-                if V.b(cols[i], cols[j]) != B[i][j]:
+                if sum(map(mul, cols[i], b_col)) % p != B[i][j]:
                     raise PreconditionError("matrix does not preserve the bilinear form")
 
     def apply(self, v: Sequence[int]) -> Vector:
@@ -336,9 +370,17 @@ class FpIsometry:
         return FpIsometry(self.space, _inv_mat(self.matrix, self.space.p))
 
     def det(self) -> int:
-        return _det_mod(self.matrix, self.space.p)
+        return self._det
 
     def dickson(self) -> int:
+        return self._dickson
+
+    @cached_property
+    def _det(self) -> int:
+        return _det_mod(self.matrix, self.space.p)
+
+    @cached_property
+    def _dickson(self) -> int:
         return dickson_invariant(self.space, self.matrix)
 
     def is_special(self) -> bool:
@@ -388,15 +430,15 @@ def _normalized_reps(p: int, n: int):
 
 
 def find_isotropic_vector(V: FpQuadSpace, max_exhaustive: int = 10**6) -> Vector | None:
-    """The canonically smallest nonzero vector with Q(v) = 0, or None.
+    """A normalized nonzero vector with Q(v) = 0, or None if there is none.
 
-    Searches normalized representatives in canonical order (exhaustive and
-    deterministic while the projective space has at most ``max_exhaustive``
-    points).  Beyond the guard a deterministic structured search over
-    coordinate pairs runs first, then a seeded random search; existence is
-    guaranteed when the nondegenerate part has dimension >= 3, and at the
-    densities that implies, the fallback search fails with negligible
-    probability.
+    While the projective space has at most ``max_exhaustive`` points, the
+    normalized representatives are searched in canonical order and the
+    canonically smallest isotropic vector is returned.  Beyond the guard
+    the answer comes from the form itself, still deterministically and
+    never giving up while an isotropic vector exists: at p = 2 from the
+    half-Gram entries (``_isotropic_from_half_gram``), for odd p from a
+    diagonalization (``_isotropic_by_diagonalization``).
     """
     p, n = V.p, V.dim
     if n == 0:
@@ -406,44 +448,75 @@ def find_isotropic_vector(V: FpQuadSpace, max_exhaustive: int = 10**6) -> Vector
             if V.q(v) == 0:
                 return v
         return None
-    # structured search: single basis vectors, then planes <e_i, e_j>
-    unit = lambda i: tuple(1 if k == i else 0 for k in range(n))
+    if p == 2:
+        return _isotropic_from_half_gram(V)
+    return _isotropic_by_diagonalization(V)
+
+
+def _isotropic_from_half_gram(V: FpQuadSpace) -> Vector | None:
+    """An isotropic vector over F_2 read off the half-Gram U, or None.
+
+    Q(e_i) = U_ii, Q(e_i + e_j) = U_ii + U_jj + U_ij, and when every entry
+    on and above the diagonal is 1, Q(e_0 + e_1 + e_2) = 6 = 0.  So unless
+    n <= 2 and the form is x^2 (+ xy + y^2), one of these vectors is
+    isotropic; those small forms are anisotropic.
+    """
+    n, U = V.dim, V.half_gram
     for i in range(n):
-        if V.half_gram[i][i] % p == 0:
-            return unit(i)
-    B = V.gram()
+        if U[i][i] == 0:
+            return tuple(int(k == i) for k in range(n))
     for i in range(n):
-        qi = V.half_gram[i][i] % p
-        for j in range(n):
-            if j == i:
-                continue
-            qj = V.half_gram[j][j] % p
-            bij = B[i][j]
-            # Q(e_i + t e_j) = qi + t bij + t^2 qj, qi, qj != 0 here
-            if p == 2:
-                candidates = (1,) if (qi + bij + qj) % 2 == 0 else ()
-            else:
-                disc = (bij * bij - 4 * qi * qj) % p
-                root = _sqrt_mod(disc, p)
-                if root is None:
-                    continue
-                inv = _inv_mod(2 * qj, p)
-                candidates = ((-bij + root) * inv % p, (-bij - root) * inv % p)
-            for t in candidates:
-                v = tuple(
-                    (1 if k == i else 0) + (t if k == j else 0) for k in range(n)
-                )
-                v = tuple(x % p for x in v)
-                if V.q(v) == 0:
-                    return v
-    rng = random.Random(0x51A7)
-    for _ in range(200000):
-        v = tuple(rng.randrange(p) for _ in range(n))
-        if any(v) and V.q(v) == 0:
-            lead = next(i for i, x in enumerate(v) if x)
-            inv = _inv_mod(v[lead], p)
-            return tuple((x * inv) % p for x in v)
+        for j in range(i + 1, n):
+            if U[i][j] == 0:  # Q(e_i + e_j) = 1 + 1 + 0
+                return tuple(int(k in (i, j)) for k in range(n))
+    if n >= 3:
+        return tuple(int(k < 3) for k in range(n))
     return None
+
+
+def _isotropic_by_diagonalization(V: FpQuadSpace) -> Vector | None:
+    """An isotropic vector over F_p for odd p, or None if there is none.
+
+    Gram–Schmidt either meets a vector with Q = 0 or builds an orthogonal
+    basis w_i with a_i = Q(w_i) != 0.  Once it has three, Q(x w_0 + y w_1
+    + w_2) = 0 asks for y^2 = (-a_2 - a_0 x^2) / a_1: as x runs over F_p
+    the right side takes (p + 1)/2 values, which must meet the (p + 1)/2
+    squares (0 included), so the scan with Legendre tests ends
+    (Chevalley–Warning).  With two, x w_0 + w_1 is isotropic iff -a_1/a_0
+    is a square; a line is anisotropic.
+    """
+    p, n = V.p, V.dim
+    B = V.gram()
+    basis = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    diag: list[tuple[Vector, int]] = []
+    while basis and len(diag) < 3:
+        for u in basis:
+            if V.q(u) == 0:
+                return ProjLine(V, u).generator
+        w, rest = basis[0], basis[1:]
+        a = V.q(w)
+        bw = _mat_vec(B, w, p)
+        c = _inv_mod(2 * a, p)
+        basis = []
+        for u in rest:
+            t = sum(map(mul, bw, u)) * c % p  # u - t w is orthogonal to w
+            basis.append(tuple((x - t * y) % p for x, y in zip(u, w)))
+        diag.append((w, a))
+    if len(diag) == 2:
+        (w0, a0), (w1, a1) = diag
+        x = _sqrt_mod(-a1 * _inv_mod(a0, p), p)
+        if x is None:
+            return None
+        return ProjLine(V, _combine([w0, w1], (x, 1), p)).generator
+    if len(diag) < 2:
+        return None
+    (w0, a0), (w1, a1), (w2, a2) = diag
+    inv1 = _inv_mod(a1, p)
+    for x in range(p):
+        y = _sqrt_mod((-a2 - a0 * x * x) * inv1, p)
+        if y is not None:
+            return ProjLine(V, _combine([w0, w1, w2], (x, y, 1), p)).generator
+    raise InvariantViolationError("ternary form over F_p without an isotropic vector")
 
 
 def _restrict(V: FpQuadSpace, basis: Sequence[Vector]) -> FpQuadSpace:
@@ -457,17 +530,24 @@ def _restrict(V: FpQuadSpace, basis: Sequence[Vector]) -> FpQuadSpace:
     return FpQuadSpace(p, tuple(tuple(r) for r in hg))
 
 
-def witt_decomposition(
-    V: FpQuadSpace,
-) -> tuple[tuple[tuple[Vector, Vector], ...], tuple[Vector, ...], tuple[Vector, ...]]:
+WittDecomposition = tuple[
+    tuple[tuple[Vector, Vector], ...], tuple[Vector, ...], tuple[Vector, ...]
+]
+
+
+def witt_decomposition(V: FpQuadSpace) -> WittDecomposition:
     """Split V into hyperbolic pairs, an anisotropic part, and the radical.
 
     Returns ``(pairs, anisotropic_basis, radical_basis)`` where each pair
     (u, v) satisfies Q(u) = Q(v) = 0, [u, v] = 1, all blocks are mutually
     orthogonal, the restriction of Q to the anisotropic basis has no
     nonzero isotropic vector, and ``radical_basis`` spans ker B.  The Witt
-    index is ``len(pairs)``.
+    index is ``len(pairs)``.  Computed once per instance of V.
     """
+    return V._witt
+
+
+def _witt_decomposition(V: FpQuadSpace) -> WittDecomposition:
     p, n = V.p, V.dim
     rad = list(_kernel_basis(V.gram(), p, n))
     comp: list[Vector] = []
@@ -592,7 +672,12 @@ def so_order(V: FpQuadSpace) -> int:
     Split/non-split type is read off the Witt decomposition.  For dim
     2m+1: p^{m^2} * prod_{i=1..m} (p^{2i} - 1).  For dim 2k of type
     epsilon: p^{k(k-1)} (p^k - epsilon) prod_{i=1..k-1} (p^{2i} - 1).
+    Computed once per instance of V.
     """
+    return V._so_order
+
+
+def _so_order(V: FpQuadSpace) -> int:
     p = V.p
     pairs, aniso, rad = witt_decomposition(V)
     if rad:
@@ -619,8 +704,6 @@ def so_order(V: FpQuadSpace) -> int:
 # ---------------------------------------------------------------------------
 # full orthogonal group materialization (small spaces)
 # ---------------------------------------------------------------------------
-
-_GROUP_CACHE: dict[FpQuadSpace, dict] = {}
 
 
 def _orthogonal_generators(V: FpQuadSpace) -> list[tuple[Matrix, int]]:
@@ -718,45 +801,43 @@ def _group_limit() -> int:
 
 def _tuple_type_key(V: FpQuadSpace, vectors: Sequence[Vector]):
     k = len(vectors)
-    qs = tuple(V.q(v) for v in vectors)
-    bs = tuple(V.b(vectors[i], vectors[j]) for i in range(k) for j in range(i + 1, k))
+    qs = tuple([V.q(v) for v in vectors])
+    bs = tuple([V.b(vectors[i], vectors[j]) for i in range(k) for j in range(i + 1, k)])
     return (k, qs, bs)
 
 
-def _witness_from_group(V: FpQuadSpace, X: tuple[Vector, ...], Y: tuple[Vector, ...], limit: int) -> Matrix:
+def _witness_from_group(
+    V: FpQuadSpace, X: tuple[Vector, ...], Y: tuple[Vector, ...], key, limit: int
+) -> Matrix:
     # Tuples with the same Gram data can still fall into several
     # special-orthogonal orbits (maximal totally isotropic subspaces of a
     # split space split into two families), so the cache keeps one image
     # index per orbit discovered for each Gram type.  The index containing
     # X is found by membership (X = identity . X always lands in the index
     # seeded on X); only a Y missing from that same index certifies that no
-    # special witness exists.
-    cache = _GROUP_CACHE.setdefault(V, {})
+    # special witness exists.  An index maps each image tuple to the position
+    # of one group element carrying X there.
+    p = V.p
+    cache = V._group_cache
     if "so" not in cache:
-        grp = _full_group(V, limit)
-        cache["so"] = [g for g in grp if _is_special_matrix(V, g)]
+        so = tuple(g for g in _full_group(V, limit) if _is_special_matrix(V, g))
+        cache["so_inv"] = tuple(_inv_mat(g, p) for g in so)
+        cache["so"] = so
         cache["orbits"] = {}
-    key = _tuple_type_key(V, X)
+    so = cache["so"]
     indices = cache["orbits"].setdefault(key, [])
-    index = None
-    for candidate in indices:
-        if X in candidate:
-            index = candidate
-            break
+    index = next((candidate for candidate in indices if X in candidate), None)
     if index is None:
         index = {}
-        for g in cache["so"]:
-            img = tuple(_mat_vec(g, x, V.p) for x in X)
-            if img not in index:
-                index[img] = g
+        for i, g in enumerate(so):
+            index.setdefault(tuple(_mat_vec(g, x, p) for x in X), i)
         indices.append(index)
-    gx = index[X]
-    gy = index.get(Y)
-    if gy is None:
+    iy = index.get(Y)
+    if iy is None:
         raise InvariantViolationError(
             "isometric tuples lie in different special-orthogonal orbits"
         )
-    return _mat_mul(gy, _inv_mat(gx, V.p), V.p)
+    return _mat_mul(so[iy], cache["so_inv"][index[X]], p)
 
 
 def _witness_by_bfs(
@@ -844,17 +925,17 @@ def witt_extension(
             tuple(sum(fm[i][j] * W2[i][t] for i in range(k)) % p for t in range(n))
             for j in range(k)
         )
-    for j in range(k):
-        if V.q(X[j]) != V.q(Y[j]):
-            raise PreconditionError("map does not preserve the quadratic form")
-        for i in range(j):
-            if V.b(X[i], X[j]) != V.b(Y[i], Y[j]):
-                raise PreconditionError("map does not preserve the bilinear form")
+    key = _tuple_type_key(V, X)
+    _, yq, yb = _tuple_type_key(V, Y)
+    if key[1] != yq:
+        raise PreconditionError("map does not preserve the quadratic form")
+    if key[2] != yb:
+        raise PreconditionError("map does not preserve the bilinear form")
     if k == 0:
         return FpIsometry(V, _identity_mat(n))
     limit = max_group if max_group is not None else _group_limit()
     if 2 * so_order(V) <= limit:
-        m = _witness_from_group(V, X, Y, limit)
+        m = _witness_from_group(V, X, Y, key, limit)
     else:
         m = _witness_by_bfs(V, X, Y, _MAX_PROJ_POINTS)
     iso = FpIsometry(V, m)

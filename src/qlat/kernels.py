@@ -5,7 +5,8 @@ At import time this module selects the compiled Cython extension
 twin (``qlat._kernels_py``).  Setting the environment variable
 ``QLAT_PURE=1`` forces the pure backend regardless.  Both backends expose
 the same functions with identical semantics; ``benchmarks/bench_kernels.py``
-compares their speed and the test suite compares their output.
+times them (comparing the two when the extension is built) and the test
+suite compares their output.
 """
 
 from __future__ import annotations

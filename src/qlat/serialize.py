@@ -96,13 +96,18 @@ def plattice_to_dict(L: PLattice) -> dict:
 
 
 def plattice_from_dict(d: dict) -> PLattice:
+    if not isinstance(d, dict):
+        raise PreconditionError("scaled-lattice document must be a JSON object")
     for key in ("ambient", "p", "power", "numerator_basis"):
         if key not in d:
             raise PreconditionError(f"scaled-lattice document needs a {key} key")
+    for key in ("p", "power"):
+        if not isinstance(d[key], int) or isinstance(d[key], bool):
+            raise PreconditionError(f"scaled-lattice {key} must be an integer")
     return PLattice(
         lattice_from_dict(d["ambient"]),
-        int(d["p"]),
-        int(d["power"]),
+        d["p"],
+        d["power"],
         matrix_from_rows(d["numerator_basis"]),
     )
 
@@ -115,6 +120,8 @@ def pair_to_dict(pair: MinimalPair) -> dict:
 
 
 def pair_from_dict(d: dict) -> MinimalPair:
+    if not isinstance(d, dict):
+        raise PreconditionError("minimal-pair document must be a JSON object")
     for key in ("lambda", "tilde_basis"):
         if key not in d:
             raise PreconditionError(f"minimal-pair document needs a {key} key")

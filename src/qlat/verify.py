@@ -495,7 +495,10 @@ def suite_lang_counts(
             half = tuple(
                 tuple(x % (p * p) for x in row) for row in N.half_gram.entries
             )
-            reps = kernels.quadric_points_mod(p, 2, n, half, max_points)
+            try:
+                reps = kernels.quadric_points_mod(p, 2, n, half, max_points)
+            except ValueError as exc:
+                raise SizeGuardError(str(exc)) from None
             for q in (1, -1, 2, -2, 3, -3):
                 desc = {"suite": "lang-counts", "lattice": name, "p": p, "q": q}
                 wcol = [1, q] + [0] * (n - 2)

@@ -149,6 +149,44 @@ def test_size_guard_is_input_error(capsys):
     assert "error:" in err
 
 
+def test_verify_size_guard_is_input_error(capsys):
+    rc, out, err = run_cli(capsys, "verify", "lang-counts", "--max-points", "10")
+    assert rc == 2
+    assert err.splitlines()[-1].startswith("error:")
+    assert "exceeds limit 10" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "key, value", [("p", "three"), ("p", 2.5), ("power", None), ("power", [1])]
+)
+def test_non_integer_scaled_lattice_field_is_input_error(capsys, tmp_path, key, value):
+    doc = {
+        "ambient": {"rank": 2, "half_gram": [[0, 1], [0, 0]]},
+        "p": 3,
+        "power": 1,
+        "numerator_basis": [[1, 0], [0, 1]],
+    }
+    doc[key] = value
+    member = tmp_path / "member.json"
+    member.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out, err = run_cli(capsys, "grow", str(member), "[[1],[0]]")
+    assert rc == 2
+    assert err == f"error: scaled-lattice {key} must be an integer\n"
+    assert out == ""
+
+
+def test_non_object_documents_are_input_errors(capsys, tmp_path):
+    five = tmp_path / "five.json"
+    five.write_text("5", encoding="utf-8")
+    rc, out, err = run_cli(capsys, "grow", str(five), "[[1],[0]]")
+    assert (rc, err) == (2, "error: scaled-lattice document must be a JSON object\n")
+    emb = "[[1],[1],[0],[0],[0],[0]]"
+    rc, out, err = run_cli(capsys, "shrink", "H⊥H⊥H", emb, str(five))
+    assert (rc, err) == (2, "error: minimal-pair document must be a JSON object\n")
+
+
 # ---------------------------------------------------------------------------
 # verification suites through the CLI
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Quadratic spaces over F_p: decomposition, quadrics, witnesses, spinor norms."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,67 @@ def test_find_isotropic_vector_conic():
     v = find_isotropic_vector(V)
     assert v == (1, 1, 1)
     assert V.q(v) == 0
+
+
+LARGE_P = 1000003  # prime, 3 mod 4; its projective plane exceeds the search guard
+LARGE_P_NONSQUARE = 2  # since LARGE_P is 3 mod 8
+
+
+def _assert_normalized_isotropic(V, v):
+    assert v is not None and any(v) and V.q(v) == 0
+    assert next(x for x in v if x) == 1
+
+
+def test_isotropic_vector_beyond_the_exhaustive_guard():
+    p = LARGE_P
+    assert pow(LARGE_P_NONSQUARE, (p - 1) // 2, p) == p - 1
+    V = diag_space(p, 1, 1, 1)
+    _assert_normalized_isotropic(V, find_isotropic_vector(V))
+    assert so_order(V) == p * (p * p - 1)
+
+
+@pytest.mark.parametrize(
+    "qs, witt_index, aniso_dim",
+    [
+        ((1, 1, 1, 1), 2, 0),  # discriminant 1 is a square: split
+        ((1, 1, 1, LARGE_P_NONSQUARE), 1, 2),  # nonsquare discriminant: non-split
+        ((1, 1, 1, 1, 1), 2, 1),
+    ],
+)
+def test_witt_types_beyond_the_exhaustive_guard(qs, witt_index, aniso_dim):
+    from qlat.verify import closed_form_line_count
+
+    p = LARGE_P
+    V = diag_space(p, *qs)
+    pairs, aniso, rad = witt_decomposition(V)
+    assert (len(pairs), len(aniso), rad) == (witt_index, aniso_dim, ())
+    _check_witt(V, pairs, aniso, rad)
+    lines, order = {
+        (2, 0): ((p + 1) ** 2, p**2 * (p**2 - 1) ** 2),
+        (1, 2): (p**2 + 1, p**2 * (p**2 + 1) * (p**2 - 1)),
+        (2, 1): (p**3 + p**2 + p + 1, p**4 * (p**2 - 1) * (p**4 - 1)),
+    }[witt_index, aniso_dim]
+    assert closed_form_line_count(V) == lines
+    assert so_order(V) == order
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 6), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+)
+def test_isotropic_route_beyond_the_guard_agrees_with_exhaustive_search(p, rows):
+    n = len(rows)
+    V = FpQuadSpace(p, [[rows[i][j] if j >= i else 0 for j in range(n)] for i in range(n)])
+    exhaustive = find_isotropic_vector(V)
+    structured = find_isotropic_vector(V, max_exhaustive=0)
+    assert (structured is None) == (exhaustive is None)
+    if structured is not None:
+        _assert_normalized_isotropic(V, structured)
 
 
 # ---------------------------------------------------------------------------
@@ -427,3 +489,66 @@ def test_isometries_preserve_line_counts(p, m):
     tau = reflection(V, vecs[0])
     imgs = {ProjLine(V, tau.apply(l.generator)) for l in lines}
     assert imgs == set(lines)
+
+
+# ---------------------------------------------------------------------------
+# invariants kept on the space instance
+# ---------------------------------------------------------------------------
+
+
+def _memo_spaces():
+    from qlat.verify import _nondegenerate_spaces
+
+    return [
+        pytest.param(V, id=f"{name}-p{p}")
+        for p in (2, 3, 5)
+        for name, V in _nondegenerate_spaces(p, 6)
+    ]
+
+
+@pytest.mark.parametrize("V", _memo_spaces())
+def test_memoized_invariants_match_a_fresh_space(V):
+    untouched = FpQuadSpace(V.p, V.half_gram)
+    assert repr(untouched) == repr(V)
+    first = (witt_decomposition(V), so_order(V), V.gram())
+    assert witt_decomposition(V) is first[0]
+    assert so_order(V) is first[1]
+    assert V.gram() is first[2]
+    fresh = FpQuadSpace(V.p, V.half_gram)
+    assert (witt_decomposition(fresh), so_order(fresh), fresh.gram()) == first
+    assert fresh == V == untouched
+    assert hash(fresh) == hash(V) == hash(untouched)
+    assert repr(fresh) == repr(V) == repr(untouched)
+
+
+def test_no_module_level_caches():
+    from qlat import fp_quadratic
+
+    assert not hasattr(fp_quadratic, "_GROUP_CACHE")
+    assert not hasattr(fp_quadratic, "_gram_rows")
+    for name, value in vars(fp_quadratic).items():
+        if name.startswith("__"):
+            continue
+        assert not hasattr(value, "cache_info"), name
+        assert not isinstance(value, (dict, list, set)), name
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_witness_from_a_cached_group_is_a_brute_force_isometry(p):
+    from qlat.fp_quadratic import _all_isometries_bruteforce
+
+    V = hyperbolic(p, 2)
+    brute = _all_isometries_bruteforce(V)
+    special = {g for g in brute if FpIsometry(V, g).is_special()}
+    assert len(brute) == 2 * so_order(V) == 2 * len(special)
+    for q in range(2):
+        vectors = [
+            v for v in product(range(p), repeat=4) if any(v) and V.q(v) == q
+        ]
+        X = (vectors[0],)
+        witt_extension(V, X, X)  # materializes SO(V) on the instance
+        assert "so" in V._group_cache
+        for y in vectors:
+            g = witt_extension(V, X, (y,))
+            assert g.matrix in special
+            assert g.apply(X[0]) == y
