@@ -5,9 +5,25 @@ projective quadric enumeration over F_p and Z/p^k, finite matrix-group
 closure, line-orbit breadth-first search, and exhaustive isometry counting.
 ``qlat.kernels`` re-exports either this module or the compiled
 ``qlat._speedups`` twin; both expose identical signatures and must produce
-identical output.
+identical output.  The canonical projective order (``proj_key``) and its
+generator of normalized representatives (``proj_reps``) live here too and
+are shared by both backends and the rest of the package.
 
 Vectors are tuples of ints in [0, p); matrices are tuples of row tuples.
+
+Quadric points by a prefix sweep
+--------------------------------
+``isotropic_lines`` and ``quadric_points_mod`` both enumerate the zeros of
+Q(v) = sum_{i<=j} h_ij v_i v_j over a box of candidates, one set of
+choices per coordinate, through ``_zeros``.  The sweep fixes coordinates
+in order.  On a fixed prefix v_0..v_{k-1} it carries the value ``a`` of Q
+on the prefix and, for each coordinate j still free, its linear
+coefficient lin_j = sum_{i<k} h_ij v_i.  Fixing v_k = x updates them as
+``a += x*(lin_k + h_kk*x)`` and ``lin_j += h_kj*x`` for j > k, so each
+prefix costs O(n) rather than each candidate O(n^2).  At the last
+coordinate only ``a + x*(lin + h_nn*x) ≡ 0`` is tested for each x.  The
+sweep keeps no table beyond the O(n) state of the current prefix, and it
+emits zeros in the product order of the choices.
 """
 
 from __future__ import annotations
@@ -44,25 +60,73 @@ def proj_key(v):
     return (lead, v)
 
 
+def proj_reps(p, n):
+    """Normalized projective representatives of F_p^n in canonical order."""
+    for lead in range(n):
+        for tail in product(range(p), repeat=n - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
+def _zeros(modulus, half_gram, choices):
+    """Every v with v[k] in ``choices[k]`` and Q(v) ≡ 0 mod ``modulus``.
+
+    The prefix sweep of the module docstring; the zeros come out in the
+    product order of ``choices``, which must be nonempty.
+    """
+    n = len(choices)
+    # rows[k] = (h_kk, h_k,k+1, ..., h_k,n-1) reduced mod the modulus
+    rows = [[x % modulus for x in half_gram[k][k:]] for k in range(n)]
+    last = n - 1
+    c = rows[last][0]
+    last_choices = choices[last]
+    if n == 1:
+        return [(x,) for x in last_choices if c * x * x % modulus == 0]
+    out = []
+
+    def sweep(k, prefix, a, lin):
+        # a = Q(prefix) and lin[j - k] = sum_{i<k} h_ij prefix_i for j >= k
+        hkk, *tail = rows[k]
+        lk, *rest = lin
+        if k + 1 < last:
+            for x in choices[k]:
+                if x:
+                    sweep(
+                        k + 1,
+                        prefix + (x,),
+                        (a + x * (lk + hkk * x)) % modulus,
+                        [(l + h * x) % modulus for l, h in zip(rest, tail)],
+                    )
+                else:
+                    sweep(k + 1, prefix + (0,), a, rest)
+            return
+        # the last but one coordinate: test the last one for each x here
+        (l,), (h,) = rest, tail
+        for x in choices[k]:
+            ax = a + x * (lk + hkk * x)
+            b = l + h * x
+            pre = prefix + (x,)
+            out.extend([pre + (y,) for y in last_choices if (ax + y * (b + c * y)) % modulus == 0])
+
+    sweep(0, (), 0, [0] * n)
+    return out
+
+
 def isotropic_lines(p, n, half_gram, limit):
     """Normalized generators of isotropic lines of Q over F_p, sorted.
 
     Representatives have leading nonzero coordinate 1.  They are returned
     sorted by (leading position, remaining coordinates), so the first entry
-    is the canonical smallest isotropic vector.  Raises ValueError if the
-    projective space has more than ``limit`` points.
+    is the canonical smallest isotropic vector; the sweep emits them in
+    that order.  Raises ValueError if the projective space has more than
+    ``limit`` points.
     """
     count = (p**n - 1) // (p - 1)
     if count > limit:
         raise ValueError(f"projective space has {count} points, exceeds limit {limit}")
     out = []
+    tail = range(p)
     for lead in range(n):
-        tail_len = n - lead - 1
-        for tail in product(range(p), repeat=tail_len):
-            v = (0,) * lead + (1,) + tail
-            if _q_value(half_gram, v, p) == 0:
-                out.append(v)
-    out.sort(key=proj_key)
+        out += _zeros(p, half_gram, ((0,),) * lead + ((1,),) + (tail,) * (n - lead - 1))
     return out
 
 
@@ -83,14 +147,11 @@ def quadric_points_mod(p, k, n, half_gram, limit):
     if total > limit:
         raise ValueError(f"{total} normalized vectors mod {q}, exceeds limit {limit}")
     out = []
-    head_choices = tuple(range(0, q, p))
+    head = range(0, q, p)
+    tail = range(q)
     for lead in range(n):
-        tail_len = n - lead - 1
-        for head in product(head_choices, repeat=lead):
-            for tail in product(range(q), repeat=tail_len):
-                v = head + (1,) + tail
-                if _q_value(half_gram, v, q) == 0:
-                    out.append(v)
+        out += _zeros(q, half_gram, (head,) * lead + ((1,),) + (tail,) * (n - lead - 1))
+    # a nonzero head moves the vector's first nonzero coordinate forward
     out.sort(key=proj_key)
     return out
 
@@ -151,7 +212,7 @@ def line_orbit(gens, seed, p, limit):
         new_frontier = []
         for v in frontier:
             for g in gens:
-                w = tuple(sum(row[j] * v[j] for j in range(len(v))) % p for row in g)
+                w = tuple([sum(map(mul, row, v)) % p for row in g])
                 w = _normalize_line(w, p)
                 if w not in seen:
                     seen.add(w)

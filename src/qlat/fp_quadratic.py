@@ -299,27 +299,34 @@ class FpQuadSpace:
         return {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProjLine:
     """A line in F_p^n, stored by its normalized generator.
 
     The generator's leading nonzero coordinate is 1; two ProjLine values
     are equal iff they are the same line of the same space.
+    ``ProjLine(space, v)`` is the public constructor: it checks the
+    dimension and normalizes v.  The kernels' outputs are already
+    normalized tuples of ints in [0, p), and their callers here pass
+    ``_trusted=True`` to skip that work.
     """
 
     space: FpQuadSpace
     generator: Vector
 
-    def __post_init__(self) -> None:
-        p = self.space.p
-        v = tuple(int(x) % p for x in self.generator)
-        if len(v) != self.space.dim:
-            raise PreconditionError("line generator has wrong dimension")
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            raise PreconditionError("zero vector spans no line")
-        inv = _inv_mod(v[lead], p)
-        object.__setattr__(self, "generator", tuple((x * inv) % p for x in v))
+    def __init__(self, space: FpQuadSpace, generator: Sequence[int], _trusted: bool = False) -> None:
+        if not _trusted:
+            p = space.p
+            v = tuple(int(x) % p for x in generator)
+            if len(v) != space.dim:
+                raise PreconditionError("line generator has wrong dimension")
+            lead = next((i for i, x in enumerate(v) if x), None)
+            if lead is None:
+                raise PreconditionError("zero vector spans no line")
+            inv = _inv_mod(v[lead], p)
+            generator = tuple((x * inv) % p for x in v)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "generator", generator)
 
     def is_isotropic(self) -> bool:
         return self.space.q(self.generator) == 0
@@ -422,13 +429,6 @@ def _combine(basis: Sequence[Vector], coeffs: Sequence[int], p: int) -> Vector:
     )
 
 
-def _normalized_reps(p: int, n: int):
-    """Normalized projective representatives in canonical order."""
-    for lead in range(n):
-        for tail in product(range(p), repeat=n - lead - 1):
-            yield (0,) * lead + (1,) + tail
-
-
 def find_isotropic_vector(V: FpQuadSpace, max_exhaustive: int = 10**6) -> Vector | None:
     """A normalized nonzero vector with Q(v) = 0, or None if there is none.
 
@@ -444,7 +444,7 @@ def find_isotropic_vector(V: FpQuadSpace, max_exhaustive: int = 10**6) -> Vector
     if n == 0:
         return None
     if (p**n - 1) // (p - 1) <= max_exhaustive:
-        for v in _normalized_reps(p, n):
+        for v in kernels.proj_reps(p, n):
             if V.q(v) == 0:
                 return v
         return None
@@ -588,7 +588,7 @@ def enumerate_isotropic_lines(
         reps = kernels.isotropic_lines(V.p, V.dim, V.half_gram, max_points)
     except ValueError as exc:
         raise SizeGuardError(str(exc)) from None
-    return tuple(ProjLine(V, v) for v in reps)
+    return tuple([ProjLine(V, v, _trusted=True) for v in reps])
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +716,7 @@ def _orthogonal_generators(V: FpQuadSpace) -> list[tuple[Matrix, int]]:
     """
     p, n = V.p, V.dim
     gens: list[tuple[Matrix, int]] = []
-    for v in _normalized_reps(p, n):
+    for v in kernels.proj_reps(p, n):
         if V.q(v) != 0:
             try:
                 gens.append((reflection(V, v).matrix, 1))
@@ -724,7 +724,7 @@ def _orthogonal_generators(V: FpQuadSpace) -> list[tuple[Matrix, int]]:
                 continue
     if p == 2:
         B = V.gram()
-        for u in _normalized_reps(p, n):
+        for u in kernels.proj_reps(p, n):
             if V.q(u) != 0:
                 continue
             bu = _mat_vec(B, u, p)
@@ -959,7 +959,10 @@ def reflection_factorization(V: FpQuadSpace, g: FpIsometry | Matrix) -> list[Vec
     either descends to the orthogonal complement of a fixed anisotropic
     vector or applies one or two reflections to create such a vector (if
     Q(gx - x) = 0 for an anisotropic x moved by g, then Q(gx + x) =
-    4Q(x) - Q(gx - x) != 0 and τ_x ∘ τ_{gx+x} fixes x).
+    4Q(x) - Q(gx - x) != 0 and τ_x ∘ τ_{gx+x} fixes x).  Each step scans
+    the normalized vectors of the current subspace, so it raises
+    SizeGuardError once that subspace has more than ``_MAX_PROJ_POINTS``
+    projective points.
     """
     p = V.p
     if p == 2:
@@ -979,10 +982,16 @@ def reflection_factorization(V: FpQuadSpace, g: FpIsometry | Matrix) -> list[Vec
         ident = _identity_mat(k)
         if h == ident:
             break
+        count = (p**k - 1) // (p - 1)
+        if count > _MAX_PROJ_POINTS:
+            raise SizeGuardError(
+                f"reflection factorization would scan {count} projective points, "
+                f"exceeds the guard {_MAX_PROJ_POINTS}"
+            )
         # look for an anisotropic vector fixed by h (in subspace coordinates)
         fixed = None
         moved_aniso = None
-        for v in _normalized_reps(p, k):
+        for v in kernels.proj_reps(p, k):
             if Vs.q(v) == 0:
                 continue
             if _mat_vec(h, v, p) == v:
@@ -1073,7 +1082,7 @@ def stabilizer_orbit(
         if (p**kperp - 1) // (p - 1) > max_points:
             raise SizeGuardError("perpendicular space too large to enumerate")
         iso_dirs: list[Vector] = []
-        for coeffs in _normalized_reps(p, kperp):
+        for coeffs in kernels.proj_reps(p, kperp):
             v = _combine(perp, coeffs, p)
             if V.q(v) != 0:
                 bv = _mat_vec(B, v, p)
@@ -1097,7 +1106,7 @@ def stabilizer_orbit(
             orbit_vecs = kernels.line_orbit(gens, seed.generator, p, max_points)
         except ValueError as exc:
             raise SizeGuardError(str(exc)) from None
-    orbit = [ProjLine(V, v) for v in orbit_vecs]
+    orbit = [ProjLine(V, v, _trusted=True) for v in orbit_vecs]
     if universe is not None:
         allowed = set(universe)
         orbit = [line for line in orbit if line in allowed]

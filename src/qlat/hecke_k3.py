@@ -28,6 +28,7 @@ from .exact_linalg import (
     saturate,
     sublattice_in_span,
 )
+from .kernels import proj_reps
 from .padic_lattice import (
     PLattice,
     _integral_coefficients,
@@ -130,7 +131,7 @@ def enumerate_index_p_sublattices(
     if count > max_count:
         raise SizeGuardError(f"{count} sublattices exceeds the guard {max_count}")
     out = []
-    for rep in _proj_reps(p, r):
+    for rep in proj_reps(p, r):
         idx = next(i for i, x in enumerate(rep) if x)
         inv = pow(rep[idx], -1, p)
         cols = []
@@ -145,14 +146,6 @@ def enumerate_index_p_sublattices(
         basis = hnf_basis(K.hstack(IntMatrix.identity(r).scale(p)))
         out.append(MinimalPair(L, basis))
     return tuple(out)
-
-
-def _proj_reps(p: int, n: int):
-    from itertools import product
-
-    for lead in range(n):
-        for tail in product(range(p), repeat=n - lead - 1):
-            yield (0,) * lead + (1,) + tail
 
 
 def k3_isogeny(d: int, p: int) -> PolarizedK3Lattice:
@@ -248,7 +241,7 @@ def grow_unique(
     if not lattices_equal(T, Wt.scale(denom)):
         raise PreconditionError("lattice does not meet the span in the embedded sublattice")
     candidates = []
-    for rep in _proj_reps(p, rt):
+    for rep in proj_reps(p, rt):
         x = Wt.mul_vector(rep)
         cand = hnf_basis(Wt.scale(p).hstack(IntMatrix.from_columns([x])))
         candidates.append(cand)  # W' = p^{-1} · (column span of cand)

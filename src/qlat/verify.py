@@ -48,7 +48,6 @@ from .fp_quadratic import (
     FpQuadSpace,
     _kernel_basis,
     _legendre,
-    _normalized_reps,
     _rank_mod,
     enumerate_isotropic_lines,
     reflection,
@@ -309,7 +308,7 @@ def _subspace_bases(p: int, n: int, k: int):
         yield ()
         return
     seen = set()
-    for combo in product(*[_normalized_reps_list(p, n)] * k):
+    for combo in product(kernels.proj_reps(p, n), repeat=k):
         rows = [list(v) for v in combo]
         if _rank_mod([r[:] for r in rows], p) != k:
             continue
@@ -318,10 +317,6 @@ def _subspace_bases(p: int, n: int, k: int):
             continue
         seen.add(key)
         yield key
-
-
-def _normalized_reps_list(p, n):
-    return list(_normalized_reps(p, n))
 
 
 def _rref_key(rows, p):
@@ -570,7 +565,7 @@ def suite_spinor_surjectivity(
             ]
             perp = _kernel_basis(list(rows), p, n)
             sq = nonsq = None
-            for coeffs in _normalized_reps(p, len(perp)):
+            for coeffs in kernels.proj_reps(p, len(perp)):
                 u = tuple(
                     sum(c * b[i] for c, b in zip(coeffs, perp)) % p for i in range(n)
                 )

@@ -1,6 +1,7 @@
 """Quadratic spaces over F_p: decomposition, quadrics, witnesses, spinor norms."""
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -435,6 +436,20 @@ def test_reflection_factorization_reconstructs():
         acc = acc @ reflection(V, v)
     assert acc.matrix == g.matrix
     assert len(vs) <= 2 * V.dim
+
+
+def test_spinor_norm_beyond_guard_raises_promptly():
+    # the scan for a fixed anisotropic vector would walk p² + p + 1 points
+    V = diag_space(LARGE_P, 1, 1, 1)
+    g = reflection(V, (1, 0, 0))
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError):
+        spinor_norm(V, g)
+    with pytest.raises(SizeGuardError):
+        reflection_factorization(V, g)
+    assert time.perf_counter() - start < 5.0
+    ident = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
+    assert reflection_factorization(V, ident) == []
 
 
 # ---------------------------------------------------------------------------
