@@ -158,7 +158,7 @@ def quadric_points_mod(p, k, n, half_gram, limit):
 
 def _mat_mul(A, B, p):
     Bt = tuple(zip(*B))
-    return tuple(tuple(sum(map(mul, row, col)) % p for col in Bt) for row in A)
+    return tuple([tuple([sum(map(mul, row, col)) % p for col in Bt]) for row in A])
 
 
 def group_closure(gens, p, limit):
@@ -213,7 +213,8 @@ def line_orbit(gens, seed, p, limit):
         for v in frontier:
             for g in gens:
                 w = tuple([sum(map(mul, row, v)) % p for row in g])
-                w = _normalize_line(w, p)
+                if next(filter(None, w), 0) != 1:  # else w is already normalized
+                    w = _normalize_line(w, p)
                 if w not in seen:
                     seen.add(w)
                     new_frontier.append(w)

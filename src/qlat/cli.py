@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     except InvariantViolationError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,10 +17,10 @@ Per-space invariants
 An ``FpQuadSpace`` is frozen, so whatever depends only on it is computed
 at most once and kept on the instance: the Gram matrix, nondegeneracy,
 the Witt decomposition, |SO(V)|, and (for ``witt_extension``) the
-materialized special orthogonal group with each element's inverse and
-the orbit indices built from it.  Equality, hashing and ``repr`` see only
-``p`` and ``half_gram``; two equal spaces built apart compute the same
-values independently.
+materialized special orthogonal group with each element's inverse, the
+orbit indices built from it and a table of the witnesses validated so
+far.  Equality, hashing and ``repr`` see only ``p`` and ``half_gram``; two
+equal spaces built apart compute the same values independently.
 
 Canonical vector order
 ----------------------
@@ -295,7 +295,9 @@ class FpQuadSpace:
 
     @cached_property
     def _group_cache(self) -> dict:
-        """Filled by ``_witness_from_group``: SO(V), inverses, orbit indices."""
+        """Filled by ``_witness_from_group``: SO(V), inverses, orbit indices
+        and the witness table, which maps each witness matrix built so far
+        to its validated ``FpIsometry``."""
         return {}
 
 
@@ -808,7 +810,7 @@ def _tuple_type_key(V: FpQuadSpace, vectors: Sequence[Vector]):
 
 def _witness_from_group(
     V: FpQuadSpace, X: tuple[Vector, ...], Y: tuple[Vector, ...], key, limit: int
-) -> Matrix:
+) -> FpIsometry:
     # Tuples with the same Gram data can still fall into several
     # special-orthogonal orbits (maximal totally isotropic subspaces of a
     # split space split into two families), so the cache keeps one image
@@ -816,7 +818,9 @@ def _witness_from_group(
     # X is found by membership (X = identity . X always lands in the index
     # seeded on X); only a Y missing from that same index certifies that no
     # special witness exists.  An index maps each image tuple to the position
-    # of one group element carrying X there.
+    # of one group element carrying X there.  The witness table maps each
+    # witness matrix built so far to its validated FpIsometry, keyed by the
+    # isometry's own matrix so that each matrix is held once.
     p = V.p
     cache = V._group_cache
     if "so" not in cache:
@@ -824,6 +828,7 @@ def _witness_from_group(
         cache["so_inv"] = tuple(_inv_mat(g, p) for g in so)
         cache["so"] = so
         cache["orbits"] = {}
+        cache["witnesses"] = {}
     so = cache["so"]
     indices = cache["orbits"].setdefault(key, [])
     index = next((candidate for candidate in indices if X in candidate), None)
@@ -837,7 +842,13 @@ def _witness_from_group(
         raise InvariantViolationError(
             "isometric tuples lie in different special-orthogonal orbits"
         )
-    return _mat_mul(so[iy], cache["so_inv"][index[X]], p)
+    m = _mat_mul(so[iy], cache["so_inv"][index[X]], p)
+    witnesses = cache["witnesses"]
+    iso = witnesses.get(m)
+    if iso is None:
+        iso = FpIsometry(V, m)
+        witnesses[iso.matrix] = iso
+    return iso
 
 
 def _witness_by_bfs(
@@ -935,10 +946,9 @@ def witt_extension(
         return FpIsometry(V, _identity_mat(n))
     limit = max_group if max_group is not None else _group_limit()
     if 2 * so_order(V) <= limit:
-        m = _witness_from_group(V, X, Y, key, limit)
+        iso = _witness_from_group(V, X, Y, key, limit)
     else:
-        m = _witness_by_bfs(V, X, Y, _MAX_PROJ_POINTS)
-    iso = FpIsometry(V, m)
+        iso = FpIsometry(V, _witness_by_bfs(V, X, Y, _MAX_PROJ_POINTS))
     if not iso.is_special():
         raise InvariantViolationError("witness is not special")
     for xj, yj in zip(X, Y):

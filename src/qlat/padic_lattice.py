@@ -200,12 +200,12 @@ def plattice_quadlattice(L: PLattice) -> QuadLattice:
 
 def reduction(N: QuadLattice, p: int) -> FpQuadSpace:
     """The quadratic space N/pN over F_p."""
-    return FpQuadSpace(p, tuple(tuple(x % p for x in row) for row in N.half_gram.entries))
+    return FpQuadSpace(p, N.half_gram.entries)  # checks p before reducing
 
 
 def _check_line(N: QuadLattice, line: ProjLine) -> int:
     p = line.space.p
-    if line.space.half_gram != tuple(tuple(x % p for x in row) for row in N.half_gram.entries):
+    if line.space.half_gram != N.half_gram_mod(p):
         raise PreconditionError("line does not live in the reduction of the lattice")
     return p
 

@@ -80,6 +80,18 @@ class QuadLattice:
     def _gram_det(self) -> int:
         return self.gram().det()
 
+    def half_gram_mod(self, p: int) -> tuple[tuple[int, ...], ...]:
+        """The half-Gram matrix with entries reduced mod p, computed once per lattice and p."""
+        reduced = self._half_gram_mod
+        hg = reduced.get(p)
+        if hg is None:
+            hg = reduced[p] = tuple(tuple(x % p for x in row) for row in self.half_gram.entries)
+        return hg
+
+    @cached_property
+    def _half_gram_mod(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        return {}
+
     def q(self, x: Sequence[int]) -> int:
         return quad_value(self, x)
 

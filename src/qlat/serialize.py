@@ -158,20 +158,32 @@ def parse_lattice_name(name: str) -> QuadLattice:
         elif m.group(1) == "k3":
             pieces.append(k3_lattice())
         else:
-            pieces.append(rank_one(int(m.group(2))))
+            try:
+                m_value = int(m.group(2))
+            except ValueError:  # beyond the interpreter's integer-string limit
+                raise PreconditionError(f"rank-one coefficient in {part!r} is too long") from None
+            pieces.append(rank_one(m_value))
     return pieces[0] if len(pieces) == 1 else direct_sum(*pieces)
 
 
 def _load_json_arg(arg: str):
-    """Interpret a CLI argument as a JSON file path or inline JSON."""
+    """Interpret a CLI argument as a JSON file path or inline JSON.
+
+    Besides syntax errors, the decoder raises ValueError for undecodable
+    bytes and for integers beyond the interpreter's digit limit, and
+    RecursionError for deep nesting; all of them are input errors.
+    """
     if os.path.exists(arg):
         with open(arg, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            try:
+                return json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                raise PreconditionError(f"invalid JSON in {arg}: {exc}") from None
     stripped = arg.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
         try:
             return json.loads(arg)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise PreconditionError(f"invalid inline JSON: {exc}") from None
     return None
 

@@ -662,6 +662,8 @@ def run_suite(
         raise PreconditionError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
         )
+    for p in primes or ():
+        FpQuadSpace(p, ())  # raises PreconditionError unless p is prime
     return SUITES[name](
         primes=primes,
         max_rank=max_rank,

@@ -138,6 +138,23 @@ def test_missing_file_is_input_error(capsys, tmp_path):
     assert rc == 2
 
 
+def test_undecodable_file_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    rc, out, err = run_cli(capsys, "lattice", "info", str(bad))
+    assert rc == 2
+    assert err.startswith(f"error: invalid JSON in {bad}:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("p", ["0", "-3", "9"])
+def test_verify_rejects_a_non_prime(capsys, p):
+    rc, out, err = run_cli(capsys, "verify", "spinor-surjectivity", "--p", p, "--max-rank", "2")
+    assert rc == 2
+    assert err.splitlines()[-1] == f"error: {p} is not prime"
+    assert out == ""
+
+
 def test_composite_prime_is_input_error(capsys):
     rc, out, err = run_cli(capsys, "quadric", "lines", "H", "--p", "4")
     assert rc == 2

@@ -567,3 +567,133 @@ def test_witness_from_a_cached_group_is_a_brute_force_isometry(p):
             g = witt_extension(V, X, (y,))
             assert g.matrix in special
             assert g.apply(X[0]) == y
+
+
+# ---------------------------------------------------------------------------
+# the table of validated witnesses kept on the space instance
+# ---------------------------------------------------------------------------
+
+
+def _mat_mul_mod(A, B, p):
+    n = len(B[0])
+    return tuple(
+        tuple(sum(a * B[t][j] for t, a in enumerate(row)) % p for j in range(n))
+        for row in A
+    )
+
+
+def _witt_queries(V, k):
+    """Every (X, Y) with X the first k standard basis vectors, Y isometric."""
+    p, n = V.p, V.dim
+    X = tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(k))
+    vectors = [v for v in product(range(p), repeat=n) if any(v)]
+    for Y in product(vectors, repeat=k):
+        if all(V.q(y) == V.q(x) for x, y in zip(X, Y)) and all(
+            V.b(Y[i], Y[j]) == V.b(X[i], X[j]) for i in range(k) for j in range(i)
+        ):
+            yield X, Y
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_witness_table_holds_validated_special_isometries(p):
+    V = hyperbolic(p, 2)
+    returned = []
+    for X, Y in _witt_queries(V, 1):
+        returned.append(witt_extension(V, X, Y))
+    table = V._group_cache["witnesses"]
+    assert len(table) >= 2
+    for g in returned:
+        assert table[g.matrix] is g
+    for key, g in table.items():
+        assert g.matrix is key
+        assert g == FpIsometry(V, [list(row) for row in key])
+        assert g.is_special()
+
+
+def test_witness_table_returns_the_identical_object():
+    V = hyperbolic(3, 2)
+    X, Y = ((1, 0, 0, 0),), ((0, 0, 1, 0),)
+    first = witt_extension(V, X, Y)
+    size = len(V._group_cache["witnesses"])
+    again = witt_extension(V, [list(X[0])], [list(Y[0])])
+    assert again is first
+    assert len(V._group_cache["witnesses"]) == size
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 1)])
+def test_witnesses_are_the_group_products(p, k):
+    V = hyperbolic(p, 2)
+    for X, Y in _witt_queries(V, k):
+        try:
+            g = witt_extension(V, X, Y)
+        except InvariantViolationError:
+            continue  # a Lagrangian pair across rulings
+        cache = V._group_cache
+        (index,) = [
+            ix for indices in cache["orbits"].values() for ix in indices if X in ix
+        ]
+        expected = _mat_mul_mod(cache["so"][index[Y]], cache["so_inv"][index[X]], p)
+        assert g.matrix == expected
+        assert all(g.apply(x) == y for x, y in zip(X, Y))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_bfs_route_leaves_the_witness_table_alone(p):
+    V = hyperbolic(p, 2)
+    below = 2 * so_order(V) - 1
+    queries = list(_witt_queries(V, 1))
+    for X, Y in queries[:12]:
+        g = witt_extension(V, X, Y, max_group=below)
+        assert g.is_special() and g.apply(X[0]) == Y[0]
+    assert "witnesses" not in V._group_cache
+    witt_extension(V, *queries[0])  # the group route builds the table
+    size = len(V._group_cache["witnesses"])
+    for X, Y in queries[:12]:
+        g = witt_extension(V, X, Y, max_group=below)
+        assert g.is_special() and g.apply(X[0]) == Y[0]
+    assert len(V._group_cache["witnesses"]) == size
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_failed_extension_stores_no_witness(p):
+    V = hyperbolic(p, 2)
+    e1, e2, f2 = (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+    witt_extension(V, [e1, e2], [e1, e2])
+    before = dict(V._group_cache["witnesses"])
+    with pytest.raises(InvariantViolationError):
+        witt_extension(V, [e1, e2], [e1, f2])  # across rulings
+    assert V._group_cache["witnesses"] == before
+
+
+def test_suite_validates_each_witness_once(monkeypatch):
+    from qlat import fp_quadratic
+    from qlat.verify import suite_witt_extension
+
+    group_route = fp_quadratic._witness_from_group
+    post_init = FpIsometry.__post_init__
+    spaces = {}
+    counts = {"calls": 0, "witness validations": 0}
+    inside = [False]
+
+    def witness_from_group(V, *args):
+        spaces[id(V)] = V
+        counts["calls"] += 1
+        inside[0] = True
+        try:
+            return group_route(V, *args)
+        finally:
+            inside[0] = False
+
+    def counted(self):
+        post_init(self)
+        # SO(V) is on the space once its generators have been built
+        if inside[0] and "so" in self.space._group_cache:
+            counts["witness validations"] += 1
+
+    monkeypatch.setattr(fp_quadratic, "_witness_from_group", witness_from_group)
+    monkeypatch.setattr(FpIsometry, "__post_init__", counted)
+    report = suite_witt_extension(primes=(2, 3), max_rank=3)
+    assert report.failures == 0
+    witnesses = sum(len(V._group_cache["witnesses"]) for V in spaces.values())
+    assert counts["witness validations"] == witnesses
+    assert 0 < witnesses < counts["calls"]

@@ -374,3 +374,18 @@ def test_recover_criterion_matches_intersection_rank_two(p):
     members = _recover_inputs(H3, W, p)
     assert members
     _assert_criterion_matches_oracle(members, W)
+
+
+def test_lines_are_checked_against_the_reduction_kept_per_prime():
+    N = direct_sum(H, H)
+    reduced = N.half_gram_mod(3)
+    assert N.half_gram_mod(3) is reduced
+    assert reduction(N, 3).half_gram == reduced
+    assert N.half_gram_mod(5) == reduction(N, 5).half_gram
+    line = enumerate_isotropic_lines(reduction(N, 3))[0]
+    assert lattice_from_line(N, line).p == 3
+    other = direct_sum(H, rank_one(1), rank_one(-1))  # same rank, another form mod 3
+    with pytest.raises(PreconditionError, match="line does not live in the reduction"):
+        lattice_from_line(other, line)
+    with pytest.raises(PreconditionError, match="is not prime"):
+        reduction(N, 0)
