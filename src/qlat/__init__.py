@@ -17,10 +17,10 @@ The package computes, with no floating point anywhere:
 * character-lattice kernels and cokernels of diagonalizable-group maps
   (:mod:`qlat.deformation_tori`).
 
-Hot enumeration kernels run on a compiled backend when the optional
-extension is built, with an equivalent pure-Python fallback
-(``QLAT_PURE=1`` forces the fallback).  The ``qlat`` command exposes the
-enumerations and the verification suites.
+Linear algebra, primality and the default enumeration guards over F_p
+live in :mod:`qlat.modp`, and the hot enumeration loops in
+:mod:`qlat.kernels`.  The package is pure Python.  The ``qlat`` command
+exposes the enumerations and the verification suites.
 """
 
 from .errors import InvariantViolationError, PreconditionError, SizeGuardError

@@ -7,7 +7,7 @@ invariant, 2 invalid input or unmet precondition.
 
 The environment variable ``QLAT_PRECISION`` sets the default working
 precision k for mod-p^k lifting (default 2); canonical outputs do not
-depend on it.  ``QLAT_PURE=1`` forces the pure-Python compute kernels.
+depend on it.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from . import kernels
 from .errors import InvariantViolationError, PreconditionError, SizeGuardError
 from .fp_quadratic import enumerate_isotropic_lines
 from .hecke_k3 import grow_unique, k3_isogeny, shrink_fiber
+from .modp import MAX_GROUP_ELEMENTS, MAX_PROJ_POINTS, is_prime
 from .padic_lattice import enumerate_neighbors, reduction
 from .quad_lattice import discriminant_group, is_self_dual_at, signature
 from .serialize import (
@@ -33,21 +34,9 @@ from .serialize import (
 )
 from .verify import SUITES, run_suite
 
-_MAX_POINTS_DEFAULT = 10**7
-_MAX_GROUP_DEFAULT = 10**6
-
 
 def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _primes_up_to(bound: int):
-    sieve = [True] * (bound + 1)
-    for p in range(2, bound + 1):
-        if sieve[p]:
-            yield p
-            for m in range(p * p, bound + 1, p):
-                sieve[m] = False
 
 
 def _cmd_lattice_info(args) -> int:
@@ -55,7 +44,7 @@ def _cmd_lattice_info(args) -> int:
     gram = L.gram()
     disc = discriminant_group(L)
     self_dual = [
-        p for p in _primes_up_to(args.prime_bound) if is_self_dual_at(L, p)
+        p for p in range(2, args.prime_bound + 1) if is_prime(p) and is_self_dual_at(L, p)
     ]
     _emit(
         {
@@ -153,15 +142,15 @@ def _add_common(parser, group=False) -> None:
     parser.add_argument(
         "--max-points",
         type=int,
-        default=_MAX_POINTS_DEFAULT,
-        help=f"projective enumeration guard (default {_MAX_POINTS_DEFAULT})",
+        default=MAX_PROJ_POINTS,
+        help=f"projective enumeration guard (default {MAX_PROJ_POINTS})",
     )
     if group:
         parser.add_argument(
             "--max-group",
             type=int,
-            default=None,
-            help=f"group enumeration guard (default {_MAX_GROUP_DEFAULT})",
+            default=MAX_GROUP_ELEMENTS,
+            help=f"group enumeration guard (default {MAX_GROUP_ELEMENTS})",
         )
 
 

@@ -33,6 +33,7 @@ from .exact_linalg import (
     quotient_structure,
     saturate,
 )
+from .modp import check_prime
 
 __all__ = [
     "CharLattice",
@@ -42,10 +43,6 @@ __all__ = [
     "tgm_kernel",
     "cokernel_M",
 ]
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
 @dataclass(frozen=True)
@@ -88,8 +85,7 @@ class DiagGroupKernel:
     target_divisors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise PreconditionError(f"{self.p} is not prime")
+        check_prime(self.p)
         for divisors in (self.source_divisors, self.target_divisors, self.presentation.torsion):
             for d in divisors:
                 if d < 1 or (d > 1 and not _is_p_power(d, self.p)):
@@ -151,8 +147,7 @@ def qisog_kernel_char(split: CharLattice, p: int) -> DiagGroupKernel:
     """
     if split.weights is None:
         raise PreconditionError("weight decomposition required")
-    if not _is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
+    check_prime(p)
     a, b, c = split.weights
     psi1 = [p] * a + [1] * b + [1] * c
     psi0 = [1] * a + [1] * b + [p] * c
@@ -169,8 +164,7 @@ def tgm_kernel(m_weights, split: CharLattice, p: int) -> DiagGroupKernel:
     ψ¹ = p^{max(-v, 0)}, ψ⁰ = p^{max(v, 0)} on each block, so both
     projections are injective on characters with finite p-power cokernel.
     """
-    if not _is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
+    check_prime(p)
     vals = list(m_weights)
     blocks = list(split.weights) if split.weights is not None else [split.rank]
     if len(vals) != len(blocks):
@@ -214,8 +208,7 @@ def cokernel_M(
     coordinate is onto (the nondegeneracy condition); without it the
     index-p claim has no content.
     """
-    if not _is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
+    check_prime(p)
     if split.weights is None or split.weights[0] != 1 or split.weights[2] != 1:
         raise PreconditionError("weight decomposition must be (1, b, 1)")
     n = split.rank

@@ -36,6 +36,7 @@ __all__ = [
     "is_square_hnf",
     "lattices_equal",
     "integer_kernel",
+    "integral_coefficients",
     "unimodular_inverse",
     "quotient_structure",
     "saturate",
@@ -466,34 +467,69 @@ def integer_kernel(M: IntMatrix) -> IntMatrix:
     return V.take_columns(range(r, M.cols))
 
 
+def integral_coefficients(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
+    """The integer C with basis @ C == targets.
+
+    ``basis`` must have independent columns.  Gauss–Jordan elimination over
+    Fraction; raises PreconditionError when the columns are dependent, when
+    a target lies outside their rational span, or when its coordinates are
+    not all integers.
+    """
+    if basis.rows != targets.rows:
+        raise PreconditionError("ambient dimension mismatch")
+    n, r = basis.rows, basis.cols
+    k = targets.cols
+    a = [
+        [Fraction(basis.entries[i][j]) for j in range(r)]
+        + [Fraction(targets.entries[i][j]) for j in range(k)]
+        for i in range(n)
+    ]
+    rank = 0
+    pivots = []
+    for col in range(r):
+        piv = next((i for i in range(rank, n) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = 1 / a[rank][col]
+        a[rank] = [x * inv for x in a[rank]]
+        for i in range(n):
+            if i != rank and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        pivots.append(col)
+        rank += 1
+    if rank != r:
+        raise PreconditionError("basis columns are dependent")
+    for i in range(rank, n):
+        if any(a[i][r + j] != 0 for j in range(k)):
+            raise PreconditionError("target vectors lie outside the span")
+    C = [[Fraction(0)] * k for _ in range(r)]
+    for row_idx, pc in enumerate(pivots):
+        for j in range(k):
+            C[pc][j] = a[row_idx][r + j]
+    out = []
+    for row in C:
+        out_row = []
+        for x in row:
+            if x.denominator != 1:
+                raise PreconditionError("target vectors are not integral in the basis")
+            out_row.append(int(x))
+        out.append(out_row)
+    return IntMatrix.from_rows(out)
+
+
 def unimodular_inverse(M: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix."""
     n = M.rows
     if n != M.cols:
         raise PreconditionError("inverse of a non-square matrix")
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(M.entries)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise PreconditionError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            v = a[i][j]
-            if v.denominator != 1:
-                raise PreconditionError("matrix is not unimodular")
-            row.append(int(v))
-        out.append(row)
-    return IntMatrix.from_rows(out)
+    try:
+        return integral_coefficients(M, IntMatrix.identity(n))
+    except PreconditionError:
+        # a square M has an integral inverse exactly when det M = ±1
+        reason = "singular" if M.det() == 0 else "not unimodular"
+        raise PreconditionError(f"matrix is {reason}") from None
 
 
 # ---------------------------------------------------------------------------

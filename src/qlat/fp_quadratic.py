@@ -39,8 +39,9 @@ from itertools import product
 from operator import mul
 from typing import Iterable, Sequence
 
-from . import kernels
+from . import kernels, modp
 from .errors import InvariantViolationError, PreconditionError, SizeGuardError
+from .modp import MAX_GROUP_ELEMENTS, MAX_PROJ_POINTS
 
 __all__ = [
     "FpQuadSpace",
@@ -64,139 +65,13 @@ __all__ = [
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
 
-_MAX_PROJ_POINTS = 10**7
-_MAX_GROUP_ELEMENTS = 10**6
-
-
-# ---------------------------------------------------------------------------
-# F_p linear algebra on tuple matrices (rows)
-# ---------------------------------------------------------------------------
-
-
-def _inv_mod(a: int, p: int) -> int:
-    return pow(a % p, -1, p)
-
-
-def _mat_vec(M: Matrix, v: Sequence[int], p: int) -> Vector:
-    return tuple([sum(map(mul, row, v)) % p for row in M])
-
-
-def _mat_mul(A: Matrix, B: Matrix, p: int) -> Matrix:
-    Bt = tuple(zip(*B))
-    return tuple([tuple([sum(map(mul, row, col)) % p for col in Bt]) for row in A])
-
-
-def _identity_mat(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _rref(rows: Iterable[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    m = [[x % p for x in r] for r in rows]
-    pivots: list[int] = []
-    if not m:
-        return m, pivots
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    for c in range(n_cols):
-        for piv in range(r, n_rows):
-            if m[piv][c]:
-                break
-        else:
-            continue
-        row = m[piv]
-        m[piv] = m[r]
-        if row[c] != 1:
-            inv = _inv_mod(row[c], p)
-            row = [(x * inv) % p for x in row]
-        m[r] = row
-        for i in range(n_rows):
-            f = m[i][c]
-            if f and i != r:
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots
-
-
-def _rank_mod(rows: Iterable[Sequence[int]], p: int) -> int:
-    return len(_rref(rows, p)[1])
-
-
-def _kernel_basis(rows: Iterable[Sequence[int]], p: int, n_cols: int) -> list[Vector]:
-    m, pivots = _rref(rows, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [0] * n_cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-m[r][fc]) % p
-        basis.append(tuple(v))
-    return basis
-
-
-def _solve_matrix(A: Matrix, B: Matrix, p: int) -> Matrix:
-    """Solve A @ X = B for full-column-rank A; raises if inconsistent."""
-    n_rows = len(A)
-    r = len(A[0]) if A else 0
-    k = len(B[0]) if B else 0
-    aug = [list(A[i]) + list(B[i]) for i in range(n_rows)]
-    m, pivots = _rref(aug, p)
-    if any(pc >= r for pc in pivots):
-        raise InvariantViolationError("inconsistent linear system")
-    if len(pivots) != r:
-        raise PreconditionError("coefficient matrix does not have full column rank")
-    X = [[0] * k for _ in range(r)]
-    for row_idx, pc in enumerate(pivots):
-        for j in range(k):
-            X[pc][j] = m[row_idx][r + j]
-    return tuple(tuple(row) for row in X)
-
-
-def _inv_mat(M: Matrix, p: int) -> Matrix:
-    return _solve_matrix(M, _identity_mat(len(M)), p)
-
-
-def _det_mod(rows: Matrix, p: int) -> int:
-    m = [[x % p for x in r] for r in rows]
-    n = len(m)
-    det = 1
-    for col in range(n):
-        for piv in range(col, n):
-            if m[piv][col]:
-                break
-        else:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        row = m[col]
-        det = (det * row[col]) % p
-        inv = _inv_mod(row[col], p)
-        for i in range(col + 1, n):
-            f = m[i][col]
-            if f:
-                f = (f * inv) % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
-    return det % p
-
-
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
 
 def _sqrt_mod(a: int, p: int) -> int | None:
     """A square root of a mod p (odd p), or None if a is a nonsquare."""
     a %= p
     if a == 0:
         return 0
-    if _legendre(a, p) != 1:
+    if modp.legendre(a, p) != 1:
         return None
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
@@ -205,7 +80,7 @@ def _sqrt_mod(a: int, p: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = next(z for z in range(2, p) if _legendre(z, p) == -1)
+    z = next(z for z in range(2, p) if modp.legendre(z, p) == -1)
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t
@@ -223,11 +98,6 @@ def _sqrt_mod(a: int, p: int) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise PreconditionError(f"{p} is not prime")
-
-
 @dataclass(frozen=True)
 class FpQuadSpace:
     """Quadratic space over F_p given by an upper-triangular half-Gram.
@@ -241,7 +111,7 @@ class FpQuadSpace:
     half_gram: Matrix
 
     def __post_init__(self) -> None:
-        _check_prime(self.p)
+        modp.check_prime(self.p)
         hg = tuple(tuple(int(x) % self.p for x in row) for row in self.half_gram)
         n = len(hg)
         for row in hg:
@@ -283,7 +153,7 @@ class FpQuadSpace:
 
     @cached_property
     def _nondegenerate(self) -> bool:
-        return _det_mod(self._gram, self.p) != 0
+        return modp.det(self._gram, self.p) != 0
 
     @cached_property
     def _witt(self) -> WittDecomposition:
@@ -325,7 +195,7 @@ class ProjLine:
             lead = next((i for i, x in enumerate(v) if x), None)
             if lead is None:
                 raise PreconditionError("zero vector spans no line")
-            inv = _inv_mod(v[lead], p)
+            inv = modp.inv_mod(v[lead], p)
             generator = tuple((x * inv) % p for x in v)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "generator", generator)
@@ -359,13 +229,13 @@ class FpIsometry:
         for j, col in enumerate(cols):
             if V.q(col) != V.half_gram[j][j]:
                 raise PreconditionError("matrix does not preserve the quadratic form")
-            b_col = _mat_vec(B, col, p)  # [x, col] = x . b_col
+            b_col = modp.mat_vec(B, col, p)  # [x, col] = x . b_col
             for i in range(j):
                 if sum(map(mul, cols[i], b_col)) % p != B[i][j]:
                     raise PreconditionError("matrix does not preserve the bilinear form")
 
     def apply(self, v: Sequence[int]) -> Vector:
-        return _mat_vec(self.matrix, v, self.space.p)
+        return modp.mat_vec(self.matrix, v, self.space.p)
 
     def apply_line(self, line: ProjLine) -> ProjLine:
         return ProjLine(self.space, self.apply(line.generator))
@@ -373,10 +243,10 @@ class FpIsometry:
     def __matmul__(self, other: "FpIsometry") -> "FpIsometry":
         if other.space != self.space:
             raise PreconditionError("isometries of different spaces")
-        return FpIsometry(self.space, _mat_mul(self.matrix, other.matrix, self.space.p))
+        return FpIsometry(self.space, modp.mat_mul(self.matrix, other.matrix, self.space.p))
 
     def inverse(self) -> "FpIsometry":
-        return FpIsometry(self.space, _inv_mat(self.matrix, self.space.p))
+        return FpIsometry(self.space, modp.inverse(self.matrix, self.space.p))
 
     def det(self) -> int:
         return self._det
@@ -386,7 +256,7 @@ class FpIsometry:
 
     @cached_property
     def _det(self) -> int:
-        return _det_mod(self.matrix, self.space.p)
+        return modp.det(self.matrix, self.space.p)
 
     @cached_property
     def _dickson(self) -> int:
@@ -412,14 +282,14 @@ def radicals(V: FpQuadSpace) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
     its kernel.
     """
     p = V.p
-    rad = _kernel_basis(V.gram(), p, V.dim)
+    rad = modp.kernel_basis(V.gram(), p, V.dim)
     if not rad:
         return (), ()
     if p != 2:
         return tuple(rad), tuple(rad)
     # Q restricted to ker B is linear over F_2: Q(sum c_i v_i) = sum c_i Q(v_i)
     qrow = [V.q(v) for v in rad]
-    coeff_kernel = _kernel_basis([qrow], 2, len(rad))
+    coeff_kernel = modp.kernel_basis([qrow], 2, len(rad))
     iso = [_combine(rad, c, p) for c in coeff_kernel]
     return tuple(rad), tuple(iso)
 
@@ -497,8 +367,8 @@ def _isotropic_by_diagonalization(V: FpQuadSpace) -> Vector | None:
                 return ProjLine(V, u).generator
         w, rest = basis[0], basis[1:]
         a = V.q(w)
-        bw = _mat_vec(B, w, p)
-        c = _inv_mod(2 * a, p)
+        bw = modp.mat_vec(B, w, p)
+        c = modp.inv_mod(2 * a, p)
         basis = []
         for u in rest:
             t = sum(map(mul, bw, u)) * c % p  # u - t w is orthogonal to w
@@ -506,14 +376,14 @@ def _isotropic_by_diagonalization(V: FpQuadSpace) -> Vector | None:
         diag.append((w, a))
     if len(diag) == 2:
         (w0, a0), (w1, a1) = diag
-        x = _sqrt_mod(-a1 * _inv_mod(a0, p), p)
+        x = _sqrt_mod(-a1 * modp.inv_mod(a0, p), p)
         if x is None:
             return None
         return ProjLine(V, _combine([w0, w1], (x, 1), p)).generator
     if len(diag) < 2:
         return None
     (w0, a0), (w1, a1), (w2, a2) = diag
-    inv1 = _inv_mod(a1, p)
+    inv1 = modp.inv_mod(a1, p)
     for x in range(p):
         y = _sqrt_mod((-a2 - a0 * x * x) * inv1, p)
         if y is not None:
@@ -551,13 +421,13 @@ def witt_decomposition(V: FpQuadSpace) -> WittDecomposition:
 
 def _witt_decomposition(V: FpQuadSpace) -> WittDecomposition:
     p, n = V.p, V.dim
-    rad = list(_kernel_basis(V.gram(), p, n))
+    rad = list(modp.kernel_basis(V.gram(), p, n))
     comp: list[Vector] = []
-    stack = [list(v) for v in rad]
+    stack = list(rad)
     for i in range(n):
         e = tuple(1 if k == i else 0 for k in range(n))
-        if _rank_mod(stack + [list(e)], p) > len(stack):
-            stack.append(list(e))
+        if modp.rank(stack + [e], p) > len(stack):
+            stack.append(e)
             comp.append(e)
     pairs: list[tuple[Vector, Vector]] = []
     work = comp
@@ -567,23 +437,23 @@ def _witt_decomposition(V: FpQuadSpace) -> WittDecomposition:
         if u_s is None:
             break
         Bs = Vs.gram()
-        bu = _mat_vec(Bs, u_s, p)
+        bu = modp.mat_vec(Bs, u_s, p)
         j = next(i for i, x in enumerate(bu) if x)  # exists: B nondeg on work
-        c_inv = _inv_mod(bu[j], p)
+        c_inv = modp.inv_mod(bu[j], p)
         w_s = tuple((c_inv if k == j else 0) for k in range(len(work)))
         qw = Vs.q(w_s)
         v_s = tuple((w_s[k] - qw * u_s[k]) % p for k in range(len(work)))
         u_amb = _combine(work, u_s, p)
         v_amb = _combine(work, v_s, p)
         pairs.append((u_amb, v_amb))
-        rows = [_mat_vec(Bs, u_s, p), _mat_vec(Bs, v_s, p)]
-        new_coeffs = _kernel_basis(rows, p, len(work))
+        rows = [modp.mat_vec(Bs, u_s, p), modp.mat_vec(Bs, v_s, p)]
+        new_coeffs = modp.kernel_basis(rows, p, len(work))
         work = [_combine(work, c, p) for c in new_coeffs]
     return tuple(pairs), tuple(work), tuple(rad)
 
 
 def enumerate_isotropic_lines(
-    V: FpQuadSpace, max_points: int = _MAX_PROJ_POINTS
+    V: FpQuadSpace, max_points: int = MAX_PROJ_POINTS
 ) -> tuple[ProjLine, ...]:
     """All isotropic lines of V, sorted in canonical order."""
     try:
@@ -609,10 +479,10 @@ def reflection(V: FpQuadSpace, v: Sequence[int]) -> FpIsometry:
     qv = V.q(v)
     if qv == 0:
         raise PreconditionError("reflection vector must be anisotropic")
-    bv = _mat_vec(V.gram(), v, p)
+    bv = modp.mat_vec(V.gram(), v, p)
     if p == 2 and not any(bv):
         raise PreconditionError("reflection vector pairs trivially with the space")
-    inv = _inv_mod(qv, p)
+    inv = modp.inv_mod(qv, p)
     m = tuple(
         tuple(((1 if i == j else 0) - inv * bv[j] * v[i]) % p for j in range(n))
         for i in range(n)
@@ -636,8 +506,8 @@ def eichler_transvection(V: FpQuadSpace, u: Sequence[int], w: Sequence[int]) -> 
     if V.b(u, w) != 0:
         raise PreconditionError("transvection arguments must pair to zero")
     B = V.gram()
-    bu = _mat_vec(B, u, p)
-    bw = _mat_vec(B, w, p)
+    bu = modp.mat_vec(B, u, p)
+    bw = modp.mat_vec(B, w, p)
     qw = V.q(w)
     m = tuple(
         tuple(
@@ -660,7 +530,7 @@ def dickson_invariant(V: FpQuadSpace, matrix: Matrix) -> int:
     delta = [
         [(matrix[i][j] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)
     ]
-    return _rank_mod(delta, p) % 2
+    return modp.rank(delta, p) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -729,11 +599,11 @@ def _orthogonal_generators(V: FpQuadSpace) -> list[tuple[Matrix, int]]:
         for u in kernels.proj_reps(p, n):
             if V.q(u) != 0:
                 continue
-            bu = _mat_vec(B, u, p)
-            perp = _kernel_basis([bu], p, n)
+            bu = modp.mat_vec(B, u, p)
+            perp = modp.kernel_basis([bu], p, n)
             for w in perp:
                 E = eichler_transvection(V, u, w)
-                if E.matrix != _identity_mat(n):
+                if E.matrix != modp.identity(n):
                     gens.append((E.matrix, 0))
     return gens
 
@@ -752,7 +622,7 @@ def _all_isometries_bruteforce(V: FpQuadSpace) -> list[Matrix]:
     def extend(j: int) -> None:
         if j == n:
             m = tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
-            if _det_mod(m, p) != 0:
+            if modp.det(m, p) != 0:
                 out.append(m)
             return
         for v in by_q.get(V.half_gram[j][j] % p, ()):
@@ -789,11 +659,7 @@ def _full_group(V: FpQuadSpace, limit: int) -> list[Matrix]:
 def _is_special_matrix(V: FpQuadSpace, m: Matrix) -> bool:
     if V.p == 2:
         return dickson_invariant(V, m) == 0
-    return _det_mod(m, V.p) == 1
-
-
-def _group_limit() -> int:
-    return _MAX_GROUP_ELEMENTS if kernels.backend_name() == "compiled" else 20000
+    return modp.det(m, V.p) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +691,7 @@ def _witness_from_group(
     cache = V._group_cache
     if "so" not in cache:
         so = tuple(g for g in _full_group(V, limit) if _is_special_matrix(V, g))
-        cache["so_inv"] = tuple(_inv_mat(g, p) for g in so)
+        cache["so_inv"] = tuple(modp.inverse(g, p) for g in so)
         cache["so"] = so
         cache["orbits"] = {}
         cache["witnesses"] = {}
@@ -835,14 +701,14 @@ def _witness_from_group(
     if index is None:
         index = {}
         for i, g in enumerate(so):
-            index.setdefault(tuple(_mat_vec(g, x, p) for x in X), i)
+            index.setdefault(tuple(modp.mat_vec(g, x, p) for x in X), i)
         indices.append(index)
     iy = index.get(Y)
     if iy is None:
         raise InvariantViolationError(
             "isometric tuples lie in different special-orthogonal orbits"
         )
-    m = _mat_mul(so[iy], cache["so_inv"][index[X]], p)
+    m = modp.mat_mul(so[iy], cache["so_inv"][index[X]], p)
     witnesses = cache["witnesses"]
     iso = witnesses.get(m)
     if iso is None:
@@ -860,7 +726,7 @@ def _witness_by_bfs(
     start = (X, 0)
     goal = (Y, 0)
     if start == goal:
-        return _identity_mat(V.dim)
+        return modp.identity(V.dim)
     parents: dict = {start: None}
     frontier = [start]
     while frontier:
@@ -868,17 +734,17 @@ def _witness_by_bfs(
         for state in frontier:
             tup, par = state
             for gi, (g, gpar) in enumerate(gens):
-                img = tuple(_mat_vec(g, x, p) for x in tup)
+                img = tuple(modp.mat_vec(g, x, p) for x in tup)
                 new_state = (img, par ^ gpar)
                 if new_state in parents:
                     continue
                 parents[new_state] = (state, gi)
                 if new_state == goal:
-                    m = _identity_mat(V.dim)
+                    m = modp.identity(V.dim)
                     cur = new_state
                     while parents[cur] is not None:
                         prev, gidx = parents[cur]
-                        m = _mat_mul(m, gens[gidx][0], p)
+                        m = modp.mat_mul(m, gens[gidx][0], p)
                         cur = prev
                     return m
                 next_frontier.append(new_state)
@@ -895,7 +761,7 @@ def witt_extension(
     w1_basis: Sequence[Sequence[int]],
     w2_basis: Sequence[Sequence[int]],
     f: Sequence[Sequence[int]] | None = None,
-    max_group: int | None = None,
+    max_group: int = MAX_GROUP_ELEMENTS,
 ) -> FpIsometry:
     """Extend an isometry between subspaces to a special isometry of V.
 
@@ -904,6 +770,10 @@ def witt_extension(
     the w2-basis coefficients of the image of the j-th w1 vector), default
     the basis-to-basis map.  Requires: nondegenerate V, independent bases,
     codimension >= 2, and the Gram data of the two tuples must match.
+
+    While |O(V)| is at most ``max_group`` the witness comes from SO(V),
+    materialized once per space; beyond it, from a breadth-first search
+    over the images of the tuple.
 
     Returns g in SO(V) with g(x_j) = y_j for every basis vector; raises
     InvariantViolationError if no special isometry exists (which the
@@ -918,9 +788,9 @@ def witt_extension(
     k = len(X)
     if len(W2) != k:
         raise PreconditionError("subspace bases have different sizes")
-    if k and _rank_mod(list(X), p) != k:
+    if k and modp.rank(X, p) != k:
         raise PreconditionError("first subspace basis is dependent")
-    if k and _rank_mod(list(W2), p) != k:
+    if k and modp.rank(W2, p) != k:
         raise PreconditionError("second subspace basis is dependent")
     if n - k < 2:
         raise PreconditionError("codimension must be at least 2")
@@ -930,7 +800,7 @@ def witt_extension(
         fm = tuple(tuple(int(c) % p for c in row) for row in f)
         if len(fm) != k or any(len(r) != k for r in fm):
             raise PreconditionError("isometry coefficient matrix has wrong shape")
-        if k and _det_mod(fm, p) == 0:
+        if k and modp.det(fm, p) == 0:
             raise PreconditionError("isometry coefficient matrix is singular")
         Y = tuple(
             tuple(sum(fm[i][j] * W2[i][t] for i in range(k)) % p for t in range(n))
@@ -943,12 +813,11 @@ def witt_extension(
     if key[2] != yb:
         raise PreconditionError("map does not preserve the bilinear form")
     if k == 0:
-        return FpIsometry(V, _identity_mat(n))
-    limit = max_group if max_group is not None else _group_limit()
-    if 2 * so_order(V) <= limit:
-        iso = _witness_from_group(V, X, Y, key, limit)
+        return FpIsometry(V, modp.identity(n))
+    if 2 * so_order(V) <= max_group:
+        iso = _witness_from_group(V, X, Y, key, max_group)
     else:
-        iso = FpIsometry(V, _witness_by_bfs(V, X, Y, _MAX_PROJ_POINTS))
+        iso = FpIsometry(V, _witness_by_bfs(V, X, Y, MAX_PROJ_POINTS))
     if not iso.is_special():
         raise InvariantViolationError("witness is not special")
     for xj, yj in zip(X, Y):
@@ -971,7 +840,7 @@ def reflection_factorization(V: FpQuadSpace, g: FpIsometry | Matrix) -> list[Vec
     Q(gx - x) = 0 for an anisotropic x moved by g, then Q(gx + x) =
     4Q(x) - Q(gx - x) != 0 and τ_x ∘ τ_{gx+x} fixes x).  Each step scans
     the normalized vectors of the current subspace, so it raises
-    SizeGuardError once that subspace has more than ``_MAX_PROJ_POINTS``
+    SizeGuardError once that subspace has more than ``MAX_PROJ_POINTS``
     projective points.
     """
     p = V.p
@@ -989,14 +858,14 @@ def reflection_factorization(V: FpQuadSpace, g: FpIsometry | Matrix) -> list[Vec
         k = len(sub_basis)
         if k == 0:
             break
-        ident = _identity_mat(k)
+        ident = modp.identity(k)
         if h == ident:
             break
         count = (p**k - 1) // (p - 1)
-        if count > _MAX_PROJ_POINTS:
+        if count > MAX_PROJ_POINTS:
             raise SizeGuardError(
                 f"reflection factorization would scan {count} projective points, "
-                f"exceeds the guard {_MAX_PROJ_POINTS}"
+                f"exceeds the guard {MAX_PROJ_POINTS}"
             )
         # look for an anisotropic vector fixed by h (in subspace coordinates)
         fixed = None
@@ -1004,35 +873,36 @@ def reflection_factorization(V: FpQuadSpace, g: FpIsometry | Matrix) -> list[Vec
         for v in kernels.proj_reps(p, k):
             if Vs.q(v) == 0:
                 continue
-            if _mat_vec(h, v, p) == v:
+            if modp.mat_vec(h, v, p) == v:
                 fixed = v
                 break
             if moved_aniso is None:
                 moved_aniso = v
         if fixed is not None:
             # descend to the complement of the fixed vector
-            bv = _mat_vec(Vs.gram(), fixed, p)
-            comp_coeffs = _kernel_basis([bv], p, k)
+            bv = modp.mat_vec(Vs.gram(), fixed, p)
+            comp_coeffs = modp.kernel_basis([bv], p, k)
             T = tuple(tuple(c[i] for c in comp_coeffs) for i in range(k))  # k x (k-1)
-            hT = _mat_mul(h, T, p)
-            h = _solve_matrix(T, hT, p)
+            hT = modp.mat_mul(h, T, p)
+            h = modp.solve(T, hT, p)
             sub_basis = [_combine(sub_basis, c, p) for c in comp_coeffs]
             Vs = _restrict(V, sub_basis)
             continue
         x = moved_aniso
         if x is None:
             raise InvariantViolationError("no anisotropic vector in a nondegenerate space")
-        hx = _mat_vec(h, x, p)
+        hx = modp.mat_vec(h, x, p)
         d = tuple((a - b) % p for a, b in zip(hx, x))
         if Vs.q(d) != 0:
             out.append(_combine(sub_basis, d, p))
-            h = _mat_mul(reflection(Vs, d).matrix, h, p)
+            h = modp.mat_mul(reflection(Vs, d).matrix, h, p)
         else:
             s = tuple((a + b) % p for a, b in zip(hx, x))
             # h <- τ_x ∘ τ_s ∘ h; τ_s applied first
             out.append(_combine(sub_basis, s, p))
             out.append(_combine(sub_basis, x, p))
-            h = _mat_mul(reflection(Vs, x).matrix, _mat_mul(reflection(Vs, s).matrix, h, p), p)
+            h = modp.mat_mul(reflection(Vs, s).matrix, h, p)
+            h = modp.mat_mul(reflection(Vs, x).matrix, h, p)
     return out
 
 
@@ -1048,11 +918,11 @@ def spinor_norm(V: FpQuadSpace, g: FpIsometry | Matrix) -> int:
     for v in vectors:
         total = (total * V.q(v)) % V.p
     # parity consistency: det = (-1)^(number of reflections)
-    det = _det_mod(m, V.p)
+    det = modp.det(m, V.p)
     expected = (V.p - 1) if len(vectors) % 2 else 1
     if det != expected:
         raise InvariantViolationError("reflection count parity disagrees with det")
-    return _legendre(total, V.p)
+    return modp.legendre(total, V.p)
 
 
 # ---------------------------------------------------------------------------
@@ -1065,7 +935,7 @@ def stabilizer_orbit(
     w_basis: Sequence[Sequence[int]],
     seed: ProjLine,
     universe: Iterable[ProjLine] | None = None,
-    max_points: int = _MAX_PROJ_POINTS,
+    max_points: int = MAX_PROJ_POINTS,
 ) -> tuple[ProjLine, ...]:
     """Orbit of an isotropic line under reflections/transvections fixing W.
 
@@ -1082,8 +952,8 @@ def stabilizer_orbit(
     W = [tuple(int(c) % p for c in v) for v in w_basis]
     B = V.gram()
     if W:
-        rows = [_mat_vec(B, w, p) for w in W]
-        perp = _kernel_basis(rows, p, n)
+        rows = [modp.mat_vec(B, w, p) for w in W]
+        perp = modp.kernel_basis(rows, p, n)
     else:
         perp = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
     gens: list[Matrix] = []
@@ -1095,19 +965,19 @@ def stabilizer_orbit(
         for coeffs in kernels.proj_reps(p, kperp):
             v = _combine(perp, coeffs, p)
             if V.q(v) != 0:
-                bv = _mat_vec(B, v, p)
+                bv = modp.mat_vec(B, v, p)
                 if p == 2 and not any(bv):
                     continue
                 gens.append(reflection(V, v).matrix)
             else:
                 iso_dirs.append(v)
         for u in iso_dirs:
-            bu = _mat_vec(B, u, p)
-            rows = [_mat_vec(B, w, p) for w in W] + [bu]
-            sub = _kernel_basis(rows, p, n)
+            bu = modp.mat_vec(B, u, p)
+            rows = [modp.mat_vec(B, w, p) for w in W] + [bu]
+            sub = modp.kernel_basis(rows, p, n)
             for w in sub:
                 E = eichler_transvection(V, u, w)
-                if E.matrix != _identity_mat(n):
+                if E.matrix != modp.identity(n):
                     gens.append(E.matrix)
     if not gens:
         orbit_vecs = [seed.generator]

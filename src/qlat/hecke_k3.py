@@ -23,18 +23,15 @@ from .errors import InvariantViolationError, PreconditionError, SizeGuardError
 from .exact_linalg import (
     IntMatrix,
     hnf_basis,
+    integral_coefficients,
     lattices_equal,
     quotient_structure,
     saturate,
     sublattice_in_span,
 )
 from .kernels import proj_reps
-from .padic_lattice import (
-    PLattice,
-    _integral_coefficients,
-    neighbors_of,
-    shrink_set,
-)
+from .modp import MAX_PROJ_POINTS, check_prime, is_prime
+from .padic_lattice import PLattice, neighbors_of, shrink_set
 from .quad_lattice import (
     QuadLattice,
     Sublattice,
@@ -52,10 +49,6 @@ __all__ = [
     "shrink_fiber",
     "grow_unique",
 ]
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
 @dataclass(frozen=True)
@@ -79,7 +72,7 @@ class MinimalPair:
         if neg != 0 or pos != r:
             raise PreconditionError("lattice of a minimal pair must be positive definite")
         q = quotient_structure(r, tb)
-        if not q.is_finite or len(q.torsion) != 1 or not _is_prime(q.torsion[0]):
+        if not q.is_finite or len(q.torsion) != 1 or not is_prime(q.torsion[0]):
             raise PreconditionError("sublattice index must be a single prime")
 
     @property
@@ -125,8 +118,7 @@ def enumerate_index_p_sublattices(
     pos, neg = signature(L)
     if neg != 0 or pos != r:
         raise PreconditionError("index-p enumeration expects a positive-definite lattice")
-    if not _is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
+    check_prime(p)
     count = (p**r - 1) // (p - 1)
     if count > max_count:
         raise SizeGuardError(f"{count} sublattices exceeds the guard {max_count}")
@@ -160,8 +152,7 @@ def k3_isogeny(d: int, p: int) -> PolarizedK3Lattice:
     """
     if d < 1:
         raise PreconditionError("polarization degree must be positive")
-    if not _is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
+    check_prime(p)
     L = k3_lattice()
     xi = (1, p * p * d) + (0,) * (L.rank - 2)
     return PolarizedK3Lattice(L, xi)
@@ -171,7 +162,7 @@ def shrink_fiber(
     N: QuadLattice,
     embedding: IntMatrix,
     pair: MinimalPair,
-    max_points: int = 10**7,
+    max_points: int = MAX_PROJ_POINTS,
 ) -> tuple[PLattice, ...]:
     """Neighbors of N whose intersection with span(Λ) is the shrunk Λ̃.
 
@@ -205,7 +196,7 @@ def shrink_fiber(
 
 
 def grow_unique(
-    Nt: PLattice, tilde_embedding: IntMatrix, max_points: int = 10**7
+    Nt: PLattice, tilde_embedding: IntMatrix, max_points: int = MAX_PROJ_POINTS
 ) -> PLattice:
     """The unique neighbor of Ñ meeting span(Λ̃) in an index-p enlargement.
 
@@ -232,7 +223,7 @@ def grow_unique(
         raise PreconditionError("embedding columns are dependent")
     denom = Nt.scale_denominator()
     # membership and direct-summand check inside Ñ
-    coeffs = _integral_coefficients(Nt.numerator_basis, Wt.scale(denom))
+    coeffs = integral_coefficients(Nt.numerator_basis, Wt.scale(denom))
     _, summand = saturate(n, coeffs)
     if not summand:
         raise PreconditionError("embedded sublattice is not a direct summand")

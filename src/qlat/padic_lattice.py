@@ -26,19 +26,21 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
-from .errors import InvariantViolationError, PreconditionError, SizeGuardError
+from . import modp
+from .errors import InvariantViolationError, PreconditionError
 from .exact_linalg import (
     IntMatrix,
     hnf_basis,
+    integral_coefficients,
     is_square_hnf,
     lattices_equal,
     quotient_structure,
     sublattice_in_span,
 )
 from .fp_quadratic import FpQuadSpace, ProjLine, enumerate_isotropic_lines
+from .modp import MAX_PROJ_POINTS
 from .quad_lattice import (
     QuadLattice,
     Sublattice,
@@ -67,8 +69,6 @@ __all__ = [
     "shrink_set_bruteforce",
     "recover_lattice",
 ]
-
-_MAX_PROJ_POINTS = 10**7
 
 
 def default_precision() -> int:
@@ -307,17 +307,14 @@ def splitting_from_line(
     # make the dual vector isotropic mod p^k: Q(w1 + t v) = Q(w1) + t  (mod p^k)
     t = (-quad_value(N, w1)) % q
     w = [(a + t * b) % q for a, b in zip(w1, v)]
-    zero_cols = []
-    taken: list[list[int]] = []
+    zero_cols: list[list[int]] = []
     for i in range(n):
         x = _unit(n, i)
         zx = [
             (x[j] - bilinear_value(N, x, w) * v[j] - bilinear_value(N, x, v) * w[j]) % q
             for j in range(n)
         ]
-        red = [[e % p for e in row] for row in taken] + [[e % p for e in zx]]
-        if _fp_rank(red, p) > len(taken):
-            taken.append(zx)
+        if modp.rank(zero_cols + [zx], p) > len(zero_cols):
             zero_cols.append(zx)
         if len(zero_cols) == n - 2:
             break
@@ -327,27 +324,6 @@ def splitting_from_line(
         N, p, k, tuple(a % q for a in v), tuple(a % q for a in w),
         IntMatrix.from_columns(zero_cols, rows=n),
     )
-
-
-def _fp_rank(rows: list[list[int]], p: int) -> int:
-    m = [row[:] for row in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        r += 1
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +404,7 @@ def line_from_lattice(Nt: PLattice) -> ProjLine:
     plattice_gram(Nt)  # integrality check
     V = reduction(N, p)
     red = [[x % p for x in S.column(j)] for j in range(n)]
-    if _fp_rank(red, p) != 1:
+    if modp.rank(red, p) != 1:
         raise PreconditionError("lattice does not exchange index p with the ambient")
     gen = next(rowvec for rowvec in red if any(e % p for e in rowvec))
     line = ProjLine(V, tuple(gen))
@@ -438,7 +414,7 @@ def line_from_lattice(Nt: PLattice) -> ProjLine:
 
 
 def enumerate_neighbors(
-    N: QuadLattice, p: int, max_points: int = _MAX_PROJ_POINTS
+    N: QuadLattice, p: int, max_points: int = MAX_PROJ_POINTS
 ) -> tuple[PLattice, ...]:
     """All p-neighbors of N, one per isotropic line of the reduction, sorted."""
     if not is_self_dual_at(N, p):
@@ -449,7 +425,7 @@ def enumerate_neighbors(
     return tuple(sorted(out, key=plattice_sort_key))
 
 
-def neighbors_of(L: PLattice, max_points: int = _MAX_PROJ_POINTS) -> tuple[PLattice, ...]:
+def neighbors_of(L: PLattice, max_points: int = MAX_PROJ_POINTS) -> tuple[PLattice, ...]:
     """All p-neighbors of an arbitrary self-dual lattice in N[1/p].
 
     Computed in the lattice's own coordinates and mapped back, so the
@@ -478,7 +454,7 @@ def w_generic_lines(
     W: Sublattice,
     p: int,
     U: Sublattice | None = None,
-    max_points: int = _MAX_PROJ_POINTS,
+    max_points: int = MAX_PROJ_POINTS,
 ) -> tuple[ProjLine, ...]:
     """Isotropic lines generic for W (and exactly typed for U when given).
 
@@ -494,7 +470,7 @@ def w_generic_lines(
     if W.rank == 0:
         return lines
     Wred = [[x % p for x in W.basis.column(j)] for j in range(W.rank)]
-    w_rank = _fp_rank([row[:] for row in Wred], p)
+    w_rank = modp.rank(Wred, p)
     B = N.gram()
     wb_rows = [
         [sum(B.entries[i][j] * W.basis.entries[i][c] for i in range(N.rank)) % p for j in range(N.rank)]
@@ -509,7 +485,7 @@ def w_generic_lines(
     out = []
     for line in lines:
         v = line.generator
-        if _fp_rank(Wred + [list(v)], p) == w_rank:
+        if modp.rank(Wred + [v], p) == w_rank:
             continue  # v lies in the reduction of W
         if all(sum(r[j] * v[j] for j in range(len(v))) % p == 0 for r in wb_rows):
             continue  # W pairs trivially with v
@@ -519,50 +495,6 @@ def w_generic_lines(
             continue  # U must pair trivially
         out.append(line)
     return tuple(out)
-
-
-def _integral_coefficients(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
-    """Solve basis @ C = targets with integer C; raises if not contained."""
-    n, r = basis.rows, basis.cols
-    k = targets.cols
-    a = [
-        [Fraction(basis.entries[i][j]) for j in range(r)]
-        + [Fraction(targets.entries[i][j]) for j in range(k)]
-        for i in range(n)
-    ]
-    rank = 0
-    pivots = []
-    for col in range(r):
-        piv = next((i for i in range(rank, n) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(n):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank != r:
-        raise PreconditionError("basis columns are dependent")
-    for i in range(rank, n):
-        if any(a[i][r + j] != 0 for j in range(k)):
-            raise PreconditionError("target vectors lie outside the span")
-    C = [[Fraction(0)] * k for _ in range(r)]
-    for row_idx, pc in enumerate(pivots):
-        for j in range(k):
-            C[pc][j] = a[row_idx][r + j]
-    out = []
-    for row in C:
-        out_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise PreconditionError("target vectors are not integral in the basis")
-            out_row.append(int(x))
-        out.append(out_row)
-    return IntMatrix.from_rows(out)
 
 
 def _shrink_preconditions(
@@ -585,7 +517,7 @@ def _shrink_preconditions(
         raise PreconditionError("W has rank too large for the construction")
     if sublattice_gram(W).det() == 0:
         raise PreconditionError("form restricted to W is degenerate")
-    C = _integral_coefficients(W.basis, Wt.basis)
+    C = integral_coefficients(W.basis, Wt.basis)
     if Wt.rank != r or quotient_structure(r, C).order() != p:
         raise PreconditionError("W̃ must have index exactly p in W")
     A, D, _ = smith_normal_form(C)
@@ -604,7 +536,7 @@ def shrink_set(
     W: Sublattice,
     Wt: Sublattice,
     p: int,
-    max_points: int = _MAX_PROJ_POINTS,
+    max_points: int = MAX_PROJ_POINTS,
 ) -> tuple[PLattice, ...]:
     """Neighbors Ñ with Ñ ∩ span(W) = W̃, by the typed-line construction.
 
@@ -625,7 +557,7 @@ def shrink_set_bruteforce(
     W: Sublattice,
     Wt: Sublattice,
     p: int,
-    max_points: int = _MAX_PROJ_POINTS,
+    max_points: int = MAX_PROJ_POINTS,
 ) -> tuple[PLattice, ...]:
     """The same fiber as :func:`shrink_set`, by exhaustive filtering.
 
@@ -642,7 +574,7 @@ def shrink_set_bruteforce(
     return tuple(sorted(out, key=plattice_sort_key))
 
 
-def recover_lattice(Nt: PLattice, W: Sublattice, max_points: int = _MAX_PROJ_POINTS) -> PLattice:
+def recover_lattice(Nt: PLattice, W: Sublattice, max_points: int = MAX_PROJ_POINTS) -> PLattice:
     """The unique p-neighbor L of Ñ with L ∩ span(W) = W.
 
     Preconditions: W is a direct summand of the ambient lattice and
@@ -668,7 +600,7 @@ def recover_lattice(Nt: PLattice, W: Sublattice, max_points: int = _MAX_PROJ_POI
         raise PreconditionError("W is not a direct summand")
     T = sublattice_in_span(Nt.numerator_basis, W.basis)
     denom = Nt.scale_denominator()
-    C = _integral_coefficients(W.basis.scale(denom), T)
+    C = integral_coefficients(W.basis.scale(denom), T)
     idx = quotient_structure(W.rank, C).order()
     if idx != p:
         raise PreconditionError(
@@ -691,4 +623,4 @@ def _meets_span_in(L: PLattice, wcols: list[tuple[int, ...]]) -> bool:
         if c is None:
             return False
         coords.append(c)
-    return _fp_rank(coords, L.p) == len(wcols)
+    return modp.rank(coords, L.p) == len(wcols)

@@ -25,6 +25,7 @@ from .exact_linalg import (
     integer_kernel,
     quotient_structure,
 )
+from .modp import check_prime
 
 __all__ = [
     "QuadLattice",
@@ -143,7 +144,7 @@ def bilinear_value(L: QuadLattice, x: Sequence[int], y: Sequence[int]) -> int:
 
 def is_self_dual_at(L: QuadLattice, p: int) -> bool:
     """True iff the Gram determinant is a unit mod p (dual = lattice at p)."""
-    _check_prime(p)
+    check_prime(p)
     return L._gram_det % p != 0
 
 
@@ -317,8 +318,3 @@ def standard_lattice(name: str, *args) -> QuadLattice:
         base, c = args
         return rescale(base, int(c))
     raise PreconditionError(f"unknown standard lattice {name!r}")
-
-
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise PreconditionError(f"{p} is not prime")

@@ -46,9 +46,6 @@ from .errors import InvariantViolationError, PreconditionError, SizeGuardError
 from .exact_linalg import IntMatrix, saturate
 from .fp_quadratic import (
     FpQuadSpace,
-    _kernel_basis,
-    _legendre,
-    _rank_mod,
     enumerate_isotropic_lines,
     reflection,
     spinor_norm,
@@ -57,6 +54,7 @@ from .fp_quadratic import (
     witt_extension,
 )
 from .hecke_k3 import k3_isogeny
+from .modp import MAX_GROUP_ELEMENTS, MAX_PROJ_POINTS, kernel_basis, legendre, rank, rref
 from .padic_lattice import (
     PLattice,
     enumerate_neighbors,
@@ -82,9 +80,6 @@ from .quad_lattice import (
 
 __all__ = ["VerifyReport", "SUITES", "run_suite", "closed_form_line_count"]
 
-_DEF_MAX_POINTS = 10**7
-_DEF_MAX_GROUP = 10**6
-
 
 @dataclass
 class VerifyReport:
@@ -104,6 +99,16 @@ class VerifyReport:
             )
 
     def finish(self) -> "VerifyReport":
+        """Sort the failure details; a report that checked nothing is an error.
+
+        Raises PreconditionError when no instance was recorded: the suite's
+        parameters selected none, and a report of zero failures would claim
+        a check that never ran.
+        """
+        if self.instances == 0:
+            raise PreconditionError(
+                f"suite {self.suite} selected no instance for these parameters"
+            )
         self.details.sort(key=lambda d: d["input"])
         return self
 
@@ -173,7 +178,7 @@ def _nondegenerate_spaces(p: int, max_dim: int):
             block += [[0] * (n - 2) + list(r) for r in aniso]
             out.append((f"nonsplit-{n}", FpQuadSpace(p, block)))
         return out
-    r = next(x for x in range(2, p) if _legendre(x, p) == -1)
+    r = next(x for x in range(2, p) if legendre(x, p) == -1)
     for n in range(1, max_dim + 1):
         for tag, last in (("sq", 1), ("nonsq", r)):
             rows = [[0] * n for _ in range(n)]
@@ -190,7 +195,7 @@ def _nondegenerate_spaces(p: int, max_dim: int):
 
 
 def suite_neighbor_bijection(
-    primes=None, max_rank=None, seed=0, max_points=_DEF_MAX_POINTS, max_group=None
+    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS, max_group=MAX_GROUP_ELEMENTS
 ) -> VerifyReport:
     """Line ↔ lattice bijection on H, H⊥H, H⊥H⊥H, plus closed-form counts."""
     report = VerifyReport("neighbor-bijection")
@@ -248,7 +253,7 @@ def _cochar_instances(primes, max_rank):
 
 
 def suite_nice_cochar(
-    primes=None, max_rank=None, seed=0, max_points=_DEF_MAX_POINTS, max_group=None
+    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS, max_group=MAX_GROUP_ELEMENTS
 ) -> VerifyReport:
     """Shrink-fiber dual routes, unique recovery, and orbit transitivity.
 
@@ -309,37 +314,18 @@ def _subspace_bases(p: int, n: int, k: int):
         return
     seen = set()
     for combo in product(kernels.proj_reps(p, n), repeat=k):
-        rows = [list(v) for v in combo]
-        if _rank_mod([r[:] for r in rows], p) != k:
+        m, pivots = rref(combo, p)
+        if len(pivots) != k:
             continue
-        key = _rref_key(rows, p)
+        key = tuple(map(tuple, m))
         if key in seen:
             continue
         seen.add(key)
         yield key
 
 
-def _rref_key(rows, p):
-    m = [r[:] for r in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        r += 1
-    return tuple(tuple(row) for row in m)
-
-
 def suite_witt_extension(
-    primes=None, max_rank=None, seed=0, max_points=_DEF_MAX_POINTS, max_group=None
+    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS, max_group=MAX_GROUP_ELEMENTS
 ) -> VerifyReport:
     """Exhaustive extension of subspace isometries over F_2 and F_3.
 
@@ -361,7 +347,6 @@ def suite_witt_extension(
     report = VerifyReport("witt-extension")
     primes = tuple(primes) if primes else (2, 3)
     max_rank = max_rank if max_rank is not None else 4
-    limit = max_group if max_group is not None else _DEF_MAX_GROUP
     for p in primes:
         for name, V in _nondegenerate_spaces(p, min(max_rank, 4)):
             n = V.dim
@@ -386,8 +371,7 @@ def suite_witt_extension(
                     )
                     for Y in _gram_matching_tuples(V, X, xq, xgram, by_q, p):
                         if lagrangian:
-                            stacked = [list(v) for v in X] + [list(v) for v in Y]
-                            meet = 2 * k - _rank_mod(stacked, p)
+                            meet = 2 * k - rank(X + Y, p)
                             if (k - meet) % 2 == 1:
                                 continue
                         desc = {
@@ -398,7 +382,7 @@ def suite_witt_extension(
                             "Y": [list(y) for y in Y],
                         }
                         try:
-                            g = witt_extension(V, X, Y, max_group=limit)
+                            g = witt_extension(V, X, Y, max_group=max_group)
                             ok = all(g.apply(x) == y for x, y in zip(X, Y))
                             ok = ok and g.is_special()
                             actual = "verified witness" if ok else "invalid witness"
@@ -418,7 +402,7 @@ def _gram_matching_tuples(V, X, xq, xgram, by_q, p):
 
     def extend(j):
         if j == k:
-            if _rank_mod([list(v) for v in chosen], p) == k:
+            if rank(chosen, p) == k:
                 yield tuple(chosen)
             return
         for w in by_q.get(xq[j], ()):
@@ -431,7 +415,7 @@ def _gram_matching_tuples(V, X, xq, xgram, by_q, p):
 
 
 def suite_cokernel_m(
-    primes=None, max_rank=None, seed=0, max_points=_DEF_MAX_POINTS, max_group=None
+    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS, max_group=MAX_GROUP_ELEMENTS
 ) -> VerifyReport:
     """200 seeded random valid instances of the finite-cokernel claims."""
     report = VerifyReport("cokernel-m")
@@ -474,7 +458,7 @@ def suite_cokernel_m(
 
 
 def suite_lang_counts(
-    primes=None, max_rank=None, seed=0, max_points=_DEF_MAX_POINTS, max_group=None
+    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS, max_group=MAX_GROUP_ELEMENTS
 ) -> VerifyReport:
     """Smooth-quadric lifting counts: mod-p² generic lines = p^(n-2) per line."""
     report = VerifyReport("lang-counts")
@@ -530,7 +514,7 @@ def _in_line(wbar, vbar, p):
 
 
 def suite_spinor_surjectivity(
-    primes=None, max_rank=None, seed=0, max_points=_DEF_MAX_POINTS, max_group=None
+    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS, max_group=MAX_GROUP_ELEMENTS
 ) -> VerifyReport:
     """Witnesses of nontrivial spinor norm fixing W pointwise, odd p.
 
@@ -563,7 +547,7 @@ def suite_spinor_surjectivity(
                 tuple(sum(B[i][j] * w[i] for i in range(n)) % p for j in range(n))
                 for w in wvecs
             ]
-            perp = _kernel_basis(list(rows), p, n)
+            perp = kernel_basis(list(rows), p, n)
             sq = nonsq = None
             for coeffs in kernels.proj_reps(p, len(perp)):
                 u = tuple(
@@ -572,9 +556,9 @@ def suite_spinor_surjectivity(
                 qu = V.q(u)
                 if qu == 0:
                     continue
-                if _legendre(qu, p) == 1 and sq is None:
+                if legendre(qu, p) == 1 and sq is None:
                     sq = u
-                if _legendre(qu, p) == -1 and nonsq is None:
+                if legendre(qu, p) == -1 and nonsq is None:
                     nonsq = u
                 if sq and nonsq:
                     break
@@ -593,7 +577,7 @@ def suite_spinor_surjectivity(
 
 
 def suite_k3_degree(
-    primes=None, max_rank=None, seed=0, max_points=_DEF_MAX_POINTS, max_group=None
+    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS, max_group=MAX_GROUP_ELEMENTS
 ) -> VerifyReport:
     """Degree/primitivity/signature/discriminant laws of the K3 construction."""
     report = VerifyReport("k3-degree")
@@ -655,8 +639,8 @@ def run_suite(
     primes=None,
     max_rank=None,
     seed=0,
-    max_points=_DEF_MAX_POINTS,
-    max_group=None,
+    max_points=MAX_PROJ_POINTS,
+    max_group=MAX_GROUP_ELEMENTS,
 ) -> VerifyReport:
     if name not in SUITES:
         raise PreconditionError(

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: documents, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -160,6 +161,37 @@ def test_composite_prime_is_input_error(capsys):
     assert rc == 2
 
 
+HUGE = str(10**400 + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quadric", "lines", "H", "--p", HUGE],
+        ["k3-isogeny", "--d", "1", "--p", HUGE],
+        ["verify", "k3-degree", "--p", HUGE],
+    ],
+    ids=["quadric", "k3-isogeny", "verify"],
+)
+def test_huge_composite_prime_is_one_error_line(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    # verify names its suite on stderr first; the error itself is one line
+    assert err.endswith(f"\nerror: {HUGE} is not prime\n") or err == f"error: {HUGE} is not prime\n"
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+def test_large_prime_is_decided_at_once(capsys):
+    # 10**18 + 3 is prime; its p + 1 isotropic lines of H exceed the guard
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "quadric", "lines", "H", "--p", str(10**18 + 3))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: projective space has")
+    rc, out, err = run_cli(capsys, "k3-isogeny", "--d", "1", "--p", "1000000000000037")
+    assert rc == 0
+    assert time.perf_counter() - start < 5.0
+
+
 def test_size_guard_is_input_error(capsys):
     rc, out, err = run_cli(capsys, "quadric", "lines", "K3", "--p", "5", "--max-points", "100")
     assert rc == 2
@@ -215,6 +247,28 @@ def test_verify_success_shape(capsys):
     assert doc["failures"] == 0
     assert doc["instances"] > 0
     assert isinstance(doc["details"], list)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "nice-cochar", "--p", "3", "--max-rank", "5"],
+        ["verify", "witt-extension", "--p", "2", "--max-rank", "1"],
+    ],
+    ids=["nice-cochar", "witt-extension"],
+)
+def test_verify_selecting_no_instance_is_input_error(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"error: suite {argv[1]} selected no instance for these parameters"
+    )
+
+
+def test_verify_max_group_help_states_the_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "group enumeration guard (default 1000000)" in capsys.readouterr().out
 
 
 def test_verify_stderr_names_backend(capsys):

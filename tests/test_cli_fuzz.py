@@ -4,7 +4,8 @@ Argument vectors are drawn from the CLI's own commands and flags with small
 primes and small guards; hostile JSON lattice documents go to
 ``lattice info``.  Every run must end with exit code 0, 1 or 2, never with
 an escaping exception or a traceback on stderr, and exit 1 only for an
-invariant violation or a suite report with failures.
+invariant violation or a suite report with failures; a ``verify`` run
+exits 0 only if its report counts at least one instance.
 """
 
 import contextlib
@@ -140,6 +141,8 @@ def check_exit(argv):
     if rc == 1:
         violated = err.startswith("invariant violated:")
         assert violated or json.loads(out)["failures"] > 0, (argv, err)
+    if rc == 0 and argv[0] == "verify":
+        assert json.loads(out)["instances"] > 0, argv  # an exit 0 checked something
 
 
 @settings(max_examples=150, deadline=None)
@@ -152,6 +155,9 @@ def check_exit(argv):
 @example(["verify", "witt-extension", "--p", "-3", "--max-rank", "-1"])
 @example(["verify", "cokernel-m", "--p", "0", "--max-rank", "2"])
 @example(["verify", "lang-counts", "--p", "4", "--max-rank", "3"])
+@example(["verify", "nice-cochar", "--p", "3", "--max-rank", "2"])
+@example(["verify", "witt-extension", "--p", "2", "--max-rank", "1"])
+@example(["quadric", "lines", "H", "--p", str(10**400 + 1)])
 def test_cli_argv_fuzz(argv):
     check_exit(argv)
 

@@ -21,7 +21,7 @@ from qlat import (
     smith_normal_form,
     unimodular_inverse,
 )
-from qlat.exact_linalg import is_square_hnf
+from qlat.exact_linalg import integral_coefficients, is_square_hnf
 
 small_entries = st.integers(min_value=-9, max_value=9)
 
@@ -362,5 +362,23 @@ def test_integer_kernel_of_projection():
 def test_unimodular_inverse_round_trip():
     T = IntMatrix.from_rows([[1, 2], [0, 1]])
     assert T @ unimodular_inverse(T) == IntMatrix.identity(2)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^matrix is not unimodular$"):
         unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
+    with pytest.raises(PreconditionError, match="^matrix is singular$"):
+        unimodular_inverse(IntMatrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(PreconditionError, match="^inverse of a non-square matrix$"):
+        unimodular_inverse(IntMatrix.from_rows([[1, 0]]))
+
+
+def test_integral_coefficients_solves_or_names_the_obstruction():
+    basis = IntMatrix.from_rows([[2, 0], [1, 1], [0, 0]])
+    C = IntMatrix.from_rows([[1, -2], [4, 0]])
+    assert integral_coefficients(basis, basis @ C) == C
+    with pytest.raises(PreconditionError, match="^basis columns are dependent$"):
+        integral_coefficients(IntMatrix.from_rows([[1, 2], [1, 2], [0, 0]]), basis)
+    with pytest.raises(PreconditionError, match="^ambient dimension mismatch$"):
+        integral_coefficients(basis, C)
+    with pytest.raises(PreconditionError, match="^target vectors lie outside the span$"):
+        integral_coefficients(basis, IntMatrix.from_columns([[0, 0, 1]]))
+    with pytest.raises(PreconditionError, match="^target vectors are not integral in the basis$"):
+        integral_coefficients(basis, IntMatrix.from_columns([[1, 0, 0]]))

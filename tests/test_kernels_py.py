@@ -1,8 +1,4 @@
-"""The pure-Python enumeration kernels, and the dispatch in ``qlat.kernels``.
-
-These run whether or not the compiled extension is built; the comparisons
-of the two backends live in ``test_kernels_backends.py``.
-"""
+"""The enumeration kernels of ``qlat.kernels`` against brute-force oracles."""
 
 from itertools import product
 
@@ -10,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlat import FpQuadSpace, ProjLine, enumerate_isotropic_lines, kernels
-from qlat import _kernels_py as pure
+from qlat import FpIsometry, FpQuadSpace, ProjLine, enumerate_isotropic_lines, kernels
+from qlat.fp_quadratic import _all_isometries_bruteforce
 
 H = ((0, 1), (0, 0))
 H2 = ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0))
@@ -20,8 +16,7 @@ ANISO2 = ((1, 1), (0, 1))  # x^2 + xy + y^2, anisotropic over F_2
 
 
 def test_facade_exposes_a_backend():
-    assert kernels.backend_name() in {"compiled", "pure-python"}
-    assert kernels.isotropic_lines(2, 2, H, 10**6) == pure.isotropic_lines(2, 2, H, 10**6)
+    assert kernels.backend_name() == "pure-python"
 
 
 @pytest.mark.parametrize(
@@ -37,33 +32,33 @@ def test_facade_exposes_a_backend():
     ],
 )
 def test_isotropic_line_counts(p, n, half_gram, count):
-    lines = pure.isotropic_lines(p, n, half_gram, 10**6)
+    lines = kernels.isotropic_lines(p, n, half_gram, 10**6)
     assert len(lines) == count
 
 
 def test_isotropic_lines_sorted_lead_first():
-    lines = pure.isotropic_lines(2, 2, H, 10**6)
+    lines = kernels.isotropic_lines(2, 2, H, 10**6)
     assert lines == [(1, 0), (0, 1)]
 
 
 def test_quadric_points_on_plane_mod_four():
-    pts = pure.quadric_points_mod(2, 2, 2, H, 10**6)
+    pts = kernels.quadric_points_mod(2, 2, 2, H, 10**6)
     # all normalized (head ≡ 0 mod 2 before the leading 1) with xy ≡ 0 mod 4
     assert all(v[0] % 4 in (0, 1, 2) for v in pts)
     assert all((v[0] * v[1]) % 4 == 0 for v in pts)
-    assert pts == sorted(pts, key=pure.proj_key)
+    assert pts == sorted(pts, key=kernels.proj_key)
 
 
 def test_group_closure_order_sl2_f3():
     gens = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
-    assert len(pure.group_closure(gens, 3, 10**6)) == 24
+    assert len(kernels.group_closure(gens, 3, 10**6)) == 24
 
 
 @pytest.mark.parametrize("p,seed", [(3, (1, 0)), (3, (1, 1)), (5, (0, 1))])
 def test_line_orbit_is_whole_projective_line(p, seed):
     gens = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
-    orbit = pure.line_orbit(gens, seed, p, 10**6)
-    assert orbit == sorted(orbit, key=pure.proj_key)
+    orbit = kernels.line_orbit(gens, seed, p, 10**6)
+    assert orbit == sorted(orbit, key=kernels.proj_key)
     assert len(orbit) == p + 1  # SL_2 is transitive on the projective line
 
 
@@ -74,25 +69,23 @@ def test_line_orbit_is_whole_projective_line(p, seed):
         (3, 2, H, 4, 2),
         (2, 4, H2, 72, 36),
         (3, 3, CONIC, 48, 24),
+        (3, 4, H2, 1152, 576),
     ],
 )
 def test_brute_isometry_counts(p, n, half_gram, full, special):
-    assert pure.brute_isometry_count(p, n, half_gram, False, 10**7) == full
-    assert pure.brute_isometry_count(p, n, half_gram, True, 10**7) == special
-
-
-def test_brute_isometry_large_case_needs_bigger_limit():
-    with pytest.raises(ValueError):
-        pure.brute_isometry_count(3, 4, H2, False, 10**6)  # 3^16 > 10^6
+    V = FpQuadSpace(p, half_gram)
+    isometries = _all_isometries_bruteforce(V)
+    assert len(isometries) == full
+    assert sum(FpIsometry(V, g).is_special() for g in isometries) == special
 
 
 def test_size_guards_raise():
     with pytest.raises(ValueError):
-        pure.isotropic_lines(5, 12, tuple(tuple(0 for _ in range(12)) for _ in range(12)), 10**3)
+        kernels.isotropic_lines(5, 12, tuple(tuple(0 for _ in range(12)) for _ in range(12)), 10**3)
     with pytest.raises(ValueError):
-        pure.quadric_points_mod(5, 3, 4, ((0,) * 4,) * 4, 10**3)
+        kernels.quadric_points_mod(5, 3, 4, ((0,) * 4,) * 4, 10**3)
     with pytest.raises(ValueError):
-        pure.group_closure([((1, 1), (0, 1)), ((1, 0), (1, 1))], 13, 100)
+        kernels.group_closure([((1, 1), (0, 1)), ((1, 0), (1, 1))], 13, 100)
 
 
 def test_proj_reps_canonical_order():
@@ -168,12 +161,12 @@ def test_isotropic_lines_match_oracle(form):
     n = len(half_gram)
     expected, count = _oracle(p, 1, half_gram)
     assert count == (p**n - 1) // (p - 1)
-    lines = pure.isotropic_lines(p, n, half_gram, count)
+    lines = kernels.isotropic_lines(p, n, half_gram, count)
     assert lines == expected
     # the sweep's own order is canonical: no sort happens after it
-    assert lines == sorted(lines, key=pure.proj_key)
+    assert lines == sorted(lines, key=kernels.proj_key)
     with pytest.raises(ValueError):
-        pure.isotropic_lines(p, n, half_gram, count - 1)
+        kernels.isotropic_lines(p, n, half_gram, count - 1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -186,9 +179,9 @@ def test_quadric_points_mod_match_oracle(form):
     p, half_gram = form
     n = len(half_gram)
     expected, count = _oracle(p, 2, half_gram)
-    assert pure.quadric_points_mod(p, 2, n, half_gram, count) == expected
+    assert kernels.quadric_points_mod(p, 2, n, half_gram, count) == expected
     with pytest.raises(ValueError):
-        pure.quadric_points_mod(p, 2, n, half_gram, count - 1)
+        kernels.quadric_points_mod(p, 2, n, half_gram, count - 1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -206,58 +199,18 @@ def test_enumerated_lines_equal_public_projlines(form):
         assert line.is_isotropic()
 
 
-# ---------------------------------------------------------------------------
-# the compiled quadric kernels run only where Q fits in a C long long
-# ---------------------------------------------------------------------------
-
-
-class _StandIn:
-    """Plays the compiled module: records each call and answers as pure."""
-
-    def __init__(self):
-        self.calls = []
-
-    def isotropic_lines(self, *args):
-        self.calls.append("isotropic_lines")
-        return pure.isotropic_lines(*args)
-
-    def quadric_points_mod(self, *args):
-        self.calls.append("quadric_points_mod")
-        return pure.quadric_points_mod(*args)
-
-
-# the largest q - 1 with 3·(q - 1)³ < 2⁶³, the bound for n = 2
-_EDGE = 1454083
-
-
-def test_overflow_bound_edge():
-    assert 3 * _EDGE**3 < 2**63 <= 3 * (_EDGE + 1) ** 3
-
-
-def test_quadric_dispatch_falls_back_past_overflow_bound(monkeypatch):
-    stand_in = _StandIn()
-    monkeypatch.setattr(kernels, "_compiled", stand_in)
-    assert kernels._quadric_impl(2, _EDGE + 1) is stand_in
-    assert kernels._quadric_impl(2, _EDGE + 2) is pure
-    # the bound is n(n+1)/2·(q-1)³, not n·(q-1)³: at n = 5 the two differ
-    assert kernels._quadric_impl(5, 2**20) is pure
-    assert 5 * (2**20 - 1) ** 3 < 2**63
-
-    assert kernels.isotropic_lines(3, 2, H, 10**6) == [(1, 0), (0, 1)]
-    assert kernels.quadric_points_mod(1201, 2, 2, H, 10**7) == pure.quadric_points_mod(
-        1201, 2, 2, H, 10**7
-    )
-    assert stand_in.calls == ["isotropic_lines", "quadric_points_mod"]
-
-    # x² − y² at p = 4,000,037 has two isotropic lines; past the bound
-    # only the pure kernel may count them
+def test_kernels_exact_at_large_moduli():
+    # x² − y² at p = 4,000,037 has two isotropic lines
     p = 4000037
     assert kernels.isotropic_lines(p, 2, ((1, 0), (0, p - 1)), 10**7) == [(1, 1), (1, p - 1)]
-    assert len(kernels.quadric_points_mod(1213, 2, 2, H, 10**7)) == 2
-    assert stand_in.calls == ["isotropic_lines", "quadric_points_mod"]
-
-
-def test_pure_dispatch_without_extension(monkeypatch):
-    monkeypatch.setattr(kernels, "_compiled", None)
-    assert kernels._quadric_impl(2, 3) is pure
-    assert kernels.backend_name() == "pure-python"
+    # xy mod p², whose normalized zeros are the two coordinate lines
+    for p in (1201, 1213):
+        assert kernels.quadric_points_mod(p, 2, 2, H, 10**7) == [(1, 0), (0, 1)]
+    # every entry p² − 1 ≡ −1, so Q = −(x² + xy + y²) mod p²: for p ≡ 1 mod 3
+    # the roots of y² + y + 1 mod p lift uniquely, giving two points (1, y)
+    for p in (1201, 1213):
+        q = p * p
+        half_gram = ((q - 1, q - 1), (0, q - 1))
+        pts = kernels.quadric_points_mod(p, 2, 2, half_gram, 10**7)
+        assert len(pts) == 2
+        assert all(v[0] == 1 and (1 + v[1] + v[1] ** 2) % q == 0 for v in pts)

@@ -1,0 +1,108 @@
+"""Design rules of the package source, checked on its syntax trees.
+
+* No module imports another module's private (underscore) name, neither
+  by ``from .x import _name`` nor by attribute access ``x._name`` on an
+  imported package module.
+* Each mod-p primitive is defined once, in ``qlat.modp``: no other module
+  defines it under its own name or under a name an earlier copy used.
+* Nothing refers to the deleted compiled backend.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qlat"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+# each primitive of qlat.modp -> the names earlier copies of it went by
+PRIMITIVES = {
+    "rref": ("_rref", "_rref_key"),
+    "rank": ("_rank_mod", "_fp_rank"),
+    "kernel_basis": ("_kernel_basis",),
+    "det": ("_det_mod",),
+    "mat_mul": ("_mat_mul",),
+    "mat_vec": ("_mat_vec",),
+    "solve": ("_solve_matrix",),
+    "inverse": ("_inv_mat",),
+    "inv_mod": ("_inv_mod",),
+    "legendre": ("_legendre",),
+    "is_prime": ("_is_prime", "_primes_up_to"),
+    "check_prime": ("_check_prime",),
+    "MAX_PROJ_POINTS": ("_MAX_PROJ_POINTS", "_DEF_MAX_POINTS", "_MAX_POINTS_DEFAULT"),
+    "MAX_GROUP_ELEMENTS": ("_MAX_GROUP_ELEMENTS", "_DEF_MAX_GROUP", "_MAX_GROUP_DEFAULT"),
+}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _module_level_names(tree):
+    """Names a module binds at top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_imports(path):
+    """(line, text) of each private name this module takes from another one."""
+    tree = _tree(path)
+    found = []
+    package_modules = set()  # local names bound to qlat modules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            internal = node.level > 0 or (node.module or "").split(".")[0] == "qlat"
+            if not internal:
+                continue
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append((node.lineno, f"from {node.module} import {alias.name}"))
+                elif node.module in (None, "qlat"):  # from . import kernels
+                    package_modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in package_modules
+            and _private(node.attr)
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_cross_imports(path):
+    assert _private_imports(path) == []
+
+
+def test_each_modp_primitive_has_one_definition():
+    defined = {path.stem: _module_level_names(_tree(path)) for path in MODULES}
+    for name, old_names in PRIMITIVES.items():
+        homes = sorted(
+            (module, n) for module, names in defined.items() for n in (name, *old_names) if n in names
+        )
+        assert homes == [("modp", name)], name
+
+
+def test_no_compiled_backend_remains():
+    assert not list(PACKAGE.glob("_speedups*"))
+    assert not (ROOT / "setup.py").exists()
+    for path in [*PACKAGE.iterdir(), ROOT / "pyproject.toml", ROOT / "README.md"]:
+        if path.is_file():
+            text = path.read_text(encoding="utf-8", errors="replace")
+            assert "_speedups" not in text, path.name
+            assert "QLAT_PURE" not in text, path.name
+            assert "Cython" not in text, path.name

@@ -44,6 +44,11 @@ def test_closed_form_rejects_degenerate_space():
         closed_form_line_count(V)
 
 
+def test_report_that_checked_nothing_is_an_error():
+    with pytest.raises(PreconditionError, match="selected no instance"):
+        VerifyReport(suite="demo").finish()
+
+
 def test_report_records_and_sorts_failures():
     r = VerifyReport(suite="demo")
     r.record({"b": 1}, True, 1, 1)
