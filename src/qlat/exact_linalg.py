@@ -1,10 +1,12 @@
 """Exact integer linear algebra.
 
-Everything here runs over arbitrary-precision integers (and Fractions
-internally where division is unavoidable), so results are exact: Smith and
-Hermite normal forms with their unimodular transforms, integer kernels,
-quotient structure of Z^n by a generating set, saturation, and lattice
-intersection.
+Everything here runs over arbitrary-precision integers, with no rational
+arithmetic, so results are exact: Smith and Hermite normal forms with their
+unimodular transforms, integer kernels, quotient structure of Z^n by a
+generating set, saturation, and lattice intersection.  Solves, inverses,
+ranks and kernels all come from the one Hermite eliminator and its
+transform; the Smith form serves only the callers that need elementary
+divisors.
 
 Conventions
 -----------
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -184,8 +185,7 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
     def rank(self) -> int:
-        _, D, _ = smith_normal_form(self)
-        return sum(1 for i in range(min(D.rows, D.cols)) if D.entries[i][i] != 0)
+        return hnf_basis(self).cols
 
 
 @dataclass(frozen=True)
@@ -461,75 +461,66 @@ def lattices_equal(A: IntMatrix, B: IntMatrix) -> bool:
 
 
 def integer_kernel(M: IntMatrix) -> IntMatrix:
-    """Basis of {x in Z^m : M @ x == 0} (a saturated subgroup of Z^m)."""
-    _, D, V = smith_normal_form(M)
-    r = sum(1 for i in range(min(D.rows, D.cols)) if D.entries[i][i] != 0)
-    return V.take_columns(range(r, M.cols))
+    """Basis of {x in Z^m : M @ x == 0} (a saturated subgroup of Z^m).
+
+    With M @ T == H in Hermite form and r the rank, M·(T·y) = H·y vanishes
+    exactly when the first r entries of y do, so the trailing m - r columns
+    of the unimodular T are a basis.
+    """
+    H, T = hermite_normal_form(M)
+    r = sum(1 for col in zip(*H.entries) if any(col))
+    return T.take_columns(range(r, M.cols))
 
 
 def integral_coefficients(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
     """The integer C with basis @ C == targets.
 
-    ``basis`` must have independent columns.  Gauss–Jordan elimination over
-    Fraction; raises PreconditionError when the columns are dependent, when
-    a target lies outside their rational span, or when its coordinates are
-    not all integers.
+    ``basis`` must have independent columns.  With basis @ U == H in
+    Hermite form, each target t is solved as H·y = t by forward
+    substitution on the pivot rows of H, and C = U·y.  Raises
+    PreconditionError when the columns are dependent, when a target lies
+    outside their rational span, or when its coordinates are not all
+    integers.
     """
     if basis.rows != targets.rows:
         raise PreconditionError("ambient dimension mismatch")
-    n, r = basis.rows, basis.cols
-    k = targets.cols
-    a = [
-        [Fraction(basis.entries[i][j]) for j in range(r)]
-        + [Fraction(targets.entries[i][j]) for j in range(k)]
-        for i in range(n)
-    ]
-    rank = 0
-    pivots = []
-    for col in range(r):
-        piv = next((i for i in range(rank, n) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(n):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank != r:
+    r = basis.cols
+    H, U = hermite_normal_form(basis)
+    if r and not any(row[r - 1] for row in H.entries):
         raise PreconditionError("basis columns are dependent")
-    for i in range(rank, n):
-        if any(a[i][r + j] != 0 for j in range(k)):
-            raise PreconditionError("target vectors lie outside the span")
-    C = [[Fraction(0)] * k for _ in range(r)]
-    for row_idx, pc in enumerate(pivots):
-        for j in range(k):
-            C[pc][j] = a[row_idx][r + j]
-    out = []
-    for row in C:
-        out_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise PreconditionError("target vectors are not integral in the basis")
-            out_row.append(int(x))
-        out.append(out_row)
-    return IntMatrix.from_rows(out)
+    # column j of H is zero above its pivot
+    pivots = [next(i for i, row in enumerate(H.entries) if row[j]) for j in range(r)]
+    Y = []
+    for t in targets.columns():
+        y: list[int] = []
+        for j, i in enumerate(pivots):
+            row = H.entries[i]
+            q, rem = divmod(t[i] - sum(map(mul, row, y)), row[j])
+            if rem:
+                break
+            y.append(q)
+        if len(y) < r or H.mul_vector(y) != t:
+            if hnf_basis(basis.hstack(targets)).cols > r:
+                raise PreconditionError("target vectors lie outside the span")
+            raise PreconditionError("target vectors are not integral in the basis")
+        Y.append(y)
+    return U @ IntMatrix.from_columns(Y, rows=r)
 
 
 def unimodular_inverse(M: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix.
+
+    M @ T == H in Hermite form, and M is unimodular exactly when H is the
+    identity, in which case T is the inverse.
+    """
     n = M.rows
     if n != M.cols:
         raise PreconditionError("inverse of a non-square matrix")
-    try:
-        return integral_coefficients(M, IntMatrix.identity(n))
-    except PreconditionError:
-        # a square M has an integral inverse exactly when det M = ±1
+    H, T = hermite_normal_form(M)
+    if H != IntMatrix.identity(n):
         reason = "singular" if M.det() == 0 else "not unimodular"
-        raise PreconditionError(f"matrix is {reason}") from None
+        raise PreconditionError(f"matrix is {reason}")
+    return T
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,8 @@ from .exact_linalg import (
     IntMatrix,
     hnf_basis,
     integral_coefficients,
-    lattices_equal,
     quotient_structure,
     saturate,
-    sublattice_in_span,
 )
 from .kernels import proj_reps
 from .modp import MAX_PROJ_POINTS, check_prime, is_prime
@@ -200,12 +198,17 @@ def grow_unique(
 ) -> PLattice:
     """The unique neighbor of Ñ meeting span(Λ̃) in an index-p enlargement.
 
-    ``tilde_embedding`` embeds Λ̃ onto a direct summand of Ñ (ambient
-    integer coordinates).  Candidate enlargements W' are the index-p
-    superlattices of W̃ = image(Λ̃) inside its rational span — one for each
-    line of W̃/pW̃, not necessarily integral — and the neighbors L of Ñ
-    are filtered on L ∩ span = W'.  Exactly one (L, W') pair may survive;
-    any other count raises InvariantViolationError.
+    ``tilde_embedding`` embeds Λ̃ onto a direct summand W̃ = image(Λ̃) of Ñ
+    (ambient integer coordinates).  The neighbors L of Ñ are filtered on
+    L ∩ span(W̃) being an index-p superlattice of W̃, and exactly one may
+    survive; any other count raises InvariantViolationError.
+
+    The filter is ``L.span_excess(W̃) == 1``.  Proof: L and Ñ are
+    p-neighbors, so pL ⊂ Ñ, and W̃ is saturated in Ñ, so
+    p·(L ∩ span W̃) ⊂ Ñ ∩ span W̃ = W̃, i.e. L ∩ span(W̃) ⊂ p⁻¹W̃.  If
+    W̃ ⊂ L, then (L ∩ span W̃)/W̃ ≅ ker(W̃/pW̃ → L/pL) through
+    multiplication by p, so L ∩ span(W̃) is an index-p enlargement of W̃
+    exactly when W̃ ⊂ L and that kernel is a line.
     """
     if not isinstance(tilde_embedding, IntMatrix):
         tilde_embedding = IntMatrix.from_rows(tilde_embedding)
@@ -221,30 +224,13 @@ def grow_unique(
     Wt = hnf_basis(tilde_embedding)
     if Wt.cols != rt:
         raise PreconditionError("embedding columns are dependent")
-    denom = Nt.scale_denominator()
     # membership and direct-summand check inside Ñ
-    coeffs = integral_coefficients(Nt.numerator_basis, Wt.scale(denom))
+    coeffs = integral_coefficients(Nt.numerator_basis, Wt.scale(Nt.scale_denominator()))
     _, summand = saturate(n, coeffs)
     if not summand:
         raise PreconditionError("embedded sublattice is not a direct summand")
-    # the intersection of Ñ with the rational span must be exactly W̃
-    T = sublattice_in_span(Nt.numerator_basis, Wt)
-    if not lattices_equal(T, Wt.scale(denom)):
-        raise PreconditionError("lattice does not meet the span in the embedded sublattice")
-    candidates = []
-    for rep in proj_reps(p, rt):
-        x = Wt.mul_vector(rep)
-        cand = hnf_basis(Wt.scale(p).hstack(IntMatrix.from_columns([x])))
-        candidates.append(cand)  # W' = p^{-1} · (column span of cand)
-    survivors = []
-    for L in neighbors_of(Nt, max_points):
-        TL = sublattice_in_span(L.numerator_basis, Wt)
-        dL = L.scale_denominator()
-        for cand in candidates:
-            # L ∩ span = p^{-pow}·TL and W' = p^{-1}·cand
-            if lattices_equal(TL.scale(p), cand.scale(dL)):
-                survivors.append(L)
-                break
+    wcols = Wt.columns()
+    survivors = [L for L in neighbors_of(Nt, max_points) if L.span_excess(wcols) == 1]
     if len(survivors) != 1:
         raise InvariantViolationError(
             f"expected a unique enlargement, found {len(survivors)}"

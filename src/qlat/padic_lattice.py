@@ -37,7 +37,10 @@ from .exact_linalg import (
     is_square_hnf,
     lattices_equal,
     quotient_structure,
+    saturate,
+    smith_normal_form,
     sublattice_in_span,
+    unimodular_inverse,
 )
 from .fp_quadratic import FpQuadSpace, ProjLine, enumerate_isotropic_lines
 from .modp import MAX_PROJ_POINTS
@@ -148,9 +151,22 @@ class PLattice:
             c.append(q)
         return c
 
-    def contains_integer_vector(self, v: tuple[int, ...]) -> bool:
-        """Membership test for a vector of the ambient Z^n."""
-        return self.coordinates(v) is not None
+    def span_excess(self, cols: list[tuple[int, ...]]) -> int | None:
+        """dim ker(W/pW → L/pL) for the basis columns of a lattice W ⊂ Z^n.
+
+        Returns None when some column does not lie in this lattice L, and
+        otherwise ``len(cols)`` minus the rank mod p of the columns'
+        coordinates (:meth:`coordinates`).  A kernel vector is a w ∈ W ∖ pW
+        with w ∈ pL, that is w/p ∈ L ∩ span(W) ∖ W; so for W ⊂ L with
+        L ∩ span(W) ⊂ p⁻¹W the excess e gives [L ∩ span(W) : W] = p^e.
+        """
+        coords = []
+        for w in cols:
+            c = self.coordinates(w)
+            if c is None:
+                return None
+            coords.append(c)
+        return len(cols) - modp.rank(coords, self.p)
 
 
 def plattice_sort_key(L: PLattice):
@@ -501,8 +517,6 @@ def _shrink_preconditions(
     N: QuadLattice, W: Sublattice, Wt: Sublattice, p: int, min_corank: int
 ) -> Sublattice:
     """Validate a minimal pair (W, W̃) and derive the exact-type subgroup U."""
-    from .exact_linalg import saturate, smith_normal_form, unimodular_inverse
-
     if not is_self_dual_at(N, p):
         raise PreconditionError("lattice is not self-dual at p")
     if W.ambient != N or Wt.ambient != N:
@@ -585,16 +599,13 @@ def recover_lattice(Nt: PLattice, W: Sublattice, max_points: int = MAX_PROJ_POIN
     built around and raises InvariantViolationError.
 
     The filter is exact: L ∩ span(W) = W iff W ⊂ L and W/pW → L/pL is
-    injective.  Proof: W is saturated in N and L ⊂ N[1/p], so
-    (L ∩ span W)/W is a finite p-group, and it is nonzero iff some
-    w ∈ W ∖ pW lies in pL.  It is tested by solving for the coordinates
-    of W's basis in L's basis and taking their rank mod p.
+    injective, i.e. ``L.span_excess(W) == 0``.  Proof: W is saturated in
+    N and L ⊂ N[1/p], so (L ∩ span W)/W is a finite p-group, and it is
+    nonzero iff some w ∈ W ∖ pW lies in pL.
     """
     N, p = Nt.ambient, Nt.p
     if W.ambient != N:
         raise PreconditionError("sublattice belongs to a different lattice")
-    from .exact_linalg import saturate
-
     _, summand = saturate(N.rank, W.basis)
     if not summand:
         raise PreconditionError("W is not a direct summand")
@@ -607,20 +618,10 @@ def recover_lattice(Nt: PLattice, W: Sublattice, max_points: int = MAX_PROJ_POIN
             f"intersection with span(W) has index {idx} in W, expected {p}"
         )
     wcols = W.basis.columns()
-    survivors = [L for L in neighbors_of(Nt, max_points) if _meets_span_in(L, wcols)]
+    survivors = [L for L in neighbors_of(Nt, max_points) if L.span_excess(wcols) == 0]
     if len(survivors) != 1:
         raise InvariantViolationError(
             f"expected a unique recovery candidate, found {len(survivors)}"
         )
     return survivors[0]
 
-
-def _meets_span_in(L: PLattice, wcols: list[tuple[int, ...]]) -> bool:
-    """L ∩ span(W) = W for the basis columns of a saturated W (see recover_lattice)."""
-    coords = []
-    for w in wcols:
-        c = L.coordinates(w)
-        if c is None:
-            return False
-        coords.append(c)
-    return modp.rank(coords, L.p) == len(wcols)

@@ -343,6 +343,12 @@ def suite_witt_extension(
     spans lie in the same ruling exactly when m − dim(span X ∩ span Y)
     is even, so odd-parity Lagrangian pairs are skipped rather than
     counted as failures.
+
+    Before a space's sweep, the tuples it can visit are bounded by the sum
+    over X of the product of the Q-value bucket sizes of its vectors;
+    past ``max_points`` the suite raises SizeGuardError.  A guard tripped
+    inside ``witt_extension`` propagates the same way: an input limit is
+    not a counterexample.
     """
     report = VerifyReport("witt-extension")
     primes = tuple(primes) if primes else (2, 3)
@@ -355,40 +361,48 @@ def suite_witt_extension(
             by_q: dict[int, list] = {}
             for v in vectors:
                 by_q.setdefault(V.q(v), []).append(v)
-            for k in range(0, n - 1):
-                for X in _subspace_bases(p, n, k):
-                    xgram = [[V.b(X[i], X[j]) for j in range(k)] for i in range(k)]
-                    xq = [V.q(x) for x in X]
-                    lagrangian = (
-                        2 * k == n
-                        and k == witt_index
-                        and all(q == 0 for q in xq)
-                        and all(
-                            xgram[i][j] == 0
-                            for i in range(k)
-                            for j in range(i + 1, k)
-                        )
+            subspaces = [X for k in range(0, n - 1) for X in _subspace_bases(p, n, k)]
+            # each Y the sweep visits takes y_j from the Q-value bucket of x_j
+            tuples = sum(math.prod(len(by_q.get(V.q(x), ())) for x in X) for X in subspaces)
+            if tuples > max_points:
+                raise SizeGuardError(
+                    f"witt-extension over {name} at p = {p} would sweep up to {tuples} "
+                    f"tuples, past the guard {max_points} (raise it with --max-points)"
+                )
+            for X in subspaces:
+                k = len(X)
+                xgram = [[V.b(X[i], X[j]) for j in range(k)] for i in range(k)]
+                xq = [V.q(x) for x in X]
+                lagrangian = (
+                    2 * k == n
+                    and k == witt_index
+                    and all(q == 0 for q in xq)
+                    and all(
+                        xgram[i][j] == 0
+                        for i in range(k)
+                        for j in range(i + 1, k)
                     )
-                    for Y in _gram_matching_tuples(V, X, xq, xgram, by_q, p):
-                        if lagrangian:
-                            meet = 2 * k - rank(X + Y, p)
-                            if (k - meet) % 2 == 1:
-                                continue
-                        desc = {
-                            "suite": "witt-extension",
-                            "space": name,
-                            "p": p,
-                            "X": [list(x) for x in X],
-                            "Y": [list(y) for y in Y],
-                        }
-                        try:
-                            g = witt_extension(V, X, Y, max_group=max_group)
-                            ok = all(g.apply(x) == y for x, y in zip(X, Y))
-                            ok = ok and g.is_special()
-                            actual = "verified witness" if ok else "invalid witness"
-                        except (InvariantViolationError, SizeGuardError) as exc:
-                            ok, actual = False, f"{type(exc).__name__}: {exc}"
-                        report.record(desc, ok, "verified witness", actual)
+                )
+                for Y in _gram_matching_tuples(V, X, xq, xgram, by_q, p):
+                    if lagrangian:
+                        meet = 2 * k - rank(X + Y, p)
+                        if (k - meet) % 2 == 1:
+                            continue
+                    desc = {
+                        "suite": "witt-extension",
+                        "space": name,
+                        "p": p,
+                        "X": [list(x) for x in X],
+                        "Y": [list(y) for y in Y],
+                    }
+                    try:
+                        g = witt_extension(V, X, Y, max_group=max_group)
+                        ok = all(g.apply(x) == y for x, y in zip(X, Y))
+                        ok = ok and g.is_special()
+                        actual = "verified witness" if ok else "invalid witness"
+                    except InvariantViolationError as exc:
+                        ok, actual = False, f"{type(exc).__name__}: {exc}"
+                    report.record(desc, ok, "verified witness", actual)
     return report.finish()
 
 

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from qlat import SizeGuardError
 from qlat.cli import main
 from qlat.verify import VerifyReport
 
@@ -263,6 +264,36 @@ def test_verify_selecting_no_instance_is_input_error(capsys, argv):
     assert err.splitlines()[-1] == (
         f"error: suite {argv[1]} selected no instance for these parameters"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, tuples, bound",
+    [
+        (["--p", "5", "--max-rank", "4"], 12494593, 10000000),
+        (["--p", "3", "--max-points", "50000"], 93889, 50000),
+    ],
+    ids=["p5-rank4-default-guard", "p3-lowered-guard"],
+)
+def test_verify_witt_extension_guards_its_sweep(capsys, argv, tuples, bound):
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "verify", "witt-extension", *argv)
+    assert time.perf_counter() - start < 10.0
+    assert (rc, out) == (2, "")
+    last = err.splitlines()[-1]
+    assert f"up to {tuples} tuples, past the guard {bound}" in last
+    assert "--max-points" in last
+
+
+def test_verify_witt_extension_guard_trip_is_input_error(capsys, monkeypatch):
+    import qlat.verify as verify_module
+
+    def guarded(V, X, Y, max_group):
+        raise SizeGuardError(f"orbit exceeds the guard {max_group}")
+
+    monkeypatch.setattr(verify_module, "witt_extension", guarded)
+    rc, out, err = run_cli(capsys, "verify", "witt-extension", "--p", "2", "--max-group", "7")
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == "error: orbit exceeds the guard 7"
 
 
 def test_verify_max_group_help_states_the_default(capsys):

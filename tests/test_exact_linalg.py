@@ -382,3 +382,112 @@ def test_integral_coefficients_solves_or_names_the_obstruction():
         integral_coefficients(basis, IntMatrix.from_columns([[0, 0, 1]]))
     with pytest.raises(PreconditionError, match="^target vectors are not integral in the basis$"):
         integral_coefficients(basis, IntMatrix.from_columns([[1, 0, 0]]))
+
+
+# ---------------------------------------------------------------------------
+# the Hermite eliminator against oracles that do not use it
+# ---------------------------------------------------------------------------
+
+
+def _snf_rank(M):
+    _, D, _ = smith_normal_form(M)
+    return sum(1 for i in range(min(D.rows, D.cols)) if D.entries[i][i])
+
+
+def _cramer_class(basis, targets):
+    """Error class of basis @ C == targets by Cramer's rule on the normal equations.
+
+    With G = BᵀB (invertible for independent columns) and d = det G, the
+    rational coordinates of t are x_j = det(G with column j replaced by
+    Bᵀt)/d; t lies in the span iff B·(d·x) == d·t.
+    """
+    G = basis.transpose() @ basis
+    d = G.det()
+    gcols = G.columns()
+    integral = True
+    for t in targets.columns():
+        bt = basis.transpose().mul_vector(t)
+        dx = [
+            IntMatrix.from_columns([bt if i == j else gcols[i] for i in range(G.cols)]).det()
+            for j in range(G.cols)
+        ]
+        if basis.mul_vector(dx) != tuple(d * x for x in t):
+            return "outside the span"
+        integral = integral and all(x % d == 0 for x in dx)
+    return None if integral else "not integral"
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(1, 4), st.data())
+def test_integral_coefficients_recovers_drawn_coefficients(n, data):
+    r = data.draw(st.integers(1, n))
+    B = data.draw(matrices(n, r).filter(lambda m: (m.transpose() @ m).det() != 0))
+    C = data.draw(matrices(r, data.draw(st.integers(0, 3))))
+    assert integral_coefficients(B, B @ C) == C
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(1, 4), st.data())
+def test_integral_coefficients_error_class_matches_cramer(n, data):
+    r = data.draw(st.integers(1, n))
+    B = data.draw(matrices(n, r).filter(lambda m: (m.transpose() @ m).det() != 0))
+    # a sublattice of span(B) of index up to 27, so integral targets of B
+    # are often not integral in the basis
+    D = IntMatrix.from_rows(
+        [
+            [data.draw(st.integers(-2, 2)) if j > i else data.draw(st.integers(1, 3)) if j == i else 0
+             for j in range(r)]
+            for i in range(r)
+        ]
+    )
+    basis = B @ D
+    cols = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        t = B.mul_vector(data.draw(st.lists(small_entries, min_size=r, max_size=r)))
+        if data.draw(st.booleans()):
+            t = tuple(a + b for a, b in zip(t, data.draw(st.lists(small_entries, min_size=n, max_size=n))))
+        cols.append(t)
+    targets = IntMatrix.from_columns(cols)
+    expected = _cramer_class(basis, targets)
+    if expected is None:
+        assert basis @ integral_coefficients(basis, targets) == targets
+    else:
+        with pytest.raises(PreconditionError, match=expected):
+            integral_coefficients(basis, targets)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_integer_kernel_is_a_saturated_kernel_of_snf_size(n, m, data):
+    M = data.draw(matrices(n, m))
+    K = integer_kernel(M)
+    assert K.cols == m - _snf_rank(M)
+    if K.cols:
+        assert M @ K == IntMatrix.zero(n, K.cols)
+        assert saturate(m, K)[1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_rank_matches_snf(n, m, data):
+    M = data.draw(matrices(n, m))
+    assert M.rank() == _snf_rank(M)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(1, 5), st.data())
+def test_unimodular_inverse_of_elementary_products(n, data):
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(data.draw(st.integers(0, 12))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        op = data.draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            c = data.draw(st.integers(-3, 3))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        elif op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "negate":
+            rows[i] = [-a for a in rows[i]]
+    E = IntMatrix.from_rows(rows)
+    inv = unimodular_inverse(E)
+    assert E @ inv == IntMatrix.identity(n) == inv @ E

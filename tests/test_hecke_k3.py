@@ -12,9 +12,12 @@ from qlat import (
     discriminant_group,
     enumerate_index_p_sublattices,
     grow_unique,
+    hnf_basis,
     hyperbolic_plane,
     k3_isogeny,
     k3_lattice,
+    lattices_equal,
+    neighbors_of,
     orthogonal_complement,
     quad_value,
     rank_one,
@@ -22,7 +25,9 @@ from qlat import (
     shrink_fiber,
     shrink_set,
     signature,
+    sublattice_in_span,
 )
+from qlat.kernels import proj_reps
 
 H3 = direct_sum(hyperbolic_plane(), hyperbolic_plane(), hyperbolic_plane())
 
@@ -160,6 +165,33 @@ def test_grow_recovers_ambient_from_every_member(p):
     fiber = shrink_fiber(H3, emb, pair)
     grown = {grow_unique(Nt, tilde_embedding) for Nt in fiber}
     assert grown == {N0}
+
+
+def _meets_span_in_an_enlargement(L, Wt, p):
+    """L ∩ span(W̃) is one of the index-p enlargements p⁻¹(pW̃ + Z·x) of W̃.
+
+    One candidate per line ⟨x⟩ of W̃/pW̃, compared as integer lattices.
+    """
+    T = sublattice_in_span(L.numerator_basis, Wt)  # p^power · (L ∩ span W̃)
+    for rep in proj_reps(p, Wt.cols):
+        cand = hnf_basis(Wt.scale(p).hstack(IntMatrix.from_columns([Wt.mul_vector(rep)])))
+        if lattices_equal(T.scale(p), cand.scale(L.scale_denominator())):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_grow_criterion_matches_enlargement_filter(p):
+    emb = _embedding_column()
+    Wt = hnf_basis(emb @ _pair(p).tilde_basis)
+    wcols = Wt.columns()
+    for Nt in shrink_fiber(H3, emb, _pair(p)):
+        kept = 0
+        for L in neighbors_of(Nt):
+            oracle = _meets_span_in_an_enlargement(L, Wt, p)
+            assert (L.span_excess(wcols) == 1) == oracle
+            kept += oracle
+        assert kept == 1
 
 
 def test_grow_rejects_dependent_embedding():

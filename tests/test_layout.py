@@ -6,6 +6,8 @@
 * Each mod-p primitive is defined once, in ``qlat.modp``: no other module
   defines it under its own name or under a name an earlier copy used.
 * Nothing refers to the deleted compiled backend.
+* ``exact_linalg`` eliminates over the integers only: it imports nothing
+  from ``fractions``.
 """
 
 import ast
@@ -106,3 +108,14 @@ def test_no_compiled_backend_remains():
             assert "_speedups" not in text, path.name
             assert "QLAT_PURE" not in text, path.name
             assert "Cython" not in text, path.name
+
+
+def test_exact_linalg_uses_no_fractions():
+    tree = _tree(PACKAGE / "exact_linalg.py")
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "fractions" not in imported
