@@ -20,7 +20,7 @@ from . import kernels
 from .errors import InvariantViolationError, PreconditionError, SizeGuardError
 from .fp_quadratic import enumerate_isotropic_lines
 from .hecke_k3 import grow_unique, k3_isogeny, shrink_fiber
-from .modp import MAX_GROUP_ELEMENTS, MAX_PROJ_POINTS, is_prime
+from .modp import MAX_PROJ_POINTS, is_prime
 from .padic_lattice import enumerate_neighbors, reduction
 from .quad_lattice import discriminant_group, is_self_dual_at, signature
 from .serialize import (
@@ -132,26 +132,18 @@ def _cmd_verify(args) -> int:
         max_rank=args.max_rank,
         seed=args.seed,
         max_points=args.max_points,
-        max_group=args.max_group,
     )
     _emit(report.to_dict())
     return 0 if report.failures == 0 else 1
 
 
-def _add_common(parser, group=False) -> None:
+def _add_common(parser) -> None:
     parser.add_argument(
         "--max-points",
         type=int,
         default=MAX_PROJ_POINTS,
         help=f"projective enumeration guard (default {MAX_PROJ_POINTS})",
     )
-    if group:
-        parser.add_argument(
-            "--max-group",
-            type=int,
-            default=MAX_GROUP_ELEMENTS,
-            help=f"group enumeration guard (default {MAX_GROUP_ELEMENTS})",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="restrict the suite to a single prime")
     ver.add_argument("--max-rank", type=int, default=None)
     ver.add_argument("--seed", type=int, default=0)
-    _add_common(ver, group=True)
+    _add_common(ver)
     ver.set_defaults(func=_cmd_verify)
 
     return parser

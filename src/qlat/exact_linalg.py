@@ -54,11 +54,16 @@ class IntMatrix:
     rows and entries that are not ``int`` (``bool`` included).  The
     factories and the arithmetic below build matrices whose entries are
     already ints and pass ``_trusted=True`` to skip the per-entry check.
+    A matrix with no rows keeps its column count ``cols`` (default 0),
+    which its entries cannot record.
     """
 
     entries: tuple[tuple[int, ...], ...]
+    cols: int
 
-    def __init__(self, entries: Iterable[Iterable[int]], _trusted: bool = False) -> None:
+    def __init__(
+        self, entries: Iterable[Iterable[int]], _trusted: bool = False, cols: int = 0
+    ) -> None:
         if not _trusted:
             entries = tuple(tuple(r) for r in entries)
             if len({len(r) for r in entries}) > 1:
@@ -68,6 +73,7 @@ class IntMatrix:
                     if not isinstance(x, int) or isinstance(x, bool):
                         raise PreconditionError(f"non-integer entry {x!r}")
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "cols", len(entries[0]) if entries else cols)
 
     # -- construction -------------------------------------------------
 
@@ -88,7 +94,7 @@ class IntMatrix:
         n = len(cols[0])
         if any(len(c) != n for c in cols):
             raise PreconditionError("ragged columns")
-        return IntMatrix(tuple(zip(*cols)), _trusted=True)
+        return IntMatrix(tuple(zip(*cols)), _trusted=True, cols=len(cols))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -98,17 +104,13 @@ class IntMatrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(((0,) * cols,) * rows, _trusted=True)
+        return IntMatrix(((0,) * cols,) * rows, _trusted=True, cols=cols)
 
     # -- shape and access ---------------------------------------------
 
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
@@ -120,23 +122,28 @@ class IntMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def take_columns(self, indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(r[j] for j in indices) for r in self.entries), _trusted=True)
+        return IntMatrix(
+            tuple(tuple(r[j] for j in indices) for r in self.entries), _trusted=True, cols=len(indices)
+        )
 
     def take_rows(self, indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(tuple(self.entries[i] for i in indices), _trusted=True)
+        return IntMatrix(tuple(self.entries[i] for i in indices), _trusted=True, cols=self.cols)
 
     # -- arithmetic ----------------------------------------------------
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries else (), _trusted=True)
+        if not self.entries:
+            return IntMatrix.zero(self.cols, 0)
+        return IntMatrix(tuple(zip(*self.entries)), _trusted=True, cols=self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise PreconditionError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = list(zip(*other.entries))
+        ot = _columns(other)
         return IntMatrix(
             tuple([tuple([sum(map(mul, row, col)) for col in ot]) for row in self.entries]),
             _trusted=True,
+            cols=other.cols,
         )
 
     def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
@@ -145,7 +152,7 @@ class IntMatrix:
         return tuple(sum(map(mul, row, v)) for row in self.entries)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(c * x for x in r) for r in self.entries), _trusted=True)
+        return IntMatrix(tuple(tuple(c * x for x in r) for r in self.entries), _trusted=True, cols=self.cols)
 
     def neg(self) -> "IntMatrix":
         return self.scale(-1)
@@ -153,7 +160,11 @@ class IntMatrix:
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise PreconditionError("row count mismatch in hstack")
-        return IntMatrix(tuple(a + b for a, b in zip(self.entries, other.entries)), _trusted=True)
+        return IntMatrix(
+            tuple(a + b for a, b in zip(self.entries, other.entries)),
+            _trusted=True,
+            cols=self.cols + other.cols,
+        )
 
     def is_upper_triangular(self) -> bool:
         return all(self.entries[i][j] == 0 for i in range(self.rows) for j in range(min(i, self.cols)))
@@ -298,6 +309,11 @@ def _two_col_transform(
             row[j] = c * x + d * y
 
 
+def _columns(M: IntMatrix) -> list[tuple[int, ...]]:
+    """The columns of M, also when M has no rows."""
+    return list(zip(*M.entries)) if M.entries else [()] * M.cols
+
+
 def _ident_list(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -368,7 +384,7 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         t += 1
     return (
         IntMatrix.from_rows(U),
-        IntMatrix.from_rows(A),
+        IntMatrix(tuple(map(tuple, A)), _trusted=True, cols=m),
         IntMatrix.from_rows(V),
     )
 
@@ -415,7 +431,7 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """
     if M.cols == 0:
         return M, IntMatrix.identity(0)
-    A = [list(c) for c in zip(*M.entries)]
+    A = [list(c) for c in _columns(M)]
     U = _ident_list(M.cols)
     _row_hnf(A, U)
     # the rows of A are the columns of H
@@ -431,7 +447,7 @@ def hnf_basis(M: IntMatrix) -> IntMatrix:
     """
     if M.cols == 0:
         return M
-    A = [list(c) for c in zip(*M.entries)]
+    A = [list(c) for c in _columns(M)]
     _row_hnf(A, [[] for _ in A])
     return IntMatrix.from_columns([c for c in A if any(c)], rows=M.rows)
 
@@ -468,7 +484,7 @@ def integer_kernel(M: IntMatrix) -> IntMatrix:
     of the unimodular T are a basis.
     """
     H, T = hermite_normal_form(M)
-    r = sum(1 for col in zip(*H.entries) if any(col))
+    r = sum(1 for col in _columns(H) if any(col))
     return T.take_columns(range(r, M.cols))
 
 

@@ -17,10 +17,10 @@ Per-space invariants
 An ``FpQuadSpace`` is frozen, so whatever depends only on it is computed
 at most once and kept on the instance: the Gram matrix, nondegeneracy,
 the Witt decomposition, |SO(V)|, and (for ``witt_extension``) the
-materialized special orthogonal group with each element's inverse, the
-orbit indices built from it and a table of the witnesses validated so
-far.  Equality, hashing and ``repr`` see only ``p`` and ``half_gram``; two
-equal spaces built apart compute the same values independently.
+generators of O(V), one orbit tree per Gram type of tuple and a table of
+the witnesses validated so far.  No group is materialized.  Equality,
+hashing and ``repr`` see only ``p`` and ``half_gram``; two equal spaces
+built apart compute the same values independently.
 
 Canonical vector order
 ----------------------
@@ -33,15 +33,15 @@ first nonzero vector in this order is (1, 0, ..., 0).  All "smallest" and
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from operator import mul
 from typing import Iterable, Sequence
 
 from . import kernels, modp
 from .errors import InvariantViolationError, PreconditionError, SizeGuardError
-from .modp import MAX_GROUP_ELEMENTS, MAX_PROJ_POINTS
+from .modp import MAX_PROJ_POINTS
 
 __all__ = [
     "FpQuadSpace",
@@ -102,9 +102,10 @@ def _sqrt_mod(a: int, p: int) -> int | None:
 class FpQuadSpace:
     """Quadratic space over F_p given by an upper-triangular half-Gram.
 
-    Invariants that depend only on the space are computed once and kept on
-    the instance (see the module docstring); equality, hashing and ``repr``
-    see only ``p`` and ``half_gram``.
+    Invariants that depend only on the space, and the generators and orbit
+    trees of ``witt_extension``, are computed once and kept on the instance
+    (see the module docstring); equality, hashing and ``repr`` see only
+    ``p`` and ``half_gram``.
     """
 
     p: int
@@ -164,11 +165,26 @@ class FpQuadSpace:
         return _so_order(self)
 
     @cached_property
-    def _group_cache(self) -> dict:
-        """Filled by ``_witness_from_group``: SO(V), inverses, orbit indices
-        and the witness table, which maps each witness matrix built so far
-        to its validated ``FpIsometry``."""
-        return {}
+    def _orbit_cache(self) -> dict:
+        """What ``witt_extension`` keeps on the space.
+
+        ``gens``: O(V)'s generators with their parities; ``images``: per
+        generator, the images of the vectors mapped so far; ``trees``: the
+        orbit tree of each Gram type met, as its links and the queue of
+        states still to expand (see ``_reach``); ``products``: the generator
+        products of parent states; ``inverses``: m_X⁻¹ per source state;
+        ``witnesses``: each witness matrix built so far, mapped to its
+        validated ``FpIsometry``.
+        """
+        gens = _orthogonal_generators(self)
+        return {
+            "gens": gens,
+            "images": [{} for _ in gens],
+            "trees": {},
+            "products": {},
+            "inverses": {},
+            "witnesses": {},
+        }
 
 
 @dataclass(frozen=True, init=False)
@@ -574,24 +590,26 @@ def _so_order(V: FpQuadSpace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# full orthogonal group materialization (small spaces)
+# Witt extension of isometries
 # ---------------------------------------------------------------------------
 
 
 def _orthogonal_generators(V: FpQuadSpace) -> list[tuple[Matrix, int]]:
     """Reflection/transvection generators of O(V) with their Dickson parity.
 
-    For odd p the reflections alone generate O(V).  At p = 2 the Eichler
-    transvections in all isotropic directions are added; the one space
-    where even that falls short (the four-dimensional split space over
-    F_2) is completed by exhaustive search in ``_full_group``.
+    For odd p the reflections alone generate O(V); at p = 2 the orthogonal
+    transvections (the reflections' analogue) are joined by the Eichler
+    transvections in all isotropic directions, which generate O(V) on every
+    nondegenerate space, the four-dimensional split one included
+    (Dieudonné; Taylor, *The Geometry of the Classical Groups*, 1992).  Each
+    matrix is listed once.
     """
     p, n = V.p, V.dim
-    gens: list[tuple[Matrix, int]] = []
+    gens: dict[Matrix, int] = {}
     for v in kernels.proj_reps(p, n):
         if V.q(v) != 0:
             try:
-                gens.append((reflection(V, v).matrix, 1))
+                gens[reflection(V, v).matrix] = 1
             except PreconditionError:
                 continue
     if p == 2:
@@ -604,67 +622,8 @@ def _orthogonal_generators(V: FpQuadSpace) -> list[tuple[Matrix, int]]:
             for w in perp:
                 E = eichler_transvection(V, u, w)
                 if E.matrix != modp.identity(n):
-                    gens.append((E.matrix, 0))
-    return gens
-
-
-def _all_isometries_bruteforce(V: FpQuadSpace) -> list[Matrix]:
-    """Every isometry matrix of V by backtracking over columns (tiny spaces)."""
-    p, n = V.p, V.dim
-    B = V.gram()
-    vectors = list(product(range(p), repeat=n))
-    by_q: dict[int, list[Vector]] = {}
-    for v in vectors:
-        by_q.setdefault(V.q(v), []).append(v)
-    out: list[Matrix] = []
-    cols: list[Vector] = []
-
-    def extend(j: int) -> None:
-        if j == n:
-            m = tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
-            if modp.det(m, p) != 0:
-                out.append(m)
-            return
-        for v in by_q.get(V.half_gram[j][j] % p, ()):
-            if all(V.b(cols[i], v) == B[i][j] for i in range(j)):
-                cols.append(v)
-                extend(j + 1)
-                cols.pop()
-
-    extend(0)
-    return out
-
-
-def _full_group(V: FpQuadSpace, limit: int) -> list[Matrix]:
-    """All of O(V) as matrices, asserted against the closed-form order."""
-    target = 2 * so_order(V)
-    if target > limit:
-        raise SizeGuardError(f"|O(V)| = {target} exceeds group guard {limit}")
-    gens = [g for g, _ in _orthogonal_generators(V)]
-    if not gens:
-        raise InvariantViolationError("no orthogonal generators found")
-    grp = kernels.group_closure(gens, V.p, limit)
-    if len(grp) < target and V.p ** (V.dim**2) <= 10**7:
-        # generator completion: the split 4-dimensional space over F_2 is
-        # the one nondegenerate case where transvections generate a proper
-        # subgroup; enumerate the group outright.
-        grp = _all_isometries_bruteforce(V)
-    if len(grp) != target:
-        raise InvariantViolationError(
-            f"materialized group has order {len(grp)}, expected {target}"
-        )
-    return grp
-
-
-def _is_special_matrix(V: FpQuadSpace, m: Matrix) -> bool:
-    if V.p == 2:
-        return dickson_invariant(V, m) == 0
-    return modp.det(m, V.p) == 1
-
-
-# ---------------------------------------------------------------------------
-# Witt extension of isometries
-# ---------------------------------------------------------------------------
+                    gens[E.matrix] = 0
+    return list(gens.items())
 
 
 def _tuple_type_key(V: FpQuadSpace, vectors: Sequence[Vector]):
@@ -674,86 +633,70 @@ def _tuple_type_key(V: FpQuadSpace, vectors: Sequence[Vector]):
     return (k, qs, bs)
 
 
-def _witness_from_group(
-    V: FpQuadSpace, X: tuple[Vector, ...], Y: tuple[Vector, ...], key, limit: int
-) -> FpIsometry:
-    # Tuples with the same Gram data can still fall into several
-    # special-orthogonal orbits (maximal totally isotropic subspaces of a
-    # split space split into two families), so the cache keeps one image
-    # index per orbit discovered for each Gram type.  The index containing
-    # X is found by membership (X = identity . X always lands in the index
-    # seeded on X); only a Y missing from that same index certifies that no
-    # special witness exists.  An index maps each image tuple to the position
-    # of one group element carrying X there.  The witness table maps each
-    # witness matrix built so far to its validated FpIsometry, keyed by the
-    # isometry's own matrix so that each matrix is held once.
-    p = V.p
-    cache = V._group_cache
-    if "so" not in cache:
-        so = tuple(g for g in _full_group(V, limit) if _is_special_matrix(V, g))
-        cache["so_inv"] = tuple(modp.inverse(g, p) for g in so)
-        cache["so"] = so
-        cache["orbits"] = {}
-        cache["witnesses"] = {}
-    so = cache["so"]
-    indices = cache["orbits"].setdefault(key, [])
-    index = next((candidate for candidate in indices if X in candidate), None)
-    if index is None:
-        index = {}
-        for i, g in enumerate(so):
-            index.setdefault(tuple(modp.mat_vec(g, x, p) for x in X), i)
-        indices.append(index)
-    iy = index.get(Y)
-    if iy is None:
-        raise InvariantViolationError(
-            "isometric tuples lie in different special-orthogonal orbits"
-        )
-    m = modp.mat_mul(so[iy], cache["so_inv"][index[X]], p)
-    witnesses = cache["witnesses"]
-    iso = witnesses.get(m)
-    if iso is None:
-        iso = FpIsometry(V, m)
-        witnesses[iso.matrix] = iso
-    return iso
+def _reach(V: FpQuadSpace, key, root: tuple[Vector, ...], goals) -> tuple:
+    """The first of ``goals`` in the orbit tree of Gram type ``key``, or None.
+
+    Returns ``(state, links)``.  The tree lives on the space, one per Gram
+    type, rooted at ``(root, 0)`` for the first tuple seen.  Its states are
+    (tuple, parity) pairs; ``links`` maps each to ``(parent state,
+    generator index)``, the root to None, and a state's parity is the
+    Dickson parity of the generator product that reaches it.  The tree
+    grows breadth first only until a goal is in it, so None means the whole
+    orbit has been built without meeting one.  Independent tuples of one
+    Gram type form a single O(V)-orbit (Witt), so the complete tree holds
+    every such tuple.  Raises SizeGuardError rather than grow past
+    2·``MAX_PROJ_POINTS`` states; what was built stays valid.
+    """
+    cache = V._orbit_cache
+    tree = cache["trees"].get(key)
+    if tree is None:
+        tree = cache["trees"][key] = ({(root, 0): None}, deque([(root, 0)]))
+    links, queue = tree
+    p, gens, images = V.p, cache["gens"], cache["images"]
+    bound = 2 * MAX_PROJ_POINTS
+    while True:
+        for goal in goals:
+            if goal in links:
+                return goal, links
+        if not queue:
+            return None, links
+        if len(links) > bound:
+            raise SizeGuardError(
+                f"the orbit of {len(root)}-tuples of one Gram type passed "
+                f"{len(links)} (tuple, parity) states, past the guard {bound}"
+            )
+        state = queue.popleft()
+        tup, par = state
+        for gi, (g, gpar) in enumerate(gens):
+            memo = images[gi]
+            img = []
+            for x in tup:
+                y = memo.get(x)
+                if y is None:
+                    y = memo[x] = modp.mat_vec(g, x, p)
+                img.append(y)
+            new_state = (tuple(img), par ^ gpar)
+            if new_state not in links:
+                links[new_state] = (state, gi)
+                queue.append(new_state)
 
 
-def _witness_by_bfs(
-    V: FpQuadSpace, X: tuple[Vector, ...], Y: tuple[Vector, ...], limit: int
-) -> Matrix:
-    """Search a special isometry X -> Y by BFS over (tuple, parity) states."""
-    p = V.p
-    gens = _orthogonal_generators(V)
-    start = (X, 0)
-    goal = (Y, 0)
-    if start == goal:
+def _state_matrix(V: FpQuadSpace, links: dict, state) -> Matrix:
+    """The generator product along the tree path from the root to ``state``.
+
+    It carries the root tuple to the state's tuple.  The products of parent
+    states are memoized; a leaf's is one multiplication away from its
+    parent's.
+    """
+    link = links[state]
+    if link is None:
         return modp.identity(V.dim)
-    parents: dict = {start: None}
-    frontier = [start]
-    while frontier:
-        next_frontier = []
-        for state in frontier:
-            tup, par = state
-            for gi, (g, gpar) in enumerate(gens):
-                img = tuple(modp.mat_vec(g, x, p) for x in tup)
-                new_state = (img, par ^ gpar)
-                if new_state in parents:
-                    continue
-                parents[new_state] = (state, gi)
-                if new_state == goal:
-                    m = modp.identity(V.dim)
-                    cur = new_state
-                    while parents[cur] is not None:
-                        prev, gidx = parents[cur]
-                        m = modp.mat_mul(m, gens[gidx][0], p)
-                        cur = prev
-                    return m
-                next_frontier.append(new_state)
-                if len(parents) > 2 * limit:
-                    raise SizeGuardError("tuple orbit exceeds the search guard")
-        frontier = next_frontier
-    raise InvariantViolationError(
-        "isometric tuples lie in different special-orthogonal orbits"
-    )
+    parent, gi = link
+    cache = V._orbit_cache
+    m = cache["products"].get(parent)
+    if m is None:
+        m = cache["products"][parent] = _state_matrix(V, links, parent)
+    return modp.mat_mul(cache["gens"][gi][0], m, V.p)
 
 
 def witt_extension(
@@ -761,7 +704,6 @@ def witt_extension(
     w1_basis: Sequence[Sequence[int]],
     w2_basis: Sequence[Sequence[int]],
     f: Sequence[Sequence[int]] | None = None,
-    max_group: int = MAX_GROUP_ELEMENTS,
 ) -> FpIsometry:
     """Extend an isometry between subspaces to a special isometry of V.
 
@@ -771,14 +713,17 @@ def witt_extension(
     the basis-to-basis map.  Requires: nondegenerate V, independent bases,
     codimension >= 2, and the Gram data of the two tuples must match.
 
-    While |O(V)| is at most ``max_group`` the witness comes from SO(V),
-    materialized once per space; beyond it, from a breadth-first search
-    over the images of the tuple.
+    The witness comes from the orbit tree of the tuples' Gram type (see
+    ``_reach``), kept on the space: with m_S the generator product from the
+    root to state S, it is m_Y · m_X⁻¹ for states (X, d) and (Y, d) of one
+    parity d, so its Dickson parity is 0.  Each witness matrix is
+    validated once per space and kept in a table.
 
     Returns g in SO(V) with g(x_j) = y_j for every basis vector; raises
-    InvariantViolationError if no special isometry exists (which the
-    codimension bound rules out mathematically — such a failure would be a
-    genuine counterexample).
+    InvariantViolationError if no special isometry exists.  Beyond the
+    codimension bound that happens only across the two rulings of
+    maximal totally isotropic subspaces of a split space, where (Y, d) is
+    missing from the tree.
     """
     p, n = V.p, V.dim
     if not V.is_nondegenerate():
@@ -814,10 +759,25 @@ def witt_extension(
         raise PreconditionError("map does not preserve the bilinear form")
     if k == 0:
         return FpIsometry(V, modp.identity(n))
-    if 2 * so_order(V) <= max_group:
-        iso = _witness_from_group(V, X, Y, key, max_group)
-    else:
-        iso = FpIsometry(V, _witness_by_bfs(V, X, Y, MAX_PROJ_POINTS))
+    sx, links = _reach(V, key, X, ((X, 0), (X, 1)))
+    if sx is None:
+        raise InvariantViolationError("the generators do not reach a tuple of this Gram type")
+    sy, _ = _reach(V, key, X, ((Y, sx[1]),))
+    if sy is None:
+        raise InvariantViolationError(
+            "isometric tuples lie in different special-orthogonal orbits"
+        )
+    cache = V._orbit_cache
+    inverses = cache["inverses"]
+    mx_inv = inverses.get(sx)
+    if mx_inv is None:
+        mx_inv = inverses[sx] = modp.inverse(_state_matrix(V, links, sx), p)
+    m = modp.mat_mul(_state_matrix(V, links, sy), mx_inv, p)
+    witnesses = cache["witnesses"]
+    iso = witnesses.get(m)
+    if iso is None:
+        iso = FpIsometry(V, m)
+        witnesses[iso.matrix] = iso
     if not iso.is_special():
         raise InvariantViolationError("witness is not special")
     for xj, yj in zip(X, Y):

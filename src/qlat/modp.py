@@ -3,7 +3,7 @@
 This module is the single home of the mod-p primitives the rest of the
 package is built on: row reduction, rank, kernels, determinants, matrix
 products, linear solves and inverses, Legendre symbols and the primality
-test, together with the enumeration guards every command defaults to.
+test, together with the enumeration guard every command defaults to.
 
 Vectors are sequences of ints and matrices are sequences of rows.  Inputs
 may hold any ints; every function reduces them mod p before it works, and
@@ -19,7 +19,6 @@ from .errors import InvariantViolationError, PreconditionError, SizeGuardError
 
 __all__ = [
     "MAX_PROJ_POINTS",
-    "MAX_GROUP_ELEMENTS",
     "identity",
     "inv_mod",
     "mat_vec",
@@ -41,8 +40,6 @@ Matrix = tuple[Vector, ...]
 
 #: default bound on the projective points an enumeration may visit
 MAX_PROJ_POINTS = 10**7
-#: default bound on the elements of a finite matrix group materialized at once
-MAX_GROUP_ELEMENTS = 10**6
 
 
 def identity(n: int) -> Matrix:

@@ -54,7 +54,7 @@ from .fp_quadratic import (
     witt_extension,
 )
 from .hecke_k3 import k3_isogeny
-from .modp import MAX_GROUP_ELEMENTS, MAX_PROJ_POINTS, kernel_basis, legendre, rank, rref
+from .modp import MAX_PROJ_POINTS, kernel_basis, legendre, rank, rref
 from .padic_lattice import (
     PLattice,
     enumerate_neighbors,
@@ -166,18 +166,21 @@ def _brute_line_count(V: FpQuadSpace) -> int:
 
 
 def _nondegenerate_spaces(p: int, max_dim: int):
-    """Representatives of every nondegenerate isometry class of dim ≤ max_dim."""
-    out = []
+    """Representatives of every nondegenerate isometry class of dim ≤ max_dim.
+
+    Yields ``(name, space)`` pairs one at a time, so a suite that sweeps one
+    space after another holds only the current space and what it keeps.
+    """
     if p == 2:
         aniso = [[1, 1], [0, 1]]
         for n in range(2, max_dim + 1, 2):
             split = _hyperbolic_power(n // 2).half_gram.entries
-            out.append((f"split-{n}", FpQuadSpace(p, split)))
+            yield (f"split-{n}", FpQuadSpace(p, split))
             hyp = _hyperbolic_power((n - 2) // 2).half_gram.entries if n > 2 else ()
             block = [list(r) + [0, 0] for r in hyp]
             block += [[0] * (n - 2) + list(r) for r in aniso]
-            out.append((f"nonsplit-{n}", FpQuadSpace(p, block)))
-        return out
+            yield (f"nonsplit-{n}", FpQuadSpace(p, block))
+        return
     r = next(x for x in range(2, p) if legendre(x, p) == -1)
     for n in range(1, max_dim + 1):
         for tag, last in (("sq", 1), ("nonsq", r)):
@@ -185,8 +188,7 @@ def _nondegenerate_spaces(p: int, max_dim: int):
             for i in range(n - 1):
                 rows[i][i] = 1
             rows[n - 1][n - 1] = last
-            out.append((f"diag-{n}-{tag}", FpQuadSpace(p, rows)))
-    return out
+            yield (f"diag-{n}-{tag}", FpQuadSpace(p, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +197,7 @@ def _nondegenerate_spaces(p: int, max_dim: int):
 
 
 def suite_neighbor_bijection(
-    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS, max_group=MAX_GROUP_ELEMENTS
+    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
 ) -> VerifyReport:
     """Line ↔ lattice bijection on H, H⊥H, H⊥H⊥H, plus closed-form counts."""
     report = VerifyReport("neighbor-bijection")
@@ -253,7 +255,7 @@ def _cochar_instances(primes, max_rank):
 
 
 def suite_nice_cochar(
-    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS, max_group=MAX_GROUP_ELEMENTS
+    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
 ) -> VerifyReport:
     """Shrink-fiber dual routes, unique recovery, and orbit transitivity.
 
@@ -325,7 +327,7 @@ def _subspace_bases(p: int, n: int, k: int):
 
 
 def suite_witt_extension(
-    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS, max_group=MAX_GROUP_ELEMENTS
+    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
 ) -> VerifyReport:
     """Exhaustive extension of subspace isometries over F_2 and F_3.
 
@@ -396,7 +398,7 @@ def suite_witt_extension(
                         "Y": [list(y) for y in Y],
                     }
                     try:
-                        g = witt_extension(V, X, Y, max_group=max_group)
+                        g = witt_extension(V, X, Y)
                         ok = all(g.apply(x) == y for x, y in zip(X, Y))
                         ok = ok and g.is_special()
                         actual = "verified witness" if ok else "invalid witness"
@@ -429,7 +431,7 @@ def _gram_matching_tuples(V, X, xq, xgram, by_q, p):
 
 
 def suite_cokernel_m(
-    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS, max_group=MAX_GROUP_ELEMENTS
+    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
 ) -> VerifyReport:
     """200 seeded random valid instances of the finite-cokernel claims."""
     report = VerifyReport("cokernel-m")
@@ -472,7 +474,7 @@ def suite_cokernel_m(
 
 
 def suite_lang_counts(
-    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS, max_group=MAX_GROUP_ELEMENTS
+    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
 ) -> VerifyReport:
     """Smooth-quadric lifting counts: mod-p² generic lines = p^(n-2) per line."""
     report = VerifyReport("lang-counts")
@@ -528,7 +530,7 @@ def _in_line(wbar, vbar, p):
 
 
 def suite_spinor_surjectivity(
-    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS, max_group=MAX_GROUP_ELEMENTS
+    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
 ) -> VerifyReport:
     """Witnesses of nontrivial spinor norm fixing W pointwise, odd p.
 
@@ -591,7 +593,7 @@ def suite_spinor_surjectivity(
 
 
 def suite_k3_degree(
-    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS, max_group=MAX_GROUP_ELEMENTS
+    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
 ) -> VerifyReport:
     """Degree/primitivity/signature/discriminant laws of the K3 construction."""
     report = VerifyReport("k3-degree")
@@ -654,7 +656,6 @@ def run_suite(
     max_rank=None,
     seed=0,
     max_points=MAX_PROJ_POINTS,
-    max_group=MAX_GROUP_ELEMENTS,
 ) -> VerifyReport:
     if name not in SUITES:
         raise PreconditionError(
@@ -667,5 +668,4 @@ def run_suite(
         max_rank=max_rank,
         seed=seed,
         max_points=max_points,
-        max_group=max_group,
     )

@@ -287,19 +287,24 @@ def test_verify_witt_extension_guards_its_sweep(capsys, argv, tuples, bound):
 def test_verify_witt_extension_guard_trip_is_input_error(capsys, monkeypatch):
     import qlat.verify as verify_module
 
-    def guarded(V, X, Y, max_group):
-        raise SizeGuardError(f"orbit exceeds the guard {max_group}")
+    def guarded(V, X, Y):
+        raise SizeGuardError("orbit exceeds the guard 7")
 
     monkeypatch.setattr(verify_module, "witt_extension", guarded)
-    rc, out, err = run_cli(capsys, "verify", "witt-extension", "--p", "2", "--max-group", "7")
+    rc, out, err = run_cli(capsys, "verify", "witt-extension", "--p", "2")
     assert (rc, out) == (2, "")
     assert err.splitlines()[-1] == "error: orbit exceeds the guard 7"
 
 
-def test_verify_max_group_help_states_the_default(capsys):
-    with pytest.raises(SystemExit):
-        main(["verify", "--help"])
-    assert "group enumeration guard (default 1000000)" in capsys.readouterr().out
+def test_verify_witt_extension_orbit_guard_exits_2(capsys, monkeypatch):
+    from qlat import fp_quadratic
+
+    monkeypatch.setattr(fp_quadratic, "MAX_PROJ_POINTS", 5)
+    rc, out, err = run_cli(capsys, "verify", "witt-extension", "--p", "2")
+    assert (rc, out) == (2, "")
+    last = err.splitlines()[-1]
+    assert last.startswith("error: the orbit of ")
+    assert last.endswith(" (tuple, parity) states, past the guard 10")
 
 
 def test_verify_stderr_names_backend(capsys):

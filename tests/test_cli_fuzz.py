@@ -118,7 +118,6 @@ def argvs(draw):
             + ["--max-rank", draw(st.sampled_from(["-1", "0", "1", "2", "3"]))]
             + draw(_flag("--seed", st.sampled_from(["0", "3", "-1"])))
             + draw(_flag("--max-points", GUARDS))
-            + draw(_flag("--max-group", st.sampled_from(["0", "1", "100", "100000"])))
         )
     return [command] + draw(st.lists(st.text(max_size=5), max_size=3))
 
@@ -151,7 +150,7 @@ def check_exit(argv):
 @example(["neighbors", "H", "--p", "0"])
 @example(["k3-isogeny", "--d", "1", "--p", "0"])
 @example(["lattice", "info", "rank1(" + "9" * 5000 + ")"])
-@example(["verify", "witt-extension", "--p", "2", "--max-rank", "3", "--max-group", "0"])
+@example(["verify", "witt-extension", "--p", "2", "--max-rank", "3"])
 @example(["verify", "witt-extension", "--p", "-3", "--max-rank", "-1"])
 @example(["verify", "cokernel-m", "--p", "0", "--max-rank", "2"])
 @example(["verify", "lang-counts", "--p", "4", "--max-rank", "3"])

@@ -50,6 +50,18 @@ def test_matrix_construction_and_accessors():
     assert (M @ IntMatrix.identity(3)) == M
 
 
+def test_matrix_without_rows_keeps_its_column_count():
+    Z = IntMatrix.zero(0, 3)
+    assert (Z.rows, Z.cols) == (0, 3)
+    assert Z != IntMatrix.zero(0, 0)
+    assert (Z.transpose().rows, Z.transpose().cols) == (3, 0)
+    T = IntMatrix.zero(3, 0).transpose()
+    assert (T.rows, T.cols) == (0, 3)
+    assert T.transpose() == IntMatrix.zero(3, 0)
+    assert IntMatrix.zero(3, 0) @ Z == IntMatrix.zero(3, 3)
+    assert (Z.take_columns([0, 2]).cols, Z.hstack(Z).cols) == (2, 6)
+
+
 def test_matrix_rejects_bad_input():
     with pytest.raises(PreconditionError):
         IntMatrix.from_rows([[1, 2], [3]])
@@ -357,6 +369,10 @@ def test_integer_kernel_of_projection():
     assert K.cols == 2
     for col in K.columns():
         assert M.mul_vector(col) == (0,)
+
+
+def test_integer_kernel_of_a_matrix_without_rows_is_everything():
+    assert integer_kernel(IntMatrix.zero(0, 3)) == IntMatrix.identity(3)
 
 
 def test_unimodular_inverse_round_trip():

@@ -29,7 +29,9 @@ from qlat import (
     witt_decomposition,
     witt_extension,
 )
-from qlat.fp_quadratic import _all_isometries_bruteforce
+from qlat import kernels, modp
+from qlat.fp_quadratic import _orthogonal_generators
+from isometry_oracle import all_isometries_bruteforce
 
 
 def hyperbolic(p, m):
@@ -467,7 +469,7 @@ def test_so_orders_match_brute_force():
     ]
     for V, expected in cases:
         assert so_order(V) == expected
-        brute = _all_isometries_bruteforce(V)
+        brute = all_isometries_bruteforce(V)
         assert sum(FpIsometry(V, g).is_special() for g in brute) == expected
 
 
@@ -509,17 +511,18 @@ def test_isometries_preserve_line_counts(p, m):
 # ---------------------------------------------------------------------------
 
 
-def _memo_spaces():
+def _spaces(*prime_dims):
+    """The suites' nondegenerate spaces for each (p, max dim), as parameters."""
     from qlat.verify import _nondegenerate_spaces
 
     return [
         pytest.param(V, id=f"{name}-p{p}")
-        for p in (2, 3, 5)
-        for name, V in _nondegenerate_spaces(p, 6)
+        for p, d in prime_dims
+        for name, V in _nondegenerate_spaces(p, d)
     ]
 
 
-@pytest.mark.parametrize("V", _memo_spaces())
+@pytest.mark.parametrize("V", _spaces((2, 6), (3, 6), (5, 6)))
 def test_memoized_invariants_match_a_fresh_space(V):
     untouched = FpQuadSpace(V.p, V.half_gram)
     assert repr(untouched) == repr(V)
@@ -549,7 +552,7 @@ def test_no_module_level_caches():
 @pytest.mark.parametrize("p", [2, 3])
 def test_witness_from_a_cached_group_is_a_brute_force_isometry(p):
     V = hyperbolic(p, 2)
-    brute = _all_isometries_bruteforce(V)
+    brute = all_isometries_bruteforce(V)
     special = {g for g in brute if FpIsometry(V, g).is_special()}
     assert len(brute) == 2 * so_order(V) == 2 * len(special)
     for q in range(2):
@@ -557,25 +560,122 @@ def test_witness_from_a_cached_group_is_a_brute_force_isometry(p):
             v for v in product(range(p), repeat=4) if any(v) and V.q(v) == q
         ]
         X = (vectors[0],)
-        witt_extension(V, X, X)  # materializes SO(V) on the instance
-        assert "so" in V._group_cache
+        witt_extension(V, X, X)  # starts the orbit tree of X's Gram type
+        assert len(V._orbit_cache["trees"]) == q + 1
         for y in vectors:
             g = witt_extension(V, X, (y,))
             assert g.matrix in special
             assert g.apply(X[0]) == y
+    assert len(V._orbit_cache["trees"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the generators and orbit trees behind witt_extension
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("V", _spaces((2, 4), (3, 4), (5, 3)))
+def test_orthogonal_generators_generate_the_orthogonal_group(V):
+    # the orbit trees reach every tuple of a Gram type only if they do
+    gens = [g for g, _ in _orthogonal_generators(V)]
+    assert len(set(gens)) == len(gens)
+    assert len(kernels.group_closure(gens, V.p, 10**6)) == 2 * so_order(V)
+
+
+def _gram_data(V, T):
+    return tuple(V.q(t) for t in T), tuple(V.b(a, b) for i, a in enumerate(T) for b in T[i + 1:])
+
+
+@pytest.mark.parametrize(
+    "V, has_cross_ruling_pairs",
+    [(hyperbolic(2, 2), True), (hyperbolic(3, 2), True), (diag_space(3, 1, 1, 1), False)],
+    ids=["H2-p2", "H2-p3", "diag111-p3"],
+)
+def test_extension_exists_exactly_when_a_special_isometry_does(V, has_cross_ruling_pairs):
+    """X runs over one basis of every subspace of dimension k in {1, 2} with
+    k <= dim - 2, Y over every independent tuple with the same Gram data; a
+    witness comes back exactly when a brute-force special isometry maps X
+    to Y, and InvariantViolationError is raised otherwise."""
+    from qlat.verify import _subspace_bases
+
+    p, n = V.p, V.dim
+    vectors = [v for v in product(range(p), repeat=n) if any(v)]
+    images = [
+        {v: tuple(sum(a * b for a, b in zip(row, v)) % p for row in g) for v in vectors}
+        for g in all_isometries_bruteforce(V)
+        if FpIsometry(V, g).is_special()
+    ]
+    outcomes = set()
+    for k in range(1, min(2, n - 2) + 1):
+        by_gram = {}
+        for Y in product(vectors, repeat=k):
+            if modp.rank(Y, p) == k:
+                by_gram.setdefault(_gram_data(V, Y), []).append(Y)
+        for X in _subspace_bases(p, n, k):
+            reachable = {tuple(img[x] for x in X) for img in images}
+            for Y in by_gram[_gram_data(V, X)]:
+                try:
+                    g = witt_extension(V, X, Y)
+                except InvariantViolationError:
+                    assert Y not in reachable, (X, Y)
+                    outcomes.add("none")
+                    continue
+                assert Y in reachable, (X, Y)
+                assert g.is_special() and [g.apply(x) for x in X] == list(Y)
+                outcomes.add("witness")
+    assert outcomes == ({"witness", "none"} if has_cross_ruling_pairs else {"witness"})
+
+
+@pytest.mark.parametrize(
+    "V, X, Y",
+    [
+        (diag_space(3, 1, 1, 1, 1, 1), [(1, 0, 0, 0, 0)], [(1, 1, 1, 1, 0)]),
+        (
+            diag_space(3, 1, 1, 1, 1, 1),
+            [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)],
+            [(1, 1, 1, 1, 0), (1, 1, 1, 0, 1)],
+        ),
+        (hyperbolic(2, 3), [(1, 1, 0, 0, 0, 0)], [(1, 1, 1, 1, 1, 1)]),
+        (
+            hyperbolic(2, 3),
+            [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)],
+            [(0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 1, 0)],
+        ),
+    ],
+    ids=["diag5-p3-k1", "diag5-p3-k2", "H3-p2-k1", "H3-p2-k2"],
+)
+def test_extension_on_spaces_whose_group_is_large(V, X, Y):
+    # O(V) has 103,680 elements for diag(1,1,1,1,1) over F_3 and 2·|SO| =
+    # 1,451,520 for H⊥H⊥H over F_2; no route may materialize it
+    start = time.perf_counter()
+    g = witt_extension(V, X, Y)
+    assert time.perf_counter() - start < 5.0
+    assert g.is_special()
+    assert [g.apply(x) for x in X] == [tuple(y) for y in Y]
+    assert g == FpIsometry(V, g.matrix)
+
+
+def test_orbit_guard_names_the_state_count_and_the_bound(monkeypatch):
+    from qlat import fp_quadratic
+
+    V = hyperbolic(2, 2)
+    e1, f1, e2, f2 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    monkeypatch.setattr(fp_quadratic, "MAX_PROJ_POINTS", 5)
+    with pytest.raises(SizeGuardError) as info:
+        witt_extension(V, [e1, e2], [e1, f2])  # decided by the whole orbit
+    message = str(info.value)
+    assert message.startswith("the orbit of 2-tuples of one Gram type passed ")
+    assert message.endswith(" (tuple, parity) states, past the guard 10")
+    assert int(message.split()[9]) > 10
+    monkeypatch.undo()  # the partial tree grows on from where it stopped
+    with pytest.raises(InvariantViolationError):
+        witt_extension(V, [e1, e2], [e1, f2])
+    assert witt_extension(V, [e1, e2], [f1, f2]).apply(e2) == f2
 
 
 # ---------------------------------------------------------------------------
 # the table of validated witnesses kept on the space instance
 # ---------------------------------------------------------------------------
-
-
-def _mat_mul_mod(A, B, p):
-    n = len(B[0])
-    return tuple(
-        tuple(sum(a * B[t][j] for t, a in enumerate(row)) % p for j in range(n))
-        for row in A
-    )
 
 
 def _witt_queries(V, k):
@@ -596,7 +696,7 @@ def test_witness_table_holds_validated_special_isometries(p):
     returned = []
     for X, Y in _witt_queries(V, 1):
         returned.append(witt_extension(V, X, Y))
-    table = V._group_cache["witnesses"]
+    table = V._orbit_cache["witnesses"]
     assert len(table) >= 2
     for g in returned:
         assert table[g.matrix] is g
@@ -610,44 +710,10 @@ def test_witness_table_returns_the_identical_object():
     V = hyperbolic(3, 2)
     X, Y = ((1, 0, 0, 0),), ((0, 0, 1, 0),)
     first = witt_extension(V, X, Y)
-    size = len(V._group_cache["witnesses"])
+    size = len(V._orbit_cache["witnesses"])
     again = witt_extension(V, [list(X[0])], [list(Y[0])])
     assert again is first
-    assert len(V._group_cache["witnesses"]) == size
-
-
-@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 1)])
-def test_witnesses_are_the_group_products(p, k):
-    V = hyperbolic(p, 2)
-    for X, Y in _witt_queries(V, k):
-        try:
-            g = witt_extension(V, X, Y)
-        except InvariantViolationError:
-            continue  # a Lagrangian pair across rulings
-        cache = V._group_cache
-        (index,) = [
-            ix for indices in cache["orbits"].values() for ix in indices if X in ix
-        ]
-        expected = _mat_mul_mod(cache["so"][index[Y]], cache["so_inv"][index[X]], p)
-        assert g.matrix == expected
-        assert all(g.apply(x) == y for x, y in zip(X, Y))
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_bfs_route_leaves_the_witness_table_alone(p):
-    V = hyperbolic(p, 2)
-    below = 2 * so_order(V) - 1
-    queries = list(_witt_queries(V, 1))
-    for X, Y in queries[:12]:
-        g = witt_extension(V, X, Y, max_group=below)
-        assert g.is_special() and g.apply(X[0]) == Y[0]
-    assert "witnesses" not in V._group_cache
-    witt_extension(V, *queries[0])  # the group route builds the table
-    size = len(V._group_cache["witnesses"])
-    for X, Y in queries[:12]:
-        g = witt_extension(V, X, Y, max_group=below)
-        assert g.is_special() and g.apply(X[0]) == Y[0]
-    assert len(V._group_cache["witnesses"]) == size
+    assert len(V._orbit_cache["witnesses"]) == size
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -655,41 +721,42 @@ def test_a_failed_extension_stores_no_witness(p):
     V = hyperbolic(p, 2)
     e1, e2, f2 = (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
     witt_extension(V, [e1, e2], [e1, e2])
-    before = dict(V._group_cache["witnesses"])
+    before = dict(V._orbit_cache["witnesses"])
     with pytest.raises(InvariantViolationError):
         witt_extension(V, [e1, e2], [e1, f2])  # across rulings
-    assert V._group_cache["witnesses"] == before
+    assert V._orbit_cache["witnesses"] == before
 
 
 def test_suite_validates_each_witness_once(monkeypatch):
-    from qlat import fp_quadratic
-    from qlat.verify import suite_witt_extension
+    from qlat import verify
 
-    group_route = fp_quadratic._witness_from_group
+    extension = verify.witt_extension
     post_init = FpIsometry.__post_init__
     spaces = {}
     counts = {"calls": 0, "witness validations": 0}
     inside = [False]
 
-    def witness_from_group(V, *args):
+    def counted_extension(V, X, Y):
+        if not X:  # the identity, before any orbit tree is consulted
+            return extension(V, X, Y)
         spaces[id(V)] = V
         counts["calls"] += 1
         inside[0] = True
         try:
-            return group_route(V, *args)
+            return extension(V, X, Y)
         finally:
             inside[0] = False
 
     def counted(self):
         post_init(self)
-        # SO(V) is on the space once its generators have been built
-        if inside[0] and "so" in self.space._group_cache:
+        # the generators are validated while the space's cache is built
+        if inside[0] and "_orbit_cache" in vars(self.space):
             counts["witness validations"] += 1
 
-    monkeypatch.setattr(fp_quadratic, "_witness_from_group", witness_from_group)
+    monkeypatch.setattr(verify, "witt_extension", counted_extension)
     monkeypatch.setattr(FpIsometry, "__post_init__", counted)
-    report = suite_witt_extension(primes=(2, 3), max_rank=3)
+    report = verify.suite_witt_extension(primes=(2, 3), max_rank=3)
     assert report.failures == 0
-    witnesses = sum(len(V._group_cache["witnesses"]) for V in spaces.values())
+    witnesses = sum(len(V._orbit_cache["witnesses"]) for V in spaces.values())
     assert counts["witness validations"] == witnesses
     assert 0 < witnesses < counts["calls"]

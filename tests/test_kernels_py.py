@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlat import FpIsometry, FpQuadSpace, ProjLine, enumerate_isotropic_lines, kernels
-from qlat.fp_quadratic import _all_isometries_bruteforce
+from isometry_oracle import all_isometries_bruteforce
 
 H = ((0, 1), (0, 0))
 H2 = ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0))
@@ -74,7 +74,7 @@ def test_line_orbit_is_whole_projective_line(p, seed):
 )
 def test_brute_isometry_counts(p, n, half_gram, full, special):
     V = FpQuadSpace(p, half_gram)
-    isometries = _all_isometries_bruteforce(V)
+    isometries = all_isometries_bruteforce(V)
     assert len(isometries) == full
     assert sum(FpIsometry(V, g).is_special() for g in isometries) == special
 

@@ -34,7 +34,6 @@ PRIMITIVES = {
     "is_prime": ("_is_prime", "_primes_up_to"),
     "check_prime": ("_check_prime",),
     "MAX_PROJ_POINTS": ("_MAX_PROJ_POINTS", "_DEF_MAX_POINTS", "_MAX_POINTS_DEFAULT"),
-    "MAX_GROUP_ELEMENTS": ("_MAX_GROUP_ELEMENTS", "_DEF_MAX_GROUP", "_MAX_GROUP_DEFAULT"),
 }
 
 

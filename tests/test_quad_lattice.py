@@ -172,6 +172,12 @@ def test_complement_of_first_plane_in_h_h():
     assert lattice_cols(C) == [(0, 0, 1, 0), (0, 0, 0, 1)]
 
 
+def test_complement_of_the_zero_sublattice_is_the_whole_lattice():
+    L = direct_sum(H, H)
+    C = orthogonal_complement(L, Sublattice(L, IntMatrix.zero(4, 0)))
+    assert C.basis == IntMatrix.identity(4)
+
+
 def lattice_cols(S):
     return S.basis.columns()
 
