@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import kernels
 from .errors import InvariantViolationError, PreconditionError, SizeGuardError
@@ -34,12 +35,20 @@ from .serialize import (
 )
 from .verify import SUITES, run_suite
 
+# `lattice info` tests every integer up to --prime-bound for primality.
+MAX_PRIME_BOUND = 10**6
+
 
 def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _cmd_lattice_info(args) -> int:
+    if args.prime_bound > MAX_PRIME_BOUND:
+        raise SizeGuardError(
+            f"--prime-bound {args.prime_bound} exceeds the guard {MAX_PRIME_BOUND}"
+            " (no flag raises it)"
+        )
     L = load_lattice_arg(args.lattice)
     gram = L.gram()
     disc = discriminant_group(L)
@@ -126,12 +135,19 @@ def _cmd_k3_isogeny(args) -> int:
 def _cmd_verify(args) -> int:
     primes = (args.p,) if args.p is not None else None
     print(f"running suite {args.suite} [backend: {kernels.backend_name()}]", file=sys.stderr)
+    start = time.perf_counter()
     report = run_suite(
         args.suite,
         primes=primes,
         max_rank=args.max_rank,
         seed=args.seed,
         max_points=args.max_points,
+    )
+    elapsed = time.perf_counter() - start
+    print(
+        f"suite {args.suite}: {report.instances} instances in {elapsed:.2f} s"
+        f" ({report.instances / elapsed:.1f} instances/s)",
+        file=sys.stderr,
     )
     _emit(report.to_dict())
     return 0 if report.failures == 0 else 1

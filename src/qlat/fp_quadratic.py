@@ -901,8 +901,9 @@ def stabilizer_orbit(
 
     Generators are all reflections in anisotropic vectors of W^⊥ together
     with all Eichler transvections E_{u,w} for isotropic u in W^⊥ and w in
-    a basis of W^⊥ ∩ u^⊥ — every generator fixes W pointwise.  Returns the
-    orbit sorted canonically, intersected with ``universe`` when given.
+    a basis of W^⊥ ∩ u^⊥ — every generator fixes W pointwise.  Each matrix
+    is listed once, in first-seen order.  Returns the orbit sorted
+    canonically, intersected with ``universe`` when given.
     """
     p, n = V.p, V.dim
     if seed.space != V:
@@ -916,7 +917,7 @@ def stabilizer_orbit(
         perp = modp.kernel_basis(rows, p, n)
     else:
         perp = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    gens: list[Matrix] = []
+    gens: dict[Matrix, None] = {}
     if perp:
         kperp = len(perp)
         if (p**kperp - 1) // (p - 1) > max_points:
@@ -928,7 +929,7 @@ def stabilizer_orbit(
                 bv = modp.mat_vec(B, v, p)
                 if p == 2 and not any(bv):
                     continue
-                gens.append(reflection(V, v).matrix)
+                gens[reflection(V, v).matrix] = None
             else:
                 iso_dirs.append(v)
         for u in iso_dirs:
@@ -938,12 +939,12 @@ def stabilizer_orbit(
             for w in sub:
                 E = eichler_transvection(V, u, w)
                 if E.matrix != modp.identity(n):
-                    gens.append(E.matrix)
+                    gens[E.matrix] = None
     if not gens:
         orbit_vecs = [seed.generator]
     else:
         try:
-            orbit_vecs = kernels.line_orbit(gens, seed.generator, p, max_points)
+            orbit_vecs = kernels.line_orbit(list(gens), seed.generator, p, max_points)
         except ValueError as exc:
             raise SizeGuardError(str(exc)) from None
     orbit = [ProjLine(V, v, _trusted=True) for v in orbit_vecs]

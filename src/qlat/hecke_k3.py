@@ -201,7 +201,15 @@ def grow_unique(
     ``tilde_embedding`` embeds Λ̃ onto a direct summand W̃ = image(Λ̃) of Ñ
     (ambient integer coordinates).  The neighbors L of Ñ are filtered on
     L ∩ span(W̃) being an index-p superlattice of W̃, and exactly one may
-    survive; any other count raises InvariantViolationError.
+    survive; any other count raises InvariantViolationError.  Only the
+    neighbors whose line in Ñ/pÑ lies in the reduction of W̃ are built
+    (``neighbors_of(..., line_within=W̃)``).
+
+    That condition is necessary.  Proof: let L be the neighbor at the line
+    ℓ, and W′ = L ∩ span(W̃) an index-p enlargement of W̃.  As below,
+    pW′ ⊂ W̃.  Take w′ ∈ W′ ∖ W̃.  W̃ is saturated in Ñ, so w′ ∉ Ñ and
+    p·w′ ∉ pÑ.  But p·w′ lies in pL, whose image in Ñ/pÑ is ℓ, so the
+    reduction of p·w′ ∈ W̃ spans ℓ.
 
     The filter is ``L.span_excess(W̃) == 1``.  Proof: L and Ñ are
     p-neighbors, so pL ⊂ Ñ, and W̃ is saturated in Ñ, so
@@ -230,7 +238,9 @@ def grow_unique(
     if not summand:
         raise PreconditionError("embedded sublattice is not a direct summand")
     wcols = Wt.columns()
-    survivors = [L for L in neighbors_of(Nt, max_points) if L.span_excess(wcols) == 1]
+    survivors = [
+        L for L in neighbors_of(Nt, max_points, line_within=wcols) if L.span_excess(wcols) == 1
+    ]
     if len(survivors) != 1:
         raise InvariantViolationError(
             f"expected a unique enlargement, found {len(survivors)}"

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import mul
 
@@ -441,21 +442,51 @@ def enumerate_neighbors(
     return tuple(sorted(out, key=plattice_sort_key))
 
 
-def neighbors_of(L: PLattice, max_points: int = MAX_PROJ_POINTS) -> tuple[PLattice, ...]:
+def neighbors_of(
+    L: PLattice,
+    max_points: int = MAX_PROJ_POINTS,
+    line_within: Sequence[tuple[int, ...]] | None = None,
+) -> tuple[PLattice, ...]:
     """All p-neighbors of an arbitrary self-dual lattice in N[1/p].
 
     Computed in the lattice's own coordinates and mapped back, so the
     ambient representation stays exact.  The ambient lattice N appears
     among the neighbors of any neighbor of N.
+
+    ``line_within`` holds vectors of L in ambient coordinates.  When it is
+    given, only the neighbors whose line in L/pL lies in the span of the
+    vectors' reductions mod pL are built.  Every isotropic line of L/pL is
+    still swept under the ``max_points`` guard; each is tested against the
+    reduced row echelon form of that span with O(r·n) arithmetic mod p, and
+    ``lattice_from_line`` runs only for the lines that pass.  A vector
+    outside L raises PreconditionError.
     """
     p = L.p
     Lq = plattice_quadlattice(L)
     if not is_self_dual_at(Lq, p):
         raise PreconditionError("lattice is not self-dual at p")
-    inner = enumerate_neighbors(Lq, p, max_points)
+    lines = enumerate_isotropic_lines(reduction(Lq, p), max_points)
+    if line_within is not None:
+        coords = []
+        for x in line_within:
+            c = L.coordinates(x)
+            if c is None:
+                raise PreconditionError("vector does not lie in the lattice")
+            coords.append(c)
+        rows, pivots = modp.rref(coords, p)
+        echelon = list(zip(pivots, rows))  # the nonzero rows with their pivots
+
+        def in_span(v: tuple[int, ...]) -> bool:
+            # in reduced echelon form, v is in the span iff v = Σ v[j]·(row of pivot j)
+            return not any(
+                (x - sum(v[j] * row[k] for j, row in echelon)) % p for k, x in enumerate(v)
+            )
+
+        lines = [line for line in lines if in_span(line.generator)]
     S = L.numerator_basis
     out = [
-        PLattice(L.ambient, p, L.power + 1, S @ M.numerator_basis) for M in inner
+        PLattice(L.ambient, p, L.power + 1, S @ lattice_from_line(Lq, line).numerator_basis)
+        for line in lines
     ]
     return tuple(sorted(out, key=plattice_sort_key))
 
@@ -593,10 +624,19 @@ def recover_lattice(Nt: PLattice, W: Sublattice, max_points: int = MAX_PROJ_POIN
 
     Preconditions: W is a direct summand of the ambient lattice and
     Ñ ∩ span(W) has index exactly p in W (in particular Ñ itself, whose
-    intersection is all of W, is rejected).  Enumerates the neighbors of
-    Ñ, filters on the intersection condition, and insists on exactly one
-    survivor — any other count falsifies the uniqueness this package is
-    built around and raises InvariantViolationError.
+    intersection is all of W, is rejected).  Sweeps the isotropic lines of
+    Ñ/pÑ, builds the neighbor of each line that passes a necessary
+    condition, filters those on the intersection condition, and insists on
+    exactly one survivor — any other count falsifies the uniqueness this
+    package is built around and raises InvariantViolationError.
+
+    The necessary condition: the neighbor L at the line ℓ of Ñ/pÑ can
+    contain W only if ℓ is the span of the reductions of p·w, w ∈ W, mod
+    pÑ (``neighbors_of(..., line_within=p·W)``).  Proof: pL ⊂ Ñ, and its
+    image in Ñ/pÑ is ℓ.  If W ⊂ L, each p·w lies in pL, so its reduction
+    lies in ℓ.  The map w ↦ p·w mod pÑ has kernel W ∩ Ñ = W̃ ⊃ pW, so its
+    image is W/W̃ ≅ Z/p: a line, which must then be ℓ.  So at most one
+    lattice is built.
 
     The filter is exact: L ∩ span(W) = W iff W ⊂ L and W/pW → L/pL is
     injective, i.e. ``L.span_excess(W) == 0``.  Proof: W is saturated in
@@ -618,7 +658,10 @@ def recover_lattice(Nt: PLattice, W: Sublattice, max_points: int = MAX_PROJ_POIN
             f"intersection with span(W) has index {idx} in W, expected {p}"
         )
     wcols = W.basis.columns()
-    survivors = [L for L in neighbors_of(Nt, max_points) if L.span_excess(wcols) == 0]
+    pw = [tuple(p * x for x in w) for w in wcols]
+    survivors = [
+        L for L in neighbors_of(Nt, max_points, line_within=pw) if L.span_excess(wcols) == 0
+    ]
     if len(survivors) != 1:
         raise InvariantViolationError(
             f"expected a unique recovery candidate, found {len(survivors)}"

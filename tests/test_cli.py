@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: documents, exit codes, determinism."""
 
+import hashlib
 import json
+import re
 import time
 
 import pytest
@@ -42,6 +44,14 @@ def test_lattice_info_rank_one(capsys):
     assert doc["det"] == 6
     assert doc["self_dual_primes"] == [5, 7]
     assert doc["discriminant_group"]["torsion"] == [6]
+
+
+def test_lattice_info_prime_bound_guard(capsys):
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "lattice", "info", "H", "--prime-bound", "10000000")
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (2, "")
+    assert err == "error: --prime-bound 10000000 exceeds the guard 1000000 (no flag raises it)\n"
 
 
 def test_quadric_lines_count(capsys):
@@ -312,6 +322,19 @@ def test_verify_stderr_names_backend(capsys):
     assert rc == 0
     assert "running suite lang-counts" in err
     assert "backend:" in err
+
+
+def test_verify_reports_its_rate_on_stderr_only(capsys):
+    rc, out, err = run_cli(capsys, "verify", "spinor-surjectivity")
+    assert rc == 0
+    # the stdout of this suite before the rate line was added
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "07b4d2556e779fdaf625518f2ca5b0d2ee7081d1c47297a2f53ca0bc0818562e"
+    )
+    assert re.fullmatch(
+        r"suite spinor-surjectivity: 12 instances in \d+\.\d\d s \(\d+\.\d instances/s\)",
+        err.splitlines()[-1],
+    )
 
 
 def test_verify_unknown_suite_rejected_by_parser(capsys):

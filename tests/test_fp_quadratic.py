@@ -488,6 +488,49 @@ def test_stabilizer_orbit_rejects_anisotropic_seed():
         stabilizer_orbit(V, [(1, 1, 0, 0)], bad, enumerate_isotropic_lines(V))
 
 
+def _stabilizer_generators_with_repeats(V, W):
+    """The reflections and Eichler transvections fixing W, repeats kept."""
+    p, n = V.p, V.dim
+    B = V.gram()
+    perp = modp.kernel_basis([modp.mat_vec(B, w, p) for w in W], p, n)
+    gens, iso_dirs = [], []
+    for coeffs in kernels.proj_reps(p, len(perp)):
+        v = tuple(sum(c * b[i] for c, b in zip(coeffs, perp)) % p for i in range(n))
+        if V.q(v) == 0:
+            iso_dirs.append(v)
+        elif p != 2 or any(modp.mat_vec(B, v, p)):
+            gens.append(reflection(V, v).matrix)
+    for u in iso_dirs:
+        rows = [modp.mat_vec(B, w, p) for w in W] + [modp.mat_vec(B, u, p)]
+        for w in modp.kernel_basis(rows, p, n):
+            E = eichler_transvection(V, u, w).matrix
+            if E != modp.identity(n):
+                gens.append(E)
+    return gens
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_stabilizer_orbit_matches_the_list_with_repeats(p, monkeypatch):
+    V = hyperbolic(p, 3)
+    W = [(1, 1, 0, 0, 0, 0)]
+    repeated = _stabilizer_generators_with_repeats(V, W)
+    assert len(set(repeated)) < len(repeated)
+    line_orbit = kernels.line_orbit
+    passed = []
+
+    def recording(gens, seed, p, limit):
+        passed.append(gens)
+        return line_orbit(gens, seed, p, limit)
+
+    monkeypatch.setattr(kernels, "line_orbit", recording)
+    lines = enumerate_isotropic_lines(V)
+    for seed in (lines[0], lines[len(lines) // 2], lines[-1]):
+        orbit = stabilizer_orbit(V, W, seed)
+        expected = line_orbit(repeated, seed.generator, p, modp.MAX_PROJ_POINTS)
+        assert [line.generator for line in orbit] == expected
+    assert passed == [list(dict.fromkeys(repeated))] * 3
+
+
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(st.sampled_from([2, 3]), st.integers(1, 2))
 def test_isometries_preserve_line_counts(p, m):

@@ -194,6 +194,24 @@ def test_grow_criterion_matches_enlargement_filter(p):
         assert kept == 1
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_grow_line_filter_keeps_the_full_sweep_survivor(p):
+    """The filtered sweep of grow_unique against the full sweep.
+
+    The oracle builds every neighbor and keeps those with
+    ``span_excess(W̃) == 1``, which equals the lattice-level enlargement
+    filter on these members (``test_grow_criterion_matches_enlargement_filter``).
+    """
+    emb = _embedding_column()
+    tilde_embedding = emb @ _pair(p).tilde_basis
+    wcols = hnf_basis(tilde_embedding).columns()
+    for Nt in shrink_fiber(H3, emb, _pair(p)):
+        kept = [L for L in neighbors_of(Nt) if L.span_excess(wcols) == 1]
+        assert len(kept) == 1
+        assert set(kept) <= set(neighbors_of(Nt, line_within=wcols))
+        assert grow_unique(Nt, tilde_embedding) == kept[0]
+
+
 def test_grow_rejects_dependent_embedding():
     fiber = shrink_fiber(H3, _embedding_column(), _pair(2))
     bad = IntMatrix.from_columns([(2, 2, 0, 0, 0, 0), (4, 4, 0, 0, 0, 0)])

@@ -376,6 +376,75 @@ def test_recover_criterion_matches_intersection_rank_two(p):
     _assert_criterion_matches_oracle(members, W)
 
 
+def _line_filter_inputs(p):
+    """(W, members) for W of rank 1 (a shrink_set fiber) and of rank 2."""
+    W1, Wt1 = _w_and_tilde(H3, (1, 1, 0, 0, 0, 0), p)
+    W2 = Sublattice(H3, IntMatrix.from_columns([(1, 1, 0, 0, 0, 0), (0, 0, 1, -1, 0, 0)]))
+    return [(W1, shrink_set(H3, W1, Wt1, p)), (W2, _recover_inputs(H3, W2, p))]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_line_filter_keeps_the_full_sweep_survivor(p):
+    """The filtered sweep of recover_lattice against the full sweep.
+
+    The oracle builds every neighbor and keeps those with
+    ``span_excess(W) == 0``; on these members that criterion equals
+    L ∩ span(W) = W compared as integer lattices
+    (``test_recover_criterion_matches_intersection_rank_one/two``).  The
+    filter must build the survivor, and recover_lattice must return it.
+    """
+    for W, members in _line_filter_inputs(p):
+        assert members
+        wcols = W.basis.columns()
+        pw = [tuple(p * x for x in w) for w in wcols]
+        for Nt in members:
+            kept = [L for L in neighbors_of(Nt) if L.span_excess(wcols) == 0]
+            assert len(kept) == 1
+            assert set(kept) <= set(neighbors_of(Nt, line_within=pw))
+            assert recover_lattice(Nt, W) == kept[0]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_recover_lattice_builds_one_lattice_per_call(p, monkeypatch):
+    import qlat.padic_lattice as padic
+
+    built = []
+    real = padic.lattice_from_line
+
+    def counting(N, line):
+        built.append(line)
+        return real(N, line)
+
+    monkeypatch.setattr(padic, "lattice_from_line", counting)
+    for W, members in _line_filter_inputs(p):
+        for Nt in members:
+            before = len(built)
+            recover_lattice(Nt, W)
+            assert len(built) == before + 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_line_filter_keeps_the_lines_in_a_plane(p):
+    """A span of rank 2: the p + 1 isotropic lines of ⟨e1, e2⟩ in H⊥H⊥H."""
+    N0 = ambient(H3, p)
+    plane = [(1, 0, 1, 0, 0, 0), (1, 0, 2, 0, 0, 0), (p, 0, 0, p, 0, 0)]
+    inside = [
+        L for L in neighbors_of(N0)
+        if not any(line_from_lattice(L).generator[i] for i in (1, 3, 4, 5))
+    ]
+    assert len(inside) == p + 1
+    assert neighbors_of(N0, line_within=plane) == tuple(inside)
+
+
+def test_line_filter_rejects_a_vector_outside_the_lattice():
+    Nt = enumerate_neighbors(H3, 2)[0]
+    outside = next(
+        e for e in IntMatrix.identity(6).columns() if Nt.coordinates(e) is None
+    )
+    with pytest.raises(PreconditionError, match="does not lie in the lattice"):
+        neighbors_of(Nt, line_within=[outside])
+
+
 def test_lines_are_checked_against_the_reduction_kept_per_prime():
     N = direct_sum(H, H)
     reduced = N.half_gram_mod(3)
