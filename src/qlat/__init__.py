@@ -78,7 +78,6 @@ from .fp_quadratic import (
 from .padic_lattice import (
     LambdaSplitting,
     PLattice,
-    default_precision,
     enumerate_neighbors,
     hensel_lift_line,
     lattice_from_line,
@@ -135,7 +134,6 @@ __all__ = [
     "VerifyReport",
     "bilinear_value",
     "cokernel_M",
-    "default_precision",
     "dickson_invariant",
     "direct_sum",
     "discriminant_group",

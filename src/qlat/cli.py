@@ -4,10 +4,6 @@ Every command writes a single JSON document to standard output (keys
 sorted, two-space indent, no timestamps) and diagnostics to standard
 error.  Exit codes: 0 success, 1 verification failure or violated
 invariant, 2 invalid input or unmet precondition.
-
-The environment variable ``QLAT_PRECISION`` sets the default working
-precision k for mod-p^k lifting (default 2); canonical outputs do not
-depend on it.
 """
 
 from __future__ import annotations

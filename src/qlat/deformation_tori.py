@@ -28,6 +28,7 @@ from .exact_linalg import (
     AbelianQuotient,
     IntMatrix,
     hnf_basis,
+    kernel_mod_p,
     lattice_intersection,
     lattices_equal,
     quotient_structure,
@@ -226,22 +227,8 @@ def cokernel_M(
     last = [W.entries[n - 1][j] for j in range(k)]
     if math.gcd(*last) % p == 0:
         raise PreconditionError("W must project onto the weight-(+1) coordinate")
-    # W̃ = kernel of (last coordinate mod p) inside W, via coefficient columns
-    idx = next(j for j in range(k) if last[j] % p != 0)
-    inv = pow(last[idx] % p, -1, p)
-    ccols = []
-    for j in range(k):
-        if j == idx:
-            continue
-        e = [0] * k
-        e[j] = 1
-        e[idx] = (-last[j] * inv) % p
-        ccols.append(e)
-    e = [0] * k
-    e[idx] = p
-    ccols.append(e)
-    C = hnf_basis(IntMatrix.from_columns(ccols, rows=k))
-    Wt = W @ C
+    # W̃ = kernel of (last coordinate mod p) inside W, in coefficients
+    Wt = W @ kernel_mod_p(last, p)
     # λ⁻¹ on W̃: multiply the first coordinate by p, divide the last by p
     lam_rows = []
     for i in range(n):

@@ -3,10 +3,10 @@
 Everything here runs over arbitrary-precision integers, with no rational
 arithmetic, so results are exact: Smith and Hermite normal forms with their
 unimodular transforms, integer kernels, quotient structure of Z^n by a
-generating set, saturation, and lattice intersection.  Solves, inverses,
-ranks and kernels all come from the one Hermite eliminator and its
-transform; the Smith form serves only the callers that need elementary
-divisors.
+generating set, saturation, lattice intersection, and the index-p lattice
+{x : r·x ≡ 0 mod p} in closed form.  Solves, inverses, ranks and kernels
+all come from the one Hermite eliminator and its transform; the Smith form
+serves only ``quotient_structure`` and ``saturate``.
 
 Conventions
 -----------
@@ -35,6 +35,7 @@ __all__ = [
     "hermite_normal_form",
     "hnf_basis",
     "is_square_hnf",
+    "kernel_mod_p",
     "lattices_equal",
     "integer_kernel",
     "integral_coefficients",
@@ -467,6 +468,25 @@ def is_square_hnf(M: IntMatrix) -> bool:
         if d <= 0 or any(row[i + 1:]) or (left and (min(left) < 0 or max(left) >= d)):
             return False
     return True
+
+
+def kernel_mod_p(row: Sequence[int], p: int) -> IntMatrix:
+    """Column Hermite basis of {x ∈ Z^n : row·x ≡ 0 mod p}, p prime.
+
+    Closed form: with k the last index where ``row`` has a unit entry,
+    column j < k is e_j + ((-r_j / r_k) mod p)·e_k, column k is p·e_k, and
+    every other column is e_j.  This is already the canonical
+    ``hnf_basis`` of the lattice, of index p in Z^n; the identity when
+    ``row`` vanishes mod p.
+    """
+    n = len(row)
+    k = next((i for i in reversed(range(n)) if row[i] % p), None)
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    if k is not None:
+        inv = pow(row[k], -1, p)
+        rows[k][:k] = [(-x * inv) % p for x in row[:k]]
+        rows[k][k] = p
+    return IntMatrix.from_rows(rows)
 
 
 def lattices_equal(A: IntMatrix, B: IntMatrix) -> bool:

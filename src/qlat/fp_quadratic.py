@@ -16,11 +16,12 @@ Per-space invariants
 --------------------
 An ``FpQuadSpace`` is frozen, so whatever depends only on it is computed
 at most once and kept on the instance: the Gram matrix, nondegeneracy,
-the Witt decomposition, |SO(V)|, and (for ``witt_extension``) the
-generators of O(V), one orbit tree per Gram type of tuple and a table of
-the witnesses validated so far.  No group is materialized.  Equality,
-hashing and ``repr`` see only ``p`` and ``half_gram``; two equal spaces
-built apart compute the same values independently.
+the Witt decomposition, |SO(V)|, one generator list per span(W) that
+``stabilizer_orbit`` or ``witt_extension`` (with W = 0) asked for, and for
+``witt_extension`` one orbit tree per Gram type of tuple and a table of the
+witnesses validated so far.  No group is materialized.  Equality, hashing
+and ``repr`` see only ``p`` and ``half_gram``; two equal spaces built apart
+compute the same values independently.
 
 Canonical vector order
 ----------------------
@@ -102,10 +103,10 @@ def _sqrt_mod(a: int, p: int) -> int | None:
 class FpQuadSpace:
     """Quadratic space over F_p given by an upper-triangular half-Gram.
 
-    Invariants that depend only on the space, and the generators and orbit
-    trees of ``witt_extension``, are computed once and kept on the instance
-    (see the module docstring); equality, hashing and ``repr`` see only
-    ``p`` and ``half_gram``.
+    Invariants that depend only on the space, the generator lists of
+    ``_fixing_generators`` and the orbit trees of ``witt_extension`` are
+    computed once and kept on the instance (see the module docstring);
+    equality, hashing and ``repr`` see only ``p`` and ``half_gram``.
     """
 
     p: int
@@ -165,10 +166,17 @@ class FpQuadSpace:
         return _so_order(self)
 
     @cached_property
+    def _generator_lists(self) -> dict:
+        """The lists of ``_fixing_generators``, keyed by the rref of W mod p."""
+        return {}
+
+    @cached_property
     def _orbit_cache(self) -> dict:
         """What ``witt_extension`` keeps on the space.
 
-        ``gens``: O(V)'s generators with their parities; ``images``: per
+        ``gens``: O(V)'s generators with their parities, the W = 0 entry
+        of ``_generator_lists`` (``witt_extension`` builds it under its
+        guard before it first reads this cache); ``images``: per
         generator, the images of the vectors mapped so far; ``trees``: the
         orbit tree of each Gram type met, as its links and the queue of
         states still to expand (see ``_reach``); ``products``: the generator
@@ -176,7 +184,7 @@ class FpQuadSpace:
         ``witnesses``: each witness matrix built so far, mapped to its
         validated ``FpIsometry``.
         """
-        gens = _orthogonal_generators(self)
+        gens = self._generator_lists[()]
         return {
             "gens": gens,
             "images": [{} for _ in gens],
@@ -594,36 +602,70 @@ def _so_order(V: FpQuadSpace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _orthogonal_generators(V: FpQuadSpace) -> list[tuple[Matrix, int]]:
-    """Reflection/transvection generators of O(V) with their Dickson parity.
+def _fixing_generators(
+    V: FpQuadSpace, w_basis: Sequence[Sequence[int]], max_points: int
+) -> list[tuple[Matrix, int]]:
+    """(matrix, Dickson parity) generators of a group fixing span(W) pointwise.
 
-    For odd p the reflections alone generate O(V); at p = 2 the orthogonal
-    transvections (the reflections' analogue) are joined by the Eichler
-    transvections in all isotropic directions, which generate O(V) on every
-    nondegenerate space, the four-dimensional split one included
-    (Dieudonné; Taylor, *The Geometry of the Classical Groups*, 1992).  Each
-    matrix is listed once.
+    The list holds the reflections in the anisotropic vectors of W^⊥, in
+    ``proj_reps`` order over ``kernel_basis`` of W^⊥ (at p = 2 skipping the
+    vectors that pair trivially with V), then — only when p = 2 or W^⊥ is
+    degenerate — the non-identity Eichler transvections E_{u,w} for
+    isotropic u in W^⊥ and w in a basis of W^⊥ ∩ u^⊥.  Each matrix is
+    listed once, in first-seen order.
+
+    With W = 0 on a nondegenerate V the group is O(V): for odd p the
+    reflections alone generate it (Cartan–Dieudonné); at p = 2 the
+    orthogonal transvections (the reflections' analogue) and the Eichler
+    transvections generate O(V) on every nondegenerate space, the
+    four-dimensional split one included (Dieudonné; Taylor, *The Geometry
+    of the Classical Groups*, 1992).
+
+    For odd p and nondegenerate W^⊥ the transvections are left out because
+    the reflections already generate them.  Proof: V = W^⊥ ⊥ (W^⊥)^⊥.
+    E_{u,w} maps W^⊥ to itself and fixes every vector orthogonal to u and
+    w, so it lies in O(W^⊥) × 1, which the reflections in anisotropic
+    vectors of W^⊥ generate (Cartan–Dieudonné).
+
+    The list is kept on the space per span(W), keyed by the rref of W mod
+    p.  Every call first checks that W^⊥ has at most ``max_points``
+    projective points, then looks the list up.
     """
     p, n = V.p, V.dim
-    gens: dict[Matrix, int] = {}
-    for v in kernels.proj_reps(p, n):
-        if V.q(v) != 0:
-            try:
-                gens[reflection(V, v).matrix] = 1
-            except PreconditionError:
-                continue
-    if p == 2:
-        B = V.gram()
-        for u in kernels.proj_reps(p, n):
-            if V.q(u) != 0:
-                continue
-            bu = modp.mat_vec(B, u, p)
-            perp = modp.kernel_basis([bu], p, n)
-            for w in perp:
-                E = eichler_transvection(V, u, w)
-                if E.matrix != modp.identity(n):
-                    gens[E.matrix] = 0
-    return list(gens.items())
+    B = V.gram()
+    key, wb, kperp = (), [], n  # W = 0: every witt_extension call comes here
+    if w_basis:
+        rows, pivots = modp.rref(w_basis, p)
+        key = tuple(map(tuple, rows[: len(pivots)]))
+        wb = [modp.mat_vec(B, w, p) for w in key]
+        kperp = n - modp.rank(wb, p)
+    count = (p**kperp - 1) // (p - 1)
+    if count > max_points:
+        raise SizeGuardError(
+            f"the space orthogonal to W has {count} projective points, "
+            f"past the guard {max_points} (raise it with --max-points)"
+        )
+    gens = V._generator_lists.get(key)
+    if gens is not None:
+        return gens
+    perp = modp.kernel_basis(wb, p, n)
+    found: dict[Matrix, int] = {}
+    iso_dirs: list[Vector] = []
+    for coeffs in kernels.proj_reps(p, len(perp)):
+        v = _combine(perp, coeffs, p)
+        if V.q(v) == 0:
+            iso_dirs.append(v)
+        elif p != 2 or any(modp.mat_vec(B, v, p)):
+            found[reflection(V, v).matrix] = 1
+    if iso_dirs and (p == 2 or modp.det([[V.b(a, b) for b in perp] for a in perp], p) == 0):
+        identity = modp.identity(n)
+        for u in iso_dirs:
+            for w in modp.kernel_basis(wb + [modp.mat_vec(B, u, p)], p, n):
+                E = eichler_transvection(V, u, w).matrix
+                if E != identity:
+                    found[E] = 0
+    gens = V._generator_lists[key] = list(found.items())
+    return gens
 
 
 def _tuple_type_key(V: FpQuadSpace, vectors: Sequence[Vector]):
@@ -722,8 +764,11 @@ def witt_extension(
     Returns g in SO(V) with g(x_j) = y_j for every basis vector; raises
     InvariantViolationError if no special isometry exists.  Beyond the
     codimension bound that happens only across the two rulings of
-    maximal totally isotropic subspaces of a split space, where (Y, d) is
-    missing from the tree.
+    maximal totally isotropic subspaces of a split space: when 2k = dim V
+    and X is totally singular, X and Y lie in one SO(V)-orbit iff
+    k - dim(X ∩ Y) is even, and this is decided before any tree search.
+    The generators of O(V) come from ``_fixing_generators`` with W = 0,
+    under the guard ``MAX_PROJ_POINTS`` read at call time.
     """
     p, n = V.p, V.dim
     if not V.is_nondegenerate():
@@ -759,6 +804,13 @@ def witt_extension(
         raise PreconditionError("map does not preserve the bilinear form")
     if k == 0:
         return FpIsometry(V, modp.identity(n))
+    if 2 * k == n and not any(key[1]) and not any(key[2]):
+        meet = 2 * k - modp.rank(X + Y, p)
+        if (k - meet) % 2:
+            raise InvariantViolationError(
+                "isometric tuples lie in different special-orthogonal orbits"
+            )
+    _fixing_generators(V, (), MAX_PROJ_POINTS)  # the list ``_reach`` expands by
     sx, links = _reach(V, key, X, ((X, 0), (X, 1)))
     if sx is None:
         raise InvariantViolationError("the generators do not reach a tuple of this Gram type")
@@ -899,52 +951,21 @@ def stabilizer_orbit(
 ) -> tuple[ProjLine, ...]:
     """Orbit of an isotropic line under reflections/transvections fixing W.
 
-    Generators are all reflections in anisotropic vectors of W^⊥ together
-    with all Eichler transvections E_{u,w} for isotropic u in W^⊥ and w in
-    a basis of W^⊥ ∩ u^⊥ — every generator fixes W pointwise.  Each matrix
-    is listed once, in first-seen order.  Returns the orbit sorted
-    canonically, intersected with ``universe`` when given.
+    The generators are those of ``_fixing_generators``, built once per
+    span(W) and kept on the space.  Returns the orbit sorted canonically,
+    intersected with ``universe`` when given.
     """
-    p, n = V.p, V.dim
+    p = V.p
     if seed.space != V:
         raise PreconditionError("seed line belongs to a different space")
     if not seed.is_isotropic():
         raise PreconditionError("seed line must be isotropic")
-    W = [tuple(int(c) % p for c in v) for v in w_basis]
-    B = V.gram()
-    if W:
-        rows = [modp.mat_vec(B, w, p) for w in W]
-        perp = modp.kernel_basis(rows, p, n)
-    else:
-        perp = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    gens: dict[Matrix, None] = {}
-    if perp:
-        kperp = len(perp)
-        if (p**kperp - 1) // (p - 1) > max_points:
-            raise SizeGuardError("perpendicular space too large to enumerate")
-        iso_dirs: list[Vector] = []
-        for coeffs in kernels.proj_reps(p, kperp):
-            v = _combine(perp, coeffs, p)
-            if V.q(v) != 0:
-                bv = modp.mat_vec(B, v, p)
-                if p == 2 and not any(bv):
-                    continue
-                gens[reflection(V, v).matrix] = None
-            else:
-                iso_dirs.append(v)
-        for u in iso_dirs:
-            bu = modp.mat_vec(B, u, p)
-            rows = [modp.mat_vec(B, w, p) for w in W] + [bu]
-            sub = modp.kernel_basis(rows, p, n)
-            for w in sub:
-                E = eichler_transvection(V, u, w)
-                if E.matrix != modp.identity(n):
-                    gens[E.matrix] = None
+    gens = [g for g, _ in _fixing_generators(V, w_basis, max_points)]
     if not gens:
         orbit_vecs = [seed.generator]
     else:
         try:
-            orbit_vecs = kernels.line_orbit(list(gens), seed.generator, p, max_points)
+            orbit_vecs = kernels.line_orbit(gens, seed.generator, p, max_points)
         except ValueError as exc:
             raise SizeGuardError(str(exc)) from None
     orbit = [ProjLine(V, v, _trusted=True) for v in orbit_vecs]

@@ -24,6 +24,7 @@ from .exact_linalg import (
     IntMatrix,
     hnf_basis,
     integral_coefficients,
+    kernel_mod_p,
     quotient_structure,
     saturate,
 )
@@ -110,7 +111,8 @@ def enumerate_index_p_sublattices(
 ) -> tuple[MinimalPair, ...]:
     """All minimal pairs of L at p: one per nonzero functional L → F_p up
     to scaling, so (p^r - 1)/(p - 1) of them, in a deterministic order
-    with canonical (column-HNF) bases.
+    with canonical (column-HNF) bases: the kernel lattice of each
+    ``proj_reps`` functional (:func:`~qlat.exact_linalg.kernel_mod_p`).
     """
     r = L.rank
     pos, neg = signature(L)
@@ -120,22 +122,7 @@ def enumerate_index_p_sublattices(
     count = (p**r - 1) // (p - 1)
     if count > max_count:
         raise SizeGuardError(f"{count} sublattices exceeds the guard {max_count}")
-    out = []
-    for rep in proj_reps(p, r):
-        idx = next(i for i, x in enumerate(rep) if x)
-        inv = pow(rep[idx], -1, p)
-        cols = []
-        for i in range(r):
-            if i == idx:
-                continue
-            e = [0] * r
-            e[i] = 1
-            e[idx] = (-rep[i] * inv) % p
-            cols.append(tuple(e))
-        K = IntMatrix.from_columns(cols, rows=r)
-        basis = hnf_basis(K.hstack(IntMatrix.identity(r).scale(p)))
-        out.append(MinimalPair(L, basis))
-    return tuple(out)
+    return tuple(MinimalPair(L, kernel_mod_p(rep, p)) for rep in proj_reps(p, r))
 
 
 def k3_isogeny(d: int, p: int) -> PolarizedK3Lattice:

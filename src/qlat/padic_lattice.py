@@ -24,7 +24,6 @@ minimal power), so dataclass equality is lattice equality.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import mul
@@ -36,12 +35,11 @@ from .exact_linalg import (
     hnf_basis,
     integral_coefficients,
     is_square_hnf,
+    kernel_mod_p,
     lattices_equal,
     quotient_structure,
     saturate,
-    smith_normal_form,
     sublattice_in_span,
-    unimodular_inverse,
 )
 from .fp_quadratic import FpQuadSpace, ProjLine, enumerate_isotropic_lines
 from .modp import MAX_PROJ_POINTS
@@ -57,7 +55,6 @@ from .quad_lattice import (
 __all__ = [
     "PLattice",
     "LambdaSplitting",
-    "default_precision",
     "reduction",
     "hensel_lift_line",
     "splitting_from_line",
@@ -73,24 +70,6 @@ __all__ = [
     "shrink_set_bruteforce",
     "recover_lattice",
 ]
-
-
-def default_precision() -> int:
-    """Default working precision k for mod-p^k lifts.
-
-    Read from the QLAT_PRECISION environment variable (default 2).  The
-    canonical lattice outputs do not depend on k — any admissible lift
-    yields the same neighbor — so raising it only deepens intermediate
-    certificates such as splittings.
-    """
-    raw = os.environ.get("QLAT_PRECISION", "2")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise PreconditionError(f"QLAT_PRECISION must be an integer, got {raw!r}") from None
-    if k < 1:
-        raise PreconditionError("QLAT_PRECISION must be at least 1")
-    return k
 
 
 @dataclass(frozen=True)
@@ -227,18 +206,15 @@ def _check_line(N: QuadLattice, line: ProjLine) -> int:
     return p
 
 
-def hensel_lift_line(N: QuadLattice, line: ProjLine, k: int | None = None) -> tuple[int, ...]:
+def hensel_lift_line(N: QuadLattice, line: ProjLine, k: int = 2) -> tuple[int, ...]:
     """Lift an isotropic line to v with Q(v) ≡ 0 mod p^k, v mod p spanning it.
 
     Newton iteration along a fixed basis direction pairing to a unit with
     v;  requires the line to be isotropic and to pair nontrivially with
     the lattice (it must avoid the radical of the reduction — otherwise
-    the point is singular and no correction direction exists).  When k is
-    omitted it comes from :func:`default_precision`.
+    the point is singular and no correction direction exists).
     """
     p = _check_line(N, line)
-    if k is None:
-        k = default_precision()
     if k < 1:
         raise PreconditionError("precision must be at least 1")
     if not line.is_isotropic():
@@ -294,18 +270,15 @@ class LambdaSplitting:
 
 
 def splitting_from_line(
-    N: QuadLattice, line: ProjLine, k: int | None = None, seed: int | None = None
+    N: QuadLattice, line: ProjLine, k: int = 2, seed: int | None = None
 ) -> LambdaSplitting:
     """Hyperbolic pair plus complement attached to an isotropic line, mod p^k.
 
     Deterministic by default; ``seed`` permutes the choice of dual vector
     among valid candidates (different seeds may give different splittings,
-    but ``lattice_from_line`` does not depend on the choice).  When k is
-    omitted it comes from :func:`default_precision`.
+    but ``lattice_from_line`` does not depend on the choice).
     """
     p = _check_line(N, line)
-    if k is None:
-        k = default_precision()
     if not is_self_dual_at(N, p):
         raise PreconditionError("lattice is not self-dual at p")
     v = list(hensel_lift_line(N, line, k))
@@ -357,20 +330,19 @@ def lattice_from_line(N: QuadLattice, line: ProjLine) -> PLattice:
     second summand's dual behaviour), and is asserted to be even and
     self-dual before returning.
 
-    The second summand is written down directly as a column Hermite basis:
-    with r = [·, v] mod p and k the last index with r_k a unit, column
-    j < k is e_j + ((-r_j / r_k) mod p)·e_k, column k is p·e_k, and every
-    other column is e_j.  Its index in N, and the determinant of the
-    neighbor's Hermite basis, are the products of their pivots.
+    The second summand is written down directly as a column Hermite basis,
+    :func:`~qlat.exact_linalg.kernel_mod_p` of r = [·, v] mod p.  Its index
+    in N, and the determinant of the neighbor's Hermite basis, are the
+    products of their pivots.
     """
     p = _check_line(N, line)
     if not is_self_dual_at(N, p):
         raise PreconditionError("lattice is not self-dual at p")
     n = N.rank
-    v = hensel_lift_line(N, line, max(2, default_precision()))
+    v = hensel_lift_line(N, line, 2)
     B = N.gram()
     row = [sum(map(mul, g, v)) % p for g in B.entries]  # [e_i, v] mod p
-    Lv = _fp_kernel_hnf(row, p)
+    Lv = kernel_mod_p(row, p)
     if math.prod(Lv.entries[i][i] for i in range(n)) != p:
         raise InvariantViolationError("orthogonal-mod-p sublattice has wrong index")
     S = hnf_basis(IntMatrix.from_columns([v]).hstack(Lv.scale(p)))
@@ -383,22 +355,6 @@ def lattice_from_line(N: QuadLattice, line: ProjLine) -> PLattice:
     if any((G.entries[i][i] // 2) % p**2 for i in range(n)):
         raise InvariantViolationError("neighbor lattice is not even")
     return PLattice(N, p, 1, S)
-
-
-def _fp_kernel_hnf(row: list[int], p: int) -> IntMatrix:
-    """Column Hermite basis of {x ∈ Z^n : row·x ≡ 0 mod p}.
-
-    Closed form, pivoting on the last unit entry of ``row`` (see
-    :func:`lattice_from_line`); the identity when ``row`` vanishes mod p.
-    """
-    n = len(row)
-    k = next((i for i in reversed(range(n)) if row[i] % p), None)
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if k is not None:
-        inv = pow(row[k], -1, p)
-        rows[k][:k] = [(-x * inv) % p for x in row[:k]]
-        rows[k][k] = p
-    return IntMatrix.from_rows(rows)
 
 
 def line_from_lattice(Nt: PLattice) -> ProjLine:
@@ -508,7 +464,8 @@ def w_generic_lines(
     A line ⟨v̄⟩ qualifies when (i) v̄ does not lie in the reduction of W,
     (ii) some w in W pairs with v̄ nontrivially, and — when U is given —
     (iii) every u in U pairs with v̄ trivially.  For W = 0 conditions (i)
-    and (ii) are vacuous and every isotropic line qualifies.
+    and (ii) are vacuous and every isotropic line qualifies.  ``shrink_set``
+    passes the W̃ of a minimal pair as U (see ``_shrink_preconditions``).
     """
     if W.ambient != N or (U is not None and U.ambient != N):
         raise PreconditionError("sublattice belongs to a different lattice")
@@ -546,8 +503,15 @@ def w_generic_lines(
 
 def _shrink_preconditions(
     N: QuadLattice, W: Sublattice, Wt: Sublattice, p: int, min_corank: int
-) -> Sublattice:
-    """Validate a minimal pair (W, W̃) and derive the exact-type subgroup U."""
+) -> None:
+    """Validate a minimal pair (W, W̃); W̃ is then its own type subgroup.
+
+    For p prime, index exactly p forces the elementary divisors of W̃ in W
+    to be [1, …, 1, p]: W has a basis a_1, …, a_r with W̃ = U ⊕ Z·p·a_r,
+    U = span(a_1, …, a_{r-1}).  Condition (iii) of ``w_generic_lines``
+    sees its U only through pairings mod p, and p·a_r pairs to 0 mod p, so
+    W̃ gives the same lines as U.
+    """
     if not is_self_dual_at(N, p):
         raise PreconditionError("lattice is not self-dual at p")
     if W.ambient != N or Wt.ambient != N:
@@ -565,15 +529,6 @@ def _shrink_preconditions(
     C = integral_coefficients(W.basis, Wt.basis)
     if Wt.rank != r or quotient_structure(r, C).order() != p:
         raise PreconditionError("W̃ must have index exactly p in W")
-    A, D, _ = smith_normal_form(C)
-    divisors = [D.entries[i][i] for i in range(r)]
-    if divisors != [1] * (r - 1) + [p]:
-        raise InvariantViolationError("index-p subgroup has unexpected divisors")
-    Ainv = unimodular_inverse(A)
-    U_basis = (W.basis @ Ainv).take_columns(range(r - 1))
-    return Sublattice(N, hnf_basis(U_basis)) if r > 1 else Sublattice(
-        N, IntMatrix.zero(N.rank, 0)
-    )
 
 
 def shrink_set(
@@ -591,8 +546,8 @@ def shrink_set(
     subgroup matches the pair; ``shrink_set_bruteforce`` computes the same
     set by filtering all neighbors and exists as an independent check.
     """
-    U = _shrink_preconditions(N, W, Wt, p, min_corank=3)
-    lines = w_generic_lines(N, W, p, U, max_points)
+    _shrink_preconditions(N, W, Wt, p, min_corank=3)
+    lines = w_generic_lines(N, W, p, Wt, max_points)
     out = [lattice_from_line(N, line) for line in lines]
     return tuple(sorted(out, key=plattice_sort_key))
 

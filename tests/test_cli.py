@@ -309,12 +309,26 @@ def test_verify_witt_extension_guard_trip_is_input_error(capsys, monkeypatch):
 def test_verify_witt_extension_orbit_guard_exits_2(capsys, monkeypatch):
     from qlat import fp_quadratic
 
-    monkeypatch.setattr(fp_quadratic, "MAX_PROJ_POINTS", 5)
+    # 15 = the projective points of the 4-dimensional spaces over F_2, so
+    # the generators pass the guard and the orbit trees trip it
+    monkeypatch.setattr(fp_quadratic, "MAX_PROJ_POINTS", 15)
     rc, out, err = run_cli(capsys, "verify", "witt-extension", "--p", "2")
     assert (rc, out) == (2, "")
     last = err.splitlines()[-1]
     assert last.startswith("error: the orbit of ")
-    assert last.endswith(" (tuple, parity) states, past the guard 10")
+    assert last.endswith(" (tuple, parity) states, past the guard 30")
+
+
+def test_verify_witt_extension_generator_guard_exits_2(capsys, monkeypatch):
+    from qlat import fp_quadratic
+
+    monkeypatch.setattr(fp_quadratic, "MAX_PROJ_POINTS", 14)
+    rc, out, err = run_cli(capsys, "verify", "witt-extension", "--p", "2")
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "error: the space orthogonal to W has 15 projective points, past the guard 14 "
+        "(raise it with --max-points)"
+    )
 
 
 def test_verify_stderr_names_backend(capsys):

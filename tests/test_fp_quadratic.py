@@ -30,7 +30,7 @@ from qlat import (
     witt_extension,
 )
 from qlat import kernels, modp
-from qlat.fp_quadratic import _orthogonal_generators
+from qlat.fp_quadratic import _fixing_generators
 from isometry_oracle import all_isometries_bruteforce
 
 
@@ -337,6 +337,24 @@ def test_cross_ruling_parity_over_f3():
         witt_extension(V, [e1, e2], [e1, f2])
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_rulings_of_a_large_split_space_are_decided_before_any_tree(p):
+    # |O(V)| is 24,261,120 for H⊥H⊥H over F_3; only a complete orbit tree
+    # could show that a cross-ruling image is missing from it
+    V = hyperbolic(p, 3)
+    e1, f1, e2, f2, e3, f3 = (tuple(int(i == j) for i in range(6)) for j in range(6))
+    X = [e1, e2, e3]
+    start = time.perf_counter()
+    with pytest.raises(InvariantViolationError, match="different special-orthogonal orbits"):
+        witt_extension(V, X, [e1, e2, f3])  # the spans meet in a plane
+    assert time.perf_counter() - start < 1.0
+    assert "_orbit_cache" not in vars(V)
+    for Y in ([f1, f2, e3], [e2, e1, e3], [e1, f2, f3]):  # meets of even codimension
+        g = witt_extension(V, X, Y)
+        assert g.is_special() and [g.apply(x) for x in X] == Y
+        assert g == FpIsometry(V, g.matrix)
+
+
 # ---------------------------------------------------------------------------
 # reflections, transvections, Dickson invariant
 # ---------------------------------------------------------------------------
@@ -528,7 +546,114 @@ def test_stabilizer_orbit_matches_the_list_with_repeats(p, monkeypatch):
         orbit = stabilizer_orbit(V, W, seed)
         expected = line_orbit(repeated, seed.generator, p, modp.MAX_PROJ_POINTS)
         assert [line.generator for line in orbit] == expected
-    assert passed == [list(dict.fromkeys(repeated))] * 3
+    gens = list(dict.fromkeys(repeated))
+    if p != 2:  # W^⊥ is nondegenerate: only the reflections, which come first
+        gens = [g for g in gens if modp.det(g, p) == p - 1]
+    assert passed == [gens] * 3
+
+
+def _old_orthogonal_generators(V):
+    """The generator list ``witt_extension`` used before the shared builder."""
+    p, n = V.p, V.dim
+    gens = {}
+    for v in kernels.proj_reps(p, n):
+        if V.q(v) != 0:
+            try:
+                gens[reflection(V, v).matrix] = 1
+            except PreconditionError:
+                continue
+    if p == 2:
+        B = V.gram()
+        for u in kernels.proj_reps(p, n):
+            if V.q(u) != 0:
+                continue
+            for w in modp.kernel_basis([modp.mat_vec(B, u, p)], p, n):
+                E = eichler_transvection(V, u, w)
+                if E.matrix != modp.identity(n):
+                    gens[E.matrix] = 0
+    return list(gens.items())
+
+
+def _orbit_partition(gens, V):
+    p = V.p
+    left = {line.generator for line in enumerate_isotropic_lines(V)}
+    orbits = set()
+    while left:
+        seed = min(left, key=kernels.proj_key)
+        orbit = frozenset(kernels.line_orbit(gens, seed, p, modp.MAX_PROJ_POINTS) if gens else [seed])
+        orbits.add(orbit)
+        left -= orbit
+    return orbits
+
+
+@pytest.mark.parametrize(
+    "W",
+    [
+        [],
+        [(1, 1, 0, 0)],  # anisotropic line: W^⊥ nondegenerate
+        [(1, 0, 0, 0)],  # isotropic line: W^⊥ degenerate
+        [(1, 0, 0, 0), (0, 1, 0, 0)],  # hyperbolic plane
+        [(1, 1, 0, 0), (0, 0, 1, 1)],  # plane with an anisotropic vector basis
+        [(1, 0, 0, 0), (0, 0, 1, 1)],  # degenerate plane, not totally isotropic
+        [(1, 0, 0, 0), (0, 0, 1, 0)],  # totally isotropic plane
+    ],
+    ids=["rank0", "aniso-line", "iso-line", "hyperbolic", "aniso-plane", "degenerate", "isotropic"],
+)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_builder_orbits_match_the_list_with_repeats(p, W):
+    V = hyperbolic(p, 2)
+    gens = [g for g, _ in _fixing_generators(V, W, modp.MAX_PROJ_POINTS)]
+    repeated = _stabilizer_generators_with_repeats(V, W)
+    assert set(gens) <= set(repeated)
+    for g in gens:
+        assert all(modp.mat_vec(g, w, p) == tuple(x % p for x in w) for w in W)
+    assert _orbit_partition(gens, V) == _orbit_partition(repeated, V)
+
+
+def test_stabilizer_orbit_builds_its_generators_once_per_span(monkeypatch):
+    from qlat import fp_quadratic
+
+    V = hyperbolic(3, 3)
+    built = []
+
+    def counted(V, v):
+        built.append(v)
+        return reflection(V, v)
+
+    monkeypatch.setattr(fp_quadratic, "reflection", counted)
+    lines = enumerate_isotropic_lines(V)
+    bases = ([(1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)], [(1, 1, 1, 0, 0, 0), (2, 2, 0, 0, 0, 0)])
+    first = stabilizer_orbit(V, bases[0], lines[0], lines)
+    once = len(built)
+    assert once > 0
+    assert stabilizer_orbit(V, bases[1], lines[0], lines) == first
+    assert stabilizer_orbit(V, bases[1], lines[-1], lines)
+    assert len(built) == once
+    assert len(V._generator_lists) == 1
+
+
+def test_stabilizer_orbit_guard_names_the_count_and_the_bound():
+    V = hyperbolic(3, 2)
+    seed = enumerate_isotropic_lines(V)[0]
+    with pytest.raises(SizeGuardError) as info:
+        stabilizer_orbit(V, [(1, 1, 0, 0)], seed, max_points=12)
+    assert str(info.value) == (
+        "the space orthogonal to W has 13 projective points, past the guard 12 "
+        "(raise it with --max-points)"
+    )
+    assert stabilizer_orbit(V, [(1, 1, 0, 0)], seed, max_points=13)
+
+
+def test_witt_extension_guards_its_generators_at_call_time(monkeypatch):
+    from qlat import fp_quadratic
+
+    V = hyperbolic(3, 2)
+    e1, e2 = (1, 0, 0, 0), (0, 0, 1, 0)
+    monkeypatch.setattr(fp_quadratic, "MAX_PROJ_POINTS", 39)
+    with pytest.raises(SizeGuardError, match="has 40 projective points, past the guard 39"):
+        witt_extension(V, [e1], [e2])
+    monkeypatch.undo()
+    assert witt_extension(V, [e1], [e2]).apply(e1) == e2
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -620,9 +745,14 @@ def test_witness_from_a_cached_group_is_a_brute_force_isometry(p):
 @pytest.mark.parametrize("V", _spaces((2, 4), (3, 4), (5, 3)))
 def test_orthogonal_generators_generate_the_orthogonal_group(V):
     # the orbit trees reach every tuple of a Gram type only if they do
-    gens = [g for g, _ in _orthogonal_generators(V)]
+    gens = [g for g, _ in _fixing_generators(V, (), modp.MAX_PROJ_POINTS)]
     assert len(set(gens)) == len(gens)
     assert len(kernels.group_closure(gens, V.p, 10**6)) == 2 * so_order(V)
+
+
+@pytest.mark.parametrize("V", _spaces((2, 4), (3, 4), (5, 3)))
+def test_builder_without_w_is_the_old_witt_extension_list(V):
+    assert _fixing_generators(V, (), modp.MAX_PROJ_POINTS) == _old_orthogonal_generators(V)
 
 
 def _gram_data(V, T):
@@ -701,16 +831,21 @@ def test_extension_on_spaces_whose_group_is_large(V, X, Y):
 def test_orbit_guard_names_the_state_count_and_the_bound(monkeypatch):
     from qlat import fp_quadratic
 
-    V = hyperbolic(2, 2)
+    V = hyperbolic(2, 2)  # 15 projective points: the generators pass the guard
     e1, f1, e2, f2 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    monkeypatch.setattr(fp_quadratic, "MAX_PROJ_POINTS", 5)
+    vectors = [v for v in product(range(2), repeat=4) if any(v) and V.q(v) == 0]
+    pairs = [(e, f) for e in vectors for f in vectors if V.b(e, f) == 1]
+    monkeypatch.setattr(fp_quadratic, "MAX_PROJ_POINTS", 15)
     with pytest.raises(SizeGuardError) as info:
-        witt_extension(V, [e1, e2], [e1, f2])  # decided by the whole orbit
+        for Y in pairs:  # 36 hyperbolic pairs, more than 30 states
+            witt_extension(V, [e1, f1], Y)
     message = str(info.value)
     assert message.startswith("the orbit of 2-tuples of one Gram type passed ")
-    assert message.endswith(" (tuple, parity) states, past the guard 10")
-    assert int(message.split()[9]) > 10
+    assert message.endswith(" (tuple, parity) states, past the guard 30")
+    assert int(message.split()[9]) > 30
     monkeypatch.undo()  # the partial tree grows on from where it stopped
+    for Y in pairs:
+        assert [witt_extension(V, [e1, f1], Y).apply(x) for x in (e1, f1)] == list(Y)
     with pytest.raises(InvariantViolationError):
         witt_extension(V, [e1, e2], [e1, f2])
     assert witt_extension(V, [e1, e2], [f1, f2]).apply(e2) == f2

@@ -1,5 +1,8 @@
 """Minimal pairs, the polarization-change lattice, and fiber round trips."""
 
+from itertools import product
+from operator import mul
+
 import pytest
 
 from qlat import (
@@ -63,6 +66,16 @@ def test_index_p_sublattice_counts(rank, p):
     assert len({pair.tilde_basis for pair in pairs}) == len(pairs)
     for pair in pairs:
         assert pair.index == p
+
+
+@pytest.mark.parametrize("rank,p", [(2, 2), (3, 3), (2, 5)])
+def test_index_p_sublattices_are_the_kernels_of_the_functionals(rank, p):
+    lam = direct_sum(*[rank_one(1)] * rank)
+    pairs = enumerate_index_p_sublattices(lam, p)
+    for rep, pair in zip(proj_reps(p, rank), pairs):
+        kernel = [v for v in product(range(p), repeat=rank) if sum(map(mul, rep, v)) % p == 0]
+        gens = IntMatrix.from_columns(kernel, rows=rank).hstack(IntMatrix.identity(rank).scale(p))
+        assert pair.tilde_basis == hnf_basis(gens)
 
 
 def test_rank_one_unique_sublattice():

@@ -8,6 +8,12 @@
 * Nothing refers to the deleted compiled backend.
 * ``exact_linalg`` eliminates over the integers only: it imports nothing
   from ``fractions``.
+* Each shared construction has one home: the index-p lattice
+  {x : r·x ≡ 0 mod p} is ``exact_linalg.kernel_mod_p`` and the generators
+  fixing a subspace are ``fp_quadratic._fixing_generators``; the copies
+  they replaced are gone.
+* The Smith form and ``unimodular_inverse`` serve ``exact_linalg`` alone:
+  no other module calls them, and only the package root re-exports them.
 """
 
 import ast
@@ -118,3 +124,33 @@ def test_exact_linalg_uses_no_fractions():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert "fractions" not in imported
+
+
+# each shared construction -> the names earlier copies of it went by
+CONSTRUCTIONS = {
+    ("exact_linalg", "kernel_mod_p"): ("_fp_kernel_hnf",),
+    ("fp_quadratic", "_fixing_generators"): ("_orthogonal_generators",),
+}
+
+
+def test_each_construction_has_one_definition():
+    defined = {path.stem: _module_level_names(_tree(path)) for path in MODULES}
+    for (home, name), old_names in CONSTRUCTIONS.items():
+        homes = sorted(
+            (module, n) for module, names in defined.items() for n in (name, *old_names) if n in names
+        )
+        assert homes == [(home, name)], name
+
+
+def test_smith_form_and_unimodular_inverse_stay_in_exact_linalg():
+    confined = {"smith_normal_form", "unimodular_inverse"}
+    for path in MODULES:
+        if path.stem == "exact_linalg":
+            continue
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and path.stem != "__init__":
+                assert not confined & {alias.name for alias in node.names}, path.name
+            elif isinstance(node, ast.Name):
+                assert node.id not in confined, (path.name, node.lineno)
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in confined, (path.name, node.lineno)

@@ -13,7 +13,6 @@ from qlat import (
     PreconditionError,
     ProjLine,
     Sublattice,
-    default_precision,
     direct_sum,
     enumerate_isotropic_lines,
     enumerate_neighbors,
@@ -29,13 +28,17 @@ from qlat import (
     rank_one,
     recover_lattice,
     reduction,
+    saturate,
     shrink_set,
     shrink_set_bruteforce,
     splitting_from_line,
+    smith_normal_form,
     sublattice_in_span,
+    unimodular_inverse,
     w_generic_lines,
 )
-from qlat.padic_lattice import _fp_kernel_hnf
+from qlat.exact_linalg import integral_coefficients, kernel_mod_p
+from qlat.kernels import proj_reps
 
 H = hyperbolic_plane()
 H2 = direct_sum(H, H)
@@ -68,10 +71,6 @@ def test_reduction_of_e8_mod_2_nondegenerate():
     from qlat import e8_lattice
 
     assert reduction(e8_lattice(), 2).is_nondegenerate()
-
-
-def test_default_precision_is_two():
-    assert default_precision() == 2
 
 
 def test_hensel_lift_exact_line():
@@ -242,6 +241,30 @@ def test_typed_fibers_partition_generic_set():
     assert total == len(untyped)  # fibers are disjoint
 
 
+H4 = direct_sum(H, H, H, H)
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [
+        [(1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0)],
+        [(1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 2, 1, 0, 0, 0)],
+    ],
+    ids=["anisotropic-basis", "isotropic-vector"],
+)
+@pytest.mark.parametrize("p", [2, 3])
+def test_tilde_types_rank_two_lines_like_the_snf_subgroup(p, cols):
+    W = Sublattice(H4, IntMatrix.from_columns(cols))
+    assert saturate(8, W.basis)[1]
+    for rep in proj_reps(p, 2):
+        Wt = Sublattice(H4, W.basis @ kernel_mod_p(rep, p))
+        # the exact-type subgroup U of W = U ⊕ Z·a with W̃ = U ⊕ Z·p·a
+        A, D, _ = smith_normal_form(integral_coefficients(W.basis, Wt.basis))
+        assert [D.entries[0][0], D.entries[1][1]] == [1, p]
+        U = Sublattice(H4, (W.basis @ unimodular_inverse(A)).take_columns([0]))
+        assert w_generic_lines(H4, W, p, Wt) == w_generic_lines(H4, W, p, U)
+
+
 # ---------------------------------------------------------------------------
 # shrink and recover
 # ---------------------------------------------------------------------------
@@ -323,7 +346,7 @@ def _kernel_lift(row, p):
 def test_closed_form_kernel_basis_matches_hnf(p, n, data):
     row = data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
     K = _kernel_lift(row, p)
-    assert _fp_kernel_hnf(row, p) == hnf_basis(K.hstack(IntMatrix.identity(n).scale(p)))
+    assert kernel_mod_p(row, p) == hnf_basis(K.hstack(IntMatrix.identity(n).scale(p)))
 
 
 def _recover_inputs(N, W, p):
