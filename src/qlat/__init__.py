@@ -96,7 +96,6 @@ from .padic_lattice import (
 from .hecke_k3 import (
     MinimalPair,
     PolarizedK3Lattice,
-    enumerate_index_p_sublattices,
     grow_unique,
     k3_isogeny,
     shrink_fiber,
@@ -139,7 +138,6 @@ __all__ = [
     "discriminant_group",
     "e8_lattice",
     "eichler_transvection",
-    "enumerate_index_p_sublattices",
     "enumerate_isotropic_lines",
     "enumerate_neighbors",
     "find_isotropic_vector",

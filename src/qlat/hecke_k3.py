@@ -9,9 +9,9 @@ of an abstract copy of the same lattice — but moves the polarization class
 to ξ' = p(e + d·f), which in the rescaled basis has coordinates
 (1, p²·d, 0, ..., 0) and degree Q(ξ') = p²·d.
 
-Around this sit the finite-index machinery (index-p sublattice
-enumeration as minimal pairs) and the fiber/uniqueness constructions that
-transport a shrunk sublattice pair through the p-neighbor correspondence.
+Around this sit minimal pairs (a sublattice of prime index) and the
+fiber/uniqueness constructions that transport a shrunk sublattice pair
+through the p-neighbor correspondence.
 """
 
 from __future__ import annotations
@@ -19,16 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvariantViolationError, PreconditionError, SizeGuardError
+from .errors import InvariantViolationError, PreconditionError
 from .exact_linalg import (
     IntMatrix,
     hnf_basis,
     integral_coefficients,
-    kernel_mod_p,
     quotient_structure,
     saturate,
 )
-from .kernels import proj_reps
 from .modp import MAX_PROJ_POINTS, check_prime, is_prime
 from .padic_lattice import PLattice, neighbors_of, shrink_set
 from .quad_lattice import (
@@ -43,7 +41,6 @@ from .quad_lattice import (
 __all__ = [
     "MinimalPair",
     "PolarizedK3Lattice",
-    "enumerate_index_p_sublattices",
     "k3_isogeny",
     "shrink_fiber",
     "grow_unique",
@@ -104,25 +101,6 @@ class PolarizedK3Lattice:
     @property
     def degree(self) -> int:
         return quad_value(self.lattice, self.xi)
-
-
-def enumerate_index_p_sublattices(
-    L: QuadLattice, p: int, max_count: int = 10**6
-) -> tuple[MinimalPair, ...]:
-    """All minimal pairs of L at p: one per nonzero functional L → F_p up
-    to scaling, so (p^r - 1)/(p - 1) of them, in a deterministic order
-    with canonical (column-HNF) bases: the kernel lattice of each
-    ``proj_reps`` functional (:func:`~qlat.exact_linalg.kernel_mod_p`).
-    """
-    r = L.rank
-    pos, neg = signature(L)
-    if neg != 0 or pos != r:
-        raise PreconditionError("index-p enumeration expects a positive-definite lattice")
-    check_prime(p)
-    count = (p**r - 1) // (p - 1)
-    if count > max_count:
-        raise SizeGuardError(f"{count} sublattices exceeds the guard {max_count}")
-    return tuple(MinimalPair(L, kernel_mod_p(rep, p)) for rep in proj_reps(p, r))
 
 
 def k3_isogeny(d: int, p: int) -> PolarizedK3Lattice:

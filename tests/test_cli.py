@@ -1,15 +1,25 @@
 """End-to-end command-line behavior: documents, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlat import SizeGuardError
-from qlat.cli import main
+from qlat.cli import _emit, main
 from qlat.verify import VerifyReport
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -22,6 +32,11 @@ def run_json(capsys, *argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 0, f"exit {rc}, stderr: {err}"
     return json.loads(out)
+
+
+def canonical(out):
+    """``out`` re-encoded the way every command must write its document."""
+    return json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +146,129 @@ def test_grow_rejects_mismatched_prime(capsys, tmp_path, shrink_args):
     rc, out, err = run_cli(capsys, "grow", str(member), str(tilde), "--p", "5")
     assert rc == 2
     assert "does not match" in err
+
+
+# ---------------------------------------------------------------------------
+# the document writer: byte-identical to json.dumps(sort_keys, indent=2)
+# ---------------------------------------------------------------------------
+
+
+class RecordingStdout:
+    """Stands in for stdout and keeps each write separately."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def emitted(doc):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _emit(doc)
+    return out.getvalue()
+
+
+_ints = st.integers(-5, 5) | st.integers(-(10**30), 10**30) | st.sampled_from(
+    [10**4299, -(10**4300 - 1)]  # 4300 digits, the most the default limit allows
+)
+_scalars = (
+    _ints
+    | st.booleans()
+    | st.none()
+    | st.floats()
+    | st.text(max_size=8)
+)
+_rows = st.integers(1, 4).flatmap(
+    lambda w: st.lists(st.lists(_ints, min_size=w, max_size=w), max_size=6)
+)
+_mixed = st.lists(st.one_of(st.integers(-3, 3), st.booleans()), max_size=6)
+_leaves = _scalars | _rows | _rows.map(lambda rows: tuple(map(tuple, rows))) | _mixed
+_documents = st.recursive(
+    _leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents)
+def test_writer_matches_json_dumps(doc):
+    assert emitted(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"\u22a5\u00e9": {}, "": [[], ()]},
+        [[1, 2], [3]],
+        [[1, True], [0, 2]],
+        [True, 1, False],
+        [[[1, 2], [3, 4]], ((5,), (6,))],
+        {"s": "\x00\x1f\"\\\u22a5\U0001f600", "f": [1.5, float("nan"), -float("inf")]},
+    ],
+    ids=["empty-dict", "empty-list", "unicode-keys", "unequal-rows", "bool-in-row",
+         "bool-in-list", "nested-rows", "strings-floats"],
+)
+def test_writer_matches_json_dumps_on_edge_cases(doc):
+    assert emitted(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_writer_streams_a_long_document():
+    doc = {"count": 20000, "lines": [(i, -i, 0) for i in range(20000)]}
+    out = RecordingStdout()
+    with contextlib.redirect_stdout(out):
+        _emit(doc)
+    whole = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert "".join(out.writes) == whole
+    assert len(out.writes) > 1
+    assert max(map(len, out.writes)) < len(whole)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "info", "H⊥E8"],
+        ["quadric", "lines", "H⊥H", "--p", "3"],
+        ["neighbors", "H", "--p", "3"],
+        ["k3-isogeny", "--d", "1", "--p", "2"],
+        ["verify", "lang-counts", "--p", "2"],
+    ],
+    ids=["lattice-info", "quadric-lines", "neighbors", "k3-isogeny", "verify"],
+)
+def test_every_command_writes_canonical_json(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0, err
+    assert out == canonical(out)
+
+
+def test_shrink_and_grow_write_canonical_json(capsys, tmp_path, shrink_args):
+    emb, pair = shrink_args
+    rc, out, err = run_cli(capsys, "shrink", "H⊥H⊥H", emb, pair, "--p", "2")
+    assert rc == 0, err
+    assert out == canonical(out)
+    member = tmp_path / "member.json"
+    member.write_text(json.dumps(json.loads(out)["fiber"][0]), encoding="utf-8")
+    rc, out, err = run_cli(capsys, "grow", str(member), "[[2],[2],[0],[0],[0],[0]]", "--p", "2")
+    assert rc == 0, err
+    assert out == canonical(out)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlat", "lattice", "info", "H"],
+        env=env, capture_output=True, timeout=60,
+    )
+    rc, out, _ = run_cli(capsys, "lattice", "info", "H")
+    assert (proc.returncode, rc) == (0, 0), proc.stderr
+    assert proc.stdout == out.encode()
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +510,16 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
         return VerifyReport(
             suite=name,
             instances=3,
-            failures=1,
-            details=["one instance disagreed"],
+            failures=2,
+            details=[
+                "one instance disagreed",
+                {"input": "0f3a", "expected": [2, 2], "actual": {"lattice": "H⊥H", "count": 0}},
+            ],
         )
 
     monkeypatch.setattr(cli_module, "run_suite", fake_run_suite)
     rc, out, err = run_cli(capsys, "verify", "lang-counts")
     assert rc == 1
     doc = json.loads(out)
-    assert doc["failures"] == 1
+    assert doc["failures"] == 2
+    assert out == canonical(out)

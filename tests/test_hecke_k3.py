@@ -10,10 +10,10 @@ from qlat import (
     MinimalPair,
     PLattice,
     PreconditionError,
+    SizeGuardError,
     Sublattice,
     direct_sum,
     discriminant_group,
-    enumerate_index_p_sublattices,
     grow_unique,
     hnf_basis,
     hyperbolic_plane,
@@ -30,9 +30,28 @@ from qlat import (
     signature,
     sublattice_in_span,
 )
+from qlat.exact_linalg import kernel_mod_p
 from qlat.kernels import proj_reps
+from qlat.modp import check_prime
 
 H3 = direct_sum(hyperbolic_plane(), hyperbolic_plane(), hyperbolic_plane())
+
+
+def enumerate_index_p_sublattices(L, p, max_count=10**6):
+    """All minimal pairs of L at p: one per nonzero functional L → F_p up
+    to scaling, so (p^r - 1)/(p - 1) of them, in ``proj_reps`` order, each
+    with the canonical (column-HNF) basis of the functional's kernel
+    lattice (:func:`~qlat.exact_linalg.kernel_mod_p`).
+    """
+    r = L.rank
+    pos, neg = signature(L)
+    if neg != 0 or pos != r:
+        raise PreconditionError("index-p enumeration expects a positive-definite lattice")
+    check_prime(p)
+    count = (p**r - 1) // (p - 1)
+    if count > max_count:
+        raise SizeGuardError(f"{count} sublattices exceeds the guard {max_count}")
+    return tuple(MinimalPair(L, kernel_mod_p(rep, p)) for rep in proj_reps(p, r))
 
 
 # ---------------------------------------------------------------------------
