@@ -34,7 +34,7 @@ from .serialize import (
     polarized_to_dict,
     quotient_to_dict,
 )
-from .verify import SUITES, run_suite
+from .verify import SUITES, processes, run_suite
 
 # `lattice info` tests every integer up to --prime-bound for primality.
 MAX_PRIME_BOUND = 10**6
@@ -197,7 +197,12 @@ def _cmd_k3_isogeny(args) -> int:
 
 def _cmd_verify(args) -> int:
     primes = (args.p,) if args.p is not None else None
-    print(f"running suite {args.suite} [backend: {kernels.backend_name()}]", file=sys.stderr)
+    jobs = processes(args.suite)
+    print(
+        f"running suite {args.suite} [backend: {kernels.backend_name()}, "
+        f"{jobs} process{'es' if jobs > 1 else ''}]",
+        file=sys.stderr,
+    )
     start = time.perf_counter()
     report = run_suite(
         args.suite,

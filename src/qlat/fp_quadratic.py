@@ -675,7 +675,9 @@ def _tuple_type_key(V: FpQuadSpace, vectors: Sequence[Vector]):
     return (k, qs, bs)
 
 
-def _reach(V: FpQuadSpace, key, root: tuple[Vector, ...], goals) -> tuple:
+def _reach(
+    V: FpQuadSpace, key, root: tuple[Vector, ...], goals, max_points: int
+) -> tuple:
     """The first of ``goals`` in the orbit tree of Gram type ``key``, or None.
 
     Returns ``(state, links)``.  The tree lives on the space, one per Gram
@@ -687,7 +689,7 @@ def _reach(V: FpQuadSpace, key, root: tuple[Vector, ...], goals) -> tuple:
     orbit has been built without meeting one.  Independent tuples of one
     Gram type form a single O(V)-orbit (Witt), so the complete tree holds
     every such tuple.  Raises SizeGuardError rather than grow past
-    2·``MAX_PROJ_POINTS`` states; what was built stays valid.
+    2·``max_points`` states; what was built stays valid.
     """
     cache = V._orbit_cache
     tree = cache["trees"].get(key)
@@ -695,7 +697,7 @@ def _reach(V: FpQuadSpace, key, root: tuple[Vector, ...], goals) -> tuple:
         tree = cache["trees"][key] = ({(root, 0): None}, deque([(root, 0)]))
     links, queue = tree
     p, gens, images = V.p, cache["gens"], cache["images"]
-    bound = 2 * MAX_PROJ_POINTS
+    bound = 2 * max_points
     while True:
         for goal in goals:
             if goal in links:
@@ -746,6 +748,7 @@ def witt_extension(
     w1_basis: Sequence[Sequence[int]],
     w2_basis: Sequence[Sequence[int]],
     f: Sequence[Sequence[int]] | None = None,
+    max_points: int = MAX_PROJ_POINTS,
 ) -> FpIsometry:
     """Extend an isometry between subspaces to a special isometry of V.
 
@@ -768,7 +771,9 @@ def witt_extension(
     and X is totally singular, X and Y lie in one SO(V)-orbit iff
     k - dim(X ∩ Y) is even, and this is decided before any tree search.
     The generators of O(V) come from ``_fixing_generators`` with W = 0,
-    under the guard ``MAX_PROJ_POINTS`` read at call time.
+    under the guard ``max_points`` on V's projective points; an orbit tree
+    may grow to 2·``max_points`` states.  Past either bound the call raises
+    SizeGuardError.
     """
     p, n = V.p, V.dim
     if not V.is_nondegenerate():
@@ -810,11 +815,11 @@ def witt_extension(
             raise InvariantViolationError(
                 "isometric tuples lie in different special-orthogonal orbits"
             )
-    _fixing_generators(V, (), MAX_PROJ_POINTS)  # the list ``_reach`` expands by
-    sx, links = _reach(V, key, X, ((X, 0), (X, 1)))
+    _fixing_generators(V, (), max_points)  # the list ``_reach`` expands by
+    sx, links = _reach(V, key, X, ((X, 0), (X, 1)), max_points)
     if sx is None:
         raise InvariantViolationError("the generators do not reach a tuple of this Gram type")
-    sy, _ = _reach(V, key, X, ((Y, sx[1]),))
+    sy, _ = _reach(V, key, X, ((Y, sx[1]),), max_points)
     if sy is None:
         raise InvariantViolationError(
             "isometric tuples lie in different special-orthogonal orbits"

@@ -29,6 +29,17 @@ Suites
   fixing W pointwise exists whenever codim(W) ≥ 3 (odd p).
 * ``k3-degree`` — the polarization-change construction satisfies its
   degree, primitivity, signature, and discriminant laws.
+
+Processes
+---------
+``witt-extension`` deals its instances out in shares, one per usable core
+(the process's CPU affinity, else ``os.cpu_count()``): the caller runs
+share 0 and forked children run the others, and the caller merges their
+counts and failure details.  With one core, or where the platform cannot
+fork, the caller runs the whole sweep and starts nothing.  The other
+suites run in the calling process.  A report, and so the CLI's stdout,
+does not depend on the number of processes; :func:`processes` gives it,
+and ``qlat verify`` names it on stderr.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
 from dataclasses import dataclass, field
 from itertools import product
@@ -78,7 +90,7 @@ from .quad_lattice import (
     signature,
 )
 
-__all__ = ["VerifyReport", "SUITES", "run_suite", "closed_form_line_count"]
+__all__ = ["VerifyReport", "SUITES", "run_suite", "processes", "closed_form_line_count"]
 
 
 @dataclass
@@ -189,6 +201,86 @@ def _nondegenerate_spaces(p: int, max_dim: int):
                 rows[i][i] = 1
             rows[n - 1][n - 1] = last
             yield (f"diag-{n}-{tag}", FpQuadSpace(p, rows))
+
+
+# ---------------------------------------------------------------------------
+# shares
+# ---------------------------------------------------------------------------
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def processes(name: str) -> int:
+    """How many processes ``run_suite(name)`` runs in.
+
+    One per usable core for ``witt-extension``, the one suite that deals
+    out its instances, where the platform can fork; otherwise 1.
+    """
+    if name == "witt-extension" and hasattr(os, "fork"):
+        return _usable_cores()
+    return 1
+
+
+def _run_shares(task, jobs: int) -> list:
+    """``[task(0, jobs), …, task(jobs - 1, jobs)]``, computed concurrently.
+
+    The caller computes share 0 itself; shares 1 … jobs − 1 run in forked
+    children, which send their result back through a pipe and end in
+    ``os._exit``, so a child never flushes the stdio buffers it inherited.
+    An exception raised by a share is raised here with its type and
+    message (the lowest-numbered failing share's).  No child outlives the
+    call, whether it returns or raises.  With ``jobs`` = 1 nothing is forked
+    and ``multiprocessing`` is not imported.
+    """
+    if jobs == 1:
+        return [task(0, 1)]
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for share in range(1, jobs):
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_share_child, args=(task, share, jobs, sender))
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        results = [task(0, jobs)]
+        for share, (child, receiver) in enumerate(children, 1):
+            try:
+                ok, value = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"share {share} ended with exit code {child.exitcode} before reporting"
+                ) from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
+
+
+def _share_child(task, share: int, jobs: int, sender) -> None:
+    """Run one share in a forked child and send ``(ok, result or exception)``."""
+    try:
+        try:
+            result = (True, task(share, jobs))
+        except BaseException as exc:  # the caller re-raises it
+            result = (False, exc)
+        sender.send(result)
+    finally:
+        os._exit(0)
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +438,21 @@ def suite_witt_extension(
     is even, so odd-parity Lagrangian pairs are skipped rather than
     counted as failures.
 
-    Before a space's sweep, the tuples it can visit are bounded by the sum
-    over X of the product of the Q-value bucket sizes of its vectors;
+    Before any sweep, the tuples each space can visit are bounded by the
+    sum over X of the product of the Q-value bucket sizes of its vectors;
     past ``max_points`` the suite raises SizeGuardError.  A guard tripped
-    inside ``witt_extension`` propagates the same way: an input limit is
-    not a counterexample.
+    inside ``witt_extension``, which runs under the same ``max_points``,
+    propagates the same way: an input limit is not a counterexample.
+
+    The sweep runs in one share per process of ``processes("witt-extension")``:
+    share i takes every c-th X of each space, starting at the i-th.
     """
-    report = VerifyReport("witt-extension")
     primes = tuple(primes) if primes else (2, 3)
     max_rank = max_rank if max_rank is not None else 4
+    spaces = []
     for p in primes:
         for name, V in _nondegenerate_spaces(p, min(max_rank, 4)):
             n = V.dim
-            witt_index = len(witt_decomposition(V)[0])
             vectors = [v for v in product(range(p), repeat=n) if any(v)]
             by_q: dict[int, list] = {}
             for v in vectors:
@@ -371,41 +465,60 @@ def suite_witt_extension(
                     f"witt-extension over {name} at p = {p} would sweep up to {tuples} "
                     f"tuples, past the guard {max_points} (raise it with --max-points)"
                 )
-            for X in subspaces:
-                k = len(X)
-                xgram = [[V.b(X[i], X[j]) for j in range(k)] for i in range(k)]
-                xq = [V.q(x) for x in X]
-                lagrangian = (
-                    2 * k == n
-                    and k == witt_index
-                    and all(q == 0 for q in xq)
-                    and all(
-                        xgram[i][j] == 0
-                        for i in range(k)
-                        for j in range(i + 1, k)
-                    )
-                )
-                for Y in _gram_matching_tuples(V, X, xq, xgram, by_q, p):
-                    if lagrangian:
-                        meet = 2 * k - rank(X + Y, p)
-                        if (k - meet) % 2 == 1:
-                            continue
-                    desc = {
-                        "suite": "witt-extension",
-                        "space": name,
-                        "p": p,
-                        "X": [list(x) for x in X],
-                        "Y": [list(y) for y in Y],
-                    }
-                    try:
-                        g = witt_extension(V, X, Y)
-                        ok = all(g.apply(x) == y for x, y in zip(X, Y))
-                        ok = ok and g.is_special()
-                        actual = "verified witness" if ok else "invalid witness"
-                    except InvariantViolationError as exc:
-                        ok, actual = False, f"{type(exc).__name__}: {exc}"
-                    report.record(desc, ok, "verified witness", actual)
+            spaces.append((name, p, V.half_gram, by_q, subspaces))
+
+    def sweep(share: int, shares: int) -> VerifyReport:
+        part = VerifyReport("witt-extension")
+        for name, p, half_gram, by_q, subspaces in spaces:
+            # a space of its own, whose caches go when its sweep is done
+            V = FpQuadSpace(p, half_gram)
+            witt_index = len(witt_decomposition(V)[0])
+            for X in subspaces[share::shares]:
+                _sweep_witt_images(part, name, V, witt_index, by_q, X, max_points)
+        return part
+
+    report = VerifyReport("witt-extension")
+    for part in _run_shares(sweep, processes("witt-extension")):
+        report.instances += part.instances
+        report.failures += part.failures
+        report.details += part.details
     return report.finish()
+
+
+def _sweep_witt_images(report, name, V, witt_index, by_q, X, max_points) -> None:
+    """Record one instance for each isometry of span(X) onto a subspace of V."""
+    p, n, k = V.p, V.dim, len(X)
+    xgram = [[V.b(X[i], X[j]) for j in range(k)] for i in range(k)]
+    xq = [V.q(x) for x in X]
+    lagrangian = (
+        2 * k == n
+        and k == witt_index
+        and all(q == 0 for q in xq)
+        and all(xgram[i][j] == 0 for i in range(k) for j in range(i + 1, k))
+    )
+    for Y in _gram_matching_tuples(V, X, xq, xgram, by_q, p):
+        if lagrangian:
+            meet = 2 * k - rank(X + Y, p)
+            if (k - meet) % 2 == 1:
+                continue
+        try:
+            g = witt_extension(V, X, Y, max_points=max_points)
+            ok = all(g.apply(x) == y for x, y in zip(X, Y))
+            ok = ok and g.is_special()
+            actual = "verified witness" if ok else "invalid witness"
+        except InvariantViolationError as exc:
+            ok, actual = False, f"{type(exc).__name__}: {exc}"
+        if ok:
+            report.instances += 1
+            continue
+        desc = {
+            "suite": "witt-extension",
+            "space": name,
+            "p": p,
+            "X": [list(x) for x in X],
+            "Y": [list(y) for y in Y],
+        }
+        report.record(desc, False, "verified witness", actual)
 
 
 def _gram_matching_tuples(V, X, xq, xgram, by_q, p):

@@ -435,7 +435,7 @@ def test_verify_witt_extension_guards_its_sweep(capsys, argv, tuples, bound):
 def test_verify_witt_extension_guard_trip_is_input_error(capsys, monkeypatch):
     import qlat.verify as verify_module
 
-    def guarded(V, X, Y):
+    def guarded(V, X, Y, max_points):
         raise SizeGuardError("orbit exceeds the guard 7")
 
     monkeypatch.setattr(verify_module, "witt_extension", guarded)
@@ -444,29 +444,51 @@ def test_verify_witt_extension_guard_trip_is_input_error(capsys, monkeypatch):
     assert err.splitlines()[-1] == "error: orbit exceeds the guard 7"
 
 
-def test_verify_witt_extension_orbit_guard_exits_2(capsys, monkeypatch):
-    from qlat import fp_quadratic
+def test_verify_witt_extension_guard_trip_in_a_child_share_exits_2(capsys, monkeypatch):
+    import multiprocessing
 
-    # 15 = the projective points of the 4-dimensional spaces over F_2, so
-    # the generators pass the guard and the orbit trees trip it
-    monkeypatch.setattr(fp_quadratic, "MAX_PROJ_POINTS", 15)
+    import qlat.verify as verify_module
+
+    caller, extension = os.getpid(), verify_module.witt_extension
+
+    def guarded_in_children(V, X, Y, max_points):
+        if os.getpid() != caller:
+            raise SizeGuardError("orbit exceeds the guard 7")
+        return extension(V, X, Y, max_points=max_points)
+
+    monkeypatch.setattr(verify_module, "witt_extension", guarded_in_children)
+    monkeypatch.setattr(verify_module, "_usable_cores", lambda: 2)
     rc, out, err = run_cli(capsys, "verify", "witt-extension", "--p", "2")
     assert (rc, out) == (2, "")
-    last = err.splitlines()[-1]
-    assert last.startswith("error: the orbit of ")
-    assert last.endswith(" (tuple, parity) states, past the guard 30")
+    assert err.splitlines()[-1] == "error: orbit exceeds the guard 7"
+    assert multiprocessing.active_children() == []
 
 
-def test_verify_witt_extension_generator_guard_exits_2(capsys, monkeypatch):
-    from qlat import fp_quadratic
+@pytest.mark.parametrize("cores, banner", [(1, "1 process"), (2, "2 processes")])
+def test_verify_banner_names_the_processes(capsys, monkeypatch, cores, banner):
+    import qlat.verify as verify_module
 
-    monkeypatch.setattr(fp_quadratic, "MAX_PROJ_POINTS", 14)
-    rc, out, err = run_cli(capsys, "verify", "witt-extension", "--p", "2")
-    assert (rc, out) == (2, "")
-    assert err.splitlines()[-1] == (
-        "error: the space orthogonal to W has 15 projective points, past the guard 14 "
-        "(raise it with --max-points)"
+    monkeypatch.setattr(verify_module, "_usable_cores", lambda: cores)
+    rc, _, err = run_cli(capsys, "verify", "witt-extension", "--p", "2")
+    assert rc == 0
+    assert err.splitlines()[0] == (
+        f"running suite witt-extension [backend: pure-python, {banner}]"
     )
+    rc, _, err = run_cli(capsys, "verify", "lang-counts", "--p", "2")
+    assert err.splitlines()[0] == "running suite lang-counts [backend: pure-python, 1 process]"
+
+
+def test_verify_witt_extension_stdout_does_not_depend_on_the_cores(capsys, monkeypatch):
+    import qlat.verify as verify_module
+
+    outs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(verify_module, "_usable_cores", lambda: cores)
+        rc, out, _ = run_cli(capsys, "verify", "witt-extension", "--p", "3", "--max-rank", "3")
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["instances"] > 0
 
 
 def test_verify_stderr_names_backend(capsys):

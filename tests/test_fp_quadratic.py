@@ -644,16 +644,26 @@ def test_stabilizer_orbit_guard_names_the_count_and_the_bound():
     assert stabilizer_orbit(V, [(1, 1, 0, 0)], seed, max_points=13)
 
 
-def test_witt_extension_guards_its_generators_at_call_time(monkeypatch):
-    from qlat import fp_quadratic
-
+def test_witt_extension_guards_its_generators_at_call_time():
     V = hyperbolic(3, 2)
     e1, e2 = (1, 0, 0, 0), (0, 0, 1, 0)
-    monkeypatch.setattr(fp_quadratic, "MAX_PROJ_POINTS", 39)
     with pytest.raises(SizeGuardError, match="has 40 projective points, past the guard 39"):
-        witt_extension(V, [e1], [e2])
-    monkeypatch.undo()
+        witt_extension(V, [e1], [e2], max_points=39)
     assert witt_extension(V, [e1], [e2]).apply(e1) == e2
+    with pytest.raises(SizeGuardError, match="has 40 projective points, past the guard 39"):
+        witt_extension(V, [e1], [e2], max_points=39)  # checked again on a warm space
+
+
+def test_witt_extension_generator_guard_reads_max_points():
+    V = hyperbolic(2, 2)  # 15 projective points
+    e1, e2 = (1, 0, 0, 0), (0, 0, 1, 0)
+    with pytest.raises(SizeGuardError) as info:
+        witt_extension(V, [e1], [e2], max_points=14)
+    assert str(info.value) == (
+        "the space orthogonal to W has 15 projective points, past the guard 14 "
+        "(raise it with --max-points)"
+    )
+    assert witt_extension(V, [e1], [e2], max_points=15).apply(e1) == e2
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -828,27 +838,42 @@ def test_extension_on_spaces_whose_group_is_large(V, X, Y):
     assert g == FpIsometry(V, g.matrix)
 
 
-def test_orbit_guard_names_the_state_count_and_the_bound(monkeypatch):
-    from qlat import fp_quadratic
-
+def test_orbit_guard_names_the_state_count_and_the_bound():
     V = hyperbolic(2, 2)  # 15 projective points: the generators pass the guard
     e1, f1, e2, f2 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     vectors = [v for v in product(range(2), repeat=4) if any(v) and V.q(v) == 0]
     pairs = [(e, f) for e in vectors for f in vectors if V.b(e, f) == 1]
-    monkeypatch.setattr(fp_quadratic, "MAX_PROJ_POINTS", 15)
     with pytest.raises(SizeGuardError) as info:
         for Y in pairs:  # 36 hyperbolic pairs, more than 30 states
-            witt_extension(V, [e1, f1], Y)
+            witt_extension(V, [e1, f1], Y, max_points=15)
     message = str(info.value)
     assert message.startswith("the orbit of 2-tuples of one Gram type passed ")
     assert message.endswith(" (tuple, parity) states, past the guard 30")
     assert int(message.split()[9]) > 30
-    monkeypatch.undo()  # the partial tree grows on from where it stopped
+    # the partial tree grows on from where it stopped
     for Y in pairs:
         assert [witt_extension(V, [e1, f1], Y).apply(x) for x in (e1, f1)] == list(Y)
     with pytest.raises(InvariantViolationError):
         witt_extension(V, [e1, e2], [e1, f2])
     assert witt_extension(V, [e1, e2], [f1, f2]).apply(e2) == f2
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split-4", "nonsplit-4"])
+def test_witt_extension_orbit_guard_reads_max_points(split):
+    # both 4-dimensional spaces over F_2 have 15 projective points, so the
+    # generators pass the guard 15 and some orbit tree passes 30 states
+    V = hyperbolic(2, 2) if split else FpQuadSpace(
+        2, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1))
+    )
+    queries = [(X, Y) for k in (1, 2) for X, Y in _witt_queries(V, k)]
+    with pytest.raises(SizeGuardError) as info:
+        for X, Y in queries:
+            witt_extension(V, X, Y, max_points=15)
+    message = str(info.value)
+    assert message.startswith("the orbit of ")
+    assert message.endswith(" (tuple, parity) states, past the guard 30")
+    for X, Y in queries:  # the default guard lets every tree finish
+        assert [witt_extension(V, X, Y).apply(x) for x in X] == list(Y)
 
 
 # ---------------------------------------------------------------------------
@@ -914,14 +939,14 @@ def test_suite_validates_each_witness_once(monkeypatch):
     counts = {"calls": 0, "witness validations": 0}
     inside = [False]
 
-    def counted_extension(V, X, Y):
+    def counted_extension(V, X, Y, max_points):
         if not X:  # the identity, before any orbit tree is consulted
-            return extension(V, X, Y)
+            return extension(V, X, Y, max_points=max_points)
         spaces[id(V)] = V
         counts["calls"] += 1
         inside[0] = True
         try:
-            return extension(V, X, Y)
+            return extension(V, X, Y, max_points=max_points)
         finally:
             inside[0] = False
 
@@ -933,6 +958,7 @@ def test_suite_validates_each_witness_once(monkeypatch):
 
     monkeypatch.setattr(verify, "witt_extension", counted_extension)
     monkeypatch.setattr(FpIsometry, "__post_init__", counted)
+    monkeypatch.setattr(verify, "_usable_cores", lambda: 1)  # the counts live in this process
     report = verify.suite_witt_extension(primes=(2, 3), max_rank=3)
     assert report.failures == 0
     witnesses = sum(len(V._orbit_cache["witnesses"]) for V in spaces.values())

@@ -14,6 +14,9 @@
   they replaced are gone.
 * The Smith form and ``unimodular_inverse`` serve ``exact_linalg`` alone:
   no other module calls them, and only the package root re-exports them.
+* Processes are started in ``qlat.verify`` alone, and lazily: no other
+  module imports ``multiprocessing`` or ``concurrent.futures`` or names
+  ``os.fork``, and ``qlat.verify`` does so only inside a function body.
 """
 
 import ast
@@ -154,3 +157,54 @@ def test_smith_form_and_unimodular_inverse_stay_in_exact_linalg():
                 assert node.id not in confined, (path.name, node.lineno)
             elif isinstance(node, ast.Attribute):
                 assert node.attr not in confined, (path.name, node.lineno)
+
+
+PROCESS_MODULES = ("multiprocessing", "concurrent.futures")
+
+
+def _process_uses(tree):
+    """(line, inside a function) of each process-starting import or ``os.fork``."""
+    found = []
+
+    def visit(node, in_function):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            names = []
+        if any(
+            name == "os.fork" or any(name == m or name.startswith(m + ".") for m in PROCESS_MODULES)
+            for name in names
+        ):
+            found.append((node.lineno, in_function))
+        inner = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner)
+
+    visit(tree, False)
+    return found
+
+
+def test_processes_start_lazily_in_verify_alone():
+    for path in MODULES:
+        uses = _process_uses(_tree(path))
+        if path.stem == "verify":
+            assert uses, "verify no longer starts processes"
+            assert all(inside for _, inside in uses), uses
+        else:
+            assert uses == [], path.name
+
+
+def test_process_rule_sees_each_form():
+    source = (
+        "import multiprocessing\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "import concurrent.futures as cf\n"
+        "def f():\n"
+        "    import multiprocessing.pool\n"
+        "    return os.fork()\n"
+    )
+    assert _process_uses(ast.parse(source)) == [(1, False), (2, False), (3, False), (5, True), (6, True)]

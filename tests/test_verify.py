@@ -1,9 +1,24 @@
 """The verification harness itself: formulas, report bookkeeping, dispatch."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from qlat import FpQuadSpace, PreconditionError, direct_sum, hyperbolic_plane, reduction
-from qlat.verify import SUITES, VerifyReport, closed_form_line_count, run_suite
+from qlat import (
+    FpIsometry,
+    FpQuadSpace,
+    PreconditionError,
+    SizeGuardError,
+    direct_sum,
+    hyperbolic_plane,
+    reduction,
+)
+from qlat import verify as verify_module
+from qlat.verify import SUITES, VerifyReport, _digest, closed_form_line_count, run_suite
 
 
 def _hyperbolic_space(p, copies):
@@ -86,3 +101,136 @@ def test_suite_reports_are_deterministic():
     b = run_suite("lang-counts", primes=(2,), max_rank=4).to_dict()
     assert a == b
     assert a["failures"] == 0
+
+
+# ---------------------------------------------------------------------------
+# witt-extension in shares, one per process
+# ---------------------------------------------------------------------------
+
+
+def _cores(monkeypatch, count):
+    monkeypatch.setattr(verify_module, "_usable_cores", lambda: count)
+
+
+@pytest.mark.parametrize(
+    "params", [{"primes": (2,)}, {"primes": (3,), "max_rank": 3}], ids=["p2", "p3-rank3"]
+)
+def test_witt_extension_report_does_not_depend_on_the_cores(monkeypatch, params):
+    docs = []
+    for count in (1, 2, 3):
+        _cores(monkeypatch, count)
+        docs.append(run_suite("witt-extension", **params).to_dict())
+    assert docs[0] == docs[1] == docs[2]
+    assert docs[0]["instances"] > 0 and docs[0]["failures"] == 0
+    assert multiprocessing.active_children() == []
+
+
+# (space, p, X, Y) of instances the sweep visits: the X of the first two
+# over F_2 fall into shares 1 and 0 of two
+_WRONGED = {
+    ("split-4", 2, ((1, 0, 0, 0),), ((0, 0, 1, 0),)),
+    ("split-4", 2, ((1, 0, 0, 1),), ((0, 1, 0, 0),)),
+    ("diag-3-sq", 3, ((1, 0, 0),), ((0, 1, 0),)),
+}
+
+
+def _wrong_witness_for(wronged, monkeypatch):
+    """Make ``verify.witt_extension`` return the identity on ``wronged``."""
+    extension = verify_module.witt_extension
+    names = {}  # space -> its name, as the suite yields them
+
+    def wrong_on_purpose(V, X, Y, max_points):
+        if V not in names:
+            names[V] = next(
+                n for n, W in verify_module._nondegenerate_spaces(V.p, V.dim) if W == V
+            )
+        if (names[V], V.p, X, Y) in wronged:
+            return FpIsometry(V, [[int(i == j) for j in range(V.dim)] for i in range(V.dim)])
+        return extension(V, X, Y, max_points=max_points)
+
+    monkeypatch.setattr(verify_module, "witt_extension", wrong_on_purpose)
+
+
+def test_witt_extension_failure_details_do_not_depend_on_the_cores(monkeypatch):
+    _wrong_witness_for(_WRONGED, monkeypatch)
+    docs = []
+    for count in (1, 2):
+        _cores(monkeypatch, count)
+        docs.append(
+            [
+                run_suite("witt-extension", primes=(2,)).to_dict(),
+                run_suite("witt-extension", primes=(3,), max_rank=3).to_dict(),
+            ]
+        )
+    assert docs[0] == docs[1]
+    assert [doc["failures"] for doc in docs[0]] == [2, 1]
+
+
+def test_witt_extension_failure_names_the_instance_by_its_digest(monkeypatch):
+    _wrong_witness_for(_WRONGED, monkeypatch)
+    _cores(monkeypatch, 2)
+    report = run_suite("witt-extension", primes=(3,), max_rank=3)
+    desc = {
+        "suite": "witt-extension",
+        "space": "diag-3-sq",
+        "p": 3,
+        "X": [[1, 0, 0]],
+        "Y": [[0, 1, 0]],
+    }
+    assert report.failures == 1
+    assert report.details == [
+        {"input": _digest(desc), "expected": "verified witness", "actual": "invalid witness"}
+    ]
+
+
+def test_a_guard_tripped_in_a_child_share_reaches_the_caller(monkeypatch):
+    caller, extension = os.getpid(), verify_module.witt_extension
+
+    def guarded_in_children(V, X, Y, max_points):
+        if os.getpid() != caller:
+            raise SizeGuardError("orbit exceeds the guard 7")
+        return extension(V, X, Y, max_points=max_points)
+
+    monkeypatch.setattr(verify_module, "witt_extension", guarded_in_children)
+    _cores(monkeypatch, 2)
+    with pytest.raises(SizeGuardError, match="^orbit exceeds the guard 7$"):
+        run_suite("witt-extension", primes=(2,))
+    assert multiprocessing.active_children() == []
+
+
+def test_one_core_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked with one share")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _cores(monkeypatch, 1)
+    assert verify_module.processes("witt-extension") == 1
+    assert run_suite("witt-extension", primes=(2,)).failures == 0
+
+
+def test_processes_follow_the_cores_for_witt_extension_only(monkeypatch):
+    _cores(monkeypatch, 3)
+    assert verify_module.processes("witt-extension") == 3
+    assert {verify_module.processes(name) for name in SUITES if name != "witt-extension"} == {1}
+    monkeypatch.delattr(os, "fork")
+    assert verify_module.processes("witt-extension") == 1
+
+
+def test_a_child_share_never_flushes_the_callers_stdout():
+    # stdout to a pipe is block-buffered: text written before the fork
+    # reaches it once, from the caller, however many children inherit it
+    script = (
+        "import sys\n"
+        "import qlat.verify as verify\n"
+        "verify._usable_cores = lambda: 3\n"
+        "print('before the sweep')\n"
+        "report = verify.run_suite('witt-extension', primes=(2,))\n"
+        "print(report.instances)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "before the sweep\n2438\n"
