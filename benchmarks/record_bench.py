@@ -5,10 +5,14 @@ checkout of its parent commit.  Every workload runs ``PAIRS`` alternating
 parent/change pairs of ``perfbench/run.py --workload W --trace 0`` at
 perfbench's default run length, the parent first in even pairs and the
 change first in odd ones; the file keeps each run's last stdout line (the
-JSON object with ``correct``, ``attempted``, ``failed`` and ``metrics``).
+JSON object with ``correct``, ``attempted``, ``failed`` and ``metrics``),
+and under ``raw`` the raw median pass wall time, raw set-up time and
+machine speed relative to the reference that its summary line prints.
 For every metric it then gives each side's median and quartiles and the
 number of pairs the change won (lower is better for every end-to-end
-metric).
+metric); ``raw.wall_s`` and ``raw.speed`` give each side's median and
+quartiles of the raw numbers, so that a gain can be told apart from a
+difference in machine speed between the sides.
 
 Each side is named by the SHA-256 of its ``src/qlat`` sources, beside its
 ``HEAD`` commit and whether ``src/`` held uncommitted changes: the commit of
@@ -25,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -34,10 +39,12 @@ WORKLOADS = ("cochar", "witt", "cli-mix")
 PAIRS = 10
 RECORD_PREFIX = "run record: "
 RUN_TIMEOUT_S = 1800
+RAW_LINE = re.compile(r": raw wall_s (?P<wall_s>[\d.]+) s, raw setup_s (?P<setup_s>[\d.]+) s, "
+                      r"machine speed (?P<speed>[\d.]+) x reference$")
 
 
-def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict]:
-    """(run record, last-line result) of one ``perfbench/run.py`` run in ``root``."""
+def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict, dict]:
+    """(run record, last-line result, raw numbers) of one ``perfbench/run.py`` run."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", "0"],
@@ -49,7 +56,8 @@ def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict]:
         raise RuntimeError(f"perfbench/run.py exited {proc.returncode} in {root}")
     record = next(json.loads(line[len(RECORD_PREFIX):]) for line in lines
                   if line.startswith(RECORD_PREFIX))
-    return record, json.loads(lines[-1])
+    raw = next(m.groupdict() for m in map(RAW_LINE.search, lines) if m)
+    return record, json.loads(lines[-1]), {k: float(v) for k, v in raw.items()}
 
 
 def src_dirty(root: Path) -> bool | None:
@@ -80,6 +88,11 @@ def summarize(runs: list[dict]) -> dict:
             entry["change_wins"] = sum(
                 by_side["change"][i] < by_side["parent"][i] for i in range(PAIRS))
             out[workload][name] = entry
+        for name in ("wall_s", "speed"):
+            out[workload][f"raw.{name}"] = {
+                side: _spread([r["raw"][name] for r in mine if r["side"] == side])
+                for side in ("parent", "change")
+            }
     return out
 
 
@@ -98,12 +111,13 @@ def main(argv=None) -> int:
         for pair in range(PAIRS):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                record, result = run_once(sides[side], workload, args.seed)
+                record, result, raw = run_once(sides[side], workload, args.seed)
                 records.setdefault(side, record)
                 runs.append({"workload": workload, "pair": pair, "side": side,
-                             "result": result})
+                             "result": result, "raw": raw})
                 print(f"{workload} pair {pair} {side}: "
-                      f"{json.dumps(result['metrics'], sort_keys=True)}", flush=True)
+                      f"{json.dumps(result['metrics'], sort_keys=True)} raw "
+                      f"{json.dumps(raw, sort_keys=True)}", flush=True)
     doc = {
         "pr": args.pr,
         "python": platform.python_version(),

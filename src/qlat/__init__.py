@@ -76,7 +76,6 @@ from .fp_quadratic import (
     witt_extension,
 )
 from .padic_lattice import (
-    LambdaSplitting,
     PLattice,
     enumerate_neighbors,
     hensel_lift_line,
@@ -90,7 +89,6 @@ from .padic_lattice import (
     reduction,
     shrink_set,
     shrink_set_bruteforce,
-    splitting_from_line,
     w_generic_lines,
 )
 from .hecke_k3 import (
@@ -120,7 +118,6 @@ __all__ = [
     "FpQuadSpace",
     "IntMatrix",
     "InvariantViolationError",
-    "LambdaSplitting",
     "MinimalPair",
     "PLattice",
     "PolarizedK3Lattice",
@@ -178,7 +175,6 @@ __all__ = [
     "smith_normal_form",
     "so_order",
     "spinor_norm",
-    "splitting_from_line",
     "stabilizer_orbit",
     "standard_lattice",
     "sublattice_gram",

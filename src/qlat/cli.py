@@ -197,7 +197,7 @@ def _cmd_k3_isogeny(args) -> int:
 
 def _cmd_verify(args) -> int:
     primes = (args.p,) if args.p is not None else None
-    jobs = processes(args.suite)
+    jobs = processes()
     print(
         f"running suite {args.suite} [backend: {kernels.backend_name()}, "
         f"{jobs} process{'es' if jobs > 1 else ''}]",

@@ -54,10 +54,8 @@ from .quad_lattice import (
 
 __all__ = [
     "PLattice",
-    "LambdaSplitting",
     "reduction",
     "hensel_lift_line",
-    "splitting_from_line",
     "lattice_from_line",
     "line_from_lattice",
     "enumerate_neighbors",
@@ -233,87 +231,6 @@ def hensel_lift_line(N: QuadLattice, line: ProjLine, k: int = 2) -> tuple[int, .
             raise InvariantViolationError("lost precision during Hensel lifting")
         v[idx] += p**j * ((-c * inv) % p)
     return tuple(a % p**k for a in v)
-
-
-def _unit(n: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
-@dataclass(frozen=True)
-class LambdaSplitting:
-    """A mod-p^k weight splitting attached to an isotropic line.
-
-    ``minus`` and ``plus`` satisfy Q ≡ 0 and [minus, plus] ≡ 1 mod p^k;
-    the columns of ``zero_basis`` pair to 0 with both mod p^k and reduce
-    mod p to a complement of the plane spanned by the pair.
-    """
-
-    ambient: QuadLattice
-    p: int
-    precision: int
-    minus: tuple[int, ...]
-    plus: tuple[int, ...]
-    zero_basis: IntMatrix
-
-    def __post_init__(self) -> None:
-        N, p, k = self.ambient, self.p, self.precision
-        q = p**k
-        if quad_value(N, self.minus) % q or quad_value(N, self.plus) % q:
-            raise PreconditionError("splitting vectors are not isotropic mod p^k")
-        if bilinear_value(N, self.minus, self.plus) % q != 1:
-            raise PreconditionError("splitting pair does not pair to 1 mod p^k")
-        if self.zero_basis.cols != N.rank - 2:
-            raise PreconditionError("weight-zero block has wrong rank")
-        for col in self.zero_basis.columns():
-            if bilinear_value(N, col, self.minus) % q or bilinear_value(N, col, self.plus) % q:
-                raise PreconditionError("weight-zero block does not pair to zero mod p^k")
-
-
-def splitting_from_line(
-    N: QuadLattice, line: ProjLine, k: int = 2, seed: int | None = None
-) -> LambdaSplitting:
-    """Hyperbolic pair plus complement attached to an isotropic line, mod p^k.
-
-    Deterministic by default; ``seed`` permutes the choice of dual vector
-    among valid candidates (different seeds may give different splittings,
-    but ``lattice_from_line`` does not depend on the choice).
-    """
-    p = _check_line(N, line)
-    if not is_self_dual_at(N, p):
-        raise PreconditionError("lattice is not self-dual at p")
-    v = list(hensel_lift_line(N, line, k))
-    n = N.rank
-    q = p**k
-    candidates = [i for i in range(n) if bilinear_value(N, v, _unit(n, i)) % p]
-    if seed is not None:
-        import random
-
-        rng = random.Random(seed)
-        rng.shuffle(candidates)
-    idx = candidates[0]
-    w1 = list(_unit(n, idx))
-    c = pow(bilinear_value(N, v, w1), -1, q)
-    w1 = [(c * x) % q for x in w1]
-    # make the dual vector isotropic mod p^k: Q(w1 + t v) = Q(w1) + t  (mod p^k)
-    t = (-quad_value(N, w1)) % q
-    w = [(a + t * b) % q for a, b in zip(w1, v)]
-    zero_cols: list[list[int]] = []
-    for i in range(n):
-        x = _unit(n, i)
-        zx = [
-            (x[j] - bilinear_value(N, x, w) * v[j] - bilinear_value(N, x, v) * w[j]) % q
-            for j in range(n)
-        ]
-        if modp.rank(zero_cols + [zx], p) > len(zero_cols):
-            zero_cols.append(zx)
-        if len(zero_cols) == n - 2:
-            break
-    if len(zero_cols) != n - 2:
-        raise InvariantViolationError("could not complete the weight-zero block")
-    return LambdaSplitting(
-        N, p, k, tuple(a % q for a in v), tuple(a % q for a in w),
-        IntMatrix.from_columns(zero_cols, rows=n),
-    )
 
 
 # ---------------------------------------------------------------------------

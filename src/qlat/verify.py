@@ -32,14 +32,15 @@ Suites
 
 Processes
 ---------
-``witt-extension`` deals its instances out in shares, one per usable core
-(the process's CPU affinity, else ``os.cpu_count()``): the caller runs
-share 0 and forked children run the others, and the caller merges their
-counts and failure details.  With one core, or where the platform cannot
-fork, the caller runs the whole sweep and starts nothing.  The other
-suites run in the calling process.  A report, and so the CLI's stdout,
-does not depend on the number of processes; :func:`processes` gives it,
-and ``qlat verify`` names it on stderr.
+Every suite builds its list of instances in the calling process, together
+with whatever work the instances share, and then deals the instances
+round-robin to one share per usable core (the process's CPU affinity, else
+``os.cpu_count()``): the caller runs share 0 and forked children run the
+others, and the caller merges their counts and failure details.  With one
+core, or where the platform cannot fork, the caller runs every instance
+and starts nothing.  A report, and so the CLI's stdout, does not depend on
+the number of processes; :func:`processes` gives it, and ``qlat verify``
+names it on stderr.
 """
 
 from __future__ import annotations
@@ -215,15 +216,36 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def processes(name: str) -> int:
-    """How many processes ``run_suite(name)`` runs in.
+def processes() -> int:
+    """How many processes ``run_suite`` deals a suite's instances to.
 
-    One per usable core for ``witt-extension``, the one suite that deals
-    out its instances, where the platform can fork; otherwise 1.
+    One per usable core where the platform can fork; otherwise 1.
     """
-    if name == "witt-extension" and hasattr(os, "fork"):
-        return _usable_cores()
-    return 1
+    return _usable_cores() if hasattr(os, "fork") else 1
+
+
+def _deal(name: str, items: list, check) -> VerifyReport:
+    """The finished report of ``check(part, item)`` over every item.
+
+    Share s of c runs ``check`` on ``items[s::c]`` into a report of its own,
+    and the caller adds up the shares' counts and failure details.  c is
+    :func:`processes`, but never more than there are items.  Work that the
+    items share is built by the caller before it calls this, so every share
+    inherits it and a guard on it trips before anything forks.
+    """
+
+    def run(share: int, shares: int) -> VerifyReport:
+        part = VerifyReport(name)
+        for item in items[share::shares]:
+            check(part, item)
+        return part
+
+    report = VerifyReport(name)
+    for part in _run_shares(run, max(1, min(processes(), len(items)))):
+        report.instances += part.instances
+        report.failures += part.failures
+        report.details += part.details
+    return report.finish()
 
 
 def _run_shares(task, jobs: int) -> list:
@@ -291,40 +313,22 @@ def _share_child(task, share: int, jobs: int, sender) -> None:
 def suite_neighbor_bijection(
     primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
 ) -> VerifyReport:
-    """Line ↔ lattice bijection on H, H⊥H, H⊥H⊥H, plus closed-form counts."""
-    report = VerifyReport("neighbor-bijection")
+    """Line ↔ lattice bijection on H, H⊥H, H⊥H⊥H, plus closed-form counts.
+
+    An instance is a lattice at a prime, whose bijection it checks, or a
+    nondegenerate space, whose line count it checks.
+    """
     primes = tuple(primes) if primes else (2, 3, 5)
     max_rank = max_rank if max_rank is not None else 6
-    for k in (1, 2, 3):
-        N = _hyperbolic_power(k)
-        if N.rank > max_rank:
-            continue
-        name = "⊥".join(["H"] * k)
-        for p in primes:
-            desc = {"suite": "neighbor-bijection", "lattice": name, "p": p}
-            V = reduction(N, p)
-            lines = enumerate_isotropic_lines(V, max_points)
-            brute = _brute_line_count(V)
-            neighbors = enumerate_neighbors(N, p, max_points)
-            ok_counts = len(lines) == brute and len(neighbors) == brute
-            ok_round1 = all(
-                line_from_lattice(lattice_from_line(N, ln)) == ln for ln in lines
-            )
-            ok_round2 = all(
-                lattice_from_line(N, line_from_lattice(Nt)) == Nt for Nt in neighbors
-            )
-            report.record(
-                desc,
-                ok_counts and ok_round1 and ok_round2,
-                {"lines": brute, "neighbors": brute, "round_trips": True},
-                {
-                    "lines": len(lines),
-                    "neighbors": len(neighbors),
-                    "round_trips": ok_round1 and ok_round2,
-                },
-            )
-    for p in primes:
-        for name, V in _nondegenerate_spaces(p, min(max_rank, 6)):
+    lattices = [(k, _hyperbolic_power(k)) for k in (1, 2, 3) if 2 * k <= max_rank]
+    items = [("⊥".join(["H"] * k), N, None, p) for k, N in lattices for p in primes]
+    items += [
+        (name, None, V, p) for p in primes for name, V in _nondegenerate_spaces(p, min(max_rank, 6))
+    ]
+
+    def check(report: VerifyReport, item) -> None:
+        name, N, V, p = item
+        if N is None:
             desc = {"suite": "neighbor-bijection", "space": name, "p": p}
             enumerated = len(enumerate_isotropic_lines(V, max_points))
             formula = closed_form_line_count(V)
@@ -335,7 +339,31 @@ def suite_neighbor_bijection(
                 {"count": formula},
                 {"enumerated": enumerated, "brute": brute},
             )
-    return report.finish()
+            return
+        desc = {"suite": "neighbor-bijection", "lattice": name, "p": p}
+        V = reduction(N, p)
+        lines = enumerate_isotropic_lines(V, max_points)
+        brute = _brute_line_count(V)
+        neighbors = enumerate_neighbors(N, p, max_points)
+        ok_counts = len(lines) == brute and len(neighbors) == brute
+        ok_round1 = all(
+            line_from_lattice(lattice_from_line(N, ln)) == ln for ln in lines
+        )
+        ok_round2 = all(
+            lattice_from_line(N, line_from_lattice(Nt)) == Nt for Nt in neighbors
+        )
+        report.record(
+            desc,
+            ok_counts and ok_round1 and ok_round2,
+            {"lines": brute, "neighbors": brute, "round_trips": True},
+            {
+                "lines": len(lines),
+                "neighbors": len(neighbors),
+                "round_trips": ok_round1 and ok_round2,
+            },
+        )
+
+    return _deal("neighbor-bijection", items, check)
 
 
 def _cochar_instances(primes, max_rank):
@@ -358,12 +386,13 @@ def suite_nice_cochar(
     partition the set, so these decide it for every seed) must equal the
     full typed set.
     """
-    report = VerifyReport("nice-cochar")
     primes = tuple(primes) if primes else (2, 3)
     max_rank = max_rank if max_rank is not None else 6
     N, instances = _cochar_instances(primes, max_rank)
     n = N.rank
-    for p, q in instances:
+
+    def check(report: VerifyReport, item) -> None:
+        p, q = item
         desc = {"suite": "nice-cochar", "p": p, "q": q}
         wcol = [1, q] + [0] * (n - 2)
         W = Sublattice(N, IntMatrix.from_columns([wcol]))
@@ -398,7 +427,8 @@ def suite_nice_cochar(
                 "fiber_size": len(typed),
             },
         )
-    return report.finish()
+
+    return _deal("nice-cochar", instances, check)
 
 
 def _subspace_bases(p: int, n: int, k: int):
@@ -444,12 +474,13 @@ def suite_witt_extension(
     inside ``witt_extension``, which runs under the same ``max_points``,
     propagates the same way: an input limit is not a counterexample.
 
-    The sweep runs in one share per process of ``processes("witt-extension")``:
-    share i takes every c-th X of each space, starting at the i-th.
+    The dealt items are (space, X), in space order.  A share holds one
+    ``FpQuadSpace`` of its own at a time and builds the next when the space
+    changes, so a space's caches go once the share is past it.
     """
     primes = tuple(primes) if primes else (2, 3)
     max_rank = max_rank if max_rank is not None else 4
-    spaces = []
+    items = []
     for p in primes:
         for name, V in _nondegenerate_spaces(p, min(max_rank, 4)):
             n = V.dim
@@ -465,24 +496,19 @@ def suite_witt_extension(
                     f"witt-extension over {name} at p = {p} would sweep up to {tuples} "
                     f"tuples, past the guard {max_points} (raise it with --max-points)"
                 )
-            spaces.append((name, p, V.half_gram, by_q, subspaces))
+            space = (name, p, V.half_gram, by_q)
+            items += [(space, X) for X in subspaces]
+    held = {"space": None}  # this process's current space, its FpQuadSpace and Witt index
 
-    def sweep(share: int, shares: int) -> VerifyReport:
-        part = VerifyReport("witt-extension")
-        for name, p, half_gram, by_q, subspaces in spaces:
-            # a space of its own, whose caches go when its sweep is done
+    def check(report: VerifyReport, item) -> None:
+        space, X = item
+        name, p, half_gram, by_q = space
+        if held["space"] is not space:
             V = FpQuadSpace(p, half_gram)
-            witt_index = len(witt_decomposition(V)[0])
-            for X in subspaces[share::shares]:
-                _sweep_witt_images(part, name, V, witt_index, by_q, X, max_points)
-        return part
+            held.update(space=space, V=V, witt_index=len(witt_decomposition(V)[0]))
+        _sweep_witt_images(report, name, held["V"], held["witt_index"], by_q, X, max_points)
 
-    report = VerifyReport("witt-extension")
-    for part in _run_shares(sweep, processes("witt-extension")):
-        report.instances += part.instances
-        report.failures += part.failures
-        report.details += part.details
-    return report.finish()
+    return _deal("witt-extension", items, check)
 
 
 def _sweep_witt_images(report, name, V, witt_index, by_q, X, max_points) -> None:
@@ -546,13 +572,16 @@ def _gram_matching_tuples(V, X, xq, xgram, by_q, p):
 def suite_cokernel_m(
     primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
 ) -> VerifyReport:
-    """200 seeded random valid instances of the finite-cokernel claims."""
-    report = VerifyReport("cokernel-m")
+    """200 seeded random valid instances of the finite-cokernel claims.
+
+    The instances are drawn in the caller, in order, before any is checked.
+    """
     primes = tuple(primes) if primes else (2, 3, 5)
     max_b = (max_rank - 2) if max_rank is not None else 8
     max_b = max(0, min(max_b, 8))
     rng = random.Random(seed)
     count = 200
+    items = []
     for i in range(count):
         p = primes[rng.randrange(len(primes))]
         b = rng.randint(0, max_b)
@@ -568,6 +597,10 @@ def suite_cokernel_m(
             last = [basis.entries[n - 1][j] for j in range(basis.cols)]
             if any(x % p for x in last):
                 break
+        items.append((i, p, b, basis))
+
+    def check(report: VerifyReport, item) -> None:
+        i, p, b, basis = item
         desc = {
             "suite": "cokernel-m",
             "index": i,
@@ -575,7 +608,7 @@ def suite_cokernel_m(
             "b": b,
             "W": [list(r) for r in basis.entries],
         }
-        split = CharLattice(n, (1, b, 1))
+        split = CharLattice(b + 2, (1, b, 1))
         try:
             _, inj1, iso2 = cokernel_M(split, basis, p)
             ok = inj1 == p and iso2
@@ -583,16 +616,20 @@ def suite_cokernel_m(
         except (InvariantViolationError, PreconditionError) as exc:
             ok, actual = False, f"{type(exc).__name__}: {exc}"
         report.record(desc, ok, {"inj1_index": p, "iso2": True}, actual)
-    return report.finish()
+
+    return _deal("cokernel-m", items, check)
 
 
 def suite_lang_counts(
     primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
 ) -> VerifyReport:
-    """Smooth-quadric lifting counts: mod-p² generic lines = p^(n-2) per line."""
-    report = VerifyReport("lang-counts")
+    """Smooth-quadric lifting counts: mod-p² generic lines = p^(n-2) per line.
+
+    The mod-p² points of each (lattice, p) are listed once, in the caller.
+    """
     primes = tuple(primes) if primes else (2, 3)
     max_rank = max_rank if max_rank is not None else 6
+    items = []
     for k in (1, 2, 3):
         N = _hyperbolic_power(k)
         n = N.rank
@@ -607,29 +644,34 @@ def suite_lang_counts(
                 reps = kernels.quadric_points_mod(p, 2, n, half, max_points)
             except ValueError as exc:
                 raise SizeGuardError(str(exc)) from None
-            for q in (1, -1, 2, -2, 3, -3):
-                desc = {"suite": "lang-counts", "lattice": name, "p": p, "q": q}
-                wcol = [1, q] + [0] * (n - 2)
-                W = Sublattice(N, IntMatrix.from_columns([wcol]))
-                lines = w_generic_lines(N, W, p, None, max_points)
-                wbar = [x % p for x in wcol]
-                brow = N.gram().mul_vector(wcol)
-                lifted = 0
-                for rep in reps:
-                    vbar = [x % p for x in rep]
-                    if _in_line(wbar, vbar, p):
-                        continue
-                    if sum(a * b for a, b in zip(brow, vbar)) % p == 0:
-                        continue
-                    lifted += 1
-                expected = len(lines) * p ** (n - 2)
-                report.record(
-                    desc,
-                    lifted == expected,
-                    {"mod_p2_count": expected},
-                    {"mod_p2_count": lifted, "mod_p_count": len(lines)},
-                )
-    return report.finish()
+            items += [(name, N, p, reps, q) for q in (1, -1, 2, -2, 3, -3)]
+
+    def check(report: VerifyReport, item) -> None:
+        name, N, p, reps, q = item
+        n = N.rank
+        desc = {"suite": "lang-counts", "lattice": name, "p": p, "q": q}
+        wcol = [1, q] + [0] * (n - 2)
+        W = Sublattice(N, IntMatrix.from_columns([wcol]))
+        lines = w_generic_lines(N, W, p, None, max_points)
+        wbar = [x % p for x in wcol]
+        brow = N.gram().mul_vector(wcol)
+        lifted = 0
+        for rep in reps:
+            vbar = [x % p for x in rep]
+            if _in_line(wbar, vbar, p):
+                continue
+            if sum(a * b for a, b in zip(brow, vbar)) % p == 0:
+                continue
+            lifted += 1
+        expected = len(lines) * p ** (n - 2)
+        report.record(
+            desc,
+            lifted == expected,
+            {"mod_p2_count": expected},
+            {"mod_p2_count": lifted, "mod_p_count": len(lines)},
+        )
+
+    return _deal("lang-counts", items, check)
 
 
 def _in_line(wbar, vbar, p):
@@ -652,7 +694,6 @@ def suite_spinor_surjectivity(
     it must fix W pointwise, be special, and have spinor norm -1 when
     refactored from scratch.
     """
-    report = VerifyReport("spinor-surjectivity")
     primes = tuple(p for p in (primes or (3, 5, 7)) if p != 2)
     max_rank = max_rank if max_rank is not None else 6
     configs = []
@@ -665,91 +706,96 @@ def suite_spinor_surjectivity(
         configs.append(
             ("H⊥H⊥H", H3, [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, -1]])
         )
-    for p in primes:
-        for name, N, wrows in configs:
-            desc = {"suite": "spinor-surjectivity", "lattice": name, "p": p, "W": wrows}
-            V = reduction(N, p)
-            n = V.dim
-            wvecs = [tuple(x % p for x in row) for row in wrows]
-            B = V.gram()
-            rows = [
-                tuple(sum(B[i][j] * w[i] for i in range(n)) % p for j in range(n))
-                for w in wvecs
-            ]
-            perp = kernel_basis(list(rows), p, n)
-            sq = nonsq = None
-            for coeffs in kernels.proj_reps(p, len(perp)):
-                u = tuple(
-                    sum(c * b[i] for c, b in zip(coeffs, perp)) % p for i in range(n)
-                )
-                qu = V.q(u)
-                if qu == 0:
-                    continue
-                if legendre(qu, p) == 1 and sq is None:
-                    sq = u
-                if legendre(qu, p) == -1 and nonsq is None:
-                    nonsq = u
-                if sq and nonsq:
-                    break
-            ok, actual = False, "no witness found"
-            if sq and nonsq:
-                g = reflection(V, sq) @ reflection(V, nonsq)
-                fixes = all(g.apply(w) == w for w in wvecs)
-                special = g.is_special()
-                norm = spinor_norm(V, g)
-                ok = fixes and special and norm == -1
-                actual = {"fixes_W": fixes, "special": special, "spinor_norm": norm}
-            report.record(
-                desc, ok, {"fixes_W": True, "special": True, "spinor_norm": -1}, actual
+    items = [(p, name, N, wrows) for p in primes for name, N, wrows in configs]
+
+    def check(report: VerifyReport, item) -> None:
+        p, name, N, wrows = item
+        desc = {"suite": "spinor-surjectivity", "lattice": name, "p": p, "W": wrows}
+        V = reduction(N, p)
+        n = V.dim
+        wvecs = [tuple(x % p for x in row) for row in wrows]
+        B = V.gram()
+        rows = [
+            tuple(sum(B[i][j] * w[i] for i in range(n)) % p for j in range(n))
+            for w in wvecs
+        ]
+        perp = kernel_basis(list(rows), p, n)
+        sq = nonsq = None
+        for coeffs in kernels.proj_reps(p, len(perp)):
+            u = tuple(
+                sum(c * b[i] for c, b in zip(coeffs, perp)) % p for i in range(n)
             )
-    return report.finish()
+            qu = V.q(u)
+            if qu == 0:
+                continue
+            if legendre(qu, p) == 1 and sq is None:
+                sq = u
+            if legendre(qu, p) == -1 and nonsq is None:
+                nonsq = u
+            if sq and nonsq:
+                break
+        ok, actual = False, "no witness found"
+        if sq and nonsq:
+            g = reflection(V, sq) @ reflection(V, nonsq)
+            fixes = all(g.apply(w) == w for w in wvecs)
+            special = g.is_special()
+            norm = spinor_norm(V, g)
+            ok = fixes and special and norm == -1
+            actual = {"fixes_W": fixes, "special": special, "spinor_norm": norm}
+        report.record(
+            desc, ok, {"fixes_W": True, "special": True, "spinor_norm": -1}, actual
+        )
+
+    return _deal("spinor-surjectivity", items, check)
 
 
 def suite_k3_degree(
     primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
 ) -> VerifyReport:
     """Degree/primitivity/signature/discriminant laws of the K3 construction."""
-    report = VerifyReport("k3-degree")
     primes = tuple(p for p in (primes or (2, 3)))
     target_sig = signature(k3_lattice())
-    for d in range(1, 6):
-        for p in primes:
-            desc = {"suite": "k3-degree", "d": d, "p": p}
-            pol = k3_isogeny(d, p)
-            L = pol.lattice
-            gram = L.gram()
-            unimodular = abs(gram.det()) == 1
-            even = all(gram.entries[i][i] % 2 == 0 for i in range(L.rank))
-            sig_ok = signature(L) == target_sig
-            degree_ok = pol.degree == p * p * d
-            primitive = math.gcd(*pol.xi) == 1
-            comp = orthogonal_complement(
-                L, Sublattice(L, IntMatrix.from_columns([list(pol.xi)]))
-            )
-            disc = discriminant_group(restricted_lattice(comp))
-            disc_ok = disc.free_rank == 0 and disc.torsion == (2 * p * p * d,)
-            ok = unimodular and even and sig_ok and degree_ok and primitive and disc_ok
-            report.record(
-                desc,
-                ok,
-                {
-                    "unimodular": True,
-                    "even": True,
-                    "signature": list(target_sig),
-                    "degree": p * p * d,
-                    "primitive": True,
-                    "complement_disc": [2 * p * p * d],
-                },
-                {
-                    "unimodular": unimodular,
-                    "even": even,
-                    "signature": list(signature(L)),
-                    "degree": pol.degree,
-                    "primitive": primitive,
-                    "complement_disc": list(disc.torsion),
-                },
-            )
-    return report.finish()
+    items = [(d, p) for d in range(1, 6) for p in primes]
+
+    def check(report: VerifyReport, item) -> None:
+        d, p = item
+        desc = {"suite": "k3-degree", "d": d, "p": p}
+        pol = k3_isogeny(d, p)
+        L = pol.lattice
+        gram = L.gram()
+        unimodular = abs(gram.det()) == 1
+        even = all(gram.entries[i][i] % 2 == 0 for i in range(L.rank))
+        sig_ok = signature(L) == target_sig
+        degree_ok = pol.degree == p * p * d
+        primitive = math.gcd(*pol.xi) == 1
+        comp = orthogonal_complement(
+            L, Sublattice(L, IntMatrix.from_columns([list(pol.xi)]))
+        )
+        disc = discriminant_group(restricted_lattice(comp))
+        disc_ok = disc.free_rank == 0 and disc.torsion == (2 * p * p * d,)
+        ok = unimodular and even and sig_ok and degree_ok and primitive and disc_ok
+        report.record(
+            desc,
+            ok,
+            {
+                "unimodular": True,
+                "even": True,
+                "signature": list(target_sig),
+                "degree": p * p * d,
+                "primitive": True,
+                "complement_disc": [2 * p * p * d],
+            },
+            {
+                "unimodular": unimodular,
+                "even": even,
+                "signature": list(signature(L)),
+                "degree": pol.degree,
+                "primitive": primitive,
+                "complement_disc": list(disc.torsion),
+            },
+        )
+
+    return _deal("k3-degree", items, check)
 
 
 SUITES = {

@@ -475,20 +475,55 @@ def test_verify_banner_names_the_processes(capsys, monkeypatch, cores, banner):
         f"running suite witt-extension [backend: pure-python, {banner}]"
     )
     rc, _, err = run_cli(capsys, "verify", "lang-counts", "--p", "2")
-    assert err.splitlines()[0] == "running suite lang-counts [backend: pure-python, 1 process]"
+    assert rc == 0
+    assert err.splitlines()[0] == f"running suite lang-counts [backend: pure-python, {banner}]"
 
 
-def test_verify_witt_extension_stdout_does_not_depend_on_the_cores(capsys, monkeypatch):
+def _verify_stdout_under(capsys, monkeypatch, counts, *argv):
     import qlat.verify as verify_module
 
     outs = []
-    for cores in (1, 2):
+    for cores in counts:
         monkeypatch.setattr(verify_module, "_usable_cores", lambda: cores)
-        rc, out, _ = run_cli(capsys, "verify", "witt-extension", "--p", "3", "--max-rank", "3")
+        rc, out, _ = run_cli(capsys, "verify", *argv)
         assert rc == 0
         outs.append(out)
+    return outs
+
+
+def test_verify_witt_extension_stdout_does_not_depend_on_the_cores(capsys, monkeypatch):
+    outs = _verify_stdout_under(
+        capsys, monkeypatch, (1, 2), "witt-extension", "--p", "3", "--max-rank", "3"
+    )
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["instances"] > 0
+
+
+@pytest.mark.parametrize("suite", ["nice-cochar", "neighbor-bijection"])
+def test_verify_dealt_suite_stdout_does_not_depend_on_the_cores(capsys, monkeypatch, suite):
+    outs = _verify_stdout_under(capsys, monkeypatch, (1, 2), suite, "--p", "2")
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["instances"] > 0
+
+
+def test_verify_guard_trip_in_a_child_share_of_a_dealt_suite_exits_2(capsys, monkeypatch):
+    import multiprocessing
+
+    import qlat.verify as verify_module
+
+    caller, isogeny = os.getpid(), verify_module.k3_isogeny
+
+    def guarded_in_children(d, p):
+        if os.getpid() != caller:
+            raise SizeGuardError("isogeny exceeds the guard 7")
+        return isogeny(d, p)
+
+    monkeypatch.setattr(verify_module, "k3_isogeny", guarded_in_children)
+    monkeypatch.setattr(verify_module, "_usable_cores", lambda: 2)
+    rc, out, err = run_cli(capsys, "verify", "k3-degree", "--p", "2")
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == "error: isogeny exceeds the guard 7"
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_stderr_names_backend(capsys):

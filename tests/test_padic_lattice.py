@@ -31,7 +31,6 @@ from qlat import (
     saturate,
     shrink_set,
     shrink_set_bruteforce,
-    splitting_from_line,
     smith_normal_form,
     sublattice_in_span,
     unimodular_inverse,
@@ -94,24 +93,6 @@ def test_hensel_lift_rejects_radical_line():
     line = ProjLine(reduction(N, 2), (1,))
     with pytest.raises(PreconditionError):
         hensel_lift_line(N, line, 2)
-
-
-def test_splitting_from_line_on_h():
-    line = ProjLine(reduction(H, 3), (1, 0))
-    s = splitting_from_line(H, line, 2)
-    assert s.minus == (1, 0)
-    assert s.plus[0] % 9 == 0 and s.plus[1] % 9 == 1
-    assert s.zero_basis.cols == 0
-
-
-def test_splitting_from_line_on_h2():
-    line = ProjLine(reduction(H2, 2), (1, 0, 0, 0))
-    s = splitting_from_line(H2, line, 2)
-    assert s.minus == (1, 0, 0, 0)
-    assert s.zero_basis.cols == 2
-    # validation of the splitting identities happens in the constructor;
-    # check the reduction of minus spans the original line
-    assert tuple(x % 2 for x in s.minus) == line.generator
 
 
 # ---------------------------------------------------------------------------

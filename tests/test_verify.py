@@ -11,7 +11,9 @@ import pytest
 from qlat import (
     FpIsometry,
     FpQuadSpace,
+    InvariantViolationError,
     PreconditionError,
+    ProjLine,
     SizeGuardError,
     direct_sum,
     hyperbolic_plane,
@@ -104,7 +106,7 @@ def test_suite_reports_are_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# witt-extension in shares, one per process
+# instances dealt in shares, one per process
 # ---------------------------------------------------------------------------
 
 
@@ -204,16 +206,16 @@ def test_one_core_forks_nothing(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     _cores(monkeypatch, 1)
-    assert verify_module.processes("witt-extension") == 1
+    assert verify_module.processes() == 1
     assert run_suite("witt-extension", primes=(2,)).failures == 0
+    assert run_suite("k3-degree", primes=(2,)).failures == 0
 
 
-def test_processes_follow_the_cores_for_witt_extension_only(monkeypatch):
+def test_processes_follow_the_cores_where_the_platform_forks(monkeypatch):
     _cores(monkeypatch, 3)
-    assert verify_module.processes("witt-extension") == 3
-    assert {verify_module.processes(name) for name in SUITES if name != "witt-extension"} == {1}
+    assert verify_module.processes() == 3
     monkeypatch.delattr(os, "fork")
-    assert verify_module.processes("witt-extension") == 1
+    assert verify_module.processes() == 1
 
 
 def test_a_child_share_never_flushes_the_callers_stdout():
@@ -234,3 +236,112 @@ def test_a_child_share_never_flushes_the_callers_stdout():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "before the sweep\n2438\n"
+
+
+def _reports_under(monkeypatch, counts, name, **params):
+    docs = []
+    for count in counts:
+        _cores(monkeypatch, count)
+        docs.append(run_suite(name, **params).to_dict())
+    return docs
+
+
+# every suite but witt-extension, with parameters that give each of three
+# shares an instance
+_DEALT = [
+    ("neighbor-bijection", {"primes": (2, 3), "max_rank": 4}),
+    ("nice-cochar", {"primes": (2,)}),
+    ("cokernel-m", {"primes": (2, 3), "max_rank": 5, "seed": 0}),
+    ("cokernel-m", {"primes": (2, 3), "max_rank": 5, "seed": 7}),
+    ("lang-counts", {"primes": (2, 3), "max_rank": 4}),
+    ("spinor-surjectivity", {"primes": (3,)}),
+    ("k3-degree", {"primes": (2,)}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    _DEALT,
+    ids=[name + (f"-seed{p['seed']}" if "seed" in p else "") for name, p in _DEALT],
+)
+def test_dealt_report_does_not_depend_on_the_cores(monkeypatch, name, params):
+    docs = _reports_under(monkeypatch, (1, 2, 3), name, **params)
+    assert docs[0] == docs[1] == docs[2]
+    assert docs[0]["instances"] >= 3 and docs[0]["failures"] == 0
+    assert multiprocessing.active_children() == []
+
+
+def test_cokernel_m_failure_details_do_not_depend_on_the_cores(monkeypatch):
+    real, calls = verify_module.cokernel_M, []
+
+    def recording(split, basis, p):
+        calls.append((basis, p))
+        return real(split, basis, p)
+
+    monkeypatch.setattr(verify_module, "cokernel_M", recording)
+    _reports_under(monkeypatch, (1,), "cokernel-m", seed=3)
+    wronged = calls[:2]  # instances 0 and 1: shares 0 and 1 of two
+
+    def wrong_on_purpose(split, basis, p):
+        if (basis, p) in wronged:
+            raise InvariantViolationError("wrong on purpose")
+        return real(split, basis, p)
+
+    monkeypatch.setattr(verify_module, "cokernel_M", wrong_on_purpose)
+    one, two = _reports_under(monkeypatch, (1, 2), "cokernel-m", seed=3)
+    assert one == two
+    assert one["failures"] == sum(call in wronged for call in calls) >= 2
+    assert {d["actual"] for d in one["details"]} == {"InvariantViolationError: wrong on purpose"}
+
+
+def test_neighbor_bijection_failure_details_do_not_depend_on_the_cores(monkeypatch):
+    real = verify_module.line_from_lattice
+
+    def wrong_on_h(Nt):
+        # instances 0 and 1 are H at p = 2 and 3: shares 0 and 1 of two.
+        # H has the isotropic lines (1, 0) and (0, 1); give back the other one
+        line = real(Nt)
+        if Nt.ambient.rank == 2:
+            return ProjLine(line.space, line.generator[::-1])
+        return line
+
+    monkeypatch.setattr(verify_module, "line_from_lattice", wrong_on_h)
+    one, two = _reports_under(
+        monkeypatch, (1, 2), "neighbor-bijection", primes=(2, 3), max_rank=4
+    )
+    assert one == two
+    assert one["failures"] == 2
+    assert all(d["actual"]["round_trips"] is False for d in one["details"])
+
+
+def test_a_guard_tripped_in_a_child_of_a_dealt_suite_reaches_the_caller(monkeypatch):
+    caller, isogeny = os.getpid(), verify_module.k3_isogeny
+
+    def guarded_in_children(d, p):
+        if os.getpid() != caller:
+            raise SizeGuardError("isogeny exceeds the guard 7")
+        return isogeny(d, p)
+
+    monkeypatch.setattr(verify_module, "k3_isogeny", guarded_in_children)
+    _cores(monkeypatch, 2)
+    with pytest.raises(SizeGuardError, match="^isogeny exceeds the guard 7$"):
+        run_suite("k3-degree", primes=(2,))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("lang-counts", {"primes": (3,), "max_points": 100}),
+        ("witt-extension", {"primes": (3,), "max_points": 100}),
+    ],
+    ids=["lang-counts", "witt-extension"],
+)
+def test_a_guard_on_shared_work_trips_before_anything_forks(monkeypatch, name, params):
+    def no_fork():
+        raise AssertionError("forked before the guard")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _cores(monkeypatch, 2)
+    with pytest.raises(SizeGuardError):
+        run_suite(name, **params)
