@@ -14,7 +14,7 @@ The package computes, with no floating point anywhere:
   lattices, with its typed refinement and unique-recovery guarantee
   (:mod:`qlat.padic_lattice`);
 * index-p Hecke moves of polarized K3 lattices (:mod:`qlat.hecke_k3`);
-* character-lattice kernels and cokernels of diagonalizable-group maps
+* character lattices of formal tori and the cokernel of their graph map
   (:mod:`qlat.deformation_tori`).
 
 Linear algebra, primality and the default enumeration guards over F_p
@@ -51,10 +51,8 @@ from .quad_lattice import (
     orthogonal_complement,
     quad_value,
     rank_one,
-    rescale,
     restricted_lattice,
     signature,
-    standard_lattice,
     sublattice_gram,
 )
 from .fp_quadratic import (
@@ -66,7 +64,6 @@ from .fp_quadratic import (
     enumerate_isotropic_lines,
     find_isotropic_vector,
     line_sort_key,
-    radicals,
     reflection,
     reflection_factorization,
     so_order,
@@ -100,11 +97,7 @@ from .hecke_k3 import (
 )
 from .deformation_tori import (
     CharLattice,
-    DiagGroupKernel,
     cokernel_M,
-    qisog_kernel_char,
-    serre_tate_torus,
-    tgm_kernel,
 )
 from .verify import SUITES, VerifyReport, run_suite
 
@@ -113,7 +106,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianQuotient",
     "CharLattice",
-    "DiagGroupKernel",
     "FpIsometry",
     "FpQuadSpace",
     "IntMatrix",
@@ -154,20 +146,16 @@ __all__ = [
     "line_from_lattice",
     "neighbors_of",
     "orthogonal_complement",
-    "qisog_kernel_char",
     "quad_value",
     "quotient_structure",
-    "radicals",
     "rank_one",
     "recover_lattice",
     "reduction",
     "reflection",
     "reflection_factorization",
-    "rescale",
     "restricted_lattice",
     "run_suite",
     "saturate",
-    "serre_tate_torus",
     "shrink_fiber",
     "shrink_set",
     "shrink_set_bruteforce",
@@ -176,10 +164,8 @@ __all__ = [
     "so_order",
     "spinor_norm",
     "stabilizer_orbit",
-    "standard_lattice",
     "sublattice_gram",
     "sublattice_in_span",
-    "tgm_kernel",
     "unimodular_inverse",
     "w_generic_lines",
     "witt_decomposition",

@@ -1,11 +1,8 @@
-"""Character-lattice arithmetic for formal tori and diagonalizable kernels.
+"""Character-lattice arithmetic for formal tori.
 
 A formal torus is recorded by its character lattice, optionally carrying a
 three-block weight decomposition (multiplicities of the weights -1, 0, +1
-of a cocharacter acting on it).  A diagonalizable kernel — the kernel of a
-map of tori T¹ × T⁰ → T cut out by a pair of integral diagonal character
-matrices ψ¹, ψ⁰ — is presented by the cokernel Z^{2r} / im(χ ↦ (ψ¹χ, -ψ⁰χ))
-together with the elementary-divisor lists of the two projection maps.
+of a cocharacter acting on it).
 
 The finite-quotient computation ``cokernel_M`` analyses, for a direct
 summand W of the weight-decomposed Z^{1+b+1}, the cokernel M of
@@ -36,14 +33,7 @@ from .exact_linalg import (
 )
 from .modp import check_prime
 
-__all__ = [
-    "CharLattice",
-    "DiagGroupKernel",
-    "serre_tate_torus",
-    "qisog_kernel_char",
-    "tgm_kernel",
-    "cokernel_M",
-]
+__all__ = ["CharLattice", "cokernel_M"]
 
 
 @dataclass(frozen=True)
@@ -67,120 +57,6 @@ class CharLattice:
                 raise PreconditionError("weight multiplicities must be three counts")
             if sum(w) != self.rank:
                 raise PreconditionError("weight multiplicities must sum to the rank")
-
-
-@dataclass(frozen=True)
-class DiagGroupKernel:
-    """Kernel of a map of tori cut out by diagonal character matrices.
-
-    ``presentation`` is the character group of the kernel, presented as
-    Z^{2r} modulo the graph relations; ``source_divisors`` and
-    ``target_divisors`` are the diagonal entries of ψ⁰ resp. ψ¹ in block
-    order — the elementary divisors of the character maps of the two
-    projections.  All torsion is p-primary.
-    """
-
-    p: int
-    presentation: AbelianQuotient
-    source_divisors: tuple[int, ...]
-    target_divisors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-        for divisors in (self.source_divisors, self.target_divisors, self.presentation.torsion):
-            for d in divisors:
-                if d < 1 or (d > 1 and not _is_p_power(d, self.p)):
-                    raise PreconditionError("divisors must be powers of p")
-
-
-def _is_p_power(d: int, p: int) -> bool:
-    while d % p == 0:
-        d //= p
-    return d == 1
-
-
-def serre_tate_torus(h1: int, h0: int) -> CharLattice:
-    """Character lattice of the deformation torus attached to two heights:
-    rank h1·h0, no weight decomposition.
-    """
-    if h1 < 0 or h0 < 0:
-        raise PreconditionError("heights must be nonnegative")
-    return CharLattice(h1 * h0)
-
-
-def _diag_kernel(p: int, psi1: list[int], psi0: list[int]) -> DiagGroupKernel:
-    """Assemble the kernel data for character matrices diag(psi1), diag(psi0),
-    cross-checking the blockwise divisor lists against the honestly computed
-    projection cokernels.
-    """
-    r = len(psi1)
-    cols = []
-    for i in range(r):
-        col = [0] * (2 * r)
-        col[i] = psi1[i]
-        col[r + i] = -psi0[i]
-        cols.append(col)
-    rel = IntMatrix.from_columns(cols, rows=2 * r)
-    presentation = quotient_structure(2 * r, rel)
-    # honest check: the projection cokernels' orders equal the divisor products
-    first = IntMatrix.from_columns(
-        [[1 if i == j else 0 for i in range(2 * r)] for j in range(r)], rows=2 * r
-    )
-    second = IntMatrix.from_columns(
-        [[1 if i == r + j else 0 for i in range(2 * r)] for j in range(r)], rows=2 * r
-    )
-    coker_source = quotient_structure(2 * r, rel.hstack(first))
-    coker_target = quotient_structure(2 * r, rel.hstack(second))
-    if coker_source.order() != math.prod(psi0) or coker_target.order() != math.prod(psi1):
-        raise InvariantViolationError("projection cokernels disagree with block divisors")
-    return DiagGroupKernel(p, presentation, tuple(psi0), tuple(psi1))
-
-
-def qisog_kernel_char(split: CharLattice, p: int) -> DiagGroupKernel:
-    """Kernel of the quasi-isogeny pair of torus maps on a weight-split
-    lattice: character matrices ψ¹ = diag(p·1_a, 1_b, 1_c) and
-    ψ⁰ = diag(1_a, 1_b, p·1_c).
-
-    The weight-(-1) block is the graph {(x, x^p)} and the weight-(+1)
-    block the graph {(x^p, x)}; correspondingly the source projection has
-    elementary divisor p exactly c times and the target projection exactly
-    a times.
-    """
-    if split.weights is None:
-        raise PreconditionError("weight decomposition required")
-    check_prime(p)
-    a, b, c = split.weights
-    psi1 = [p] * a + [1] * b + [1] * c
-    psi0 = [1] * a + [1] * b + [p] * c
-    return _diag_kernel(p, psi1, psi0)
-
-
-def tgm_kernel(m_weights, split: CharLattice, p: int) -> DiagGroupKernel:
-    """Kernel for an isogeny-scaling element acting blockwise by p-powers.
-
-    ``m_weights`` lists the p-adic valuation of the scalar by which the
-    element acts on each weight block (three entries for a weight-split
-    lattice, one for an unsplit one); negative valuations are allowed.
-    The element is split into the coprime integral pair
-    ψ¹ = p^{max(-v, 0)}, ψ⁰ = p^{max(v, 0)} on each block, so both
-    projections are injective on characters with finite p-power cokernel.
-    """
-    check_prime(p)
-    vals = list(m_weights)
-    blocks = list(split.weights) if split.weights is not None else [split.rank]
-    if len(vals) != len(blocks):
-        raise PreconditionError(
-            f"expected {len(blocks)} block valuations, got {len(vals)}"
-        )
-    for v in vals:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise PreconditionError("block scalars must be integral powers of p")
-    psi1: list[int] = []
-    psi0: list[int] = []
-    for v, mult in zip(vals, blocks):
-        psi1.extend([p ** max(-v, 0)] * mult)
-        psi0.extend([p ** max(v, 0)] * mult)
-    return _diag_kernel(p, psi1, psi0)
 
 
 def _stack(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:

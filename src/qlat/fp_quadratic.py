@@ -5,12 +5,12 @@ A space is presented by an upper-triangular half-Gram matrix mod p:
 characteristic — at p = 2 the quadratic form carries strictly more
 information than the (alternating) bilinear form.
 
-Provided here: radicals, Witt decomposition, isotropic-line enumeration,
-reflections and Eichler transvections, the Dickson invariant, special
-orthogonal group orders, Witt-style extension of subspace isometries to
-special isometries of the whole space, constructive reflection
-factorization with spinor norms (odd p), and orbits of isotropic lines
-under the stabilizer of a subspace.
+Provided here: Witt decomposition, isotropic-line enumeration, reflections
+and Eichler transvections, the Dickson invariant, special orthogonal group
+orders, Witt-style extension of subspace isometries to special isometries
+of the whole space, constructive reflection factorization with spinor
+norms (odd p), and orbits of isotropic lines under the stabilizer of a
+subspace.
 
 Per-space invariants
 --------------------
@@ -48,7 +48,6 @@ __all__ = [
     "FpQuadSpace",
     "FpIsometry",
     "ProjLine",
-    "radicals",
     "find_isotropic_vector",
     "witt_decomposition",
     "enumerate_isotropic_lines",
@@ -293,29 +292,8 @@ class FpIsometry:
 
 
 # ---------------------------------------------------------------------------
-# radicals, isotropic vectors, Witt decomposition
+# isotropic vectors, Witt decomposition
 # ---------------------------------------------------------------------------
-
-
-def radicals(V: FpQuadSpace) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-    """(basis of the bilinear radical, basis of the isotropic radical).
-
-    The bilinear radical is ker B.  The isotropic radical is its subspace
-    of vectors with Q = 0; for odd p the two coincide, while at p = 2 the
-    restriction of Q to ker B is F_2-linear and the isotropic radical is
-    its kernel.
-    """
-    p = V.p
-    rad = modp.kernel_basis(V.gram(), p, V.dim)
-    if not rad:
-        return (), ()
-    if p != 2:
-        return tuple(rad), tuple(rad)
-    # Q restricted to ker B is linear over F_2: Q(sum c_i v_i) = sum c_i Q(v_i)
-    qrow = [V.q(v) for v in rad]
-    coeff_kernel = modp.kernel_basis([qrow], 2, len(rad))
-    iso = [_combine(rad, c, p) for c in coeff_kernel]
-    return tuple(rad), tuple(iso)
 
 
 def _combine(basis: Sequence[Vector], coeffs: Sequence[int], p: int) -> Vector:

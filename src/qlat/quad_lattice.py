@@ -7,7 +7,7 @@ A lattice of rank n is Z^n equipped with the quadratic form
 every lattice in this presentation is an even lattice.
 
 The standard constructors build the hyperbolic plane, the E8 lattice, the
-rank-22 lattice H³ ⊕ E8², rank-one forms, direct sums, and rescalings.
+rank-22 lattice H³ ⊕ E8², rank-one forms, and direct sums.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ __all__ = [
     "k3_lattice",
     "rank_one",
     "direct_sum",
-    "rescale",
-    "standard_lattice",
 ]
 
 
@@ -275,46 +273,8 @@ def direct_sum(*lattices: QuadLattice) -> QuadLattice:
     return QuadLattice(IntMatrix.from_rows(hg))
 
 
-def rescale(L: QuadLattice, c: int) -> QuadLattice:
-    """Same underlying group with form c·Q; c must be nonzero."""
-    if c == 0:
-        raise PreconditionError("rescaling by zero")
-    return QuadLattice(L.half_gram.scale(c))
-
-
 def k3_lattice() -> QuadLattice:
     """H ⊕ H ⊕ H ⊕ E8 ⊕ E8 (rank 22, unimodular)."""
     H = hyperbolic_plane()
     E8 = e8_lattice()
     return direct_sum(H, H, H, E8, E8)
-
-
-_NAMED = {
-    "hyperbolic": hyperbolic_plane,
-    "e8": e8_lattice,
-    "k3": k3_lattice,
-}
-
-
-def standard_lattice(name: str, *args) -> QuadLattice:
-    """Dispatcher over the standard constructions.
-
-    ``standard_lattice("hyperbolic" | "e8" | "k3")``,
-    ``standard_lattice("rank1", m)``,
-    ``standard_lattice("direct_sum", [L1, L2, ...])``,
-    ``standard_lattice("rescale", L, c)``.
-    """
-    if name in _NAMED:
-        if args:
-            raise PreconditionError(f"{name} takes no arguments")
-        return _NAMED[name]()
-    if name == "rank1":
-        (m,) = args
-        return rank_one(int(m))
-    if name == "direct_sum":
-        (parts,) = args
-        return direct_sum(*parts)
-    if name == "rescale":
-        base, c = args
-        return rescale(base, int(c))
-    raise PreconditionError(f"unknown standard lattice {name!r}")

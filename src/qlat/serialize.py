@@ -4,7 +4,6 @@ Formats (all JSON-compatible dicts; matrices are row-major lists of
 integer lists):
 
 * lattice           ``{"rank": n, "half_gram": rows}``
-* quadratic space   ``{"p": p, "dim": n, "half_gram": rows}``
 * scaled lattice    ``{"ambient": lattice, "p": p, "power": k, "numerator_basis": rows}``
                     meaning p^{-k} times the column span
 * minimal pair      ``{"lambda": lattice, "tilde_basis": rows}``
@@ -23,7 +22,6 @@ import re
 
 from .errors import PreconditionError
 from .exact_linalg import AbelianQuotient, IntMatrix
-from .fp_quadratic import FpQuadSpace
 from .hecke_k3 import MinimalPair, PolarizedK3Lattice
 from .padic_lattice import PLattice
 from .quad_lattice import (
@@ -40,10 +38,8 @@ __all__ = [
     "matrix_from_rows",
     "lattice_to_dict",
     "lattice_from_dict",
-    "space_to_dict",
     "plattice_to_dict",
     "plattice_from_dict",
-    "pair_to_dict",
     "pair_from_dict",
     "polarized_to_dict",
     "quotient_to_dict",
@@ -82,10 +78,6 @@ def lattice_from_dict(d: dict) -> QuadLattice:
     return L
 
 
-def space_to_dict(V: FpQuadSpace) -> dict:
-    return {"p": V.p, "dim": V.dim, "half_gram": [list(r) for r in V.half_gram]}
-
-
 def plattice_to_dict(L: PLattice) -> dict:
     return {
         "ambient": lattice_to_dict(L.ambient),
@@ -110,13 +102,6 @@ def plattice_from_dict(d: dict) -> PLattice:
         d["power"],
         matrix_from_rows(d["numerator_basis"]),
     )
-
-
-def pair_to_dict(pair: MinimalPair) -> dict:
-    return {
-        "lambda": lattice_to_dict(pair.lattice),
-        "tilde_basis": matrix_to_rows(pair.tilde_basis),
-    }
 
 
 def pair_from_dict(d: dict) -> MinimalPair:

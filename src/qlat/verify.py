@@ -60,6 +60,7 @@ from .exact_linalg import IntMatrix, saturate
 from .fp_quadratic import (
     FpQuadSpace,
     enumerate_isotropic_lines,
+    line_sort_key,
     reflection,
     spinor_norm,
     stabilizer_orbit,
@@ -317,6 +318,14 @@ def suite_neighbor_bijection(
 
     An instance is a lattice at a prime, whose bijection it checks, or a
     nondegenerate space, whose line count it checks.
+
+    With φ = ``lattice_from_line`` and ψ = ``line_from_lattice``, a
+    lattice instance checks (A) that the lines ψ(Ñ) of the enumerated
+    neighbors Ñ, sorted, are the enumerated lines, and (B) that
+    φ(ψ(Ñ)) = Ñ for each Ñ; so each neighbor is built twice, by the
+    enumeration and by (B).  Both round trips follow: (B) is the one
+    through ψ first, and for a line l, (A) gives exactly one Ñ with
+    ψ(Ñ) = l, so (B) gives φ(l) = Ñ and hence ψ(φ(l)) = l.
     """
     primes = tuple(primes) if primes else (2, 3, 5)
     max_rank = max_rank if max_rank is not None else 6
@@ -346,21 +355,15 @@ def suite_neighbor_bijection(
         brute = _brute_line_count(V)
         neighbors = enumerate_neighbors(N, p, max_points)
         ok_counts = len(lines) == brute and len(neighbors) == brute
-        ok_round1 = all(
-            line_from_lattice(lattice_from_line(N, ln)) == ln for ln in lines
-        )
-        ok_round2 = all(
-            lattice_from_line(N, line_from_lattice(Nt)) == Nt for Nt in neighbors
+        rec = [line_from_lattice(Nt) for Nt in neighbors]
+        round_trips = sorted(rec, key=line_sort_key) == list(lines) and all(
+            lattice_from_line(N, ln) == Nt for ln, Nt in zip(rec, neighbors)
         )
         report.record(
             desc,
-            ok_counts and ok_round1 and ok_round2,
+            ok_counts and round_trips,
             {"lines": brute, "neighbors": brute, "round_trips": True},
-            {
-                "lines": len(lines),
-                "neighbors": len(neighbors),
-                "round_trips": ok_round1 and ok_round2,
-            },
+            {"lines": len(lines), "neighbors": len(neighbors), "round_trips": round_trips},
         )
 
     return _deal("neighbor-bijection", items, check)
@@ -575,12 +578,12 @@ def suite_cokernel_m(
     """200 seeded random valid instances of the finite-cokernel claims.
 
     The instances are drawn in the caller, in order, before any is checked.
+    Their rank b + 2 is at most ``max_rank``, so below rank 2 there is none.
     """
     primes = tuple(primes) if primes else (2, 3, 5)
-    max_b = (max_rank - 2) if max_rank is not None else 8
-    max_b = max(0, min(max_b, 8))
+    max_b = min(max_rank - 2, 8) if max_rank is not None else 8
     rng = random.Random(seed)
-    count = 200
+    count = 200 if max_b >= 0 else 0
     items = []
     for i in range(count):
         p = primes[rng.randrange(len(primes))]
@@ -752,10 +755,16 @@ def suite_spinor_surjectivity(
 def suite_k3_degree(
     primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
 ) -> VerifyReport:
-    """Degree/primitivity/signature/discriminant laws of the K3 construction."""
+    """Degree/primitivity/signature/discriminant laws of the K3 construction.
+
+    Every instance has rank 22, so a ``max_rank`` below it selects none.
+    """
     primes = tuple(p for p in (primes or (2, 3)))
-    target_sig = signature(k3_lattice())
+    K3 = k3_lattice()
+    target_sig = signature(K3)
     items = [(d, p) for d in range(1, 6) for p in primes]
+    if max_rank is not None and max_rank < K3.rank:
+        items = []
 
     def check(report: VerifyReport, item) -> None:
         d, p = item

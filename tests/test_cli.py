@@ -403,8 +403,10 @@ def test_verify_success_shape(capsys):
     [
         ["verify", "nice-cochar", "--p", "3", "--max-rank", "5"],
         ["verify", "witt-extension", "--p", "2", "--max-rank", "1"],
+        ["verify", "cokernel-m", "--max-rank", "1"],
+        ["verify", "k3-degree", "--max-rank", "21"],
     ],
-    ids=["nice-cochar", "witt-extension"],
+    ids=["nice-cochar", "witt-extension", "cokernel-m", "k3-degree"],
 )
 def test_verify_selecting_no_instance_is_input_error(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)

@@ -1,35 +1,13 @@
-"""Character lattices, diagonalizable-kernel data, and the cokernel invariants."""
-
-import math
+"""Character lattices and the cokernel invariants."""
 
 import pytest
 
-from qlat import (
-    CharLattice,
-    IntMatrix,
-    PreconditionError,
-    cokernel_M,
-    qisog_kernel_char,
-    serre_tate_torus,
-    tgm_kernel,
-)
+from qlat import CharLattice, IntMatrix, PreconditionError, cokernel_M
 
 
 # ---------------------------------------------------------------------------
 # character lattices
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("h1,h0,rank", [(1, 1, 1), (2, 3, 6), (1, 19, 19), (0, 4, 0)])
-def test_torus_rank_is_product_of_heights(h1, h0, rank):
-    T = serre_tate_torus(h1, h0)
-    assert T.rank == rank
-    assert T.weights is None
-
-
-def test_torus_rejects_negative_heights():
-    with pytest.raises(PreconditionError):
-        serre_tate_torus(-1, 2)
 
 
 def test_char_lattice_weight_validation():
@@ -41,95 +19,6 @@ def test_char_lattice_weight_validation():
         CharLattice(3, weights=(1, 1))
     with pytest.raises(PreconditionError):
         CharLattice(3, weights=(1, 1, 2))  # must sum to the rank
-
-
-# ---------------------------------------------------------------------------
-# quasi-isogeny kernel characters
-# ---------------------------------------------------------------------------
-
-
-def test_kernel_char_single_negative_weight():
-    K = qisog_kernel_char(CharLattice(1, weights=(1, 0, 0)), 2)
-    assert K.source_divisors == (1,)
-    assert K.target_divisors == (2,)
-
-
-def test_kernel_char_pure_weight_zero():
-    K = qisog_kernel_char(CharLattice(1, weights=(0, 1, 0)), 3)
-    assert K.source_divisors == (1,)
-    assert K.target_divisors == (1,)
-
-
-def test_kernel_char_block_order():
-    K = qisog_kernel_char(CharLattice(4, weights=(1, 2, 1)), 3)
-    assert K.p == 3
-    assert K.source_divisors == (1, 1, 1, 3)
-    assert K.target_divisors == (3, 1, 1, 1)
-    assert K.presentation.free_rank == 4
-    assert K.presentation.torsion == ()
-
-
-def test_kernel_char_requires_weights():
-    with pytest.raises(PreconditionError):
-        qisog_kernel_char(CharLattice(3), 2)
-
-
-def test_kernel_char_requires_prime():
-    with pytest.raises(PreconditionError):
-        qisog_kernel_char(CharLattice(3, weights=(1, 1, 1)), 6)
-
-
-@pytest.mark.parametrize("a,b,c,p", [(1, 0, 0, 2), (1, 2, 1, 3), (2, 1, 1, 2), (0, 2, 3, 5)])
-def test_kernel_char_degrees(a, b, c, p):
-    K = qisog_kernel_char(CharLattice(a + b + c, weights=(a, b, c)), p)
-    assert math.prod(K.source_divisors) == p**c
-    assert math.prod(K.target_divisors) == p**a
-
-
-# ---------------------------------------------------------------------------
-# kernels of blockwise p-power scalings
-# ---------------------------------------------------------------------------
-
-
-def test_identity_scaling_gives_trivial_divisors():
-    T = CharLattice(4, weights=(1, 2, 1))
-    K = tgm_kernel((0, 0, 0), T, 5)
-    assert set(K.source_divisors) == {1}
-    assert set(K.target_divisors) == {1}
-
-
-@pytest.mark.parametrize("a,b,c,p", [(1, 1, 1, 2), (2, 2, 2, 3), (1, 3, 1, 5)])
-def test_weight_pattern_matches_kernel_char(a, b, c, p):
-    T = CharLattice(a + b + c, weights=(a, b, c))
-    via_pattern = tgm_kernel((-1, 0, 1), T, p)
-    direct = qisog_kernel_char(T, p)
-    assert via_pattern.source_divisors == direct.source_divisors
-    assert via_pattern.target_divisors == direct.target_divisors
-
-
-def test_scalar_multiplication_by_p():
-    T = CharLattice(3, weights=(1, 1, 1))
-    K = tgm_kernel((1, 1, 1), T, 2)
-    assert set(K.source_divisors) == {2}
-    assert set(K.target_divisors) == {1}
-
-
-def test_unsplit_lattice_takes_one_valuation():
-    K = tgm_kernel((2,), CharLattice(3), 2)
-    assert K.source_divisors == (4, 4, 4)
-    assert K.target_divisors == (1, 1, 1)
-
-
-def test_rejects_wrong_block_count():
-    with pytest.raises(PreconditionError):
-        tgm_kernel((1, 0), CharLattice(3, weights=(1, 1, 1)), 2)
-    with pytest.raises(PreconditionError):
-        tgm_kernel((1, 0, 0), CharLattice(3), 2)
-
-
-def test_rejects_fractional_valuation():
-    with pytest.raises(PreconditionError):
-        tgm_kernel((1, 0, 0.5), CharLattice(3, weights=(1, 1, 1)), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from qlat import (
     enumerate_isotropic_lines,
     find_isotropic_vector,
     line_sort_key,
-    radicals,
     reflection,
     reflection_factorization,
     so_order,
@@ -50,20 +49,8 @@ def diag_space(p, *qs):
 
 
 # ---------------------------------------------------------------------------
-# radicals and isotropic vectors
+# isotropic vectors
 # ---------------------------------------------------------------------------
-
-
-def test_radicals_of_nondegenerate_space():
-    b_rad, q_rad = radicals(hyperbolic(2, 1))
-    assert b_rad == () and q_rad == ()
-
-
-def test_char2_one_dim_square_form():
-    V = diag_space(2, 1)  # Q = x^2
-    b_rad, q_rad = radicals(V)
-    assert len(b_rad) == 1  # the bilinear form vanishes identically
-    assert q_rad == ()  # but Q(1) = 1, so no isotropic radical
 
 
 def test_find_isotropic_vector_on_h():

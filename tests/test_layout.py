@@ -17,6 +17,11 @@
 * Processes are started in ``qlat.verify`` alone, and lazily: no other
   module imports ``multiprocessing`` or ``concurrent.futures`` or names
   ``os.fork``, and ``qlat.verify`` does so only inside a function body.
+* Every name in an ``__all__`` (the package root's and each module's) has a
+  library or CLI caller: the package's top-level statements, such as the
+  ``main()`` call of ``python -m qlat``, reach it through the top-level
+  definitions that refer to it.  Dunders are exempt, and so are the
+  functions that ``perfbench/tracer.py`` wraps by name (its ``TARGETS``).
 """
 
 import ast
@@ -208,3 +213,96 @@ def test_process_rule_sees_each_form():
         "    return os.fork()\n"
     )
     assert _process_uses(ast.parse(source)) == [(1, False), (2, False), (3, False), (5, True), (6, True)]
+
+
+def _names_in(node):
+    """Every name a subtree refers to, bare or as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _assigned_names(node):
+    """The names a top-level ``x = ...`` binds, else []."""
+    if isinstance(node, ast.Assign) and all(isinstance(t, ast.Name) for t in node.targets):
+        return [t.id for t in node.targets]
+    return []
+
+
+def _uncalled_exports(trees, exempt):
+    """Sorted (module, name) of each exported name that no running code reaches.
+
+    ``trees`` maps module names to syntax trees.  The code that runs is the
+    top-level statements that neither define nor import (such as the
+    ``main()`` call of ``python -m qlat``) and the definitions of the names
+    in ``exempt``; a top-level definition runs once running code refers to
+    its name, bare or as an attribute.  ``__all__`` and imports are not
+    references.
+    """
+    definitions = {}  # name -> names its top-level definitions refer to
+    reached = set(exempt)
+    exported = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, set()).update(_names_in(node))
+            elif _assigned_names(node):
+                for name in _assigned_names(node):
+                    if name == "__all__":
+                        exported.update((module, n) for n in ast.literal_eval(node.value))
+                    else:
+                        definitions.setdefault(name, set()).update(_names_in(node.value))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached |= _names_in(node)
+    frontier = set(reached)
+    while frontier:
+        frontier = set().union(*(definitions.get(name, ()) for name in frontier)) - reached
+        reached |= frontier
+    return sorted(
+        (module, name)
+        for module, name in exported
+        if name not in reached and not name.startswith("__")
+    )
+
+
+def _tracer_targets():
+    """The functions that perfbench's tracer wraps by name."""
+    for node in _tree(ROOT / "perfbench" / "tracer.py").body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]:
+            return {fn for _, fns in ast.literal_eval(node.value).values() for fn in fns}
+    raise AssertionError("perfbench/tracer.py assigns no TARGETS")
+
+
+def test_every_exported_name_has_a_caller():
+    trees = {path.stem: _tree(path) for path in MODULES}
+    assert _uncalled_exports(trees, _tracer_targets()) == []
+
+
+def test_export_rule_follows_references_from_running_code():
+    trees = {
+        "a": ast.parse(
+            '__all__ = ["used", "dead", "helper_only", "exempt", "by_exempt", "__version__"]\n'
+            "__version__ = '1'\n"
+            "def used(): return _helper()\n"
+            "def _helper(): return Table\n"
+            "class Table: pass\n"
+            "def dead(): return _dead_helper()\n"
+            "def _dead_helper(): return helper_only(dead)\n"
+            "def helper_only(): return helper_only\n"
+            "def exempt(): return by_exempt\n"
+            "def by_exempt(): pass\n"
+        ),
+        "b": ast.parse(
+            "from .a import used\n"
+            "from . import a\n"
+            "TABLE = {'x': a.used}\n"
+            "if __name__ == '__main__':\n"
+            "    TABLE['x']()\n"
+        ),
+        "__init__": ast.parse('from .a import Table, dead\n__all__ = ["Table", "dead"]\n'),
+    }
+    assert _uncalled_exports(trees, {"exempt"}) == [
+        ("__init__", "dead"), ("a", "dead"), ("a", "helper_only")
+    ]

@@ -21,11 +21,9 @@ from qlat import (
     orthogonal_complement,
     quad_value,
     rank_one,
-    rescale,
     restricted_lattice,
     saturate,
     signature,
-    standard_lattice,
     sublattice_gram,
 )
 
@@ -76,7 +74,7 @@ def test_bilinear_identity(data):
 
 
 def test_gram_diagonal_is_even():
-    for L in (H, E8, K3, rank_one(5), rescale(H, 3)):
+    for L in (H, E8, K3, rank_one(5), QuadLattice(H.half_gram.scale(3))):
         G = L.gram()
         assert all(G.entries[i][i] % 2 == 0 for i in range(L.rank))
         assert G.transpose() == G
@@ -204,7 +202,7 @@ def test_discriminant_groups():
 
 
 def test_discriminant_order_equals_det():
-    for L in (rank_one(3), direct_sum(rank_one(1), rank_one(2)), rescale(H, 2)):
+    for L in (rank_one(3), direct_sum(rank_one(1), rank_one(2)), QuadLattice(H.half_gram.scale(2))):
         assert discriminant_group(L).order() == abs(L.gram().det())
 
 
@@ -238,29 +236,9 @@ def test_e8_shape():
     assert all(quad_value(E8, col) == 1 for col in IntMatrix.identity(8).columns())
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(st.integers(-12, 12), st.integers(-12, 12))
-def test_rescale_multiplies_form(a, b):
-    L = rescale(H, 3)
-    assert quad_value(L, (a, b)) == 3 * a * b
-
-
 def test_rank_one_rejects_zero():
     with pytest.raises(PreconditionError):
         rank_one(0)
-
-
-def test_standard_lattice_dispatch():
-    assert standard_lattice("hyperbolic") == H
-    assert standard_lattice("e8") == E8
-    assert standard_lattice("k3") == K3
-    assert standard_lattice("rank1", 5) == rank_one(5)
-    assert standard_lattice("direct_sum", [H, H]) == direct_sum(H, H)
-    assert standard_lattice("rescale", H, 2) == rescale(H, 2)
-    with pytest.raises(PreconditionError):
-        standard_lattice("leech")
-    with pytest.raises(PreconditionError):
-        standard_lattice("e8", 1)
 
 
 def test_half_gram_must_be_upper_triangular():

@@ -6,7 +6,6 @@ import pytest
 
 from qlat import (
     AbelianQuotient,
-    FpQuadSpace,
     IntMatrix,
     MinimalPair,
     PLattice,
@@ -28,13 +27,11 @@ from qlat.serialize import (
     matrix_from_rows,
     matrix_to_rows,
     pair_from_dict,
-    pair_to_dict,
     parse_lattice_name,
     plattice_from_dict,
     plattice_to_dict,
     polarized_to_dict,
     quotient_to_dict,
-    space_to_dict,
 )
 
 H = hyperbolic_plane()
@@ -77,11 +74,6 @@ def test_lattice_dict_rank_cross_check():
         lattice_from_dict({"rank": 2})
 
 
-def test_space_dict_shape():
-    V = FpQuadSpace(3, ((0, 1), (0, 0)))
-    assert space_to_dict(V) == {"p": 3, "dim": 2, "half_gram": [[0, 1], [0, 0]]}
-
-
 def test_plattice_round_trip():
     N = PLattice(H2, 3, 1, IntMatrix.from_columns([(1, 0, 0, 0), (0, 9, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)]))
     doc = plattice_to_dict(N)
@@ -99,12 +91,10 @@ def test_plattice_dict_requires_all_keys():
 
 def test_pair_round_trip():
     pair = MinimalPair(rank_one(1), IntMatrix.from_rows([[2]]))
-    doc = pair_to_dict(pair)
-    assert set(doc) == {"lambda", "tilde_basis"}
+    doc = {"lambda": {"rank": 1, "half_gram": [[1]]}, "tilde_basis": [[2]]}
     back = pair_from_dict(doc)
     assert back.lattice == pair.lattice
     assert back.tilde_basis == pair.tilde_basis
-    assert json.loads(json.dumps(doc)) == doc
 
 
 def test_polarized_dict_shape():
@@ -185,7 +175,8 @@ def test_load_plattice_and_pair_args(tmp_path):
 
     pair = MinimalPair(rank_one(1), IntMatrix.from_rows([[3]]))
     ppath = tmp_path / "pair.json"
-    ppath.write_text(json.dumps(pair_to_dict(pair)), encoding="utf-8")
+    pair_doc = {"lambda": {"rank": 1, "half_gram": [[1]]}, "tilde_basis": [[3]]}
+    ppath.write_text(json.dumps(pair_doc), encoding="utf-8")
     loaded = load_pair_arg(str(ppath))
     assert loaded.lattice == pair.lattice and loaded.tilde_basis == pair.tilde_basis
     with pytest.raises(PreconditionError):
