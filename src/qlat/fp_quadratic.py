@@ -17,11 +17,11 @@ Per-space invariants
 An ``FpQuadSpace`` is frozen, so whatever depends only on it is computed
 at most once and kept on the instance: the Gram matrix, nondegeneracy,
 the Witt decomposition, |SO(V)|, one generator list per span(W) that
-``stabilizer_orbit`` or ``witt_extension`` (with W = 0) asked for, and for
-``witt_extension`` one orbit tree per Gram type of tuple and a table of the
-witnesses validated so far.  No group is materialized.  Equality, hashing
-and ``repr`` see only ``p`` and ``half_gram``; two equal spaces built apart
-compute the same values independently.
+``stabilizer_orbit`` asked for, and for ``witt_extension`` per Gram type
+of tuple a root tuple and the maps from it built so far, with their
+inverses and the witnesses validated so far.  No group is materialized.
+Equality, hashing and ``repr`` see only ``p`` and ``half_gram``; two equal
+spaces built apart compute the same values independently.
 
 Canonical vector order
 ----------------------
@@ -34,7 +34,6 @@ first nonzero vector in this order is (1, 0, ..., 0).  All "smallest" and
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -103,9 +102,9 @@ class FpQuadSpace:
     """Quadratic space over F_p given by an upper-triangular half-Gram.
 
     Invariants that depend only on the space, the generator lists of
-    ``_fixing_generators`` and the orbit trees of ``witt_extension`` are
-    computed once and kept on the instance (see the module docstring);
-    equality, hashing and ``repr`` see only ``p`` and ``half_gram``.
+    ``_fixing_generators`` and the maps of ``witt_extension`` are computed
+    once and kept on the instance (see the module docstring); equality,
+    hashing and ``repr`` see only ``p`` and ``half_gram``.
     """
 
     p: int
@@ -170,28 +169,15 @@ class FpQuadSpace:
         return {}
 
     @cached_property
-    def _orbit_cache(self) -> dict:
+    def _witt_cache(self) -> dict:
         """What ``witt_extension`` keeps on the space.
 
-        ``gens``: O(V)'s generators with their parities, the W = 0 entry
-        of ``_generator_lists`` (``witt_extension`` builds it under its
-        guard before it first reads this cache); ``images``: per
-        generator, the images of the vectors mapped so far; ``trees``: the
-        orbit tree of each Gram type met, as its links and the queue of
-        states still to expand (see ``_reach``); ``products``: the generator
-        products of parent states; ``inverses``: m_X⁻¹ per source state;
-        ``witnesses``: each witness matrix built so far, mapped to its
-        validated ``FpIsometry``.
+        ``types``: per Gram type of tuple, ``(root, flip, maps)`` with
+        ``maps[S]`` a map root → S and its Dickson parity; ``inverses``:
+        the inverse of ``maps[X]`` per source tuple X; ``witnesses``: each
+        witness matrix built so far, mapped to its validated ``FpIsometry``.
         """
-        gens = self._generator_lists[()]
-        return {
-            "gens": gens,
-            "images": [{} for _ in gens],
-            "trees": {},
-            "products": {},
-            "inverses": {},
-            "witnesses": {},
-        }
+        return {"types": {}, "inverses": {}, "witnesses": {}}
 
 
 @dataclass(frozen=True, init=False)
@@ -481,15 +467,20 @@ def reflection(V: FpQuadSpace, v: Sequence[int]) -> FpIsometry:
     qv = V.q(v)
     if qv == 0:
         raise PreconditionError("reflection vector must be anisotropic")
-    bv = modp.mat_vec(V.gram(), v, p)
-    if p == 2 and not any(bv):
+    if p == 2 and not any(modp.mat_vec(V.gram(), v, p)):
         raise PreconditionError("reflection vector pairs trivially with the space")
-    inv = modp.inv_mod(qv, p)
-    m = tuple(
+    return FpIsometry(V, _reflection_matrix(V, v))
+
+
+def _reflection_matrix(V: FpQuadSpace, v: Vector) -> Matrix:
+    """The matrix of ``x -> x - ([x, v]/Q(v)) v``, for Q(v) != 0."""
+    p, n = V.p, V.dim
+    bv = modp.mat_vec(V.gram(), v, p)
+    inv = modp.inv_mod(V.q(v), p)
+    return tuple(
         tuple(((1 if i == j else 0) - inv * bv[j] * v[i]) % p for j in range(n))
         for i in range(n)
     )
-    return FpIsometry(V, m)
 
 
 def eichler_transvection(V: FpQuadSpace, u: Sequence[int], w: Sequence[int]) -> FpIsometry:
@@ -498,7 +489,7 @@ def eichler_transvection(V: FpQuadSpace, u: Sequence[int], w: Sequence[int]) -> 
     ``E(x) = x + [x, u] w - [x, w] u - Q(w) [x, u] u``.  It preserves Q,
     fixes u, has determinant 1 and Dickson invariant 0.
     """
-    p, n = V.p, V.dim
+    p = V.p
     u = tuple(int(x) % p for x in u)
     w = tuple(int(x) % p for x in w)
     if not any(u):
@@ -507,18 +498,23 @@ def eichler_transvection(V: FpQuadSpace, u: Sequence[int], w: Sequence[int]) -> 
         raise PreconditionError("transvection direction must be isotropic")
     if V.b(u, w) != 0:
         raise PreconditionError("transvection arguments must pair to zero")
+    return FpIsometry(V, _eichler_matrix(V, u, w))
+
+
+def _eichler_matrix(V: FpQuadSpace, u: Vector, w: Vector) -> Matrix:
+    """The matrix of E_{u,w}, for Q(u) = 0 and [u, w] = 0."""
+    p, n = V.p, V.dim
     B = V.gram()
     bu = modp.mat_vec(B, u, p)
     bw = modp.mat_vec(B, w, p)
     qw = V.q(w)
-    m = tuple(
+    return tuple(
         tuple(
             ((1 if i == j else 0) + bu[j] * w[i] - bw[j] * u[i] - qw * bu[j] * u[i]) % p
             for j in range(n)
         )
         for i in range(n)
     )
-    return FpIsometry(V, m)
 
 
 def dickson_invariant(V: FpQuadSpace, matrix: Matrix) -> int:
@@ -611,7 +607,7 @@ def _fixing_generators(
     """
     p, n = V.p, V.dim
     B = V.gram()
-    key, wb, kperp = (), [], n  # W = 0: every witt_extension call comes here
+    key, wb, kperp = (), [], n
     if w_basis:
         rows, pivots = modp.rref(w_basis, p)
         key = tuple(map(tuple, rows[: len(pivots)]))
@@ -653,72 +649,74 @@ def _tuple_type_key(V: FpQuadSpace, vectors: Sequence[Vector]):
     return (k, qs, bs)
 
 
-def _reach(
-    V: FpQuadSpace, key, root: tuple[Vector, ...], goals, max_points: int
-) -> tuple:
-    """The first of ``goals`` in the orbit tree of Gram type ``key``, or None.
+def _anisotropic_in(V: FpQuadSpace, basis: Sequence[Vector]) -> Vector | None:
+    """An anisotropic vector of span(basis), or None if the span is totally singular.
 
-    Returns ``(state, links)``.  The tree lives on the space, one per Gram
-    type, rooted at ``(root, 0)`` for the first tuple seen.  Its states are
-    (tuple, parity) pairs; ``links`` maps each to ``(parent state,
-    generator index)``, the root to None, and a state's parity is the
-    Dickson parity of the generator product that reaches it.  The tree
-    grows breadth first only until a goal is in it, so None means the whole
-    orbit has been built without meeting one.  Independent tuples of one
-    Gram type form a single O(V)-orbit (Witt), so the complete tree holds
-    every such tuple.  Raises SizeGuardError rather than grow past
-    2·``max_points`` states; what was built stays valid.
+    Tries the basis vectors, then sums of pairs: if Q(a) = Q(b) = 0 then
+    Q(a + b) = B(a, b), so if all are isotropic, Q vanishes on the span.
     """
-    cache = V._orbit_cache
-    tree = cache["trees"].get(key)
-    if tree is None:
-        tree = cache["trees"][key] = ({(root, 0): None}, deque([(root, 0)]))
-    links, queue = tree
-    p, gens, images = V.p, cache["gens"], cache["images"]
-    bound = 2 * max_points
-    while True:
-        for goal in goals:
-            if goal in links:
-                return goal, links
-        if not queue:
-            return None, links
-        if len(links) > bound:
-            raise SizeGuardError(
-                f"the orbit of {len(root)}-tuples of one Gram type passed "
-                f"{len(links)} (tuple, parity) states, past the guard {bound}"
-            )
-        state = queue.popleft()
-        tup, par = state
-        for gi, (g, gpar) in enumerate(gens):
-            memo = images[gi]
-            img = []
-            for x in tup:
-                y = memo.get(x)
-                if y is None:
-                    y = memo[x] = modp.mat_vec(g, x, p)
-                img.append(y)
-            new_state = (tuple(img), par ^ gpar)
-            if new_state not in links:
-                links[new_state] = (state, gi)
-                queue.append(new_state)
+    for a in basis:
+        if V.q(a):
+            return a
+    for i, a in enumerate(basis):
+        for b in basis[i + 1 :]:
+            if V.b(a, b):
+                return tuple((x + y) % V.p for x, y in zip(a, b))
+    return None
 
 
-def _state_matrix(V: FpQuadSpace, links: dict, state) -> Matrix:
-    """The generator product along the tree path from the root to ``state``.
+def _witt_map(V: FpQuadSpace, X: Sequence[Vector], Y: Sequence[Vector]) -> tuple[Matrix, int]:
+    """An isometry g of V with g(x_j) = y_j for every j, and its Dickson parity.
 
-    It carries the root tuple to the state's tuple.  The products of parent
-    states are memoized; a leaf's is one multiplication away from its
-    parent's.
+    V is nondegenerate, X and Y are independent with equal Gram data.  This
+    is Witt's theorem proved constructively (Taylor, *The Geometry of the
+    Classical Groups*, 1992), one vector at a time.  Once g maps x_i to y_i
+    for i < j, let x = g(x_j), U = span(y_i : i < j) and z = x − y_j.  Then
+    B(z, y_i) = B(x_j, x_i) − B(y_j, y_i) = 0, so z ⊥ U, and B(x, z) = Q(z)
+    as Q(x) = Q(y_j).  One step h fixing U sends x to y_j; g becomes h·g:
+
+    * Q(z) ≠ 0: the reflection in z, as x − (B(x, z)/Q(z)) z = y_j (at
+      p = 2 B(z, ·) ≠ 0 since V is nondegenerate).  Parity 1.
+    * Q(z) = 0 and x ∉ U + ⟨z⟩: since V is nondegenerate some w ⊥ U, z has
+      B(x, w) = 1, and the Eichler transvection E_{z,w}, which fixes U,
+      sends x to x − B(x, w) z = y_j because B(x, z) = 0.  Parity 0.
+    * Otherwise x = u + c·z with u ∈ U.  Neither x nor y_j = u + (c − 1)z
+      lies in U, so c ∉ {0, 1} and p is odd.  As z ∉ U, some z* ⊥ U has
+      B(z, z*) = 1; z* − Q(z*) z is isotropic, so take z* isotropic, and
+      then c = B(x, z*).  The step scales z by λ = (c − 1)/c and z* by
+      1/λ and fixes ⟨z, z*⟩^⊥ ⊇ U; it sends x to u + cλ·z = y_j, has
+      determinant 1 and rank(h − 1) = 2.  Parity 0.
     """
-    link = links[state]
-    if link is None:
-        return modp.identity(V.dim)
-    parent, gi = link
-    cache = V._orbit_cache
-    m = cache["products"].get(parent)
-    if m is None:
-        m = cache["products"][parent] = _state_matrix(V, links, parent)
-    return modp.mat_mul(cache["gens"][gi][0], m, V.p)
+    p, n = V.p, V.dim
+    B = V.gram()
+    g, parity = modp.identity(n), 0
+    u_rows: list[Vector] = []  # w ⊥ U iff every row pairs to 0 with w
+    for xj, yj in zip(X, Y):
+        x = modp.mat_vec(g, xj, p)
+        z = tuple([(a - b) % p for a, b in zip(x, yj)])
+        if any(z):
+            bz = modp.mat_vec(B, z, p)
+            if V.q(z):
+                step, parity = _reflection_matrix(V, z), parity ^ 1
+            else:
+                w = next((w for w in modp.kernel_basis(u_rows + [bz], p, n) if V.b(x, w)), None)
+                if w is not None:
+                    c = modp.inv_mod(V.b(x, w), p)
+                    step = _eichler_matrix(V, z, tuple([c * t % p for t in w]))
+                else:
+                    w = next(w for w in modp.kernel_basis(u_rows, p, n) if V.b(z, w))
+                    w = tuple([modp.inv_mod(V.b(z, w), p) * t % p for t in w])
+                    qw = V.q(w)
+                    zs = tuple([(a - qw * b) % p for a, b in zip(w, z)])
+                    c = V.b(x, zs)
+                    lam = (c - 1) * modp.inv_mod(c, p) % p
+                    a, b = lam - 1, modp.inv_mod(lam, p) - 1
+                    bzs = modp.mat_vec(B, zs, p)
+                    step = tuple(tuple(((i == j) + a * z[i] * bzs[j] + b * zs[i] * bz[j]) % p
+                                       for j in range(n)) for i in range(n))
+            g = modp.mat_mul(step, g, p)
+        u_rows.append(modp.mat_vec(B, yj, p))
+    return g, parity
 
 
 def witt_extension(
@@ -726,7 +724,6 @@ def witt_extension(
     w1_basis: Sequence[Sequence[int]],
     w2_basis: Sequence[Sequence[int]],
     f: Sequence[Sequence[int]] | None = None,
-    max_points: int = MAX_PROJ_POINTS,
 ) -> FpIsometry:
     """Extend an isometry between subspaces to a special isometry of V.
 
@@ -736,22 +733,24 @@ def witt_extension(
     the basis-to-basis map.  Requires: nondegenerate V, independent bases,
     codimension >= 2, and the Gram data of the two tuples must match.
 
-    The witness comes from the orbit tree of the tuples' Gram type (see
-    ``_reach``), kept on the space: with m_S the generator product from the
-    root to state S, it is m_Y · m_X⁻¹ for states (X, d) and (Y, d) of one
-    parity d, so its Dickson parity is 0.  Each witness matrix is
-    validated once per space and kept in a table.
+    Per Gram type the space keeps a root (the first tuple of that type
+    queried), ``flip``, the reflection in an anisotropic vector of root^⊥
+    (``_anisotropic_in``) or None, and ``maps[S]``, ``_witt_map`` of root →
+    S times ``flip`` if that is odd: ``flip`` fixes the root, so the product
+    is an even map root → S.  The witness is maps[Y] · maps[X]⁻¹; each
+    witness matrix is validated once per space and kept in a table.
 
     Returns g in SO(V) with g(x_j) = y_j for every basis vector; raises
-    InvariantViolationError if no special isometry exists.  Beyond the
-    codimension bound that happens only across the two rulings of
-    maximal totally isotropic subspaces of a split space: when 2k = dim V
-    and X is totally singular, X and Y lie in one SO(V)-orbit iff
-    k - dim(X ∩ Y) is even, and this is decided before any tree search.
-    The generators of O(V) come from ``_fixing_generators`` with W = 0,
-    under the guard ``max_points`` on V's projective points; an orbit tree
-    may grow to 2·``max_points`` states.  Past either bound the call raises
-    SizeGuardError.
+    InvariantViolationError if no special isometry exists, which is when
+    maps[X] and maps[Y] differ in parity.  Proof (every p): one of them is
+    odd, so there is no ``flip``: root^⊥ is totally singular, and so is its
+    image X^⊥, hence X^⊥ ⊂ X.  Let h fix X pointwise and φ = h − 1.  Then
+    B(φv, x) = B(hv, hx) − B(v, x) = 0, so φ maps V into X^⊥ ⊂ X, and
+    Q(φv) = 0 gives B(v, φv) = Q(hv) − Q(v) − Q(φv) = 0: (v, w) ↦ B(v, φw)
+    is alternating, of rank rank(φ) since B is nondegenerate.  So rank(h −
+    1) is even and every such h is special.  A special g mapping X to Y
+    would make maps[Y]⁻¹ · g · maps[X] such an h for the root, of parity
+    1.  Cross-ruling Lagrangians of a split space are one case of this.
     """
     p, n = V.p, V.dim
     if not V.is_nondegenerate():
@@ -787,27 +786,27 @@ def witt_extension(
         raise PreconditionError("map does not preserve the bilinear form")
     if k == 0:
         return FpIsometry(V, modp.identity(n))
-    if 2 * k == n and not any(key[1]) and not any(key[2]):
-        meet = 2 * k - modp.rank(X + Y, p)
-        if (k - meet) % 2:
-            raise InvariantViolationError(
-                "isometric tuples lie in different special-orthogonal orbits"
-            )
-    _fixing_generators(V, (), max_points)  # the list ``_reach`` expands by
-    sx, links = _reach(V, key, X, ((X, 0), (X, 1)), max_points)
-    if sx is None:
-        raise InvariantViolationError("the generators do not reach a tuple of this Gram type")
-    sy, _ = _reach(V, key, X, ((Y, sx[1]),), max_points)
-    if sy is None:
-        raise InvariantViolationError(
-            "isometric tuples lie in different special-orthogonal orbits"
-        )
-    cache = V._orbit_cache
+    cache = V._witt_cache
+    entry = cache["types"].get(key)
+    if entry is None:
+        perp = modp.kernel_basis([modp.mat_vec(V.gram(), x, p) for x in X], p, n)
+        a = _anisotropic_in(V, perp)
+        entry = cache["types"][key] = (X, None if a is None else _reflection_matrix(V, a), {})
+    root, flip, maps = entry
+    for S in (X, Y):
+        if S not in maps:
+            m, parity = _witt_map(V, root, S)
+            if parity and flip is not None:
+                m, parity = modp.mat_mul(m, flip, p), 0
+            maps[S] = (m, parity)
+    (mx, dx), (my, dy) = maps[X], maps[Y]
+    if dx != dy:
+        raise InvariantViolationError("isometric tuples lie in different special-orthogonal orbits")
     inverses = cache["inverses"]
-    mx_inv = inverses.get(sx)
+    mx_inv = inverses.get(X)
     if mx_inv is None:
-        mx_inv = inverses[sx] = modp.inverse(_state_matrix(V, links, sx), p)
-    m = modp.mat_mul(_state_matrix(V, links, sy), mx_inv, p)
+        mx_inv = inverses[X] = modp.inverse(mx, p)
+    m = modp.mat_mul(my, mx_inv, p)
     witnesses = cache["witnesses"]
     iso = witnesses.get(m)
     if iso is None:

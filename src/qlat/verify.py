@@ -473,9 +473,8 @@ def suite_witt_extension(
 
     Before any sweep, the tuples each space can visit are bounded by the
     sum over X of the product of the Q-value bucket sizes of its vectors;
-    past ``max_points`` the suite raises SizeGuardError.  A guard tripped
-    inside ``witt_extension``, which runs under the same ``max_points``,
-    propagates the same way: an input limit is not a counterexample.
+    past ``max_points`` the suite raises SizeGuardError: an input limit is
+    not a counterexample.
 
     The dealt items are (space, X), in space order.  A share holds one
     ``FpQuadSpace`` of its own at a time and builds the next when the space
@@ -509,12 +508,12 @@ def suite_witt_extension(
         if held["space"] is not space:
             V = FpQuadSpace(p, half_gram)
             held.update(space=space, V=V, witt_index=len(witt_decomposition(V)[0]))
-        _sweep_witt_images(report, name, held["V"], held["witt_index"], by_q, X, max_points)
+        _sweep_witt_images(report, name, held["V"], held["witt_index"], by_q, X)
 
     return _deal("witt-extension", items, check)
 
 
-def _sweep_witt_images(report, name, V, witt_index, by_q, X, max_points) -> None:
+def _sweep_witt_images(report, name, V, witt_index, by_q, X) -> None:
     """Record one instance for each isometry of span(X) onto a subspace of V."""
     p, n, k = V.p, V.dim, len(X)
     xgram = [[V.b(X[i], X[j]) for j in range(k)] for i in range(k)]
@@ -531,7 +530,7 @@ def _sweep_witt_images(report, name, V, witt_index, by_q, X, max_points) -> None
             if (k - meet) % 2 == 1:
                 continue
         try:
-            g = witt_extension(V, X, Y, max_points=max_points)
+            g = witt_extension(V, X, Y)
             ok = all(g.apply(x) == y for x, y in zip(X, Y))
             ok = ok and g.is_special()
             actual = "verified witness" if ok else "invalid witness"

@@ -1,9 +1,9 @@
 """Brute-force enumeration of the isometries of a small quadratic space.
 
-An oracle for the tests, independent of the generators and orbit trees of
-``qlat.fp_quadratic``: it backtracks over the columns of a matrix, taking
-column j among the vectors with Q = Q(e_j) that pair with the earlier
-columns as e_j does.
+An oracle for the tests, independent of the generators and the Witt
+construction of ``qlat.fp_quadratic``: it backtracks over the columns of
+a matrix, taking column j among the vectors with Q = Q(e_j) that pair
+with the earlier columns as e_j does.
 """
 
 from itertools import product

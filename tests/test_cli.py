@@ -437,7 +437,7 @@ def test_verify_witt_extension_guards_its_sweep(capsys, argv, tuples, bound):
 def test_verify_witt_extension_guard_trip_is_input_error(capsys, monkeypatch):
     import qlat.verify as verify_module
 
-    def guarded(V, X, Y, max_points):
+    def guarded(V, X, Y):
         raise SizeGuardError("orbit exceeds the guard 7")
 
     monkeypatch.setattr(verify_module, "witt_extension", guarded)
@@ -453,10 +453,10 @@ def test_verify_witt_extension_guard_trip_in_a_child_share_exits_2(capsys, monke
 
     caller, extension = os.getpid(), verify_module.witt_extension
 
-    def guarded_in_children(V, X, Y, max_points):
+    def guarded_in_children(V, X, Y):
         if os.getpid() != caller:
             raise SizeGuardError("orbit exceeds the guard 7")
-        return extension(V, X, Y, max_points=max_points)
+        return extension(V, X, Y)
 
     monkeypatch.setattr(verify_module, "witt_extension", guarded_in_children)
     monkeypatch.setattr(verify_module, "_usable_cores", lambda: 2)

@@ -29,7 +29,7 @@ from qlat import (
     witt_extension,
 )
 from qlat import kernels, modp
-from qlat.fp_quadratic import _fixing_generators
+from qlat.fp_quadratic import _fixing_generators, _witt_map
 from isometry_oracle import all_isometries_bruteforce
 
 
@@ -326,8 +326,8 @@ def test_cross_ruling_parity_over_f3():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_rulings_of_a_large_split_space_are_decided_before_any_tree(p):
-    # |O(V)| is 24,261,120 for H⊥H⊥H over F_3; only a complete orbit tree
-    # could show that a cross-ruling image is missing from it
+    # |O(V)| is 24,261,120 for H⊥H⊥H over F_3; the parities of two direct
+    # maps decide a cross-ruling image without enumerating any of it
     V = hyperbolic(p, 3)
     e1, f1, e2, f2, e3, f3 = (tuple(int(i == j) for i in range(6)) for j in range(6))
     X = [e1, e2, e3]
@@ -335,7 +335,6 @@ def test_rulings_of_a_large_split_space_are_decided_before_any_tree(p):
     with pytest.raises(InvariantViolationError, match="different special-orthogonal orbits"):
         witt_extension(V, X, [e1, e2, f3])  # the spans meet in a plane
     assert time.perf_counter() - start < 1.0
-    assert "_orbit_cache" not in vars(V)
     for Y in ([f1, f2, e3], [e2, e1, e3], [e1, f2, f3]):  # meets of even codimension
         g = witt_extension(V, X, Y)
         assert g.is_special() and [g.apply(x) for x in X] == Y
@@ -631,28 +630,6 @@ def test_stabilizer_orbit_guard_names_the_count_and_the_bound():
     assert stabilizer_orbit(V, [(1, 1, 0, 0)], seed, max_points=13)
 
 
-def test_witt_extension_guards_its_generators_at_call_time():
-    V = hyperbolic(3, 2)
-    e1, e2 = (1, 0, 0, 0), (0, 0, 1, 0)
-    with pytest.raises(SizeGuardError, match="has 40 projective points, past the guard 39"):
-        witt_extension(V, [e1], [e2], max_points=39)
-    assert witt_extension(V, [e1], [e2]).apply(e1) == e2
-    with pytest.raises(SizeGuardError, match="has 40 projective points, past the guard 39"):
-        witt_extension(V, [e1], [e2], max_points=39)  # checked again on a warm space
-
-
-def test_witt_extension_generator_guard_reads_max_points():
-    V = hyperbolic(2, 2)  # 15 projective points
-    e1, e2 = (1, 0, 0, 0), (0, 0, 1, 0)
-    with pytest.raises(SizeGuardError) as info:
-        witt_extension(V, [e1], [e2], max_points=14)
-    assert str(info.value) == (
-        "the space orthogonal to W has 15 projective points, past the guard 14 "
-        "(raise it with --max-points)"
-    )
-    assert witt_extension(V, [e1], [e2], max_points=15).apply(e1) == e2
-
-
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(st.sampled_from([2, 3]), st.integers(1, 2))
 def test_isometries_preserve_line_counts(p, m):
@@ -725,23 +702,22 @@ def test_witness_from_a_cached_group_is_a_brute_force_isometry(p):
             v for v in product(range(p), repeat=4) if any(v) and V.q(v) == q
         ]
         X = (vectors[0],)
-        witt_extension(V, X, X)  # starts the orbit tree of X's Gram type
-        assert len(V._orbit_cache["trees"]) == q + 1
+        witt_extension(V, X, X)  # makes X the root of its Gram type
+        assert len(V._witt_cache["types"]) == q + 1
         for y in vectors:
             g = witt_extension(V, X, (y,))
             assert g.matrix in special
             assert g.apply(X[0]) == y
-    assert len(V._orbit_cache["trees"]) == 2
+    assert len(V._witt_cache["types"]) == 2
 
 
 # ---------------------------------------------------------------------------
-# the generators and orbit trees behind witt_extension
+# the generators of O(V)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("V", _spaces((2, 4), (3, 4), (5, 3)))
 def test_orthogonal_generators_generate_the_orthogonal_group(V):
-    # the orbit trees reach every tuple of a Gram type only if they do
     gens = [g for g, _ in _fixing_generators(V, (), modp.MAX_PROJ_POINTS)]
     assert len(set(gens)) == len(gens)
     assert len(kernels.group_closure(gens, V.p, 10**6)) == 2 * so_order(V)
@@ -825,42 +801,87 @@ def test_extension_on_spaces_whose_group_is_large(V, X, Y):
     assert g == FpIsometry(V, g.matrix)
 
 
-def test_orbit_guard_names_the_state_count_and_the_bound():
-    V = hyperbolic(2, 2)  # 15 projective points: the generators pass the guard
-    e1, f1, e2, f2 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    vectors = [v for v in product(range(2), repeat=4) if any(v) and V.q(v) == 0]
-    pairs = [(e, f) for e in vectors for f in vectors if V.b(e, f) == 1]
-    with pytest.raises(SizeGuardError) as info:
-        for Y in pairs:  # 36 hyperbolic pairs, more than 30 states
-            witt_extension(V, [e1, f1], Y, max_points=15)
-    message = str(info.value)
-    assert message.startswith("the orbit of 2-tuples of one Gram type passed ")
-    assert message.endswith(" (tuple, parity) states, past the guard 30")
-    assert int(message.split()[9]) > 30
-    # the partial tree grows on from where it stopped
-    for Y in pairs:
-        assert [witt_extension(V, [e1, f1], Y).apply(x) for x in (e1, f1)] == list(Y)
-    with pytest.raises(InvariantViolationError):
-        witt_extension(V, [e1, e2], [e1, f2])
-    assert witt_extension(V, [e1, e2], [f1, f2]).apply(e2) == f2
+def _standard_basis(n):
+    return [tuple(int(i == j) for i in range(n)) for j in range(n)]
 
 
-@pytest.mark.parametrize("split", [True, False], ids=["split-4", "nonsplit-4"])
-def test_witt_extension_orbit_guard_reads_max_points(split):
-    # both 4-dimensional spaces over F_2 have 15 projective points, so the
-    # generators pass the guard 15 and some orbit tree passes 30 states
-    V = hyperbolic(2, 2) if split else FpQuadSpace(
-        2, ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1))
-    )
-    queries = [(X, Y) for k in (1, 2) for X, Y in _witt_queries(V, k)]
-    with pytest.raises(SizeGuardError) as info:
-        for X, Y in queries:
-            witt_extension(V, X, Y, max_points=15)
-    message = str(info.value)
-    assert message.startswith("the orbit of ")
-    assert message.endswith(" (tuple, parity) states, past the guard 30")
-    for X, Y in queries:  # the default guard lets every tree finish
-        assert [witt_extension(V, X, Y).apply(x) for x in X] == list(Y)
+def test_former_orbit_search_cases_return_witnesses_at_once():
+    # O(V) has about 7·10^19 elements for H⊥H⊥H⊥H over F_5 and 24,261,120
+    # for H⊥H⊥H over F_3; a witness must be built without visiting its orbits
+    e1, _, e2, _, e3, _, _, _ = _standard_basis(8)
+    s1, t1, s2, t2, s3, t3 = _standard_basis(6)
+    for V, X, Y in [
+        (hyperbolic(5, 4), [e1], [e3]),
+        (hyperbolic(3, 3), [s1, s2, s3], [t3, t1, s2]),
+    ]:
+        start = time.perf_counter()
+        g = witt_extension(V, X, Y)
+        assert time.perf_counter() - start < 1.0
+        assert g == FpIsometry(V, g.matrix)
+        assert g.is_special() and [g.apply(x) for x in X] == Y
+
+
+def test_a_subspace_containing_its_complement_forbids_odd_maps():
+    # X^⊥ = <e1, e2> lies in X although X is not a Lagrangian: every
+    # isometry fixing X pointwise is special, so an odd map of X has no
+    # special extension and an even one has
+    V = FpQuadSpace(3, ((0, 1, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0, 1)))
+    e1, _, e2, _, u = _standard_basis(5)
+    X = [e1, e2, u]
+    tau, sigma = reflection(V, (1, 1, 0, 0, 0)), reflection(V, (0, 0, 1, 1, 0))
+    start = time.perf_counter()
+    with pytest.raises(InvariantViolationError, match="different special-orthogonal orbits"):
+        witt_extension(V, X, [tau.apply(x) for x in X])
+    assert time.perf_counter() - start < 1.0
+    Y = [(sigma @ tau).apply(x) for x in X]
+    g = witt_extension(V, X, Y)
+    assert g.is_special() and [g.apply(x) for x in X] == Y
+
+
+def _reflection_product(V, rng, count):
+    g = modp.identity(V.dim)
+    for _ in range(count):
+        v = next(v for v in iter(lambda: tuple(rng.randrange(V.p) for _ in range(V.dim)), None) if V.q(v))
+        g = modp.mat_mul(reflection(V, v).matrix, g, V.p)
+    return g
+
+
+def _totally_singular_complement(V, Y):
+    perp = modp.kernel_basis([modp.mat_vec(V.gram(), y, V.p) for y in Y], V.p, V.dim)
+    return all(V.q(a) == 0 for a in perp) and all(V.b(a, b) == 0 for a in perp for b in perp)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_seeded_extensions_in_dimension_8(p):
+    rng = random.Random(p)
+    spaces = (hyperbolic(p, 4), diag_space(p, *(rng.randrange(1, p) for _ in range(8))))
+    outcomes = set()
+    for trial in range(100):
+        V = spaces[trial % 2]
+        k = rng.randint(1, 6)
+        if trial % 2 == 0:  # images of standard basis vectors: isotropic and hyperbolic
+            g1 = _reflection_product(V, rng, 3)
+            X = [tuple(row[i] for row in g1) for i in sorted(rng.sample(range(8), k))]
+        else:
+            X = [tuple(rng.randrange(p) for _ in range(8)) for _ in range(k)]
+            if modp.rank(X, p) < k:
+                continue
+        g0 = _reflection_product(V, rng, rng.randint(1, 4))
+        Y = [modp.mat_vec(g0, x, p) for x in X]
+        m, parity = _witt_map(V, X, Y)
+        assert m == FpIsometry(V, m).matrix and parity == dickson_invariant(V, m)
+        assert [modp.mat_vec(m, x, p) for x in X] == Y
+        try:
+            g = witt_extension(V, X, Y)
+        except InvariantViolationError:
+            assert dickson_invariant(V, g0) == 1 and _totally_singular_complement(V, Y)
+            outcomes.add("none")
+            continue
+        assert not (dickson_invariant(V, g0) and _totally_singular_complement(V, Y))
+        assert g == FpIsometry(V, g.matrix)
+        assert g.is_special() and [g.apply(x) for x in X] == Y
+        outcomes.add("witness")
+    assert outcomes == {"witness", "none"}
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +907,7 @@ def test_witness_table_holds_validated_special_isometries(p):
     returned = []
     for X, Y in _witt_queries(V, 1):
         returned.append(witt_extension(V, X, Y))
-    table = V._orbit_cache["witnesses"]
+    table = V._witt_cache["witnesses"]
     assert len(table) >= 2
     for g in returned:
         assert table[g.matrix] is g
@@ -900,10 +921,10 @@ def test_witness_table_returns_the_identical_object():
     V = hyperbolic(3, 2)
     X, Y = ((1, 0, 0, 0),), ((0, 0, 1, 0),)
     first = witt_extension(V, X, Y)
-    size = len(V._orbit_cache["witnesses"])
+    size = len(V._witt_cache["witnesses"])
     again = witt_extension(V, [list(X[0])], [list(Y[0])])
     assert again is first
-    assert len(V._orbit_cache["witnesses"]) == size
+    assert len(V._witt_cache["witnesses"]) == size
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -911,10 +932,10 @@ def test_a_failed_extension_stores_no_witness(p):
     V = hyperbolic(p, 2)
     e1, e2, f2 = (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
     witt_extension(V, [e1, e2], [e1, e2])
-    before = dict(V._orbit_cache["witnesses"])
+    before = dict(V._witt_cache["witnesses"])
     with pytest.raises(InvariantViolationError):
         witt_extension(V, [e1, e2], [e1, f2])  # across rulings
-    assert V._orbit_cache["witnesses"] == before
+    assert V._witt_cache["witnesses"] == before
 
 
 def test_suite_validates_each_witness_once(monkeypatch):
@@ -926,21 +947,20 @@ def test_suite_validates_each_witness_once(monkeypatch):
     counts = {"calls": 0, "witness validations": 0}
     inside = [False]
 
-    def counted_extension(V, X, Y, max_points):
-        if not X:  # the identity, before any orbit tree is consulted
-            return extension(V, X, Y, max_points=max_points)
+    def counted_extension(V, X, Y):
+        if not X:  # the identity, before the cache is consulted
+            return extension(V, X, Y)
         spaces[id(V)] = V
         counts["calls"] += 1
         inside[0] = True
         try:
-            return extension(V, X, Y, max_points=max_points)
+            return extension(V, X, Y)
         finally:
             inside[0] = False
 
     def counted(self):
         post_init(self)
-        # the generators are validated while the space's cache is built
-        if inside[0] and "_orbit_cache" in vars(self.space):
+        if inside[0]:
             counts["witness validations"] += 1
 
     monkeypatch.setattr(verify, "witt_extension", counted_extension)
@@ -948,6 +968,6 @@ def test_suite_validates_each_witness_once(monkeypatch):
     monkeypatch.setattr(verify, "_usable_cores", lambda: 1)  # the counts live in this process
     report = verify.suite_witt_extension(primes=(2, 3), max_rank=3)
     assert report.failures == 0
-    witnesses = sum(len(V._orbit_cache["witnesses"]) for V in spaces.values())
+    witnesses = sum(len(V._witt_cache["witnesses"]) for V in spaces.values())
     assert counts["witness validations"] == witnesses
     assert 0 < witnesses < counts["calls"]

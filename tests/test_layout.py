@@ -9,8 +9,11 @@
 * ``exact_linalg`` eliminates over the integers only: it imports nothing
   from ``fractions``.
 * Each shared construction has one home: the index-p lattice
-  {x : r·x ≡ 0 mod p} is ``exact_linalg.kernel_mod_p`` and the generators
-  fixing a subspace are ``fp_quadratic._fixing_generators``; the copies
+  {x : r·x ≡ 0 mod p} is ``exact_linalg.kernel_mod_p``, the generators
+  fixing a subspace are ``fp_quadratic._fixing_generators``, a map of one
+  tuple onto another is ``fp_quadratic._witt_map``, and the matrices of a
+  reflection and of an Eichler transvection are
+  ``fp_quadratic._reflection_matrix`` and ``_eichler_matrix``; the copies
   they replaced are gone.
 * The Smith form and ``unimodular_inverse`` serve ``exact_linalg`` alone:
   no other module calls them, and only the package root re-exports them.
@@ -138,6 +141,9 @@ def test_exact_linalg_uses_no_fractions():
 CONSTRUCTIONS = {
     ("exact_linalg", "kernel_mod_p"): ("_fp_kernel_hnf",),
     ("fp_quadratic", "_fixing_generators"): ("_orthogonal_generators",),
+    ("fp_quadratic", "_witt_map"): ("_reach", "_state_matrix"),
+    ("fp_quadratic", "_reflection_matrix"): (),
+    ("fp_quadratic", "_eichler_matrix"): (),
 }
 
 

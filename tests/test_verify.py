@@ -141,14 +141,14 @@ def _wrong_witness_for(wronged, monkeypatch):
     extension = verify_module.witt_extension
     names = {}  # space -> its name, as the suite yields them
 
-    def wrong_on_purpose(V, X, Y, max_points):
+    def wrong_on_purpose(V, X, Y):
         if V not in names:
             names[V] = next(
                 n for n, W in verify_module._nondegenerate_spaces(V.p, V.dim) if W == V
             )
         if (names[V], V.p, X, Y) in wronged:
             return FpIsometry(V, [[int(i == j) for j in range(V.dim)] for i in range(V.dim)])
-        return extension(V, X, Y, max_points=max_points)
+        return extension(V, X, Y)
 
     monkeypatch.setattr(verify_module, "witt_extension", wrong_on_purpose)
 
@@ -188,10 +188,10 @@ def test_witt_extension_failure_names_the_instance_by_its_digest(monkeypatch):
 def test_a_guard_tripped_in_a_child_share_reaches_the_caller(monkeypatch):
     caller, extension = os.getpid(), verify_module.witt_extension
 
-    def guarded_in_children(V, X, Y, max_points):
+    def guarded_in_children(V, X, Y):
         if os.getpid() != caller:
             raise SizeGuardError("orbit exceeds the guard 7")
-        return extension(V, X, Y, max_points=max_points)
+        return extension(V, X, Y)
 
     monkeypatch.setattr(verify_module, "witt_extension", guarded_in_children)
     _cores(monkeypatch, 2)
