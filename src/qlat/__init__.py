@@ -79,7 +79,6 @@ from .padic_lattice import (
     lattice_from_line,
     line_from_lattice,
     neighbors_of,
-    plattice_gram,
     plattice_quadlattice,
     plattice_sort_key,
     recover_lattice,

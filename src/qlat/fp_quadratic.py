@@ -5,9 +5,10 @@ A space is presented by an upper-triangular half-Gram matrix mod p:
 characteristic — at p = 2 the quadratic form carries strictly more
 information than the (alternating) bilinear form.
 
-Provided here: Witt decomposition, isotropic-line enumeration, reflections
-and Eichler transvections, the Dickson invariant, special orthogonal group
-orders, Witt-style extension of subspace isometries to special isometries
+Provided here: Witt decomposition, isotropic-line enumeration (of V, or
+of a subspace under the restricted form), reflections and Eichler
+transvections, the Dickson invariant, special orthogonal group orders,
+Witt-style extension of subspace isometries to special isometries
 of the whole space, constructive reflection factorization with spinor
 norms (odd p), and orbits of isotropic lines under the stabilizer of a
 subspace.
@@ -50,6 +51,7 @@ __all__ = [
     "find_isotropic_vector",
     "witt_decomposition",
     "enumerate_isotropic_lines",
+    "isotropic_lines_in",
     "reflection",
     "eichler_transvection",
     "dickson_invariant",
@@ -245,9 +247,6 @@ class FpIsometry:
 
     def apply(self, v: Sequence[int]) -> Vector:
         return modp.mat_vec(self.matrix, v, self.space.p)
-
-    def apply_line(self, line: ProjLine) -> ProjLine:
-        return ProjLine(self.space, self.apply(line.generator))
 
     def __matmul__(self, other: "FpIsometry") -> "FpIsometry":
         if other.space != self.space:
@@ -451,6 +450,27 @@ def enumerate_isotropic_lines(
     return tuple([ProjLine(V, v, _trusted=True) for v in reps])
 
 
+def isotropic_lines_in(
+    V: FpQuadSpace, basis: Sequence[Sequence[int]], max_points: int = MAX_PROJ_POINTS
+) -> tuple[ProjLine, ...]:
+    """The isotropic lines of V inside span(basis), sorted in canonical order.
+
+    Sweeps only the span, under the guard: the lines of Q restricted to
+    the nonzero rows R of the rref of ``basis``, mapped by c ↦ Σ c_i·R_i.
+    R_i is 1 at pivot i, 0 left of it and at the other pivots, so the
+    image of a normalized c is normalized, and two images first differ at
+    the pivot of the first i where their c differ, by c_i: the map keeps
+    the canonical order.
+    """
+    p = V.p
+    rows, pivots = modp.rref(basis, p)
+    R = [tuple(r) for r in rows[: len(pivots)]]
+    if not R:
+        return ()
+    lines = enumerate_isotropic_lines(_restrict(V, R), max_points)
+    return tuple([ProjLine(V, _combine(R, line.generator, p), _trusted=True) for line in lines])
+
+
 # ---------------------------------------------------------------------------
 # reflections, transvections, Dickson invariant
 # ---------------------------------------------------------------------------
@@ -578,8 +598,8 @@ def _so_order(V: FpQuadSpace) -> int:
 
 def _fixing_generators(
     V: FpQuadSpace, w_basis: Sequence[Sequence[int]], max_points: int
-) -> list[tuple[Matrix, int]]:
-    """(matrix, Dickson parity) generators of a group fixing span(W) pointwise.
+) -> list[Matrix]:
+    """Generator matrices of a group fixing span(W) pointwise.
 
     The list holds the reflections in the anisotropic vectors of W^⊥, in
     ``proj_reps`` order over ``kernel_basis`` of W^⊥ (at p = 2 skipping the
@@ -623,22 +643,22 @@ def _fixing_generators(
     if gens is not None:
         return gens
     perp = modp.kernel_basis(wb, p, n)
-    found: dict[Matrix, int] = {}
+    found: dict[Matrix, None] = {}
     iso_dirs: list[Vector] = []
     for coeffs in kernels.proj_reps(p, len(perp)):
         v = _combine(perp, coeffs, p)
         if V.q(v) == 0:
             iso_dirs.append(v)
         elif p != 2 or any(modp.mat_vec(B, v, p)):
-            found[reflection(V, v).matrix] = 1
+            found[reflection(V, v).matrix] = None
     if iso_dirs and (p == 2 or modp.det([[V.b(a, b) for b in perp] for a in perp], p) == 0):
         identity = modp.identity(n)
         for u in iso_dirs:
             for w in modp.kernel_basis(wb + [modp.mat_vec(B, u, p)], p, n):
                 E = eichler_transvection(V, u, w).matrix
                 if E != identity:
-                    found[E] = 0
-    gens = V._generator_lists[key] = list(found.items())
+                    found[E] = None
+    gens = V._generator_lists[key] = list(found)
     return gens
 
 
@@ -942,7 +962,7 @@ def stabilizer_orbit(
         raise PreconditionError("seed line belongs to a different space")
     if not seed.is_isotropic():
         raise PreconditionError("seed line must be isotropic")
-    gens = [g for g, _ in _fixing_generators(V, w_basis, max_points)]
+    gens = _fixing_generators(V, w_basis, max_points)
     if not gens:
         orbit_vecs = [seed.generator]
     else:

@@ -167,8 +167,10 @@ def grow_unique(
     (ambient integer coordinates).  The neighbors L of Ñ are filtered on
     L ∩ span(W̃) being an index-p superlattice of W̃, and exactly one may
     survive; any other count raises InvariantViolationError.  Only the
-    neighbors whose line in Ñ/pÑ lies in the reduction of W̃ are built
-    (``neighbors_of(..., line_within=W̃)``).
+    isotropic lines of Ñ/pÑ in the reduction of W̃ are swept, and only
+    their neighbors are built (``neighbors_of(..., line_within=W̃)``), so
+    ``max_points`` bounds the projective points of that span, at most
+    p^rank(W̃), not those of Ñ/pÑ.
 
     That condition is necessary.  Proof: let L be the neighbor at the line
     ℓ, and W′ = L ∩ span(W̃) an index-p enlargement of W̃.  As below,

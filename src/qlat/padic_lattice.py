@@ -41,12 +41,11 @@ from .exact_linalg import (
     saturate,
     sublattice_in_span,
 )
-from .fp_quadratic import FpQuadSpace, ProjLine, enumerate_isotropic_lines
+from .fp_quadratic import FpQuadSpace, ProjLine, enumerate_isotropic_lines, isotropic_lines_in
 from .modp import MAX_PROJ_POINTS
 from .quad_lattice import (
     QuadLattice,
     Sublattice,
-    bilinear_value,
     is_self_dual_at,
     quad_value,
     sublattice_gram,
@@ -60,7 +59,6 @@ __all__ = [
     "line_from_lattice",
     "enumerate_neighbors",
     "neighbors_of",
-    "plattice_gram",
     "plattice_quadlattice",
     "plattice_sort_key",
     "w_generic_lines",
@@ -151,39 +149,23 @@ def plattice_sort_key(L: PLattice):
     return (L.power, L.numerator_basis.entries)
 
 
-def plattice_gram(L: PLattice) -> IntMatrix:
-    """Gram matrix of the lattice in its own basis (must be integral)."""
-    S = L.numerator_basis
-    G = S.transpose() @ L.ambient.gram() @ S
-    d = L.scale_denominator() ** 2
-    out = []
-    for row in G.entries:
-        out_row = []
-        for x in row:
-            if x % d:
-                raise PreconditionError("lattice is not integral for the form")
-            out_row.append(x // d)
-        out.append(out_row)
-    return IntMatrix.from_rows(out)
-
-
 def plattice_quadlattice(L: PLattice) -> QuadLattice:
-    """The lattice as an abstract even lattice in its own coordinates."""
+    """The lattice as an abstract even lattice in its own coordinates.
+
+    With G = Sᵀ·B·S for the numerator basis S and d = p^(2·power), the
+    half-Gram is G_ij/d above the diagonal and (G_ii/2)/d = Q(s_i)/d on it;
+    PreconditionError unless all are integers, i.e. unless Q is integral.
+    """
     S = L.numerator_basis
-    cols = S.columns()
-    d = L.scale_denominator() ** 2
-    n = L.rank
+    G = (S.transpose() @ L.ambient.gram() @ S).entries
+    d, n = L.scale_denominator() ** 2, L.rank
     hg = [[0] * n for _ in range(n)]
-    for i in range(n):
-        q = quad_value(L.ambient, cols[i])
-        if q % d:
-            raise PreconditionError("lattice quadratic form is not integral")
-        hg[i][i] = q // d
-        for j in range(i + 1, n):
-            b = bilinear_value(L.ambient, cols[i], cols[j])
-            if b % d:
-                raise PreconditionError("lattice bilinear form is not integral")
-            hg[i][j] = b // d
+    for i, row in enumerate(G):
+        for j in range(i, n):
+            x = row[i] // 2 if j == i else row[j]
+            if x % d:
+                raise PreconditionError("lattice quadratic form is not integral")
+            hg[i][j] = x // d
     return QuadLattice(IntMatrix.from_rows(hg))
 
 
@@ -291,7 +273,7 @@ def line_from_lattice(Nt: PLattice) -> ProjLine:
     n = N.rank
     if abs(S.det()) != p**n:
         raise PreconditionError("lattice is not self-dual (determinant)")
-    plattice_gram(Nt)  # integrality check
+    plattice_quadlattice(Nt)  # integral and even
     V = reduction(N, p)
     red = [[x % p for x in S.column(j)] for j in range(n)]
     if modp.rank(red, p) != 1:
@@ -328,34 +310,27 @@ def neighbors_of(
 
     ``line_within`` holds vectors of L in ambient coordinates.  When it is
     given, only the neighbors whose line in L/pL lies in the span of the
-    vectors' reductions mod pL are built.  Every isotropic line of L/pL is
-    still swept under the ``max_points`` guard; each is tested against the
-    reduced row echelon form of that span with O(r·n) arithmetic mod p, and
-    ``lattice_from_line`` runs only for the lines that pass.  A vector
-    outside L raises PreconditionError.
+    vectors' reductions mod pL are built, and only that span is swept
+    (``isotropic_lines_in``): ``max_points`` bounds the span's projective
+    points, not those of L/pL.  A vector outside L raises
+    PreconditionError.  Without it every isotropic line of L/pL is swept
+    under the guard.
     """
     p = L.p
     Lq = plattice_quadlattice(L)
     if not is_self_dual_at(Lq, p):
         raise PreconditionError("lattice is not self-dual at p")
-    lines = enumerate_isotropic_lines(reduction(Lq, p), max_points)
-    if line_within is not None:
+    V = reduction(Lq, p)
+    if line_within is None:
+        lines = enumerate_isotropic_lines(V, max_points)
+    else:
         coords = []
         for x in line_within:
             c = L.coordinates(x)
             if c is None:
                 raise PreconditionError("vector does not lie in the lattice")
             coords.append(c)
-        rows, pivots = modp.rref(coords, p)
-        echelon = list(zip(pivots, rows))  # the nonzero rows with their pivots
-
-        def in_span(v: tuple[int, ...]) -> bool:
-            # in reduced echelon form, v is in the span iff v = Σ v[j]·(row of pivot j)
-            return not any(
-                (x - sum(v[j] * row[k] for j, row in echelon)) % p for k, x in enumerate(v)
-            )
-
-        lines = [line for line in lines if in_span(line.generator)]
+        lines = isotropic_lines_in(V, coords, max_points)
     S = L.numerator_basis
     out = [
         PLattice(L.ambient, p, L.power + 1, S @ lattice_from_line(Lq, line).numerator_basis)
@@ -381,39 +356,37 @@ def w_generic_lines(
     A line ⟨v̄⟩ qualifies when (i) v̄ does not lie in the reduction of W,
     (ii) some w in W pairs with v̄ nontrivially, and — when U is given —
     (iii) every u in U pairs with v̄ trivially.  For W = 0 conditions (i)
-    and (ii) are vacuous and every isotropic line qualifies.  ``shrink_set``
-    passes the W̃ of a minimal pair as U (see ``_shrink_preconditions``).
+    and (ii) are vacuous.  ``shrink_set`` passes the W̃ of a minimal pair as
+    U (see ``_shrink_preconditions``).
+
+    Condition (iii) is met by sweeping only U^⊥ mod p
+    (``isotropic_lines_in``), so when U is given ``max_points`` bounds the
+    projective points of U^⊥, otherwise those of N/pN.
     """
     if W.ambient != N or (U is not None and U.ambient != N):
         raise PreconditionError("sublattice belongs to a different lattice")
     V = reduction(N, p)
-    lines = enumerate_isotropic_lines(V, max_points)
+    B = N.gram()
+
+    def pairing_rows(X: Sublattice) -> list[list[int]]:
+        return [[sum(map(mul, g, x)) % p for g in B.entries] for x in X.basis.columns()]
+
+    if U is None:
+        lines = enumerate_isotropic_lines(V, max_points)
+    else:
+        lines = isotropic_lines_in(V, modp.kernel_basis(pairing_rows(U), p, N.rank), max_points)
     if W.rank == 0:
         return lines
     Wred = [[x % p for x in W.basis.column(j)] for j in range(W.rank)]
     w_rank = modp.rank(Wred, p)
-    B = N.gram()
-    wb_rows = [
-        [sum(B.entries[i][j] * W.basis.entries[i][c] for i in range(N.rank)) % p for j in range(N.rank)]
-        for c in range(W.rank)
-    ]
-    ub_rows = []
-    if U is not None:
-        ub_rows = [
-            [sum(B.entries[i][j] * U.basis.entries[i][c] for i in range(N.rank)) % p for j in range(N.rank)]
-            for c in range(U.rank)
-        ]
+    wb_rows = pairing_rows(W)
     out = []
     for line in lines:
         v = line.generator
         if modp.rank(Wred + [v], p) == w_rank:
             continue  # v lies in the reduction of W
-        if all(sum(r[j] * v[j] for j in range(len(v))) % p == 0 for r in wb_rows):
+        if all(sum(map(mul, r, v)) % p == 0 for r in wb_rows):
             continue  # W pairs trivially with v
-        if ub_rows and any(
-            sum(r[j] * v[j] for j in range(len(v))) % p for r in ub_rows
-        ):
-            continue  # U must pair trivially
         out.append(line)
     return tuple(out)
 
@@ -491,23 +464,24 @@ def shrink_set_bruteforce(
     return tuple(sorted(out, key=plattice_sort_key))
 
 
-def recover_lattice(Nt: PLattice, W: Sublattice, max_points: int = MAX_PROJ_POINTS) -> PLattice:
+def recover_lattice(Nt: PLattice, W: Sublattice) -> PLattice:
     """The unique p-neighbor L of Ñ with L ∩ span(W) = W.
 
     Preconditions: W is a direct summand of the ambient lattice and
     Ñ ∩ span(W) has index exactly p in W (in particular Ñ itself, whose
-    intersection is all of W, is rejected).  Sweeps the isotropic lines of
-    Ñ/pÑ, builds the neighbor of each line that passes a necessary
-    condition, filters those on the intersection condition, and insists on
-    exactly one survivor — any other count falsifies the uniqueness this
-    package is built around and raises InvariantViolationError.
+    intersection is all of W, is rejected).  Builds the neighbor of each
+    isotropic line of Ñ/pÑ that passes a necessary condition, filters
+    those on the intersection condition, and insists on exactly one
+    survivor — any other count falsifies the uniqueness this package is
+    built around and raises InvariantViolationError.
 
     The necessary condition: the neighbor L at the line ℓ of Ñ/pÑ can
     contain W only if ℓ is the span of the reductions of p·w, w ∈ W, mod
     pÑ (``neighbors_of(..., line_within=p·W)``).  Proof: pL ⊂ Ñ, and its
     image in Ñ/pÑ is ℓ.  If W ⊂ L, each p·w lies in pL, so its reduction
     lies in ℓ.  The map w ↦ p·w mod pÑ has kernel W ∩ Ñ = W̃ ⊃ pW, so its
-    image is W/W̃ ≅ Z/p: a line, which must then be ℓ.  So at most one
+    image is W/W̃ ≅ Z/p: a line, which must then be ℓ.  So the sweep
+    visits one projective point, needs no size guard, and at most one
     lattice is built.
 
     The filter is exact: L ∩ span(W) = W iff W ⊂ L and W/pW → L/pL is
@@ -532,7 +506,7 @@ def recover_lattice(Nt: PLattice, W: Sublattice, max_points: int = MAX_PROJ_POIN
     wcols = W.basis.columns()
     pw = [tuple(p * x for x in w) for w in wcols]
     survivors = [
-        L for L in neighbors_of(Nt, max_points, line_within=pw) if L.span_excess(wcols) == 0
+        L for L in neighbors_of(Nt, line_within=pw) if L.span_excess(wcols) == 0
     ]
     if len(survivors) != 1:
         raise InvariantViolationError(

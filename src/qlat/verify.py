@@ -407,7 +407,7 @@ def suite_nice_cochar(
         ok_recover = True
         for Nt in typed:
             try:
-                if recover_lattice(Nt, W, max_points) != home:
+                if recover_lattice(Nt, W) != home:
                     ok_recover = False
             except InvariantViolationError:
                 ok_recover = False

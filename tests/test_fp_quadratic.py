@@ -29,7 +29,7 @@ from qlat import (
     witt_extension,
 )
 from qlat import kernels, modp
-from qlat.fp_quadratic import _fixing_generators, _witt_map
+from qlat.fp_quadratic import _fixing_generators, _witt_map, isotropic_lines_in
 from isometry_oracle import all_isometries_bruteforce
 
 
@@ -224,6 +224,38 @@ def test_line_guard():
     V = hyperbolic(5, 3)
     with pytest.raises(SizeGuardError):
         enumerate_isotropic_lines(V, max_points=10)
+
+
+def _span_bases(p, rng):
+    """Bases of spans in H⊥H⊥H: fixed ones, then seeded ones of 0–6 vectors.
+
+    ⟨e1, e2, e3⟩ is totally singular, ⟨e1, e2, f2⟩ degenerate with radical
+    ⟨e1⟩, ⟨e1 + f1, e2 + f2⟩ is x² + y² (degenerate at p = 2), and
+    (f1, f1, f2) is a dependent basis.
+    """
+    e = [tuple(int(k == i) for k in range(6)) for i in range(6)]  # e1, f1, e2, f2, e3, f3
+    yield []
+    yield [e[0], e[2], e[4]]
+    yield [e[0], e[2], e[3]]
+    yield [tuple(a + b for a, b in zip(e[0], e[1])), tuple(a + b for a, b in zip(e[2], e[3]))]
+    yield [e[1], e[1], e[3]]
+    yield e
+    for k in range(7):
+        for _ in range(4):
+            yield [tuple(rng.randrange(p) for _ in range(6)) for _ in range(k)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_isotropic_lines_in_matches_the_filtered_full_sweep(p):
+    V = hyperbolic(p, 3)
+    every = enumerate_isotropic_lines(V)
+    for basis in _span_bases(p, random.Random(p)):
+        r = modp.rank(basis, p)
+        inside = tuple(l for l in every if modp.rank([*basis, l.generator], p) == r)
+        got = isotropic_lines_in(V, basis, max_points=(p**r - 1) // (p - 1))
+        assert got == inside, basis
+    with pytest.raises(SizeGuardError):
+        isotropic_lines_in(V, [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)], max_points=p)
 
 
 def test_projline_normalization():
@@ -545,7 +577,7 @@ def _old_orthogonal_generators(V):
     for v in kernels.proj_reps(p, n):
         if V.q(v) != 0:
             try:
-                gens[reflection(V, v).matrix] = 1
+                gens[reflection(V, v).matrix] = None
             except PreconditionError:
                 continue
     if p == 2:
@@ -556,8 +588,8 @@ def _old_orthogonal_generators(V):
             for w in modp.kernel_basis([modp.mat_vec(B, u, p)], p, n):
                 E = eichler_transvection(V, u, w)
                 if E.matrix != modp.identity(n):
-                    gens[E.matrix] = 0
-    return list(gens.items())
+                    gens[E.matrix] = None
+    return list(gens)
 
 
 def _orbit_partition(gens, V):
@@ -588,7 +620,7 @@ def _orbit_partition(gens, V):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_builder_orbits_match_the_list_with_repeats(p, W):
     V = hyperbolic(p, 2)
-    gens = [g for g, _ in _fixing_generators(V, W, modp.MAX_PROJ_POINTS)]
+    gens = _fixing_generators(V, W, modp.MAX_PROJ_POINTS)
     repeated = _stabilizer_generators_with_repeats(V, W)
     assert set(gens) <= set(repeated)
     for g in gens:
@@ -718,7 +750,7 @@ def test_witness_from_a_cached_group_is_a_brute_force_isometry(p):
 
 @pytest.mark.parametrize("V", _spaces((2, 4), (3, 4), (5, 3)))
 def test_orthogonal_generators_generate_the_orthogonal_group(V):
-    gens = [g for g, _ in _fixing_generators(V, (), modp.MAX_PROJ_POINTS)]
+    gens = _fixing_generators(V, (), modp.MAX_PROJ_POINTS)
     assert len(set(gens)) == len(gens)
     assert len(kernels.group_closure(gens, V.p, 10**6)) == 2 * so_order(V)
 

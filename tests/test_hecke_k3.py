@@ -1,5 +1,6 @@
 """Minimal pairs, the polarization-change lattice, and fiber round trips."""
 
+import time
 from itertools import product
 from operator import mul
 
@@ -10,6 +11,7 @@ from qlat import (
     MinimalPair,
     PLattice,
     PreconditionError,
+    ProjLine,
     SizeGuardError,
     Sublattice,
     direct_sum,
@@ -19,11 +21,14 @@ from qlat import (
     hyperbolic_plane,
     k3_isogeny,
     k3_lattice,
+    lattice_from_line,
     lattices_equal,
     neighbors_of,
     orthogonal_complement,
     quad_value,
     rank_one,
+    recover_lattice,
+    reduction,
     restricted_lattice,
     shrink_fiber,
     shrink_set,
@@ -242,6 +247,30 @@ def test_grow_line_filter_keeps_the_full_sweep_survivor(p):
         assert len(kept) == 1
         assert set(kept) <= set(neighbors_of(Nt, line_within=wcols))
         assert grow_unique(Nt, tilde_embedding) == kept[0]
+
+
+def _k3_hecke_step(p):
+    """K3 lattice N, W = ⟨e1 + f1⟩, and the neighbor Ñ at the typed line ⟨e1 + e2⟩."""
+    N = k3_lattice()
+    w = (1, 1) + (0,) * 20
+    v = (1, 0, 1) + (0,) * 19
+    return N, Sublattice(N, IntMatrix.from_columns([w])), lattice_from_line(N, ProjLine(reduction(N, p), v))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_recover_lattice_at_the_k3_rank(p):
+    N, W, Nt = _k3_hecke_step(p)
+    start = time.perf_counter()
+    assert recover_lattice(Nt, W) == PLattice(N, p, 0, IntMatrix.identity(22))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_grow_unique_at_the_k3_rank(p):
+    N, W, Nt = _k3_hecke_step(p)
+    start = time.perf_counter()
+    assert grow_unique(Nt, W.basis.scale(p)) == PLattice(N, p, 0, IntMatrix.identity(22))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_grow_rejects_dependent_embedding():

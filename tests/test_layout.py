@@ -11,10 +11,13 @@
 * Each shared construction has one home: the index-p lattice
   {x : r·x ≡ 0 mod p} is ``exact_linalg.kernel_mod_p``, the generators
   fixing a subspace are ``fp_quadratic._fixing_generators``, a map of one
-  tuple onto another is ``fp_quadratic._witt_map``, and the matrices of a
+  tuple onto another is ``fp_quadratic._witt_map``, the matrices of a
   reflection and of an Eichler transvection are
-  ``fp_quadratic._reflection_matrix`` and ``_eichler_matrix``; the copies
-  they replaced are gone.
+  ``fp_quadratic._reflection_matrix`` and ``_eichler_matrix``, the
+  isotropic lines inside a subspace are ``fp_quadratic.isotropic_lines_in``,
+  and the form of a ``PLattice`` in its own basis is
+  ``padic_lattice.plattice_quadlattice``; the copies they replaced are
+  gone.
 * The Smith form and ``unimodular_inverse`` serve ``exact_linalg`` alone:
   no other module calls them, and only the package root re-exports them.
 * Processes are started in ``qlat.verify`` alone, and lazily: no other
@@ -144,6 +147,8 @@ CONSTRUCTIONS = {
     ("fp_quadratic", "_witt_map"): ("_reach", "_state_matrix"),
     ("fp_quadratic", "_reflection_matrix"): (),
     ("fp_quadratic", "_eichler_matrix"): (),
+    ("fp_quadratic", "isotropic_lines_in"): (),
+    ("padic_lattice", "plattice_quadlattice"): ("plattice_gram",),
 }
 
 

@@ -23,7 +23,7 @@ from qlat import (
     lattices_equal,
     line_from_lattice,
     neighbors_of,
-    plattice_gram,
+    plattice_quadlattice,
     quad_value,
     rank_one,
     recover_lattice,
@@ -119,7 +119,7 @@ def test_lattice_from_line_on_h2():
 def test_neighbor_grams_are_self_dual():
     for N, p in ((H, 3), (H2, 2), (H2, 5)):
         for Nt in enumerate_neighbors(N, p):
-            det = plattice_gram(Nt).det()
+            det = plattice_quadlattice(Nt).gram().det()
             num = abs(det)
             scale = Nt.scale_denominator() ** (2 * N.rank)
             # Gram of the numerator basis: det = ±scale × p-unit
@@ -145,6 +145,18 @@ def test_neighbor_counts():
 def test_line_from_ambient_lattice_rejected():
     with pytest.raises(PreconditionError):
         line_from_lattice(ambient(H, 3))
+
+
+def test_line_from_lattice_rejects_an_odd_lattice():
+    # v = e1 + 2f1 has Q(v) = 2: Ñ = Z·v/2 + {x : [x, v] ≡ 0 mod 2} is
+    # integral and self-dual with the right index, but Q(v/2) = 1/2
+    p, v = 2, (1, 2, 0, 0)
+    Nt = PLattice(H2, p, 1, IntMatrix.from_columns([v]).hstack(kernel_mod_p([2, 1, 0, 0], p).scale(p)))
+    assert abs(Nt.numerator_basis.det()) == p**4
+    with pytest.raises(PreconditionError, match="quadratic form is not integral"):
+        plattice_quadlattice(Nt)
+    with pytest.raises(PreconditionError, match="quadratic form is not integral"):
+        line_from_lattice(Nt)
 
 
 def test_neighbors_of_ambient_match_enumeration():
@@ -178,6 +190,16 @@ def test_rank_zero_w_admits_all_lines():
     W0 = Sublattice(H, IntMatrix.zero(2, 0))
     lines = w_generic_lines(H, W0, 3)
     assert len(lines) == 2
+
+
+def test_rank_zero_w_still_types_the_lines_by_u():
+    W0 = Sublattice(H2, IntMatrix.zero(4, 0))
+    U = Sublattice(H2, IntMatrix.from_columns([(1, 0, 0, 0)]))
+    assert len(w_generic_lines(H2, W0, 3)) == 16
+    lines = w_generic_lines(H2, W0, 3, U)
+    # [e1, v] = v_f1, so the lines orthogonal to e1 are those with v_f1 = 0
+    assert lines == tuple(l for l in enumerate_isotropic_lines(reduction(H2, 3)) if l.generator[1] == 0)
+    assert len(lines) == 7
 
 
 def test_w_generic_lines_match_manual_filter():
