@@ -60,7 +60,6 @@ from .fp_quadratic import (
     FpQuadSpace,
     ProjLine,
     dickson_invariant,
-    eichler_transvection,
     enumerate_isotropic_lines,
     find_isotropic_vector,
     line_sort_key,
@@ -125,7 +124,6 @@ __all__ = [
     "direct_sum",
     "discriminant_group",
     "e8_lattice",
-    "eichler_transvection",
     "enumerate_isotropic_lines",
     "enumerate_neighbors",
     "find_isotropic_vector",

@@ -10,16 +10,15 @@ of a subspace under the restricted form), reflections and Eichler
 transvections, the Dickson invariant, special orthogonal group orders,
 Witt-style extension of subspace isometries to special isometries
 of the whole space, constructive reflection factorization with spinor
-norms (odd p), and orbits of isotropic lines under the stabilizer of a
-subspace.
+norms (odd p), and orbits of isotropic lines under the isometries fixing
+a subspace pointwise, each member certified by a Witt witness.
 
 Per-space invariants
 --------------------
 An ``FpQuadSpace`` is frozen, so whatever depends only on it is computed
 at most once and kept on the instance: the Gram matrix, nondegeneracy,
-the Witt decomposition, |SO(V)|, one generator list per span(W) that
-``stabilizer_orbit`` asked for, and for ``witt_extension`` per Gram type
-of tuple a root tuple and the maps from it built so far, with their
+the Witt decomposition, |SO(V)|, and for ``witt_extension`` per Gram
+type of tuple a root tuple and the maps from it built so far, with their
 inverses and the witnesses validated so far.  No group is materialized.
 Equality, hashing and ``repr`` see only ``p`` and ``half_gram``; two equal
 spaces built apart compute the same values independently.
@@ -53,7 +52,6 @@ __all__ = [
     "enumerate_isotropic_lines",
     "isotropic_lines_in",
     "reflection",
-    "eichler_transvection",
     "dickson_invariant",
     "witt_extension",
     "reflection_factorization",
@@ -103,10 +101,10 @@ def _sqrt_mod(a: int, p: int) -> int | None:
 class FpQuadSpace:
     """Quadratic space over F_p given by an upper-triangular half-Gram.
 
-    Invariants that depend only on the space, the generator lists of
-    ``_fixing_generators`` and the maps of ``witt_extension`` are computed
-    once and kept on the instance (see the module docstring); equality,
-    hashing and ``repr`` see only ``p`` and ``half_gram``.
+    Invariants that depend only on the space and the maps of
+    ``witt_extension`` are computed once and kept on the instance (see the
+    module docstring); equality, hashing and ``repr`` see only ``p`` and
+    ``half_gram``.
     """
 
     p: int
@@ -164,11 +162,6 @@ class FpQuadSpace:
     @cached_property
     def _so_order(self) -> int:
         return _so_order(self)
-
-    @cached_property
-    def _generator_lists(self) -> dict:
-        """The lists of ``_fixing_generators``, keyed by the rref of W mod p."""
-        return {}
 
     @cached_property
     def _witt_cache(self) -> dict:
@@ -279,6 +272,15 @@ class FpIsometry:
 # ---------------------------------------------------------------------------
 # isotropic vectors, Witt decomposition
 # ---------------------------------------------------------------------------
+
+
+def _vectors(V: FpQuadSpace, vectors: Iterable[Sequence[int]], what: str) -> tuple[Vector, ...]:
+    """``vectors`` reduced mod p; PreconditionError unless each has V.dim entries."""
+    p, n = V.p, V.dim
+    out = tuple([tuple([int(x) % p for x in v]) for v in vectors])
+    if any(len(v) != n for v in out):
+        raise PreconditionError(f"{what} has wrong dimension")
+    return out
 
 
 def _combine(basis: Sequence[Vector], coeffs: Sequence[int], p: int) -> Vector:
@@ -463,7 +465,7 @@ def isotropic_lines_in(
     the canonical order.
     """
     p = V.p
-    rows, pivots = modp.rref(basis, p)
+    rows, pivots = modp.rref(_vectors(V, basis, "subspace basis vector"), p)
     R = [tuple(r) for r in rows[: len(pivots)]]
     if not R:
         return ()
@@ -482,8 +484,8 @@ def reflection(V: FpQuadSpace, v: Sequence[int]) -> FpIsometry:
     requires B(v, ·) nonzero, otherwise the formula degenerates to the
     identity.
     """
-    p, n = V.p, V.dim
-    v = tuple(int(x) % p for x in v)
+    p = V.p
+    (v,) = _vectors(V, [v], "reflection vector")
     qv = V.q(v)
     if qv == 0:
         raise PreconditionError("reflection vector must be anisotropic")
@@ -501,24 +503,6 @@ def _reflection_matrix(V: FpQuadSpace, v: Vector) -> Matrix:
         tuple(((1 if i == j else 0) - inv * bv[j] * v[i]) % p for j in range(n))
         for i in range(n)
     )
-
-
-def eichler_transvection(V: FpQuadSpace, u: Sequence[int], w: Sequence[int]) -> FpIsometry:
-    """The Eichler transvection E_{u,w}: requires Q(u) = 0, u != 0, [u, w] = 0.
-
-    ``E(x) = x + [x, u] w - [x, w] u - Q(w) [x, u] u``.  It preserves Q,
-    fixes u, has determinant 1 and Dickson invariant 0.
-    """
-    p = V.p
-    u = tuple(int(x) % p for x in u)
-    w = tuple(int(x) % p for x in w)
-    if not any(u):
-        raise PreconditionError("transvection direction must be nonzero")
-    if V.q(u) != 0:
-        raise PreconditionError("transvection direction must be isotropic")
-    if V.b(u, w) != 0:
-        raise PreconditionError("transvection arguments must pair to zero")
-    return FpIsometry(V, _eichler_matrix(V, u, w))
 
 
 def _eichler_matrix(V: FpQuadSpace, u: Vector, w: Vector) -> Matrix:
@@ -594,72 +578,6 @@ def _so_order(V: FpQuadSpace) -> int:
 # ---------------------------------------------------------------------------
 # Witt extension of isometries
 # ---------------------------------------------------------------------------
-
-
-def _fixing_generators(
-    V: FpQuadSpace, w_basis: Sequence[Sequence[int]], max_points: int
-) -> list[Matrix]:
-    """Generator matrices of a group fixing span(W) pointwise.
-
-    The list holds the reflections in the anisotropic vectors of W^⊥, in
-    ``proj_reps`` order over ``kernel_basis`` of W^⊥ (at p = 2 skipping the
-    vectors that pair trivially with V), then — only when p = 2 or W^⊥ is
-    degenerate — the non-identity Eichler transvections E_{u,w} for
-    isotropic u in W^⊥ and w in a basis of W^⊥ ∩ u^⊥.  Each matrix is
-    listed once, in first-seen order.
-
-    With W = 0 on a nondegenerate V the group is O(V): for odd p the
-    reflections alone generate it (Cartan–Dieudonné); at p = 2 the
-    orthogonal transvections (the reflections' analogue) and the Eichler
-    transvections generate O(V) on every nondegenerate space, the
-    four-dimensional split one included (Dieudonné; Taylor, *The Geometry
-    of the Classical Groups*, 1992).
-
-    For odd p and nondegenerate W^⊥ the transvections are left out because
-    the reflections already generate them.  Proof: V = W^⊥ ⊥ (W^⊥)^⊥.
-    E_{u,w} maps W^⊥ to itself and fixes every vector orthogonal to u and
-    w, so it lies in O(W^⊥) × 1, which the reflections in anisotropic
-    vectors of W^⊥ generate (Cartan–Dieudonné).
-
-    The list is kept on the space per span(W), keyed by the rref of W mod
-    p.  Every call first checks that W^⊥ has at most ``max_points``
-    projective points, then looks the list up.
-    """
-    p, n = V.p, V.dim
-    B = V.gram()
-    key, wb, kperp = (), [], n
-    if w_basis:
-        rows, pivots = modp.rref(w_basis, p)
-        key = tuple(map(tuple, rows[: len(pivots)]))
-        wb = [modp.mat_vec(B, w, p) for w in key]
-        kperp = n - modp.rank(wb, p)
-    count = (p**kperp - 1) // (p - 1)
-    if count > max_points:
-        raise SizeGuardError(
-            f"the space orthogonal to W has {count} projective points, "
-            f"past the guard {max_points} (raise it with --max-points)"
-        )
-    gens = V._generator_lists.get(key)
-    if gens is not None:
-        return gens
-    perp = modp.kernel_basis(wb, p, n)
-    found: dict[Matrix, None] = {}
-    iso_dirs: list[Vector] = []
-    for coeffs in kernels.proj_reps(p, len(perp)):
-        v = _combine(perp, coeffs, p)
-        if V.q(v) == 0:
-            iso_dirs.append(v)
-        elif p != 2 or any(modp.mat_vec(B, v, p)):
-            found[reflection(V, v).matrix] = None
-    if iso_dirs and (p == 2 or modp.det([[V.b(a, b) for b in perp] for a in perp], p) == 0):
-        identity = modp.identity(n)
-        for u in iso_dirs:
-            for w in modp.kernel_basis(wb + [modp.mat_vec(B, u, p)], p, n):
-                E = eichler_transvection(V, u, w).matrix
-                if E != identity:
-                    found[E] = None
-    gens = V._generator_lists[key] = list(found)
-    return gens
 
 
 def _tuple_type_key(V: FpQuadSpace, vectors: Sequence[Vector]):
@@ -775,8 +693,8 @@ def witt_extension(
     p, n = V.p, V.dim
     if not V.is_nondegenerate():
         raise PreconditionError("Witt extension requires a nondegenerate space")
-    X = tuple(tuple(int(c) % p for c in v) for v in w1_basis)
-    W2 = tuple(tuple(int(c) % p for c in v) for v in w2_basis)
+    X = _vectors(V, w1_basis, "subspace basis vector")
+    W2 = _vectors(V, w2_basis, "subspace basis vector")
     k = len(X)
     if len(W2) != k:
         raise PreconditionError("subspace bases have different sizes")
@@ -948,30 +866,54 @@ def stabilizer_orbit(
     V: FpQuadSpace,
     w_basis: Sequence[Sequence[int]],
     seed: ProjLine,
-    universe: Iterable[ProjLine] | None = None,
-    max_points: int = MAX_PROJ_POINTS,
+    universe: Iterable[ProjLine],
 ) -> tuple[ProjLine, ...]:
-    """Orbit of an isotropic line under reflections/transvections fixing W.
+    """The lines of ``universe`` in the orbit of ``seed`` under O_W, sorted canonically.
 
-    The generators are those of ``_fixing_generators``, built once per
-    span(W) and kept on the space.  Returns the orbit sorted canonically,
-    intersected with ``universe`` when given.
+    O_W is the group of isometries of V that fix span(W) pointwise.  Let v₀
+    generate the seed.  By Witt's theorem (V nondegenerate) ⟨v⟩ lies in the
+    orbit exactly when, for some λ ≠ 0, w ↦ w, v₀ ↦ λv is an isometry of
+    W + ⟨v₀⟩ onto W + ⟨λv⟩: v is isotropic and outside W̄ (if v₀ lies in W̄,
+    O_W fixes it and only its own line qualifies), and λv pairs with the
+    rref basis of W as v₀ does.  Each member is certified by ``_witt_map``
+    of W + [v₀] onto W + [λv], validated as an ``FpIsometry`` that fixes
+    every w and sends v₀ to λv; a failed check raises
+    InvariantViolationError.
     """
     p = V.p
+    if not V.is_nondegenerate():
+        raise PreconditionError("stabilizer orbits require a nondegenerate space")
     if seed.space != V:
         raise PreconditionError("seed line belongs to a different space")
     if not seed.is_isotropic():
         raise PreconditionError("seed line must be isotropic")
-    gens = _fixing_generators(V, w_basis, max_points)
-    if not gens:
-        orbit_vecs = [seed.generator]
-    else:
+    lines = set(universe)
+    if any(line.space != V for line in lines):
+        raise PreconditionError("universe line belongs to a different space")
+    rows, pivots = modp.rref(_vectors(V, w_basis, "W vector"), p)
+    W = [tuple(r) for r in rows[: len(pivots)]]
+    v0, k = seed.generator, len(W)
+    if modp.rank(W + [v0], p) == k:
+        return (seed,) if seed in lines else ()
+    pairings = [modp.mat_vec(V.gram(), w, p) for w in W]
+    target = [sum(map(mul, r, v0)) % p for r in pairings]
+    i = next((i for i, t in enumerate(target) if t), None)
+    orbit = []
+    for line in lines:
+        v = line.generator
+        if V.q(v) or modp.rank(W + [v], p) == k:
+            continue
+        pair = [sum(map(mul, r, v)) % p for r in pairings]
+        lam = 1 if i is None or not pair[i] else target[i] * modp.inv_mod(pair[i], p) % p
+        if [lam * x % p for x in pair] != target:
+            continue
+        v = tuple([lam * x % p for x in v])
+        m, _ = _witt_map(V, W + [v0], W + [v])
         try:
-            orbit_vecs = kernels.line_orbit(gens, seed.generator, p, max_points)
-        except ValueError as exc:
-            raise SizeGuardError(str(exc)) from None
-    orbit = [ProjLine(V, v, _trusted=True) for v in orbit_vecs]
-    if universe is not None:
-        allowed = set(universe)
-        orbit = [line for line in orbit if line in allowed]
+            g = FpIsometry(V, m)
+        except PreconditionError:
+            raise InvariantViolationError("orbit certificate is not an isometry") from None
+        if any(g.apply(w) != w for w in W) or g.apply(v0) != v:
+            raise InvariantViolationError("orbit certificate does not map W + [v0] as claimed")
+        orbit.append(line)
     return tuple(sorted(orbit, key=line_sort_key))

@@ -2,6 +2,7 @@
 
 import random
 import time
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -16,10 +17,11 @@ from qlat import (
     ProjLine,
     SizeGuardError,
     dickson_invariant,
-    eichler_transvection,
     enumerate_isotropic_lines,
     find_isotropic_vector,
+    k3_lattice,
     line_sort_key,
+    reduction,
     reflection,
     reflection_factorization,
     so_order,
@@ -29,7 +31,7 @@ from qlat import (
     witt_extension,
 )
 from qlat import kernels, modp
-from qlat.fp_quadratic import _fixing_generators, _witt_map, isotropic_lines_in
+from qlat.fp_quadratic import _eichler_matrix, _witt_map, isotropic_lines_in
 from isometry_oracle import all_isometries_bruteforce
 
 
@@ -392,7 +394,7 @@ def test_reflection_rejects_isotropic_vector():
 def test_transvection_fixes_its_vector_and_is_special():
     V = hyperbolic(3, 2)
     u, w = (1, 0, 0, 0), (0, 0, 1, 0)
-    E = eichler_transvection(V, u, w)
+    E = FpIsometry(V, _eichler_matrix(V, u, w))
     assert E.apply(u) == u
     assert E.is_special()
 
@@ -524,6 +526,35 @@ def test_stabilizer_orbit_rejects_anisotropic_seed():
         stabilizer_orbit(V, [(1, 1, 0, 0)], bad, enumerate_isotropic_lines(V))
 
 
+def test_stabilizer_orbit_rejects_inputs_outside_its_space():
+    V = hyperbolic(3, 2)
+    lines = enumerate_isotropic_lines(V)
+    stranger = enumerate_isotropic_lines(hyperbolic(3, 3))[0]
+    with pytest.raises(PreconditionError, match="universe line"):
+        stabilizer_orbit(V, [(1, 1, 0, 0)], lines[0], lines + (stranger,))
+    with pytest.raises(PreconditionError, match="W vector has wrong dimension"):
+        stabilizer_orbit(V, [(1, 1, 0)], lines[0], lines)
+    odd = FpQuadSpace(2, ((0, 1, 0), (0, 0, 0), (0, 0, 1)))  # H ⊥ ⟨x²⟩: B is degenerate
+    seed = enumerate_isotropic_lines(odd)[0]
+    with pytest.raises(PreconditionError, match="nondegenerate"):
+        stabilizer_orbit(odd, [], seed, [seed])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda V: witt_extension(V, [(1, 0, 0)], [(0, 0, 1)]),
+        lambda V: witt_extension(V, [(1, 0, 0, 0, 5)], [(1, 0, 0, 0, 0)]),
+        lambda V: reflection(V, (1, 1, 0)),
+        lambda V: isotropic_lines_in(V, [(1, 0, 0)]),
+    ],
+    ids=["witt-short", "witt-long", "reflection", "lines-in"],
+)
+def test_vectors_of_the_wrong_length_are_input_errors(call):
+    with pytest.raises(PreconditionError, match="has wrong dimension"):
+        call(hyperbolic(3, 2))
+
+
 def _stabilizer_generators_with_repeats(V, W):
     """The reflections and Eichler transvections fixing W, repeats kept."""
     p, n = V.p, V.dim
@@ -539,39 +570,31 @@ def _stabilizer_generators_with_repeats(V, W):
     for u in iso_dirs:
         rows = [modp.mat_vec(B, w, p) for w in W] + [modp.mat_vec(B, u, p)]
         for w in modp.kernel_basis(rows, p, n):
-            E = eichler_transvection(V, u, w).matrix
+            E = FpIsometry(V, _eichler_matrix(V, u, w)).matrix
             if E != modp.identity(n):
                 gens.append(E)
     return gens
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_stabilizer_orbit_matches_the_list_with_repeats(p, monkeypatch):
+def test_stabilizer_orbit_matches_the_list_with_repeats(p):
+    """The Witt-certified orbit is the breadth-first orbit under the
+    reflections and transvections fixing W."""
     V = hyperbolic(p, 3)
     W = [(1, 1, 0, 0, 0, 0)]
     repeated = _stabilizer_generators_with_repeats(V, W)
     assert len(set(repeated)) < len(repeated)
-    line_orbit = kernels.line_orbit
-    passed = []
-
-    def recording(gens, seed, p, limit):
-        passed.append(gens)
-        return line_orbit(gens, seed, p, limit)
-
-    monkeypatch.setattr(kernels, "line_orbit", recording)
     lines = enumerate_isotropic_lines(V)
     for seed in (lines[0], lines[len(lines) // 2], lines[-1]):
-        orbit = stabilizer_orbit(V, W, seed)
-        expected = line_orbit(repeated, seed.generator, p, modp.MAX_PROJ_POINTS)
+        orbit = stabilizer_orbit(V, W, seed, lines)
+        expected = kernels.line_orbit(repeated, seed.generator, p, modp.MAX_PROJ_POINTS)
         assert [line.generator for line in orbit] == expected
-    gens = list(dict.fromkeys(repeated))
-    if p != 2:  # W^⊥ is nondegenerate: only the reflections, which come first
-        gens = [g for g in gens if modp.det(g, p) == p - 1]
-    assert passed == [gens] * 3
 
 
 def _old_orthogonal_generators(V):
-    """The generator list ``witt_extension`` used before the shared builder."""
+    """The reflections in the anisotropic vectors of V and, at p = 2, the
+    Eichler transvections: a generating set of O(V) (Cartan–Dieudonné;
+    Dieudonné at p = 2)."""
     p, n = V.p, V.dim
     gens = {}
     for v in kernels.proj_reps(p, n):
@@ -586,7 +609,7 @@ def _old_orthogonal_generators(V):
             if V.q(u) != 0:
                 continue
             for w in modp.kernel_basis([modp.mat_vec(B, u, p)], p, n):
-                E = eichler_transvection(V, u, w)
+                E = FpIsometry(V, _eichler_matrix(V, u, w))
                 if E.matrix != modp.identity(n):
                     gens[E.matrix] = None
     return list(gens)
@@ -604,7 +627,20 @@ def _orbit_partition(gens, V):
     return orbits
 
 
-@pytest.mark.parametrize(
+def _stabilizer_partition(V, W):
+    """The isotropic lines of V split into ``stabilizer_orbit`` orbits."""
+    lines = enumerate_isotropic_lines(V)
+    left, orbits = set(lines), set()
+    while left:
+        seed = min(left, key=line_sort_key)
+        orbit = stabilizer_orbit(V, W, seed, lines)
+        assert seed in orbit
+        orbits.add(frozenset(line.generator for line in orbit))
+        left -= set(orbit)
+    return orbits
+
+
+SEVEN_W = pytest.mark.parametrize(
     "W",
     [
         [],
@@ -617,49 +653,52 @@ def _orbit_partition(gens, V):
     ],
     ids=["rank0", "aniso-line", "iso-line", "hyperbolic", "aniso-plane", "degenerate", "isotropic"],
 )
+
+
+@SEVEN_W
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_builder_orbits_match_the_list_with_repeats(p, W):
+    """The orbits ``stabilizer_orbit`` builds on H ⊥ H are those of the
+    reflections and transvections fixing W."""
     V = hyperbolic(p, 2)
-    gens = _fixing_generators(V, W, modp.MAX_PROJ_POINTS)
-    repeated = _stabilizer_generators_with_repeats(V, W)
-    assert set(gens) <= set(repeated)
-    for g in gens:
-        assert all(modp.mat_vec(g, w, p) == tuple(x % p for x in w) for w in W)
-    assert _orbit_partition(gens, V) == _orbit_partition(repeated, V)
+    assert _stabilizer_partition(V, W) == _orbit_partition(_stabilizer_generators_with_repeats(V, W), V)
 
 
-def test_stabilizer_orbit_builds_its_generators_once_per_span(monkeypatch):
-    from qlat import fp_quadratic
-
-    V = hyperbolic(3, 3)
-    built = []
-
-    def counted(V, v):
-        built.append(v)
-        return reflection(V, v)
-
-    monkeypatch.setattr(fp_quadratic, "reflection", counted)
-    lines = enumerate_isotropic_lines(V)
-    bases = ([(1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)], [(1, 1, 1, 0, 0, 0), (2, 2, 0, 0, 0, 0)])
-    first = stabilizer_orbit(V, bases[0], lines[0], lines)
-    once = len(built)
-    assert once > 0
-    assert stabilizer_orbit(V, bases[1], lines[0], lines) == first
-    assert stabilizer_orbit(V, bases[1], lines[-1], lines)
-    assert len(built) == once
-    assert len(V._generator_lists) == 1
+@lru_cache(maxsize=None)
+def _isometries_of_h2(p):
+    return all_isometries_bruteforce(hyperbolic(p, 2))
 
 
-def test_stabilizer_orbit_guard_names_the_count_and_the_bound():
-    V = hyperbolic(3, 2)
-    seed = enumerate_isotropic_lines(V)[0]
-    with pytest.raises(SizeGuardError) as info:
-        stabilizer_orbit(V, [(1, 1, 0, 0)], seed, max_points=12)
-    assert str(info.value) == (
-        "the space orthogonal to W has 13 projective points, past the guard 12 "
-        "(raise it with --max-points)"
-    )
-    assert stabilizer_orbit(V, [(1, 1, 0, 0)], seed, max_points=13)
+@SEVEN_W
+@pytest.mark.parametrize("p", [2, 3])
+def test_stabilizer_orbit_is_the_brute_force_orbit(p, W):
+    """Over every projective point as the universe, anisotropic ones
+    included, the orbit of each isotropic seed is its orbit under the
+    brute-force group of isometries fixing W pointwise."""
+    V = hyperbolic(p, 2)
+    fixing = [g for g in _isometries_of_h2(p) if all(modp.mat_vec(g, w, p) == w for w in W)]
+    universe = [ProjLine(V, v) for v in kernels.proj_reps(p, V.dim)]
+    for seed in enumerate_isotropic_lines(V):
+        brute = {ProjLine(V, modp.mat_vec(g, seed.generator, p)) for g in fixing}
+        assert stabilizer_orbit(V, W, seed, universe) == tuple(sorted(brute, key=line_sort_key))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_typed_lines_of_the_k3_lattice_form_one_orbit(p):
+    """Twenty seeded lines ⟨v⟩ of K3 mod p with Q(v) = 0 and B(e1 + f1, v)
+    nonzero lie in one orbit of the isometries fixing e1 + f1."""
+    V = reduction(k3_lattice(), p)
+    w = (1, 1) + (0,) * 20
+    rng = random.Random(p)
+    lines = set()
+    while len(lines) < 20:
+        v = [rng.randrange(p) for _ in range(V.dim)]
+        if V.q(v) == 0 and V.b(w, v):
+            lines.add(ProjLine(V, v))
+    lines = tuple(sorted(lines, key=line_sort_key))
+    start = time.perf_counter()
+    assert stabilizer_orbit(V, [w], lines[0], lines) == lines
+    assert time.perf_counter() - start < 1.0
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -750,14 +789,15 @@ def test_witness_from_a_cached_group_is_a_brute_force_isometry(p):
 
 @pytest.mark.parametrize("V", _spaces((2, 4), (3, 4), (5, 3)))
 def test_orthogonal_generators_generate_the_orthogonal_group(V):
-    gens = _fixing_generators(V, (), modp.MAX_PROJ_POINTS)
-    assert len(set(gens)) == len(gens)
+    gens = _old_orthogonal_generators(V)
     assert len(kernels.group_closure(gens, V.p, 10**6)) == 2 * so_order(V)
 
 
 @pytest.mark.parametrize("V", _spaces((2, 4), (3, 4), (5, 3)))
 def test_builder_without_w_is_the_old_witt_extension_list(V):
-    assert _fixing_generators(V, (), modp.MAX_PROJ_POINTS) == _old_orthogonal_generators(V)
+    """With W = 0 the orbits ``stabilizer_orbit`` builds are those of the
+    generators of O(V) that ``witt_extension`` once listed."""
+    assert _stabilizer_partition(V, []) == _orbit_partition(_old_orthogonal_generators(V), V)
 
 
 def _gram_data(V, T):

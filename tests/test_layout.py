@@ -9,8 +9,7 @@
 * ``exact_linalg`` eliminates over the integers only: it imports nothing
   from ``fractions``.
 * Each shared construction has one home: the index-p lattice
-  {x : r·x ≡ 0 mod p} is ``exact_linalg.kernel_mod_p``, the generators
-  fixing a subspace are ``fp_quadratic._fixing_generators``, a map of one
+  {x : r·x ≡ 0 mod p} is ``exact_linalg.kernel_mod_p``, a map of one
   tuple onto another is ``fp_quadratic._witt_map``, the matrices of a
   reflection and of an Eichler transvection are
   ``fp_quadratic._reflection_matrix`` and ``_eichler_matrix``, the
@@ -18,6 +17,9 @@
   and the form of a ``PLattice`` in its own basis is
   ``padic_lattice.plattice_quadlattice``; the copies they replaced are
   gone.
+* Stabilizer orbits are certified by Witt witnesses alone: no generator
+  list of the isometries fixing a subspace, nor its per-space cache, nor
+  the public Eichler transvection that only it used, is defined anywhere.
 * The Smith form and ``unimodular_inverse`` serve ``exact_linalg`` alone:
   no other module calls them, and only the package root re-exports them.
 * Processes are started in ``qlat.verify`` alone, and lazily: no other
@@ -28,6 +30,8 @@
   ``main()`` call of ``python -m qlat``, reach it through the top-level
   definitions that refer to it.  Dunders are exempt, and so are the
   functions that ``perfbench/tracer.py`` wraps by name (its ``TARGETS``).
+* Each of those ``TARGETS`` is a top-level function of its module, so the
+  benchmark's tracer finds every name it wraps.
 """
 
 import ast
@@ -143,7 +147,6 @@ def test_exact_linalg_uses_no_fractions():
 # each shared construction -> the names earlier copies of it went by
 CONSTRUCTIONS = {
     ("exact_linalg", "kernel_mod_p"): ("_fp_kernel_hnf",),
-    ("fp_quadratic", "_fixing_generators"): ("_orthogonal_generators",),
     ("fp_quadratic", "_witt_map"): ("_reach", "_state_matrix"),
     ("fp_quadratic", "_reflection_matrix"): (),
     ("fp_quadratic", "_eichler_matrix"): (),
@@ -159,6 +162,21 @@ def test_each_construction_has_one_definition():
             (module, n) for module, names in defined.items() for n in (name, *old_names) if n in names
         )
         assert homes == [(home, name)], name
+
+
+GENERATOR_BUILDER = (
+    "_fixing_generators", "_orthogonal_generators", "_generator_lists", "eichler_transvection"
+)
+
+
+def test_no_generator_builder_remains():
+    for path in MODULES:
+        defined = {
+            node.name
+            for node in ast.walk(_tree(path))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+        assert not defined & set(GENERATOR_BUILDER), path.name
 
 
 def test_smith_form_and_unimodular_inverse_stay_in_exact_linalg():
@@ -278,17 +296,25 @@ def _uncalled_exports(trees, exempt):
     )
 
 
-def _tracer_targets():
-    """The functions that perfbench's tracer wraps by name."""
+def _tracer_table():
+    """perfbench's ``TARGETS``: label -> (module, functions it wraps by name)."""
     for node in _tree(ROOT / "perfbench" / "tracer.py").body:
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]:
-            return {fn for _, fns in ast.literal_eval(node.value).values() for fn in fns}
+            return ast.literal_eval(node.value)
     raise AssertionError("perfbench/tracer.py assigns no TARGETS")
+
+
+def test_every_tracer_target_is_a_top_level_function():
+    for module, fns in _tracer_table().values():
+        path = PACKAGE / (module.removeprefix("qlat.") + ".py")
+        defined = {node.name for node in _tree(path).body if isinstance(node, ast.FunctionDef)}
+        assert sorted(set(fns) - defined) == [], module
 
 
 def test_every_exported_name_has_a_caller():
     trees = {path.stem: _tree(path) for path in MODULES}
-    assert _uncalled_exports(trees, _tracer_targets()) == []
+    tracer_targets = {fn for _, fns in _tracer_table().values() for fn in fns}
+    assert _uncalled_exports(trees, tracer_targets) == []
 
 
 def test_export_rule_follows_references_from_running_code():

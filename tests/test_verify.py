@@ -20,6 +20,7 @@ from qlat import (
     reduction,
 )
 from qlat import verify as verify_module
+from qlat.cli import main
 from qlat.verify import SUITES, VerifyReport, _digest, closed_form_line_count, run_suite
 
 
@@ -312,6 +313,24 @@ def test_neighbor_bijection_failure_details_do_not_depend_on_the_cores(monkeypat
     assert one == two
     assert one["failures"] == 2
     assert all(d["actual"]["round_trips"] is False for d in one["details"])
+
+
+def test_a_nice_cochar_orbit_that_misses_a_line_fails_the_suite(monkeypatch, capsys):
+    real = verify_module.stabilizer_orbit
+
+    def drops_the_last_line(V, w_basis, seed, universe):
+        return real(V, w_basis, seed, universe)[:-1]
+
+    monkeypatch.setattr(verify_module, "stabilizer_orbit", drops_the_last_line)
+    report = run_suite("nice-cochar", primes=(2,))
+    assert report.failures == report.instances == 6
+    for detail in report.details:
+        actual = detail["actual"]
+        assert (actual["dual_routes_equal"], actual["recovered"], actual["orbit_covers"]) == (
+            True, True, False
+        )
+    assert main(["verify", "nice-cochar", "--p", "2"]) == 1
+    capsys.readouterr()
 
 
 def test_a_guard_tripped_in_a_child_of_a_dealt_suite_reaches_the_caller(monkeypatch):
