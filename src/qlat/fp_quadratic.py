@@ -13,6 +13,14 @@ of the whole space, constructive reflection factorization with spinor
 norms (odd p), and orbits of isotropic lines under the isometries fixing
 a subspace pointwise, each member certified by a Witt witness.
 
+Constructions, not searches
+---------------------------
+Only the enumerations of isotropic lines sweep projective points, under
+their ``max_points`` guard.  Everything else is built: for odd p one
+Gram–Schmidt, ``_orthogonal_basis``, gives the diagonal from which
+``find_isotropic_vector`` reads an isotropic vector and along which
+``reflection_factorization`` peels off g, at any p and dimension.
+
 Per-space invariants
 --------------------
 An ``FpQuadSpace`` is frozen, so whatever depends only on it is computed
@@ -36,8 +44,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import kernels, modp
 from .errors import InvariantViolationError, PreconditionError, SizeGuardError
@@ -290,79 +299,30 @@ def _combine(basis: Sequence[Vector], coeffs: Sequence[int], p: int) -> Vector:
     )
 
 
-def find_isotropic_vector(V: FpQuadSpace, max_exhaustive: int = 10**6) -> Vector | None:
+def find_isotropic_vector(V: FpQuadSpace) -> Vector | None:
     """A normalized nonzero vector with Q(v) = 0, or None if there is none.
 
-    While the projective space has at most ``max_exhaustive`` points, the
-    normalized representatives are searched in canonical order and the
-    canonically smallest isotropic vector is returned.  Beyond the guard
-    the answer comes from the form itself, still deterministically and
-    never giving up while an isotropic vector exists: at p = 2 from the
-    half-Gram entries (``_isotropic_from_half_gram``), for odd p from a
-    diagonalization (``_isotropic_by_diagonalization``).
+    Read off the form, with no walk over projective points.  A basis vector
+    e_i with Q(e_i) = 0 comes first.  Otherwise, at p = 2 the other
+    half-Gram entries decide (``_isotropic_from_half_gram``), and for odd p
+    the diagonal of ``_orthogonal_basis``.  A radical vector is isotropic.
+    With three anisotropic w_i, Q(x w_0 + y w_1 + w_2) = 0 asks for y^2 =
+    (-a_2 - a_0 x^2) / a_1: as x runs over F_p the right side takes
+    (p + 1)/2 values, which must meet the (p + 1)/2 squares (0 included),
+    so the scan with Legendre tests ends (Chevalley–Warning).  With two,
+    x w_0 + w_1 is isotropic iff -a_1/a_0 is a square; a line is
+    anisotropic.
     """
     p, n = V.p, V.dim
-    if n == 0:
-        return None
-    if (p**n - 1) // (p - 1) <= max_exhaustive:
-        for v in kernels.proj_reps(p, n):
-            if V.q(v) == 0:
-                return v
-        return None
+    for i in range(n):
+        if V.half_gram[i][i] == 0:
+            return tuple(int(k == i) for k in range(n))
     if p == 2:
         return _isotropic_from_half_gram(V)
-    return _isotropic_by_diagonalization(V)
-
-
-def _isotropic_from_half_gram(V: FpQuadSpace) -> Vector | None:
-    """An isotropic vector over F_2 read off the half-Gram U, or None.
-
-    Q(e_i) = U_ii, Q(e_i + e_j) = U_ii + U_jj + U_ij, and when every entry
-    on and above the diagonal is 1, Q(e_0 + e_1 + e_2) = 6 = 0.  So unless
-    n <= 2 and the form is x^2 (+ xy + y^2), one of these vectors is
-    isotropic; those small forms are anisotropic.
-    """
-    n, U = V.dim, V.half_gram
-    for i in range(n):
-        if U[i][i] == 0:
-            return tuple(int(k == i) for k in range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if U[i][j] == 0:  # Q(e_i + e_j) = 1 + 1 + 0
-                return tuple(int(k in (i, j)) for k in range(n))
-    if n >= 3:
-        return tuple(int(k < 3) for k in range(n))
-    return None
-
-
-def _isotropic_by_diagonalization(V: FpQuadSpace) -> Vector | None:
-    """An isotropic vector over F_p for odd p, or None if there is none.
-
-    Gram–Schmidt either meets a vector with Q = 0 or builds an orthogonal
-    basis w_i with a_i = Q(w_i) != 0.  Once it has three, Q(x w_0 + y w_1
-    + w_2) = 0 asks for y^2 = (-a_2 - a_0 x^2) / a_1: as x runs over F_p
-    the right side takes (p + 1)/2 values, which must meet the (p + 1)/2
-    squares (0 included), so the scan with Legendre tests ends
-    (Chevalley–Warning).  With two, x w_0 + w_1 is isotropic iff -a_1/a_0
-    is a square; a line is anisotropic.
-    """
-    p, n = V.p, V.dim
-    B = V.gram()
-    basis = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    diag: list[tuple[Vector, int]] = []
-    while basis and len(diag) < 3:
-        for u in basis:
-            if V.q(u) == 0:
-                return ProjLine(V, u).generator
-        w, rest = basis[0], basis[1:]
-        a = V.q(w)
-        bw = modp.mat_vec(B, w, p)
-        c = modp.inv_mod(2 * a, p)
-        basis = []
-        for u in rest:
-            t = sum(map(mul, bw, u)) * c % p  # u - t w is orthogonal to w
-            basis.append(tuple((x - t * y) % p for x, y in zip(u, w)))
-        diag.append((w, a))
+    diag = list(islice(_orthogonal_basis(V), 3))
+    for w, a in diag:
+        if a == 0:
+            return ProjLine(V, w).generator
     if len(diag) == 2:
         (w0, a0), (w1, a1) = diag
         x = _sqrt_mod(-a1 * modp.inv_mod(a0, p), p)
@@ -378,6 +338,61 @@ def _isotropic_by_diagonalization(V: FpQuadSpace) -> Vector | None:
         if y is not None:
             return ProjLine(V, _combine([w0, w1, w2], (x, y, 1), p)).generator
     raise InvariantViolationError("ternary form over F_p without an isotropic vector")
+
+
+def _isotropic_from_half_gram(V: FpQuadSpace) -> Vector | None:
+    """An isotropic vector over F_2 read off the half-Gram U, or None.
+
+    For U with every U_ii = Q(e_i) = 1: Q(e_i + e_j) = 1 + 1 + U_ij, and
+    when every entry above the diagonal is 1 too, Q(e_0 + e_1 + e_2) = 6 =
+    0.  So unless n <= 2 and the form is x^2 (+ xy + y^2), one of these
+    vectors is isotropic; those small forms are anisotropic.
+    """
+    n, U = V.dim, V.half_gram
+    for i in range(n):
+        for j in range(i + 1, n):
+            if U[i][j] == 0:  # Q(e_i + e_j) = 1 + 1 + 0
+                return tuple(int(k in (i, j)) for k in range(n))
+    if n >= 3:
+        return tuple(int(k < 3) for k in range(n))
+    return None
+
+
+def _orthogonal_basis(V: FpQuadSpace) -> Iterator[tuple[Vector, int]]:
+    """An orthogonal basis of V (odd p), as pairs (w, Q(w)), the radical last.
+
+    Gram–Schmidt from the unit vectors.  The pivot w is a remaining vector
+    with Q(w) != 0, or else u + t for remaining u, t with B(u, t) != 0: then
+    Q(u) = Q(t) = 0, so Q(u + t) = B(u, t) != 0, and w takes the place of u.
+    Every other remaining vector x becomes x - (B(x, w)/2Q(w)) w, which is
+    orthogonal to w.  Once every remaining vector is isotropic and they
+    pair trivially, B vanishes on their span, which is orthogonal to the
+    pivots, so they span the radical and come last with Q = 0.
+    """
+    p, n = V.p, V.dim
+    B = V.gram()
+    rest = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    while rest:
+        i = next((i for i, u in enumerate(rest) if V.q(u)), None)
+        if i is None:
+            i, j = next(
+                ((i, j) for i, u in enumerate(rest) for j in range(i + 1, len(rest))
+                 if V.b(u, rest[j])),
+                (None, None),
+            )
+            if i is None:
+                break
+            rest[i] = tuple((x + y) % p for x, y in zip(rest[i], rest[j]))
+        w = rest.pop(i)
+        a = V.q(w)
+        bw = modp.mat_vec(B, w, p)
+        c = modp.inv_mod(2 * a, p)
+        for k, u in enumerate(rest):
+            t = sum(map(mul, bw, u)) * c % p
+            rest[k] = tuple((x - t * y) % p for x, y in zip(u, w))
+        yield w, a
+    for u in rest:
+        yield u, 0
 
 
 def _restrict(V: FpQuadSpace, basis: Sequence[Vector]) -> FpQuadSpace:
@@ -661,15 +676,13 @@ def witt_extension(
     V: FpQuadSpace,
     w1_basis: Sequence[Sequence[int]],
     w2_basis: Sequence[Sequence[int]],
-    f: Sequence[Sequence[int]] | None = None,
 ) -> FpIsometry:
     """Extend an isometry between subspaces to a special isometry of V.
 
     ``w1_basis`` and ``w2_basis`` are bases (lists of vectors) of two
-    subspaces; ``f`` gives the isometry in coordinates (column j of f holds
-    the w2-basis coefficients of the image of the j-th w1 vector), default
-    the basis-to-basis map.  Requires: nondegenerate V, independent bases,
-    codimension >= 2, and the Gram data of the two tuples must match.
+    subspaces, and the isometry sends the j-th vector of the first to the
+    j-th vector of the second.  Requires: nondegenerate V, independent
+    bases, codimension >= 2, and the Gram data of the two tuples must match.
 
     Per Gram type the space keeps a root (the first tuple of that type
     queried), ``flip``, the reflection in an anisotropic vector of root^⊥
@@ -694,28 +707,16 @@ def witt_extension(
     if not V.is_nondegenerate():
         raise PreconditionError("Witt extension requires a nondegenerate space")
     X = _vectors(V, w1_basis, "subspace basis vector")
-    W2 = _vectors(V, w2_basis, "subspace basis vector")
+    Y = _vectors(V, w2_basis, "subspace basis vector")
     k = len(X)
-    if len(W2) != k:
+    if len(Y) != k:
         raise PreconditionError("subspace bases have different sizes")
     if k and modp.rank(X, p) != k:
         raise PreconditionError("first subspace basis is dependent")
-    if k and modp.rank(W2, p) != k:
+    if k and modp.rank(Y, p) != k:
         raise PreconditionError("second subspace basis is dependent")
     if n - k < 2:
         raise PreconditionError("codimension must be at least 2")
-    if f is None:
-        Y = W2
-    else:
-        fm = tuple(tuple(int(c) % p for c in row) for row in f)
-        if len(fm) != k or any(len(r) != k for r in fm):
-            raise PreconditionError("isometry coefficient matrix has wrong shape")
-        if k and modp.det(fm, p) == 0:
-            raise PreconditionError("isometry coefficient matrix is singular")
-        Y = tuple(
-            tuple(sum(fm[i][j] * W2[i][t] for i in range(k)) % p for t in range(n))
-            for j in range(k)
-        )
     key = _tuple_type_key(V, X)
     _, yq, yb = _tuple_type_key(V, Y)
     if key[1] != yq:
@@ -766,14 +767,15 @@ def witt_extension(
 def reflection_factorization(V: FpQuadSpace, g: FpIsometry | Matrix) -> list[Vector]:
     """Vectors v_1, ..., v_k with g = τ_{v_1} ∘ ... ∘ τ_{v_k} (odd p).
 
-    Constructive Cartan–Dieudonné: at most 2·dim reflections.  Each step
-    either descends to the orthogonal complement of a fixed anisotropic
-    vector or applies one or two reflections to create such a vector (if
-    Q(gx - x) = 0 for an anisotropic x moved by g, then Q(gx + x) =
-    4Q(x) - Q(gx - x) != 0 and τ_x ∘ τ_{gx+x} fixes x).  Each step scans
-    the normalized vectors of the current subspace, so it raises
-    SizeGuardError once that subspace has more than ``MAX_PROJ_POINTS``
-    projective points.
+    Constructive Cartan–Dieudonné along ``_orthogonal_basis``, at most
+    2·dim reflections.  h starts as g and is left-multiplied by reflections.
+    Once h fixes the basis vectors before w, and hw != w, let d = hw - w.
+    Since Q(hw) = Q(w), B(hw, d) = Q(d).  If Q(d) != 0,
+    τ_d sends hw to hw - d = w.  Otherwise s = hw + w has Q(s) = 4Q(w) -
+    Q(d) != 0 and B(hw, s) = Q(s), so τ_w ∘ τ_s sends hw to -w and then to
+    w.  For an earlier basis vector w', B(hw, w') = B(hw, hw') = B(w, w')
+    = 0, so d, s and w are orthogonal to w' and the steps fix it.  At the
+    end h must be the identity.
     """
     p = V.p
     if p == 2:
@@ -782,59 +784,19 @@ def reflection_factorization(V: FpQuadSpace, g: FpIsometry | Matrix) -> list[Vec
         raise PreconditionError("factorization requires a nondegenerate space")
     h = g.matrix if isinstance(g, FpIsometry) else tuple(tuple(int(x) % p for x in r) for r in g)
     FpIsometry(V, h)  # validates h is an isometry
-    n = V.dim
-    sub_basis: list[Vector] = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    Vs = V
     out: list[Vector] = []
-    while True:
-        k = len(sub_basis)
-        if k == 0:
-            break
-        ident = modp.identity(k)
-        if h == ident:
-            break
-        count = (p**k - 1) // (p - 1)
-        if count > MAX_PROJ_POINTS:
-            raise SizeGuardError(
-                f"reflection factorization would scan {count} projective points, "
-                f"exceeds the guard {MAX_PROJ_POINTS}"
-            )
-        # look for an anisotropic vector fixed by h (in subspace coordinates)
-        fixed = None
-        moved_aniso = None
-        for v in kernels.proj_reps(p, k):
-            if Vs.q(v) == 0:
-                continue
-            if modp.mat_vec(h, v, p) == v:
-                fixed = v
-                break
-            if moved_aniso is None:
-                moved_aniso = v
-        if fixed is not None:
-            # descend to the complement of the fixed vector
-            bv = modp.mat_vec(Vs.gram(), fixed, p)
-            comp_coeffs = modp.kernel_basis([bv], p, k)
-            T = tuple(tuple(c[i] for c in comp_coeffs) for i in range(k))  # k x (k-1)
-            hT = modp.mat_mul(h, T, p)
-            h = modp.solve(T, hT, p)
-            sub_basis = [_combine(sub_basis, c, p) for c in comp_coeffs]
-            Vs = _restrict(V, sub_basis)
+    for w, _ in _orthogonal_basis(V):
+        hw = modp.mat_vec(h, w, p)
+        if hw == w:
             continue
-        x = moved_aniso
-        if x is None:
-            raise InvariantViolationError("no anisotropic vector in a nondegenerate space")
-        hx = modp.mat_vec(h, x, p)
-        d = tuple((a - b) % p for a, b in zip(hx, x))
-        if Vs.q(d) != 0:
-            out.append(_combine(sub_basis, d, p))
-            h = modp.mat_mul(reflection(Vs, d).matrix, h, p)
-        else:
-            s = tuple((a + b) % p for a, b in zip(hx, x))
-            # h <- τ_x ∘ τ_s ∘ h; τ_s applied first
-            out.append(_combine(sub_basis, s, p))
-            out.append(_combine(sub_basis, x, p))
-            h = modp.mat_mul(reflection(Vs, s).matrix, h, p)
-            h = modp.mat_mul(reflection(Vs, x).matrix, h, p)
+        d = tuple((a - b) % p for a, b in zip(hw, w))
+        # τ_s applied first, then τ_w
+        steps = [d] if V.q(d) else [tuple((a + b) % p for a, b in zip(hw, w)), w]
+        for v in steps:
+            out.append(v)
+            h = modp.mat_mul(_reflection_matrix(V, v), h, p)
+    if h != modp.identity(V.dim):
+        raise InvariantViolationError("reflections along an orthogonal basis left g unfactored")
     return out
 
 

@@ -811,6 +811,17 @@ SUITES = {
     "k3-degree": suite_k3_degree,
 }
 
+# the largest rank each suite checks; a larger max_rank is an input error
+_TOP_RANKS = {
+    "neighbor-bijection": 6,
+    "nice-cochar": 6,
+    "witt-extension": 4,
+    "cokernel-m": 10,
+    "lang-counts": 6,
+    "spinor-surjectivity": 6,
+    "k3-degree": 22,
+}
+
 
 def run_suite(
     name: str,
@@ -822,6 +833,10 @@ def run_suite(
     if name not in SUITES:
         raise PreconditionError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
+        )
+    if max_rank is not None and max_rank > _TOP_RANKS[name]:
+        raise PreconditionError(
+            f"suite {name} checks ranks up to {_TOP_RANKS[name]}, not {max_rank}"
         )
     for p in primes or ():
         FpQuadSpace(p, ())  # raises PreconditionError unless p is prime

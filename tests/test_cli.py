@@ -417,6 +417,24 @@ def test_verify_selecting_no_instance_is_input_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "suite, top",
+    [
+        ("witt-extension", 4),
+        ("neighbor-bijection", 6),
+        ("nice-cochar", 6),
+        ("lang-counts", 6),
+        ("spinor-surjectivity", 6),
+        ("cokernel-m", 10),
+        ("k3-degree", 22),
+    ],
+)
+def test_verify_max_rank_past_the_suite_range_is_input_error(capsys, suite, top):
+    rc, out, err = run_cli(capsys, "verify", suite, "--max-rank", str(top + 1))
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == f"error: suite {suite} checks ranks up to {top}, not {top + 1}"
+
+
+@pytest.mark.parametrize(
     "argv, tuples, bound",
     [
         (["--p", "5", "--max-rank", "4"], 12494593, 10000000),

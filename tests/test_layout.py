@@ -14,9 +14,13 @@
   reflection and of an Eichler transvection are
   ``fp_quadratic._reflection_matrix`` and ``_eichler_matrix``, the
   isotropic lines inside a subspace are ``fp_quadratic.isotropic_lines_in``,
+  an orthogonal basis over F_p (odd p) is ``fp_quadratic._orthogonal_basis``,
   and the form of a ``PLattice`` in its own basis is
   ``padic_lattice.plattice_quadlattice``; the copies they replaced are
   gone.
+* The F_p layer builds and does not scan: ``fp_quadratic`` refers to no
+  ``proj_reps``, so no walk over projective points comes back to find an
+  isotropic vector or to factor an isometry.
 * Stabilizer orbits are certified by Witt witnesses alone: no generator
   list of the isometries fixing a subspace, nor its per-space cache, nor
   the public Eichler transvection that only it used, is defined anywhere.
@@ -151,6 +155,7 @@ CONSTRUCTIONS = {
     ("fp_quadratic", "_reflection_matrix"): (),
     ("fp_quadratic", "_eichler_matrix"): (),
     ("fp_quadratic", "isotropic_lines_in"): (),
+    ("fp_quadratic", "_orthogonal_basis"): ("_isotropic_by_diagonalization",),
     ("padic_lattice", "plattice_quadlattice"): ("plattice_gram",),
 }
 
@@ -162,6 +167,10 @@ def test_each_construction_has_one_definition():
             (module, n) for module, names in defined.items() for n in (name, *old_names) if n in names
         )
         assert homes == [(home, name)], name
+
+
+def test_fp_quadratic_scans_no_projective_points():
+    assert "proj_reps" not in _names_in(_tree(PACKAGE / "fp_quadratic.py"))
 
 
 GENERATOR_BUILDER = (
