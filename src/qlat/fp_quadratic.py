@@ -25,9 +25,11 @@ Per-space invariants
 --------------------
 An ``FpQuadSpace`` is frozen, so whatever depends only on it is computed
 at most once and kept on the instance: the Gram matrix, nondegeneracy,
-the Witt decomposition, |SO(V)|, and for ``witt_extension`` per Gram
-type of tuple a root tuple and the maps from it built so far, with their
-inverses and the witnesses validated so far.  No group is materialized.
+the Witt decomposition, |SO(V)|, and for ``witt_extension`` one record
+per tuple met so far, holding its Gram type and one map from the root of
+that type to it, with the root per Gram type and the witnesses validated
+so far.  A tuple's rank and Gram type are thus computed once per space.
+No group is materialized.
 Equality, hashing and ``repr`` see only ``p`` and ``half_gram``; two equal
 spaces built apart compute the same values independently.
 
@@ -110,7 +112,7 @@ def _sqrt_mod(a: int, p: int) -> int | None:
 class FpQuadSpace:
     """Quadratic space over F_p given by an upper-triangular half-Gram.
 
-    Invariants that depend only on the space and the maps of
+    Invariants that depend only on the space and the tuple records of
     ``witt_extension`` are computed once and kept on the instance (see the
     module docstring); equality, hashing and ``repr`` see only ``p`` and
     ``half_gram``.
@@ -176,12 +178,14 @@ class FpQuadSpace:
     def _witt_cache(self) -> dict:
         """What ``witt_extension`` keeps on the space.
 
-        ``types``: per Gram type of tuple, ``(root, flip, maps)`` with
-        ``maps[S]`` a map root → S and its Dickson parity; ``inverses``:
-        the inverse of ``maps[X]`` per source tuple X; ``witnesses``: each
-        witness matrix built so far, mapped to its validated ``FpIsometry``.
+        ``types``: per Gram type of tuple, ``(key, root, flip)``;
+        ``tuples``: per tuple S recorded so far, ``[key, m, parity, m⁻¹ or
+        None]`` with key the type's own key object and m a map root → S of
+        Dickson parity ``parity`` (see ``_witt_record``); ``witnesses``:
+        each witness matrix built so far, mapped to its validated
+        ``FpIsometry``.
         """
-        return {"types": {}, "inverses": {}, "witnesses": {}}
+        return {"types": {}, "tuples": {}, "witnesses": {}}
 
 
 @dataclass(frozen=True, init=False)
@@ -672,6 +676,30 @@ def _witt_map(V: FpQuadSpace, X: Sequence[Vector], Y: Sequence[Vector]) -> tuple
     return g, parity
 
 
+def _witt_record(V: FpQuadSpace, S: tuple[Vector, ...], key) -> list:
+    """Record independent S of Gram type ``key`` as ``[key, m, parity, None]``.
+
+    The first tuple of a type becomes its root, and the type's entry keeps
+    ``(key, root, flip)`` with ``flip`` the reflection in an anisotropic
+    vector of root^⊥ (``_anisotropic_in``), or None.  m is ``_witt_map`` of
+    root → S times ``flip`` if that is odd: ``flip`` fixes the root, so the
+    product is an even map root → S.  Every record of a type holds the
+    entry's key object; the last slot is m⁻¹ once S has been a source.
+    """
+    cache, p = V._witt_cache, V.p
+    entry = cache["types"].get(key)
+    if entry is None:
+        perp = modp.kernel_basis([modp.mat_vec(V.gram(), x, p) for x in S], p, V.dim)
+        a = _anisotropic_in(V, perp)
+        entry = cache["types"][key] = (key, S, None if a is None else _reflection_matrix(V, a))
+    key, root, flip = entry
+    m, parity = _witt_map(V, root, S)
+    if parity and flip is not None:
+        m, parity = modp.mat_mul(m, flip, p), 0
+    record = cache["tuples"][S] = [key, m, parity, None]
+    return record
+
+
 def witt_extension(
     V: FpQuadSpace,
     w1_basis: Sequence[Sequence[int]],
@@ -684,24 +712,25 @@ def witt_extension(
     j-th vector of the second.  Requires: nondegenerate V, independent
     bases, codimension >= 2, and the Gram data of the two tuples must match.
 
-    Per Gram type the space keeps a root (the first tuple of that type
-    queried), ``flip``, the reflection in an anisotropic vector of root^⊥
-    (``_anisotropic_in``) or None, and ``maps[S]``, ``_witt_map`` of root →
-    S times ``flip`` if that is odd: ``flip`` fixes the root, so the product
-    is an even map root → S.  The witness is maps[Y] · maps[X]⁻¹; each
-    witness matrix is validated once per space and kept in a table.
+    The space keeps one record per tuple S met here (``_witt_record``): its
+    Gram type and one map root → S of that type, even unless no map is.
+    The record is made once S has passed its rank check and the Gram data
+    of the call match, so a later call with S skips both computations, and
+    a dependent tuple is never recorded.  The witness is m_Y · m_X⁻¹; each
+    witness matrix is validated once per space and kept in a table, and
+    every call checks that it is special and sends x_j to y_j.
 
     Returns g in SO(V) with g(x_j) = y_j for every basis vector; raises
     InvariantViolationError if no special isometry exists, which is when
-    maps[X] and maps[Y] differ in parity.  Proof (every p): one of them is
-    odd, so there is no ``flip``: root^⊥ is totally singular, and so is its
+    m_X and m_Y differ in parity.  Proof (every p): one of them is odd, so
+    the type has no ``flip``: root^⊥ is totally singular, and so is its
     image X^⊥, hence X^⊥ ⊂ X.  Let h fix X pointwise and φ = h − 1.  Then
     B(φv, x) = B(hv, hx) − B(v, x) = 0, so φ maps V into X^⊥ ⊂ X, and
     Q(φv) = 0 gives B(v, φv) = Q(hv) − Q(v) − Q(φv) = 0: (v, w) ↦ B(v, φw)
     is alternating, of rank rank(φ) since B is nondegenerate.  So rank(h −
     1) is even and every such h is special.  A special g mapping X to Y
-    would make maps[Y]⁻¹ · g · maps[X] such an h for the root, of parity
-    1.  Cross-ruling Lagrangians of a split space are one case of this.
+    would make m_Y⁻¹ · g · m_X such an h for the root, of parity 1.
+    Cross-ruling Lagrangians of a split space are one case of this.
     """
     p, n = V.p, V.dim
     if not V.is_nondegenerate():
@@ -711,42 +740,35 @@ def witt_extension(
     k = len(X)
     if len(Y) != k:
         raise PreconditionError("subspace bases have different sizes")
-    if k and modp.rank(X, p) != k:
+    records = V._witt_cache["tuples"]
+    same = Y == X
+    rx = records.get(X)
+    ry = rx if same else records.get(Y)
+    if rx is None and k and modp.rank(X, p) != k:
         raise PreconditionError("first subspace basis is dependent")
-    if k and modp.rank(Y, p) != k:
+    if ry is None and not same and k and modp.rank(Y, p) != k:
         raise PreconditionError("second subspace basis is dependent")
     if n - k < 2:
         raise PreconditionError("codimension must be at least 2")
-    key = _tuple_type_key(V, X)
-    _, yq, yb = _tuple_type_key(V, Y)
-    if key[1] != yq:
+    kx = _tuple_type_key(V, X) if rx is None else rx[0]
+    ky = kx if same else (_tuple_type_key(V, Y) if ry is None else ry[0])
+    if kx[1] != ky[1]:
         raise PreconditionError("map does not preserve the quadratic form")
-    if key[2] != yb:
+    if kx[2] != ky[2]:
         raise PreconditionError("map does not preserve the bilinear form")
     if k == 0:
         return FpIsometry(V, modp.identity(n))
-    cache = V._witt_cache
-    entry = cache["types"].get(key)
-    if entry is None:
-        perp = modp.kernel_basis([modp.mat_vec(V.gram(), x, p) for x in X], p, n)
-        a = _anisotropic_in(V, perp)
-        entry = cache["types"][key] = (X, None if a is None else _reflection_matrix(V, a), {})
-    root, flip, maps = entry
-    for S in (X, Y):
-        if S not in maps:
-            m, parity = _witt_map(V, root, S)
-            if parity and flip is not None:
-                m, parity = modp.mat_mul(m, flip, p), 0
-            maps[S] = (m, parity)
-    (mx, dx), (my, dy) = maps[X], maps[Y]
-    if dx != dy:
+    if rx is None:
+        rx = _witt_record(V, X, kx)
+    if ry is None:
+        ry = rx if same else _witt_record(V, Y, ky)
+    if rx[2] != ry[2]:
         raise InvariantViolationError("isometric tuples lie in different special-orthogonal orbits")
-    inverses = cache["inverses"]
-    mx_inv = inverses.get(X)
+    mx_inv = rx[3]
     if mx_inv is None:
-        mx_inv = inverses[X] = modp.inverse(mx, p)
-    m = modp.mat_mul(my, mx_inv, p)
-    witnesses = cache["witnesses"]
+        mx_inv = rx[3] = modp.inverse(rx[1], p)
+    m = modp.mat_mul(ry[1], mx_inv, p)
+    witnesses = V._witt_cache["witnesses"]
     iso = witnesses.get(m)
     if iso is None:
         iso = FpIsometry(V, m)

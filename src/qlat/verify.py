@@ -311,9 +311,7 @@ def _share_child(task, share: int, jobs: int, sender) -> None:
 # ---------------------------------------------------------------------------
 
 
-def suite_neighbor_bijection(
-    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
-) -> VerifyReport:
+def suite_neighbor_bijection(primes, max_rank, seed, max_points) -> VerifyReport:
     """Line ↔ lattice bijection on H, H⊥H, H⊥H⊥H, plus closed-form counts.
 
     An instance is a lattice at a prime, whose bijection it checks, or a
@@ -328,11 +326,10 @@ def suite_neighbor_bijection(
     ψ(Ñ) = l, so (B) gives φ(l) = Ñ and hence ψ(φ(l)) = l.
     """
     primes = tuple(primes) if primes else (2, 3, 5)
-    max_rank = max_rank if max_rank is not None else 6
     lattices = [(k, _hyperbolic_power(k)) for k in (1, 2, 3) if 2 * k <= max_rank]
     items = [("⊥".join(["H"] * k), N, None, p) for k, N in lattices for p in primes]
     items += [
-        (name, None, V, p) for p in primes for name, V in _nondegenerate_spaces(p, min(max_rank, 6))
+        (name, None, V, p) for p in primes for name, V in _nondegenerate_spaces(p, max_rank)
     ]
 
     def check(report: VerifyReport, item) -> None:
@@ -377,9 +374,7 @@ def _cochar_instances(primes, max_rank):
     return N, [(p, q) for p in primes for q in qs]
 
 
-def suite_nice_cochar(
-    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
-) -> VerifyReport:
+def suite_nice_cochar(primes, max_rank, seed, max_points) -> VerifyReport:
     """Shrink-fiber dual routes, unique recovery, and orbit transitivity.
 
     For every instance the typed-line route and the filter-all-neighbors
@@ -390,7 +385,6 @@ def suite_nice_cochar(
     set, which proves the action transitive.
     """
     primes = tuple(primes) if primes else (2, 3)
-    max_rank = max_rank if max_rank is not None else 6
     N, instances = _cochar_instances(primes, max_rank)
     n = N.rank
 
@@ -446,9 +440,7 @@ def _subspace_bases(p: int, n: int, k: int):
         yield key
 
 
-def suite_witt_extension(
-    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
-) -> VerifyReport:
+def suite_witt_extension(primes, max_rank, seed, max_points) -> VerifyReport:
     """Exhaustive extension of subspace isometries over F_2 and F_3.
 
     For every nondegenerate space of dim ≤ 4, every subspace of
@@ -476,10 +468,9 @@ def suite_witt_extension(
     changes, so a space's caches go once the share is past it.
     """
     primes = tuple(primes) if primes else (2, 3)
-    max_rank = max_rank if max_rank is not None else 4
     items = []
     for p in primes:
-        for name, V in _nondegenerate_spaces(p, min(max_rank, 4)):
+        for name, V in _nondegenerate_spaces(p, max_rank):
             n = V.dim
             vectors = [v for v in product(range(p), repeat=n) if any(v)]
             by_q: dict[int, list] = {}
@@ -566,16 +557,14 @@ def _gram_matching_tuples(V, X, xq, xgram, by_q, p):
     yield from extend(0)
 
 
-def suite_cokernel_m(
-    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
-) -> VerifyReport:
+def suite_cokernel_m(primes, max_rank, seed, max_points) -> VerifyReport:
     """200 seeded random valid instances of the finite-cokernel claims.
 
     The instances are drawn in the caller, in order, before any is checked.
     Their rank b + 2 is at most ``max_rank``, so below rank 2 there is none.
     """
     primes = tuple(primes) if primes else (2, 3, 5)
-    max_b = min(max_rank - 2, 8) if max_rank is not None else 8
+    max_b = max_rank - 2
     rng = random.Random(seed)
     count = 200 if max_b >= 0 else 0
     items = []
@@ -617,15 +606,12 @@ def suite_cokernel_m(
     return _deal("cokernel-m", items, check)
 
 
-def suite_lang_counts(
-    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
-) -> VerifyReport:
+def suite_lang_counts(primes, max_rank, seed, max_points) -> VerifyReport:
     """Smooth-quadric lifting counts: mod-p² generic lines = p^(n-2) per line.
 
     The mod-p² points of each (lattice, p) are listed once, in the caller.
     """
     primes = tuple(primes) if primes else (2, 3)
-    max_rank = max_rank if max_rank is not None else 6
     items = []
     for k in (1, 2, 3):
         N = _hyperbolic_power(k)
@@ -681,9 +667,7 @@ def _in_line(wbar, vbar, p):
     return True
 
 
-def suite_spinor_surjectivity(
-    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
-) -> VerifyReport:
+def suite_spinor_surjectivity(primes, max_rank, seed, max_points) -> VerifyReport:
     """Witnesses of nontrivial spinor norm fixing W pointwise, odd p.
 
     For each instance a product of two reflections in W^⊥ whose Q-values
@@ -692,7 +676,6 @@ def suite_spinor_surjectivity(
     refactored from scratch.
     """
     primes = tuple(p for p in (primes or (3, 5, 7)) if p != 2)
-    max_rank = max_rank if max_rank is not None else 6
     configs = []
     if max_rank >= 4:
         configs.append(("H⊥H", _hyperbolic_power(2), [[1, 1, 0, 0]]))
@@ -746,9 +729,7 @@ def suite_spinor_surjectivity(
     return _deal("spinor-surjectivity", items, check)
 
 
-def suite_k3_degree(
-    primes=None, max_rank=None, seed=0, max_points=MAX_PROJ_POINTS
-) -> VerifyReport:
+def suite_k3_degree(primes, max_rank, seed, max_points) -> VerifyReport:
     """Degree/primitivity/signature/discriminant laws of the K3 construction.
 
     Every instance has rank 22, so a ``max_rank`` below it selects none.
@@ -756,9 +737,7 @@ def suite_k3_degree(
     primes = tuple(p for p in (primes or (2, 3)))
     K3 = k3_lattice()
     target_sig = signature(K3)
-    items = [(d, p) for d in range(1, 6) for p in primes]
-    if max_rank is not None and max_rank < K3.rank:
-        items = []
+    items = [(d, p) for d in range(1, 6) for p in primes] if max_rank >= K3.rank else []
 
     def check(report: VerifyReport, item) -> None:
         d, p = item
@@ -811,7 +790,8 @@ SUITES = {
     "k3-degree": suite_k3_degree,
 }
 
-# the largest rank each suite checks; a larger max_rank is an input error
+# the largest rank each suite checks: run_suite's default max_rank, and a
+# larger max_rank is an input error
 _TOP_RANKS = {
     "neighbor-bijection": 6,
     "nice-cochar": 6,
@@ -830,14 +810,16 @@ def run_suite(
     seed=0,
     max_points=MAX_PROJ_POINTS,
 ) -> VerifyReport:
+    """Run suite ``name``; ``max_rank`` None checks the suite's whole range."""
     if name not in SUITES:
         raise PreconditionError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
         )
-    if max_rank is not None and max_rank > _TOP_RANKS[name]:
-        raise PreconditionError(
-            f"suite {name} checks ranks up to {_TOP_RANKS[name]}, not {max_rank}"
-        )
+    top = _TOP_RANKS[name]
+    if max_rank is None:
+        max_rank = top
+    elif max_rank > top:
+        raise PreconditionError(f"suite {name} checks ranks up to {top}, not {max_rank}")
     for p in primes or ():
         FpQuadSpace(p, ())  # raises PreconditionError unless p is prime
     return SUITES[name](

@@ -962,10 +962,16 @@ def _totally_singular_complement(V, Y):
     return all(V.q(a) == 0 for a in perp) and all(V.b(a, b) == 0 for a in perp for b in perp)
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_seeded_extensions_in_dimension_8(p):
+    from qlat.verify import _nondegenerate_spaces
+
     rng = random.Random(p)
-    spaces = (hyperbolic(p, 4), diag_space(p, *(rng.randrange(1, p) for _ in range(8))))
+    if p == 2:  # diagonal forms are degenerate at p = 2
+        nonsplit = next(V for name, V in _nondegenerate_spaces(2, 8) if name == "nonsplit-8")
+        spaces = (hyperbolic(p, 4), nonsplit)
+    else:
+        spaces = (hyperbolic(p, 4), diag_space(p, *(rng.randrange(1, p) for _ in range(8))))
     outcomes = set()
     for trial in range(100):
         V = spaces[trial % 2]
@@ -1077,8 +1083,93 @@ def test_suite_validates_each_witness_once(monkeypatch):
     monkeypatch.setattr(verify, "witt_extension", counted_extension)
     monkeypatch.setattr(FpIsometry, "__post_init__", counted)
     monkeypatch.setattr(verify, "_usable_cores", lambda: 1)  # the counts live in this process
-    report = verify.suite_witt_extension(primes=(2, 3), max_rank=3)
+    report = verify.run_suite("witt-extension", primes=(2, 3), max_rank=3)
     assert report.failures == 0
     witnesses = sum(len(V._witt_cache["witnesses"]) for V in spaces.values())
     assert counts["witness validations"] == witnesses
     assert 0 < witnesses < counts["calls"]
+
+
+# ---------------------------------------------------------------------------
+# the per-tuple records kept on the space instance
+# ---------------------------------------------------------------------------
+
+
+def test_suite_checks_each_tuple_once_per_space(monkeypatch):
+    """Each distinct tuple gets one Gram-type computation and at most one
+    rank check per space; every record of a type holds the type's key."""
+    from qlat import fp_quadratic, verify
+
+    extension, type_key, rank = verify.witt_extension, fp_quadratic._tuple_type_key, modp.rank
+    current, spaces = [None], {}
+    keys, ranks = {}, {}
+
+    def counted_extension(V, X, Y):
+        current[0] = spaces[id(V)] = V
+        return extension(V, X, Y)
+
+    def counted_key(V, vectors):
+        keys[id(V), tuple(vectors)] = keys.get((id(V), tuple(vectors)), 0) + 1
+        return type_key(V, vectors)
+
+    def counted_rank(rows, p):
+        if isinstance(rows, tuple):  # a tuple checked by witt_extension
+            ranks[id(current[0]), rows] = ranks.get((id(current[0]), rows), 0) + 1
+        return rank(rows, p)
+
+    monkeypatch.setattr(verify, "witt_extension", counted_extension)
+    monkeypatch.setattr(fp_quadratic, "_tuple_type_key", counted_key)
+    monkeypatch.setattr(modp, "rank", counted_rank)
+    monkeypatch.setattr(verify, "_usable_cores", lambda: 1)
+    report = verify.run_suite("witt-extension", primes=(2, 3), max_rank=3)
+    assert report.failures == 0 and report.instances > len(keys)
+    assert set(keys.values()) == {1} and set(ranks.values()) == {1}
+    assert set(ranks) <= set(keys)
+    for V in spaces.values():
+        cache = V._witt_cache
+        assert set(cache) == {"types", "tuples", "witnesses"}
+        assert {(id(V), S) for S in cache["tuples"]} <= set(keys)
+        for key, entry in cache["types"].items():
+            assert len(entry) == 3 and entry[0] == key  # (key, root, flip): no maps
+        for key, m, parity, _ in cache["tuples"].values():
+            assert key is cache["types"][key][0]
+
+
+def _recorded_space(p):
+    """H⊥H with (e1, e2), (e1 + f1, e2) and (e1, f1) recorded: three Gram types."""
+    V = hyperbolic(p, 2)
+    e1, f1, e2, _ = _standard_basis(4)
+    X, Yq, Yb = (e1, e2), (tuple((a + b) % p for a, b in zip(e1, f1)), e2), (e1, f1)
+    for S in (X, Yq, Yb):
+        witt_extension(V, S, S)
+    assert {X, Yq, Yb} <= set(V._witt_cache["tuples"])
+    return V, X, Yq, Yb
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_recorded_tuples_are_still_checked(p):
+    V, X, Yq, Yb = _recorded_space(p)
+    witnesses, records = dict(V._witt_cache["witnesses"]), dict(V._witt_cache["tuples"])
+    for first, second, message in [
+        (X, (X[0], X[0]), "second subspace basis is dependent"),
+        (X, Yq, "map does not preserve the quadratic form"),
+        (Yq, X, "map does not preserve the quadratic form"),
+        (X, Yb, "map does not preserve the bilinear form"),
+        (Yb, X, "map does not preserve the bilinear form"),
+    ]:
+        with pytest.raises(PreconditionError, match=message):
+            witt_extension(V, first, second)
+    assert V._witt_cache["witnesses"] == witnesses
+    assert V._witt_cache["tuples"] == records
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_dependent_tuple_is_rejected_every_time(p):
+    V, X, _, _ = _recorded_space(p)
+    dependent = (X[0], X[0])
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="first subspace basis is dependent"):
+            witt_extension(V, dependent, X)
+        with pytest.raises(PreconditionError, match="second subspace basis is dependent"):
+            witt_extension(V, X, dependent)
+    assert dependent not in V._witt_cache["tuples"]
