@@ -36,7 +36,6 @@ from .exact_linalg import (
     saturate,
     smith_normal_form,
     sublattice_in_span,
-    unimodular_inverse,
 )
 from .quad_lattice import (
     QuadLattice,
@@ -163,7 +162,6 @@ __all__ = [
     "stabilizer_orbit",
     "sublattice_gram",
     "sublattice_in_span",
-    "unimodular_inverse",
     "w_generic_lines",
     "witt_decomposition",
     "witt_extension",

@@ -1,12 +1,14 @@
 """Exact integer linear algebra.
 
 Everything here runs over arbitrary-precision integers, with no rational
-arithmetic, so results are exact: Smith and Hermite normal forms with their
-unimodular transforms, integer kernels, quotient structure of Z^n by a
-generating set, saturation, lattice intersection, and the index-p lattice
-{x : r·x ≡ 0 mod p} in closed form.  Solves, inverses, ranks and kernels
-all come from the one Hermite eliminator and its transform; the Smith form
-serves only ``quotient_structure`` and ``saturate``.
+arithmetic, so results are exact: the Hermite normal form with its
+unimodular transform, the Smith normal form, integer kernels, quotient
+structure of Z^n by a generating set, saturation, lattice intersection,
+and the index-p lattice {x : r·x ≡ 0 mod p} in closed form.  Every normal
+form comes from the one Hermite eliminator: solves, ranks and kernels from
+it and its transform, the Smith form from alternating Hermite forms of a
+matrix and its transpose.  The Smith form serves only
+``quotient_structure``.
 
 Conventions
 -----------
@@ -39,7 +41,6 @@ __all__ = [
     "lattices_equal",
     "integer_kernel",
     "integral_coefficients",
-    "unimodular_inverse",
     "quotient_structure",
     "saturate",
     "lattice_intersection",
@@ -237,7 +238,7 @@ class AbelianQuotient:
 
 
 # ---------------------------------------------------------------------------
-# elementary row/column operations with transform tracking
+# elementary row operations with transform tracking
 # ---------------------------------------------------------------------------
 
 
@@ -286,30 +287,6 @@ def _two_row_transform(
         M[j] = [c * x + d * y for x, y in zip(ri, rj)]
 
 
-def _swap_cols(A: list[list[int]], V: list[list[int]], i: int, j: int) -> None:
-    for M in (A, V):
-        for row in M:
-            row[i], row[j] = row[j], row[i]
-
-
-def _add_col(A: list[list[int]], V: list[list[int]], i: int, j: int, c: int) -> None:
-    # col_i += c * col_j
-    for M in (A, V):
-        for row in M:
-            row[i] += c * row[j]
-
-
-def _two_col_transform(
-    A: list[list[int]], V: list[list[int]], i: int, j: int, a: int, b: int, c: int, d: int
-) -> None:
-    # (col_i, col_j) <- (a*col_i + b*col_j, c*col_i + d*col_j)
-    for M in (A, V):
-        for row in M:
-            x, y = row[i], row[j]
-            row[i] = a * x + b * y
-            row[j] = c * x + d * y
-
-
 def _columns(M: IntMatrix) -> list[tuple[int, ...]]:
     """The columns of M, also when M has no rows."""
     return list(zip(*M.entries)) if M.entries else [()] * M.cols
@@ -322,72 +299,6 @@ def _ident_list(n: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # normal forms
 # ---------------------------------------------------------------------------
-
-
-def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms: returns (U, D, V), U @ M @ V == D.
-
-    U and V are unimodular; D is diagonal with non-negative entries forming
-    a divisibility chain d1 | d2 | ... (zeros trailing).
-    """
-    n, m = M.rows, M.cols
-    A = [list(r) for r in M.entries]
-    U = _ident_list(n)
-    V = _ident_list(m)
-    t = 0
-    while t < min(n, m):
-        # locate a pivot of minimal absolute value in the trailing block
-        piv = None
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                x = A[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    piv, best = (i, j), abs(x)
-        if piv is None:
-            break
-        _swap_rows(A, U, t, piv[0])
-        _swap_cols(A, V, t, piv[1])
-        while True:
-            for i in range(t + 1, n):
-                x = A[i][t]
-                if x == 0:
-                    continue
-                d = A[t][t]
-                if x % d == 0:
-                    _add_row(A, U, i, t, -(x // d))
-                else:
-                    g, s, u = _xgcd(d, x)
-                    _two_row_transform(A, U, t, i, s, u, -(x // g), d // g)
-            for j in range(t + 1, m):
-                x = A[t][j]
-                if x == 0:
-                    continue
-                d = A[t][t]
-                if x % d == 0:
-                    _add_col(A, V, j, t, -(x // d))
-                else:
-                    g, s, u = _xgcd(d, x)
-                    _two_col_transform(A, V, t, j, s, u, -(x // g), d // g)
-            if any(A[i][t] != 0 for i in range(t + 1, n)):
-                continue  # column transforms re-dirtied the pivot column
-            d = A[t][t]
-            offender = None
-            for i in range(t + 1, n):
-                if any(A[i][j] % d != 0 for j in range(t + 1, m)):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            _add_row(A, U, t, offender, 1)
-        if A[t][t] < 0:
-            _negate_row(A, U, t)
-        t += 1
-    return (
-        IntMatrix.from_rows(U),
-        IntMatrix(tuple(map(tuple, A)), _trusted=True, cols=m),
-        IntMatrix.from_rows(V),
-    )
 
 
 def _row_hnf(A: list[list[int]], U: list[list[int]]) -> None:
@@ -451,6 +362,34 @@ def hnf_basis(M: IntMatrix) -> IntMatrix:
     A = [list(c) for c in _columns(M)]
     _row_hnf(A, [[] for _ in A])
     return IntMatrix.from_columns([c for c in A if any(c)], rows=M.rows)
+
+
+def smith_normal_form(M: IntMatrix) -> IntMatrix:
+    """Smith normal form D of M: M's shape, diagonal d1 | d2 | ..., zeros trailing.
+
+    Alternates Hermite forms of the matrix and of its transpose, each with
+    its zero rows dropped, until only the diagonal is left (Kannan and
+    Bachem, 1979); the row operations of both sides keep the elementary
+    divisors.  Replacing each pair (d_i, d_j), i < j, by (gcd, lcm) then
+    makes the diagonal a divisibility chain.
+    """
+    A = [list(r) for r in M.entries]
+    while True:
+        _row_hnf(A, [[] for _ in A])
+        A = [r for r in A if any(r)]
+        # row i of the echelon form is zero left of column i
+        if not any(any(r[i + 1:]) for i, r in enumerate(A)):
+            break
+        A = [list(c) for c in zip(*A)]
+    d = [r[i] for i, r in enumerate(A)]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    D = [[0] * M.cols for _ in range(M.rows)]
+    for i, x in enumerate(d):
+        D[i][i] = x
+    return IntMatrix(tuple(map(tuple, D)), _trusted=True, cols=M.cols)
 
 
 def is_square_hnf(M: IntMatrix) -> bool:
@@ -543,22 +482,6 @@ def integral_coefficients(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
     return U @ IntMatrix.from_columns(Y, rows=r)
 
 
-def unimodular_inverse(M: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix.
-
-    M @ T == H in Hermite form, and M is unimodular exactly when H is the
-    identity, in which case T is the inverse.
-    """
-    n = M.rows
-    if n != M.cols:
-        raise PreconditionError("inverse of a non-square matrix")
-    H, T = hermite_normal_form(M)
-    if H != IntMatrix.identity(n):
-        reason = "singular" if M.det() == 0 else "not unimodular"
-        raise PreconditionError(f"matrix is {reason}")
-    return T
-
-
 # ---------------------------------------------------------------------------
 # quotients, saturation, intersection
 # ---------------------------------------------------------------------------
@@ -572,7 +495,7 @@ def quotient_structure(ambient_rank: int, gens: IntMatrix) -> AbelianQuotient:
         )
     if gens.cols == 0:
         return AbelianQuotient(ambient_rank, ())
-    _, D, _ = smith_normal_form(gens)
+    D = smith_normal_form(gens)
     divisors = [D.entries[i][i] for i in range(min(D.rows, D.cols)) if D.entries[i][i] != 0]
     free = ambient_rank - len(divisors)
     torsion = tuple(d for d in divisors if d > 1)
@@ -583,20 +506,17 @@ def saturate(ambient_rank: int, gens: IntMatrix) -> tuple[IntMatrix, bool]:
     """Saturation of the column span inside Z^ambient_rank.
 
     Returns ``(basis, is_direct_summand)`` where ``basis`` is the canonical
-    (HNF) basis of ``(span ⊗ Q) ∩ Z^n`` and ``is_direct_summand`` is True
-    iff the span already equals its saturation (all nonzero elementary
-    divisors are 1).
+    (HNF) basis of ``(span ⊗ Q) ∩ Z^n``, the integer kernel of the span's
+    integral annihilator, and ``is_direct_summand`` is True iff the span
+    already equals its saturation (``hnf_basis(gens) == basis``).
     """
     if gens.rows != ambient_rank:
         raise PreconditionError("ambient rank mismatch")
     if gens.cols == 0:
         return IntMatrix.zero(ambient_rank, 0), True
-    U, D, _ = smith_normal_form(gens)
-    divisors = [D.entries[i][i] for i in range(min(D.rows, D.cols)) if D.entries[i][i] != 0]
-    r = len(divisors)
-    Uinv = unimodular_inverse(U)
-    basis = hnf_basis(Uinv.take_columns(range(r)))
-    return basis, all(d == 1 for d in divisors)
+    ann = integer_kernel(gens.transpose())  # covectors vanishing on the span
+    basis = hnf_basis(integer_kernel(ann.transpose()))
+    return basis, hnf_basis(gens) == basis
 
 
 def lattice_intersection(A: IntMatrix, B: IntMatrix) -> IntMatrix:

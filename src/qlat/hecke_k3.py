@@ -132,7 +132,8 @@ def shrink_fiber(
     ``embedding`` columns give an isometric embedding of the pair's
     lattice Λ onto a direct summand of N, with
     rank(Λ) ≤ (rank(N) - 4)/2; the neighbor prime is the pair's index.
-    Delegates the fiber computation to the typed-line construction.
+    Delegates the fiber computation to the typed-line construction, whose
+    preconditions include the direct-summand check.
     """
     if not isinstance(embedding, IntMatrix):
         embedding = IntMatrix.from_rows(embedding)
@@ -148,9 +149,6 @@ def shrink_fiber(
         for j in range(i + 1, r):
             if bilinear_value(N, cols[i], cols[j]) != lam.gram().entries[i][j]:
                 raise PreconditionError("embedding does not preserve the bilinear form")
-    _, summand = saturate(N.rank, embedding)
-    if not summand:
-        raise PreconditionError("embedding image is not a direct summand")
     if 2 * r > N.rank - 4:
         raise PreconditionError("pair rank too large for the ambient lattice")
     W = Sublattice(N, embedding)

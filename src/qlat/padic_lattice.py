@@ -186,17 +186,15 @@ def _check_line(N: QuadLattice, line: ProjLine) -> int:
     return p
 
 
-def hensel_lift_line(N: QuadLattice, line: ProjLine, k: int = 2) -> tuple[int, ...]:
-    """Lift an isotropic line to v with Q(v) ≡ 0 mod p^k, v mod p spanning it.
+def hensel_lift_line(N: QuadLattice, line: ProjLine) -> tuple[int, ...]:
+    """Lift an isotropic line to v with Q(v) ≡ 0 mod p², v mod p spanning it.
 
-    Newton iteration along a fixed basis direction pairing to a unit with
+    One Newton step along a fixed basis direction pairing to a unit with
     v;  requires the line to be isotropic and to pair nontrivially with
     the lattice (it must avoid the radical of the reduction — otherwise
     the point is singular and no correction direction exists).
     """
     p = _check_line(N, line)
-    if k < 1:
-        raise PreconditionError("precision must be at least 1")
     if not line.is_isotropic():
         raise PreconditionError("line is not isotropic")
     v = list(line.generator)
@@ -204,15 +202,10 @@ def hensel_lift_line(N: QuadLattice, line: ProjLine, k: int = 2) -> tuple[int, .
     idx = next((i for i, x in enumerate(brow) if x), None)
     if idx is None:
         raise PreconditionError("singular point: line pairs trivially with the lattice")
-    # each step moves v along e_idx, so [v, e_idx] ≡ brow[idx] mod p throughout
-    inv = pow(brow[idx], -1, p)
-    for j in range(1, k):
-        qv = quad_value(N, v)
-        c = (qv // p**j) % p
-        if qv % p**j:
-            raise InvariantViolationError("lost precision during Hensel lifting")
-        v[idx] += p**j * ((-c * inv) % p)
-    return tuple(a % p**k for a in v)
+    # Q(v + p·t·e_idx) ≡ Q(v) + p·t·[v, e_idx] mod p², and p | Q(v)
+    t = (-(quad_value(N, v) // p) * pow(brow[idx], -1, p)) % p
+    v[idx] += p * t
+    return tuple(a % p**2 for a in v)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +231,7 @@ def lattice_from_line(N: QuadLattice, line: ProjLine) -> PLattice:
     if not is_self_dual_at(N, p):
         raise PreconditionError("lattice is not self-dual at p")
     n = N.rank
-    v = hensel_lift_line(N, line, 2)
+    v = hensel_lift_line(N, line)
     B = N.gram()
     row = [sum(map(mul, g, v)) % p for g in B.entries]  # [e_i, v] mod p
     Lv = kernel_mod_p(row, p)
@@ -391,9 +384,7 @@ def w_generic_lines(
     return tuple(out)
 
 
-def _shrink_preconditions(
-    N: QuadLattice, W: Sublattice, Wt: Sublattice, p: int, min_corank: int
-) -> None:
+def _shrink_preconditions(N: QuadLattice, W: Sublattice, Wt: Sublattice, p: int) -> None:
     """Validate a minimal pair (W, W̃); W̃ is then its own type subgroup.
 
     For p prime, index exactly p forces the elementary divisors of W̃ in W
@@ -412,7 +403,7 @@ def _shrink_preconditions(
     _, summand = saturate(N.rank, W.basis)
     if not summand:
         raise PreconditionError("W is not a direct summand")
-    if 2 * r > N.rank - min_corank:
+    if 2 * r > N.rank - 3:
         raise PreconditionError("W has rank too large for the construction")
     if sublattice_gram(W).det() == 0:
         raise PreconditionError("form restricted to W is degenerate")
@@ -436,7 +427,7 @@ def shrink_set(
     subgroup matches the pair; ``shrink_set_bruteforce`` computes the same
     set by filtering all neighbors and exists as an independent check.
     """
-    _shrink_preconditions(N, W, Wt, p, min_corank=3)
+    _shrink_preconditions(N, W, Wt, p)
     lines = w_generic_lines(N, W, p, Wt, max_points)
     out = [lattice_from_line(N, line) for line in lines]
     return tuple(sorted(out, key=plattice_sort_key))
@@ -454,7 +445,7 @@ def shrink_set_bruteforce(
     Enumerates every p-neighbor of N and keeps those whose intersection
     with span(W) equals W̃.  Independent of the typed-line route.
     """
-    _shrink_preconditions(N, W, Wt, p, min_corank=3)
+    _shrink_preconditions(N, W, Wt, p)
     out = []
     for Nt in enumerate_neighbors(N, p, max_points):
         T = sublattice_in_span(Nt.numerator_basis, W.basis)

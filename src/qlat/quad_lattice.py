@@ -213,16 +213,17 @@ def sublattice_gram(S: Sublattice) -> IntMatrix:
 
 
 def restricted_lattice(S: Sublattice) -> QuadLattice:
-    """The sublattice as an abstract lattice in its own basis coordinates."""
-    basis = S.basis
-    k = basis.cols
-    cols = basis.columns()
-    hg = [[0] * k for _ in range(k)]
-    for i in range(k):
-        hg[i][i] = quad_value(S.ambient, cols[i])
-        for j in range(i + 1, k):
-            hg[i][j] = bilinear_value(S.ambient, cols[i], cols[j])
-    return QuadLattice(IntMatrix.from_rows(hg))
+    """The sublattice as an abstract lattice in its own basis coordinates.
+
+    With G = Sᵀ·B·S (:func:`sublattice_gram`), the half-Gram is G_ij above
+    the diagonal and G_ii/2 = Q(s_i) on it.
+    """
+    G = sublattice_gram(S).entries
+    return QuadLattice(
+        IntMatrix.from_rows(
+            [[0] * i + [row[i] // 2] + list(row[i + 1:]) for i, row in enumerate(G)]
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

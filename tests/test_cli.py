@@ -136,6 +136,19 @@ def test_shrink_rejects_mismatched_prime(capsys, shrink_args):
     assert out == ""
 
 
+def test_shrink_rejects_a_non_summand_embedding(capsys, tmp_path):
+    # 2·(e1 + f1) preserves the form of λ = [[4]] but spans a non-saturated line
+    emb = json.dumps([[2], [2], [0], [0], [0], [0]])
+    pair = tmp_path / "pair.json"
+    pair.write_text(
+        json.dumps({"lambda": {"rank": 1, "half_gram": [[4]]}, "tilde_basis": [[2]]}),
+        encoding="utf-8",
+    )
+    rc, out, err = run_cli(capsys, "shrink", "H⊥H⊥H", emb, str(pair))
+    assert (rc, out) == (2, "")
+    assert err == "error: W is not a direct summand\n"
+
+
 def test_grow_rejects_mismatched_prime(capsys, tmp_path, shrink_args):
     emb, pair = shrink_args
     doc = run_json(capsys, "shrink", "H⊥H⊥H", emb, pair)

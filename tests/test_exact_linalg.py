@@ -1,7 +1,7 @@
 """Exact integer linear algebra: normal forms, quotients, saturation."""
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,6 @@ from qlat import (
     quotient_structure,
     saturate,
     smith_normal_form,
-    unimodular_inverse,
 )
 from qlat.exact_linalg import integral_coefficients, is_square_hnf
 
@@ -99,32 +98,58 @@ def test_abelian_quotient_validation():
 # ---------------------------------------------------------------------------
 
 
+def _determinantal_factors(M):
+    """Nonzero invariant factors of M from its determinantal divisors.
+
+    d_k is the gcd of the k×k minors (each by Bareiss ``IntMatrix.det``),
+    and the k-th invariant factor is d_k / d_(k-1); the count is the rank.
+    No Hermite elimination is involved.
+    """
+    factors, prev = [], 1
+    for k in range(1, min(M.rows, M.cols) + 1):
+        g = 0
+        for rows in combinations(range(M.rows), k):
+            for cols in combinations(range(M.cols), k):
+                g = math.gcd(g, M.take_rows(rows).take_columns(cols).det())
+        if g == 0:
+            break
+        factors.append(g // prev)
+        prev = g
+    return factors
+
+
+def _snf_diagonal(M):
+    D = smith_normal_form(M)
+    assert (D.rows, D.cols) == (M.rows, M.cols)
+    return [D.entries[i][i] for i in range(min(D.rows, D.cols))]
+
+
 def test_snf_identity_is_identity():
-    U, D, V = smith_normal_form(IntMatrix.identity(3))
-    assert D == IntMatrix.identity(3)
+    assert smith_normal_form(IntMatrix.identity(3)) == IntMatrix.identity(3)
 
 
 def test_snf_diag_2_3_gives_1_6():
     M = IntMatrix.from_rows([[2, 0], [0, 3]])
-    U, D, V = smith_normal_form(M)
-    assert [D.entries[i][i] for i in range(2)] == [1, 6]
-    assert U @ M @ V == D
-    assert abs(U.det()) == 1 and abs(V.det()) == 1
+    assert smith_normal_form(M) == IntMatrix.from_rows([[1, 0], [0, 6]])
+    assert _determinantal_factors(M) == [1, 6]
 
 
 def test_snf_zero_matrix():
-    U, D, V = smith_normal_form(IntMatrix.zero(2, 2))
-    assert D == IntMatrix.zero(2, 2)
-    assert abs(U.det()) == 1 and abs(V.det()) == 1
+    assert smith_normal_form(IntMatrix.zero(2, 2)) == IntMatrix.zero(2, 2)
+    assert _determinantal_factors(IntMatrix.zero(2, 2)) == []
+
+
+def test_snf_of_empty_shapes_and_an_off_diagonal_unit():
+    assert smith_normal_form(IntMatrix.zero(0, 3)) == IntMatrix.zero(0, 3)
+    assert smith_normal_form(IntMatrix.zero(3, 0)) == IntMatrix.zero(3, 0)
+    assert smith_normal_form(IntMatrix.from_rows([[0, 1]])) == IntMatrix.from_rows([[1, 0]])
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
 def test_snf_reconstruction_and_divisibility(r, c, data):
     M = data.draw(matrices(r, c))
-    U, D, V = smith_normal_form(M)
-    assert U @ M @ V == D
-    assert abs(U.det()) == 1 and abs(V.det()) == 1
+    D = smith_normal_form(M)
     diag = [D.entries[i][i] for i in range(min(r, c))]
     for i in range(r):
         for j in range(c):
@@ -137,6 +162,14 @@ def test_snf_reconstruction_and_divisibility(r, c, data):
     assert diag[len(nonzero):] == [0] * (len(diag) - len(nonzero))
     if r == c:
         assert abs(D.det()) == abs(M.det())
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_snf_matches_determinantal_divisors(r, c, data):
+    M = data.draw(matrices(r, c)) if r else IntMatrix.zero(0, c)
+    factors = _determinantal_factors(M)
+    assert _snf_diagonal(M) == factors + [0] * (min(r, c) - len(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +348,20 @@ def test_saturate_idempotent(n, k, data):
         assert summand_flag  # a saturation is always a direct summand
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_saturate_matches_determinantal_divisors(n, k, data):
+    gens = data.draw(matrices(n, k))
+    factors = _determinantal_factors(gens)
+    sat, summand = saturate(n, gens)
+    assert sat.cols == len(factors)
+    assert summand == all(f == 1 for f in factors)
+    # a full-column-rank basis spans a saturated subgroup iff its maximal minors are coprime
+    assert _determinantal_factors(sat) == [1] * sat.cols
+    if sat.cols:
+        assert sat @ integral_coefficients(sat, gens) == gens
+
+
 # ---------------------------------------------------------------------------
 # lattice intersection
 # ---------------------------------------------------------------------------
@@ -359,7 +406,7 @@ def test_intersection_commutative_and_contained(data):
 
 
 # ---------------------------------------------------------------------------
-# kernels and inverses
+# kernels and coefficients
 # ---------------------------------------------------------------------------
 
 
@@ -373,17 +420,6 @@ def test_integer_kernel_of_projection():
 
 def test_integer_kernel_of_a_matrix_without_rows_is_everything():
     assert integer_kernel(IntMatrix.zero(0, 3)) == IntMatrix.identity(3)
-
-
-def test_unimodular_inverse_round_trip():
-    T = IntMatrix.from_rows([[1, 2], [0, 1]])
-    assert T @ unimodular_inverse(T) == IntMatrix.identity(2)
-    with pytest.raises(PreconditionError, match="^matrix is not unimodular$"):
-        unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
-    with pytest.raises(PreconditionError, match="^matrix is singular$"):
-        unimodular_inverse(IntMatrix.from_rows([[1, 2], [2, 4]]))
-    with pytest.raises(PreconditionError, match="^inverse of a non-square matrix$"):
-        unimodular_inverse(IntMatrix.from_rows([[1, 0]]))
 
 
 def test_integral_coefficients_solves_or_names_the_obstruction():
@@ -405,9 +441,8 @@ def test_integral_coefficients_solves_or_names_the_obstruction():
 # ---------------------------------------------------------------------------
 
 
-def _snf_rank(M):
-    _, D, _ = smith_normal_form(M)
-    return sum(1 for i in range(min(D.rows, D.cols)) if D.entries[i][i])
+def _determinantal_rank(M):
+    return len(_determinantal_factors(M))
 
 
 def _cramer_class(basis, targets):
@@ -477,7 +512,7 @@ def test_integral_coefficients_error_class_matches_cramer(n, data):
 def test_integer_kernel_is_a_saturated_kernel_of_snf_size(n, m, data):
     M = data.draw(matrices(n, m))
     K = integer_kernel(M)
-    assert K.cols == m - _snf_rank(M)
+    assert K.cols == m - _determinantal_rank(M)
     if K.cols:
         assert M @ K == IntMatrix.zero(n, K.cols)
         assert saturate(m, K)[1]
@@ -487,23 +522,4 @@ def test_integer_kernel_is_a_saturated_kernel_of_snf_size(n, m, data):
 @given(st.integers(1, 5), st.integers(1, 5), st.data())
 def test_rank_matches_snf(n, m, data):
     M = data.draw(matrices(n, m))
-    assert M.rank() == _snf_rank(M)
-
-
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(st.integers(1, 5), st.data())
-def test_unimodular_inverse_of_elementary_products(n, data):
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(data.draw(st.integers(0, 12))):
-        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-        op = data.draw(st.sampled_from(["add", "swap", "negate"]))
-        if op == "add" and i != j:
-            c = data.draw(st.integers(-3, 3))
-            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-        elif op == "swap":
-            rows[i], rows[j] = rows[j], rows[i]
-        elif op == "negate":
-            rows[i] = [-a for a in rows[i]]
-    E = IntMatrix.from_rows(rows)
-    inv = unimodular_inverse(E)
-    assert E @ inv == IntMatrix.identity(n) == inv @ E
+    assert M.rank() == _determinantal_rank(M)

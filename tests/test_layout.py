@@ -24,8 +24,11 @@
 * Stabilizer orbits are certified by Witt witnesses alone: no generator
   list of the isometries fixing a subspace, nor its per-space cache, nor
   the public Eichler transvection that only it used, is defined anywhere.
-* The Smith form and ``unimodular_inverse`` serve ``exact_linalg`` alone:
-  no other module calls them, and only the package root re-exports them.
+* There is one integer eliminator, the Hermite form: no module defines
+  ``unimodular_inverse`` or a column-operation helper (``_swap_cols``,
+  ``_add_col``, ``_two_col_transform``).  The Smith form serves
+  ``exact_linalg`` alone: no other module calls it, only the package root
+  re-exports it, and ``saturate`` does not call it either.
 * Processes are started in ``qlat.verify`` alone, and lazily: no other
   module imports ``multiprocessing`` or ``concurrent.futures`` or names
   ``os.fork``, and ``qlat.verify`` does so only inside a function body.
@@ -188,18 +191,39 @@ def test_no_generator_builder_remains():
         assert not defined & set(GENERATOR_BUILDER), path.name
 
 
-def test_smith_form_and_unimodular_inverse_stay_in_exact_linalg():
-    confined = {"smith_normal_form", "unimodular_inverse"}
+SECOND_ELIMINATOR = ("unimodular_inverse", "_swap_cols", "_add_col", "_two_col_transform")
+
+
+def test_no_second_eliminator_remains():
+    for path in MODULES:
+        defined = {
+            node.name
+            for node in ast.walk(_tree(path))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+        assert not defined & set(SECOND_ELIMINATOR), path.name
+
+
+def test_smith_form_stays_in_exact_linalg():
     for path in MODULES:
         if path.stem == "exact_linalg":
             continue
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.ImportFrom) and path.stem != "__init__":
-                assert not confined & {alias.name for alias in node.names}, path.name
+                assert "smith_normal_form" not in {alias.name for alias in node.names}, path.name
             elif isinstance(node, ast.Name):
-                assert node.id not in confined, (path.name, node.lineno)
+                assert node.id != "smith_normal_form", (path.name, node.lineno)
             elif isinstance(node, ast.Attribute):
-                assert node.attr not in confined, (path.name, node.lineno)
+                assert node.attr != "smith_normal_form", (path.name, node.lineno)
+
+
+def test_saturate_calls_no_smith_form():
+    saturate = next(
+        node
+        for node in _tree(PACKAGE / "exact_linalg.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "saturate"
+    )
+    assert "smith_normal_form" not in _names_in(saturate)
 
 
 PROCESS_MODULES = ("multiprocessing", "concurrent.futures")

@@ -33,7 +33,6 @@ from qlat import (
     shrink_set_bruteforce,
     smith_normal_form,
     sublattice_in_span,
-    unimodular_inverse,
     w_generic_lines,
 )
 from qlat.exact_linalg import integral_coefficients, kernel_mod_p
@@ -74,16 +73,15 @@ def test_reduction_of_e8_mod_2_nondegenerate():
 
 def test_hensel_lift_exact_line():
     line = ProjLine(reduction(H, 3), (1, 0))
-    for k in (1, 2, 3):
-        v = hensel_lift_line(H, line, k)
-        assert v[0] % 3 == 1 and v[1] % 3 == 0
-        assert quad_value(H, v) % 3**k == 0
+    v = hensel_lift_line(H, line)
+    assert v[0] % 3 == 1 and v[1] % 3 == 0
+    assert quad_value(H, v) % 9 == 0
 
 
 def test_hensel_lift_conic_over_z3():
     N = direct_sum(rank_one(1), rank_one(1), rank_one(1))
     line = ProjLine(reduction(N, 3), (1, 1, 1))
-    v = hensel_lift_line(N, line, 2)
+    v = hensel_lift_line(N, line)
     assert all(x % 3 == y for x, y in zip(v, (1, 1, 1)))
     assert quad_value(N, v) % 9 == 0
 
@@ -92,7 +90,7 @@ def test_hensel_lift_rejects_radical_line():
     N = rank_one(1)
     line = ProjLine(reduction(N, 2), (1,))
     with pytest.raises(PreconditionError):
-        hensel_lift_line(N, line, 2)
+        hensel_lift_line(N, line)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +259,15 @@ def test_tilde_types_rank_two_lines_like_the_snf_subgroup(p, cols):
     assert saturate(8, W.basis)[1]
     for rep in proj_reps(p, 2):
         Wt = Sublattice(H4, W.basis @ kernel_mod_p(rep, p))
-        # the exact-type subgroup U of W = U ⊕ Z·a with W̃ = U ⊕ Z·p·a
-        A, D, _ = smith_normal_form(integral_coefficients(W.basis, Wt.basis))
-        assert [D.entries[0][0], D.entries[1][1]] == [1, p]
-        U = Sublattice(H4, (W.basis @ unimodular_inverse(A)).take_columns([0]))
+        # the exact-type subgroup U of W = U ⊕ Z·a with W̃ = U ⊕ Z·p·a: in
+        # W's coordinates W̃ is kernel_mod_p(rep, p), whose unit-diagonal
+        # column spans U and whose other column is p·a
+        K = integral_coefficients(W.basis, Wt.basis)
+        assert K == kernel_mod_p(rep, p)
+        assert smith_normal_form(K) == IntMatrix.from_rows([[1, 0], [0, p]])
+        units = [j for j in range(2) if K.entries[j][j] == 1]
+        assert len(units) == 1
+        U = Sublattice(H4, (W.basis @ K).take_columns(units))
         assert w_generic_lines(H4, W, p, Wt) == w_generic_lines(H4, W, p, U)
 
 
