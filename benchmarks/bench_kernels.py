@@ -23,10 +23,16 @@ def _hyperbolic(n):
 
 
 def _workloads():
+    h8 = _hyperbolic(8)
     h6 = _hyperbolic(6)
     h4 = _hyperbolic(4)
     sl2_gens = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
     return [
+        (
+            # the instance of `qlat quadric lines H⊥H⊥H⊥H --p 7`
+            "isotropic_lines dim 8, p=7",
+            lambda: kernels.isotropic_lines(7, 8, h8, 10**7),
+        ),
         (
             "isotropic_lines dim 6, p=5",
             lambda: kernels.isotropic_lines(5, 6, h6, 10**7),

@@ -61,6 +61,7 @@ from .fp_quadratic import (
     dickson_invariant,
     enumerate_isotropic_lines,
     find_isotropic_vector,
+    isotropic_generators,
     line_sort_key,
     reflection,
     reflection_factorization,
@@ -133,6 +134,7 @@ __all__ = [
     "hyperbolic_plane",
     "integer_kernel",
     "is_self_dual_at",
+    "isotropic_generators",
     "k3_isogeny",
     "k3_lattice",
     "lattice_from_line",

@@ -7,8 +7,11 @@ sorted keys, a two-space indent, non-ASCII characters escaped, no
 timestamps.  ``_emit`` writes them in pieces of bounded size, without
 building the whole string, and only after the document is fully
 computed, so an error raised while computing it never leaves part of one
-on stdout.  Exit codes: 0 success, 1 verification failure or violated
-invariant, 2 invalid input or unmet precondition.
+on stdout.  A matrix of plain-int rows, such as the generators
+``quadric lines`` prints, takes a fast path: each row is encoded by one
+precomputed ``%d`` format (see ``_pieces``).  Exit codes: 0 success, 1
+verification failure or violated invariant, 2 invalid input or unmet
+precondition.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain
 
 from . import kernels
 from .errors import InvariantViolationError, PreconditionError, SizeGuardError
-from .fp_quadratic import enumerate_isotropic_lines
+from .fp_quadratic import isotropic_generators
 from .hecke_k3 import grow_unique, k3_isogeny, shrink_fiber
 from .modp import MAX_PROJ_POINTS, is_prime
 from .padic_lattice import enumerate_neighbors, reduction
@@ -54,7 +58,11 @@ def _pieces(o, nl: str):
 
     Dict keys must be strings.  Keys and strings go through the C
     ``encode_basestring_ascii`` and every other scalar but a plain int
-    through ``json.dumps``, so both come out as the encoder writes them."""
+    through ``json.dumps``, so both come out as the encoder writes them.
+    A list of plain ints is one piece; a matrix of plain-int rows (each
+    row a non-empty tuple or list, all of one length; ``type(x) is int``
+    for each entry, so no ``bool`` or int subclass) goes to ``_int_rows``,
+    which yields it in slices of about ``_WRITE_CHARS`` characters."""
     if isinstance(o, dict):
         if not o:
             yield "{}"
@@ -71,9 +79,16 @@ def _pieces(o, nl: str):
             yield "[]"
             return
         inner = nl + "  "
-        if set(map(type, o)) == {int}:
+        kinds = set(map(type, o))
+        if kinds == {int}:
             yield "[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]"
             return
+        if kinds <= {tuple, list}:
+            widths = set(map(len, o))
+            if len(widths) == 1 and 0 not in widths:
+                if set(map(type, chain.from_iterable(o))) == {int}:
+                    yield from _int_rows(o, nl, widths.pop())
+                    return
         sep = "[" + inner
         for item in o:
             yield sep
@@ -86,6 +101,28 @@ def _pieces(o, nl: str):
         yield _encode_str(o)
     else:
         yield json.dumps(o)
+
+
+def _int_rows(rows, nl: str, width: int):
+    """The text of ``_pieces(rows, nl)`` for a matrix of plain-int rows of
+    length ``width``, each row encoded by one ``%d`` format, in slices of
+    about ``_WRITE_CHARS`` characters."""
+    inner = nl + "  "
+    row_inner = inner + "  "
+    fmt = "[" + row_inner + ("," + row_inner).join(["%d"] * width) + inner + "]"
+    sep = "," + inner
+    start = "[" + inner
+    step = max(1, _WRITE_CHARS // (len(fmt % tuple(rows[0])) + len(sep)))
+    i = 0
+    while i < len(rows):
+        chunk = rows[i : i + step]
+        text = start + sep.join([fmt % tuple(row) for row in chunk])
+        yield text
+        start = sep
+        i += len(chunk)
+        # the next slice's size follows this one's mean row length
+        step = max(1, _WRITE_CHARS * len(chunk) // len(text))
+    yield nl + "]"
 
 
 def _emit(doc: dict) -> None:
@@ -134,14 +171,8 @@ def _cmd_lattice_info(args) -> int:
 def _cmd_quadric_lines(args) -> int:
     L = load_lattice_arg(args.lattice)
     V = reduction(L, args.p)
-    lines = enumerate_isotropic_lines(V, args.max_points)
-    _emit(
-        {
-            "p": args.p,
-            "count": len(lines),
-            "lines": [line.generator for line in lines],
-        }
-    )
+    lines = isotropic_generators(V, args.max_points)
+    _emit({"p": args.p, "count": len(lines), "lines": lines})
     return 0
 
 

@@ -60,6 +60,7 @@ __all__ = [
     "ProjLine",
     "find_isotropic_vector",
     "witt_decomposition",
+    "isotropic_generators",
     "enumerate_isotropic_lines",
     "isotropic_lines_in",
     "reflection",
@@ -460,15 +461,24 @@ def _witt_decomposition(V: FpQuadSpace) -> WittDecomposition:
     return tuple(pairs), tuple(work), tuple(rad)
 
 
+def isotropic_generators(V: FpQuadSpace, max_points: int = MAX_PROJ_POINTS) -> list[Vector]:
+    """The normalized generators of V's isotropic lines, in canonical order.
+
+    The kernel's tuples as they are, with no ``ProjLine`` built around
+    them; SizeGuardError if V has more than ``max_points`` projective
+    points.
+    """
+    try:
+        return kernels.isotropic_lines(V.p, V.dim, V.half_gram, max_points)
+    except ValueError as exc:
+        raise SizeGuardError(str(exc)) from None
+
+
 def enumerate_isotropic_lines(
     V: FpQuadSpace, max_points: int = MAX_PROJ_POINTS
 ) -> tuple[ProjLine, ...]:
     """All isotropic lines of V, sorted in canonical order."""
-    try:
-        reps = kernels.isotropic_lines(V.p, V.dim, V.half_gram, max_points)
-    except ValueError as exc:
-        raise SizeGuardError(str(exc)) from None
-    return tuple([ProjLine(V, v, _trusted=True) for v in reps])
+    return tuple([ProjLine(V, v, _trusted=True) for v in isotropic_generators(V, max_points)])
 
 
 def isotropic_lines_in(
@@ -488,8 +498,8 @@ def isotropic_lines_in(
     R = [tuple(r) for r in rows[: len(pivots)]]
     if not R:
         return ()
-    lines = enumerate_isotropic_lines(_restrict(V, R), max_points)
-    return tuple([ProjLine(V, _combine(R, line.generator, p), _trusted=True) for line in lines])
+    coeffs = isotropic_generators(_restrict(V, R), max_points)
+    return tuple([ProjLine(V, _combine(R, c, p), _trusted=True) for c in coeffs])
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,17 @@ in order.  On a fixed prefix v_0..v_{k-1} it carries the value ``a`` of Q
 on the prefix and, for each coordinate j still free, its linear
 coefficient lin_j = sum_{i<k} h_ij v_i.  Fixing v_k = x updates them as
 ``a += x*(lin_k + h_kk*x)`` and ``lin_j += h_kj*x`` for j > k, so each
-prefix costs O(n) rather than each candidate O(n^2).  At the last
-coordinate only ``a + x*(lin + h_nn*x) ≡ 0`` is tested for each x.  The
-sweep keeps no table beyond the O(n) state of the current prefix, and it
-emits zeros in the product order of the choices.
+prefix costs O(n) rather than each candidate O(n^2).
+
+The last coordinate y gives a zero iff ``a + y*(b + c*y) ≡ 0 mod m``,
+where b = lin_{n-1}, c = h_{n-1,n-1} and m is the modulus, so its roots
+depend on the prefix only through the key (a mod m, b mod m).  Each
+sweep keeps a table ``roots`` from the keys met so far to their roots,
+in the order of the choices, and solves a key, by testing each choice of
+y, only the first time it meets it.  So it tests no more candidates than
+one test per choice per prefix would, and the table holds at most
+min(m², number of prefixes) keys.  Zeros come out in the product order
+of the choices.
 """
 
 from __future__ import annotations
@@ -58,7 +65,11 @@ def _zeros(modulus, half_gram, choices):
     """Every v with v[k] in ``choices[k]`` and Q(v) ≡ 0 mod ``modulus``.
 
     The prefix sweep of the module docstring; the zeros come out in the
-    product order of ``choices``, which must be nonempty.
+    product order of ``choices``, which must be nonempty.  The last
+    coordinate is read off the root table ``roots``, which this call fills
+    lazily: each distinct key (a, b) is solved once, over the last
+    coordinate's choices, so no more candidates are tested than one test
+    per choice per prefix.
     """
     n = len(choices)
     # rows[k] = (h_kk, h_k,k+1, ..., h_k,n-1) reduced mod the modulus
@@ -86,14 +97,21 @@ def _zeros(modulus, half_gram, choices):
                 else:
                     sweep(k + 1, prefix + (0,), a, rest)
             return
-        # the last but one coordinate: test the last one for each x here
+        # the last but one coordinate: read the last one off the root table
         (l,), (h,) = rest, tail
         for x in choices[k]:
-            ax = a + x * (lk + hkk * x)
-            b = l + h * x
-            pre = prefix + (x,)
-            out.extend([pre + (y,) for y in last_choices if (ax + y * (b + c * y)) % modulus == 0])
+            key = ((a + x * (lk + hkk * x)) % modulus, (l + h * x) % modulus)
+            ys = roots.get(key)
+            if ys is None:
+                ax, b = key
+                ys = roots[key] = [
+                    (y,) for y in last_choices if (ax + y * (b + c * y)) % modulus == 0
+                ]
+            if ys:
+                pre = prefix + (x,)
+                out.extend([pre + y for y in ys])
 
+    roots = {}  # (a mod m, b mod m) -> its roots y as 1-tuples (y,), in order
     sweep(0, (), 0, [0] * n)
     return out
 

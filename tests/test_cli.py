@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlat import SizeGuardError
-from qlat.cli import _emit, main
+from qlat.cli import _WRITE_CHARS, _emit, main
 from qlat.verify import VerifyReport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -213,6 +214,10 @@ def test_writer_matches_json_dumps(doc):
     assert emitted(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+class _Sign(IntEnum):
+    MINUS = -1
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -224,12 +229,49 @@ def test_writer_matches_json_dumps(doc):
         [True, 1, False],
         [[[1, 2], [3, 4]], ((5,), (6,))],
         {"s": "\x00\x1f\"\\\u22a5\U0001f600", "f": [1.5, float("nan"), -float("inf")]},
+        [[1, 2, 3], [4, 5, 6]],
+        ((1, 2), (3, 4), (5, 6)),
+        [(1, 2), [3, 4]],
+        [[7, -8, 9]],
+        [[1], [-2], [3]],
+        [[1, _Sign.MINUS], [2, 3]],
+        [(2**64 + 1, -(2**70)), (-1, 0), (-(2**64), 2**200)],
+        [{"basis": [[1, 0], [0, 1]], "p": 2}, {"basis": [(2, 1), (0, 3)], "p": 2}],
     ],
     ids=["empty-dict", "empty-list", "unicode-keys", "unequal-rows", "bool-in-row",
-         "bool-in-list", "nested-rows", "strings-floats"],
+         "bool-in-list", "nested-rows", "strings-floats", "list-rows", "tuple-rows",
+         "list-and-tuple-rows", "single-row", "rows-of-one", "int-enum-in-rows",
+         "big-and-negative-rows", "rows-in-dict-in-list"],
 )
 def test_writer_matches_json_dumps_on_edge_cases(doc):
     assert emitted(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc,fast",
+    [
+        ([[1, 2], [3, 4]], True),
+        ([(1, 2), [3, 4]], True),
+        ([[1, _Sign.MINUS], [2, 3]], False),
+        ([[1, True], [0, 2]], False),
+        ([[1, 2], [3]], False),
+        ([[], []], False),
+    ],
+    ids=["int-rows", "mixed-row-types", "int-enum", "bool", "ragged", "empty-rows"],
+)
+def test_writer_row_fast_path_takes_plain_int_rows_only(monkeypatch, doc, fast):
+    import qlat.cli
+
+    seen = []
+    encode = qlat.cli._int_rows
+
+    def recording(rows, *args):
+        seen.append(rows)
+        return encode(rows, *args)
+
+    monkeypatch.setattr(qlat.cli, "_int_rows", recording)
+    assert emitted(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert seen == ([doc] if fast else [])
 
 
 def test_writer_streams_a_long_document():
@@ -241,6 +283,7 @@ def test_writer_streams_a_long_document():
     assert "".join(out.writes) == whole
     assert len(out.writes) > 1
     assert max(map(len, out.writes)) < len(whole)
+    assert max(map(len, out.writes)) <= 2 * _WRITE_CHARS
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from qlat import (
     dickson_invariant,
     enumerate_isotropic_lines,
     find_isotropic_vector,
+    isotropic_generators,
     k3_lattice,
     line_sort_key,
     reduction,
@@ -205,6 +206,7 @@ def test_lines_of_h():
     V = hyperbolic(2, 1)
     lines = enumerate_isotropic_lines(V)
     assert [l.generator for l in lines] == [(1, 0), (0, 1)]
+    assert isotropic_generators(V) == [(1, 0), (0, 1)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -227,6 +229,8 @@ def test_line_guard():
     V = hyperbolic(5, 3)
     with pytest.raises(SizeGuardError):
         enumerate_isotropic_lines(V, max_points=10)
+    with pytest.raises(SizeGuardError):
+        isotropic_generators(V, max_points=10)
 
 
 def _span_bases(p, rng):

@@ -156,6 +156,14 @@ def _forms(draw, k):
 @example((7, ((0,) * 5,) * 5))
 @example((3, ((1, 2, 0), (0, 1, 1), (0, 0, 0))))
 @example((5, ((3,),)))
+# the root table: many prefixes share one (a, b) key (b ≡ 0, a a sum of squares)
+@example((3, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))))
+# c ≡ 0: the last coordinate enters linearly
+@example((5, ((1, 0, 2), (0, 1, 3), (0, 0, 5))))
+# c ≡ b ≡ 0 with a ≡ 0 on every prefix: every y is a root
+@example((7, ((7, 14, 0), (0, 0, 0), (0, 0, 7))))
+# c ≡ b ≡ 0 with a ≢ 0 on every prefix of a nonzero head, at p = 2: no y is a root
+@example((2, ((1, 1, 0), (0, 1, 2), (0, 0, 4))))
 def test_isotropic_lines_match_oracle(form):
     p, half_gram = form
     n = len(half_gram)
@@ -175,6 +183,16 @@ def test_isotropic_lines_match_oracle(form):
 @example((3, ((1, 0, 0), (0, 1, 0), (0, 0, 0))))
 @example((7, ((0, 0), (0, 0))))
 @example((5, ((3,),)))
+# the root table: many prefixes share one (a, b) key (b ≡ 0, a a sum of squares)
+@example((2, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))))
+# c ≡ 0 mod p²: the last coordinate enters linearly
+@example((5, ((1, 0, 2), (0, 1, 3), (0, 0, 25))))
+# c ≡ b ≡ 0 with a ≡ 0 on every prefix: every y is a root
+@example((3, ((9, 18, 0), (0, 0, 9), (0, 0, 0))))
+# c ≡ b ≡ 0 with a odd on every prefix of a unit head, at p = 2: no y is a root
+@example((2, ((1, 1, 0), (0, 1, 4), (0, 0, 8))))
+# a form whose entries are multiples of p but not of p², last diagonal c ≡ p
+@example((3, ((1, 0, 3), (0, 1, 6), (0, 0, 3))))
 def test_quadric_points_mod_match_oracle(form):
     p, half_gram = form
     n = len(half_gram)
