@@ -245,7 +245,8 @@ def _cmd_verify(args) -> int:
     elapsed = time.perf_counter() - start
     print(
         f"suite {args.suite}: {report.instances} instances in {elapsed:.2f} s"
-        f" ({report.instances / elapsed:.1f} instances/s)",
+        f" ({report.instances / elapsed:.1f} instances/s,"
+        f" {report.processes} process{'es' if report.processes > 1 else ''})",
         file=sys.stderr,
     )
     _emit(report.to_dict())

@@ -38,9 +38,12 @@ round-robin to one share per usable core (the process's CPU affinity, else
 ``os.cpu_count()``): the caller runs share 0 and forked children run the
 others, and the caller merges their counts and failure details.  With one
 core, or where the platform cannot fork, the caller runs every instance
-and starts nothing.  A report, and so the CLI's stdout, does not depend on
-the number of processes; :func:`processes` gives it, and ``qlat verify``
-names it on stderr.
+and starts nothing.  ``witt-extension`` deals whole Gram types: one item
+is every subspace of one Gram type in one space, so the Witt records of a
+type's tuples are built in one process only.  A report, and so the CLI's
+stdout, does not depend on the number of processes; :func:`processes`
+gives it, a report keeps the number that ran it as ``processes`` (at most
+one per item), and ``qlat verify`` names both on stderr.
 """
 
 from __future__ import annotations
@@ -104,6 +107,8 @@ class VerifyReport:
     instances: int = 0
     failures: int = 0
     details: list = field(default_factory=list)
+    # how many processes ran the suite: not part of the report's document
+    processes: int = field(default=1, compare=False)
 
     def record(self, desc: dict, ok: bool, expected, actual) -> None:
         self.instances += 1
@@ -231,9 +236,10 @@ def _deal(name: str, items: list, check) -> VerifyReport:
 
     Share s of c runs ``check`` on ``items[s::c]`` into a report of its own,
     and the caller adds up the shares' counts and failure details.  c is
-    :func:`processes`, but never more than there are items.  Work that the
-    items share is built by the caller before it calls this, so every share
-    inherits it and a guard on it trips before anything forks.
+    :func:`processes`, but never more than there are items, and the report
+    keeps it as ``processes``.  Work that the items share is built by the
+    caller before it calls this, so every share inherits it and a guard on
+    it trips before anything forks.
     """
 
     def run(share: int, shares: int) -> VerifyReport:
@@ -243,7 +249,8 @@ def _deal(name: str, items: list, check) -> VerifyReport:
         return part
 
     report = VerifyReport(name)
-    for part in _run_shares(run, max(1, min(processes(), len(items)))):
+    report.processes = max(1, min(processes(), len(items)))
+    for part in _run_shares(run, report.processes):
         report.instances += part.instances
         report.failures += part.failures
         report.details += part.details
@@ -464,7 +471,12 @@ def suite_witt_extension(primes, max_rank, seed, max_points) -> VerifyReport:
     past ``max_points`` the suite raises SizeGuardError: an input limit is
     not a counterexample.
 
-    The dealt items are (space, X), in space order.  A share holds one
+    The dealt items are (space, group): a group is every X of one Gram
+    type of the space (the Q-values of its vectors and their pairings), in
+    canonical order, and a space's groups come in descending order of
+    their share of the bound above.  Every tuple a group's sweep hands to
+    ``witt_extension``, X or Y, is of the group's type, so each tuple's
+    record on the space is built in one share only.  A share holds one
     ``FpQuadSpace`` of its own at a time and builds the next when the space
     changes, so a space's caches go once the share is past it.
     """
@@ -477,68 +489,84 @@ def suite_witt_extension(primes, max_rank, seed, max_points) -> VerifyReport:
             by_q: dict[int, list] = {}
             for v in vectors:
                 by_q.setdefault(V.q(v), []).append(v)
-            subspaces = [X for k in range(0, n - 1) for X in _subspace_bases(p, n, k)]
-            # each Y the sweep visits takes y_j from the Q-value bucket of x_j
-            tuples = sum(math.prod(len(by_q.get(V.q(x), ())) for x in X) for X in subspaces)
+            groups: dict = {}  # Gram data -> [bound, its X]
+            for k in range(0, n - 1):
+                for X in _subspace_bases(p, n, k):
+                    xq = tuple(V.q(x) for x in X)
+                    pairs = tuple(V.b(X[i], X[j]) for i in range(k) for j in range(i + 1, k))
+                    group = groups.setdefault((xq, pairs), [0, []])
+                    # each Y the sweep visits takes y_j from the Q-value bucket of x_j
+                    group[0] += math.prod(len(by_q.get(q, ())) for q in xq)
+                    group[1].append(X)
+            tuples = sum(bound for bound, _ in groups.values())
             if tuples > max_points:
                 raise SizeGuardError(
                     f"witt-extension over {name} at p = {p} would sweep up to {tuples} "
                     f"tuples, past the guard {max_points} (raise it with --max-points)"
                 )
             space = (name, p, V.half_gram, by_q)
-            items += [(space, X) for X in subspaces]
+            ranked = sorted(groups.values(), key=lambda entry: -entry[0])
+            items += [(space, group) for _, group in ranked]
     held = {"space": None}  # this process's current space, its FpQuadSpace and Witt index
 
     def check(report: VerifyReport, item) -> None:
-        space, X = item
+        space, group = item
         name, p, half_gram, by_q = space
         if held["space"] is not space:
             V = FpQuadSpace(p, half_gram)
             held.update(space=space, V=V, witt_index=len(witt_decomposition(V)[0]))
-        _sweep_witt_images(report, name, held["V"], held["witt_index"], by_q, X)
+        _sweep_witt_images(report, name, held["V"], held["witt_index"], by_q, group)
 
     return _deal("witt-extension", items, check)
 
 
-def _sweep_witt_images(report, name, V, witt_index, by_q, X) -> None:
-    """Record one instance for each isometry of span(X) onto a subspace of V."""
-    p, n, k = V.p, V.dim, len(X)
-    xgram = [[V.b(X[i], X[j]) for j in range(k)] for i in range(k)]
-    xq = [V.q(x) for x in X]
+def _sweep_witt_images(report, name, V, witt_index, by_q, group) -> None:
+    """Record one instance for each isometry of span(X) onto a subspace of V.
+
+    Every X of ``group`` has the same Gram data, so the tuples Y that match
+    it, and whether the pairs are Lagrangian, are worked out once from the
+    first X and then checked against each X in turn.
+    """
+    first = group[0]
+    p, n, k = V.p, V.dim, len(first)
+    xgram = [[V.b(first[i], first[j]) for j in range(k)] for i in range(k)]
+    xq = [V.q(x) for x in first]
     lagrangian = (
         2 * k == n
         and k == witt_index
         and all(q == 0 for q in xq)
         and all(xgram[i][j] == 0 for i in range(k) for j in range(i + 1, k))
     )
-    for Y in _gram_matching_tuples(V, X, xq, xgram, by_q, p):
-        if lagrangian:
-            meet = 2 * k - rank(X + Y, p)
-            if (k - meet) % 2 == 1:
+    images = list(_gram_matching_tuples(V, xq, xgram, by_q, p))
+    for X in group:
+        for Y in images:
+            if lagrangian:
+                meet = 2 * k - rank(X + Y, p)
+                if (k - meet) % 2 == 1:
+                    continue
+            try:
+                g = witt_extension(V, X, Y)
+                ok = all(g.apply(x) == y for x, y in zip(X, Y))
+                ok = ok and g.is_special()
+                actual = "verified witness" if ok else "invalid witness"
+            except InvariantViolationError as exc:
+                ok, actual = False, f"{type(exc).__name__}: {exc}"
+            if ok:
+                report.instances += 1
                 continue
-        try:
-            g = witt_extension(V, X, Y)
-            ok = all(g.apply(x) == y for x, y in zip(X, Y))
-            ok = ok and g.is_special()
-            actual = "verified witness" if ok else "invalid witness"
-        except InvariantViolationError as exc:
-            ok, actual = False, f"{type(exc).__name__}: {exc}"
-        if ok:
-            report.instances += 1
-            continue
-        desc = {
-            "suite": "witt-extension",
-            "space": name,
-            "p": p,
-            "X": [list(x) for x in X],
-            "Y": [list(y) for y in Y],
-        }
-        report.record(desc, False, "verified witness", actual)
+            desc = {
+                "suite": "witt-extension",
+                "space": name,
+                "p": p,
+                "X": [list(x) for x in X],
+                "Y": [list(y) for y in Y],
+            }
+            report.record(desc, False, "verified witness", actual)
 
 
-def _gram_matching_tuples(V, X, xq, xgram, by_q, p):
-    """All tuples Y (same length as X) with matching Gram data."""
-    k = len(X)
+def _gram_matching_tuples(V, xq, xgram, by_q, p):
+    """All independent tuples Y with Q-values ``xq`` and pairings ``xgram``."""
+    k = len(xq)
     if k == 0:
         yield ()
         return

@@ -617,9 +617,29 @@ def test_verify_reports_its_rate_on_stderr_only(capsys):
         "07b4d2556e779fdaf625518f2ca5b0d2ee7081d1c47297a2f53ca0bc0818562e"
     )
     assert re.fullmatch(
-        r"suite spinor-surjectivity: 12 instances in \d+\.\d\d s \(\d+\.\d instances/s\)",
+        r"suite spinor-surjectivity: 12 instances in \d+\.\d\d s"
+        r" \(\d+\.\d instances/s, (1 process|\d+ processes)\)",
         err.splitlines()[-1],
     )
+
+
+@pytest.mark.parametrize(
+    "argv, ran",
+    [
+        ((), "12 instances in .* 2 processes"),
+        (("--p", "3", "--max-rank", "4"), "1 instances in .* 1 process"),
+    ],
+    ids=["12-instances", "1-instance"],
+)
+def test_verify_closing_line_names_the_processes_that_ran(capsys, monkeypatch, argv, ran):
+    import qlat.verify as verify_module
+
+    monkeypatch.setattr(verify_module, "_usable_cores", lambda: 2)
+    rc, _, err = run_cli(capsys, "verify", "spinor-surjectivity", *argv)
+    assert rc == 0
+    first, last = err.splitlines()[0], err.splitlines()[-1]
+    assert first == "running suite spinor-surjectivity [backend: pure-python, 2 processes]"
+    assert re.fullmatch(rf"suite spinor-surjectivity: {ran}\)", last)
 
 
 def test_verify_unknown_suite_rejected_by_parser(capsys):

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,10 @@ from qlat import (
     hyperbolic_plane,
     reduction,
 )
+from qlat import fp_quadratic
 from qlat import verify as verify_module
 from qlat.cli import main
+from qlat.modp import rank
 from qlat.verify import SUITES, VerifyReport, _digest, closed_form_line_count, run_suite
 
 
@@ -129,12 +132,39 @@ def test_witt_extension_report_does_not_depend_on_the_cores(monkeypatch, params)
 
 
 # (space, p, X, Y) of instances the sweep visits: the X of the first two
-# over F_2 fall into shares 1 and 0 of two
+# over F_2 are of different Gram types, whose groups fall into shares 0 and
+# 1 of two (test_wronged_instances_fall_into_both_shares_of_two)
 _WRONGED = {
     ("split-4", 2, ((1, 0, 0, 0),), ((0, 0, 1, 0),)),
-    ("split-4", 2, ((1, 0, 0, 1),), ((0, 1, 0, 0),)),
+    ("split-4", 2, ((1, 0, 1, 1), (0, 1, 1, 0)), ((0, 0, 1, 1), (0, 1, 0, 0))),
     ("diag-3-sq", 3, ((1, 0, 0),), ((0, 1, 0),)),
 }
+
+
+def _dealt_items(monkeypatch, **params):
+    """The items ``run_suite("witt-extension", **params)`` deals, in order."""
+    dealt, deal = [], verify_module._deal
+
+    def recording(name, items, check):
+        dealt.extend(items)
+        return deal(name, items, check)
+
+    monkeypatch.setattr(verify_module, "_deal", recording)
+    run_suite("witt-extension", **params)
+    return dealt
+
+
+def test_wronged_instances_fall_into_both_shares_of_two(monkeypatch):
+    _cores(monkeypatch, 2)
+    dealt = _dealt_items(monkeypatch, primes=(2,))
+    shares = {
+        X: index % 2
+        for index, ((name, _, _, _), group) in enumerate(dealt)
+        if name == "split-4"
+        for X in group
+    }
+    wronged = [X for name, _, X, _ in sorted(_WRONGED) if name == "split-4"]
+    assert [shares[X] for X in wronged] == [0, 1]
 
 
 def _wrong_witness_for(wronged, monkeypatch):
@@ -184,6 +214,105 @@ def test_witt_extension_failure_names_the_instance_by_its_digest(monkeypatch):
     assert report.details == [
         {"input": _digest(desc), "expected": "verified witness", "actual": "invalid witness"}
     ]
+
+
+def _witt_records_by_share(monkeypatch, cores, **params):
+    """(share, space, tuple) of each ``_witt_record`` call of one suite run.
+
+    The shares run one after another in this process.  Each starts on a
+    space other than the one the share before it ended on, so it builds its
+    own ``FpQuadSpace`` and records, as a forked child does.
+    """
+    calls, current = [], [0]
+    record = fp_quadratic._witt_record
+
+    def tagged(V, S, key):
+        calls.append((current[0], V, S))
+        return record(V, S, key)
+
+    def in_turn(task, jobs):
+        parts = []
+        for share in range(jobs):
+            current[0] = share
+            parts.append(task(share, jobs))
+        return parts
+
+    monkeypatch.setattr(fp_quadratic, "_witt_record", tagged)
+    monkeypatch.setattr(verify_module, "_run_shares", in_turn)
+    _cores(monkeypatch, cores)
+    run_suite("witt-extension", **params)
+    monkeypatch.setattr(fp_quadratic, "_witt_record", record)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "params", [{"primes": (2, 3), "max_rank": 3}, {"primes": (2,)}], ids=["p2-p3-rank3", "p2"]
+)
+def test_witt_extension_builds_each_record_in_one_share(monkeypatch, params):
+    alone = _witt_records_by_share(monkeypatch, 1, **params)
+    dealt = _witt_records_by_share(monkeypatch, 2, **params)
+    assert {share for share, _, _ in dealt} == {0, 1}
+    shares_of_space: dict = {}
+    shares_of_record: dict = {}
+    for share, V, S in dealt:
+        shares_of_space.setdefault(id(V), set()).add(share)
+        shares_of_record.setdefault((V, S), set()).add(share)
+    assert all(len(shares) == 1 for shares in shares_of_space.values())
+    assert all(len(shares) == 1 for shares in shares_of_record.values())
+    assert len(dealt) == len(alone)
+    assert set(shares_of_record) == {(V, S) for _, V, S in alone}
+
+
+def _is_rref(rows):
+    """Whether nonzero ``rows`` are in reduced row echelon form."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    return pivots == sorted(set(pivots)) and all(
+        rows[i][j] == (i == r) for r, j in enumerate(pivots) for i in range(len(rows))
+    )
+
+
+def _brute_witt_pairs(p, max_rank):
+    """(space, X, Y) of every instance witt-extension checks, by brute force.
+
+    X runs over the canonical bases of the subspaces of codimension ≥ 2 and
+    Y over the independent tuples of nonzero vectors with X's Q-values and
+    pairings.  A pair of Lagrangians (2k = n and X totally singular, which
+    makes k the Witt index) is dropped when k − dim(span X ∩ span Y) is odd.
+    """
+    pairs = set()
+    for _, V in verify_module._nondegenerate_spaces(p, max_rank):
+        n = V.dim
+        vectors = [v for v in product(range(p), repeat=n) if any(v)]
+
+        def gram(T):
+            upper = [V.b(T[i], T[j]) for i in range(len(T)) for j in range(i + 1, len(T))]
+            return [V.q(t) for t in T] + upper
+
+        for k in range(n - 1):
+            for X in filter(_is_rref, product(vectors, repeat=k)):
+                lagrangian = 2 * k == n and not any(gram(X))
+                for Y in product(vectors, repeat=k):
+                    if gram(Y) != gram(X) or rank(Y, p) != k:
+                        continue
+                    if lagrangian and (k - (2 * k - rank(X + Y, p))) % 2:
+                        continue
+                    pairs.add((V, X, Y))
+    return pairs
+
+
+@pytest.mark.parametrize("p, max_rank", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_witt_extension_sweeps_the_brute_force_pairs(monkeypatch, p, max_rank):
+    swept, extension = [], verify_module.witt_extension
+
+    def recording(V, X, Y):
+        swept.append((V, X, Y))
+        return extension(V, X, Y)
+
+    monkeypatch.setattr(verify_module, "witt_extension", recording)
+    _cores(monkeypatch, 1)
+    report = run_suite("witt-extension", primes=(p,), max_rank=max_rank)
+    assert len(swept) == len(set(swept)) == report.instances
+    assert set(swept) == _brute_witt_pairs(p, max_rank)
 
 
 def test_a_guard_tripped_in_a_child_share_reaches_the_caller(monkeypatch):
