@@ -10,8 +10,9 @@ of a subspace under the restricted form), reflections and Eichler
 transvections, the Dickson invariant, special orthogonal group orders,
 Witt-style extension of subspace isometries to special isometries
 of the whole space, constructive reflection factorization with spinor
-norms (odd p), and orbits of isotropic lines under the isometries fixing
-a subspace pointwise, each member certified by a Witt witness.
+norms (odd p), and orbits of isotropic lines under the special
+isometries fixing a subspace pointwise, each member certified by
+``witt_extension``.
 
 Constructions, not searches
 ---------------------------
@@ -25,11 +26,11 @@ Per-space invariants
 --------------------
 An ``FpQuadSpace`` is frozen, so whatever depends only on it is computed
 at most once and kept on the instance: the Gram matrix, nondegeneracy,
-the Witt decomposition, |SO(V)|, and for ``witt_extension`` one record
-per tuple met so far, holding its Gram type and one map from the root of
-that type to it, with the root per Gram type and the witnesses validated
-so far.  A tuple's rank and Gram type are thus computed once per space.
-No group is materialized.
+the Witt decomposition, |SO(V)|, and for ``witt_extension`` and
+``stabilizer_orbit`` one record per tuple met so far, holding its Gram
+type and one map from the root of that type to it, with the root per
+Gram type and the witnesses validated so far.  A tuple's rank and Gram
+type are thus computed once per space.  No group is materialized.
 Equality, hashing and ``repr`` see only ``p`` and ``half_gram``; two equal
 spaces built apart compute the same values independently.
 
@@ -177,7 +178,7 @@ class FpQuadSpace:
 
     @cached_property
     def _witt_cache(self) -> dict:
-        """What ``witt_extension`` keeps on the space.
+        """What ``witt_extension`` and ``stabilizer_orbit`` keep on the space.
 
         ``types``: per Gram type of tuple, ``(key, root, flip)``;
         ``tuples``: per tuple S recorded so far, ``[key, m, parity, m⁻¹ or
@@ -720,7 +721,7 @@ def witt_extension(
     ``w1_basis`` and ``w2_basis`` are bases (lists of vectors) of two
     subspaces, and the isometry sends the j-th vector of the first to the
     j-th vector of the second.  Requires: nondegenerate V, independent
-    bases, codimension >= 2, and the Gram data of the two tuples must match.
+    bases, and the Gram data of the two tuples must match.
 
     The space keeps one record per tuple S met here (``_witt_record``): its
     Gram type and one map root → S of that type, even unless no map is.
@@ -758,8 +759,6 @@ def witt_extension(
         raise PreconditionError("first subspace basis is dependent")
     if ry is None and not same and k and modp.rank(Y, p) != k:
         raise PreconditionError("second subspace basis is dependent")
-    if n - k < 2:
-        raise PreconditionError("codimension must be at least 2")
     kx = _tuple_type_key(V, X) if rx is None else rx[0]
     ky = kx if same else (_tuple_type_key(V, Y) if ry is None else ry[0])
     if kx[1] != ky[1]:
@@ -862,17 +861,19 @@ def stabilizer_orbit(
     seed: ProjLine,
     universe: Iterable[ProjLine],
 ) -> tuple[ProjLine, ...]:
-    """The lines of ``universe`` in the orbit of ``seed`` under O_W, sorted canonically.
+    """The lines of ``universe`` in the orbit of ``seed`` under SO_W, sorted canonically.
 
-    O_W is the group of isometries of V that fix span(W) pointwise.  Let v₀
-    generate the seed.  By Witt's theorem (V nondegenerate) ⟨v⟩ lies in the
-    orbit exactly when, for some λ ≠ 0, w ↦ w, v₀ ↦ λv is an isometry of
-    W + ⟨v₀⟩ onto W + ⟨λv⟩: v is isotropic and outside W̄ (if v₀ lies in W̄,
-    O_W fixes it and only its own line qualifies), and λv pairs with the
-    rref basis of W as v₀ does.  Each member is certified by ``_witt_map``
-    of W + [v₀] onto W + [λv], validated as an ``FpIsometry`` that fixes
-    every w and sends v₀ to λv; a failed check raises
-    InvariantViolationError.
+    SO_W is the group of special isometries of V that fix span(W)
+    pointwise.  Let v₀ generate the seed.  By Witt's theorem (V
+    nondegenerate) an isometry of V fixing W sends v₀ to λv exactly when
+    w ↦ w, v₀ ↦ λv is an isometry of W + ⟨v₀⟩ onto W + ⟨λv⟩: v is isotropic
+    and outside W̄ (if v₀ lies in W̄, SO_W fixes it and only its own line
+    qualifies), and λv pairs with the rref basis of W as v₀ does.  Such an
+    isometry can be chosen special exactly when the Witt records of the two
+    tuples (``_witt_record``) have the same parity.  λ is free only when
+    v₀ ⊥ W, and then its choice does not matter: scaling v by λ and an
+    isotropic partner of v in W^⊥ by 1/λ is special and fixes W.  Each
+    member is certified by ``witt_extension`` of W + [v₀] onto W + [λv].
     """
     p = V.p
     if not V.is_nondegenerate():
@@ -892,6 +893,9 @@ def stabilizer_orbit(
     pairings = [modp.mat_vec(V.gram(), w, p) for w in W]
     target = [sum(map(mul, r, v0)) % p for r in pairings]
     i = next((i for i, t in enumerate(target) if t), None)
+    records = V._witt_cache["tuples"]
+    X = tuple(W + [v0])
+    parity = (records.get(X) or _witt_record(V, X, _tuple_type_key(V, X)))[2]
     orbit = []
     for line in lines:
         v = line.generator
@@ -901,13 +905,9 @@ def stabilizer_orbit(
         lam = 1 if i is None or not pair[i] else target[i] * modp.inv_mod(pair[i], p) % p
         if [lam * x % p for x in pair] != target:
             continue
-        v = tuple([lam * x % p for x in v])
-        m, _ = _witt_map(V, W + [v0], W + [v])
-        try:
-            g = FpIsometry(V, m)
-        except PreconditionError:
-            raise InvariantViolationError("orbit certificate is not an isometry") from None
-        if any(g.apply(w) != w for w in W) or g.apply(v0) != v:
-            raise InvariantViolationError("orbit certificate does not map W + [v0] as claimed")
+        Y = tuple(W + [tuple([lam * x % p for x in v])])
+        if (records.get(Y) or _witt_record(V, Y, _tuple_type_key(V, Y)))[2] != parity:
+            continue
+        witt_extension(V, X, Y)
         orbit.append(line)
     return tuple(sorted(orbit, key=line_sort_key))

@@ -282,12 +282,7 @@ def enumerate_neighbors(
     N: QuadLattice, p: int, max_points: int = MAX_PROJ_POINTS
 ) -> tuple[PLattice, ...]:
     """All p-neighbors of N, one per isotropic line of the reduction, sorted."""
-    if not is_self_dual_at(N, p):
-        raise PreconditionError("lattice is not self-dual at p")
-    V = reduction(N, p)
-    lines = enumerate_isotropic_lines(V, max_points)
-    out = [lattice_from_line(N, line) for line in lines]
-    return tuple(sorted(out, key=plattice_sort_key))
+    return neighbors_of(PLattice(N, p, 0, IntMatrix.identity(N.rank)), max_points)
 
 
 def neighbors_of(
@@ -298,8 +293,10 @@ def neighbors_of(
     """All p-neighbors of an arbitrary self-dual lattice in N[1/p].
 
     Computed in the lattice's own coordinates and mapped back, so the
-    ambient representation stays exact.  The ambient lattice N appears
-    among the neighbors of any neighbor of N.
+    ambient representation stays exact; the ambient lattice itself (power
+    0, identity basis) is its own coordinates, and its neighbors are built
+    directly.  The ambient lattice N appears among the neighbors of any
+    neighbor of N.
 
     ``line_within`` holds vectors of L in ambient coordinates.  When it is
     given, only the neighbors whose line in L/pL lies in the span of the
@@ -309,8 +306,9 @@ def neighbors_of(
     PreconditionError.  Without it every isotropic line of L/pL is swept
     under the guard.
     """
-    p = L.p
-    Lq = plattice_quadlattice(L)
+    p, S = L.p, L.numerator_basis
+    own = L.power == 0 and S == IntMatrix.identity(L.rank)
+    Lq = L.ambient if own else plattice_quadlattice(L)
     if not is_self_dual_at(Lq, p):
         raise PreconditionError("lattice is not self-dual at p")
     V = reduction(Lq, p)
@@ -324,11 +322,9 @@ def neighbors_of(
                 raise PreconditionError("vector does not lie in the lattice")
             coords.append(c)
         lines = isotropic_lines_in(V, coords, max_points)
-    S = L.numerator_basis
-    out = [
-        PLattice(L.ambient, p, L.power + 1, S @ lattice_from_line(Lq, line).numerator_basis)
-        for line in lines
-    ]
+    out = [lattice_from_line(Lq, line) for line in lines]
+    if not own:
+        out = [PLattice(L.ambient, p, L.power + 1, S @ Nt.numerator_basis) for Nt in out]
     return tuple(sorted(out, key=plattice_sort_key))
 
 

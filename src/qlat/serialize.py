@@ -126,9 +126,9 @@ _ATOM = re.compile(r"^(h|e8|k3|rank1\((-?\d+)\))$")
 
 def parse_lattice_name(name: str) -> QuadLattice:
     """Parse a named form such as ``H⊥H``, ``E8``, or ``H+rank1(2)``."""
-    parts = [t.strip() for t in re.split(r"[⊥+]", name) if t.strip()]
-    if not parts:
-        raise PreconditionError(f"empty lattice name {name!r}")
+    parts = [t.strip() for t in re.split(r"[⊥+]", name)]
+    if not all(parts):
+        raise PreconditionError(f"lattice name {name!r} has an empty component")
     pieces = []
     for part in parts:
         m = _ATOM.match(part.lower())

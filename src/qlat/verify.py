@@ -14,9 +14,9 @@ Suites
   closed-form formulas for every nondegenerate type of dim ≤ 6.
 * ``nice-cochar`` — the typed-line fiber equals the brute-force filter
   fiber (two independent routes), every fiber member recovers the unique
-  original lattice, and the orbit of the first typed line under the
-  isometries fixing W covers the whole typed set (one orbit that covers
-  the set proves the action transitive).
+  original lattice, and the orbit of the first typed line under SO_W,
+  the special isometries fixing W, covers the whole typed set (one orbit
+  that covers the set proves the action transitive).
 * ``witt-extension`` — exhaustively over small spaces: every isometry
   between subspaces of codimension ≥ 2 extends to a verified special
   isometry of the whole space.
@@ -388,9 +388,9 @@ def suite_nice_cochar(primes, max_rank, seed, max_points) -> VerifyReport:
     For every instance the typed-line route and the filter-all-neighbors
     route must produce identical fibers; every fiber member must recover
     the original lattice as the unique survivor; and the orbit of the
-    first typed line under the isometries fixing W (``stabilizer_orbit``,
-    each member certified by a Witt witness) must equal the full typed
-    set, which proves the action transitive.
+    first typed line under SO_W, the special isometries fixing W
+    (``stabilizer_orbit``, each member certified by ``witt_extension``),
+    must equal the full typed set, which proves SO_W transitive on it.
     """
     primes = tuple(primes) if primes else (2, 3)
     N, instances = _cochar_instances(primes, max_rank)

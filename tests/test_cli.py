@@ -339,6 +339,14 @@ def test_bad_lattice_name_is_input_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("name", ["E8⊥", "H⊥⊥H", "+H"])
+def test_lattice_name_with_an_empty_component_is_input_error(capsys, name):
+    rc, out, err = run_cli(capsys, "lattice", "info", name)
+    assert rc == 2
+    assert err == f"error: lattice name {name!r} has an empty component\n"
+    assert out == ""
+
+
 def test_missing_file_is_input_error(capsys, tmp_path):
     rc, out, err = run_cli(capsys, "grow", str(tmp_path / "nope.json"), "[[1],[1]]")
     assert rc == 2

@@ -301,12 +301,6 @@ def test_extension_char2_unit_vector():
     assert g.is_special()
 
 
-def test_extension_rejects_small_codimension():
-    V = hyperbolic(3, 1)
-    with pytest.raises(PreconditionError):
-        witt_extension(V, [(1, 0)], [(0, 1)])
-
-
 def test_extension_rejects_non_isometry():
     V = hyperbolic(3, 2)
     with pytest.raises(PreconditionError):
@@ -621,8 +615,12 @@ def _stabilizer_generators_with_repeats(V, W):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_stabilizer_orbit_matches_the_list_with_repeats(p):
-    """The Witt-certified orbit is the breadth-first orbit under the
-    reflections and transvections fixing W."""
+    """The Witt-certified SO_W-orbit is the breadth-first orbit under the
+    reflections and transvections fixing W.  Here the two groups have the
+    same orbits: W + ⟨v⟩ has rank 2 in dimension 6, so its complement is
+    not totally singular and holds the vector of a reflection that fixes W
+    and v: composed with it, an odd isometry fixing W and mapping v₀ to v
+    becomes an even one."""
     V = hyperbolic(p, 3)
     W = [(1, 1, 0, 0, 0, 0)]
     repeated = _stabilizer_generators_with_repeats(V, W)
@@ -656,6 +654,27 @@ def _old_orthogonal_generators(V):
                 if E.matrix != modp.identity(n):
                     gens[E.matrix] = None
     return list(gens)
+
+
+def _even_subgroup_generators(V, gens):
+    """Generators of the special elements of the group ``gens`` generate.
+
+    These have index at most 2.  With r one odd generator (if any), the
+    Schreier generators are the even s, their conjugates r·s·r⁻¹, and
+    s·r⁻¹ and r·s for each odd s.
+    """
+    p = V.p
+    odd = [g for g in gens if not FpIsometry(V, g).is_special()]
+    even = [g for g in gens if g not in odd]
+    if not odd:
+        return even
+    r, r_inv = odd[0], modp.inverse(odd[0], p)
+    return (
+        even
+        + [modp.mat_mul(modp.mat_mul(r, s, p), r_inv, p) for s in even]
+        + [modp.mat_mul(s, r_inv, p) for s in odd]
+        + [modp.mat_mul(r, s, p) for s in odd]
+    )
 
 
 def _orbit_partition(gens, V):
@@ -702,9 +721,11 @@ SEVEN_W = pytest.mark.parametrize(
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_builder_orbits_match_the_list_with_repeats(p, W):
     """The orbits ``stabilizer_orbit`` builds on H ⊥ H are those of the
-    reflections and transvections fixing W."""
+    special elements of the group the reflections and transvections fixing
+    W generate."""
     V = hyperbolic(p, 2)
-    assert _stabilizer_partition(V, W) == _orbit_partition(_stabilizer_generators_with_repeats(V, W), V)
+    gens = _even_subgroup_generators(V, _stabilizer_generators_with_repeats(V, W))
+    assert _stabilizer_partition(V, W) == _orbit_partition(gens, V)
 
 
 @lru_cache(maxsize=None)
@@ -717,13 +738,77 @@ def _isometries_of_h2(p):
 def test_stabilizer_orbit_is_the_brute_force_orbit(p, W):
     """Over every projective point as the universe, anisotropic ones
     included, the orbit of each isotropic seed is its orbit under the
-    brute-force group of isometries fixing W pointwise."""
+    brute-force group of special isometries fixing W pointwise."""
     V = hyperbolic(p, 2)
-    fixing = [g for g in _isometries_of_h2(p) if all(modp.mat_vec(g, w, p) == w for w in W)]
+    fixing = [
+        g
+        for g in _isometries_of_h2(p)
+        if all(modp.mat_vec(g, w, p) == w for w in W) and FpIsometry(V, g).is_special()
+    ]
     universe = [ProjLine(V, v) for v in kernels.proj_reps(p, V.dim)]
     for seed in enumerate_isotropic_lines(V):
         brute = {ProjLine(V, modp.mat_vec(g, seed.generator, p)) for g in fixing}
         assert stabilizer_orbit(V, W, seed, universe) == tuple(sorted(brute, key=line_sort_key))
+
+
+@pytest.mark.parametrize("p, size", [(2, 4), (3, 9), (5, 25)])
+def test_stabilizer_orbit_is_an_orbit_of_special_isometries(p, size):
+    """In H ⊥ H ⊥ H with W = ⟨e1, e2⟩ the isotropic lines ⟨v⟩ with v ⊥ W
+    and v ∉ W are ⟨w + e3⟩ and ⟨w + f3⟩ for w ∈ W: 2p² lines, one orbit of
+    the isometries fixing W.  W + ⟨e3⟩ and W + ⟨f3⟩ are Lagrangians of
+    different rulings, so no special isometry maps one onto the other, and
+    the orbit of ⟨e3⟩ under SO_W is its p² lines ⟨w + e3⟩."""
+    V = hyperbolic(p, 3)
+    e1, f1, e2, f2, e3, f3 = _standard_basis(6)
+    W = [e1, e2]
+    orbit = stabilizer_orbit(V, W, ProjLine(V, e3), enumerate_isotropic_lines(V))
+    assert len(orbit) == size
+    assert set(orbit) == {
+        ProjLine(V, [a * x + b * y + z for x, y, z in zip(e1, e2, e3)])
+        for a in range(p)
+        for b in range(p)
+    }
+    with pytest.raises(InvariantViolationError, match="different special-orthogonal orbits"):
+        witt_extension(V, W + [e3], W + [f3])
+
+
+@pytest.mark.parametrize(
+    "p, W, seed",
+    [
+        (2, [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)], (0, 0, 0, 0, 1, 0)),
+        (3, [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)], (0, 0, 0, 0, 1, 0)),
+        (2, [(1, 1, 0, 0, 0, 0)], (0, 0, 1, 0, 0, 0)),
+        (3, [(1, 2, 0, 0, 0, 0)], (0, 0, 1, 0, 0, 0)),
+        (3, [(1, 0, 0, 0, 0, 0)], (0, 1, 0, 0, 0, 0)),
+    ],
+    ids=["lagrangian-p2", "lagrangian-p3", "aniso-p2", "aniso-p3", "paired-p3"],
+)
+def test_every_orbit_member_is_certified_by_a_special_witness(monkeypatch, p, W, seed):
+    """Each member but the seed is certified by one ``witt_extension`` call
+    of W + [v₀] onto W + [λv], whose witness is special, fixes W and sends
+    v₀ to λv with ⟨λv⟩ the member."""
+    from qlat import fp_quadratic
+
+    V = hyperbolic(p, 3)
+    calls, extension = [], fp_quadratic.witt_extension
+
+    def recording(V, X, Y):
+        g = extension(V, X, Y)
+        calls.append((tuple(X), tuple(Y), g))
+        return g
+
+    monkeypatch.setattr(fp_quadratic, "witt_extension", recording)
+    seed = ProjLine(V, seed)
+    orbit = stabilizer_orbit(V, W, seed, enumerate_isotropic_lines(V))
+    v0, certified = seed.generator, {}
+    for X, Y, g in calls:
+        assert X[-1] == v0 and X[:-1] == Y[:-1]
+        assert modp.rank(list(W) + list(X[:-1]), p) == len(X) - 1 == len(W)
+        assert g.is_special()
+        assert all(g.apply(w) == w for w in W) and g.apply(v0) == Y[-1]
+        certified[ProjLine(V, Y[-1])] = g
+    assert len(calls) == len(certified)
+    assert set(orbit) - {seed} <= set(certified) <= set(orbit)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -838,13 +923,25 @@ def test_orthogonal_generators_generate_the_orthogonal_group(V):
 
 @pytest.mark.parametrize("V", _spaces((2, 4), (3, 4), (5, 3)))
 def test_builder_without_w_is_the_old_witt_extension_list(V):
-    """With W = 0 the orbits ``stabilizer_orbit`` builds are those of the
-    generators of O(V) that ``witt_extension`` once listed."""
-    assert _stabilizer_partition(V, []) == _orbit_partition(_old_orthogonal_generators(V), V)
+    """With W = 0 the orbits ``stabilizer_orbit`` builds are those of SO(V),
+    generated from the generators of O(V) that ``witt_extension`` once
+    listed.  In dimension 2 each isotropic line is an orbit of its own."""
+    gens = _even_subgroup_generators(V, _old_orthogonal_generators(V))
+    assert _stabilizer_partition(V, []) == _orbit_partition(gens, V)
 
 
 def _gram_data(V, T):
     return tuple(V.q(t) for t in T), tuple(V.b(a, b) for i, a in enumerate(T) for b in T[i + 1:])
+
+
+def _bases_of_every_subspace(p, n, k):
+    """One basis of every k-dimensional subspace of F_p^n: the canonical
+    basis, or for 2k > n the kernel of each (n − k)-dimensional row space."""
+    from qlat.verify import _subspace_bases
+
+    if 2 * k <= n:
+        return list(_subspace_bases(p, n, k))
+    return [tuple(modp.kernel_basis(rows, p, n)) for rows in _subspace_bases(p, n, n - k)]
 
 
 @pytest.mark.parametrize(
@@ -853,38 +950,51 @@ def _gram_data(V, T):
     ids=["H2-p2", "H2-p3", "diag111-p3"],
 )
 def test_extension_exists_exactly_when_a_special_isometry_does(V, has_cross_ruling_pairs):
-    """X runs over one basis of every subspace of dimension k in {1, 2} with
-    k <= dim - 2, Y over every independent tuple with the same Gram data; a
-    witness comes back exactly when a brute-force special isometry maps X
-    to Y, and InvariantViolationError is raised otherwise."""
-    from qlat.verify import _subspace_bases
-
+    """X runs over one basis of every subspace of dimension 1 <= k <= dim.
+    For k <= 2, Y runs over every independent tuple with the same Gram
+    data; for k >= 3, over a seeded draw of 32 of the images of X under the
+    brute-force isometries.  A witness comes back exactly when a brute-force special
+    isometry maps X to Y, and InvariantViolationError is raised otherwise.
+    Up to codimension 2 both outcomes occur where the space has
+    cross-ruling pairs; at codimension 0 the one map is the isometry itself,
+    so both occur on every space."""
     p, n = V.p, V.dim
     vectors = [v for v in product(range(p), repeat=n) if any(v)]
-    images = [
-        {v: tuple(sum(a * b for a, b in zip(row, v)) % p for row in g) for v in vectors}
-        for g in all_isometries_bruteforce(V)
-        if FpIsometry(V, g).is_special()
-    ]
-    outcomes = set()
-    for k in range(1, min(2, n - 2) + 1):
+    images, reachers = [], []
+    for g in all_isometries_bruteforce(V):
+        img = {v: tuple(sum(a * b for a, b in zip(row, v)) % p for row in g) for v in vectors}
+        images.append(img)
+        if FpIsometry(V, g).is_special():
+            reachers.append(img)
+    outcomes = {k: set() for k in range(1, n + 1)}
+    rng = random.Random(n * p)
+    for k in outcomes:
         by_gram = {}
-        for Y in product(vectors, repeat=k):
-            if modp.rank(Y, p) == k:
-                by_gram.setdefault(_gram_data(V, Y), []).append(Y)
-        for X in _subspace_bases(p, n, k):
-            reachable = {tuple(img[x] for x in X) for img in images}
-            for Y in by_gram[_gram_data(V, X)]:
+        if k <= 2:
+            for Y in product(vectors, repeat=k):
+                if modp.rank(Y, p) == k:
+                    by_gram.setdefault(_gram_data(V, Y), []).append(Y)
+        for X in _bases_of_every_subspace(p, n, k):
+            reachable = {tuple(img[x] for x in X) for img in reachers}
+            if k <= 2:
+                targets = by_gram[_gram_data(V, X)]
+            else:
+                targets = sorted({tuple(img[x] for x in X) for img in images})
+                targets = rng.sample(targets, min(32, len(targets)))
+            for Y in targets:
                 try:
                     g = witt_extension(V, X, Y)
                 except InvariantViolationError:
                     assert Y not in reachable, (X, Y)
-                    outcomes.add("none")
+                    outcomes[k].add("none")
                     continue
                 assert Y in reachable, (X, Y)
                 assert g.is_special() and [g.apply(x) for x in X] == list(Y)
-                outcomes.add("witness")
-    assert outcomes == ({"witness", "none"} if has_cross_ruling_pairs else {"witness"})
+                outcomes[k].add("witness")
+    assert set().union(*(outcomes[k] for k in range(1, n - 1))) == (
+        {"witness", "none"} if has_cross_ruling_pairs else {"witness"}
+    )
+    assert outcomes[n] == {"witness", "none"}
 
 
 @pytest.mark.parametrize(

@@ -21,9 +21,12 @@
 * The F_p layer builds and does not scan: ``fp_quadratic`` refers to no
   ``proj_reps``, so no walk over projective points comes back to find an
   isotropic vector or to factor an isometry.
-* Stabilizer orbits are certified by Witt witnesses alone: no generator
-  list of the isometries fixing a subspace, nor its per-space cache, nor
-  the public Eichler transvection that only it used, is defined anywhere.
+* Stabilizer orbits are certified by ``witt_extension`` alone: only
+  ``fp_quadratic._witt_record`` refers to ``_witt_map``, and
+  ``stabilizer_orbit`` refers to neither ``_witt_map`` nor ``FpIsometry``.
+  No generator list of the isometries fixing a subspace, nor its
+  per-space cache, nor the public Eichler transvection that only it used,
+  is defined anywhere.
 * There is one integer eliminator, the Hermite form: no module defines
   ``unimodular_inverse`` or a column-operation helper (``_swap_cols``,
   ``_add_col``, ``_two_col_transform``).  The Smith form serves
@@ -189,6 +192,26 @@ def test_no_generator_builder_remains():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         }
         assert not defined & set(GENERATOR_BUILDER), path.name
+
+
+def test_witt_map_has_one_caller():
+    referrers = sorted(
+        (path.stem, node.name)
+        for path in MODULES
+        for node in _tree(path).body
+        if "_witt_map" in _names_in(node)
+    )
+    assert referrers == [("fp_quadratic", "_witt_record")]
+
+
+def test_stabilizer_orbit_builds_no_isometry_of_its_own():
+    orbit = next(
+        node
+        for node in _tree(PACKAGE / "fp_quadratic.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "stabilizer_orbit"
+    )
+    assert "witt_extension" in _names_in(orbit)
+    assert not {"_witt_map", "FpIsometry"} & _names_in(orbit)
 
 
 SECOND_ELIMINATOR = ("unimodular_inverse", "_swap_cols", "_add_col", "_two_col_transform")

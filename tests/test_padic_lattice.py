@@ -158,8 +158,18 @@ def test_line_from_lattice_rejects_an_odd_lattice():
 
 
 def test_neighbors_of_ambient_match_enumeration():
-    got = set(neighbors_of(ambient(H2, 3)))
-    assert got == set(enumerate_neighbors(H2, 3))
+    """The ambient lattice's neighbors, built directly, are those the
+    general route computes in the lattice's own coordinates and maps back."""
+    for N, p in ((H, 3), (H2, 2), (H2, 3), (H3, 2)):
+        L = ambient(N, p)
+        Lq = plattice_quadlattice(L)
+        mapped_back = {
+            PLattice(N, p, 1, L.numerator_basis @ lattice_from_line(Lq, line).numerator_basis)
+            for line in enumerate_isotropic_lines(reduction(Lq, p))
+        }
+        got = neighbors_of(L)
+        assert got == enumerate_neighbors(N, p)
+        assert set(got) == mapped_back and len(got) == len(mapped_back)
 
 
 def test_plattice_canonicalization():

@@ -135,7 +135,9 @@ def test_parse_lattice_name(name, expected):
     assert parse_lattice_name(name) == expected
 
 
-@pytest.mark.parametrize("bad", ["", "⊥", "H⊥Q", "rank1()", "rank1(2.5)", "A2", "H,H"])
+@pytest.mark.parametrize(
+    "bad", ["", "⊥", "H⊥Q", "rank1()", "rank1(2.5)", "A2", "H,H", "E8⊥", "H⊥⊥H", "+H", "H+ +H"]
+)
 def test_parse_rejects_unknown_names(bad):
     with pytest.raises(PreconditionError):
         parse_lattice_name(bad)
