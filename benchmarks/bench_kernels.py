@@ -1,7 +1,9 @@
-"""Time the enumeration kernels of ``qlat.kernels``.
+"""Time the enumeration kernels and the lattice layers built on them.
 
-Runs each kernel on fixed workloads and prints a table of best-of-N wall
-times.
+Runs each of ``qlat.kernels``' enumeration kernels, the p-neighbor
+construction (``lattice_from_line``) and its inverse (``line_from_lattice``),
+and the integer Hermite form (``hnf_basis``) on fixed workloads, and prints
+a table of best-of-N wall times.
 
 Usage:  python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -9,10 +11,23 @@ Usage:  python3 benchmarks/bench_kernels.py [--repeat N]
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 import time
 
-from qlat import kernels
+from qlat import (
+    IntMatrix,
+    direct_sum,
+    e8_lattice,
+    enumerate_isotropic_lines,
+    hnf_basis,
+    hyperbolic_plane,
+    kernels,
+    lattice_from_line,
+    line_from_lattice,
+    reduction,
+    saturate,
+)
 
 
 def _hyperbolic(n):
@@ -22,11 +37,36 @@ def _hyperbolic(n):
     return tuple(tuple(r) for r in rows)
 
 
+def _cokernel_generators(n=10, k=5, p=3, seed=1):
+    """A 2n x (n + 2k) generator matrix shaped like ``cokernel_M``'s relations.
+
+    The graph of (α, β) stacked on a seeded saturated W of rank k in Z^n,
+    once in the top and once in the bottom block; ``verify cokernel-m``
+    reaches n = 10 at its default top rank.
+    """
+    rng = random.Random(seed)
+    raw = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)])
+    W, _ = saturate(n, raw)
+    k = W.cols
+    rows = []
+    for block in range(2):
+        for i in range(n):
+            scaled = (i == n - 1) if block == 0 else (i == 0)
+            graph = [(p if scaled else 1) if j == i else 0 for j in range(n)]
+            w = list(W.entries[i])
+            rows.append(graph + (w + [0] * k if block == 0 else [0] * k + w))
+    return IntMatrix.from_rows(rows)
+
+
 def _workloads():
     h8 = _hyperbolic(8)
     h6 = _hyperbolic(6)
     h4 = _hyperbolic(4)
     sl2_gens = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
+    he8 = direct_sum(hyperbolic_plane(), e8_lattice())
+    he8_lines = enumerate_isotropic_lines(reduction(he8, 2))  # 527 lines
+    he8_neighbors = [lattice_from_line(he8, line) for line in he8_lines]
+    cokernel_gens = [_cokernel_generators(seed=seed) for seed in range(100)]
     return [
         (
             # the instance of `qlat quadric lines H⊥H⊥H⊥H --p 7`
@@ -48,6 +88,20 @@ def _workloads():
         (
             "line_orbit SL2(F_101)",
             lambda: kernels.line_orbit(sl2_gens, (1, 0), 101, 10**6),
+        ),
+        (
+            # the neighbors of `qlat neighbors H⊥E8 --p 2`
+            f"lattice_from_line H⊥E8, p=2, {len(he8_lines)} lines",
+            lambda: [lattice_from_line(he8, line) for line in he8_lines],
+        ),
+        (
+            f"line_from_lattice H⊥E8, p=2, {len(he8_neighbors)} neighbors",
+            lambda: [line_from_lattice(Nt) for Nt in he8_neighbors],
+        ),
+        (
+            f"hnf_basis {cokernel_gens[0].rows}x{cokernel_gens[0].cols}, cokernel-m shape,"
+            f" {len(cokernel_gens)} seeds",
+            lambda: [hnf_basis(M) for M in cokernel_gens],
         ),
     ]
 

@@ -263,13 +263,16 @@ def _swap_rows(A: list[list[int]], U: list[list[int]], i: int, j: int) -> None:
 
 
 def _add_row(A: list[list[int]], U: list[list[int]], i: int, j: int, c: int) -> None:
-    # row_i += c * row_j
+    # row_i += c * row_j, in place: on short rows the indexed loop beats
+    # building a new row; the transform rows are empty when none is tracked
     Ai, Aj = A[i], A[j]
     for k in range(len(Ai)):
         Ai[k] += c * Aj[k]
-    Ui, Uj = U[i], U[j]
-    for k in range(len(Ui)):
-        Ui[k] += c * Uj[k]
+    Ui = U[i]
+    if Ui:
+        Uj = U[j]
+        for k in range(len(Ui)):
+            Ui[k] += c * Uj[k]
 
 
 def _negate_row(A: list[list[int]], U: list[list[int]], i: int) -> None:
@@ -420,12 +423,12 @@ def kernel_mod_p(row: Sequence[int], p: int) -> IntMatrix:
     """
     n = len(row)
     k = next((i for i in reversed(range(n)) if row[i] % p), None)
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    zero = (0,) * n
+    rows = [zero[:i] + (1,) + zero[i + 1:] for i in range(n)]
     if k is not None:
         inv = pow(row[k], -1, p)
-        rows[k][:k] = [(-x * inv) % p for x in row[:k]]
-        rows[k][k] = p
-    return IntMatrix.from_rows(rows)
+        rows[k] = tuple([(-x * inv) % p for x in row[:k]]) + (p,) + zero[k + 1:]
+    return IntMatrix(tuple(rows), _trusted=True)
 
 
 def lattices_equal(A: IntMatrix, B: IntMatrix) -> bool:

@@ -8,6 +8,9 @@ both directions of that correspondence explicitly:
 
 * ``lattice_from_line`` lifts an isotropic line to a vector v with
   Q(v) ≡ 0 mod p², and forms  Ñ = Z·(v/p) + {x ∈ N : [x, v] ≡ 0 mod p}.
+  It writes the Hermite basis of pÑ down in closed form, as the kernel
+  (``kernel_mod_p``) of φ(x) = ([x, v]/p) mod p on M = Z·v̄ + pZⁿ, with no
+  integer elimination.
 * ``line_from_lattice`` recovers the line as the image of pÑ ∩ N in N/pN.
 
 On top of the correspondence sit the typed-line filters (genericity with
@@ -217,36 +220,74 @@ def lattice_from_line(N: QuadLattice, line: ProjLine) -> PLattice:
     """The self-dual p-neighbor attached to an isotropic line.
 
     With v a lift satisfying Q(v) ≡ 0 mod p², the lattice is
-    Z·(v/p) + {x ∈ N : [x, v] ≡ 0 mod p}.  The result does not depend on
-    the choice of admissible lift (two lifts differ by p·w with w in the
-    second summand's dual behaviour), and is asserted to be even and
-    self-dual before returning.
+    Ñ = Z·(v/p) + {x ∈ N : [x, v] ≡ 0 mod p}.  Its numerator is
+    pÑ = {x ∈ Zⁿ : x mod p ∈ F_p·v̄ and [x, v] ≡ 0 mod p²}, for v̄ the
+    line's normalized generator, so it does not depend on the choice of
+    admissible lift.
 
-    The second summand is written down directly as a column Hermite basis,
-    :func:`~qlat.exact_linalg.kernel_mod_p` of r = [·, v] mod p.  Its index
-    in N, and the determinant of the neighbor's Hermite basis, are the
-    products of their pivots.
+    pÑ is the kernel of φ(x) = ([x, v]/p) mod p on M = Z·v̄ + pZⁿ, whose
+    canonical basis C has v̄ in the column of v̄'s leading 1 and p·e_j in
+    every other column j.  :func:`~qlat.exact_linalg.kernel_mod_p` of
+    φ(C) combines C's columns into a lower triangular basis of pÑ with
+    pivots in {1, p, p²}; reducing the entries left of each pivot, top row
+    first, gives its canonical Hermite basis S.  S is checked before
+    returning: its pivot product is pⁿ (self-dual), Sᵀ·B·S ≡ 0 mod p²
+    (integral), and Q of each column is ≡ 0 mod p² (even).
     """
     p = _check_line(N, line)
     if not is_self_dual_at(N, p):
         raise PreconditionError("lattice is not self-dual at p")
     n = N.rank
     v = hensel_lift_line(N, line)
-    B = N.gram()
-    row = [sum(map(mul, g, v)) % p for g in B.entries]  # [e_i, v] mod p
-    Lv = kernel_mod_p(row, p)
-    if math.prod(Lv.entries[i][i] for i in range(n)) != p:
-        raise InvariantViolationError("orthogonal-mod-p sublattice has wrong index")
-    S = hnf_basis(IntMatrix.from_columns([v]).hstack(Lv.scale(p)))
-    if S.cols != n or math.prod(S.entries[i][i] for i in range(n)) != p**n:
+    vbar = line.generator
+    i0 = next(i for i, x in enumerate(vbar) if x)
+    B = N.gram().entries
+    bv = [sum(map(mul, g, v)) for g in B]  # [e_j, v]
+    phi = [x % p for x in bv]  # φ(p·e_j)
+    phi[i0] = sum(map(mul, vbar, bv)) // p % p  # φ(v̄)
+    C = [[0] * n for _ in range(n)]  # columns of M's basis
+    for j in range(n):
+        C[j][j] = p
+    C[i0] = list(vbar)
+    K = kernel_mod_p(phi, p).entries
+    k = next((i for i in range(n) if K[i][i] != 1), None)
+    cols = C[:]
+    if k is not None:
+        ck = C[k]
+        for j, a in enumerate(K[k][:k]):
+            if a:
+                cols[j] = [x + a * y for x, y in zip(C[j], ck)]
+        cols[k] = [p * y for y in ck]
+    # a column operation at pivot i touches only rows ≥ i
+    for i in range(1, n):
+        ci = cols[i]
+        d = ci[i]
+        for j in range(i):
+            q = cols[j][i] // d
+            if q:
+                cj = cols[j]
+                cols[j] = cj[:i] + [x - q * y for x, y in zip(cj[i:], ci[i:])]
+    if math.prod(c[i] for i, c in enumerate(cols)) != p**n:
         raise InvariantViolationError("neighbor lattice is not self-dual (determinant)")
-    G = S.transpose() @ B @ S
-    if any(x % p**2 for r in G.entries for x in r):
-        raise InvariantViolationError("neighbor lattice is not integral")
-    # the diagonal of the Gram matrix holds 2·Q of each basis column
-    if any((G.entries[i][i] // 2) % p**2 for i in range(n)):
+    # the upper triangle of Sᵀ·B·S, through the nonzero entries of each
+    # column; its diagonal holds 2·Q of each column
+    nz = [[(r, x) for r, x in enumerate(c) if x] for c in cols]
+    bs = []  # B·s_j, as B is symmetric a sum of its rows
+    for s in nz:
+        acc = [0] * n
+        for r, x in s:
+            acc = [a + x * b for a, b in zip(acc, B[r])]
+        bs.append(acc)
+    p2 = p * p
+    diag = []
+    for i, s in enumerate(nz):
+        g = [sum([x * b[r] for r, x in s]) for b in bs[i:]]
+        if any(x % p2 for x in g):
+            raise InvariantViolationError("neighbor lattice is not integral")
+        diag.append(g[0])
+    if any(x // 2 % p2 for x in diag):
         raise InvariantViolationError("neighbor lattice is not even")
-    return PLattice(N, p, 1, S)
+    return PLattice(N, p, 1, IntMatrix.from_columns(cols))
 
 
 def line_from_lattice(Nt: PLattice) -> ProjLine:
@@ -264,7 +305,8 @@ def line_from_lattice(Nt: PLattice) -> ProjLine:
         raise PreconditionError("lattice is not a p-neighbor of the ambient lattice")
     S = Nt.numerator_basis
     n = N.rank
-    if abs(S.det()) != p**n:
+    # a PLattice numerator is a square canonical Hermite basis
+    if math.prod(S.entries[i][i] for i in range(n)) != p**n:
         raise PreconditionError("lattice is not self-dual (determinant)")
     plattice_quadlattice(Nt)  # integral and even
     V = reduction(N, p)

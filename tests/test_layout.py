@@ -18,6 +18,9 @@
   and the form of a ``PLattice`` in its own basis is
   ``padic_lattice.plattice_quadlattice``; the copies they replaced are
   gone.
+* A p-neighbor's basis is written down, not eliminated:
+  ``padic_lattice.lattice_from_line`` refers to ``kernel_mod_p`` and to
+  neither ``hnf_basis`` nor ``hermite_normal_form``.
 * The F_p layer builds and does not scan: ``fp_quadratic`` refers to no
   ``proj_reps``, so no walk over projective points comes back to find an
   isotropic vector or to factor an isometry.
@@ -204,14 +207,25 @@ def test_witt_map_has_one_caller():
     assert referrers == [("fp_quadratic", "_witt_record")]
 
 
-def test_stabilizer_orbit_builds_no_isometry_of_its_own():
-    orbit = next(
+def _function(module, name):
+    """The top-level function ``name`` of ``qlat.<module>``."""
+    return next(
         node
-        for node in _tree(PACKAGE / "fp_quadratic.py").body
-        if isinstance(node, ast.FunctionDef) and node.name == "stabilizer_orbit"
+        for node in _tree(PACKAGE / f"{module}.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == name
     )
+
+
+def test_stabilizer_orbit_builds_no_isometry_of_its_own():
+    orbit = _function("fp_quadratic", "stabilizer_orbit")
     assert "witt_extension" in _names_in(orbit)
     assert not {"_witt_map", "FpIsometry"} & _names_in(orbit)
+
+
+def test_lattice_from_line_eliminates_nothing():
+    names = _names_in(_function("padic_lattice", "lattice_from_line"))
+    assert "kernel_mod_p" in names
+    assert not {"hnf_basis", "hermite_normal_form"} & names
 
 
 SECOND_ELIMINATOR = ("unimodular_inverse", "_swap_cols", "_add_col", "_two_col_transform")
@@ -241,11 +255,7 @@ def test_smith_form_stays_in_exact_linalg():
 
 
 def test_saturate_calls_no_smith_form():
-    saturate = next(
-        node
-        for node in _tree(PACKAGE / "exact_linalg.py").body
-        if isinstance(node, ast.FunctionDef) and node.name == "saturate"
-    )
+    saturate = _function("exact_linalg", "saturate")
     assert "smith_normal_form" not in _names_in(saturate)
 
 

@@ -1,6 +1,8 @@
 """The line ↔ self-dual-lattice correspondence and its shrink/recover laws."""
 
 import math
+import random
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,13 @@ from qlat import (
     ProjLine,
     Sublattice,
     direct_sum,
+    e8_lattice,
     enumerate_isotropic_lines,
     enumerate_neighbors,
     hensel_lift_line,
     hnf_basis,
     hyperbolic_plane,
+    k3_lattice,
     lattice_from_line,
     lattices_equal,
     line_from_lattice,
@@ -35,12 +39,17 @@ from qlat import (
     sublattice_in_span,
     w_generic_lines,
 )
+import qlat.exact_linalg as exact_linalg
+import qlat.padic_lattice as padic_lattice
 from qlat.exact_linalg import integral_coefficients, kernel_mod_p
+from qlat.fp_quadratic import isotropic_lines_in
 from qlat.kernels import proj_reps
 
 H = hyperbolic_plane()
 H2 = direct_sum(H, H)
 H3 = direct_sum(H, H, H)
+E8 = e8_lattice()
+HE8 = direct_sum(H, E8)
 
 
 def ambient(N, p):
@@ -154,6 +163,17 @@ def test_line_from_lattice_rejects_an_odd_lattice():
     with pytest.raises(PreconditionError, match="quadratic form is not integral"):
         plattice_quadlattice(Nt)
     with pytest.raises(PreconditionError, match="quadratic form is not integral"):
+        line_from_lattice(Nt)
+
+
+@pytest.mark.parametrize("pivots", [(1, 2, 2, 2), (1, 4, 4, 2)])
+def test_line_from_lattice_rejects_a_wrong_determinant(pivots):
+    # power 1 and canonical, but the pivot product is 2^3 or 2^5, not 2^4
+    Nt = PLattice(H2, 2, 1, IntMatrix.from_rows(
+        [[d if i == j else 0 for j in range(4)] for i, d in enumerate(pivots)]
+    ))
+    assert Nt.power == 1
+    with pytest.raises(PreconditionError, match=r"not self-dual \(determinant\)"):
         line_from_lattice(Nt)
 
 
@@ -497,3 +517,94 @@ def test_lines_are_checked_against_the_reduction_kept_per_prime():
         lattice_from_line(other, line)
     with pytest.raises(PreconditionError, match="is not prime"):
         reduction(N, 0)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form neighbor basis against the Hermite route it replaced
+# ---------------------------------------------------------------------------
+
+
+def _neighbor_basis_by_hnf(N, line):
+    """pÑ = Z·v + p·L_v as ``hnf_basis([v | p·kernel_mod_p(r, p)])``, r = B·v mod p."""
+    p = line.space.p
+    v = hensel_lift_line(N, line)
+    r = [sum(map(mul, g, v)) % p for g in N.gram().entries]
+    return hnf_basis(IntMatrix.from_columns([v]).hstack(kernel_mod_p(r, p).scale(p)))
+
+
+def _spread(lines, cap):
+    """Every (len // cap)-th line of the sorted sweep: all of them below 2·cap."""
+    return lines[:: max(1, len(lines) // cap)]
+
+
+def _k3_lines(p, count):
+    """``count`` seeded isotropic lines of K3 mod p: one from each seeded span
+    of three random vectors that holds any."""
+    V = reduction(k3_lattice(), p)
+    rng = random.Random(p)
+    lines = []
+    while len(lines) < count:
+        span = [[rng.randrange(p) for _ in range(V.dim)] for _ in range(3)]
+        found = isotropic_lines_in(V, span)
+        if found:
+            lines.append(rng.choice(found))
+    return lines
+
+
+LATTICES = {"H": H, "H2": H2, "H3": H3, "E8": E8, "HE8": HE8}
+
+
+@pytest.mark.parametrize(
+    "name, p, cap",
+    [(name, p, None) for name in ("H", "H2", "H3") for p in (2, 3, 5)]
+    + [(name, p, 300) for name in ("E8", "HE8") for p in (2, 3)],
+)
+def test_closed_form_neighbor_matches_the_hermite_route(name, p, cap):
+    N = LATTICES[name]
+    lines = enumerate_isotropic_lines(reduction(N, p))
+    if cap is not None:
+        lines = _spread(lines, cap)
+    for line in lines:
+        Nt = lattice_from_line(N, line)
+        assert (Nt.power, Nt.numerator_basis) == (1, _neighbor_basis_by_hnf(N, line)), line
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_closed_form_neighbor_matches_the_hermite_route_on_k3(p):
+    K3 = k3_lattice()
+    for line in _k3_lines(p, 100):
+        Nt = lattice_from_line(K3, line)
+        assert (Nt.power, Nt.numerator_basis) == (1, _neighbor_basis_by_hnf(K3, line))
+
+
+@pytest.mark.parametrize("name, p", [("H3", 2), ("H3", 3), ("HE8", 2), ("E8", 5)])
+def test_neighbor_checks_reject_an_unlifted_line(name, p, monkeypatch):
+    """With the bare generator in place of the Hensel lift, Q(v̄) ≢ 0 mod p²
+    and the lattice built is not a self-dual neighbor: the output checks
+    must say so."""
+    N = LATTICES[name]
+    lines = [
+        line for line in _spread(enumerate_isotropic_lines(reduction(N, p)), 300)
+        if quad_value(N, line.generator) % (p * p)
+    ]
+    assert lines
+    monkeypatch.setattr(padic_lattice, "hensel_lift_line", lambda N, line: line.generator)
+    for line in lines:
+        with pytest.raises(InvariantViolationError, match="neighbor lattice is not (integral|even)"):
+            lattice_from_line(N, line)
+
+
+def test_lattice_from_line_runs_no_hermite_elimination(monkeypatch):
+    """Every basis comes out canonical, so ``PLattice`` renormalizes none.
+
+    A few lines of E8 (two at p = 2, two at p = 3) and of H⊥E8 mod 2 need
+    the reduction left of a pivot; in the sums of H none does.
+    """
+    def refuse(A, U):
+        raise AssertionError("a Hermite elimination ran")
+
+    cases = [(N, p, enumerate_isotropic_lines(reduction(N, p))) for N, p in ((E8, 2), (E8, 3), (HE8, 2))]
+    monkeypatch.setattr(exact_linalg, "_row_hnf", refuse)
+    for N, p, lines in cases:
+        for line in lines:
+            assert lattice_from_line(N, line).power == 1
