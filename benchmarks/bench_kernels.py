@@ -2,8 +2,9 @@
 
 Runs each of ``qlat.kernels``' enumeration kernels, the p-neighbor
 construction (``lattice_from_line``) and its inverse (``line_from_lattice``),
-and the integer Hermite form (``hnf_basis``) on fixed workloads, and prints
-a table of best-of-N wall times.
+the integer Hermite form (``hnf_basis``) and the Witt witness path
+(``witt_extension``) on fixed workloads, and prints a table of best-of-N
+wall times.
 
 Usage:  python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -14,9 +15,12 @@ import argparse
 import random
 import sys
 import time
+from itertools import product
 
 from qlat import (
+    FpQuadSpace,
     IntMatrix,
+    InvariantViolationError,
     direct_sum,
     e8_lattice,
     enumerate_isotropic_lines,
@@ -27,7 +31,10 @@ from qlat import (
     line_from_lattice,
     reduction,
     saturate,
+    witt_extension,
 )
+from qlat.modp import rank
+from qlat.verify import _subspace_bases
 
 
 def _hyperbolic(n):
@@ -58,6 +65,38 @@ def _cokernel_generators(n=10, k=5, p=3, seed=1):
     return IntMatrix.from_rows(rows)
 
 
+def _witt_pairs(V, ks=(1, 2)):
+    """Every (X, Y) with X the canonical basis of a k-dimensional subspace,
+    k in ``ks``, and Y an independent k-tuple with the Gram data of X."""
+    p, n = V.p, V.dim
+    vectors = [v for v in product(range(p), repeat=n) if any(v)]
+
+    def gram(T):
+        return [V.q(t) for t in T] + [V.b(a, b) for i, a in enumerate(T) for b in T[i + 1:]]
+
+    pairs = []
+    for k in ks:
+        images: dict = {}
+        for Y in product(vectors, repeat=k):
+            if rank(Y, p) == k:
+                images.setdefault(tuple(gram(Y)), []).append(Y)
+        for X in _subspace_bases(p, n, k):
+            pairs += [(X, Y) for Y in images[tuple(gram(X))]]
+    return pairs
+
+
+def _extend_all(p, half_gram, pairs):
+    """``witt_extension`` of every pair on a fresh space, so that the Witt
+    records are built inside the timing; a pair across the rulings of two
+    Lagrangians has no special witness and raises."""
+    V = FpQuadSpace(p, half_gram)
+    for X, Y in pairs:
+        try:
+            witt_extension(V, X, Y)
+        except InvariantViolationError:
+            pass
+
+
 def _workloads():
     h8 = _hyperbolic(8)
     h6 = _hyperbolic(6)
@@ -67,6 +106,7 @@ def _workloads():
     he8_lines = enumerate_isotropic_lines(reduction(he8, 2))  # 527 lines
     he8_neighbors = [lattice_from_line(he8, line) for line in he8_lines]
     cokernel_gens = [_cokernel_generators(seed=seed) for seed in range(100)]
+    witt_pairs = _witt_pairs(FpQuadSpace(3, h4))
     return [
         (
             # the instance of `qlat quadric lines H⊥H⊥H⊥H --p 7`
@@ -102,6 +142,11 @@ def _workloads():
             f"hnf_basis {cokernel_gens[0].rows}x{cokernel_gens[0].cols}, cokernel-m shape,"
             f" {len(cokernel_gens)} seeds",
             lambda: [hnf_basis(M) for M in cokernel_gens],
+        ),
+        (
+            # the 1- and 2-tuple pairs of split-4 mod 3, Lagrangian cross-ruling pairs too
+            f"witt_extension H⊥H, p=3, {len(witt_pairs)} pairs",
+            lambda: _extend_all(3, h4, witt_pairs),
         ),
     ]
 

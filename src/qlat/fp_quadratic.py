@@ -28,9 +28,12 @@ An ``FpQuadSpace`` is frozen, so whatever depends only on it is computed
 at most once and kept on the instance: the Gram matrix, nondegeneracy,
 the Witt decomposition, |SO(V)|, and for ``witt_extension`` and
 ``stabilizer_orbit`` one record per tuple met so far, holding its Gram
-type and one map from the root of that type to it, with the root per
-Gram type and the witnesses validated so far.  A tuple's rank and Gram
-type are thus computed once per space.  No group is materialized.
+type, one map from the root of that type to it, the columns of that
+map's inverse once the tuple has been a source, and the canonical tuple
+itself, with the root per Gram type and the witnesses validated so far.
+A tuple's rank and Gram type are thus computed once per space, and a
+caller's tuple equal to a recorded one is found as given, with no
+normalization.  No group is materialized.
 Equality, hashing and ``repr`` see only ``p`` and ``half_gram``; two equal
 spaces built apart compute the same values independently.
 
@@ -181,9 +184,11 @@ class FpQuadSpace:
         """What ``witt_extension`` and ``stabilizer_orbit`` keep on the space.
 
         ``types``: per Gram type of tuple, ``(key, root, flip)``;
-        ``tuples``: per tuple S recorded so far, ``[key, m, parity, m⁻¹ or
-        None]`` with key the type's own key object and m a map root → S of
-        Dickson parity ``parity`` (see ``_witt_record``); ``witnesses``:
+        ``tuples``: per tuple S recorded so far, ``[key, m, parity, cols,
+        S]`` with key the type's own key object, m a map root → S of
+        Dickson parity ``parity`` (see ``_witt_record``) and cols the
+        columns of m⁻¹, kept once S has been a source, else None;
+        ``witnesses``:
         each witness matrix built so far, mapped to its validated
         ``FpIsometry``.
         """
@@ -526,29 +531,27 @@ def reflection(V: FpQuadSpace, v: Sequence[int]) -> FpIsometry:
 
 def _reflection_matrix(V: FpQuadSpace, v: Vector) -> Matrix:
     """The matrix of ``x -> x - ([x, v]/Q(v)) v``, for Q(v) != 0."""
-    p, n = V.p, V.dim
+    p = V.p
     bv = modp.mat_vec(V.gram(), v, p)
     inv = modp.inv_mod(V.q(v), p)
-    return tuple(
-        tuple(((1 if i == j else 0) - inv * bv[j] * v[i]) % p for j in range(n))
-        for i in range(n)
-    )
+    return tuple([
+        tuple([((i == j) - c * b) % p for j, b in enumerate(bv)])
+        for i, c in enumerate([inv * x for x in v])
+    ])
 
 
 def _eichler_matrix(V: FpQuadSpace, u: Vector, w: Vector) -> Matrix:
     """The matrix of E_{u,w}, for Q(u) = 0 and [u, w] = 0."""
-    p, n = V.p, V.dim
+    p = V.p
     B = V.gram()
     bu = modp.mat_vec(B, u, p)
     bw = modp.mat_vec(B, w, p)
     qw = V.q(w)
-    return tuple(
-        tuple(
-            ((1 if i == j else 0) + bu[j] * w[i] - bw[j] * u[i] - qw * bu[j] * u[i]) % p
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    # entry (i, j) is δ_ij + B(u, e_j)·(w_i − Q(w)·u_i) − B(w, e_j)·u_i
+    return tuple([
+        tuple([((i == j) + a * s - c * t) % p for j, (s, t) in enumerate(zip(bu, bw))])
+        for i, (a, c) in enumerate(zip([wi - qw * ui for wi, ui in zip(w, u)], u))
+    ])
 
 
 def dickson_invariant(V: FpQuadSpace, matrix: Matrix) -> int:
@@ -654,13 +657,17 @@ def _witt_map(V: FpQuadSpace, X: Sequence[Vector], Y: Sequence[Vector]) -> tuple
       then c = B(x, z*).  The step scales z by λ = (c − 1)/c and z* by
       1/λ and fixes ⟨z, z*⟩^⊥ ⊇ U; it sends x to u + cλ·z = y_j, has
       determinant 1 and rank(h − 1) = 2.  Parity 0.
+
+    g starts as no matrix at all: the first step is g itself, and no
+    identity is built or multiplied unless no step runs (X = Y, say), when
+    the identity is returned.
     """
     p, n = V.p, V.dim
     B = V.gram()
-    g, parity = modp.identity(n), 0
+    g, parity = None, 0
     u_rows: list[Vector] = []  # w ⊥ U iff every row pairs to 0 with w
     for xj, yj in zip(X, Y):
-        x = modp.mat_vec(g, xj, p)
+        x = xj if g is None else modp.mat_vec(g, xj, p)
         z = tuple([(a - b) % p for a, b in zip(x, yj)])
         if any(z):
             bz = modp.mat_vec(B, z, p)
@@ -682,20 +689,22 @@ def _witt_map(V: FpQuadSpace, X: Sequence[Vector], Y: Sequence[Vector]) -> tuple
                     bzs = modp.mat_vec(B, zs, p)
                     step = tuple(tuple(((i == j) + a * z[i] * bzs[j] + b * zs[i] * bz[j]) % p
                                        for j in range(n)) for i in range(n))
-            g = modp.mat_mul(step, g, p)
+            g = step if g is None else modp.mat_mul(step, g, p)
         u_rows.append(modp.mat_vec(B, yj, p))
-    return g, parity
+    return (modp.identity(n) if g is None else g), parity
 
 
 def _witt_record(V: FpQuadSpace, S: tuple[Vector, ...], key) -> list:
-    """Record independent S of Gram type ``key`` as ``[key, m, parity, None]``.
+    """Record independent S of Gram type ``key`` as ``[key, m, parity, None, S]``.
 
     The first tuple of a type becomes its root, and the type's entry keeps
     ``(key, root, flip)`` with ``flip`` the reflection in an anisotropic
     vector of root^⊥ (``_anisotropic_in``), or None.  m is ``_witt_map`` of
     root → S times ``flip`` if that is odd: ``flip`` fixes the root, so the
     product is an even map root → S.  Every record of a type holds the
-    entry's key object; the last slot is m⁻¹ once S has been a source.
+    entry's key object; the fourth slot is the columns of m⁻¹ once S has
+    been a source, and the last is S itself, the canonical tuple that a
+    caller's equal tuple stands for.
     """
     cache, p = V._witt_cache, V.p
     entry = cache["types"].get(key)
@@ -707,8 +716,16 @@ def _witt_record(V: FpQuadSpace, S: tuple[Vector, ...], key) -> list:
     m, parity = _witt_map(V, root, S)
     if parity and flip is not None:
         m, parity = modp.mat_mul(m, flip, p), 0
-    record = cache["tuples"][S] = [key, m, parity, None]
+    record = cache["tuples"][S] = [key, m, parity, None, S]
     return record
+
+
+def _record_of(records: dict, basis) -> list | None:
+    """The record of the tuple ``basis`` equals as given, or None."""
+    try:
+        return records.get(basis)
+    except TypeError:  # unhashable, such as a list
+        return None
 
 
 def witt_extension(
@@ -727,9 +744,15 @@ def witt_extension(
     Gram type and one map root → S of that type, even unless no map is.
     The record is made once S has passed its rank check and the Gram data
     of the call match, so a later call with S skips both computations, and
-    a dependent tuple is never recorded.  The witness is m_Y · m_X⁻¹; each
-    witness matrix is validated once per space and kept in a table, and
-    every call checks that it is special and sends x_j to y_j.
+    a dependent tuple is never recorded.  Each basis is first looked up as
+    given among the recorded tuples, before any normalization: a hit means
+    it equals a recorded canonical tuple entry by entry, and the call goes
+    on with that recorded tuple.  A basis that misses, or cannot be hashed
+    (a list, say), is reduced mod p and checked as ever.  The witness is
+    m_Y · m_X⁻¹, formed from the columns of m_X⁻¹ that X's record keeps
+    once X has been a source; each witness matrix is validated once per
+    space and kept in a table, and every call checks that it is special
+    and sends x_j to y_j.
 
     Returns g in SO(V) with g(x_j) = y_j for every basis vector; raises
     InvariantViolationError if no special isometry exists, which is when
@@ -746,15 +769,18 @@ def witt_extension(
     p, n = V.p, V.dim
     if not V.is_nondegenerate():
         raise PreconditionError("Witt extension requires a nondegenerate space")
-    X = _vectors(V, w1_basis, "subspace basis vector")
-    Y = _vectors(V, w2_basis, "subspace basis vector")
+    records = V._witt_cache["tuples"]
+    rx, ry = _record_of(records, w1_basis), _record_of(records, w2_basis)
+    X = _vectors(V, w1_basis, "subspace basis vector") if rx is None else rx[4]
+    Y = _vectors(V, w2_basis, "subspace basis vector") if ry is None else ry[4]
     k = len(X)
     if len(Y) != k:
         raise PreconditionError("subspace bases have different sizes")
-    records = V._witt_cache["tuples"]
     same = Y == X
-    rx = records.get(X)
-    ry = rx if same else records.get(Y)
+    if rx is None:
+        rx = records.get(X)
+    if ry is None:
+        ry = rx if same else records.get(Y)
     if rx is None and k and modp.rank(X, p) != k:
         raise PreconditionError("first subspace basis is dependent")
     if ry is None and not same and k and modp.rank(Y, p) != k:
@@ -773,10 +799,10 @@ def witt_extension(
         ry = rx if same else _witt_record(V, Y, ky)
     if rx[2] != ry[2]:
         raise InvariantViolationError("isometric tuples lie in different special-orthogonal orbits")
-    mx_inv = rx[3]
-    if mx_inv is None:
-        mx_inv = rx[3] = modp.inverse(rx[1], p)
-    m = modp.mat_mul(ry[1], mx_inv, p)
+    cols = rx[3]
+    if cols is None:
+        cols = rx[3] = tuple(zip(*modp.inverse(rx[1], p)))
+    m = tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in ry[1]])
     witnesses = V._witt_cache["witnesses"]
     iso = witnesses.get(m)
     if iso is None:

@@ -54,7 +54,8 @@ import math
 import os
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
+from operator import mul
 
 from . import kernels
 from .deformation_tori import CharLattice, cokernel_M
@@ -72,7 +73,7 @@ from .fp_quadratic import (
     witt_extension,
 )
 from .hecke_k3 import k3_isogeny
-from .modp import MAX_PROJ_POINTS, kernel_basis, legendre, rank, rref
+from .modp import MAX_PROJ_POINTS, kernel_basis, legendre, mat_vec, rank
 from .padic_lattice import (
     PLattice,
     enumerate_neighbors,
@@ -432,20 +433,20 @@ def suite_nice_cochar(primes, max_rank, seed, max_points) -> VerifyReport:
 
 
 def _subspace_bases(p: int, n: int, k: int):
-    """Canonical bases (RREF rows) of all k-dimensional subspaces of F_p^n."""
-    if k == 0:
-        yield ()
-        return
-    seen = set()
-    for combo in product(kernels.proj_reps(p, n), repeat=k):
-        m, pivots = rref(combo, p)
-        if len(pivots) != k:
-            continue
-        key = tuple(map(tuple, m))
-        if key in seen:
-            continue
-        seen.add(key)
-        yield key
+    """Canonical bases (RREF rows) of all k-dimensional subspaces of F_p^n.
+
+    Each subspace comes out once, as its RREF matrix: the pivot sets in
+    lexicographic order, and for each every filling of its free entries
+    (the entries right of a row's pivot outside the pivot columns) in
+    product order.
+    """
+    for pivots in combinations(range(n), k):
+        free = [(i, c) for i, c0 in enumerate(pivots) for c in range(c0 + 1, n) if c not in pivots]
+        for values in product(range(p), repeat=len(free)):
+            rows = [[int(c == c0) for c in range(n)] for c0 in pivots]
+            for (i, c), x in zip(free, values):
+                rows[i][c] = x
+            yield tuple(map(tuple, rows))
 
 
 def suite_witt_extension(primes, max_rank, seed, max_points) -> VerifyReport:
@@ -565,12 +566,18 @@ def _sweep_witt_images(report, name, V, witt_index, by_q, group) -> None:
 
 
 def _gram_matching_tuples(V, xq, xgram, by_q, p):
-    """All independent tuples Y with Q-values ``xq`` and pairings ``xgram``."""
+    """All independent tuples Y with Q-values ``xq`` and pairings ``xgram``.
+
+    A candidate w for y_j pairs with each chosen y_i as B·y_i · w, with
+    B·y_i formed once when y_i is chosen.
+    """
     k = len(xq)
     if k == 0:
         yield ()
         return
+    B = V.gram()
     chosen: list = []
+    paired: list = []  # B·y for each chosen y
 
     def extend(j):
         if j == k:
@@ -578,10 +585,12 @@ def _gram_matching_tuples(V, xq, xgram, by_q, p):
                 yield tuple(chosen)
             return
         for w in by_q.get(xq[j], ()):
-            if all(V.b(chosen[i], w) == xgram[i][j] for i in range(j)):
+            if all(sum(map(mul, by, w)) % p == xgram[i][j] for i, by in enumerate(paired)):
                 chosen.append(w)
+                paired.append(mat_vec(B, w, p))
                 yield from extend(j + 1)
                 chosen.pop()
+                paired.pop()
 
     yield from extend(0)
 

@@ -33,7 +33,12 @@ from qlat import (
     witt_extension,
 )
 from qlat import kernels, modp
-from qlat.fp_quadratic import _eichler_matrix, _witt_map, isotropic_lines_in
+from qlat.fp_quadratic import (
+    _eichler_matrix,
+    _reflection_matrix,
+    _witt_map,
+    isotropic_lines_in,
+)
 from isometry_oracle import all_isometries_bruteforce
 
 
@@ -1245,7 +1250,7 @@ def test_suite_checks_each_tuple_once_per_space(monkeypatch):
         assert {(id(V), S) for S in cache["tuples"]} <= set(keys)
         for key, entry in cache["types"].items():
             assert len(entry) == 3 and entry[0] == key  # (key, root, flip): no maps
-        for key, m, parity, _ in cache["tuples"].values():
+        for key, m, parity, _, _ in cache["tuples"].values():
             assert key is cache["types"][key][0]
 
 
@@ -1287,3 +1292,161 @@ def test_a_dependent_tuple_is_rejected_every_time(p):
         with pytest.raises(PreconditionError, match="second subspace basis is dependent"):
             witt_extension(V, X, dependent)
     assert dependent not in V._witt_cache["tuples"]
+
+
+# ---------------------------------------------------------------------------
+# the record lookup on the caller's tuple
+# ---------------------------------------------------------------------------
+
+
+def _forms(T, p):
+    """T as given, as lists, as a tuple of lists, with entries moved by ±p,
+    and with bool entries (T's entries are 0 or 1)."""
+    return {
+        "canonical": tuple(T),
+        "lists": [list(t) for t in T],
+        "list-rows": tuple(list(t) for t in T),
+        "shifted": tuple(tuple(x - p if j % 2 else x + p for j, x in enumerate(t)) for t in T),
+        "bools": tuple(tuple(bool(x) for x in t) for t in T),
+    }
+
+
+class _Unread(tuple):
+    """A tuple that may be compared and hashed but not read entry by entry."""
+
+    def __iter__(self):
+        raise AssertionError("the caller's tuple was read")
+
+
+def _canonical_records(V):
+    for S, record in V._witt_cache["tuples"].items():
+        assert record[4] is S
+        assert all(type(x) is int and 0 <= x < V.p for s in S for x in s)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize(
+    "X, Y",
+    [
+        (((1, 0, 0, 0), (0, 0, 1, 0)), ((0, 1, 0, 0), (0, 0, 0, 1))),
+        (((1, 1, 0, 0), (0, 0, 1, 0)), ((0, 0, 1, 1), (1, 0, 0, 0))),
+        (((1, 1, 0, 0),), ((0, 0, 1, 1),)),
+    ],
+    ids=["lagrangians", "anisotropic-first", "anisotropic-line"],
+)
+def test_every_form_of_a_pair_gets_the_same_witness(p, X, Y):
+    reference = witt_extension(hyperbolic(p, 2), X, Y).matrix
+    shared = hyperbolic(p, 2)
+    first = witt_extension(shared, X, Y)
+    forms_x, forms_y = _forms(X, p), _forms(Y, p)
+    for name, fx in forms_x.items():
+        fy = forms_y[name]
+        fresh = hyperbolic(p, 2)
+        assert witt_extension(fresh, fx, fy).matrix == reference, name
+        assert witt_extension(fresh, fx, fy).matrix == reference, name  # now recorded
+        _canonical_records(fresh)
+        assert witt_extension(shared, fx, fy) is first, name
+        assert witt_extension(shared, fx, fy).matrix == reference, name
+    assert witt_extension(shared, _Unread(X), _Unread(Y)) is first
+    _canonical_records(shared)
+
+
+def test_rejected_forms_raise_as_ever_also_once_their_tuples_are_recorded():
+    p = 3
+    e1, f1, e2, _ = _standard_basis(4)
+    h1 = tuple((a + b) % p for a, b in zip(e1, f1))
+    long = (e1 + (0,),)
+    cases = [
+        (long, (e1,), PreconditionError, "subspace basis vector has wrong dimension"),
+        ((e1,), long, PreconditionError, "subspace basis vector has wrong dimension"),
+        ((e1,), (e1, e2), PreconditionError, "subspace bases have different sizes"),
+        ((e1, e1), (e1, e2), PreconditionError, "first subspace basis is dependent"),
+        ((e1, e2), (e2, e2), PreconditionError, "second subspace basis is dependent"),
+        ((e1,), (h1,), PreconditionError, "map does not preserve the quadratic form"),
+        ((e1, e2), (e1, f1), PreconditionError, "map does not preserve the bilinear form"),
+        ((e1, e2), (e1, (0, 0, 0, 1)), InvariantViolationError,
+         "isometric tuples lie in different special-orthogonal orbits"),
+    ]
+    V = hyperbolic(p, 2)
+
+    def check_all():
+        for X, Y, error, message in cases:
+            for name, fx in _forms(X, p).items():
+                for fy in _forms(Y, p).values():
+                    with pytest.raises(error) as caught:
+                        witt_extension(V, fx, fy)
+                    assert type(caught.value) is error and str(caught.value) == message, name
+
+    check_all()
+    for X, Y, _, _ in cases:
+        for S in (X, Y):
+            if all(len(s) == 4 for s in S) and modp.rank(S, p) == len(S):
+                witt_extension(V, S, S)
+    assert {(e1,), (e1, e2), (h1,), (e1, f1)} <= set(V._witt_cache["tuples"])
+    check_all()
+    _canonical_records(V)
+
+
+# ---------------------------------------------------------------------------
+# _witt_map and its steps
+# ---------------------------------------------------------------------------
+
+
+def _dim4_spaces(p):
+    """The split and the non-split space of dimension 4 over F_p."""
+    from qlat.verify import _nondegenerate_spaces
+
+    return [V for _, V in _nondegenerate_spaces(p, 4) if V.dim == 4]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_witt_map_starts_from_no_matrix(monkeypatch, p):
+    """A tuple onto itself takes no step and is the identity; a 1-tuple
+    takes at most one step, which is the map itself: neither multiplies."""
+
+    def refuse(*args):
+        raise AssertionError("modp.mat_mul ran")
+
+    spaces = _dim4_spaces(p)
+    assert len(spaces) == 2
+    monkeypatch.setattr(modp, "mat_mul", refuse)
+    for V in spaces:
+        vectors = [v for v in product(range(p), repeat=4) if any(v)]
+        for X in [(v,) for v in vectors] + _bases_of_every_subspace(p, 4, 2):
+            assert _witt_map(V, X, X) == (modp.identity(4), 0)
+        for x in vectors:
+            for y in vectors:
+                if V.q(x) == V.q(y):
+                    m, parity = _witt_map(V, (x,), (y,))
+                    assert modp.mat_vec(m, x, p) == y
+                    assert parity == dickson_invariant(V, FpIsometry(V, m).matrix)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_reflection_and_eichler_matrices_follow_their_formulas(p):
+    """Column j is the image of e_j: x − (B(x, v)/Q(v))·v for the reflection
+    in v, and x + B(x, u)·w − B(x, w)·u − Q(w)·B(x, u)·u for E_{u,w}."""
+    n = 4
+    basis = _standard_basis(n)
+    vectors = [v for v in product(range(p), repeat=n) if any(v)]
+    for V in _dim4_spaces(p):
+        for v in vectors:
+            if not V.q(v):
+                continue
+            inv = modp.inv_mod(V.q(v), p)
+            tau = _reflection_matrix(V, v)
+            for j, x in enumerate(basis):
+                image = [(x[i] - V.b(x, v) * inv * v[i]) % p for i in range(n)]
+                assert [tau[i][j] for i in range(n)] == image
+        for u in vectors:
+            if V.q(u):
+                continue
+            for w in vectors:
+                if V.b(u, w):
+                    continue
+                E = _eichler_matrix(V, u, w)
+                for j, x in enumerate(basis):
+                    bxu, bxw = V.b(x, u), V.b(x, w)
+                    image = [(x[i] + bxu * w[i] - bxw * u[i] - V.q(w) * bxu * u[i]) % p
+                             for i in range(n)]
+                    assert [E[i][j] for i in range(n)] == image

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from itertools import product
 from pathlib import Path
 
@@ -493,3 +494,38 @@ def test_a_guard_on_shared_work_trips_before_anything_forks(monkeypatch, name, p
     _cores(monkeypatch, 2)
     with pytest.raises(SizeGuardError):
         run_suite(name, **params)
+
+
+def _subspace_bases_by_rref(p, n, k):
+    """The RREF basis of every k-dimensional subspace of F_p^n, by brute
+    force: row-reduce every k-set of normalized representatives and keep
+    the full-rank results.  Every subspace has a basis of k distinct
+    representatives, and the RREF of a set of rows does not depend on
+    their order, so the k-sets of ``product(proj_reps, repeat=k)`` suffice."""
+    from itertools import combinations
+
+    from qlat import kernels
+    from qlat.modp import rref
+
+    out = set()
+    for rows in combinations(kernels.proj_reps(p, n), k):
+        m, pivots = rref(rows, p)
+        if len(pivots) == k:
+            out.add(tuple(map(tuple, m)))
+    return out
+
+
+@pytest.mark.parametrize("p, n", [(p, n) for p in (2, 3) for n in range(5)])
+def test_subspace_bases_list_each_subspace_once(p, n):
+    for k in range(n + 1):
+        listed = list(verify_module._subspace_bases(p, n, k))
+        assert len(listed) == len(set(listed))
+        assert set(listed) == _subspace_bases_by_rref(p, n, k), k
+
+
+def test_subspace_bases_do_not_sweep_tuples():
+    # the 40 hyperplanes of F_3^4; row-reducing every triple of the 40
+    # normalized representatives, 64,000 of them, took about a second
+    start = time.perf_counter()
+    assert len(list(verify_module._subspace_bases(3, 4, 3))) == 40
+    assert time.perf_counter() - start < 0.05
