@@ -1,8 +1,9 @@
 """Time the enumeration kernels and the lattice layers built on them.
 
 Runs each of ``qlat.kernels``' enumeration kernels, the p-neighbor
-construction (``lattice_from_line``) and its inverse (``line_from_lattice``),
-the integer Hermite form (``hnf_basis``) and the Witt witness path
+construction (``lattice_from_line``), its inverse (``line_from_lattice``) and
+the form of a neighbor in its own basis (``plattice_quadlattice``), the
+integer Hermite form (``hnf_basis``) and the Witt witness path
 (``witt_extension``) on fixed workloads, and prints a table of best-of-N
 wall times.
 
@@ -29,6 +30,7 @@ from qlat import (
     kernels,
     lattice_from_line,
     line_from_lattice,
+    plattice_quadlattice,
     reduction,
     saturate,
     witt_extension,
@@ -137,6 +139,10 @@ def _workloads():
         (
             f"line_from_lattice H⊥E8, p=2, {len(he8_neighbors)} neighbors",
             lambda: [line_from_lattice(Nt) for Nt in he8_neighbors],
+        ),
+        (
+            f"plattice_quadlattice H⊥E8, p=2, {len(he8_neighbors)} neighbors",
+            lambda: [plattice_quadlattice(Nt) for Nt in he8_neighbors],
         ),
         (
             f"hnf_basis {cokernel_gens[0].rows}x{cokernel_gens[0].cols}, cokernel-m shape,"

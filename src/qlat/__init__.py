@@ -40,6 +40,7 @@ from .exact_linalg import (
 from .quad_lattice import (
     QuadLattice,
     Sublattice,
+    basis_half_gram,
     bilinear_value,
     direct_sum,
     discriminant_group,
@@ -52,7 +53,6 @@ from .quad_lattice import (
     rank_one,
     restricted_lattice,
     signature,
-    sublattice_gram,
 )
 from .fp_quadratic import (
     FpIsometry,
@@ -118,6 +118,7 @@ __all__ = [
     "Sublattice",
     "SUITES",
     "VerifyReport",
+    "basis_half_gram",
     "bilinear_value",
     "cokernel_M",
     "dickson_invariant",
@@ -162,7 +163,6 @@ __all__ = [
     "so_order",
     "spinor_norm",
     "stabilizer_orbit",
-    "sublattice_gram",
     "sublattice_in_span",
     "w_generic_lines",
     "witt_decomposition",

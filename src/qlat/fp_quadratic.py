@@ -26,7 +26,7 @@ Per-space invariants
 --------------------
 An ``FpQuadSpace`` is frozen, so whatever depends only on it is computed
 at most once and kept on the instance: the Gram matrix, nondegeneracy,
-the Witt decomposition, |SO(V)|, and for ``witt_extension`` and
+the Witt decomposition, and for ``witt_extension`` and
 ``stabilizer_orbit`` one record per tuple met so far, holding its Gram
 type, one map from the root of that type to it, the columns of that
 map's inverse once the tuple has been a source, and the canonical tuple
@@ -174,10 +174,6 @@ class FpQuadSpace:
     @cached_property
     def _witt(self) -> WittDecomposition:
         return _witt_decomposition(self)
-
-    @cached_property
-    def _so_order(self) -> int:
-        return _so_order(self)
 
     @cached_property
     def _witt_cache(self) -> dict:
@@ -579,12 +575,7 @@ def so_order(V: FpQuadSpace) -> int:
     Split/non-split type is read off the Witt decomposition.  For dim
     2m+1: p^{m^2} * prod_{i=1..m} (p^{2i} - 1).  For dim 2k of type
     epsilon: p^{k(k-1)} (p^k - epsilon) prod_{i=1..k-1} (p^{2i} - 1).
-    Computed once per instance of V.
     """
-    return V._so_order
-
-
-def _so_order(V: FpQuadSpace) -> int:
     p = V.p
     pairs, aniso, rad = witt_decomposition(V)
     if rad:

@@ -32,7 +32,7 @@ from .padic_lattice import PLattice, neighbors_of, shrink_set
 from .quad_lattice import (
     QuadLattice,
     Sublattice,
-    bilinear_value,
+    basis_half_gram,
     k3_lattice,
     quad_value,
     signature,
@@ -142,13 +142,15 @@ def shrink_fiber(
     r = lam.rank
     if embedding.rows != N.rank or embedding.cols != r:
         raise PreconditionError("embedding matrix has wrong shape")
-    cols = embedding.columns()
-    for i in range(r):
-        if quad_value(N, cols[i]) != lam.half_gram.entries[i][i]:
+    # the half-Grams agree entry by entry; the first mismatch, row by row,
+    # names the form it breaks
+    hg = basis_half_gram(N, embedding.columns())
+    for i, (row, want) in enumerate(zip(hg, lam.half_gram.entries)):
+        j = next((j for j in range(i, r) if row[j] != want[j]), None)
+        if j == i:
             raise PreconditionError("embedding does not preserve the quadratic form")
-        for j in range(i + 1, r):
-            if bilinear_value(N, cols[i], cols[j]) != lam.gram().entries[i][j]:
-                raise PreconditionError("embedding does not preserve the bilinear form")
+        if j is not None:
+            raise PreconditionError("embedding does not preserve the bilinear form")
     if 2 * r > N.rank - 4:
         raise PreconditionError("pair rank too large for the ambient lattice")
     W = Sublattice(N, embedding)

@@ -49,9 +49,10 @@ from .modp import MAX_PROJ_POINTS
 from .quad_lattice import (
     QuadLattice,
     Sublattice,
+    basis_half_gram,
     is_self_dual_at,
     quad_value,
-    sublattice_gram,
+    restricted_lattice,
 )
 
 __all__ = [
@@ -155,21 +156,14 @@ def plattice_sort_key(L: PLattice):
 def plattice_quadlattice(L: PLattice) -> QuadLattice:
     """The lattice as an abstract even lattice in its own coordinates.
 
-    With G = Sᵀ·B·S for the numerator basis S and d = p^(2·power), the
-    half-Gram is G_ij/d above the diagonal and (G_ii/2)/d = Q(s_i)/d on it;
-    PreconditionError unless all are integers, i.e. unless Q is integral.
+    Its half-Gram is that of Q/d on the numerator basis, d = p^(2·power)
+    (:func:`~qlat.quad_lattice.basis_half_gram`); PreconditionError unless
+    every entry is an integer, i.e. unless Q is integral on the lattice.
     """
-    S = L.numerator_basis
-    G = (S.transpose() @ L.ambient.gram() @ S).entries
-    d, n = L.scale_denominator() ** 2, L.rank
-    hg = [[0] * n for _ in range(n)]
-    for i, row in enumerate(G):
-        for j in range(i, n):
-            x = row[i] // 2 if j == i else row[j]
-            if x % d:
-                raise PreconditionError("lattice quadratic form is not integral")
-            hg[i][j] = x // d
-    return QuadLattice(IntMatrix.from_rows(hg))
+    hg = basis_half_gram(L.ambient, L.numerator_basis.columns(), L.scale_denominator() ** 2)
+    if hg is None:
+        raise PreconditionError("lattice quadratic form is not integral")
+    return QuadLattice(hg)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +172,22 @@ def plattice_quadlattice(L: PLattice) -> QuadLattice:
 
 
 def reduction(N: QuadLattice, p: int) -> FpQuadSpace:
-    """The quadratic space N/pN over F_p."""
-    return FpQuadSpace(p, N.half_gram.entries)  # checks p before reducing
+    """The quadratic space N/pN over F_p, built once per lattice and prime.
+
+    The space is kept on N, so every caller with the same N and p shares
+    one space and its per-space invariants; a p that is not prime raises
+    on every call and is never kept.
+    """
+    spaces = N._reductions
+    V = spaces.get(p)
+    if V is None:
+        V = spaces[p] = FpQuadSpace(p, N.half_gram.entries)  # checks p before reducing
+    return V
 
 
 def _check_line(N: QuadLattice, line: ProjLine) -> int:
     p = line.space.p
-    if line.space.half_gram != N.half_gram_mod(p):
+    if line.space != reduction(N, p):
         raise PreconditionError("line does not live in the reduction of the lattice")
     return p
 
@@ -231,8 +234,9 @@ def lattice_from_line(N: QuadLattice, line: ProjLine) -> PLattice:
     φ(C) combines C's columns into a lower triangular basis of pÑ with
     pivots in {1, p, p²}; reducing the entries left of each pivot, top row
     first, gives its canonical Hermite basis S.  S is checked before
-    returning: its pivot product is pⁿ (self-dual), Sᵀ·B·S ≡ 0 mod p²
-    (integral), and Q of each column is ≡ 0 mod p² (even).
+    returning: its pivot product is pⁿ (self-dual), and the half-Gram of
+    Q/p² on it (:func:`~qlat.quad_lattice.basis_half_gram`) is integral,
+    so Ñ is integral and even.
     """
     p = _check_line(N, line)
     if not is_self_dual_at(N, p):
@@ -269,24 +273,8 @@ def lattice_from_line(N: QuadLattice, line: ProjLine) -> PLattice:
                 cols[j] = cj[:i] + [x - q * y for x, y in zip(cj[i:], ci[i:])]
     if math.prod(c[i] for i, c in enumerate(cols)) != p**n:
         raise InvariantViolationError("neighbor lattice is not self-dual (determinant)")
-    # the upper triangle of Sᵀ·B·S, through the nonzero entries of each
-    # column; its diagonal holds 2·Q of each column
-    nz = [[(r, x) for r, x in enumerate(c) if x] for c in cols]
-    bs = []  # B·s_j, as B is symmetric a sum of its rows
-    for s in nz:
-        acc = [0] * n
-        for r, x in s:
-            acc = [a + x * b for a, b in zip(acc, B[r])]
-        bs.append(acc)
-    p2 = p * p
-    diag = []
-    for i, s in enumerate(nz):
-        g = [sum([x * b[r] for r, x in s]) for b in bs[i:]]
-        if any(x % p2 for x in g):
-            raise InvariantViolationError("neighbor lattice is not integral")
-        diag.append(g[0])
-    if any(x // 2 % p2 for x in diag):
-        raise InvariantViolationError("neighbor lattice is not even")
+    if basis_half_gram(N, cols, p * p) is None:
+        raise InvariantViolationError("neighbor lattice is not integral")
     return PLattice(N, p, 1, IntMatrix.from_columns(cols))
 
 
@@ -443,7 +431,7 @@ def _shrink_preconditions(N: QuadLattice, W: Sublattice, Wt: Sublattice, p: int)
         raise PreconditionError("W is not a direct summand")
     if 2 * r > N.rank - 3:
         raise PreconditionError("W has rank too large for the construction")
-    if sublattice_gram(W).det() == 0:
+    if restricted_lattice(W).gram().det() == 0:
         raise PreconditionError("form restricted to W is degenerate")
     C = integral_coefficients(W.basis, Wt.basis)
     if Wt.rank != r or quotient_structure(r, C).order() != p:

@@ -37,7 +37,7 @@ __all__ = [
     "orthogonal_complement",
     "discriminant_group",
     "restricted_lattice",
-    "sublattice_gram",
+    "basis_half_gram",
     "hyperbolic_plane",
     "e8_lattice",
     "k3_lattice",
@@ -79,16 +79,9 @@ class QuadLattice:
     def _gram_det(self) -> int:
         return self.gram().det()
 
-    def half_gram_mod(self, p: int) -> tuple[tuple[int, ...], ...]:
-        """The half-Gram matrix with entries reduced mod p, computed once per lattice and p."""
-        reduced = self._half_gram_mod
-        hg = reduced.get(p)
-        if hg is None:
-            hg = reduced[p] = tuple(tuple(x % p for x in row) for row in self.half_gram.entries)
-        return hg
-
     @cached_property
-    def _half_gram_mod(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+    def _reductions(self) -> dict:
+        """N/pN per prime p, kept by :func:`qlat.padic_lattice.reduction`."""
         return {}
 
     def q(self, x: Sequence[int]) -> int:
@@ -206,24 +199,41 @@ def discriminant_group(L: QuadLattice) -> AbelianQuotient:
     return quotient_structure(L.rank, L.gram())
 
 
-def sublattice_gram(S: Sublattice) -> IntMatrix:
-    """Gram matrix of the restricted bilinear form on the sublattice basis."""
-    B = S.ambient.gram()
-    return S.basis.transpose() @ B @ S.basis
+def basis_half_gram(
+    L: QuadLattice, cols: Sequence[Sequence[int]], d: int = 1
+) -> tuple[tuple[int, ...], ...] | None:
+    """The half-Gram of Q/d on the vectors ``cols`` of L, as a tuple of rows.
+
+    Entry (i, j) is [s_i, s_j]/d above the diagonal and Q(s_i)/d on it.
+    Only the upper triangle of Sᵀ·B·S is formed, through the nonzero
+    entries of each column.  Returns None as soon as an entry is not an
+    integer, i.e. when Q/d is not integral on the span of ``cols``.
+    """
+    n = L.rank
+    if any(len(c) != n for c in cols):
+        raise PreconditionError("vector length does not match lattice rank")
+    B = L.gram().entries
+    nz = [[(r, x) for r, x in enumerate(c) if x] for c in cols]
+    bs = []  # B·s_j, as B is symmetric a sum of its rows
+    for s in nz:
+        acc = [0] * n
+        for r, x in s:
+            acc = [a + x * b for a, b in zip(acc, B[r])]
+        bs.append(acc)
+    rows = []
+    for i, s in enumerate(nz):
+        g = [sum([x * b[r] for r, x in s]) for b in bs[i:]]
+        g[0] //= 2  # s_iᵀ·B·s_i = 2·Q(s_i)
+        if any(x % d for x in g):
+            return None
+        rows.append((0,) * i + tuple([x // d for x in g]))
+    return tuple(rows)
 
 
 def restricted_lattice(S: Sublattice) -> QuadLattice:
-    """The sublattice as an abstract lattice in its own basis coordinates.
-
-    With G = Sᵀ·B·S (:func:`sublattice_gram`), the half-Gram is G_ij above
-    the diagonal and G_ii/2 = Q(s_i) on it.
-    """
-    G = sublattice_gram(S).entries
-    return QuadLattice(
-        IntMatrix.from_rows(
-            [[0] * i + [row[i] // 2] + list(row[i + 1:]) for i, row in enumerate(G)]
-        )
-    )
+    """The sublattice as an abstract lattice in its own basis coordinates:
+    the half-Gram of Q on its basis (:func:`basis_half_gram`)."""
+    return QuadLattice(basis_half_gram(S.ambient, S.basis.columns()))
 
 
 # ---------------------------------------------------------------------------

@@ -439,6 +439,27 @@ def test_non_integer_scaled_lattice_field_is_input_error(capsys, tmp_path, key, 
     assert out == ""
 
 
+def test_neighbor_checks_keep_their_error_classes(capsys, tmp_path, monkeypatch):
+    """Q not integral on a given scaled lattice is an input error (exit 2);
+    a neighbor the library built failing its own check is an invariant
+    violation (exit 1)."""
+    import qlat.padic_lattice
+
+    hg = [[0] * 6 for _ in range(6)]
+    for i in (0, 2, 4):
+        hg[i][i + 1] = 1  # H⊥H⊥H
+    numer = [[2 if i == j == 0 else int(i == j) for j in range(6)] for i in range(6)]
+    doc = {"ambient": {"rank": 6, "half_gram": hg}, "p": 2, "power": 1, "numerator_basis": numer}
+    member = tmp_path / "member.json"
+    member.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out, err = run_cli(capsys, "grow", str(member), "[[1],[0],[0],[0],[0],[0]]")
+    assert (rc, out, err) == (2, "", "error: lattice quadratic form is not integral\n")
+    monkeypatch.setattr(qlat.padic_lattice, "hensel_lift_line", lambda N, line: line.generator)
+    rc, out, err = run_cli(capsys, "neighbors", "H⊥H⊥H", "--p", "2")
+    assert (rc, out) == (1, "")
+    assert re.fullmatch(r"invariant violated: neighbor lattice is not (integral|even)\n", err)
+
+
 def test_non_object_documents_are_input_errors(capsys, tmp_path):
     five = tmp_path / "five.json"
     five.write_text("5", encoding="utf-8")

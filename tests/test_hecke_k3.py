@@ -12,6 +12,7 @@ from qlat import (
     PLattice,
     PreconditionError,
     ProjLine,
+    QuadLattice,
     SizeGuardError,
     Sublattice,
     direct_sum,
@@ -184,6 +185,34 @@ def test_shrink_fiber_rejects_form_mismatch():
     pair = MinimalPair(rank_one(2), IntMatrix.from_rows([[2]]))
     with pytest.raises(PreconditionError):
         shrink_fiber(H3, _embedding_column(), pair)  # Q(e1+f1) = 1, not 2
+
+
+H4 = direct_sum(*[hyperbolic_plane()] * 4)
+A2_PAIR = MinimalPair(QuadLattice([[1, 1], [0, 1]]), IntMatrix.from_rows([[1, 0], [0, 2]]))
+
+
+@pytest.mark.parametrize(
+    "cols, form",
+    [
+        # Q(a) = Q(b) = 1, but [a, b] = 0 where λ has 1: off the diagonal alone
+        (((1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0)), "bilinear"),
+        # [a, b] = 0 ≠ 1 comes before Q(b) = 2 ≠ 1, row by row
+        (((1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 1, 2, 0, 0, 0, 0)), "bilinear"),
+        # Q(a) = 2 ≠ 1 comes before [a, b] = 0 ≠ 1
+        (((1, 2, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0)), "quadratic"),
+    ],
+)
+def test_shrink_fiber_names_the_first_mismatch_row_by_row(cols, form):
+    with pytest.raises(PreconditionError, match=f"^embedding does not preserve the {form} form$"):
+        shrink_fiber(H4, IntMatrix.from_columns(cols), A2_PAIR)
+
+
+def test_shrink_fiber_accepts_an_isometric_rank_two_embedding():
+    emb = IntMatrix.from_columns([(1, 1, 0, 0, 0, 0, 0, 0), (1, 0, 1, 1, 0, 0, 0, 0)])
+    W, Wt = Sublattice(H4, emb), Sublattice(H4, emb @ A2_PAIR.tilde_basis)
+    fiber = shrink_fiber(H4, emb, A2_PAIR)
+    assert fiber == shrink_set(H4, W, Wt, 2)
+    assert fiber
 
 
 def test_shrink_fiber_rejects_oversized_pair():

@@ -15,9 +15,14 @@
   ``fp_quadratic._reflection_matrix`` and ``_eichler_matrix``, the
   isotropic lines inside a subspace are ``fp_quadratic.isotropic_lines_in``,
   an orthogonal basis over F_p (odd p) is ``fp_quadratic._orthogonal_basis``,
-  and the form of a ``PLattice`` in its own basis is
-  ``padic_lattice.plattice_quadlattice``; the copies they replaced are
-  gone.
+  the form of a ``PLattice`` in its own basis is
+  ``padic_lattice.plattice_quadlattice``, and the form on any basis, the
+  half-Gram of Q/d from Sᵀ·B·S, is ``quad_lattice.basis_half_gram``; the
+  copies they replaced are gone.
+* That form has one home: ``lattice_from_line``, ``plattice_quadlattice``,
+  ``restricted_lattice`` and ``shrink_fiber`` refer to
+  ``basis_half_gram``, and no function of ``padic_lattice`` or
+  ``hecke_k3`` refers to ``transpose``.
 * A p-neighbor's basis is written down, not eliminated:
   ``padic_lattice.lattice_from_line`` refers to ``kernel_mod_p`` and to
   neither ``hnf_basis`` nor ``hermite_normal_form``.
@@ -166,6 +171,7 @@ CONSTRUCTIONS = {
     ("fp_quadratic", "isotropic_lines_in"): (),
     ("fp_quadratic", "_orthogonal_basis"): ("_isotropic_by_diagonalization",),
     ("padic_lattice", "plattice_quadlattice"): ("plattice_gram",),
+    ("quad_lattice", "basis_half_gram"): ("sublattice_gram",),
 }
 
 
@@ -226,6 +232,25 @@ def test_lattice_from_line_eliminates_nothing():
     names = _names_in(_function("padic_lattice", "lattice_from_line"))
     assert "kernel_mod_p" in names
     assert not {"hnf_basis", "hermite_normal_form"} & names
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("padic_lattice", "lattice_from_line"),
+        ("padic_lattice", "plattice_quadlattice"),
+        ("quad_lattice", "restricted_lattice"),
+        ("hecke_k3", "shrink_fiber"),
+    ],
+)
+def test_the_form_on_a_basis_has_one_home(module, name):
+    assert "basis_half_gram" in _names_in(_function(module, name))
+
+
+@pytest.mark.parametrize("module", ["padic_lattice", "hecke_k3"])
+def test_no_dense_form_product_remains(module):
+    for node in _tree(PACKAGE / f"{module}.py").body:
+        assert "transpose" not in _names_in(node), getattr(node, "name", node.lineno)
 
 
 SECOND_ELIMINATOR = ("unimodular_inverse", "_swap_cols", "_add_col", "_two_col_transform")

@@ -506,17 +506,25 @@ def test_line_filter_rejects_a_vector_outside_the_lattice():
 
 def test_lines_are_checked_against_the_reduction_kept_per_prime():
     N = direct_sum(H, H)
-    reduced = N.half_gram_mod(3)
-    assert N.half_gram_mod(3) is reduced
-    assert reduction(N, 3).half_gram == reduced
-    assert N.half_gram_mod(5) == reduction(N, 5).half_gram
-    line = enumerate_isotropic_lines(reduction(N, 3))[0]
-    assert lattice_from_line(N, line).p == 3
+    V3 = reduction(N, 3)
+    assert reduction(N, 3) is V3
+    assert reduction(N, 5) is reduction(N, 5)
+    assert reduction(N, 5) != V3
+    assert (V3.p, reduction(N, 5).p) == (3, 5)
+    assert reduction(direct_sum(H, H), 3) == V3  # equal lattices, equal spaces
+    line = enumerate_isotropic_lines(V3)[0]
+    Nt = lattice_from_line(N, line)
+    assert Nt.p == 3
+    assert line_from_lattice(Nt).space is V3
     other = direct_sum(H, rank_one(1), rank_one(-1))  # same rank, another form mod 3
+    assert reduction(other, 3).dim == V3.dim
     with pytest.raises(PreconditionError, match="line does not live in the reduction"):
         lattice_from_line(other, line)
-    with pytest.raises(PreconditionError, match="is not prime"):
-        reduction(N, 0)
+    for _ in range(2):
+        for q in (0, 1, 4, 9):
+            with pytest.raises(PreconditionError, match="is not prime"):
+                reduction(N, q)
+    assert sorted(N._reductions) == [3, 5]  # a rejected p is never kept
 
 
 # ---------------------------------------------------------------------------

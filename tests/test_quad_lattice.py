@@ -11,6 +11,7 @@ from qlat import (
     PreconditionError,
     QuadLattice,
     Sublattice,
+    basis_half_gram,
     bilinear_value,
     direct_sum,
     discriminant_group,
@@ -24,7 +25,6 @@ from qlat import (
     restricted_lattice,
     saturate,
     signature,
-    sublattice_gram,
 )
 
 H = hyperbolic_plane()
@@ -206,13 +206,87 @@ def test_discriminant_order_equals_det():
         assert discriminant_group(L).order() == abs(L.gram().det())
 
 
-def test_sublattice_gram_restricts_form():
+def test_restricted_lattice_restricts_form():
     L = direct_sum(H, H)
     S = Sublattice(L, IntMatrix.from_columns([(1, 1, 0, 0), (0, 0, 1, 1)]))
-    G = sublattice_gram(S)
-    assert G.entries == ((2, 0), (0, 2))
     R = restricted_lattice(S)
+    assert R.gram().entries == ((2, 0), (0, 2))
     assert quad_value(R, (1, 0)) == quad_value(L, (1, 1, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the form on a basis against the dense product Sᵀ·B·S
+# ---------------------------------------------------------------------------
+
+
+def _dense_half_gram(L, cols, d):
+    """Oracle: G = Sᵀ·B·S as two dense products, read as the half-Gram of
+    Q/d (G_ij/d above the diagonal, G_ii/2/d on it), or None."""
+    S = IntMatrix.from_columns(cols, rows=L.rank)
+    G = (S.transpose() @ L.gram() @ S).entries
+    k = len(cols)
+    hg = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            x = G[i][i] // 2 if j == i else G[i][j]
+            if x % d:
+                return None
+            hg[i][j] = x // d
+    return tuple(map(tuple, hg))
+
+
+def _column_sets(L, p, seed):
+    """Seeded column sets of L: small entries, multiples of p and of p²
+    (so that d = p² and p⁴ can divide), zero columns, and the empty set."""
+    rng = random.Random(seed)
+    n = L.rank
+    sets = [[], [(0,) * n], [(0,) * n] * 3]
+    for k in (1, 2, 3, 5):
+        for scale in (1, p, p * p):
+            for _ in range(4):
+                cols = [tuple(scale * rng.randint(-2, 2) for _ in range(n)) for _ in range(k)]
+                if rng.random() < 0.3:
+                    cols[rng.randrange(k)] = (0,) * n
+                sets.append(cols)
+        # one column not a multiple of p among multiples of p²
+        cols = [tuple(p * p * rng.randint(-2, 2) for _ in range(n)) for _ in range(k)]
+        cols[-1] = tuple(rng.randint(-2, 2) for _ in range(n))
+        sets.append(cols)
+    return sets
+
+
+@pytest.mark.parametrize("name, L", [("H⊥E8", direct_sum(H, E8)), ("K3", K3)])
+@pytest.mark.parametrize("p", [2, 3])
+def test_basis_half_gram_matches_the_dense_product(name, L, p):
+    outcomes = {d: set() for d in (1, p * p, p**4)}
+    for seed in range(3):
+        for cols in _column_sets(L, p, seed):
+            for d in outcomes:
+                hg = basis_half_gram(L, cols, d)
+                want = _dense_half_gram(L, cols, d)
+                assert hg == want, (cols, d)
+                outcomes[d].add(hg is None)
+    assert outcomes[1] == {False}
+    assert outcomes[p * p] == outcomes[p**4] == {False, True}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_basis_half_gram_returns_none_at_the_first_fractional_entry(p):
+    HE8 = direct_sum(H, E8)
+    e = IntMatrix.identity(HE8.rank).columns()
+    # off the diagonal only: Q(p·e1) = Q(f1) = 0, [p·e1, f1] = p
+    assert basis_half_gram(HE8, [tuple(p * x for x in e[0]), e[1]], p * p) is None
+    # on the diagonal only: Q(p·r) = p² for an E8 root r, and [p·r, p·e1] = 0
+    pr = tuple(p * x for x in e[2])
+    assert basis_half_gram(HE8, [tuple(p * x for x in e[0]), pr], p * p) == ((0, 0), (0, 1))
+    assert basis_half_gram(HE8, [tuple(p * x for x in e[0]), pr], p**4) is None
+    assert basis_half_gram(HE8, [], p * p) == ()
+    assert basis_half_gram(HE8, [(0,) * HE8.rank] * 2, p**4) == ((0, 0), (0, 0))
+
+
+def test_basis_half_gram_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(PreconditionError, match="vector length does not match lattice rank"):
+        basis_half_gram(H, [(1, 0), (1, 0, 0)])
 
 
 def test_sublattice_rejects_dependent_columns():
