@@ -3,9 +3,9 @@
 Runs each of ``qlat.kernels``' enumeration kernels, the p-neighbor
 construction (``lattice_from_line``), its inverse (``line_from_lattice``) and
 the form of a neighbor in its own basis (``plattice_quadlattice``), the
-integer Hermite form (``hnf_basis``) and the Witt witness path
-(``witt_extension``) on fixed workloads, and prints a table of best-of-N
-wall times.
+integer Hermite form (``hnf_basis``), the cokernel M with its comparison
+maps (``cokernel_M``) and the Witt witness path (``witt_extension``) on
+fixed workloads, and prints a table of best-of-N wall times.
 
 Usage:  python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -19,9 +19,11 @@ import time
 from itertools import product
 
 from qlat import (
+    CharLattice,
     FpQuadSpace,
     IntMatrix,
     InvariantViolationError,
+    cokernel_M,
     direct_sum,
     e8_lattice,
     enumerate_isotropic_lines,
@@ -67,6 +69,28 @@ def _cokernel_generators(n=10, k=5, p=3, seed=1):
     return IntMatrix.from_rows(rows)
 
 
+def _cokernel_instances(count=200, max_rank=10, seed=0, primes=(2, 3, 5)):
+    """The instances (split, W, p) of ``qlat verify cokernel-m`` at its defaults.
+
+    Drawn with the suite's seeded generator, in its order: a rank n = b + 2
+    up to the suite's top rank and a saturated W whose last coordinates are
+    not all divisible by p.
+    """
+    rng = random.Random(seed)
+    instances = []
+    for _ in range(count):
+        p = primes[rng.randrange(len(primes))]
+        n = rng.randint(0, max_rank - 2) + 2
+        while True:
+            k = rng.randint(1, n)
+            raw = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)])
+            W, _ = saturate(n, raw)
+            if W.cols and any(x % p for x in W.entries[n - 1]):
+                break
+        instances.append((CharLattice(n, (1, n - 2, 1)), W, p))
+    return instances
+
+
 def _witt_pairs(V, ks=(1, 2)):
     """Every (X, Y) with X the canonical basis of a k-dimensional subspace,
     k in ``ks``, and Y an independent k-tuple with the Gram data of X."""
@@ -108,6 +132,7 @@ def _workloads():
     he8_lines = enumerate_isotropic_lines(reduction(he8, 2))  # 527 lines
     he8_neighbors = [lattice_from_line(he8, line) for line in he8_lines]
     cokernel_gens = [_cokernel_generators(seed=seed) for seed in range(100)]
+    cokernel_instances = _cokernel_instances()
     witt_pairs = _witt_pairs(FpQuadSpace(3, h4))
     return [
         (
@@ -148,6 +173,11 @@ def _workloads():
             f"hnf_basis {cokernel_gens[0].rows}x{cokernel_gens[0].cols}, cokernel-m shape,"
             f" {len(cokernel_gens)} seeds",
             lambda: [hnf_basis(M) for M in cokernel_gens],
+        ),
+        (
+            # the instances of `qlat verify cokernel-m`
+            f"cokernel_M ranks 2-10, p in 2, 3, 5, {len(cokernel_instances)} instances",
+            lambda: [cokernel_M(*instance) for instance in cokernel_instances],
         ),
         (
             # the 1- and 2-tuple pairs of split-4 mod 3, Lagrangian cross-ruling pairs too

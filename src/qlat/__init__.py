@@ -3,7 +3,7 @@
 The package computes, with no floating point anywhere:
 
 * integer linear algebra — Smith/Hermite normal forms, saturations,
-  intersections, finite quotient structure (:mod:`qlat.exact_linalg`);
+  finite quotient structure (:mod:`qlat.exact_linalg`);
 * quadratic lattices and their invariants — signatures, discriminant
   groups, orthogonal complements, standard lattices H, E8, and the K3
   lattice (:mod:`qlat.quad_lattice`);
@@ -30,7 +30,6 @@ from .exact_linalg import (
     hermite_normal_form,
     hnf_basis,
     integer_kernel,
-    lattice_intersection,
     lattices_equal,
     quotient_structure,
     saturate,
@@ -140,7 +139,6 @@ __all__ = [
     "k3_lattice",
     "lattice_from_line",
     "line_sort_key",
-    "lattice_intersection",
     "lattices_equal",
     "line_from_lattice",
     "neighbors_of",

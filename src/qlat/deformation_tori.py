@@ -26,8 +26,6 @@ from .exact_linalg import (
     IntMatrix,
     hnf_basis,
     kernel_mod_p,
-    lattice_intersection,
-    lattices_equal,
     quotient_structure,
     saturate,
 )
@@ -59,10 +57,23 @@ class CharLattice:
                 raise PreconditionError("weight multiplicities must sum to the rank")
 
 
-def _stack(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:
-    if top.cols != bottom.cols:
-        raise PreconditionError("column mismatch in vertical stack")
-    return IntMatrix.from_rows(list(top.entries) + list(bottom.entries))
+def _split(H: IntMatrix, n: int) -> tuple[IntMatrix, IntMatrix]:
+    """Split a canonical column Hermite basis H in Z^{2n} at row n.
+
+    Returns ``(head, tail)``: the top halves of the columns pivoting in the
+    top block, a canonical basis of the span's projection there, and the
+    bottom halves of the rest, one of the span's meet with the bottom
+    block.  H is echelon, so the rest vanish on the top block; and in a
+    combination the first column used puts c·pivot in its pivot row,
+    where later columns vanish, so a combination vanishing on the top
+    block uses the rest alone.  Each half keeps H's positive pivots and
+    reduced entries left of them, so each is its own ``hnf_basis``.
+    """
+    cols = H.columns()
+    t = sum(1 for c in cols if any(c[:n]))
+    head = IntMatrix.from_columns([c[:n] for c in cols[:t]], rows=n)
+    tail = IntMatrix.from_columns([c[n:] for c in cols[t:]], rows=n)
+    return head, tail
 
 
 def cokernel_M(
@@ -80,6 +91,13 @@ def cokernel_M(
     y ↦ (0, y) induces an isomorphism V⁰/λ⁻¹W̃ → M.  The first map failing
     to be injective would falsify the structure theorem and raises
     InvariantViolationError.
+
+    Both maps are read off ``_split`` of two Hermite bases of the
+    relations, the second with the halves of Z^{2n} swapped.  The swapped
+    tail is W iff the first map is injective, and its coindex is the
+    product of the swapped head's pivots, finite iff that head has n
+    columns; the second map is onto iff the head is the identity and
+    injective iff the tail is λ⁻¹W̃.  M is the Smith form of the relations.
 
     Preconditions: W a direct summand whose projection to the last
     coordinate is onto (the nondegeneracy condition); without it the
@@ -105,41 +123,27 @@ def cokernel_M(
         raise PreconditionError("W must project onto the weight-(+1) coordinate")
     # W̃ = kernel of (last coordinate mod p) inside W, in coefficients
     Wt = W @ kernel_mod_p(last, p)
+    if any(x % p for x in Wt.entries[n - 1]):
+        raise InvariantViolationError("shrunk lattice not divisible at weight +1")
     # λ⁻¹ on W̃: multiply the first coordinate by p, divide the last by p
-    lam_rows = []
-    for i in range(n):
-        row = Wt.entries[i]
-        if i == 0:
-            lam_rows.append([p * x for x in row])
-        elif i == n - 1:
-            if any(x % p for x in row):
-                raise InvariantViolationError("shrunk lattice not divisible at weight +1")
-            lam_rows.append([x // p for x in row])
-        else:
-            lam_rows.append(list(row))
-    lamWt = IntMatrix.from_rows(lam_rows)
-    alpha = [[p if (i == j == n - 1) else (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    beta = [[p if (i == j == 0) else (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    graph = _stack(IntMatrix.from_rows(alpha), IntMatrix.from_rows(beta))
-    zero_nk = IntMatrix.zero(n, W.cols)
-    zero_nl = IntMatrix.zero(n, lamWt.cols)
-    rel = hnf_basis(graph.hstack(_stack(W, zero_nk)).hstack(_stack(zero_nl, lamWt)))
-    M = quotient_structure(2 * n, rel)
-    ident = IntMatrix.identity(n)
-    top_block = _stack(ident, IntMatrix.zero(n, n))
-    bottom_block = _stack(IntMatrix.zero(n, n), ident)
-    # first comparison map: V⁰/W → M, x ↦ (x, 0)
-    K1 = lattice_intersection(rel, top_block)
-    K1_top = hnf_basis(K1.take_rows(range(n)))
-    if not lattices_equal(K1_top, W):
+    lamWt = [(p * w[0],) + w[1:-1] + (w[-1] // p,) for w in Wt.columns()]
+    # the relations (αz, βz) for z = e_j, (w, 0) and (0, λ⁻¹w̃), as columns of Z^{2n}
+    zero, e = (0,) * n, IntMatrix.identity(n).entries
+    # α and β on the unit vectors: α scales the last one by p, β the first
+    alpha, beta = e[:-1] + (zero[:-1] + (p,),), ((p,) + zero[1:],) + e[1:]
+    rel = [a + b for a, b in zip(alpha, beta)] + [w + zero for w in W.columns()]
+    rel += [zero + w for w in lamWt]
+    H = hnf_basis(IntMatrix.from_columns(rel))
+    M = quotient_structure(2 * n, H)
+    # first comparison map: V⁰/W → M, x ↦ (x, 0), read off the swapped halves
+    swapped = hnf_basis(IntMatrix.from_columns([c[n:] + c[:n] for c in rel]))
+    bottom_proj, top_meet = _split(swapped, n)
+    if top_meet != W:
         raise InvariantViolationError("first comparison map is not injective")
-    coker1 = quotient_structure(2 * n, rel.hstack(top_block))
-    if not coker1.is_finite:
+    if bottom_proj.cols != n:
         raise InvariantViolationError("first comparison map has infinite coindex")
-    inj1_index = coker1.order()
+    inj1_index = math.prod(bottom_proj.entries[i][i] for i in range(n))
     # second comparison map: V⁰/λ⁻¹W̃ → M, y ↦ (0, y)
-    K2 = lattice_intersection(rel, bottom_block)
-    K2_bottom = hnf_basis(K2.take_rows(range(n, 2 * n)))
-    inj2 = lattices_equal(K2_bottom, hnf_basis(lamWt))
-    surj2 = quotient_structure(2 * n, rel.hstack(bottom_block)).is_trivial
-    return M, inj1_index, inj2 and surj2
+    top_proj, bottom_meet = _split(H, n)
+    injective2 = bottom_meet == hnf_basis(IntMatrix.from_columns(lamWt))
+    return M, inj1_index, injective2 and top_proj == IntMatrix.identity(n)

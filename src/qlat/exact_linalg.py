@@ -3,12 +3,11 @@
 Everything here runs over arbitrary-precision integers, with no rational
 arithmetic, so results are exact: the Hermite normal form with its
 unimodular transform, the Smith normal form, integer kernels, quotient
-structure of Z^n by a generating set, saturation, lattice intersection,
-and the index-p lattice {x : r·x ≡ 0 mod p} in closed form.  Every normal
-form comes from the one Hermite eliminator: solves, ranks and kernels from
-it and its transform, the Smith form from alternating Hermite forms of a
-matrix and its transpose.  The Smith form serves only
-``quotient_structure``.
+structure of Z^n by a generating set, saturation and the index-p lattice
+{x : r·x ≡ 0 mod p} in closed form.  Every normal form comes from the one
+Hermite eliminator: solves, ranks and kernels from it and its transform,
+the Smith form from alternating Hermite forms of a matrix and its
+transpose.  The Smith form serves only ``quotient_structure``.
 
 Conventions
 -----------
@@ -43,7 +42,6 @@ __all__ = [
     "integral_coefficients",
     "quotient_structure",
     "saturate",
-    "lattice_intersection",
     "sublattice_in_span",
 ]
 
@@ -128,9 +126,6 @@ class IntMatrix:
             tuple(tuple(r[j] for j in indices) for r in self.entries), _trusted=True, cols=len(indices)
         )
 
-    def take_rows(self, indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(tuple(self.entries[i] for i in indices), _trusted=True, cols=self.cols)
-
     # -- arithmetic ----------------------------------------------------
 
     def transpose(self) -> "IntMatrix":
@@ -155,9 +150,6 @@ class IntMatrix:
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(c * x for x in r) for r in self.entries), _trusted=True, cols=self.cols)
-
-    def neg(self) -> "IntMatrix":
-        return self.scale(-1)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -486,7 +478,7 @@ def integral_coefficients(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# quotients, saturation, intersection
+# quotients and saturation
 # ---------------------------------------------------------------------------
 
 
@@ -520,26 +512,6 @@ def saturate(ambient_rank: int, gens: IntMatrix) -> tuple[IntMatrix, bool]:
     ann = integer_kernel(gens.transpose())  # covectors vanishing on the span
     basis = hnf_basis(integer_kernel(ann.transpose()))
     return basis, hnf_basis(gens) == basis
-
-
-def lattice_intersection(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    """Canonical basis of (column span of A) ∩ (column span of B) in Z^n.
-
-    Both inputs must have full column rank.  The intersection of two
-    subgroups of Z^n presented this way is again free; the result may have
-    fewer columns (down to zero) than either input.
-    """
-    if A.rows != B.rows:
-        raise PreconditionError("ambient dimension mismatch")
-    for name, M in (("first", A), ("second", B)):
-        if M.cols and M.rank() != M.cols:
-            raise PreconditionError(f"{name} basis matrix does not have full column rank")
-    if A.cols == 0 or B.cols == 0:
-        return IntMatrix.zero(A.rows, 0)
-    C = A.hstack(B.neg())
-    K = integer_kernel(C)
-    X = K.take_rows(range(A.cols))
-    return hnf_basis(A @ X)
 
 
 def sublattice_in_span(basis: IntMatrix, span_gens: IntMatrix) -> IntMatrix:

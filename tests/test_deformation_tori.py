@@ -1,8 +1,24 @@
 """Character lattices and the cokernel invariants."""
 
+import math
+import random
+
 import pytest
 
-from qlat import CharLattice, IntMatrix, PreconditionError, cokernel_M
+import cokernel_oracle
+from cokernel_oracle import cokernel_by_intersection, meet_and_coindex, suite_instances
+from qlat import (
+    CharLattice,
+    IntMatrix,
+    PreconditionError,
+    cokernel_M,
+    deformation_tori,
+    hnf_basis,
+    lattices_equal,
+    quotient_structure,
+    saturate,
+)
+from qlat.deformation_tori import _split
 
 
 # ---------------------------------------------------------------------------
@@ -77,3 +93,76 @@ def test_cokernel_index_always_p(b, p):
     M, inj1_index, iso2 = cokernel_M(split, IntMatrix.from_columns([gen]), p)
     assert inj1_index == p
     assert iso2 is True
+
+
+# ---------------------------------------------------------------------------
+# the Hermite-basis readout against the intersection oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_cokernel_M_matches_the_intersection_route(seed):
+    instances = suite_instances((2, 3, 5, 7), 10, seed, count=100)
+    assert {b + 2 for _, b, _ in instances} == set(range(2, 11))
+    assert {p for p, _, _ in instances} == {2, 3, 5, 7}
+    for p, b, W in instances:
+        split = CharLattice(b + 2, (1, b, 1))
+        assert cokernel_M(split, W, p) == cokernel_by_intersection(split, W, p), (p, W)
+
+
+def _random_relations(rng, n):
+    """A seeded 2n-row matrix; its top block has rank below n about half the time."""
+    m = rng.randint(1, 2 * n + 2)
+    bottom = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+    if rng.random() < 0.5:
+        top = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+    else:
+        # each top half a combination of r < n fixed vectors
+        vectors = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n - 1))]
+        coeffs = [[rng.randint(-2, 2) for _ in vectors] for _ in range(m)]
+        top = [[sum(c * v[i] for c, v in zip(cs, vectors)) for cs in coeffs] for i in range(n)]
+    return IntMatrix.from_rows(top + bottom)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_split_reads_the_projection_and_the_meet(seed):
+    rng = random.Random(seed)
+    heads_full = set()
+    tails_equal = set()
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        A = _random_relations(rng, n)
+        H = hnf_basis(A)
+        head, tail = _split(H, n)
+        assert head == hnf_basis(IntMatrix(A.entries[:n], cols=A.cols))
+        assert tail == hnf_basis(tail)
+        # the meet with the bottom block, and Z^{2n} / (rel + bottom) ≅ Z^n / head
+        meet, coindex = meet_and_coindex(H, n, 1)
+        assert tail == meet
+        assert quotient_structure(n, head) == coindex
+        heads_full.add(head.cols == n)
+        if head.cols == n:
+            assert coindex.order() == math.prod(head.entries[i][i] for i in range(n))
+        # compared with a given W, the tail says what the oracle says
+        others = [tail, tail.scale(2), saturate(n, IntMatrix.from_rows(
+            [[rng.randint(-2, 2) for _ in range(2)] for _ in range(n)]))[0]]
+        for W in others:
+            equal = tail == hnf_basis(W)
+            assert equal == lattices_equal(meet, W)
+            tails_equal.add(equal)
+    assert heads_full == {True, False}
+    assert tails_equal == {True, False}
+
+
+def test_iso2_false_when_the_shrunk_lattice_is_too_small(monkeypatch):
+    # W̃ = p²·W in place of the index-p sublattice: λ⁻¹W̃ is p times too small
+    def wrong_kernel(row, p):
+        return IntMatrix.identity(len(row)).scale(p * p)
+
+    monkeypatch.setattr(deformation_tori, "kernel_mod_p", wrong_kernel)
+    monkeypatch.setattr(cokernel_oracle, "kernel_mod_p", wrong_kernel)
+    split = CharLattice(4, weights=(1, 2, 1))
+    W = IntMatrix.from_columns([(1, 1, 0, 1)])
+    M, inj1_index, iso2 = cokernel_M(split, W, 3)
+    assert (inj1_index, iso2) == (3, False)
+    assert (M, inj1_index, iso2) == cokernel_by_intersection(split, W, 3)

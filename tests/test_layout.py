@@ -40,6 +40,10 @@
   ``_add_col``, ``_two_col_transform``).  The Smith form serves
   ``exact_linalg`` alone: no other module calls it, only the package root
   re-exports it, and ``saturate`` does not call it either.
+* ``cokernel_M`` reads its comparison maps off Hermite bases: no module
+  defines ``lattice_intersection``, ``deformation_tori`` refers to none of
+  ``lattice_intersection``, ``lattices_equal``, ``hstack`` or
+  ``take_rows``, and it calls ``quotient_structure`` once, for M.
 * Processes are started in ``qlat.verify`` alone, and lazily: no other
   module imports ``multiprocessing`` or ``concurrent.futures`` or names
   ``os.fork``, and ``qlat.verify`` does so only inside a function body.
@@ -282,6 +286,27 @@ def test_smith_form_stays_in_exact_linalg():
 def test_saturate_calls_no_smith_form():
     saturate = _function("exact_linalg", "saturate")
     assert "smith_normal_form" not in _names_in(saturate)
+
+
+def test_no_module_defines_lattice_intersection():
+    for path in MODULES:
+        defined = {node.name for node in ast.walk(_tree(path)) if isinstance(node, ast.FunctionDef)}
+        assert "lattice_intersection" not in defined, path.name
+
+
+def test_cokernel_M_intersects_nothing():
+    tree = _tree(PACKAGE / "deformation_tori.py")
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    referred = _names_in(tree) | imported
+    assert not {"lattice_intersection", "lattices_equal", "hstack", "take_rows"} & referred
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "quotient_structure" in _names_in(node.func)
+    ]
+    assert len(calls) == 1
 
 
 PROCESS_MODULES = ("multiprocessing", "concurrent.futures")
