@@ -3,9 +3,10 @@
 Runs each of ``qlat.kernels``' enumeration kernels, the p-neighbor
 construction (``lattice_from_line``), its inverse (``line_from_lattice``) and
 the form of a neighbor in its own basis (``plattice_quadlattice``), the
-integer Hermite form (``hnf_basis``), the cokernel M with its comparison
-maps (``cokernel_M``) and the Witt witness path (``witt_extension``) on
-fixed workloads, and prints a table of best-of-N wall times.
+integer layer under unique recovery (``saturate``, ``sublattice_in_span``
+and ``recover_lattice`` itself), the cokernel M with its comparison maps
+(``cokernel_M``) and the Witt witness path (``witt_extension``) on fixed
+workloads, and prints a table of best-of-N wall times.
 
 Usage:  python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -23,22 +24,26 @@ from qlat import (
     FpQuadSpace,
     IntMatrix,
     InvariantViolationError,
+    Sublattice,
     cokernel_M,
     direct_sum,
     e8_lattice,
     enumerate_isotropic_lines,
-    hnf_basis,
+    enumerate_neighbors,
     hyperbolic_plane,
     kernels,
     lattice_from_line,
     line_from_lattice,
     plattice_quadlattice,
+    recover_lattice,
     reduction,
     saturate,
+    shrink_set,
+    sublattice_in_span,
     witt_extension,
 )
 from qlat.modp import rank
-from qlat.verify import _subspace_bases
+from qlat.verify import _cochar_instances, _subspace_bases
 
 
 def _hyperbolic(n):
@@ -48,25 +53,22 @@ def _hyperbolic(n):
     return tuple(tuple(r) for r in rows)
 
 
-def _cokernel_generators(n=10, k=5, p=3, seed=1):
-    """A 2n x (n + 2k) generator matrix shaped like ``cokernel_M``'s relations.
+def _recoveries(p=2):
+    """The ambient N, the W's and the (W, Ñ) recoveries of `qlat verify nice-cochar --p p`.
 
-    The graph of (α, β) stacked on a seeded saturated W of rank k in Z^n,
-    once in the top and once in the bottom block; ``verify cokernel-m``
-    reaches n = 10 at its default top rank.
+    W = Z·(1, q, 0, …) in H⊥H⊥H for each of the suite's q, and one
+    recovery per member Ñ of the typed fiber of (W, p·W), as the suite
+    makes them.
     """
-    rng = random.Random(seed)
-    raw = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)])
-    W, _ = saturate(n, raw)
-    k = W.cols
-    rows = []
-    for block in range(2):
-        for i in range(n):
-            scaled = (i == n - 1) if block == 0 else (i == 0)
-            graph = [(p if scaled else 1) if j == i else 0 for j in range(n)]
-            w = list(W.entries[i])
-            rows.append(graph + (w + [0] * k if block == 0 else [0] * k + w))
-    return IntMatrix.from_rows(rows)
+    N, instances = _cochar_instances((p,), 6)
+    ws, recoveries = [], []
+    for _, q in instances:
+        w = (1, q) + (0,) * (N.rank - 2)
+        W = Sublattice(N, IntMatrix.from_columns([w]))
+        ws.append(W)
+        fiber = shrink_set(N, W, Sublattice(N, IntMatrix.from_columns([[p * x for x in w]])), p)
+        recoveries += [(W, Nt) for Nt in fiber]
+    return N, ws, recoveries
 
 
 def _cokernel_instances(count=200, max_rank=10, seed=0, primes=(2, 3, 5)):
@@ -131,7 +133,8 @@ def _workloads():
     he8 = direct_sum(hyperbolic_plane(), e8_lattice())
     he8_lines = enumerate_isotropic_lines(reduction(he8, 2))  # 527 lines
     he8_neighbors = [lattice_from_line(he8, line) for line in he8_lines]
-    cokernel_gens = [_cokernel_generators(seed=seed) for seed in range(100)]
+    cochar_N, cochar_ws, recoveries = _recoveries()
+    cochar_neighbors = enumerate_neighbors(cochar_N, 2)
     cokernel_instances = _cokernel_instances()
     witt_pairs = _witt_pairs(FpQuadSpace(3, h4))
     return [
@@ -170,9 +173,23 @@ def _workloads():
             lambda: [plattice_quadlattice(Nt) for Nt in he8_neighbors],
         ),
         (
-            f"hnf_basis {cokernel_gens[0].rows}x{cokernel_gens[0].cols}, cokernel-m shape,"
-            f" {len(cokernel_gens)} seeds",
-            lambda: [hnf_basis(M) for M in cokernel_gens],
+            # the W of each recovery in `qlat verify nice-cochar --p 2`
+            f"saturate nice-cochar p=2, {len(recoveries)} recoveries",
+            lambda: [saturate(W.ambient.rank, W.basis) for W, _ in recoveries],
+        ),
+        (
+            # the meets of the suite's filter-all-neighbors route
+            f"sublattice_in_span nice-cochar p=2, {len(cochar_neighbors)} neighbors"
+            f" x {len(cochar_ws)} W",
+            lambda: [
+                sublattice_in_span(Nt.numerator_basis, W.basis)
+                for W in cochar_ws
+                for Nt in cochar_neighbors
+            ],
+        ),
+        (
+            f"recover_lattice nice-cochar p=2, {len(recoveries)} recoveries",
+            lambda: [recover_lattice(Nt, W) for W, Nt in recoveries],
         ),
         (
             # the instances of `qlat verify cokernel-m`

@@ -28,6 +28,7 @@ from .exact_linalg import (
     kernel_mod_p,
     quotient_structure,
     saturate,
+    split_hnf,
 )
 from .modp import check_prime
 
@@ -57,25 +58,6 @@ class CharLattice:
                 raise PreconditionError("weight multiplicities must sum to the rank")
 
 
-def _split(H: IntMatrix, n: int) -> tuple[IntMatrix, IntMatrix]:
-    """Split a canonical column Hermite basis H in Z^{2n} at row n.
-
-    Returns ``(head, tail)``: the top halves of the columns pivoting in the
-    top block, a canonical basis of the span's projection there, and the
-    bottom halves of the rest, one of the span's meet with the bottom
-    block.  H is echelon, so the rest vanish on the top block; and in a
-    combination the first column used puts c·pivot in its pivot row,
-    where later columns vanish, so a combination vanishing on the top
-    block uses the rest alone.  Each half keeps H's positive pivots and
-    reduced entries left of them, so each is its own ``hnf_basis``.
-    """
-    cols = H.columns()
-    t = sum(1 for c in cols if any(c[:n]))
-    head = IntMatrix.from_columns([c[:n] for c in cols[:t]], rows=n)
-    tail = IntMatrix.from_columns([c[n:] for c in cols[t:]], rows=n)
-    return head, tail
-
-
 def cokernel_M(
     split: CharLattice, W_gens: IntMatrix, p: int
 ) -> tuple[AbelianQuotient, int, bool]:
@@ -92,10 +74,10 @@ def cokernel_M(
     to be injective would falsify the structure theorem and raises
     InvariantViolationError.
 
-    Both maps are read off ``_split`` of two Hermite bases of the
-    relations, the second with the halves of Z^{2n} swapped.  The swapped
-    tail is W iff the first map is injective, and its coindex is the
-    product of the swapped head's pivots, finite iff that head has n
+    Both maps are read off ``split_hnf`` at row n of two Hermite bases of
+    the relations, the second with the halves of Z^{2n} swapped.  The
+    swapped tail is W iff the first map is injective, and its coindex is
+    the product of the swapped head's pivots, finite iff that head has n
     columns; the second map is onto iff the head is the identity and
     injective iff the tail is λ⁻¹W̃.  M is the Smith form of the relations.
 
@@ -137,13 +119,13 @@ def cokernel_M(
     M = quotient_structure(2 * n, H)
     # first comparison map: V⁰/W → M, x ↦ (x, 0), read off the swapped halves
     swapped = hnf_basis(IntMatrix.from_columns([c[n:] + c[:n] for c in rel]))
-    bottom_proj, top_meet = _split(swapped, n)
+    bottom_proj, top_meet = split_hnf(swapped, n)
     if top_meet != W:
         raise InvariantViolationError("first comparison map is not injective")
     if bottom_proj.cols != n:
         raise InvariantViolationError("first comparison map has infinite coindex")
     inj1_index = math.prod(bottom_proj.entries[i][i] for i in range(n))
     # second comparison map: V⁰/λ⁻¹W̃ → M, y ↦ (0, y)
-    top_proj, bottom_meet = _split(H, n)
+    top_proj, bottom_meet = split_hnf(H, n)
     injective2 = bottom_meet == hnf_basis(IntMatrix.from_columns(lamWt))
     return M, inj1_index, injective2 and top_proj == IntMatrix.identity(n)

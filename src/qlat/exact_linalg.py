@@ -3,11 +3,15 @@
 Everything here runs over arbitrary-precision integers, with no rational
 arithmetic, so results are exact: the Hermite normal form with its
 unimodular transform, the Smith normal form, integer kernels, quotient
-structure of Z^n by a generating set, saturation and the index-p lattice
-{x : r·x ≡ 0 mod p} in closed form.  Every normal form comes from the one
-Hermite eliminator: solves, ranks and kernels from it and its transform,
-the Smith form from alternating Hermite forms of a matrix and its
-transpose.  The Smith form serves only ``quotient_structure``.
+structure of Z^n by a generating set, saturation, the index of a
+sublattice and the index-p lattice {x : r·x ≡ 0 mod p} in closed form.
+Every normal form comes from the one Hermite eliminator, which reduces
+rows on their leading coordinates and carries any further coordinates
+along: the transform rides in rows stacked with the identity, and kernels
+are read off it; ranks, memberships and indices come off the pivots of
+Hermite bases, and projections and meets off ``split_hnf``; the Smith
+form comes from alternating Hermite forms of a matrix and its transpose.
+The Smith form serves only ``quotient_structure``.
 
 Conventions
 -----------
@@ -39,10 +43,11 @@ __all__ = [
     "kernel_mod_p",
     "lattices_equal",
     "integer_kernel",
-    "integral_coefficients",
     "quotient_structure",
     "saturate",
+    "split_hnf",
     "sublattice_in_span",
+    "sublattice_index",
 ]
 
 
@@ -50,12 +55,13 @@ __all__ = [
 class IntMatrix:
     """Immutable integer matrix (row-major tuple of row tuples).
 
-    ``IntMatrix(entries)`` is the public constructor and rejects ragged
-    rows and entries that are not ``int`` (``bool`` included).  The
-    factories and the arithmetic below build matrices whose entries are
-    already ints and pass ``_trusted=True`` to skip the per-entry check.
-    A matrix with no rows keeps its column count ``cols`` (default 0),
-    which its entries cannot record.
+    ``IntMatrix(entries)`` and the factories ``from_rows`` and
+    ``from_columns`` are the public constructors; all three reject ragged
+    input and entries that are not ``int`` (``bool`` included) with
+    PreconditionError, and convert nothing.  The arithmetic below builds
+    matrices whose entries are already ints and passes ``_trusted=True``
+    to skip the per-entry check.  A matrix with no rows keeps its column
+    count ``cols`` (default 0), which its entries cannot record.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -65,13 +71,7 @@ class IntMatrix:
         self, entries: Iterable[Iterable[int]], _trusted: bool = False, cols: int = 0
     ) -> None:
         if not _trusted:
-            entries = tuple(tuple(r) for r in entries)
-            if len({len(r) for r in entries}) > 1:
-                raise PreconditionError("ragged rows in matrix")
-            for row in entries:
-                for x in row:
-                    if not isinstance(x, int) or isinstance(x, bool):
-                        raise PreconditionError(f"non-integer entry {x!r}")
+            entries = _int_tuples(entries, "ragged rows in matrix")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "cols", len(entries[0]) if entries else cols)
 
@@ -79,22 +79,14 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        entries = tuple(tuple(map(int, r)) for r in rows)
-        if len({len(r) for r in entries}) > 1:
-            raise PreconditionError("ragged rows in matrix")
-        return IntMatrix(entries, _trusted=True)
+        return IntMatrix(rows)
 
     @staticmethod
     def from_columns(cols: Iterable[Iterable[int]], rows: int | None = None) -> "IntMatrix":
-        cols = [tuple(map(int, c)) for c in cols]
-        if not cols:
-            if rows is None:
-                raise PreconditionError("row count required for a matrix with no columns")
-            return IntMatrix.zero(rows, 0)
-        n = len(cols[0])
-        if any(len(c) != n for c in cols):
-            raise PreconditionError("ragged columns")
-        return IntMatrix(tuple(zip(*cols)), _trusted=True, cols=len(cols))
+        cols = _int_tuples(cols, "ragged columns")
+        if not cols and rows is None:
+            raise PreconditionError("row count required for a matrix with no columns")
+        return _from_columns(cols, rows)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -111,9 +103,6 @@ class IntMatrix:
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
@@ -230,8 +219,27 @@ class AbelianQuotient:
 
 
 # ---------------------------------------------------------------------------
-# elementary row operations with transform tracking
+# construction and arithmetic helpers
 # ---------------------------------------------------------------------------
+
+
+def _int_tuples(rows: Iterable[Iterable[int]], ragged: str) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as tuples, checked to share one length and hold ints only (no bools)."""
+    rows = tuple(tuple(r) for r in rows)
+    if len({len(r) for r in rows}) > 1:
+        raise PreconditionError(ragged)
+    for row in rows:
+        for x in row:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise PreconditionError(f"non-integer entry {x!r}")
+    return rows
+
+
+def _from_columns(cols: Sequence[Sequence[int]], rows: int) -> IntMatrix:
+    """The matrix with these int columns, unchecked; ``rows`` sets its shape when there are none."""
+    if not cols:
+        return IntMatrix.zero(rows, 0)
+    return IntMatrix(tuple(zip(*cols)), _trusted=True, cols=len(cols))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -249,46 +257,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _swap_rows(A: list[list[int]], U: list[list[int]], i: int, j: int) -> None:
-    A[i], A[j] = A[j], A[i]
-    U[i], U[j] = U[j], U[i]
-
-
-def _add_row(A: list[list[int]], U: list[list[int]], i: int, j: int, c: int) -> None:
-    # row_i += c * row_j, in place: on short rows the indexed loop beats
-    # building a new row; the transform rows are empty when none is tracked
-    Ai, Aj = A[i], A[j]
-    for k in range(len(Ai)):
-        Ai[k] += c * Aj[k]
-    Ui = U[i]
-    if Ui:
-        Uj = U[j]
-        for k in range(len(Ui)):
-            Ui[k] += c * Uj[k]
-
-
-def _negate_row(A: list[list[int]], U: list[list[int]], i: int) -> None:
-    A[i] = [-x for x in A[i]]
-    U[i] = [-x for x in U[i]]
-
-
-def _two_row_transform(
-    A: list[list[int]], U: list[list[int]], i: int, j: int, a: int, b: int, c: int, d: int
-) -> None:
-    # (row_i, row_j) <- (a*row_i + b*row_j, c*row_i + d*row_j); ad - bc = +-1
-    for M in (A, U):
-        ri, rj = M[i], M[j]
-        M[i] = [a * x + b * y for x, y in zip(ri, rj)]
-        M[j] = [c * x + d * y for x, y in zip(ri, rj)]
-
-
 def _columns(M: IntMatrix) -> list[tuple[int, ...]]:
     """The columns of M, also when M has no rows."""
     return list(zip(*M.entries)) if M.entries else [()] * M.cols
-
-
-def _ident_list(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +267,15 @@ def _ident_list(n: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _row_hnf(A: list[list[int]], U: list[list[int]]) -> None:
-    """Row-style Hermite normal form of A in place, applying each row operation to U.
+def _row_hnf(A: list[list[int]], m: int) -> None:
+    """Row-style Hermite normal form of A in place, eliminating on the first m coordinates.
 
-    Passing rows of width 0 for U skips the transform at almost no cost.
+    Each row operation applies to the whole row, so any coordinates past m
+    ride along: rows (a_i, e_i) end as (h_i, t_i) with h_i = Σ_j t_ij·a_j.
+    Rows are updated in place where one row gains a multiple of another:
+    on short rows the indexed loop beats building a new row.
     """
     n = len(A)
-    m = len(A[0]) if A else 0
     pivot_row = 0
     for col in range(m):
         if pivot_row == n:
@@ -310,22 +283,31 @@ def _row_hnf(A: list[list[int]], U: list[list[int]]) -> None:
         nz = [i for i in range(pivot_row, n) if A[i][col] != 0]
         if not nz:
             continue
-        _swap_rows(A, U, pivot_row, nz[0])
+        A[pivot_row], A[nz[0]] = A[nz[0]], A[pivot_row]
         for i in range(pivot_row + 1, n):
             while A[i][col] != 0:
-                d, x = A[pivot_row][col], A[i][col]
+                P, R = A[pivot_row], A[i]
+                d, x = P[col], R[col]
                 if x % d == 0:
-                    _add_row(A, U, i, pivot_row, -(x // d))
+                    c = x // d
+                    for k in range(len(R)):
+                        R[k] -= c * P[k]
                 else:
+                    # (P, R) <- (s·P + u·R, a·P + b·R), a unimodular pair
                     g, s, u = _xgcd(d, x)
-                    _two_row_transform(A, U, pivot_row, i, s, u, -(x // g), d // g)
-        if A[pivot_row][col] < 0:
-            _negate_row(A, U, pivot_row)
-        d = A[pivot_row][col]
+                    a, b = -(x // g), d // g
+                    A[pivot_row] = [s * y + u * z for y, z in zip(P, R)]
+                    A[i] = [a * y + b * z for y, z in zip(P, R)]
+        P = A[pivot_row]
+        if P[col] < 0:
+            A[pivot_row] = P = [-x for x in P]
+        d = P[col]
         for i in range(pivot_row):
             q = A[i][col] // d  # floor division reduces into [0, d)
             if q:
-                _add_row(A, U, i, pivot_row, -q)
+                R = A[i]
+                for k in range(len(R)):
+                    R[k] -= q * P[k]
         pivot_row += 1
 
 
@@ -334,15 +316,15 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
     T is unimodular.  H is the canonical column form: each nonzero column
     has a positive pivot, entries to the left of a pivot in its row lie in
-    ``[0, pivot)``, and zero columns come last.
+    ``[0, pivot)``, and zero columns come last.  M is stacked over the
+    identity and eliminated on M's rows only, so H is the top block of the
+    result and T the bottom one.
     """
-    if M.cols == 0:
-        return M, IntMatrix.identity(0)
-    A = [list(c) for c in _columns(M)]
-    U = _ident_list(M.cols)
-    _row_hnf(A, U)
-    # the rows of A are the columns of H
-    return IntMatrix.from_columns(A, rows=M.rows), IntMatrix.from_columns(U)
+    m, zero = M.rows, [0] * M.cols
+    # row j of A is column j of the stack: M's column j over e_j
+    A = [list(c) + zero[:j] + [1] + zero[j + 1:] for j, c in enumerate(_columns(M))]
+    _row_hnf(A, m)
+    return _from_columns([c[:m] for c in A], m), _from_columns([c[m:] for c in A], M.cols)
 
 
 def hnf_basis(M: IntMatrix) -> IntMatrix:
@@ -352,11 +334,9 @@ def hnf_basis(M: IntMatrix) -> IntMatrix:
     equality normal form.  Same form as :func:`hermite_normal_form`, without
     building the transform.
     """
-    if M.cols == 0:
-        return M
     A = [list(c) for c in _columns(M)]
-    _row_hnf(A, [[] for _ in A])
-    return IntMatrix.from_columns([c for c in A if any(c)], rows=M.rows)
+    _row_hnf(A, M.rows)
+    return _from_columns([c for c in A if any(c)], M.rows)
 
 
 def smith_normal_form(M: IntMatrix) -> IntMatrix:
@@ -370,7 +350,7 @@ def smith_normal_form(M: IntMatrix) -> IntMatrix:
     """
     A = [list(r) for r in M.entries]
     while True:
-        _row_hnf(A, [[] for _ in A])
+        _row_hnf(A, len(A[0]) if A else 0)
         A = [r for r in A if any(r)]
         # row i of the echelon form is zero left of column i
         if not any(any(r[i + 1:]) for i, r in enumerate(A)):
@@ -442,39 +422,44 @@ def integer_kernel(M: IntMatrix) -> IntMatrix:
     return T.take_columns(range(r, M.cols))
 
 
-def integral_coefficients(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
-    """The integer C with basis @ C == targets.
+def _pivot_product(H: IntMatrix) -> int:
+    """Product of the pivots of a Hermite basis; each column is zero above its pivot."""
+    return math.prod(next(x for x in c if x) for c in _columns(H))
 
-    ``basis`` must have independent columns.  With basis @ U == H in
-    Hermite form, each target t is solved as H·y = t by forward
-    substitution on the pivot rows of H, and C = U·y.  Raises
-    PreconditionError when the columns are dependent, when a target lies
-    outside their rational span, or when its coordinates are not all
-    integers.
+
+def sublattice_index(L: IntMatrix, T: IntMatrix) -> int | None:
+    """The index [L : T] of the column span of T in that of L.
+
+    Returns None when T ⊄ L, and 0 when T has smaller rank, so that the
+    index is infinite.  T ⊂ L exactly when adjoining T's columns leaves
+    ``hnf_basis(L)`` unchanged.  Then two Hermite bases of one rational
+    span pivot in the same rows, and on those rows they are triangular, so
+    the index is the ratio of their pivot products.
     """
-    if basis.rows != targets.rows:
-        raise PreconditionError("ambient dimension mismatch")
-    r = basis.cols
-    H, U = hermite_normal_form(basis)
-    if r and not any(row[r - 1] for row in H.entries):
-        raise PreconditionError("basis columns are dependent")
-    # column j of H is zero above its pivot
-    pivots = [next(i for i, row in enumerate(H.entries) if row[j]) for j in range(r)]
-    Y = []
-    for t in targets.columns():
-        y: list[int] = []
-        for j, i in enumerate(pivots):
-            row = H.entries[i]
-            q, rem = divmod(t[i] - sum(map(mul, row, y)), row[j])
-            if rem:
-                break
-            y.append(q)
-        if len(y) < r or H.mul_vector(y) != t:
-            if hnf_basis(basis.hstack(targets)).cols > r:
-                raise PreconditionError("target vectors lie outside the span")
-            raise PreconditionError("target vectors are not integral in the basis")
-        Y.append(y)
-    return U @ IntMatrix.from_columns(Y, rows=r)
+    H = hnf_basis(L)
+    if hnf_basis(L.hstack(T)) != H:
+        return None
+    HT = hnf_basis(T)
+    return 0 if HT.cols < H.cols else _pivot_product(HT) // _pivot_product(H)
+
+
+def split_hnf(H: IntMatrix, k: int) -> tuple[IntMatrix, IntMatrix]:
+    """Split a canonical column Hermite basis H at row k.
+
+    Returns ``(head, tail)``: the first k rows of the columns pivoting
+    there, a canonical basis of the span's projection onto the first k
+    coordinates, and the other rows of the rest, one of the span's meet
+    with the last ``H.rows - k`` coordinates.  H is echelon, so the rest
+    vanish on the first k coordinates; and in a combination the first
+    column used puts c·pivot in its pivot row, where later columns vanish,
+    so a combination vanishing there uses the rest alone.  Each half keeps
+    H's positive pivots and reduced entries left of them, so each is its
+    own ``hnf_basis``.
+    """
+    cols = _columns(H)
+    t = sum(1 for c in cols if any(c[:k]))
+    head = _from_columns([c[:k] for c in cols[:t]], k)
+    return head, _from_columns([c[k:] for c in cols[t:]], H.rows - k)
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +473,6 @@ def quotient_structure(ambient_rank: int, gens: IntMatrix) -> AbelianQuotient:
         raise PreconditionError(
             f"generators live in Z^{gens.rows}, expected Z^{ambient_rank}"
         )
-    if gens.cols == 0:
-        return AbelianQuotient(ambient_rank, ())
     D = smith_normal_form(gens)
     divisors = [D.entries[i][i] for i in range(min(D.rows, D.cols)) if D.entries[i][i] != 0]
     free = ambient_rank - len(divisors)
@@ -518,17 +501,17 @@ def sublattice_in_span(basis: IntMatrix, span_gens: IntMatrix) -> IntMatrix:
     """Canonical basis of {x in span_Z(basis) : x in span_Q(span_gens)}.
 
     ``basis`` must have full column rank.  The rational span of
-    ``span_gens`` is cut out by its integral annihilator, so the result is
-    exact.
+    ``span_gens`` is cut out by its integral annihilator A, so the result
+    is exact: the span of the columns (Aᵀ·b, b), b in ``basis``, meets the
+    last n coordinates in the answer, read off its Hermite basis by
+    :func:`split_hnf`.  That Hermite basis has as many columns as
+    ``basis`` has rank, which checks the precondition.
     """
     if basis.rows != span_gens.rows:
         raise PreconditionError("ambient dimension mismatch")
-    if basis.cols and basis.rank() != basis.cols:
-        raise PreconditionError("basis matrix does not have full column rank")
-    if span_gens.cols == 0:
-        return IntMatrix.zero(basis.rows, 0)
     ann = integer_kernel(span_gens.transpose())  # covectors vanishing on the span
-    if ann.cols == 0:
-        return hnf_basis(basis)
-    K = integer_kernel(ann.transpose() @ basis)
-    return hnf_basis(basis @ K)
+    top = ann.transpose() @ basis
+    H = hnf_basis(IntMatrix(top.entries + basis.entries, _trusted=True, cols=basis.cols))
+    if H.cols != basis.cols:
+        raise PreconditionError("basis matrix does not have full column rank")
+    return split_hnf(H, ann.cols)[1]

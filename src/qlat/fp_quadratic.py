@@ -55,7 +55,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from . import kernels, modp
-from .errors import InvariantViolationError, PreconditionError, SizeGuardError
+from .errors import InvariantViolationError, PreconditionError
 from .modp import MAX_PROJ_POINTS
 
 __all__ = [
@@ -262,9 +262,6 @@ class FpIsometry:
             raise PreconditionError("isometries of different spaces")
         return FpIsometry(self.space, modp.mat_mul(self.matrix, other.matrix, self.space.p))
 
-    def inverse(self) -> "FpIsometry":
-        return FpIsometry(self.space, modp.inverse(self.matrix, self.space.p))
-
     def det(self) -> int:
         return self._det
 
@@ -470,10 +467,7 @@ def isotropic_generators(V: FpQuadSpace, max_points: int = MAX_PROJ_POINTS) -> l
     them; SizeGuardError if V has more than ``max_points`` projective
     points.
     """
-    try:
-        return kernels.isotropic_lines(V.p, V.dim, V.half_gram, max_points)
-    except ValueError as exc:
-        raise SizeGuardError(str(exc)) from None
+    return kernels.isotropic_lines(V.p, V.dim, V.half_gram, max_points)
 
 
 def enumerate_isotropic_lines(

@@ -20,13 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvariantViolationError, PreconditionError
-from .exact_linalg import (
-    IntMatrix,
-    hnf_basis,
-    integral_coefficients,
-    quotient_structure,
-    saturate,
-)
+from .exact_linalg import IntMatrix, hnf_basis, saturate
 from .modp import MAX_PROJ_POINTS, check_prime, is_prime
 from .padic_lattice import PLattice, neighbors_of, shrink_set
 from .quad_lattice import (
@@ -52,6 +46,9 @@ class MinimalPair:
     """A positive-definite lattice Λ with a sublattice Λ̃ of prime index.
 
     ``tilde_basis`` holds the Λ-coordinates of a basis of Λ̃ (columns).
+    It is square, so the index [Λ : Λ̃] is the absolute value of its
+    determinant; a group of prime order is cyclic, so a prime determinant
+    is the same as a single prime elementary divisor.
     """
 
     lattice: QuadLattice
@@ -67,14 +64,13 @@ class MinimalPair:
         pos, neg = signature(self.lattice)
         if neg != 0 or pos != r:
             raise PreconditionError("lattice of a minimal pair must be positive definite")
-        q = quotient_structure(r, tb)
-        if not q.is_finite or len(q.torsion) != 1 or not is_prime(q.torsion[0]):
+        if not is_prime(self.index):
             raise PreconditionError("sublattice index must be a single prime")
 
     @property
     def index(self) -> int:
-        """The prime index [Λ : Λ̃]."""
-        return quotient_structure(self.lattice.rank, self.tilde_basis).order()
+        """The prime index [Λ : Λ̃], |det| of ``tilde_basis``."""
+        return abs(self.tilde_basis.det())
 
 
 @dataclass(frozen=True)
@@ -199,9 +195,11 @@ def grow_unique(
     Wt = hnf_basis(tilde_embedding)
     if Wt.cols != rt:
         raise PreconditionError("embedding columns are dependent")
-    # membership and direct-summand check inside Ñ
-    coeffs = integral_coefficients(Nt.numerator_basis, Wt.scale(Nt.scale_denominator()))
-    _, summand = saturate(n, coeffs)
+    # membership and direct-summand check inside Ñ, in Ñ's coordinates
+    coeffs = [Nt.coordinates(w) for w in Wt.columns()]
+    if None in coeffs:
+        raise PreconditionError("embedded sublattice must lie in Ñ")
+    _, summand = saturate(n, IntMatrix.from_columns(coeffs))
     if not summand:
         raise PreconditionError("embedded sublattice is not a direct summand")
     wcols = Wt.columns()

@@ -35,6 +35,7 @@ from __future__ import annotations
 from itertools import product
 from operator import mul
 
+from .errors import SizeGuardError
 from .modp import identity, mat_mul
 
 __all__ = [
@@ -122,12 +123,12 @@ def isotropic_lines(p, n, half_gram, limit):
     Representatives have leading nonzero coordinate 1.  They are returned
     sorted by (leading position, remaining coordinates), so the first entry
     is the canonical smallest isotropic vector; the sweep emits them in
-    that order.  Raises ValueError if the projective space has more than
-    ``limit`` points.
+    that order.  Raises SizeGuardError if the projective space has more
+    than ``limit`` points.
     """
     count = (p**n - 1) // (p - 1)
     if count > limit:
-        raise ValueError(f"projective space has {count} points, exceeds limit {limit}")
+        raise SizeGuardError(f"projective space has {count} points, exceeds limit {limit}")
     out = []
     tail = range(p)
     for lead in range(n):
@@ -142,7 +143,7 @@ def quadric_points_mod(p, k, n, half_gram, limit):
     representative with leading unit coordinate equal to 1 and all earlier
     coordinates divisible by p.  Counting representatives: there are
     p^{(k-1)·lead} · (p^k)^{n-lead-1} with leading unit at position
-    ``lead``.  Raises ValueError if the total candidate count exceeds
+    ``lead``.  Raises SizeGuardError if the total candidate count exceeds
     ``limit``.
     """
     q = p**k
@@ -150,7 +151,7 @@ def quadric_points_mod(p, k, n, half_gram, limit):
     for lead in range(n):
         total += (p ** (k - 1)) ** lead * q ** (n - lead - 1)
     if total > limit:
-        raise ValueError(f"{total} normalized vectors mod {q}, exceeds limit {limit}")
+        raise SizeGuardError(f"{total} normalized vectors mod {q}, exceeds limit {limit}")
     out = []
     head = range(0, q, p)
     tail = range(q)

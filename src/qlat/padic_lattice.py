@@ -36,13 +36,12 @@ from .errors import InvariantViolationError, PreconditionError
 from .exact_linalg import (
     IntMatrix,
     hnf_basis,
-    integral_coefficients,
     is_square_hnf,
     kernel_mod_p,
     lattices_equal,
-    quotient_structure,
     saturate,
     sublattice_in_span,
+    sublattice_index,
 )
 from .fp_quadratic import FpQuadSpace, ProjLine, enumerate_isotropic_lines, isotropic_lines_in
 from .modp import MAX_PROJ_POINTS
@@ -417,7 +416,9 @@ def _shrink_preconditions(N: QuadLattice, W: Sublattice, Wt: Sublattice, p: int)
     to be [1, …, 1, p]: W has a basis a_1, …, a_r with W̃ = U ⊕ Z·p·a_r,
     U = span(a_1, …, a_{r-1}).  Condition (iii) of ``w_generic_lines``
     sees its U only through pairings mod p, and p·a_r pairs to 0 mod p, so
-    W̃ gives the same lines as U.
+    W̃ gives the same lines as U.  Containment W̃ ⊂ W and the index
+    [W : W̃] are read off the pivots of Hermite bases
+    (``sublattice_index``).
     """
     if not is_self_dual_at(N, p):
         raise PreconditionError("lattice is not self-dual at p")
@@ -433,8 +434,10 @@ def _shrink_preconditions(N: QuadLattice, W: Sublattice, Wt: Sublattice, p: int)
         raise PreconditionError("W has rank too large for the construction")
     if restricted_lattice(W).gram().det() == 0:
         raise PreconditionError("form restricted to W is degenerate")
-    C = integral_coefficients(W.basis, Wt.basis)
-    if Wt.rank != r or quotient_structure(r, C).order() != p:
+    index = sublattice_index(W.basis, Wt.basis)
+    if index is None:
+        raise PreconditionError("W̃ must lie in W")
+    if index != p:
         raise PreconditionError("W̃ must have index exactly p in W")
 
 
@@ -485,12 +488,14 @@ def recover_lattice(Nt: PLattice, W: Sublattice) -> PLattice:
     """The unique p-neighbor L of Ñ with L ∩ span(W) = W.
 
     Preconditions: W is a direct summand of the ambient lattice and
-    Ñ ∩ span(W) has index exactly p in W (in particular Ñ itself, whose
-    intersection is all of W, is rejected).  Builds the neighbor of each
-    isotropic line of Ñ/pÑ that passes a necessary condition, filters
-    those on the intersection condition, and insists on exactly one
-    survivor — any other count falsifies the uniqueness this package is
-    built around and raises InvariantViolationError.
+    Ñ ∩ span(W) lies in W with index exactly p (in particular Ñ itself,
+    whose intersection is all of W, is rejected); the intersection comes
+    from ``sublattice_in_span`` and its index from the pivots of Hermite
+    bases (``sublattice_index``).  Builds the neighbor of each isotropic
+    line of Ñ/pÑ that passes a necessary condition, filters those on the
+    intersection condition, and insists on exactly one survivor — any
+    other count falsifies the uniqueness this package is built around and
+    raises InvariantViolationError.
 
     The necessary condition: the neighbor L at the line ℓ of Ñ/pÑ can
     contain W only if ℓ is the span of the reductions of p·w, w ∈ W, mod
@@ -513,9 +518,9 @@ def recover_lattice(Nt: PLattice, W: Sublattice) -> PLattice:
     if not summand:
         raise PreconditionError("W is not a direct summand")
     T = sublattice_in_span(Nt.numerator_basis, W.basis)
-    denom = Nt.scale_denominator()
-    C = integral_coefficients(W.basis.scale(denom), T)
-    idx = quotient_structure(W.rank, C).order()
+    idx = sublattice_index(W.basis.scale(Nt.scale_denominator()), T)
+    if idx is None:
+        raise PreconditionError("intersection with span(W) must lie in W")
     if idx != p:
         raise PreconditionError(
             f"intersection with span(W) has index {idx} in W, expected {p}"

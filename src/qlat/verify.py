@@ -73,7 +73,7 @@ from .fp_quadratic import (
     witt_extension,
 )
 from .hecke_k3 import k3_isogeny
-from .modp import MAX_PROJ_POINTS, kernel_basis, legendre, mat_vec, rank
+from .modp import MAX_PROJ_POINTS, check_prime, kernel_basis, legendre, mat_vec, rank
 from .padic_lattice import (
     PLattice,
     enumerate_neighbors,
@@ -661,10 +661,7 @@ def suite_lang_counts(primes, max_rank, seed, max_points) -> VerifyReport:
             half = tuple(
                 tuple(x % (p * p) for x in row) for row in N.half_gram.entries
             )
-            try:
-                reps = kernels.quadric_points_mod(p, 2, n, half, max_points)
-            except ValueError as exc:
-                raise SizeGuardError(str(exc)) from None
+            reps = kernels.quadric_points_mod(p, 2, n, half, max_points)
             items += [(name, N, p, reps, q) for q in (1, -1, 2, -2, 3, -3)]
 
     def check(report: VerifyReport, item) -> None:
@@ -859,7 +856,7 @@ def run_suite(
     elif max_rank > top:
         raise PreconditionError(f"suite {name} checks ranks up to {top}, not {max_rank}")
     for p in primes or ():
-        FpQuadSpace(p, ())  # raises PreconditionError unless p is prime
+        check_prime(p)
     return SUITES[name](
         primes=primes,
         max_rank=max_rank,

@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +20,7 @@ from qlat import (
     quotient_structure,
     saturate,
 )
-from qlat.deformation_tori import _split
+from qlat.exact_linalg import split_hnf
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +87,13 @@ def test_cokernel_rejects_wrong_weights():
         )
 
 
+@pytest.mark.parametrize("bad", [0.5, Fraction(3, 2), True], ids=["float", "fraction", "bool"])
+def test_cokernel_rejects_non_integer_generators(bad):
+    # truncating 0.5 to 0 would make this the valid W = Z·e_3
+    with pytest.raises(PreconditionError, match=f"^non-integer entry {re.escape(repr(bad))}$"):
+        cokernel_M(CharLattice(3, weights=(1, 1, 1)), [[0], [bad], [1]], 2)
+
+
 @pytest.mark.parametrize("b", [1, 2, 3, 4])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_cokernel_index_always_p(b, p):
@@ -133,7 +142,7 @@ def test_split_reads_the_projection_and_the_meet(seed):
         n = rng.randint(1, 5)
         A = _random_relations(rng, n)
         H = hnf_basis(A)
-        head, tail = _split(H, n)
+        head, tail = split_hnf(H, n)
         assert head == hnf_basis(IntMatrix(A.entries[:n], cols=A.cols))
         assert tail == hnf_basis(tail)
         # the meet with the bottom block, and Z^{2n} / (rel + bottom) ≅ Z^n / head
@@ -166,3 +175,32 @@ def test_iso2_false_when_the_shrunk_lattice_is_too_small(monkeypatch):
     M, inj1_index, iso2 = cokernel_M(split, W, 3)
     assert (inj1_index, iso2) == (3, False)
     assert (M, inj1_index, iso2) == cokernel_by_intersection(split, W, 3)
+
+
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+def test_a_scaled_head_pivot_changes_both_comparison_maps(monkeypatch, position):
+    """Each head pivot counts: in ``inj1_index`` and in the onto half of ``iso2``.
+
+    Scaling one pivot of every head ``split_hnf`` returns by p shrinks both
+    projections: the first map's coindex becomes p² and the second map is
+    no longer onto.  The last pivot is 1 on every valid input, so only
+    this substitution shows that it enters the product.
+    """
+    def scaling_by(p):
+        def scaled(H, k):
+            head, tail = split_hnf(H, k)
+            cols = [list(c) for c in head.columns()]
+            col = cols[position]
+            i = next(i for i, x in enumerate(col) if x)
+            col[i] *= p
+            return IntMatrix.from_columns(cols, rows=k), tail
+
+        return scaled
+
+    for p, b, W in suite_instances((2, 3, 5), 6, 0, count=12):
+        split = CharLattice(b + 2, (1, b, 1))
+        M, inj1_index, iso2 = cokernel_M(split, W, p)
+        assert (inj1_index, iso2) == (p, True)
+        with monkeypatch.context() as patch:
+            patch.setattr(deformation_tori, "split_hnf", scaling_by(p))
+            assert cokernel_M(split, W, p) == (M, p * p, False), (p, W)

@@ -1,6 +1,9 @@
 """Exact integer linear algebra: normal forms, quotients, saturation."""
 
 import math
+import random
+import re
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -19,9 +22,10 @@ from qlat import (
     saturate,
     smith_normal_form,
 )
-from qlat.exact_linalg import integral_coefficients, is_square_hnf
+from qlat.exact_linalg import is_square_hnf, sublattice_index
 
 from cokernel_oracle import lattice_intersection
+from index_oracle import integral_coefficients, smith_index
 
 small_entries = st.integers(min_value=-9, max_value=9)
 
@@ -42,12 +46,22 @@ def matrices(rows, cols):
 def test_matrix_construction_and_accessors():
     M = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert (M.rows, M.cols) == (2, 3)
-    assert M.row(1) == (4, 5, 6)
+    assert M.entries[1] == (4, 5, 6)
     assert M.column(2) == (3, 6)
     assert M.transpose().entries == ((1, 4), (2, 5), (3, 6))
     assert IntMatrix.from_columns([(1, 4), (2, 5), (3, 6)]) == M
     assert M.mul_vector((1, 1, 1)) == (6, 15)
     assert (M @ IntMatrix.identity(3)) == M
+
+
+@pytest.mark.parametrize("bad", [0.5, Fraction(3, 2), True], ids=["float", "fraction", "bool"])
+def test_every_constructor_rejects_non_integer_entries(bad):
+    for build in (IntMatrix, IntMatrix.from_rows, IntMatrix.from_columns):
+        with pytest.raises(PreconditionError, match=f"^non-integer entry {re.escape(repr(bad))}$"):
+            build([[1, bad], [0, 2]])
+    with pytest.raises(PreconditionError, match="^ragged columns$"):
+        IntMatrix.from_columns([[1, 2], [3]])
+    assert IntMatrix.from_columns([[1, 2], [3, 4]]) == IntMatrix([[1, 3], [2, 4]])
 
 
 def test_matrix_without_rows_keeps_its_column_count():
@@ -408,7 +422,7 @@ def test_intersection_commutative_and_contained(data):
 
 
 # ---------------------------------------------------------------------------
-# kernels and coefficients
+# kernels, coefficients (the oracle of tests/index_oracle.py) and indices
 # ---------------------------------------------------------------------------
 
 
@@ -436,6 +450,40 @@ def test_integral_coefficients_solves_or_names_the_obstruction():
         integral_coefficients(basis, IntMatrix.from_columns([[0, 0, 1]]))
     with pytest.raises(PreconditionError, match="^target vectors are not integral in the basis$"):
         integral_coefficients(basis, IntMatrix.from_columns([[1, 0, 0]]))
+
+
+def _index_pairs(rng, count):
+    """Seeded (L, T) in Z^n: T = L·C, at times with one column moved off L."""
+    for _ in range(count):
+        n, k = rng.randint(1, 5), rng.randint(0, 4)
+        L = IntMatrix([[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)], cols=k)
+        m = rng.randint(0, k + 1)
+        C = IntMatrix([[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)], cols=m)
+        T = [list(c) for c in (L @ C).columns()]
+        if T and rng.random() < 0.4:
+            T[0][rng.randrange(n)] += rng.randint(1, 3)
+        yield L, IntMatrix.from_columns(T, rows=n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sublattice_index_matches_the_smith_index(seed):
+    outcomes = set()
+    for L, T in _index_pairs(random.Random(seed), 150):
+        index = sublattice_index(L, T)
+        assert index == smith_index(L, T), (L, T)
+        outcomes.add("outside" if index is None else "infinite" if index == 0 else "finite")
+        if index is not None and index > 1:
+            outcomes.add("proper")
+    assert outcomes == {"outside", "infinite", "finite", "proper"}
+
+
+def test_sublattice_index_reads_pivots():
+    L = IntMatrix.from_rows([[1, 0], [2, 3], [0, 0]])
+    assert sublattice_index(L, L.scale(5)) == 25
+    assert sublattice_index(L, IntMatrix.from_columns([(1, 2, 0), (0, 6, 0)])) == 2
+    assert sublattice_index(L, IntMatrix.from_columns([(0, 3, 0)])) == 0
+    assert sublattice_index(L, IntMatrix.from_columns([(0, 1, 0)])) is None
+    assert sublattice_index(L, IntMatrix.from_columns([(0, 0, 1)])) is None
 
 
 # ---------------------------------------------------------------------------

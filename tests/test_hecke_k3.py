@@ -1,6 +1,8 @@
 """Minimal pairs, the polarization-change lattice, and fiber round trips."""
 
+import re
 import time
+from fractions import Fraction
 from itertools import product
 from operator import mul
 
@@ -307,6 +309,25 @@ def test_grow_rejects_dependent_embedding():
     bad = IntMatrix.from_columns([(2, 2, 0, 0, 0, 0), (4, 4, 0, 0, 0, 0)])
     with pytest.raises(PreconditionError):
         grow_unique(fiber[0], bad)
+
+
+def test_grow_rejects_an_embedding_outside_the_lattice():
+    Nt = PLattice(H3, 2, 0, IntMatrix.identity(6).scale(2))
+    with pytest.raises(PreconditionError, match="^embedded sublattice must lie in Ñ$"):
+        grow_unique(Nt, IntMatrix.from_columns([(1, 0, 0, 0, 0, 0)]))
+
+
+@pytest.mark.parametrize("bad", [0.5, Fraction(3, 2), True], ids=["float", "fraction", "bool"])
+def test_pairs_and_embeddings_reject_non_integer_entries(bad):
+    message = f"^non-integer entry {re.escape(repr(bad))}$"
+    with pytest.raises(PreconditionError, match=message):
+        MinimalPair(A2_PAIR.lattice, [[1, bad], [0, 2]])
+    rows = [[1], [bad], [0], [0], [0], [0]]
+    with pytest.raises(PreconditionError, match=message):
+        shrink_fiber(H3, rows, _pair(2))
+    fiber = shrink_fiber(H3, _embedding_column(), _pair(2))
+    with pytest.raises(PreconditionError, match=message):
+        grow_unique(fiber[0], rows)
 
 
 def test_grow_rejects_oversized_embedding():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlat import FpIsometry, FpQuadSpace, ProjLine, enumerate_isotropic_lines, kernels
+from qlat import FpIsometry, FpQuadSpace, ProjLine, SizeGuardError, enumerate_isotropic_lines, kernels
 from isometry_oracle import all_isometries_bruteforce
 
 H = ((0, 1), (0, 0))
@@ -77,6 +77,15 @@ def test_brute_isometry_counts(p, n, half_gram, full, special):
     isometries = all_isometries_bruteforce(V)
     assert len(isometries) == full
     assert sum(FpIsometry(V, g).is_special() for g in isometries) == special
+
+
+def test_enumeration_guards_raise_size_guard_errors():
+    # the guard's own class where it trips, so no caller has to translate it
+    zero = ((0,) * 4,) * 4
+    with pytest.raises(SizeGuardError, match=r"^projective space has 156 points, exceeds limit 100$"):
+        kernels.isotropic_lines(5, 4, zero, 100)
+    with pytest.raises(SizeGuardError, match=r"^19500 normalized vectors mod 25, exceeds limit 100$"):
+        kernels.quadric_points_mod(5, 2, 4, zero, 100)
 
 
 def test_size_guards_raise():

@@ -17,8 +17,10 @@
   an orthogonal basis over F_p (odd p) is ``fp_quadratic._orthogonal_basis``,
   the form of a ``PLattice`` in its own basis is
   ``padic_lattice.plattice_quadlattice``, and the form on any basis, the
-  half-Gram of Q/d from Sᵀ·B·S, is ``quad_lattice.basis_half_gram``; the
-  copies they replaced are gone.
+  half-Gram of Q/d from Sᵀ·B·S, is ``quad_lattice.basis_half_gram``, and
+  the split of a Hermite basis into a projection and a meet is
+  ``exact_linalg.split_hnf``; the copies they replaced are gone.
+  ``cokernel_M`` and ``sublattice_in_span`` both read ``split_hnf``.
 * That form has one home: ``lattice_from_line``, ``plattice_quadlattice``,
   ``restricted_lattice`` and ``shrink_fiber`` refer to
   ``basis_half_gram``, and no function of ``padic_lattice`` or
@@ -40,6 +42,13 @@
   ``_add_col``, ``_two_col_transform``).  The Smith form serves
   ``exact_linalg`` alone: no other module calls it, only the package root
   re-exports it, and ``saturate`` does not call it either.
+* The Hermite eliminator carries its transform in the rows it reduces:
+  ``_row_hnf(A, m)`` takes no transform list, and no module defines
+  ``integral_coefficients``, a transform helper (``_swap_rows``,
+  ``_add_row``, ``_negate_row``, ``_two_row_transform``) or
+  ``_ident_list``.  A Smith form is taken only where a group's structure
+  is reported: only ``discriminant_group`` and ``cokernel_M`` call
+  ``quotient_structure``.
 * ``cokernel_M`` reads its comparison maps off Hermite bases: no module
   defines ``lattice_intersection``, ``deformation_tori`` refers to none of
   ``lattice_intersection``, ``lattices_equal``, ``hstack`` or
@@ -98,6 +107,15 @@ def _module_level_names(tree):
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.add(node.target.id)
     return names
+
+
+def _defined_anywhere(path):
+    """Names a module defines by def or class, at any depth."""
+    return {
+        node.name
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
 
 
 def _private(name):
@@ -176,6 +194,7 @@ CONSTRUCTIONS = {
     ("fp_quadratic", "_orthogonal_basis"): ("_isotropic_by_diagonalization",),
     ("padic_lattice", "plattice_quadlattice"): ("plattice_gram",),
     ("quad_lattice", "basis_half_gram"): ("sublattice_gram",),
+    ("exact_linalg", "split_hnf"): ("_split",),
 }
 
 
@@ -199,11 +218,7 @@ GENERATOR_BUILDER = (
 
 def test_no_generator_builder_remains():
     for path in MODULES:
-        defined = {
-            node.name
-            for node in ast.walk(_tree(path))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        }
+        defined = _defined_anywhere(path)
         assert not defined & set(GENERATOR_BUILDER), path.name
 
 
@@ -262,11 +277,7 @@ SECOND_ELIMINATOR = ("unimodular_inverse", "_swap_cols", "_add_col", "_two_col_t
 
 def test_no_second_eliminator_remains():
     for path in MODULES:
-        defined = {
-            node.name
-            for node in ast.walk(_tree(path))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        }
+        defined = _defined_anywhere(path)
         assert not defined & set(SECOND_ELIMINATOR), path.name
 
 
@@ -286,6 +297,39 @@ def test_smith_form_stays_in_exact_linalg():
 def test_saturate_calls_no_smith_form():
     saturate = _function("exact_linalg", "saturate")
     assert "smith_normal_form" not in _names_in(saturate)
+
+
+TRANSFORM_HELPERS = (
+    "integral_coefficients", "_swap_rows", "_add_row", "_negate_row", "_two_row_transform", "_ident_list"
+)
+
+
+def test_the_eliminator_keeps_no_transform_list():
+    for path in MODULES:
+        defined = _defined_anywhere(path)
+        assert not defined & set(TRANSFORM_HELPERS), path.name
+    params = _function("exact_linalg", "_row_hnf").args.args
+    assert [(a.arg, ast.unparse(a.annotation)) for a in params] == [("A", "list[list[int]]"), ("m", "int")]
+
+
+def test_only_group_structures_take_a_smith_form():
+    callers = sorted(
+        (path.stem, node.name)
+        for path in MODULES
+        for node in _tree(path).body
+        if any(
+            isinstance(call, ast.Call) and "quotient_structure" in _names_in(call.func)
+            for call in ast.walk(node)
+        )
+    )
+    assert callers == [("deformation_tori", "cokernel_M"), ("quad_lattice", "discriminant_group")]
+
+
+@pytest.mark.parametrize(
+    "module, name", [("deformation_tori", "cokernel_M"), ("exact_linalg", "sublattice_in_span")]
+)
+def test_split_hnf_is_the_one_reader_of_split_bases(module, name):
+    assert "split_hnf" in _names_in(_function(module, name))
 
 
 def test_no_module_defines_lattice_intersection():

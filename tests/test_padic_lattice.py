@@ -41,9 +41,11 @@ from qlat import (
 )
 import qlat.exact_linalg as exact_linalg
 import qlat.padic_lattice as padic_lattice
-from qlat.exact_linalg import integral_coefficients, kernel_mod_p
+from qlat.exact_linalg import kernel_mod_p
 from qlat.fp_quadratic import isotropic_lines_in
 from qlat.kernels import proj_reps
+
+from index_oracle import integral_coefficients
 
 H = hyperbolic_plane()
 H2 = direct_sum(H, H)
@@ -331,6 +333,22 @@ def test_shrink_rejects_wrong_index():
     W = Sublattice(H3, IntMatrix.from_columns([(1, 1, 0, 0, 0, 0)]))
     with pytest.raises(PreconditionError):
         shrink_set(H3, W, W, 2)  # index 1, not p
+
+
+def test_shrink_rejects_a_tilde_lattice_outside_w():
+    W = Sublattice(H3, IntMatrix.from_columns([(1, 1, 0, 0, 0, 0)]))
+    Wt = Sublattice(H3, IntMatrix.from_columns([(2, 0, 0, 0, 0, 0)]))
+    with pytest.raises(PreconditionError, match="^W̃ must lie in W$"):
+        shrink_set(H3, W, Wt, 2)
+
+
+def test_recover_rejects_an_intersection_outside_w():
+    # Ñ = Z^6 + Z·w/2 meets span(W) in Z·w/2, beyond W = Z·w
+    w = IntMatrix.from_columns([(1, 1, 0, 0, 0, 0)])
+    Nt = PLattice(H3, 2, 1, IntMatrix.identity(6).scale(2).hstack(w))
+    W = Sublattice(H3, w)
+    with pytest.raises(PreconditionError, match=r"^intersection with span\(W\) must lie in W$"):
+        recover_lattice(Nt, W)
 
 
 def test_recover_round_trip():

@@ -1,6 +1,8 @@
 """Integral quadratic lattices: forms, signatures, complements, constructors."""
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,18 @@ def test_hyperbolic_basis_values():
 @given(st.integers(-20, 20), st.integers(-20, 20))
 def test_hyperbolic_form_is_ab(a, b):
     assert quad_value(H, (a, b)) == a * b
+
+
+@pytest.mark.parametrize("bad", [0.5, Fraction(3, 2), True], ids=["float", "fraction", "bool"])
+def test_lattices_reject_non_integer_entries(bad):
+    # truncating each entry to an int would give a lattice: [[0, 1], [0, 0]] for 0.5
+    message = f"^non-integer entry {re.escape(repr(bad))}$"
+    with pytest.raises(PreconditionError, match=message):
+        QuadLattice([[bad, 1], [0, 0]])
+    with pytest.raises(PreconditionError, match=message):
+        QuadLattice([[bad]])
+    with pytest.raises(PreconditionError, match=message):
+        Sublattice(H, [[1], [bad]])
 
 
 def test_zero_vector_has_zero_value():
