@@ -1,12 +1,19 @@
 """Time the enumeration kernels and the lattice layers built on them.
 
-Runs each of ``qlat.kernels``' enumeration kernels, the p-neighbor
-construction (``lattice_from_line``), its inverse (``line_from_lattice``) and
-the form of a neighbor in its own basis (``plattice_quadlattice``), the
-integer layer under unique recovery (``saturate``, ``sublattice_in_span``
-and ``recover_lattice`` itself), the cokernel M with its comparison maps
-(``cokernel_M``) and the Witt witness path (``witt_extension``) on fixed
-workloads, and prints a table of best-of-N wall times.
+Runs each of ``qlat.kernels``' enumeration kernels, the brute-force line
+count of ``qlat verify neighbor-bijection`` (``verify._brute_line_count``),
+the p-neighbor construction (``lattice_from_line``), its inverse
+(``line_from_lattice``) and the form of a neighbor in its own basis
+(``plattice_quadlattice``), the integer layer under unique recovery
+(``saturate``, ``sublattice_in_span`` and ``recover_lattice`` itself), the
+cokernel M with its comparison maps (``cokernel_M``) and the Witt witness
+path (``witt_extension``) on fixed workloads, and prints a table of
+best-of-N wall times.
+
+A neighbor built by ``lattice_from_line`` keeps the half-Gram that
+certified it, so the ``line_from_lattice`` and ``plattice_quadlattice``
+rows on such neighbors time the path that reads that kept form; the rows
+marked "rebuilt" time neighbors rebuilt from their bases, which keep none.
 
 Usage:  python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -24,6 +31,7 @@ from qlat import (
     FpQuadSpace,
     IntMatrix,
     InvariantViolationError,
+    PLattice,
     Sublattice,
     cokernel_M,
     direct_sum,
@@ -31,6 +39,7 @@ from qlat import (
     enumerate_isotropic_lines,
     enumerate_neighbors,
     hyperbolic_plane,
+    k3_lattice,
     kernels,
     lattice_from_line,
     line_from_lattice,
@@ -42,8 +51,9 @@ from qlat import (
     sublattice_in_span,
     witt_extension,
 )
+from qlat.fp_quadratic import isotropic_lines_in
 from qlat.modp import rank
-from qlat.verify import _cochar_instances, _subspace_bases
+from qlat.verify import _brute_line_count, _cochar_instances, _hyperbolic_power, _subspace_bases
 
 
 def _hyperbolic(n):
@@ -133,6 +143,15 @@ def _workloads():
     he8 = direct_sum(hyperbolic_plane(), e8_lattice())
     he8_lines = enumerate_isotropic_lines(reduction(he8, 2))  # 527 lines
     he8_neighbors = [lattice_from_line(he8, line) for line in he8_lines]
+    he8_rebuilt = [PLattice(he8, 2, 1, Nt.numerator_basis) for Nt in he8_neighbors]
+    k3 = k3_lattice()
+    # the isotropic lines of K3 mod 2 inside the span of e_1, …, e_10
+    k3_lines = isotropic_lines_in(
+        reduction(k3, 2), [tuple(int(i == j) for j in range(22)) for i in range(10)]
+    )
+    k3_neighbors = [lattice_from_line(k3, line) for line in k3_lines]
+    k3_rebuilt = [PLattice(k3, 2, 1, Nt.numerator_basis) for Nt in k3_neighbors]
+    h3_mod5 = reduction(_hyperbolic_power(3), 5)
     cochar_N, cochar_ws, recoveries = _recoveries()
     cochar_neighbors = enumerate_neighbors(cochar_N, 2)
     cokernel_instances = _cokernel_instances()
@@ -160,6 +179,11 @@ def _workloads():
             lambda: kernels.line_orbit(sl2_gens, (1, 0), 101, 10**6),
         ),
         (
+            # the oracle of the largest item of `qlat verify neighbor-bijection`
+            "brute line count H⊥H⊥H, p=5, 5^6 vectors",
+            lambda: _brute_line_count(h3_mod5),
+        ),
+        (
             # the neighbors of `qlat neighbors H⊥E8 --p 2`
             f"lattice_from_line H⊥E8, p=2, {len(he8_lines)} lines",
             lambda: [lattice_from_line(he8, line) for line in he8_lines],
@@ -169,8 +193,25 @@ def _workloads():
             lambda: [line_from_lattice(Nt) for Nt in he8_neighbors],
         ),
         (
+            f"line_from_lattice H⊥E8, p=2, {len(he8_rebuilt)} rebuilt",
+            lambda: [line_from_lattice(Nt) for Nt in he8_rebuilt],
+        ),
+        (
             f"plattice_quadlattice H⊥E8, p=2, {len(he8_neighbors)} neighbors",
             lambda: [plattice_quadlattice(Nt) for Nt in he8_neighbors],
+        ),
+        (
+            # a recovery against building the neighbor, at the paper's rank
+            f"lattice_from_line K3, p=2, {len(k3_lines)} lines",
+            lambda: [lattice_from_line(k3, line) for line in k3_lines],
+        ),
+        (
+            f"line_from_lattice K3, p=2, {len(k3_neighbors)} neighbors",
+            lambda: [line_from_lattice(Nt) for Nt in k3_neighbors],
+        ),
+        (
+            f"line_from_lattice K3, p=2, {len(k3_rebuilt)} rebuilt",
+            lambda: [line_from_lattice(Nt) for Nt in k3_rebuilt],
         ),
         (
             # the W of each recovery in `qlat verify nice-cochar --p 2`

@@ -50,7 +50,7 @@ class CharLattice:
         if self.rank < 0:
             raise PreconditionError("negative rank")
         if self.weights is not None:
-            w = tuple(int(x) for x in self.weights)
+            w = IntMatrix.from_rows([self.weights]).entries[0]
             object.__setattr__(self, "weights", w)
             if len(w) != 3 or any(x < 0 for x in w):
                 raise PreconditionError("weight multiplicities must be three counts")

@@ -108,7 +108,9 @@ class IntMatrix:
         return tuple(r[j] for r in self.entries)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        if not self.entries:
+            return [()] * self.cols
+        return list(zip(*self.entries))
 
     def take_columns(self, indices: Sequence[int]) -> "IntMatrix":
         return IntMatrix(
@@ -196,7 +198,7 @@ class AbelianQuotient:
     def __post_init__(self) -> None:
         if self.free_rank < 0:
             raise PreconditionError("negative free rank")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "torsion", IntMatrix.from_rows([self.torsion]).entries[0])
         for d in self.torsion:
             if d <= 1:
                 raise PreconditionError("torsion entries must exceed 1")

@@ -128,7 +128,12 @@ class FpQuadSpace:
 
     def __post_init__(self) -> None:
         modp.check_prime(self.p)
-        hg = tuple(tuple(int(x) % self.p for x in row) for row in self.half_gram)
+        rows = tuple(tuple(row) for row in self.half_gram)
+        for row in rows:
+            for x in row:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise PreconditionError(f"non-integer entry {x!r}")
+        hg = tuple(tuple(x % self.p for x in row) for row in rows)
         n = len(hg)
         for row in hg:
             if len(row) != n:

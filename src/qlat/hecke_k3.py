@@ -81,7 +81,7 @@ class PolarizedK3Lattice:
     xi: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        xi = tuple(int(x) for x in self.xi)
+        xi = IntMatrix.from_rows([self.xi]).entries[0]
         object.__setattr__(self, "xi", xi)
         if self.lattice.rank != 22:
             raise PreconditionError("polarized lattice must have rank 22")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 from . import modp
@@ -84,18 +84,29 @@ class PLattice:
     (:func:`~qlat.exact_linalg.is_square_hnf`) is kept as given; any other
     is re-normalized by ``hnf_basis``.  Removing a common factor p keeps a
     Hermite basis canonical, so that step needs no second normalization.
+
+    ``_half_gram`` is the half-Gram of Q/p^(2·power) on the numerator
+    basis, given by a builder that has already certified it
+    (:func:`lattice_from_line`); :func:`plattice_quadlattice` reads it
+    instead of forming it again.  The lattice is frozen, so the kept form
+    stays the form of its fields; it is dropped when the basis given is
+    re-normalized, and equality, hashing and ``repr`` do not see it.
     """
 
     ambient: QuadLattice
     p: int
     power: int
     numerator_basis: IntMatrix
+    _half_gram: tuple[tuple[int, ...], ...] | None = field(
+        default=None, kw_only=True, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.power < 0:
             raise PreconditionError("negative power in lattice denominator")
         n = self.ambient.rank
         numer = self.numerator_basis
+        given = numer
         if not is_square_hnf(numer):
             numer = hnf_basis(numer)
         if numer.cols != n or numer.rows != n:
@@ -104,6 +115,8 @@ class PLattice:
         while power > 0 and all(x % p == 0 for row in numer.entries for x in row):
             numer = IntMatrix.from_rows([[x // p for x in row] for row in numer.entries])
             power -= 1
+        if numer is not given:
+            object.__setattr__(self, "_half_gram", None)
         object.__setattr__(self, "numerator_basis", numer)
         object.__setattr__(self, "power", power)
 
@@ -158,10 +171,16 @@ def plattice_quadlattice(L: PLattice) -> QuadLattice:
     Its half-Gram is that of Q/d on the numerator basis, d = p^(2·power)
     (:func:`~qlat.quad_lattice.basis_half_gram`); PreconditionError unless
     every entry is an integer, i.e. unless Q is integral on the lattice.
+    A lattice that keeps the half-Gram its builder certified (a neighbor
+    from :func:`lattice_from_line`) is not formed again; one built any
+    other way, from a document or mapped back by :func:`neighbors_of`, is
+    formed here on each call.
     """
-    hg = basis_half_gram(L.ambient, L.numerator_basis.columns(), L.scale_denominator() ** 2)
+    hg = L._half_gram
     if hg is None:
-        raise PreconditionError("lattice quadratic form is not integral")
+        hg = basis_half_gram(L.ambient, L.numerator_basis.columns(), L.scale_denominator() ** 2)
+        if hg is None:
+            raise PreconditionError("lattice quadratic form is not integral")
     return QuadLattice(hg)
 
 
@@ -235,7 +254,9 @@ def lattice_from_line(N: QuadLattice, line: ProjLine) -> PLattice:
     first, gives its canonical Hermite basis S.  S is checked before
     returning: its pivot product is pⁿ (self-dual), and the half-Gram of
     Q/p² on it (:func:`~qlat.quad_lattice.basis_half_gram`) is integral,
-    so Ñ is integral and even.
+    so Ñ is integral and even.  The returned lattice keeps that half-Gram,
+    so :func:`plattice_quadlattice` and :func:`line_from_lattice` do not
+    form it again.
     """
     p = _check_line(N, line)
     if not is_self_dual_at(N, p):
@@ -272,9 +293,10 @@ def lattice_from_line(N: QuadLattice, line: ProjLine) -> PLattice:
                 cols[j] = cj[:i] + [x - q * y for x, y in zip(cj[i:], ci[i:])]
     if math.prod(c[i] for i, c in enumerate(cols)) != p**n:
         raise InvariantViolationError("neighbor lattice is not self-dual (determinant)")
-    if basis_half_gram(N, cols, p * p) is None:
+    hg = basis_half_gram(N, cols, p * p)
+    if hg is None:
         raise InvariantViolationError("neighbor lattice is not integral")
-    return PLattice(N, p, 1, IntMatrix.from_columns(cols))
+    return PLattice(N, p, 1, IntMatrix.from_columns(cols), _half_gram=hg)
 
 
 def line_from_lattice(Nt: PLattice) -> ProjLine:
@@ -283,7 +305,9 @@ def line_from_lattice(Nt: PLattice) -> ProjLine:
     Validates that the input genuinely is a p-neighbor of its ambient
     lattice (index p in both directions, integral, even, self-dual); the
     ambient lattice itself and lattices further away than one p-step are
-    rejected.
+    rejected.  Integrality is :func:`plattice_quadlattice`'s check, made
+    only when the lattice keeps no certified half-Gram: a neighbor from
+    :func:`lattice_from_line` is not certified a second time.
     """
     N, p = Nt.ambient, Nt.p
     if not is_self_dual_at(N, p):
@@ -295,9 +319,10 @@ def line_from_lattice(Nt: PLattice) -> ProjLine:
     # a PLattice numerator is a square canonical Hermite basis
     if math.prod(S.entries[i][i] for i in range(n)) != p**n:
         raise PreconditionError("lattice is not self-dual (determinant)")
-    plattice_quadlattice(Nt)  # integral and even
+    if Nt._half_gram is None:
+        plattice_quadlattice(Nt)  # integral and even
     V = reduction(N, p)
-    red = [[x % p for x in S.column(j)] for j in range(n)]
+    red = [[x % p for x in col] for col in S.columns()]
     if modp.rank(red, p) != 1:
         raise PreconditionError("lattice does not exchange index p with the ambient")
     gen = next(rowvec for rowvec in red if any(e % p for e in rowvec))

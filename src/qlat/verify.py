@@ -36,7 +36,9 @@ Every suite builds its list of instances in the calling process, together
 with whatever work the instances share, and then deals the instances
 round-robin to one share per usable core (the process's CPU affinity, else
 ``os.cpu_count()``): the caller runs share 0 and forked children run the
-others, and the caller merges their counts and failure details.  With one
+others, and the caller merges their counts and failure details.
+``neighbor-bijection`` deals by weight instead: each instance in turn goes
+to the share with the least estimated time so far.  With one
 core, or where the platform cannot fork, the caller runs every instance
 and starts nothing.  ``witt-extension`` deals whole Gram types: one item
 is every subspace of one Gram type in one space, so the Witt records of a
@@ -175,12 +177,46 @@ def _hyperbolic_power(k: int) -> QuadLattice:
     return direct_sum(*[hyperbolic_plane() for _ in range(k)])
 
 
+def _quadric_value_counts(V: FpQuadSpace) -> list[int]:
+    """How many vectors of F_p^n take each value of Q: entry c counts Q(x) = c.
+
+    Visits all p^n vectors, prefix by prefix, with U the half-Gram.  A
+    prefix (x_0, …, x_{k−1}) carries Q of the prefix and, for each j ≥ k,
+    the coefficient ℓ_j = Σ_{i<k} U_ij·x_i that it contributes to x_j.
+    Appending x_k = t adds t·(ℓ_k + U_kk·t) to Q and t·U_kj to each ℓ_j,
+    j > k, so a vector costs O(1) amortised where Q from scratch costs
+    O(n²).  The last coordinate's p values are tested one by one.
+    """
+    p, U, n = V.p, V.half_gram, V.dim
+    counts = [0] * p
+    if n == 0:
+        counts[0] = 1
+        return counts
+    last = U[n - 1][n - 1]
+
+    def scan(k: int, q: int, lin: list[int]) -> None:
+        if k == n - 1:
+            l = lin[0]
+            for t in range(p):
+                counts[(q + t * (l + last * t)) % p] += 1
+            return
+        row = U[k]
+        lk, ukk, right, tail = lin[0], row[k], row[k + 1 :], lin[1:]
+        for t in range(p):
+            scan(k + 1, q + t * (lk + ukk * t), [x + t * u for x, u in zip(tail, right)])
+
+    scan(0, 0, [0] * n)
+    return counts
+
+
 def _brute_line_count(V: FpQuadSpace) -> int:
-    """Isotropic-line count by scanning every vector (independent route)."""
-    p, n = V.p, V.dim
-    points = sum(
-        1 for v in product(range(p), repeat=n) if any(v) and V.q(v) == 0
-    )
+    """Isotropic-line count by scanning every vector (independent route).
+
+    The nonzero zeros of Q among the p^n vectors that
+    :func:`_quadric_value_counts` visits, divided by p − 1.
+    """
+    p = V.p
+    points = _quadric_value_counts(V)[0] - 1
     if points % (p - 1):
         raise InvariantViolationError("isotropic point count not divisible by p - 1")
     return points // (p - 1)
@@ -232,26 +268,55 @@ def processes() -> int:
     return _usable_cores() if hasattr(os, "fork") else 1
 
 
-def _deal(name: str, items: list, check) -> VerifyReport:
+def _shares_by_weight(weights: list[int], shares: int) -> list[list[int]]:
+    """The item indices of each share, for items of these weights.
+
+    Each item in turn goes to the share with the least weight so far, the
+    lowest such share on a tie; so with equal weights share s holds the
+    items s, s + c, s + 2c, … of c shares.  A share keeps the suite's
+    order.  Every weight must be a positive integer.
+    """
+    if any(not isinstance(w, int) or isinstance(w, bool) or w <= 0 for w in weights):
+        raise PreconditionError("item weights must be positive integers")
+    loads = [0] * shares
+    out: list[list[int]] = [[] for _ in range(shares)]
+    for index, weight in enumerate(weights):
+        share = loads.index(min(loads))
+        loads[share] += weight
+        out[share].append(index)
+    return out
+
+
+def _deal(name: str, items: list, check, weights: list[int] | None = None) -> VerifyReport:
     """The finished report of ``check(part, item)`` over every item.
 
-    Share s of c runs ``check`` on ``items[s::c]`` into a report of its own,
-    and the caller adds up the shares' counts and failure details.  c is
-    :func:`processes`, but never more than there are items, and the report
-    keeps it as ``processes``.  Work that the items share is built by the
-    caller before it calls this, so every share inherits it and a guard on
-    it trips before anything forks.
+    Each share runs ``check`` on its items into a report of its own, and
+    the caller adds up the shares' counts and failure details.  The items
+    are dealt by ``weights`` (one positive integer per item, each a
+    measure of its cost; :func:`_shares_by_weight`), so that the shares
+    end at about the same time; without weights every item weighs the
+    same, and share s of c runs ``items[s::c]``.  c is :func:`processes`,
+    but never more than there are items, and the report keeps it as
+    ``processes``.  Work that the items share is built by the caller
+    before it calls this, so every share inherits it and a guard on it
+    trips before anything forks.
     """
+    if weights is None:
+        weights = [1] * len(items)
+    elif len(weights) != len(items):
+        raise PreconditionError("one weight per item")
+    shares = max(1, min(processes(), len(items)))
+    dealt = _shares_by_weight(weights, shares)
 
-    def run(share: int, shares: int) -> VerifyReport:
+    def run(share: int, jobs: int) -> VerifyReport:
         part = VerifyReport(name)
-        for item in items[share::shares]:
-            check(part, item)
+        for index in dealt[share]:
+            check(part, items[index])
         return part
 
     report = VerifyReport(name)
-    report.processes = max(1, min(processes(), len(items)))
-    for part in _run_shares(run, report.processes):
+    report.processes = shares
+    for part in _run_shares(run, shares):
         report.instances += part.instances
         report.failures += part.failures
         report.details += part.details
@@ -333,6 +398,12 @@ def suite_neighbor_bijection(primes, max_rank, seed, max_points) -> VerifyReport
     enumeration and by (B).  Both round trips follow: (B) is the one
     through ψ first, and for a line l, (A) gives exactly one Ñ with
     ψ(Ñ) = l, so (B) gives φ(l) = Ñ and hence ψ(φ(l)) = l.
+
+    The items are dealt by weight.  A lattice item's time grows as its
+    neighbors × n², one neighbor of H^k at p per isotropic line of the
+    split space, (p^{k−1} + 1)(p^k − 1)/(p − 1) of them; a space item's as
+    the p^n vectors its oracle scans.  One neighbor·n² costs about as much
+    as ten scanned vectors.
     """
     primes = tuple(primes) if primes else (2, 3, 5)
     lattices = [(k, _hyperbolic_power(k)) for k in (1, 2, 3) if 2 * k <= max_rank]
@@ -340,6 +411,14 @@ def suite_neighbor_bijection(primes, max_rank, seed, max_points) -> VerifyReport
     items += [
         (name, None, V, p) for p in primes for name, V in _nondegenerate_spaces(p, max_rank)
     ]
+
+    def weight(item) -> int:
+        _, N, V, p = item
+        if N is None:
+            return p**V.dim
+        n = N.rank
+        k = n // 2
+        return 10 * (p ** (k - 1) + 1) * (p**k - 1) // (p - 1) * n * n
 
     def check(report: VerifyReport, item) -> None:
         name, N, V, p = item
@@ -372,7 +451,7 @@ def suite_neighbor_bijection(primes, max_rank, seed, max_points) -> VerifyReport
             {"lines": len(lines), "neighbors": len(neighbors), "round_trips": round_trips},
         )
 
-    return _deal("neighbor-bijection", items, check)
+    return _deal("neighbor-bijection", items, check, weights=[weight(item) for item in items])
 
 
 def _cochar_instances(primes, max_rank):

@@ -420,6 +420,26 @@ def test_verify_size_guard_is_input_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("bad", ["1.5", "true"])
+@pytest.mark.parametrize("where", ["lattice", "embedding"])
+def test_a_non_integer_json_matrix_entry_is_input_error(capsys, tmp_path, where, bad):
+    if where == "lattice":
+        argv = ["lattice", "info", '{"half_gram": [[2, %s], [0, 2]]}' % bad]
+    else:
+        member = tmp_path / "member.json"
+        member.write_text(json.dumps({
+            "ambient": {"rank": 2, "half_gram": [[0, 1], [0, 0]]},
+            "p": 3,
+            "power": 1,
+            "numerator_basis": [[1, 0], [0, 9]],
+        }), encoding="utf-8")
+        argv = ["grow", str(member), "[[1], [%s]]" % bad]
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: non-integer entry {json.loads(bad)!r}\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "key, value", [("p", "three"), ("p", 2.5), ("power", None), ("power", [1])]
 )

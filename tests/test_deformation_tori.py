@@ -87,6 +87,17 @@ def test_cokernel_rejects_wrong_weights():
         )
 
 
+@pytest.mark.parametrize(
+    "weights, bad",
+    [((1.0, True, 1), 1.0), ((1, Fraction(3, 2), 1), Fraction(3, 2)), ((1, True, 1), True)],
+    ids=["float", "fraction", "bool"],
+)
+def test_char_lattice_rejects_non_integer_weights(weights, bad):
+    # truncating (1.0, True, 1) would give the weights (1, 1, 1)
+    with pytest.raises(PreconditionError, match=f"^non-integer entry {re.escape(repr(bad))}$"):
+        CharLattice(3, weights=weights)
+
+
 @pytest.mark.parametrize("bad", [0.5, Fraction(3, 2), True], ids=["float", "fraction", "bool"])
 def test_cokernel_rejects_non_integer_generators(bad):
     # truncating 0.5 to 0 would make this the valid W = Z·e_3

@@ -108,6 +108,14 @@ def test_abelian_quotient_validation():
         AbelianQuotient(1, ()).order()
 
 
+@pytest.mark.parametrize("bad", [2.7, Fraction(4, 1), True], ids=["float", "fraction", "bool"])
+def test_abelian_quotient_rejects_non_integer_torsion(bad):
+    # truncating 2.7 would give the torsion (2,)
+    with pytest.raises(PreconditionError, match=f"^non-integer entry {re.escape(repr(bad))}$"):
+        AbelianQuotient(0, (bad,))
+    assert AbelianQuotient(0, [2, 4]).torsion == (2, 4)
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------

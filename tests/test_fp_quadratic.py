@@ -2,7 +2,9 @@
 
 import math
 import random
+import re
 import time
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -55,6 +57,19 @@ def diag_space(p, *qs):
     n = len(qs)
     half = [[qs[i] if i == j else 0 for j in range(n)] for i in range(n)]
     return FpQuadSpace(p, tuple(tuple(r) for r in half))
+
+
+@pytest.mark.parametrize(
+    "rows, bad",
+    [(((1.9, True), (0, Fraction(7, 2))), 1.9), (((1, 0), (0, Fraction(7, 2))), Fraction(7, 2)),
+     (((1, True), (0, 1)), True)],
+    ids=["float", "fraction", "bool"],
+)
+def test_a_space_rejects_non_integer_entries(rows, bad):
+    # truncating ((1.9, True), (0, 7/2)) would give the half-Gram ((1, 1), (0, 0))
+    with pytest.raises(PreconditionError, match=f"^non-integer entry {re.escape(repr(bad))}$"):
+        FpQuadSpace(3, rows)
+    assert FpQuadSpace(3, [[4, -1], [0, 3]]).half_gram == ((1, 2), (0, 0))
 
 
 # ---------------------------------------------------------------------------

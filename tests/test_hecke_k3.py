@@ -12,6 +12,7 @@ from qlat import (
     IntMatrix,
     MinimalPair,
     PLattice,
+    PolarizedK3Lattice,
     PreconditionError,
     ProjLine,
     QuadLattice,
@@ -315,6 +316,19 @@ def test_grow_rejects_an_embedding_outside_the_lattice():
     Nt = PLattice(H3, 2, 0, IntMatrix.identity(6).scale(2))
     with pytest.raises(PreconditionError, match="^embedded sublattice must lie in Ñ$"):
         grow_unique(Nt, IntMatrix.from_columns([(1, 0, 0, 0, 0, 0)]))
+
+
+@pytest.mark.parametrize(
+    "xi, bad",
+    [((1, 4.9) + (0,) * 20, 4.9), ((1, Fraction(3, 2)) + (0,) * 20, Fraction(3, 2)),
+     ((True, 1) + (0,) * 20, True)],
+    ids=["float", "fraction", "bool"],
+)
+def test_a_polarization_class_rejects_non_integer_entries(xi, bad):
+    # truncating 4.9 to 4 would make (1, 4, 0, …) a class of degree 4
+    with pytest.raises(PreconditionError, match=f"^non-integer entry {re.escape(repr(bad))}$"):
+        PolarizedK3Lattice(k3_lattice(), xi)
+    assert PolarizedK3Lattice(k3_lattice(), (1, 4) + (0,) * 20).xi == (1, 4) + (0,) * 20
 
 
 @pytest.mark.parametrize("bad", [0.5, Fraction(3, 2), True], ids=["float", "fraction", "bool"])

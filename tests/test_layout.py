@@ -25,6 +25,10 @@
   ``restricted_lattice`` and ``shrink_fiber`` refer to
   ``basis_half_gram``, and no function of ``padic_lattice`` or
   ``hecke_k3`` refers to ``transpose``.
+* The brute-force line count of ``verify`` stays independent of the
+  enumeration kernels: ``_brute_line_count`` and its scan
+  ``_quadric_value_counts`` name neither ``kernels`` nor any of its
+  functions.
 * A p-neighbor's basis is written down, not eliminated:
   ``padic_lattice.lattice_from_line`` refers to ``kernel_mod_p`` and to
   neither ``hnf_basis`` nor ``hermite_normal_form``.
@@ -251,6 +255,18 @@ def test_lattice_from_line_eliminates_nothing():
     names = _names_in(_function("padic_lattice", "lattice_from_line"))
     assert "kernel_mod_p" in names
     assert not {"hnf_basis", "hermite_normal_form"} & names
+
+
+@pytest.mark.parametrize("name", ["_brute_line_count", "_quadric_value_counts"])
+def test_the_line_count_oracle_uses_no_kernel(name):
+    kernel_functions = {
+        node.name
+        for node in _tree(PACKAGE / "kernels.py").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "_zeros" in kernel_functions
+    names = _names_in(_function("verify", name))
+    assert not ({"kernels"} | kernel_functions) & names
 
 
 @pytest.mark.parametrize(

@@ -179,6 +179,57 @@ def test_line_from_lattice_rejects_a_wrong_determinant(pivots):
         line_from_lattice(Nt)
 
 
+@pytest.mark.parametrize("N, p", [(H3, 3), (HE8, 2)], ids=["H3-p3", "HE8-p2"])
+def test_the_neighbor_form_is_formed_once_across_phi_and_psi(monkeypatch, N, p):
+    real, calls = padic_lattice.basis_half_gram, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(padic_lattice, "basis_half_gram", counting)
+    lines = enumerate_isotropic_lines(reduction(N, p))
+    neighbors = [lattice_from_line(N, line) for line in lines]
+    assert [line_from_lattice(Nt) for Nt in neighbors] == list(lines)
+    forms = [plattice_quadlattice(Nt) for Nt in neighbors]
+    assert len(calls) == len(lines)
+    # rebuilt from its basis, a neighbor keeps no form: ψ and the form form it
+    rebuilt = [PLattice(N, p, 1, Nt.numerator_basis) for Nt in neighbors]
+    assert rebuilt == neighbors
+    assert [line_from_lattice(Nt) for Nt in rebuilt] == list(lines)
+    assert [plattice_quadlattice(Nt) for Nt in rebuilt] == forms
+    assert len(calls) == 3 * len(lines)
+
+
+def test_line_from_a_lattice_rebuilt_from_a_basis_still_rejects_a_non_integral_form():
+    # the neighbor of H mod 3 at the line (1, 0) has pÑ = Z·(1, 0) + Z·(0, 9);
+    # moving (1, 0) to (1, 1) keeps the Hermite shape, the determinant 3² and
+    # the index, but Q((1, 1)/3) = 1/9
+    p = 3
+    Nt = lattice_from_line(H, ProjLine(reduction(H, p), (1, 0)))
+    assert Nt.numerator_basis == IntMatrix.from_rows([[1, 0], [0, 9]])
+    rebuilt = PLattice(H, p, 1, Nt.numerator_basis)
+    assert line_from_lattice(rebuilt) == line_from_lattice(Nt)
+    moved = PLattice(H, p, 1, IntMatrix.from_rows([[1, 0], [1, 9]]))
+    assert moved.numerator_basis == IntMatrix.from_rows([[1, 0], [1, 9]]) and moved.power == 1
+    with pytest.raises(PreconditionError, match="^lattice quadratic form is not integral$"):
+        line_from_lattice(moved)
+
+
+def test_a_kept_form_is_dropped_when_the_basis_is_renormalized():
+    p = 2
+    for Nt in enumerate_neighbors(H2, p):
+        assert Nt._half_gram is not None
+        cols = Nt.numerator_basis.columns()[::-1]
+        again = PLattice(H2, p, 1, IntMatrix.from_columns(cols), _half_gram=Nt._half_gram)
+        assert again == Nt and again._half_gram is None
+        doubled = PLattice(H2, p, 2, Nt.numerator_basis.scale(p), _half_gram=Nt._half_gram)
+        assert doubled == Nt and doubled._half_gram is None
+        kept = PLattice(H2, p, 1, Nt.numerator_basis, _half_gram=Nt._half_gram)
+        assert kept._half_gram is Nt._half_gram
+        assert plattice_quadlattice(again) == plattice_quadlattice(Nt)
+
+
 def test_neighbors_of_ambient_match_enumeration():
     """The ambient lattice's neighbors, built directly, are those the
     general route computes in the lattice's own coordinates and maps back."""

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import time
@@ -26,6 +27,8 @@ from qlat import verify as verify_module
 from qlat.cli import main
 from qlat.modp import rank
 from qlat.verify import SUITES, VerifyReport, _digest, closed_form_line_count, run_suite
+
+import quadric_oracle
 
 
 def _hyperbolic_space(p, copies):
@@ -64,6 +67,52 @@ def test_closed_form_rejects_degenerate_space():
     V = FpQuadSpace(2, ((0, 0), (0, 0)))
     with pytest.raises(PreconditionError):
         closed_form_line_count(V)
+
+
+# ---------------------------------------------------------------------------
+# the brute-force line count: a scan that carries Q along the prefixes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_scan_matches_q_from_scratch_on_every_nondegenerate_space(p):
+    spaces = list(verify_module._nondegenerate_spaces(p, 6))
+    assert len(spaces) == (6 if p == 2 else 12)
+    for name, V in spaces:
+        counts = verify_module._quadric_value_counts(V)
+        assert sum(counts) == p**V.dim, name  # every vector visited once
+        assert counts == quadric_oracle.value_counts(V), name
+        assert verify_module._brute_line_count(V) == quadric_oracle.line_count(V), name
+        assert verify_module._brute_line_count(V) == closed_form_line_count(V), name
+
+
+def _degenerate_half_grams(p, seed=0):
+    """The zero form of each dimension 1 … 4, and seeded forms with a radical."""
+    rng = random.Random(seed)
+    forms = [[[0] * n for _ in range(n)] for n in range(1, 5)]
+    for n in range(1, 6):
+        for _ in range(6):
+            rows = [[rng.randrange(p) if j >= i else 0 for j in range(n)] for i in range(n)]
+            k = rng.randrange(n)  # the k-th coordinate vector spans the radical
+            for i in range(n):
+                rows[min(i, k)][max(i, k)] = 0
+            forms.append(rows)
+    return forms
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_scan_matches_q_from_scratch_on_degenerate_forms(p):
+    forms = _degenerate_half_grams(p)
+    spaces = [FpQuadSpace(p, rows) for rows in forms]
+    assert not any(V.is_nondegenerate() for V in spaces)
+    for V in spaces:
+        counts = verify_module._quadric_value_counts(V)
+        assert sum(counts) == p**V.dim
+        assert counts == quadric_oracle.value_counts(V), V.half_gram
+        assert verify_module._brute_line_count(V) == quadric_oracle.line_count(V)
+    empty = FpQuadSpace(p, ())  # one vector, the zero vector
+    assert verify_module._quadric_value_counts(empty) == quadric_oracle.value_counts(empty)
+    assert verify_module._brute_line_count(empty) == 0
 
 
 def test_report_that_checked_nothing_is_an_error():
@@ -117,6 +166,91 @@ def test_suite_reports_are_deterministic():
 
 def _cores(monkeypatch, count):
     monkeypatch.setattr(verify_module, "_usable_cores", lambda: count)
+
+
+def _shares_in_turn(monkeypatch):
+    """Run the shares of each deal one after another in this process; the
+    returned list holds the number of the share now running."""
+    current = [0]
+
+    def in_turn(task, jobs):
+        parts = []
+        for share in range(jobs):
+            current[0] = share
+            parts.append(task(share, jobs))
+        return parts
+
+    monkeypatch.setattr(verify_module, "_run_shares", in_turn)
+    return current
+
+
+@pytest.mark.parametrize("shares", [1, 2, 3])
+def test_equal_weights_deal_round_robin(shares):
+    for count in range(12):
+        expected = [list(range(count))[s::shares] for s in range(shares)]
+        assert verify_module._shares_by_weight([1] * count, shares) == expected
+        assert verify_module._shares_by_weight([7] * count, shares) == expected
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("weighted", [False, True], ids=["no-weights", "equal-weights"])
+def test_a_deal_of_equal_weights_runs_items_s_mod_c_in_share_s(monkeypatch, cores, weighted):
+    _cores(monkeypatch, cores)
+    current, seen = _shares_in_turn(monkeypatch), []
+    items = list(range(10))
+
+    def check(report, item):
+        seen.append((current[0], item))
+        report.record({"item": item}, True, None, None)
+
+    weights = [3] * len(items) if weighted else None
+    report = verify_module._deal("demo", items, check, weights=weights)
+    assert (report.processes, report.instances) == (cores, 10)
+    by_share = [[item for share, item in seen if share == s] for s in range(cores)]
+    assert by_share == [items[s::cores] for s in range(cores)]
+
+
+def test_each_item_goes_to_the_lightest_share_so_far():
+    assert verify_module._shares_by_weight([5, 1, 1, 1, 9, 1], 2) == [[0, 5], [1, 2, 3, 4]]
+    # a tie goes to the lowest share
+    assert verify_module._shares_by_weight([2, 1, 1, 4], 3) == [[0], [1, 3], [2]]
+    assert verify_module._shares_by_weight([2, 1, 1], 2) == [[0], [1, 2]]
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.5, True, None], ids=repr)
+def test_weights_must_be_positive_integers(bad):
+    with pytest.raises(PreconditionError, match="^item weights must be positive integers$"):
+        verify_module._shares_by_weight([1, bad, 1], 2)
+
+
+def test_a_deal_takes_one_weight_per_item():
+    with pytest.raises(PreconditionError, match="^one weight per item$"):
+        verify_module._deal("demo", [1, 2, 3], lambda report, item: None, weights=[1, 1])
+
+
+def test_neighbor_bijection_deals_the_largest_lattice_apart_from_the_spaces(monkeypatch):
+    _cores(monkeypatch, 2)
+    current, seen = _shares_in_turn(monkeypatch), []
+    reduction_of = verify_module.reduction
+
+    def recording(N, p):
+        seen.append((current[0], N.rank, p))
+        return reduction_of(N, p)
+
+    monkeypatch.setattr(verify_module, "reduction", recording)
+    checks = verify_module.closed_form_line_count
+
+    def recording_spaces(V):
+        seen.append((current[0], None, V.p))
+        return checks(V)
+
+    monkeypatch.setattr(verify_module, "closed_form_line_count", recording_spaces)
+    report = run_suite("neighbor-bijection")
+    assert (report.instances, report.failures) == (39, 0)
+    (heavy,) = [share for share, rank, p in seen if (rank, p) == (6, 5)]
+    spaces = {share for share, rank, _ in seen if rank is None}
+    assert len([1 for _, rank, _ in seen if rank is None]) == 30
+    assert spaces == {1 - heavy}
 
 
 @pytest.mark.parametrize(
