@@ -1,4 +1,4 @@
-"""Points of a quadric over F_p, counted by evaluating Q from scratch.
+"""Points of a quadric over F_p, counted by evaluating Q anew at each vector.
 
 An oracle for the tests of ``qlat.verify``'s brute-force line count: it
 evaluates ``FpQuadSpace.q`` at every vector of F_p^n, O(n²) per vector,

@@ -75,7 +75,7 @@ def test_closed_form_rejects_degenerate_space():
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_the_scan_matches_q_from_scratch_on_every_nondegenerate_space(p):
+def test_the_scan_matches_q_at_each_vector_on_every_nondegenerate_space(p):
     spaces = list(verify_module._nondegenerate_spaces(p, 6))
     assert len(spaces) == (6 if p == 2 else 12)
     for name, V in spaces:
@@ -101,7 +101,7 @@ def _degenerate_half_grams(p, seed=0):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_the_scan_matches_q_from_scratch_on_degenerate_forms(p):
+def test_the_scan_matches_q_at_each_vector_on_degenerate_forms(p):
     forms = _degenerate_half_grams(p)
     spaces = [FpQuadSpace(p, rows) for rows in forms]
     assert not any(V.is_nondegenerate() for V in spaces)
@@ -358,22 +358,14 @@ def _witt_records_by_share(monkeypatch, cores, **params):
     space other than the one the share before it ended on, so it builds its
     own ``FpQuadSpace`` and records, as a forked child does.
     """
-    calls, current = [], [0]
+    calls, current = [], _shares_in_turn(monkeypatch)
     record = fp_quadratic._witt_record
 
     def tagged(V, S, key):
         calls.append((current[0], V, S))
         return record(V, S, key)
 
-    def in_turn(task, jobs):
-        parts = []
-        for share in range(jobs):
-            current[0] = share
-            parts.append(task(share, jobs))
-        return parts
-
     monkeypatch.setattr(fp_quadratic, "_witt_record", tagged)
-    monkeypatch.setattr(verify_module, "_run_shares", in_turn)
     _cores(monkeypatch, cores)
     run_suite("witt-extension", **params)
     monkeypatch.setattr(fp_quadratic, "_witt_record", record)
