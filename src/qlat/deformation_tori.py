@@ -30,7 +30,7 @@ from .exact_linalg import (
     saturate,
     split_hnf,
 )
-from .modp import check_prime
+from .modp import check_int, check_prime
 
 __all__ = ["CharLattice", "cokernel_M"]
 
@@ -47,10 +47,11 @@ class CharLattice:
     weights: tuple[int, int, int] | None = None
 
     def __post_init__(self) -> None:
+        check_int(self.rank)
         if self.rank < 0:
             raise PreconditionError("negative rank")
         if self.weights is not None:
-            w = IntMatrix.from_rows([self.weights]).entries[0]
+            w = check_int(*self.weights)
             object.__setattr__(self, "weights", w)
             if len(w) != 3 or any(x < 0 for x in w):
                 raise PreconditionError("weight multiplicities must be three counts")
@@ -89,8 +90,7 @@ def cokernel_M(
     if split.weights is None or split.weights[0] != 1 or split.weights[2] != 1:
         raise PreconditionError("weight decomposition must be (1, b, 1)")
     n = split.rank
-    if not isinstance(W_gens, IntMatrix):
-        W_gens = IntMatrix.from_rows(W_gens)
+    W_gens = IntMatrix.from_rows(W_gens)
     if W_gens.rows != n:
         raise PreconditionError("generators live in the wrong rank")
     W = hnf_basis(W_gens)

@@ -32,6 +32,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
+from .modp import check_int, int_tuples
 
 __all__ = [
     "IntMatrix",
@@ -58,8 +59,9 @@ class IntMatrix:
     ``IntMatrix(entries)`` and the factories ``from_rows`` and
     ``from_columns`` are the public constructors; all three reject ragged
     input and entries that are not ``int`` (``bool`` included) with
-    PreconditionError, and convert nothing.  The arithmetic below builds
-    matrices whose entries are already ints and passes ``_trusted=True``
+    PreconditionError (``modp.int_tuples``), and convert nothing, and
+    ``from_rows`` returns an ``IntMatrix`` as it is.  The arithmetic below
+    builds matrices whose entries are already ints and passes ``_trusted=True``
     to skip the per-entry check.  A matrix with no rows keeps its column
     count ``cols`` (default 0), which its entries cannot record.
     """
@@ -71,19 +73,19 @@ class IntMatrix:
         self, entries: Iterable[Iterable[int]], _trusted: bool = False, cols: int = 0
     ) -> None:
         if not _trusted:
-            entries = _int_tuples(entries, "ragged rows in matrix")
+            entries = int_tuples(entries, "ragged rows in matrix")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "cols", len(entries[0]) if entries else cols)
 
     # -- construction -------------------------------------------------
 
     @staticmethod
-    def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return IntMatrix(rows)
+    def from_rows(rows: "IntMatrix | Iterable[Iterable[int]]") -> "IntMatrix":
+        return rows if isinstance(rows, IntMatrix) else IntMatrix(rows)
 
     @staticmethod
     def from_columns(cols: Iterable[Iterable[int]], rows: int | None = None) -> "IntMatrix":
-        cols = _int_tuples(cols, "ragged columns")
+        cols = int_tuples(cols, "ragged columns")
         if not cols and rows is None:
             raise PreconditionError("row count required for a matrix with no columns")
         return _from_columns(cols, rows)
@@ -196,19 +198,16 @@ class AbelianQuotient:
     torsion: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        check_int(self.free_rank)
         if self.free_rank < 0:
             raise PreconditionError("negative free rank")
-        object.__setattr__(self, "torsion", IntMatrix.from_rows([self.torsion]).entries[0])
+        object.__setattr__(self, "torsion", check_int(*self.torsion))
         for d in self.torsion:
             if d <= 1:
                 raise PreconditionError("torsion entries must exceed 1")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise PreconditionError("torsion must form a divisibility chain")
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     @property
     def is_finite(self) -> bool:
@@ -223,18 +222,6 @@ class AbelianQuotient:
 # ---------------------------------------------------------------------------
 # construction and arithmetic helpers
 # ---------------------------------------------------------------------------
-
-
-def _int_tuples(rows: Iterable[Iterable[int]], ragged: str) -> tuple[tuple[int, ...], ...]:
-    """``rows`` as tuples, checked to share one length and hold ints only (no bools)."""
-    rows = tuple(tuple(r) for r in rows)
-    if len({len(r) for r in rows}) > 1:
-        raise PreconditionError(ragged)
-    for row in rows:
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise PreconditionError(f"non-integer entry {x!r}")
-    return rows
 
 
 def _from_columns(cols: Sequence[Sequence[int]], rows: int) -> IntMatrix:

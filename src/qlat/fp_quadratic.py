@@ -128,16 +128,11 @@ class FpQuadSpace:
 
     def __post_init__(self) -> None:
         modp.check_prime(self.p)
-        rows = tuple(tuple(row) for row in self.half_gram)
-        for row in rows:
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise PreconditionError(f"non-integer entry {x!r}")
+        rows = modp.int_tuples(self.half_gram, "half-Gram matrix must be square")
         hg = tuple(tuple(x % self.p for x in row) for row in rows)
         n = len(hg)
-        for row in hg:
-            if len(row) != n:
-                raise PreconditionError("half-Gram matrix must be square")
+        if hg and len(hg[0]) != n:
+            raise PreconditionError("half-Gram matrix must be square")
         for i in range(n):
             if any(hg[i][j] for j in range(i)):
                 raise PreconditionError("half-Gram matrix must be upper triangular")
@@ -202,8 +197,8 @@ class ProjLine:
 
     The generator's leading nonzero coordinate is 1; two ProjLine values
     are equal iff they are the same line of the same space.
-    ``ProjLine(space, v)`` is the public constructor: it checks the
-    dimension and normalizes v.  The kernels' outputs are already
+    ``ProjLine(space, v)`` is the public constructor: it checks v as
+    ``_vectors`` does and normalizes it.  The kernels' outputs are already
     normalized tuples of ints in [0, p), and their callers here pass
     ``_trusted=True`` to skip that work.
     """
@@ -214,9 +209,7 @@ class ProjLine:
     def __init__(self, space: FpQuadSpace, generator: Sequence[int], _trusted: bool = False) -> None:
         if not _trusted:
             p = space.p
-            v = tuple(int(x) % p for x in generator)
-            if len(v) != space.dim:
-                raise PreconditionError("line generator has wrong dimension")
+            (v,) = _vectors(space, [generator], "line generator has wrong dimension")
             lead = next((i for i, x in enumerate(v) if x), None)
             if lead is None:
                 raise PreconditionError("zero vector spans no line")
@@ -243,8 +236,8 @@ class FpIsometry:
     def __post_init__(self) -> None:
         V = self.space
         p, n = V.p, V.dim
-        m = tuple([tuple([int(x) % p for x in row]) for row in self.matrix])
-        if len(m) != n or any(len(r) != n for r in m):
+        m = _vectors(V, self.matrix, "isometry matrix has wrong shape")
+        if len(m) != n:
             raise PreconditionError("isometry matrix has wrong shape")
         object.__setattr__(self, "matrix", m)
         if self.det() == 0:
@@ -292,13 +285,22 @@ class FpIsometry:
 # ---------------------------------------------------------------------------
 
 
-def _vectors(V: FpQuadSpace, vectors: Iterable[Sequence[int]], what: str) -> tuple[Vector, ...]:
-    """``vectors`` reduced mod p; PreconditionError unless each has V.dim entries."""
+def _vectors(V: FpQuadSpace, vectors: Iterable[Sequence[int]], wrong_length: str) -> Matrix:
+    """The one reduction of caller vectors mod p, checked by ``modp.int_tuples``.
+
+    PreconditionError(wrong_length) unless each vector has V.dim entries.
+    """
     p, n = V.p, V.dim
-    out = tuple([tuple([int(x) % p for x in v]) for v in vectors])
-    if any(len(v) != n for v in out):
-        raise PreconditionError(f"{what} has wrong dimension")
-    return out
+    rows = modp.int_tuples(vectors, wrong_length)
+    if rows and len(rows[0]) != n:
+        raise PreconditionError(wrong_length)
+    return tuple([tuple([x % p for x in v]) for v in rows])
+
+
+def _span_basis(V: FpQuadSpace, basis: Iterable[Sequence[int]], wrong_length: str) -> list[Vector]:
+    """The nonzero rows of the rref of the caller's ``basis``, checked by ``_vectors``."""
+    rows, pivots = modp.rref(_vectors(V, basis, wrong_length), V.p)
+    return [tuple(r) for r in rows[: len(pivots)]]
 
 
 def _combine(basis: Sequence[Vector], coeffs: Sequence[int], p: int) -> Vector:
@@ -495,8 +497,7 @@ def isotropic_lines_in(
     the canonical order.
     """
     p = V.p
-    rows, pivots = modp.rref(_vectors(V, basis, "subspace basis vector"), p)
-    R = [tuple(r) for r in rows[: len(pivots)]]
+    R = _span_basis(V, basis, "subspace basis vector has wrong dimension")
     if not R:
         return ()
     coeffs = isotropic_generators(_restrict(V, R), max_points)
@@ -515,7 +516,7 @@ def reflection(V: FpQuadSpace, v: Sequence[int]) -> FpIsometry:
     identity.
     """
     p = V.p
-    (v,) = _vectors(V, [v], "reflection vector")
+    (v,) = _vectors(V, [v], "reflection vector has wrong dimension")
     qv = V.q(v)
     if qv == 0:
         raise PreconditionError("reflection vector must be anisotropic")
@@ -761,8 +762,9 @@ def witt_extension(
         raise PreconditionError("Witt extension requires a nondegenerate space")
     records = V._witt_cache["tuples"]
     rx, ry = _record_of(records, w1_basis), _record_of(records, w2_basis)
-    X = _vectors(V, w1_basis, "subspace basis vector") if rx is None else rx[4]
-    Y = _vectors(V, w2_basis, "subspace basis vector") if ry is None else ry[4]
+    wrong = "subspace basis vector has wrong dimension"
+    X = _vectors(V, w1_basis, wrong) if rx is None else rx[4]
+    Y = _vectors(V, w2_basis, wrong) if ry is None else ry[4]
     k = len(X)
     if len(Y) != k:
         raise PreconditionError("subspace bases have different sizes")
@@ -829,8 +831,7 @@ def reflection_factorization(V: FpQuadSpace, g: FpIsometry | Matrix) -> list[Vec
         raise PreconditionError("reflection factorization implemented for odd p only")
     if not V.is_nondegenerate():
         raise PreconditionError("factorization requires a nondegenerate space")
-    h = g.matrix if isinstance(g, FpIsometry) else tuple(tuple(int(x) % p for x in r) for r in g)
-    FpIsometry(V, h)  # validates h is an isometry
+    h = FpIsometry(V, g.matrix if isinstance(g, FpIsometry) else g).matrix
     out: list[Vector] = []
     for w, _ in _orthogonal_basis(V):
         hw = modp.mat_vec(h, w, p)
@@ -901,8 +902,7 @@ def stabilizer_orbit(
     lines = set(universe)
     if any(line.space != V for line in lines):
         raise PreconditionError("universe line belongs to a different space")
-    rows, pivots = modp.rref(_vectors(V, w_basis, "W vector"), p)
-    W = [tuple(r) for r in rows[: len(pivots)]]
+    W = _span_basis(V, w_basis, "W vector has wrong dimension")
     v0, k = seed.generator, len(W)
     if modp.rank(W + [v0], p) == k:
         return (seed,) if seed in lines else ()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolationError, PreconditionError
 from .exact_linalg import IntMatrix, hnf_basis, saturate
-from .modp import MAX_PROJ_POINTS, check_prime, is_prime
+from .modp import MAX_PROJ_POINTS, check_int, check_prime, is_prime
 from .padic_lattice import PLattice, neighbors_of, shrink_set
 from .quad_lattice import (
     QuadLattice,
@@ -56,8 +56,7 @@ class MinimalPair:
 
     def __post_init__(self) -> None:
         r = self.lattice.rank
-        if not isinstance(self.tilde_basis, IntMatrix):
-            object.__setattr__(self, "tilde_basis", IntMatrix.from_rows(self.tilde_basis))
+        object.__setattr__(self, "tilde_basis", IntMatrix.from_rows(self.tilde_basis))
         tb = self.tilde_basis
         if tb.rows != r or tb.cols != r:
             raise PreconditionError("index sublattice basis must be square of full rank")
@@ -81,7 +80,7 @@ class PolarizedK3Lattice:
     xi: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        xi = IntMatrix.from_rows([self.xi]).entries[0]
+        xi = check_int(*self.xi)
         object.__setattr__(self, "xi", xi)
         if self.lattice.rank != 22:
             raise PreconditionError("polarized lattice must have rank 22")
@@ -131,8 +130,7 @@ def shrink_fiber(
     Delegates the fiber computation to the typed-line construction, whose
     preconditions include the direct-summand check.
     """
-    if not isinstance(embedding, IntMatrix):
-        embedding = IntMatrix.from_rows(embedding)
+    embedding = IntMatrix.from_rows(embedding)
     lam = pair.lattice
     p = pair.index
     r = lam.rank
@@ -181,8 +179,7 @@ def grow_unique(
     multiplication by p, so L ∩ span(W̃) is an index-p enlargement of W̃
     exactly when W̃ ⊂ L and that kernel is a line.
     """
-    if not isinstance(tilde_embedding, IntMatrix):
-        tilde_embedding = IntMatrix.from_rows(tilde_embedding)
+    tilde_embedding = IntMatrix.from_rows(tilde_embedding)
     N, p = Nt.ambient, Nt.p
     n = N.rank
     if tilde_embedding.rows != n:

@@ -8,6 +8,11 @@ test, together with the enumeration guard every command defaults to.
 Vectors are sequences of ints and matrices are sequences of rows.  Inputs
 may hold any ints; every function reduces them mod p before it works, and
 every result has entries in [0, p).
+
+The package's one integer check lives here too: ``check_int`` for caller
+values and ``int_tuples`` for caller matrices.  A value that is not an
+``int`` (a ``bool``, 3.0, ``Fraction(3)`` or ``"3"``) is rejected with
+PreconditionError, never truncated.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from .errors import InvariantViolationError, PreconditionError, SizeGuardError
 
 __all__ = [
     "MAX_PROJ_POINTS",
+    "check_int",
+    "int_tuples",
     "identity",
     "inv_mod",
     "mat_vec",
@@ -40,6 +47,27 @@ Matrix = tuple[Vector, ...]
 
 #: default bound on the projective points an enumeration may visit
 MAX_PROJ_POINTS = 10**7
+
+
+def check_int(*values: object, message: str | None = None) -> tuple[int, ...]:
+    """``values``, each checked to be an int; a bool is not.
+
+    Raises PreconditionError(``message``), by default "non-integer entry x".
+    """
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise PreconditionError(message or f"non-integer entry {x!r}")
+    return values
+
+
+def int_tuples(rows: Iterable[Iterable[int]], ragged: str) -> Matrix:
+    """``rows`` as tuples, checked to share one length (else ``ragged``) and by ``check_int``."""
+    rows = tuple([tuple(r) for r in rows])
+    if len({len(r) for r in rows}) > 1:
+        raise PreconditionError(ragged)
+    for row in rows:
+        check_int(*row)
+    return rows
 
 
 def identity(n: int) -> Matrix:
@@ -219,8 +247,10 @@ def is_prime(n: int) -> bool:
     beyond that a strong-probable-prime test to each of those primes as
     base decides.  A base that witnesses compositeness proves it for any
     n.  At or above the bound, an n that passes every base cannot be
-    proved prime this way, and SizeGuardError is raised.
+    proved prime this way, and SizeGuardError is raised.  An n that is not
+    an int fails ``check_int``.
     """
+    check_int(n)
     if n < 2:
         return False
     for q in _SMALL_PRIMES:

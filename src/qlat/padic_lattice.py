@@ -102,6 +102,7 @@ class PLattice:
     )
 
     def __post_init__(self) -> None:
+        modp.check_int(self.p, self.power)
         if self.power < 0:
             raise PreconditionError("negative power in lattice denominator")
         n = self.ambient.rank

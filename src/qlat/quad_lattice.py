@@ -53,10 +53,8 @@ class QuadLattice:
     half_gram: IntMatrix
 
     def __post_init__(self) -> None:
-        hg = self.half_gram
-        if not isinstance(hg, IntMatrix):
-            object.__setattr__(self, "half_gram", IntMatrix.from_rows(hg))
-            hg = self.half_gram
+        hg = IntMatrix.from_rows(self.half_gram)
+        object.__setattr__(self, "half_gram", hg)
         if hg.rows != hg.cols:
             raise PreconditionError("half-Gram matrix must be square")
         if not hg.is_upper_triangular():
@@ -99,8 +97,7 @@ class Sublattice:
     basis: IntMatrix
 
     def __post_init__(self) -> None:
-        if not isinstance(self.basis, IntMatrix):
-            object.__setattr__(self, "basis", IntMatrix.from_rows(self.basis))
+        object.__setattr__(self, "basis", IntMatrix.from_rows(self.basis))
         if self.basis.rows != self.ambient.rank:
             raise PreconditionError("sublattice basis has wrong ambient dimension")
         if self.basis.cols and self.basis.rank() != self.basis.cols:

@@ -23,6 +23,7 @@ import re
 from .errors import PreconditionError
 from .exact_linalg import AbelianQuotient, IntMatrix
 from .hecke_k3 import MinimalPair, PolarizedK3Lattice
+from .modp import check_int
 from .padic_lattice import PLattice
 from .quad_lattice import (
     QuadLattice,
@@ -70,8 +71,10 @@ def lattice_from_dict(d: dict) -> QuadLattice:
     if not isinstance(d, dict) or "half_gram" not in d:
         raise PreconditionError("lattice document needs a half_gram key")
     L = QuadLattice(matrix_from_rows(d["half_gram"]))
-    if "rank" in d and d["rank"] != L.rank:
-        raise PreconditionError("declared rank disagrees with the matrix")
+    if "rank" in d:
+        check_int(d["rank"], message="declared rank disagrees with the matrix")
+        if d["rank"] != L.rank:
+            raise PreconditionError("declared rank disagrees with the matrix")
     return L
 
 
@@ -91,8 +94,7 @@ def plattice_from_dict(d: dict) -> PLattice:
         if key not in d:
             raise PreconditionError(f"scaled-lattice document needs a {key} key")
     for key in ("p", "power"):
-        if not isinstance(d[key], int) or isinstance(d[key], bool):
-            raise PreconditionError(f"scaled-lattice {key} must be an integer")
+        check_int(d[key], message=f"scaled-lattice {key} must be an integer")
     return PLattice(
         lattice_from_dict(d["ambient"]),
         d["p"],

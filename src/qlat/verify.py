@@ -75,7 +75,7 @@ from .fp_quadratic import (
     witt_extension,
 )
 from .hecke_k3 import k3_isogeny
-from .modp import MAX_PROJ_POINTS, check_prime, kernel_basis, legendre, mat_vec, rank
+from .modp import MAX_PROJ_POINTS, check_int, check_prime, kernel_basis, legendre, mat_vec, rank
 from .padic_lattice import (
     PLattice,
     enumerate_neighbors,
@@ -276,8 +276,10 @@ def _shares_by_weight(weights: list[int], shares: int) -> list[list[int]]:
     items s, s + c, s + 2c, … of c shares.  A share keeps the suite's
     order.  Every weight must be a positive integer.
     """
-    if any(not isinstance(w, int) or isinstance(w, bool) or w <= 0 for w in weights):
-        raise PreconditionError("item weights must be positive integers")
+    message = "item weights must be positive integers"
+    check_int(*weights, message=message)
+    if any(w <= 0 for w in weights):
+        raise PreconditionError(message)
     loads = [0] * shares
     out: list[list[int]] = [[] for _ in range(shares)]
     for index, weight in enumerate(weights):
@@ -308,7 +310,7 @@ def _deal(name: str, items: list, check, weights: list[int] | None = None) -> Ve
     shares = max(1, min(processes(), len(items)))
     dealt = _shares_by_weight(weights, shares)
 
-    def run(share: int, jobs: int) -> VerifyReport:
+    def run(share: int) -> VerifyReport:
         part = VerifyReport(name)
         for index in dealt[share]:
             check(part, items[index])
@@ -324,7 +326,7 @@ def _deal(name: str, items: list, check, weights: list[int] | None = None) -> Ve
 
 
 def _run_shares(task, jobs: int) -> list:
-    """``[task(0, jobs), …, task(jobs - 1, jobs)]``, computed concurrently.
+    """``[task(0), …, task(jobs - 1)]``, computed concurrently.
 
     The caller computes share 0 itself; shares 1 … jobs − 1 run in forked
     children, which send their result back through a pipe and end in
@@ -335,7 +337,7 @@ def _run_shares(task, jobs: int) -> list:
     and ``multiprocessing`` is not imported.
     """
     if jobs == 1:
-        return [task(0, 1)]
+        return [task(0)]
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
@@ -343,11 +345,11 @@ def _run_shares(task, jobs: int) -> list:
     try:
         for share in range(1, jobs):
             receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_share_child, args=(task, share, jobs, sender))
+            child = context.Process(target=_share_child, args=(task, share, sender))
             child.start()
             sender.close()
             children.append((child, receiver))
-        results = [task(0, jobs)]
+        results = [task(0)]
         for share, (child, receiver) in enumerate(children, 1):
             try:
                 ok, value = receiver.recv()
@@ -368,11 +370,11 @@ def _run_shares(task, jobs: int) -> list:
             child.join()
 
 
-def _share_child(task, share: int, jobs: int, sender) -> None:
+def _share_child(task, share: int, sender) -> None:
     """Run one share in a forked child and send ``(ok, result or exception)``."""
     try:
         try:
-            result = (True, task(share, jobs))
+            result = (True, task(share))
         except BaseException as exc:  # the caller re-raises it
             result = (False, exc)
         sender.send(result)
@@ -750,16 +752,11 @@ def suite_lang_counts(primes, max_rank, seed, max_points) -> VerifyReport:
         wcol = [1, q] + [0] * (n - 2)
         W = Sublattice(N, IntMatrix.from_columns([wcol]))
         lines = w_generic_lines(N, W, p, None, max_points)
-        wbar = [x % p for x in wcol]
         brow = N.gram().mul_vector(wcol)
-        lifted = 0
-        for rep in reps:
-            vbar = [x % p for x in rep]
-            if _in_line(wbar, vbar, p):
-                continue
-            if sum(a * b for a, b in zip(brow, vbar)) % p == 0:
-                continue
-            lifted += 1
+        # the points off the line of w mod p that pair with w nontrivially mod p
+        lifted = sum(
+            1 for rep in reps if sum(map(mul, brow, rep)) % p and rank([wcol, rep], p) == 2
+        )
         expected = len(lines) * p ** (n - 2)
         report.record(
             desc,
@@ -769,16 +766,6 @@ def suite_lang_counts(primes, max_rank, seed, max_points) -> VerifyReport:
         )
 
     return _deal("lang-counts", items, check)
-
-
-def _in_line(wbar, vbar, p):
-    """True iff vbar lies in the span of wbar over F_p (wbar nonzero)."""
-    n = len(wbar)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (wbar[i] * vbar[j] - wbar[j] * vbar[i]) % p:
-                return False
-    return True
 
 
 def suite_spinor_surjectivity(primes, max_rank, seed, max_points) -> VerifyReport:
@@ -808,12 +795,8 @@ def suite_spinor_surjectivity(primes, max_rank, seed, max_points) -> VerifyRepor
         V = reduction(N, p)
         n = V.dim
         wvecs = [tuple(x % p for x in row) for row in wrows]
-        B = V.gram()
-        rows = [
-            tuple(sum(B[i][j] * w[i] for i in range(n)) % p for j in range(n))
-            for w in wvecs
-        ]
-        perp = kernel_basis(list(rows), p, n)
+        B = V.gram()  # symmetric, so B·w gives the pairings with w
+        perp = kernel_basis([mat_vec(B, w, p) for w in wvecs], p, n)
         sq = nonsq = None
         for coeffs in kernels.proj_reps(p, len(perp)):
             u = tuple(

@@ -459,6 +459,14 @@ def test_non_integer_scaled_lattice_field_is_input_error(capsys, tmp_path, key, 
     assert out == ""
 
 
+@pytest.mark.parametrize("rank", ["2.0", "true", "\"2\""])
+def test_a_non_integer_declared_rank_is_input_error(capsys, rank):
+    doc = '{"half_gram": [[0, 1], [0, 0]], "rank": %s}' % rank
+    rc, out, err = run_cli(capsys, "lattice", "info", doc)
+    assert (rc, out) == (2, "")
+    assert err == "error: declared rank disagrees with the matrix\n"
+
+
 def test_neighbor_checks_keep_their_error_classes(capsys, tmp_path, monkeypatch):
     """Q not integral on a given scaled lattice is an input error (exit 2);
     a neighbor the library built failing its own check is an invariant

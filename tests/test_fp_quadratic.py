@@ -1315,14 +1315,12 @@ def test_a_dependent_tuple_is_rejected_every_time(p):
 
 
 def _forms(T, p):
-    """T as given, as lists, as a tuple of lists, with entries moved by ±p,
-    and with bool entries (T's entries are 0 or 1)."""
+    """T as given, as lists, as a tuple of lists and with entries moved by ±p."""
     return {
         "canonical": tuple(T),
         "lists": [list(t) for t in T],
         "list-rows": tuple(list(t) for t in T),
         "shifted": tuple(tuple(x - p if j % 2 else x + p for j, x in enumerate(t)) for t in T),
-        "bools": tuple(tuple(bool(x) for x in t) for t in T),
     }
 
 

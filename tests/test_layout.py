@@ -57,6 +57,11 @@
   defines ``lattice_intersection``, ``deformation_tori`` refers to none of
   ``lattice_intersection``, ``lattices_equal``, ``hstack`` or
   ``take_rows``, and it calls ``quotient_structure`` once, for M.
+* Caller integers are checked in ``qlat.modp`` alone: no other module
+  tests ``isinstance(…, int)``, no module but ``exact_linalg`` coerces by
+  ``isinstance(…, IntMatrix)`` (``IntMatrix.from_rows`` returns a matrix
+  as it is), and ``fp_quadratic`` calls ``int()`` only on a comparison, so
+  it truncates no caller value.
 * Processes are started in ``qlat.verify`` alone, and lazily: no other
   module imports ``multiprocessing`` or ``concurrent.futures`` or names
   ``os.fork``, and ``qlat.verify`` does so only inside a function body.
@@ -367,6 +372,51 @@ def test_cokernel_M_intersects_nothing():
         if isinstance(node, ast.Call) and "quotient_structure" in _names_in(node.func)
     ]
     assert len(calls) == 1
+
+
+def _integer_checks(tree):
+    """(line, what) of each ``isinstance(…, int)``, ``isinstance(…, IntMatrix)``
+    and ``int(…)`` of anything but one comparison."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        if node.func.id == "isinstance" and len(node.args) == 2:
+            for name in {"int", "IntMatrix"} & _names_in(node.args[1]):
+                found.append((node.lineno, f"isinstance {name}"))
+        elif node.func.id == "int" and not (
+            len(node.args) == 1 and isinstance(node.args[0], ast.Compare)
+        ):
+            found.append((node.lineno, "int"))
+    return found
+
+
+# module -> what ``_integer_checks`` may find there; any other module may call int()
+INTEGER_CHECKS = {
+    "modp": {"isinstance int", "int"},
+    "exact_linalg": {"isinstance IntMatrix", "int"},
+    "fp_quadratic": set(),
+}
+
+
+def test_caller_integers_are_checked_in_modp_alone():
+    for path in MODULES:
+        found = {what for _, what in _integer_checks(_tree(path))}
+        assert found <= INTEGER_CHECKS.get(path.stem, {"int"}), path.name
+
+
+def test_integer_rule_sees_each_form():
+    source = (
+        "isinstance(x, int)\n"
+        "isinstance(x, (bool, int))\n"
+        "isinstance(M, IntMatrix)\n"
+        "int(x) % p\n"
+        "int(k == i)\n"
+        "isinstance(x, dict)\n"
+    )
+    assert _integer_checks(ast.parse(source)) == [
+        (1, "isinstance int"), (2, "isinstance int"), (3, "isinstance IntMatrix"), (4, "int")
+    ]
 
 
 PROCESS_MODULES = ("multiprocessing", "concurrent.futures")

@@ -1,5 +1,7 @@
-"""Linear algebra and primality over F_p against brute-force oracles."""
+"""Linear algebra and primality over F_p against brute-force oracles, and
+the package's one integer check at every entry point that takes integers."""
 
+from fractions import Fraction
 from itertools import permutations, product
 from math import prod
 
@@ -7,7 +9,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlat import InvariantViolationError, PreconditionError, SizeGuardError, modp
+from qlat import (
+    AbelianQuotient,
+    CharLattice,
+    FpIsometry,
+    FpQuadSpace,
+    IntMatrix,
+    InvariantViolationError,
+    PLattice,
+    PolarizedK3Lattice,
+    PreconditionError,
+    ProjLine,
+    SizeGuardError,
+    enumerate_isotropic_lines,
+    hyperbolic_plane,
+    k3_lattice,
+    modp,
+    reflection,
+    reflection_factorization,
+    run_suite,
+    serialize,
+    stabilizer_orbit,
+    verify,
+    witt_extension,
+)
+from qlat.fp_quadratic import isotropic_lines_in
 
 
 def _trial_division(n):
@@ -131,3 +157,75 @@ def test_legendre_symbol():
         for a in range(-p, 2 * p):
             expected = 0 if a % p == 0 else (1 if a % p in squares else -1)
             assert modp.legendre(a, p) == expected
+
+
+# ---------------------------------------------------------------------------
+# the one integer check, at every entry point that takes integers
+# ---------------------------------------------------------------------------
+
+H = hyperbolic_plane()
+V = FpQuadSpace(3, ((0, 1), (0, 0)))  # H mod 3
+SEED = ProjLine(V, (1, 0))
+SCALED = {"ambient": {"half_gram": [[0, 1], [0, 0]]}, "p": 3, "power": 1, "numerator_basis": [[1, 0], [0, 1]]}
+
+# entry point -> (its call with x, an int x it takes, its message for a non-integer x,
+# None for "non-integer entry x")
+INTEGER_ENTRY_POINTS = {
+    "IntMatrix": (lambda x: IntMatrix(((1, x),)), 0, None),
+    "IntMatrix.from_rows": (lambda x: IntMatrix.from_rows([[x, 0]]), 0, None),
+    "IntMatrix.from_columns": (lambda x: IntMatrix.from_columns([[x, 0]]), 0, None),
+    "FpQuadSpace.p": (lambda x: FpQuadSpace(x, ((0, 1), (0, 0))), 3, None),
+    "FpQuadSpace.half_gram": (lambda x: FpQuadSpace(3, ((x, 1), (0, 0))), 1, None),
+    "is_prime": (modp.is_prime, 3, None),
+    "check_prime": (modp.check_prime, 3, None),
+    "run_suite.primes": (lambda x: run_suite("spinor-surjectivity", primes=[x], max_rank=4), 3, None),
+    "AbelianQuotient.free_rank": (lambda x: AbelianQuotient(x, (2,)), 1, None),
+    "AbelianQuotient.torsion": (lambda x: AbelianQuotient(0, (x,)), 3, None),
+    "CharLattice.rank": (lambda x: CharLattice(x, (1, 1, 1)), 3, None),
+    "CharLattice.weights": (lambda x: CharLattice(3, (1, x, 1)), 1, None),
+    "PolarizedK3Lattice.xi": (lambda x: PolarizedK3Lattice(k3_lattice(), (1, x) + (0,) * 20), 1, None),
+    "PLattice.p": (lambda x: PLattice(H, x, 1, IntMatrix.identity(2)), 3, None),
+    "PLattice.power": (lambda x: PLattice(H, 3, x, IntMatrix.identity(2)), 1, None),
+    "lattice document rank": (
+        lambda x: serialize.lattice_from_dict({"half_gram": [[0, 1], [0, 0]], "rank": x}),
+        2,
+        "declared rank disagrees with the matrix",
+    ),
+    "scaled-lattice p": (
+        lambda x: serialize.plattice_from_dict({**SCALED, "p": x}), 3, "scaled-lattice p must be an integer"
+    ),
+    "scaled-lattice power": (
+        lambda x: serialize.plattice_from_dict({**SCALED, "power": x}),
+        1,
+        "scaled-lattice power must be an integer",
+    ),
+    "item weights": (
+        lambda x: verify._shares_by_weight([1, x], 2), 1, "item weights must be positive integers"
+    ),
+    "ProjLine": (lambda x: ProjLine(V, (x, 1)), 1, None),
+    "FpIsometry": (lambda x: FpIsometry(V, ((x, 0), (0, 1))), 1, None),
+    "witt_extension": (lambda x: witt_extension(V, [(x, 0)], [(1, 0)]), 1, None),
+    "reflection": (lambda x: reflection(V, (x, 1)), 1, None),
+    "reflection_factorization": (lambda x: reflection_factorization(V, ((x, 0), (0, 1))), 1, None),
+    "isotropic_lines_in": (lambda x: isotropic_lines_in(V, [(x, 1)]), 1, None),
+    "stabilizer_orbit": (
+        lambda x: stabilizer_orbit(V, [(x, 1)], SEED, enumerate_isotropic_lines(V)), 1, None
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, Fraction(3), "3", None], ids=repr)
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+def test_every_entry_point_rejects_a_non_integer(entry, bad):
+    call, good, message = INTEGER_ENTRY_POINTS[entry]
+    call(good)  # so the type of x is the only fault below
+    with pytest.raises(PreconditionError) as caught:
+        call(bad)
+    assert str(caught.value) == (message or f"non-integer entry {bad!r}")
+
+
+def test_int_tuples_checks_the_shape_before_the_entries():
+    assert modp.int_tuples([[1, -2], (3, 10**30)], "ragged") == ((1, -2), (3, 10**30))
+    assert modp.int_tuples([], "ragged") == ()
+    with pytest.raises(PreconditionError, match="^ragged$"):
+        modp.int_tuples([[1, 2], [1.5]], "ragged")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlat import (
+    AbelianQuotient,
     IntMatrix,
     PreconditionError,
     QuadLattice,
@@ -208,9 +209,9 @@ def test_complement_of_polarization_vector():
 
 
 def test_discriminant_groups():
-    assert discriminant_group(H).is_trivial
-    assert discriminant_group(E8).is_trivial
-    assert discriminant_group(K3).is_trivial
+    assert discriminant_group(H) == AbelianQuotient(0, ())
+    assert discriminant_group(E8) == AbelianQuotient(0, ())
+    assert discriminant_group(K3) == AbelianQuotient(0, ())
     for d in (1, 2, 5):
         assert discriminant_group(rank_one(d)).torsion == (2 * d,)
 

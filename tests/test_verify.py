@@ -177,7 +177,7 @@ def _shares_in_turn(monkeypatch):
         parts = []
         for share in range(jobs):
             current[0] = share
-            parts.append(task(share, jobs))
+            parts.append(task(share))
         return parts
 
     monkeypatch.setattr(verify_module, "_run_shares", in_turn)
