@@ -55,7 +55,8 @@ def check_int(*values: object, message: str | None = None) -> tuple[int, ...]:
     Raises PreconditionError(``message``), by default "non-integer entry x".
     """
     for x in values:
-        if not isinstance(x, int) or isinstance(x, bool):
+        # a plain int passes on the first test, so the common case costs one
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
             raise PreconditionError(message or f"non-integer entry {x!r}")
     return values
 
