@@ -10,8 +10,8 @@ may hold any ints; every function reduces them mod p before it works, and
 every result has entries in [0, p).
 
 The package's one integer check lives here too: ``check_int`` for caller
-values and ``int_tuples`` for caller matrices.  A value that is not an
-``int`` (a ``bool``, 3.0, ``Fraction(3)`` or ``"3"``) is rejected with
+values and ``int_tuples`` for caller matrices.  Anything but an ``int``
+(3.0, ``Fraction(3)``, ``"3"``), and a ``bool``, is rejected with
 PreconditionError, never truncated.
 """
 
