@@ -714,9 +714,13 @@ def _witt_record(V: FpQuadSpace, S: tuple[Vector, ...], key) -> list:
 def _record_of(records: dict, basis) -> list | None:
     """The record of the tuple ``basis`` equals as given, or None."""
     try:
-        return records.get(basis)
+        record = records.get(basis)
     except TypeError:  # unhashable, such as a list
         return None
+    if record is not None and basis is not record[4]:  # True and 1.0 equal 1
+        for row in basis:
+            modp.check_int(*row)
+    return record
 
 
 def witt_extension(
@@ -738,8 +742,9 @@ def witt_extension(
     a dependent tuple is never recorded.  Each basis is first looked up as
     given among the recorded tuples, before any normalization: a hit means
     it equals a recorded canonical tuple entry by entry, and the call goes
-    on with that recorded tuple.  A basis that misses, or cannot be hashed
-    (a list, say), is reduced mod p and checked as ever.  The witness is
+    on with that recorded tuple once the entries pass ``modp.check_int``.
+    A basis that misses, or cannot be hashed (a list, say), is reduced mod
+    p and checked as ever, X before Y is looked up.  The witness is
     m_Y · m_X⁻¹, formed from the columns of m_X⁻¹ that X's record keeps
     once X has been a source; each witness matrix is validated once per
     space and kept in a table, and every call checks that it is special
@@ -761,9 +766,10 @@ def witt_extension(
     if not V.is_nondegenerate():
         raise PreconditionError("Witt extension requires a nondegenerate space")
     records = V._witt_cache["tuples"]
-    rx, ry = _record_of(records, w1_basis), _record_of(records, w2_basis)
     wrong = "subspace basis vector has wrong dimension"
+    rx = _record_of(records, w1_basis)
     X = _vectors(V, w1_basis, wrong) if rx is None else rx[4]
+    ry = _record_of(records, w2_basis)
     Y = _vectors(V, w2_basis, wrong) if ry is None else ry[4]
     k = len(X)
     if len(Y) != k:
@@ -856,15 +862,10 @@ def spinor_norm(V: FpQuadSpace, g: FpIsometry | Matrix) -> int:
     """
     vectors = reflection_factorization(V, g)
     m = g.matrix if isinstance(g, FpIsometry) else g
-    total = 1
-    for v in vectors:
-        total = (total * V.q(v)) % V.p
     # parity consistency: det = (-1)^(number of reflections)
-    det = modp.det(m, V.p)
-    expected = (V.p - 1) if len(vectors) % 2 else 1
-    if det != expected:
+    if modp.det(m, V.p) != ((V.p - 1) if len(vectors) % 2 else 1):
         raise InvariantViolationError("reflection count parity disagrees with det")
-    return modp.legendre(total, V.p)
+    return modp.legendre(math.prod(V.q(v) for v in vectors), V.p)
 
 
 # ---------------------------------------------------------------------------

@@ -753,10 +753,9 @@ def suite_lang_counts(primes, max_rank, seed, max_points) -> VerifyReport:
         W = Sublattice(N, IntMatrix.from_columns([wcol]))
         lines = w_generic_lines(N, W, p, None, max_points)
         brow = N.gram().mul_vector(wcol)
-        # the points off the line of w mod p that pair with w nontrivially mod p
-        lifted = sum(
-            1 for rep in reps if sum(map(mul, brow, rep)) % p and rank([wcol, rep], p) == 2
-        )
+        # the points off the line of w mod p that pair with w nontrivially mod p;
+        # the pairing alone decides: a rep ≡ c·w has c²q ≡ Q(rep) ≡ 0, so B(w, rep) ≡ 2cq ≡ 0
+        lifted = sum(1 for rep in reps if sum(map(mul, brow, rep)) % p)
         expected = len(lines) * p ** (n - 2)
         report.record(
             desc,

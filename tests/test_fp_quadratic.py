@@ -1315,20 +1315,19 @@ def test_a_dependent_tuple_is_rejected_every_time(p):
 
 
 def _forms(T, p):
-    """T as given, as lists, as a tuple of lists and with entries moved by ±p."""
+    """T as given, as lists, as a tuple of lists, with entries moved by ±p,
+    and with bool entries (T's entries are 0 or 1), which equal T's."""
     return {
         "canonical": tuple(T),
         "lists": [list(t) for t in T],
         "list-rows": tuple(list(t) for t in T),
         "shifted": tuple(tuple(x - p if j % 2 else x + p for j, x in enumerate(t)) for t in T),
+        "bools": tuple(tuple(bool(x) for x in t) for t in T),
     }
 
 
-class _Unread(tuple):
-    """A tuple that may be compared and hashed but not read entry by entry."""
-
-    def __iter__(self):
-        raise AssertionError("the caller's tuple was read")
+def _unchecked(*values, message=None):
+    raise AssertionError("a recorded tuple was checked again")
 
 
 def _canonical_records(V):
@@ -1347,7 +1346,7 @@ def _canonical_records(V):
     ],
     ids=["lagrangians", "anisotropic-first", "anisotropic-line"],
 )
-def test_every_form_of_a_pair_gets_the_same_witness(p, X, Y):
+def test_every_form_of_a_pair_gets_the_same_witness(monkeypatch, p, X, Y):
     reference = witt_extension(hyperbolic(p, 2), X, Y).matrix
     shared = hyperbolic(p, 2)
     first = witt_extension(shared, X, Y)
@@ -1355,12 +1354,21 @@ def test_every_form_of_a_pair_gets_the_same_witness(p, X, Y):
     for name, fx in forms_x.items():
         fy = forms_y[name]
         fresh = hyperbolic(p, 2)
+        if name == "bools":  # equal to recorded tuples, yet rejected on every space
+            for V in (fresh, shared):
+                with pytest.raises(PreconditionError, match=r"^non-integer entry True$"):
+                    witt_extension(V, fx, fy)
+            assert not fresh._witt_cache["tuples"]
+            continue
         assert witt_extension(fresh, fx, fy).matrix == reference, name
         assert witt_extension(fresh, fx, fy).matrix == reference, name  # now recorded
         _canonical_records(fresh)
         assert witt_extension(shared, fx, fy) is first, name
         assert witt_extension(shared, fx, fy).matrix == reference, name
-    assert witt_extension(shared, _Unread(X), _Unread(Y)) is first
+    recorded = {S: S for S in shared._witt_cache["tuples"]}
+    with monkeypatch.context() as m:
+        m.setattr(modp, "check_int", _unchecked)
+        assert witt_extension(shared, recorded[X], recorded[Y]) is first
     _canonical_records(shared)
 
 
@@ -1384,11 +1392,15 @@ def test_rejected_forms_raise_as_ever_also_once_their_tuples_are_recorded():
 
     def check_all():
         for X, Y, error, message in cases:
-            for name, fx in _forms(X, p).items():
-                for fy in _forms(Y, p).values():
-                    with pytest.raises(error) as caught:
+            for nx, fx in _forms(X, p).items():
+                for ny, fy in _forms(Y, p).items():
+                    # X is checked whole before Y, so only X's own error comes first
+                    bad = fx if nx == "bools" else fy if ny == "bools" and X is not long else None
+                    want = (error, message) if bad is None else (
+                        PreconditionError, f"non-integer entry {bad[0][0]!r}")
+                    with pytest.raises(want[0]) as caught:
                         witt_extension(V, fx, fy)
-                    assert type(caught.value) is error and str(caught.value) == message, name
+                    assert type(caught.value) is want[0] and str(caught.value) == want[1], (nx, ny)
 
     check_all()
     for X, Y, _, _ in cases:

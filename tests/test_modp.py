@@ -205,6 +205,8 @@ INTEGER_ENTRY_POINTS = {
     "ProjLine": (lambda x: ProjLine(V, (x, 1)), 1, None),
     "FpIsometry": (lambda x: FpIsometry(V, ((x, 0), (0, 1))), 1, None),
     "witt_extension": (lambda x: witt_extension(V, [(x, 0)], [(1, 0)]), 1, None),
+    # hashable bases: True equals the recorded (1, 0) and is looked up first
+    "witt_extension tuples": (lambda x: witt_extension(V, ((1, 0),), ((x, 0),)), 1, None),
     "reflection": (lambda x: reflection(V, (x, 1)), 1, None),
     "reflection_factorization": (lambda x: reflection_factorization(V, ((x, 0), (0, 1))), 1, None),
     "isotropic_lines_in": (lambda x: isotropic_lines_in(V, [(x, 1)]), 1, None),
