@@ -558,9 +558,10 @@ def dickson_invariant(V: FpQuadSpace, matrix: Matrix) -> int:
     odd p the invariant agrees with det parity).
     """
     p, n = V.p, V.dim
-    delta = [
-        [(matrix[i][j] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)
-    ]
+    m = _vectors(V, matrix, "isometry matrix has wrong shape")
+    if len(m) != n:
+        raise PreconditionError("isometry matrix has wrong shape")
+    delta = [[(m[i][j] - (i == j)) % p for j in range(n)] for i in range(n)]
     return modp.rank(delta, p) % 2
 
 
@@ -862,10 +863,15 @@ def spinor_norm(V: FpQuadSpace, g: FpIsometry | Matrix) -> int:
     """
     vectors = reflection_factorization(V, g)
     m = g.matrix if isinstance(g, FpIsometry) else g
+    total = 1
+    for v in vectors:
+        total = (total * V.q(v)) % V.p
     # parity consistency: det = (-1)^(number of reflections)
-    if modp.det(m, V.p) != ((V.p - 1) if len(vectors) % 2 else 1):
+    det = modp.det(m, V.p)
+    expected = (V.p - 1) if len(vectors) % 2 else 1
+    if det != expected:
         raise InvariantViolationError("reflection count parity disagrees with det")
-    return modp.legendre(math.prod(V.q(v) for v in vectors), V.p)
+    return modp.legendre(total, V.p)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from qlat import (
     verify,
     witt_extension,
 )
-from qlat.fp_quadratic import isotropic_lines_in
+from qlat.fp_quadratic import dickson_invariant, isotropic_lines_in
 
 
 def _trial_division(n):
@@ -208,6 +208,7 @@ INTEGER_ENTRY_POINTS = {
     # hashable bases: True equals the recorded (1, 0) and is looked up first
     "witt_extension tuples": (lambda x: witt_extension(V, ((1, 0),), ((x, 0),)), 1, None),
     "reflection": (lambda x: reflection(V, (x, 1)), 1, None),
+    "dickson_invariant": (lambda x: dickson_invariant(V, ((x, 0), (0, 1))), 1, None),
     "reflection_factorization": (lambda x: reflection_factorization(V, ((x, 0), (0, 1))), 1, None),
     "isotropic_lines_in": (lambda x: isotropic_lines_in(V, [(x, 1)]), 1, None),
     "stabilizer_orbit": (
