@@ -253,10 +253,21 @@ def _cmd_verify(args) -> int:
     return 0 if report.failures == 0 else 1
 
 
+def _max_points(text: str) -> int:
+    """A ``--max-points`` value: an integer of at least 1, else argparse exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _add_common(parser) -> None:
     parser.add_argument(
         "--max-points",
-        type=int,
+        type=_max_points,
         default=MAX_PROJ_POINTS,
         help=f"projective enumeration guard (default {MAX_PROJ_POINTS})",
     )

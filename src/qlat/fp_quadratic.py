@@ -5,14 +5,15 @@ A space is presented by an upper-triangular half-Gram matrix mod p:
 characteristic — at p = 2 the quadratic form carries strictly more
 information than the (alternating) bilinear form.
 
-Provided here: Witt decomposition, isotropic-line enumeration (of V, or
+Provided here, and nowhere else: the form on a tuple (``half_gram_on``,
+its Gram type), the orthogonal complement (``perp_basis``), the Witt
+decomposition and the closed forms read off its type (``so_order``,
+``closed_form_line_count``).  Also isotropic-line enumeration (of V, or
 of a subspace under the restricted form), reflections and Eichler
-transvections, the Dickson invariant, special orthogonal group orders,
-Witt-style extension of subspace isometries to special isometries
-of the whole space, constructive reflection factorization with spinor
+transvections, the Dickson invariant, Witt-style extension of subspace
+isometries to special isometries, reflection factorization with spinor
 norms (odd p), and orbits of isotropic lines under the special
-isometries fixing a subspace pointwise, each member certified by
-``witt_extension``.
+isometries fixing a subspace pointwise, certified by ``witt_extension``.
 
 Constructions, not searches
 ---------------------------
@@ -64,6 +65,8 @@ __all__ = [
     "ProjLine",
     "find_isotropic_vector",
     "witt_decomposition",
+    "half_gram_on",
+    "perp_basis",
     "isotropic_generators",
     "enumerate_isotropic_lines",
     "isotropic_lines_in",
@@ -74,6 +77,7 @@ __all__ = [
     "spinor_norm",
     "stabilizer_orbit",
     "so_order",
+    "closed_form_line_count",
     "line_sort_key",
 ]
 
@@ -181,12 +185,11 @@ class FpQuadSpace:
 
         ``types``: per Gram type of tuple, ``(key, root, flip)``;
         ``tuples``: per tuple S recorded so far, ``[key, m, parity, cols,
-        S]`` with key the type's own key object, m a map root → S of
-        Dickson parity ``parity`` (see ``_witt_record``) and cols the
-        columns of m⁻¹, kept once S has been a source, else None;
-        ``witnesses``:
-        each witness matrix built so far, mapped to its validated
-        ``FpIsometry``.
+        S]`` with key the type's own key object (the form on S,
+        ``half_gram_on``), m a map root → S of Dickson parity ``parity``
+        (see ``_witt_record``) and cols the columns of m⁻¹, kept once S has
+        been a source, else None; ``witnesses``: each witness matrix built
+        so far, mapped to its validated ``FpIsometry``.
         """
         return {"types": {}, "tuples": {}, "witnesses": {}}
 
@@ -235,22 +238,18 @@ class FpIsometry:
 
     def __post_init__(self) -> None:
         V = self.space
-        p, n = V.p, V.dim
+        n = V.dim
         m = _vectors(V, self.matrix, "isometry matrix has wrong shape")
         if len(m) != n:
             raise PreconditionError("isometry matrix has wrong shape")
         object.__setattr__(self, "matrix", m)
         if self.det() == 0:
             raise PreconditionError("isometry matrix is singular")
-        cols = tuple(zip(*m))
-        B = V.gram()
-        for j, col in enumerate(cols):
-            if V.q(col) != V.half_gram[j][j]:
-                raise PreconditionError("matrix does not preserve the quadratic form")
-            b_col = modp.mat_vec(B, col, p)  # [x, col] = x . b_col
-            for i in range(j):
-                if sum(map(mul, cols[i], b_col)) % p != B[i][j]:
-                    raise PreconditionError("matrix does not preserve the bilinear form")
+        form, hg = half_gram_on(V, zip(*m)), V.half_gram  # hg is the form on the unit vectors
+        if form != hg:  # the first column that differs names the error, its Q-value first
+            j = next(j for j in range(n) if any(form[i][j] != hg[i][j] for i in range(j + 1)))
+            kind = "quadratic" if form[j][j] != hg[j][j] else "bilinear"
+            raise PreconditionError(f"matrix does not preserve the {kind} form")
 
     def apply(self, v: Sequence[int]) -> Vector:
         return modp.mat_vec(self.matrix, v, self.space.p)
@@ -406,15 +405,27 @@ def _orthogonal_basis(V: FpQuadSpace) -> Iterator[tuple[Vector, int]]:
         yield u, 0
 
 
-def _restrict(V: FpQuadSpace, basis: Sequence[Vector]) -> FpQuadSpace:
-    k = len(basis)
+def half_gram_on(V: FpQuadSpace, basis: Iterable[Sequence[int]]) -> Matrix:
+    """The form of V on the tuple ``basis`` (read through ``_vectors``): its Gram type.
+
+    The half-Gram Q(s_i) on the diagonal, B(s_i, s_j) above it, mod p; one
+    B·s_j per vector, so O(k·n²) for k vectors.
+    """
     p = V.p
-    hg = [[0] * k for _ in range(k)]
-    for i in range(k):
-        hg[i][i] = V.q(basis[i])
-        for j in range(i + 1, k):
-            hg[i][j] = V.b(basis[i], basis[j])
-    return FpQuadSpace(p, tuple(tuple(r) for r in hg))
+    S = _vectors(V, basis, "subspace basis vector has wrong dimension")
+    bs = [modp.mat_vec(V.gram(), s, p) for s in S]
+    return tuple([
+        tuple([0] * i + [V.q(s)] + [sum(map(mul, s, b)) % p for b in bs[i + 1 :]])
+        for i, s in enumerate(S)
+    ])
+
+
+def perp_basis(V: FpQuadSpace, basis: Iterable[Sequence[int]]) -> list[Vector]:
+    """A basis of span(basis)^⊥ mod p: the kernel of the pairing rows B·w of
+    ``basis`` read through ``_vectors`` (``modp.kernel_basis``)."""
+    p = V.p
+    W = _vectors(V, basis, "subspace basis vector has wrong dimension")
+    return modp.kernel_basis([modp.mat_vec(V.gram(), w, p) for w in W], p, V.dim)
 
 
 WittDecomposition = tuple[
@@ -447,23 +458,18 @@ def _witt_decomposition(V: FpQuadSpace) -> WittDecomposition:
     pairs: list[tuple[Vector, Vector]] = []
     work = comp
     while work:
-        Vs = _restrict(V, work)
+        Vs = FpQuadSpace(p, half_gram_on(V, work))
         u_s = find_isotropic_vector(Vs)
         if u_s is None:
             break
-        Bs = Vs.gram()
-        bu = modp.mat_vec(Bs, u_s, p)
+        bu = modp.mat_vec(Vs.gram(), u_s, p)
         j = next(i for i, x in enumerate(bu) if x)  # exists: B nondeg on work
         c_inv = modp.inv_mod(bu[j], p)
         w_s = tuple((c_inv if k == j else 0) for k in range(len(work)))
         qw = Vs.q(w_s)
         v_s = tuple((w_s[k] - qw * u_s[k]) % p for k in range(len(work)))
-        u_amb = _combine(work, u_s, p)
-        v_amb = _combine(work, v_s, p)
-        pairs.append((u_amb, v_amb))
-        rows = [modp.mat_vec(Bs, u_s, p), modp.mat_vec(Bs, v_s, p)]
-        new_coeffs = modp.kernel_basis(rows, p, len(work))
-        work = [_combine(work, c, p) for c in new_coeffs]
+        pairs.append((_combine(work, u_s, p), _combine(work, v_s, p)))
+        work = [_combine(work, c, p) for c in perp_basis(Vs, [u_s, v_s])]
     return tuple(pairs), tuple(work), tuple(rad)
 
 
@@ -500,7 +506,7 @@ def isotropic_lines_in(
     R = _span_basis(V, basis, "subspace basis vector has wrong dimension")
     if not R:
         return ()
-    coeffs = isotropic_generators(_restrict(V, R), max_points)
+    coeffs = isotropic_generators(FpQuadSpace(p, half_gram_on(V, R)), max_points)
     return tuple([ProjLine(V, _combine(R, c, p), _trusted=True) for c in coeffs])
 
 
@@ -570,46 +576,46 @@ def dickson_invariant(V: FpQuadSpace, matrix: Matrix) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _witt_type(V: FpQuadSpace, degenerate: str) -> tuple[int, int]:
+    """(k, ε) of nondegenerate V off its Witt decomposition: ε = 0 for dim
+    2k + 1, and for dim 2k ε = 1 if V is split, -1 if not."""
+    pairs, aniso, rad = witt_decomposition(V)
+    if rad:
+        raise PreconditionError(degenerate)
+    if len(aniso) > 2:
+        raise InvariantViolationError("anisotropic kernel of dimension > 2 over F_p")
+    return len(pairs) + (len(aniso) == 2), (1, 0, -1)[len(aniso)]
+
+
 def so_order(V: FpQuadSpace) -> int:
     """|SO(V)(F_p)| for nondegenerate V, by the closed product formulas.
 
-    Split/non-split type is read off the Witt decomposition.  For dim
-    2m+1: p^{m^2} * prod_{i=1..m} (p^{2i} - 1).  For dim 2k of type
-    epsilon: p^{k(k-1)} (p^k - epsilon) prod_{i=1..k-1} (p^{2i} - 1).
+    For dim 2k+1: p^{k^2} * prod_{i=1..k} (p^{2i} - 1).  For dim 2k of
+    type ε: p^{k(k-1)} (p^k - ε) prod_{i=1..k-1} (p^{2i} - 1).
     """
     p = V.p
-    pairs, aniso, rad = witt_decomposition(V)
-    if rad:
-        raise PreconditionError("group order requires a nondegenerate bilinear form")
-    m = len(pairs)
-    a = len(aniso)
-    if a == 1:
-        return p ** (m * m) * math.prod(p ** (2 * i) - 1 for i in range(1, m + 1))
-    if a == 0:
-        k, eps = m, 1
-    elif a == 2:
-        k, eps = m + 1, -1
-    else:
-        raise InvariantViolationError("anisotropic kernel of dimension > 2 over F_p")
-    if k == 0:
-        return 1
-    return (
-        p ** (k * (k - 1))
-        * (p**k - eps)
-        * math.prod(p ** (2 * i) - 1 for i in range(1, k))
-    )
+    k, eps = _witt_type(V, "group order requires a nondegenerate bilinear form")
+    if not eps or not k:  # dimension 0 takes the odd formula's empty product
+        return p ** (k * k) * math.prod(p ** (2 * i) - 1 for i in range(1, k + 1))
+    return p ** (k * (k - 1)) * (p**k - eps) * math.prod(p ** (2 * i) - 1 for i in range(1, k))
+
+
+def closed_form_line_count(V: FpQuadSpace) -> int:
+    """Number of isotropic lines of a nondegenerate space, in closed form.
+
+    For dim 2k+1: (p^{2k} - 1)/(p - 1).  For dim 2k of type ε:
+    (p^{k-1} + ε)(p^k - ε)/(p - 1).
+    """
+    p = V.p
+    k, eps = _witt_type(V, "count formula requires a nondegenerate space")
+    if not eps or not k:  # dimension 0 takes the odd formula's 0
+        return (p ** (2 * k) - 1) // (p - 1)
+    return (p ** (k - 1) + eps) * (p**k - eps) // (p - 1)
 
 
 # ---------------------------------------------------------------------------
 # Witt extension of isometries
 # ---------------------------------------------------------------------------
-
-
-def _tuple_type_key(V: FpQuadSpace, vectors: Sequence[Vector]):
-    k = len(vectors)
-    qs = tuple([V.q(v) for v in vectors])
-    bs = tuple([V.b(vectors[i], vectors[j]) for i in range(k) for j in range(i + 1, k)])
-    return (k, qs, bs)
 
 
 def _anisotropic_in(V: FpQuadSpace, basis: Sequence[Vector]) -> Vector | None:
@@ -701,8 +707,7 @@ def _witt_record(V: FpQuadSpace, S: tuple[Vector, ...], key) -> list:
     cache, p = V._witt_cache, V.p
     entry = cache["types"].get(key)
     if entry is None:
-        perp = modp.kernel_basis([modp.mat_vec(V.gram(), x, p) for x in S], p, V.dim)
-        a = _anisotropic_in(V, perp)
+        a = _anisotropic_in(V, perp_basis(V, S))
         entry = cache["types"][key] = (key, S, None if a is None else _reflection_matrix(V, a))
     key, root, flip = entry
     m, parity = _witt_map(V, root, S)
@@ -784,12 +789,11 @@ def witt_extension(
         raise PreconditionError("first subspace basis is dependent")
     if ry is None and not same and k and modp.rank(Y, p) != k:
         raise PreconditionError("second subspace basis is dependent")
-    kx = _tuple_type_key(V, X) if rx is None else rx[0]
-    ky = kx if same else (_tuple_type_key(V, Y) if ry is None else ry[0])
-    if kx[1] != ky[1]:
-        raise PreconditionError("map does not preserve the quadratic form")
-    if kx[2] != ky[2]:
-        raise PreconditionError("map does not preserve the bilinear form")
+    kx = half_gram_on(V, X) if rx is None else rx[0]
+    ky = kx if same else (half_gram_on(V, Y) if ry is None else ry[0])
+    if kx != ky:  # a difference in the Q-values comes first
+        kind = "quadratic" if any(kx[i][i] != ky[i][i] for i in range(k)) else "bilinear"
+        raise PreconditionError(f"map does not preserve the {kind} form")
     if k == 0:
         return FpIsometry(V, modp.identity(n))
     if rx is None:
@@ -918,7 +922,7 @@ def stabilizer_orbit(
     i = next((i for i, t in enumerate(target) if t), None)
     records = V._witt_cache["tuples"]
     X = tuple(W + [v0])
-    parity = (records.get(X) or _witt_record(V, X, _tuple_type_key(V, X)))[2]
+    parity = (records.get(X) or _witt_record(V, X, half_gram_on(V, X)))[2]
     orbit = []
     for line in lines:
         v = line.generator
@@ -929,7 +933,7 @@ def stabilizer_orbit(
         if [lam * x % p for x in pair] != target:
             continue
         Y = tuple(W + [tuple([lam * x % p for x in v])])
-        if (records.get(Y) or _witt_record(V, Y, _tuple_type_key(V, Y)))[2] != parity:
+        if (records.get(Y) or _witt_record(V, Y, half_gram_on(V, Y)))[2] != parity:
             continue
         witt_extension(V, X, Y)
         orbit.append(line)

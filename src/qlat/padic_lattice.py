@@ -43,7 +43,13 @@ from .exact_linalg import (
     sublattice_in_span,
     sublattice_index,
 )
-from .fp_quadratic import FpQuadSpace, ProjLine, enumerate_isotropic_lines, isotropic_lines_in
+from .fp_quadratic import (
+    FpQuadSpace,
+    ProjLine,
+    enumerate_isotropic_lines,
+    isotropic_lines_in,
+    perp_basis,
+)
 from .modp import MAX_PROJ_POINTS
 from .quad_lattice import (
     QuadLattice,
@@ -410,20 +416,15 @@ def w_generic_lines(
     if W.ambient != N or (U is not None and U.ambient != N):
         raise PreconditionError("sublattice belongs to a different lattice")
     V = reduction(N, p)
-    B = N.gram()
-
-    def pairing_rows(X: Sublattice) -> list[list[int]]:
-        return [[sum(map(mul, g, x)) % p for g in B.entries] for x in X.basis.columns()]
-
     if U is None:
         lines = enumerate_isotropic_lines(V, max_points)
     else:
-        lines = isotropic_lines_in(V, modp.kernel_basis(pairing_rows(U), p, N.rank), max_points)
+        lines = isotropic_lines_in(V, perp_basis(V, U.basis.columns()), max_points)
     if W.rank == 0:
         return lines
     Wred = [[x % p for x in W.basis.column(j)] for j in range(W.rank)]
     w_rank = modp.rank(Wred, p)
-    wb_rows = pairing_rows(W)
+    wb_rows = [modp.mat_vec(V.gram(), w, p) for w in Wred]  # B is symmetric
     out = []
     for line in lines:
         v = line.generator

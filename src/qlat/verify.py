@@ -10,8 +10,8 @@ Suites
 ------
 * ``neighbor-bijection`` — the line ↔ self-dual-lattice correspondence is
   a bijection (counts agree with independent brute force, both round
-  trips are identities), and enumerated isotropic-line counts match the
-  closed-form formulas for every nondegenerate type of dim ≤ 6.
+  trips are identities), and enumerated isotropic-line counts match
+  ``fp_quadratic``'s closed forms for every nondegenerate type of dim ≤ 6.
 * ``nice-cochar`` — the typed-line fiber equals the brute-force filter
   fiber (two independent routes), every fiber member recovers the unique
   original lattice, and the orbit of the first typed line under SO_W,
@@ -65,9 +65,12 @@ from .errors import InvariantViolationError, PreconditionError, SizeGuardError
 from .exact_linalg import IntMatrix, saturate
 from .fp_quadratic import (
     FpQuadSpace,
+    closed_form_line_count,
     enumerate_isotropic_lines,
+    half_gram_on,
     isotropic_generators,
     line_sort_key,
+    perp_basis,
     reflection,
     spinor_norm,
     stabilizer_orbit,
@@ -75,7 +78,7 @@ from .fp_quadratic import (
     witt_extension,
 )
 from .hecke_k3 import k3_isogeny
-from .modp import MAX_PROJ_POINTS, check_int, check_prime, kernel_basis, legendre, mat_vec, rank
+from .modp import MAX_PROJ_POINTS, check_int, check_prime, legendre, mat_vec, rank
 from .padic_lattice import (
     PLattice,
     enumerate_neighbors,
@@ -99,7 +102,7 @@ from .quad_lattice import (
     signature,
 )
 
-__all__ = ["VerifyReport", "SUITES", "run_suite", "processes", "closed_form_line_count"]
+__all__ = ["VerifyReport", "SUITES", "run_suite", "processes"]
 
 
 @dataclass
@@ -147,30 +150,6 @@ class VerifyReport:
 def _digest(desc: dict) -> str:
     blob = json.dumps(desc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def closed_form_line_count(V: FpQuadSpace) -> int:
-    """Number of isotropic lines of a nondegenerate space, in closed form.
-
-    With Witt index m and anisotropic kernel of dimension a:
-    a = 1 → (p^{2m} - 1)/(p - 1); a = 0 → (p^{m-1} + 1)(p^m - 1)/(p - 1);
-    a = 2 → (p^{k-1} - 1)(p^k + 1)/(p - 1) with k = m + 1.
-    """
-    p = V.p
-    pairs, aniso, rad = witt_decomposition(V)
-    if rad:
-        raise PreconditionError("count formula requires a nondegenerate space")
-    m, a = len(pairs), len(aniso)
-    if a == 1:
-        return (p ** (2 * m) - 1) // (p - 1)
-    if a == 0:
-        if m == 0:
-            return 0
-        return (p ** (m - 1) + 1) * (p**m - 1) // (p - 1)
-    if a == 2:
-        k = m + 1
-        return (p ** (k - 1) - 1) * (p**k + 1) // (p - 1)
-    raise InvariantViolationError("anisotropic kernel of dimension > 2")
 
 
 def _hyperbolic_power(k: int) -> QuadLattice:
@@ -571,14 +550,13 @@ def suite_witt_extension(primes, max_rank, seed, max_points) -> VerifyReport:
             by_q: dict[int, list] = {}
             for v in vectors:
                 by_q.setdefault(V.q(v), []).append(v)
-            groups: dict = {}  # Gram data -> [bound, its X]
+            groups: dict = {}  # the form on X (its Gram type) -> [bound, its X]
             for k in range(0, n - 1):
                 for X in _subspace_bases(p, n, k):
-                    xq = tuple(V.q(x) for x in X)
-                    pairs = tuple(V.b(X[i], X[j]) for i in range(k) for j in range(i + 1, k))
-                    group = groups.setdefault((xq, pairs), [0, []])
+                    form = half_gram_on(V, X)
+                    group = groups.setdefault(form, [0, []])
                     # each Y the sweep visits takes y_j from the Q-value bucket of x_j
-                    group[0] += math.prod(len(by_q.get(q, ())) for q in xq)
+                    group[0] += math.prod(len(by_q.get(form[j][j], ())) for j in range(k))
                     group[1].append(X)
             tuples = sum(bound for bound, _ in groups.values())
             if tuples > max_points:
@@ -605,21 +583,15 @@ def suite_witt_extension(primes, max_rank, seed, max_points) -> VerifyReport:
 def _sweep_witt_images(report, name, V, witt_index, by_q, group) -> None:
     """Record one instance for each isometry of span(X) onto a subspace of V.
 
-    Every X of ``group`` has the same Gram data, so the tuples Y that match
-    it, and whether the pairs are Lagrangian, are worked out once from the
-    first X and then checked against each X in turn.
+    Every X of ``group`` has the same form (``half_gram_on``), so the
+    tuples Y that match it, and whether the pairs are Lagrangian, are
+    worked out once from the first X and then checked against each X in turn.
     """
     first = group[0]
     p, n, k = V.p, V.dim, len(first)
-    xgram = [[V.b(first[i], first[j]) for j in range(k)] for i in range(k)]
-    xq = [V.q(x) for x in first]
-    lagrangian = (
-        2 * k == n
-        and k == witt_index
-        and all(q == 0 for q in xq)
-        and all(xgram[i][j] == 0 for i in range(k) for j in range(i + 1, k))
-    )
-    images = list(_gram_matching_tuples(V, xq, xgram, by_q, p))
+    form = half_gram_on(V, first)
+    lagrangian = 2 * k == n and k == witt_index and not any(map(any, form))
+    images = list(_gram_matching_tuples(V, form, by_q, p))
     for X in group:
         for Y in images:
             if lagrangian:
@@ -646,13 +618,13 @@ def _sweep_witt_images(report, name, V, witt_index, by_q, group) -> None:
             report.record(desc, False, "verified witness", actual)
 
 
-def _gram_matching_tuples(V, xq, xgram, by_q, p):
-    """All independent tuples Y with Q-values ``xq`` and pairings ``xgram``.
+def _gram_matching_tuples(V, form, by_q, p):
+    """All independent tuples Y on which V's form is ``form`` (``half_gram_on``).
 
     A candidate w for y_j pairs with each chosen y_i as B·y_i · w, with
     B·y_i formed once when y_i is chosen.
     """
-    k = len(xq)
+    k = len(form)
     if k == 0:
         yield ()
         return
@@ -665,8 +637,8 @@ def _gram_matching_tuples(V, xq, xgram, by_q, p):
             if rank(chosen, p) == k:
                 yield tuple(chosen)
             return
-        for w in by_q.get(xq[j], ()):
-            if all(sum(map(mul, by, w)) % p == xgram[i][j] for i, by in enumerate(paired)):
+        for w in by_q.get(form[j][j], ()):
+            if all(sum(map(mul, by, w)) % p == form[i][j] for i, by in enumerate(paired)):
                 chosen.append(w)
                 paired.append(mat_vec(B, w, p))
                 yield from extend(j + 1)
@@ -792,15 +764,12 @@ def suite_spinor_surjectivity(primes, max_rank, seed, max_points) -> VerifyRepor
         p, name, N, wrows = item
         desc = {"suite": "spinor-surjectivity", "lattice": name, "p": p, "W": wrows}
         V = reduction(N, p)
-        n = V.dim
         wvecs = [tuple(x % p for x in row) for row in wrows]
-        B = V.gram()  # symmetric, so B·w gives the pairings with w
-        perp = kernel_basis([mat_vec(B, w, p) for w in wvecs], p, n)
+        perp = perp_basis(V, wvecs)
+        cols = tuple(zip(*perp))  # u = Σ c_i·perp_i is cols·c
         sq = nonsq = None
         for coeffs in kernels.proj_reps(p, len(perp)):
-            u = tuple(
-                sum(c * b[i] for c, b in zip(coeffs, perp)) % p for i in range(n)
-            )
+            u = mat_vec(cols, coeffs, p)
             qu = V.q(u)
             if qu == 0:
                 continue

@@ -420,6 +420,50 @@ def test_verify_size_guard_is_input_error(capsys):
     assert out == ""
 
 
+# every command that takes --max-points; the parser rejects the guard before
+# it reads any other argument, so the documents need not be valid
+_GUARDED_COMMANDS = {
+    "quadric lines": ["quadric", "lines", "H⊥H", "--p", "3"],
+    "neighbors": ["neighbors", "H⊥H", "--p", "3"],
+    "shrink": ["shrink", "H⊥H⊥H", "[[1], [1], [0], [0], [0], [0]]", "{}"],
+    "grow": ["grow", "{}", "[[2], [2], [0], [0], [0], [0]]"],
+    "verify": ["verify", "cokernel-m"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("command", sorted(_GUARDED_COMMANDS))
+def test_max_points_below_one_is_rejected_by_the_parser(capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main(_GUARDED_COMMANDS[command] + ["--max-points", value])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(
+        f"error: argument --max-points: must be at least 1, not {value}"
+    )
+    assert "Traceback" not in err
+
+
+def test_max_points_below_one_exits_two_from_a_process():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlat", "verify", "cokernel-m", "--max-points", "-3"],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert b"argument --max-points: must be at least 1, not -3" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+def test_max_points_keeps_the_parser_message_for_a_non_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["quadric", "lines", "H", "--p", "3", "--max-points", "ten"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.splitlines()[-1].endswith("error: argument --max-points: invalid int value: 'ten'")
+
+
 @pytest.mark.parametrize("bad", ["1.5", "true"])
 @pytest.mark.parametrize("where", ["lattice", "embedding"])
 def test_a_non_integer_json_matrix_entry_is_input_error(capsys, tmp_path, where, bad):

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +40,10 @@ from qlat.fp_quadratic import (
     _eichler_matrix,
     _reflection_matrix,
     _witt_map,
+    closed_form_line_count,
+    half_gram_on,
     isotropic_lines_in,
+    perp_basis,
 )
 from isometry_oracle import all_isometries_bruteforce
 
@@ -1231,10 +1235,15 @@ def test_suite_validates_each_witness_once(monkeypatch):
 
 def test_suite_checks_each_tuple_once_per_space(monkeypatch):
     """Each distinct tuple gets one Gram-type computation and at most one
-    rank check per space; every record of a type holds the type's key."""
+    rank check per space; every record of a type holds the type's key.
+
+    A Gram type is the form on the tuple (``half_gram_on``) as
+    ``witt_extension`` or ``_witt_record`` computes it; the same function
+    serves ``FpIsometry`` and the Witt decomposition, which are not counted.
+    """
     from qlat import fp_quadratic, verify
 
-    extension, type_key, rank = verify.witt_extension, fp_quadratic._tuple_type_key, modp.rank
+    extension, form_on, rank = verify.witt_extension, fp_quadratic.half_gram_on, modp.rank
     current, spaces = [None], {}
     keys, ranks = {}, {}
 
@@ -1243,8 +1252,9 @@ def test_suite_checks_each_tuple_once_per_space(monkeypatch):
         return extension(V, X, Y)
 
     def counted_key(V, vectors):
-        keys[id(V), tuple(vectors)] = keys.get((id(V), tuple(vectors)), 0) + 1
-        return type_key(V, vectors)
+        if sys._getframe(1).f_code.co_name in ("witt_extension", "_witt_record"):
+            keys[id(V), tuple(vectors)] = keys.get((id(V), tuple(vectors)), 0) + 1
+        return form_on(V, vectors)
 
     def counted_rank(rows, p):
         if isinstance(rows, tuple):  # a tuple checked by witt_extension
@@ -1252,7 +1262,7 @@ def test_suite_checks_each_tuple_once_per_space(monkeypatch):
         return rank(rows, p)
 
     monkeypatch.setattr(verify, "witt_extension", counted_extension)
-    monkeypatch.setattr(fp_quadratic, "_tuple_type_key", counted_key)
+    monkeypatch.setattr(fp_quadratic, "half_gram_on", counted_key)
     monkeypatch.setattr(modp, "rank", counted_rank)
     monkeypatch.setattr(verify, "_usable_cores", lambda: 1)
     report = verify.run_suite("witt-extension", primes=(2, 3), max_rank=3)
@@ -1475,3 +1485,93 @@ def test_reflection_and_eichler_matrices_follow_their_formulas(p):
                     image = [(x[i] + bxu * w[i] - bxw * u[i] - V.q(w) * bxu * u[i]) % p
                              for i in range(n)]
                     assert [E[i][j] for i in range(n)] == image
+
+
+# ---------------------------------------------------------------------------
+# the form on a tuple, the orthogonal complement and the Witt type
+# ---------------------------------------------------------------------------
+
+
+def _geometry_spaces(p):
+    """The zero forms of dim 0–4, seeded forms of dim 1–4 (degenerate or
+    not), and in each dim 1–4 a seeded diagonal form whose last entry is 0,
+    so with a radical.  At p = 2 a diagonal form has B = 0: the whole space
+    is its radical, and Q is nonzero on it."""
+    rng = random.Random(31 * p)
+    spaces = [FpQuadSpace(p, [[0] * n for _ in range(n)]) for n in range(5)]
+    for n in range(1, 5):
+        for _ in range(6):
+            spaces.append(FpQuadSpace(
+                p, [[rng.randrange(p) if j >= i else 0 for j in range(n)] for i in range(n)]
+            ))
+        spaces.append(FpQuadSpace(
+            p, [[rng.randrange(1, p) if i == j < n - 1 else 0 for j in range(n)] for i in range(n)]
+        ))
+    return spaces
+
+
+def _seeded_tuples(V, rng):
+    """Seeded tuples of every size 0 … dim + 1, entries moved by multiples of p."""
+    p, n = V.p, V.dim
+    return [
+        tuple(tuple(rng.randrange(p) + p * rng.randint(-2, 2) for _ in range(n)) for _ in range(k))
+        for k in range(n + 2)
+        for _ in range(3)
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_half_gram_on_is_the_form_on_the_tuple(p):
+    rng = random.Random(p)
+    for V in _geometry_spaces(p):
+        for S in _seeded_tuples(V, rng):
+            form = half_gram_on(V, S)
+            k = len(S)
+            assert len(form) == k and all(len(row) == k for row in form)
+            for i in range(k):
+                assert form[i][i] == V.q(S[i]) == V.q([x % p for x in S[i]])
+                for j in range(k):
+                    assert form[i][j] == (V.b(S[i], S[j]) if i < j else 0 if i > j else V.q(S[i]))
+            assert half_gram_on(V, [list(s) for s in S]) == form
+    assert half_gram_on(FpQuadSpace(p, ()), []) == ()
+    # the half-Gram of a space is the form on its unit vectors
+    for V in _geometry_spaces(p):
+        assert half_gram_on(V, modp.identity(V.dim)) == V.half_gram
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_perp_basis_is_the_orthogonal_complement_by_brute_force(p):
+    rng = random.Random(100 + p)
+    for V in _geometry_spaces(p):
+        n = V.dim
+        vectors = list(product(range(p), repeat=n))
+        for W in _seeded_tuples(V, rng):
+            perp = perp_basis(V, W)
+            rows = [modp.mat_vec(V.gram(), [x % p for x in w], p) for w in W]
+            brute = {x for x in vectors if all(V.b(w, x) == 0 for w in W)}
+            assert len(brute) == p ** (n - modp.rank(rows, p))
+            assert len(perp) == n - modp.rank(rows, p) and modp.rank(perp, p) == len(perp)
+            span = {
+                tuple(sum(c * u[i] for c, u in zip(cs, perp)) % p for i in range(n))
+                for cs in product(range(p), repeat=len(perp))
+            }
+            assert span == brute  # p^(n - rank) vectors, each pairing to zero with W
+    assert perp_basis(FpQuadSpace(p, ()), []) == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_witt_type_closed_forms_keep_their_degenerate_space_messages(p):
+    for V in _geometry_spaces(p):
+        if V.is_nondegenerate():
+            lines = len(enumerate_isotropic_lines(V))
+            assert closed_form_line_count(V) == lines
+            assert so_order(V) >= 1
+            continue
+        with pytest.raises(PreconditionError) as exc:
+            so_order(V)
+        assert str(exc.value) == "group order requires a nondegenerate bilinear form"
+        with pytest.raises(PreconditionError) as exc:
+            closed_form_line_count(V)
+        assert str(exc.value) == "count formula requires a nondegenerate space"
+    empty = FpQuadSpace(p, ())
+    assert (so_order(empty), closed_form_line_count(empty)) == (1, 0)

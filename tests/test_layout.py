@@ -21,6 +21,12 @@
   the split of a Hermite basis into a projection and a meet is
   ``exact_linalg.split_hnf``; the copies they replaced are gone.
   ``cokernel_M`` and ``sublattice_in_span`` both read ``split_hnf``.
+* F_p subspace geometry has one home, ``fp_quadratic``: the form on a
+  tuple is ``half_gram_on``, the orthogonal complement mod p is
+  ``perp_basis``, and the closed forms read off the Witt type are
+  ``so_order`` and ``closed_form_line_count``.  Only ``modp`` and
+  ``fp_quadratic`` refer to ``kernel_basis``, and no module defines
+  ``_restrict``, ``_tuple_type_key`` or ``pairing_rows``, at any depth.
 * That form has one home: ``lattice_from_line``, ``plattice_quadlattice``,
   ``restricted_lattice`` and ``shrink_fiber`` refer to
   ``basis_half_gram``, and no function of ``padic_lattice`` or
@@ -204,6 +210,9 @@ CONSTRUCTIONS = {
     ("padic_lattice", "plattice_quadlattice"): ("plattice_gram",),
     ("quad_lattice", "basis_half_gram"): ("sublattice_gram",),
     ("exact_linalg", "split_hnf"): ("_split",),
+    ("fp_quadratic", "half_gram_on"): ("_restrict", "_tuple_type_key"),
+    ("fp_quadratic", "perp_basis"): (),
+    ("fp_quadratic", "closed_form_line_count"): (),
 }
 
 
@@ -214,6 +223,27 @@ def test_each_construction_has_one_definition():
             (module, n) for module, names in defined.items() for n in (name, *old_names) if n in names
         )
         assert homes == [(home, name)], name
+
+
+def _refers_to(path, name):
+    """Whether the module names ``name``: bare, as an attribute, in an import
+    or in a definition."""
+    tree = _tree(path)
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    return name in _names_in(tree) | imported | _defined_anywhere(path)
+
+
+def test_subspace_geometry_has_one_home():
+    referrers = sorted(path.stem for path in MODULES if _refers_to(path, "kernel_basis"))
+    assert referrers == ["fp_quadratic", "modp"]
+    for path in MODULES:
+        defined = _defined_anywhere(path)
+        assert not defined & {"_restrict", "_tuple_type_key", "pairing_rows"}, path.name
 
 
 def test_fp_quadratic_scans_no_projective_points():
