@@ -245,7 +245,7 @@ class FpIsometry:
         object.__setattr__(self, "matrix", m)
         if self.det() == 0:
             raise PreconditionError("isometry matrix is singular")
-        form, hg = half_gram_on(V, zip(*m)), V.half_gram  # hg is the form on the unit vectors
+        form, hg = _half_gram(V, tuple(zip(*m))), V.half_gram  # hg: the form on the unit vectors
         if form != hg:  # the first column that differs names the error, its Q-value first
             j = next(j for j in range(n) if any(form[i][j] != hg[i][j] for i in range(j + 1)))
             kind = "quadratic" if form[j][j] != hg[j][j] else "bilinear"
@@ -406,16 +406,17 @@ def _orthogonal_basis(V: FpQuadSpace) -> Iterator[tuple[Vector, int]]:
 
 
 def half_gram_on(V: FpQuadSpace, basis: Iterable[Sequence[int]]) -> Matrix:
-    """The form of V on the tuple ``basis`` (read through ``_vectors``): its Gram type.
+    """The form of V on the tuple ``basis``, read through ``_vectors``: its Gram type."""
+    return _half_gram(V, _vectors(V, basis, "subspace basis vector has wrong dimension"))
 
-    The half-Gram Q(s_i) on the diagonal, B(s_i, s_j) above it, mod p; one
-    B·s_j per vector, so O(k·n²) for k vectors.
-    """
+
+def _half_gram(V: FpQuadSpace, S: Sequence[Vector]) -> Matrix:
+    """The form of V on a tuple S that ``_vectors`` has read: Q(s_i) on the diagonal,
+    B(s_i, s_j) above it, mod p; one B·s_j per s_j, j ≥ 1, so O(k·n²) for k vectors."""
     p = V.p
-    S = _vectors(V, basis, "subspace basis vector has wrong dimension")
-    bs = [modp.mat_vec(V.gram(), s, p) for s in S]
+    bs = [modp.mat_vec(V.gram(), s, p) for s in S[1:]]
     return tuple([
-        tuple([0] * i + [V.q(s)] + [sum(map(mul, s, b)) % p for b in bs[i + 1 :]])
+        tuple([0] * i + [V.q(s)] + [sum(map(mul, s, b)) % p for b in bs[i:]])
         for i, s in enumerate(S)
     ])
 
@@ -423,9 +424,8 @@ def half_gram_on(V: FpQuadSpace, basis: Iterable[Sequence[int]]) -> Matrix:
 def perp_basis(V: FpQuadSpace, basis: Iterable[Sequence[int]]) -> list[Vector]:
     """A basis of span(basis)^⊥ mod p: the kernel of the pairing rows B·w of
     ``basis`` read through ``_vectors`` (``modp.kernel_basis``)."""
-    p = V.p
     W = _vectors(V, basis, "subspace basis vector has wrong dimension")
-    return modp.kernel_basis([modp.mat_vec(V.gram(), w, p) for w in W], p, V.dim)
+    return modp.kernel_basis([modp.mat_vec(V.gram(), w, V.p) for w in W], V.p, V.dim)
 
 
 WittDecomposition = tuple[
@@ -458,7 +458,7 @@ def _witt_decomposition(V: FpQuadSpace) -> WittDecomposition:
     pairs: list[tuple[Vector, Vector]] = []
     work = comp
     while work:
-        Vs = FpQuadSpace(p, half_gram_on(V, work))
+        Vs = FpQuadSpace(p, _half_gram(V, work))
         u_s = find_isotropic_vector(Vs)
         if u_s is None:
             break
@@ -506,7 +506,7 @@ def isotropic_lines_in(
     R = _span_basis(V, basis, "subspace basis vector has wrong dimension")
     if not R:
         return ()
-    coeffs = isotropic_generators(FpQuadSpace(p, half_gram_on(V, R)), max_points)
+    coeffs = isotropic_generators(FpQuadSpace(p, _half_gram(V, R)), max_points)
     return tuple([ProjLine(V, _combine(R, c, p), _trusted=True) for c in coeffs])
 
 
@@ -789,8 +789,8 @@ def witt_extension(
         raise PreconditionError("first subspace basis is dependent")
     if ry is None and not same and k and modp.rank(Y, p) != k:
         raise PreconditionError("second subspace basis is dependent")
-    kx = half_gram_on(V, X) if rx is None else rx[0]
-    ky = kx if same else (half_gram_on(V, Y) if ry is None else ry[0])
+    kx = _half_gram(V, X) if rx is None else rx[0]
+    ky = kx if same else (_half_gram(V, Y) if ry is None else ry[0])
     if kx != ky:  # a difference in the Q-values comes first
         kind = "quadratic" if any(kx[i][i] != ky[i][i] for i in range(k)) else "bilinear"
         raise PreconditionError(f"map does not preserve the {kind} form")
@@ -922,7 +922,7 @@ def stabilizer_orbit(
     i = next((i for i, t in enumerate(target) if t), None)
     records = V._witt_cache["tuples"]
     X = tuple(W + [v0])
-    parity = (records.get(X) or _witt_record(V, X, half_gram_on(V, X)))[2]
+    parity = (records.get(X) or _witt_record(V, X, _half_gram(V, X)))[2]
     orbit = []
     for line in lines:
         v = line.generator
@@ -933,7 +933,7 @@ def stabilizer_orbit(
         if [lam * x % p for x in pair] != target:
             continue
         Y = tuple(W + [tuple([lam * x % p for x in v])])
-        if (records.get(Y) or _witt_record(V, Y, half_gram_on(V, Y)))[2] != parity:
+        if (records.get(Y) or _witt_record(V, Y, _half_gram(V, Y)))[2] != parity:
             continue
         witt_extension(V, X, Y)
         orbit.append(line)

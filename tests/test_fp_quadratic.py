@@ -1237,13 +1237,14 @@ def test_suite_checks_each_tuple_once_per_space(monkeypatch):
     """Each distinct tuple gets one Gram-type computation and at most one
     rank check per space; every record of a type holds the type's key.
 
-    A Gram type is the form on the tuple (``half_gram_on``) as
-    ``witt_extension`` or ``_witt_record`` computes it; the same function
-    serves ``FpIsometry`` and the Witt decomposition, which are not counted.
+    A Gram type is the form on the tuple (``_half_gram``, the core of
+    ``half_gram_on``) as ``witt_extension`` or ``_witt_record`` computes
+    it; the same function serves ``FpIsometry`` and the Witt
+    decomposition, which are not counted.
     """
     from qlat import fp_quadratic, verify
 
-    extension, form_on, rank = verify.witt_extension, fp_quadratic.half_gram_on, modp.rank
+    extension, form_on, rank = verify.witt_extension, fp_quadratic._half_gram, modp.rank
     current, spaces = [None], {}
     keys, ranks = {}, {}
 
@@ -1262,7 +1263,7 @@ def test_suite_checks_each_tuple_once_per_space(monkeypatch):
         return rank(rows, p)
 
     monkeypatch.setattr(verify, "witt_extension", counted_extension)
-    monkeypatch.setattr(fp_quadratic, "half_gram_on", counted_key)
+    monkeypatch.setattr(fp_quadratic, "_half_gram", counted_key)
     monkeypatch.setattr(modp, "rank", counted_rank)
     monkeypatch.setattr(verify, "_usable_cores", lambda: 1)
     report = verify.run_suite("witt-extension", primes=(2, 3), max_rank=3)
