@@ -6,14 +6,17 @@ the p-neighbor construction (``lattice_from_line``), its inverse
 (``line_from_lattice``) and the form of a neighbor in its own basis
 (``plattice_quadlattice``), the integer layer under unique recovery
 (``saturate``, ``sublattice_in_span`` and ``recover_lattice`` itself), the
-cokernel M with its comparison maps (``cokernel_M``) and the Witt witness
-path (``witt_extension``) on fixed workloads, and prints a table of
-best-of-N wall times.
+cokernel M with its comparison maps (``cokernel_M``), the Witt witness
+path (``witt_extension``) and the two eliminators (``modp.rank``,
+``modp.kernel_basis`` and ``modp.det`` mod p, ``IntMatrix.det`` over Z)
+on fixed workloads, and prints a table of best-of-N wall times.
 
-A neighbor built by ``lattice_from_line`` keeps the half-Gram that
-certified it, so the ``line_from_lattice`` and ``plattice_quadlattice``
-rows on such neighbors time the path that reads that kept form; the rows
-marked "rebuilt" time neighbors rebuilt from their bases, which keep none.
+A lattice forms the half-Gram of its form once, on first use, and keeps
+it; a neighbor built by ``lattice_from_line`` has formed it already, so
+the ``line_from_lattice`` and ``plattice_quadlattice`` rows on such
+neighbors time the path that reads the kept form.  The rows marked
+"rebuilt" rebuild each neighbor from its basis inside the timing, so they
+time the path that forms it.
 
 Usage:  python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -52,7 +55,7 @@ from qlat import (
     witt_extension,
 )
 from qlat.fp_quadratic import isotropic_lines_in
-from qlat.modp import rank
+from qlat.modp import det, kernel_basis, mat_vec, rank
 from qlat.verify import _brute_line_count, _cochar_instances, _hyperbolic_power, _subspace_bases
 
 
@@ -143,19 +146,27 @@ def _workloads():
     he8 = direct_sum(hyperbolic_plane(), e8_lattice())
     he8_lines = enumerate_isotropic_lines(reduction(he8, 2))  # 527 lines
     he8_neighbors = [lattice_from_line(he8, line) for line in he8_lines]
-    he8_rebuilt = [PLattice(he8, 2, 1, Nt.numerator_basis) for Nt in he8_neighbors]
     k3 = k3_lattice()
     # the isotropic lines of K3 mod 2 inside the span of e_1, …, e_10
     k3_lines = isotropic_lines_in(
         reduction(k3, 2), [tuple(int(i == j) for j in range(22)) for i in range(10)]
     )
     k3_neighbors = [lattice_from_line(k3, line) for line in k3_lines]
-    k3_rebuilt = [PLattice(k3, 2, 1, Nt.numerator_basis) for Nt in k3_neighbors]
     h3_mod5 = reduction(_hyperbolic_power(3), 5)
     cochar_N, cochar_ws, recoveries = _recoveries()
     cochar_neighbors = enumerate_neighbors(cochar_N, 2)
     cokernel_instances = _cokernel_instances()
     witt_pairs = _witt_pairs(FpQuadSpace(3, h4))
+    h4_mod3 = FpQuadSpace(3, h4)
+    # the pairing rows of Y and of x_k, as ``_witt_map`` hands them to ``kernel_basis``
+    witt_map_rows = [[mat_vec(h4_mod3.gram(), v, 3) for v in Y + X[-1:]] for X, Y in witt_pairs]
+    witnesses = []
+    for X, Y in witt_pairs:
+        try:
+            witnesses.append(witt_extension(h4_mod3, X, Y).matrix)
+        except InvariantViolationError:
+            pass
+    grams = {"K3": k3.gram().entries, "E8": e8_lattice().gram().entries}
     return [
         (
             # the instance of `qlat quadric lines H⊥H⊥H⊥H --p 7`
@@ -193,8 +204,8 @@ def _workloads():
             lambda: [line_from_lattice(Nt) for Nt in he8_neighbors],
         ),
         (
-            f"line_from_lattice H⊥E8, p=2, {len(he8_rebuilt)} rebuilt",
-            lambda: [line_from_lattice(Nt) for Nt in he8_rebuilt],
+            f"line_from_lattice H⊥E8, p=2, {len(he8_neighbors)} rebuilt",
+            lambda: [line_from_lattice(PLattice(he8, 2, 1, Nt.numerator_basis)) for Nt in he8_neighbors],
         ),
         (
             f"plattice_quadlattice H⊥E8, p=2, {len(he8_neighbors)} neighbors",
@@ -210,8 +221,8 @@ def _workloads():
             lambda: [line_from_lattice(Nt) for Nt in k3_neighbors],
         ),
         (
-            f"line_from_lattice K3, p=2, {len(k3_rebuilt)} rebuilt",
-            lambda: [line_from_lattice(Nt) for Nt in k3_rebuilt],
+            f"line_from_lattice K3, p=2, {len(k3_neighbors)} rebuilt",
+            lambda: [line_from_lattice(PLattice(k3, 2, 1, Nt.numerator_basis)) for Nt in k3_neighbors],
         ),
         (
             # the W of each recovery in `qlat verify nice-cochar --p 2`
@@ -242,6 +253,25 @@ def _workloads():
             f"witt_extension H⊥H, p=3, {len(witt_pairs)} pairs",
             lambda: _extend_all(3, h4, witt_pairs),
         ),
+        (
+            # the tuples X + Y whose rank the witt-extension suite reads on Lagrangian pairs
+            f"modp.rank H⊥H, p=3, {len(witt_pairs)} tuples X + Y",
+            lambda: [rank(X + Y, 3) for X, Y in witt_pairs],
+        ),
+        (
+            f"modp.kernel_basis H⊥H, p=3, {len(witt_map_rows)} _witt_map rows",
+            lambda: [kernel_basis(rows, 3, 4) for rows in witt_map_rows],
+        ),
+        (
+            f"modp.det H⊥H, p=3, {len(witnesses)} witness matrices",
+            lambda: [det(m, 3) for m in witnesses],
+        ),
+    ] + [
+        (
+            f"IntMatrix.det {name} Gram, 100 calls",
+            lambda rows=rows: [IntMatrix(rows).det() for _ in range(100)],
+        )
+        for name, rows in grams.items()
     ]
 
 

@@ -10,8 +10,9 @@ rows on their leading coordinates and carries any further coordinates
 along: the transform rides in rows stacked with the identity, and kernels
 are read off it; ranks, memberships and indices come off the pivots of
 Hermite bases, and projections and meets off ``split_hnf``; the Smith
-form comes from alternating Hermite forms of a matrix and its transpose.
-The Smith form serves only ``quotient_structure``.
+form comes from alternating Hermite forms of a matrix and its transpose;
+and ``IntMatrix.det`` is the sign of the eliminator's row operations times
+the diagonal it leaves.  The Smith form serves only ``quotient_structure``.
 
 Conventions
 -----------
@@ -157,30 +158,13 @@ class IntMatrix:
         return all(self.entries[i][j] == 0 for i in range(self.rows) for j in range(min(i, self.cols)))
 
     def det(self) -> int:
-        """Determinant by fraction-free Bareiss elimination."""
+        """Determinant: the sign of ``_row_hnf``'s row operations times the
+        diagonal of the echelon rows it leaves (zero below full rank)."""
         n = self.rows
         if n != self.cols:
             raise PreconditionError("determinant of a non-square matrix")
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        A = [list(r) for r in self.entries]
+        return _row_hnf(A, n) * math.prod(A[i][i] for i in range(n))
 
     def rank(self) -> int:
         return hnf_basis(self).cols
@@ -256,15 +240,19 @@ def _columns(M: IntMatrix) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _row_hnf(A: list[list[int]], m: int) -> None:
+def _row_hnf(A: list[list[int]], m: int) -> int:
     """Row-style Hermite normal form of A in place, eliminating on the first m coordinates.
 
     Each row operation applies to the whole row, so any coordinates past m
     ride along: rows (a_i, e_i) end as (h_i, t_i) with h_i = Σ_j t_ij·a_j.
     Rows are updated in place where one row gains a multiple of another:
     on short rows the indexed loop beats building a new row.
+
+    Returns the determinant ±1 of the row operations: an exchange of two
+    rows or a negated pivot row gives −1, a row addition or gcd step 1.
     """
     n = len(A)
+    sign = 1
     pivot_row = 0
     for col in range(m):
         if pivot_row == n:
@@ -272,7 +260,9 @@ def _row_hnf(A: list[list[int]], m: int) -> None:
         nz = [i for i in range(pivot_row, n) if A[i][col] != 0]
         if not nz:
             continue
-        A[pivot_row], A[nz[0]] = A[nz[0]], A[pivot_row]
+        if nz[0] != pivot_row:
+            A[pivot_row], A[nz[0]] = A[nz[0]], A[pivot_row]
+            sign = -sign
         for i in range(pivot_row + 1, n):
             while A[i][col] != 0:
                 P, R = A[pivot_row], A[i]
@@ -282,7 +272,7 @@ def _row_hnf(A: list[list[int]], m: int) -> None:
                     for k in range(len(R)):
                         R[k] -= c * P[k]
                 else:
-                    # (P, R) <- (s·P + u·R, a·P + b·R), a unimodular pair
+                    # (P, R) <- (s·P + u·R, a·P + b·R), of determinant s·b − u·a = 1
                     g, s, u = _xgcd(d, x)
                     a, b = -(x // g), d // g
                     A[pivot_row] = [s * y + u * z for y, z in zip(P, R)]
@@ -290,6 +280,7 @@ def _row_hnf(A: list[list[int]], m: int) -> None:
         P = A[pivot_row]
         if P[col] < 0:
             A[pivot_row] = P = [-x for x in P]
+            sign = -sign
         d = P[col]
         for i in range(pivot_row):
             q = A[i][col] // d  # floor division reduces into [0, d)
@@ -298,6 +289,7 @@ def _row_hnf(A: list[list[int]], m: int) -> None:
                 for k in range(len(R)):
                     R[k] -= q * P[k]
         pivot_row += 1
+    return sign
 
 
 def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

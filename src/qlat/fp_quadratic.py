@@ -448,13 +448,10 @@ def witt_decomposition(V: FpQuadSpace) -> WittDecomposition:
 def _witt_decomposition(V: FpQuadSpace) -> WittDecomposition:
     p, n = V.p, V.dim
     rad = list(modp.kernel_basis(V.gram(), p, n))
-    comp: list[Vector] = []
-    stack = list(rad)
-    for i in range(n):
-        e = tuple(1 if k == i else 0 for k in range(n))
-        if modp.rank(stack + [e], p) > len(stack):
-            stack.append(e)
-            comp.append(e)
+    # e_i lies in rad + span(e_j : j < i) iff some radical vector has its last
+    # nonzero entry at i: a pivot of the radical's rref with coordinates reversed
+    ends = {n - 1 - c for c in modp.rref([r[::-1] for r in rad], p)[1]}
+    comp = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n) if i not in ends]
     pairs: list[tuple[Vector, Vector]] = []
     work = comp
     while work:
@@ -750,11 +747,13 @@ def witt_extension(
     it equals a recorded canonical tuple entry by entry, and the call goes
     on with that recorded tuple once the entries pass ``modp.check_int``.
     A basis that misses, or cannot be hashed (a list, say), is reduced mod
-    p and checked as ever, X before Y is looked up.  The witness is
-    m_Y · m_X⁻¹, formed from the columns of m_X⁻¹ that X's record keeps
-    once X has been a source; each witness matrix is validated once per
-    space and kept in a table, and every call checks that it is special
-    and sends x_j to y_j.
+    p and checked as ever, X before Y is looked up; one that equals its
+    reduction (a tuple of int tuples in [0, p)) is kept as given, so the
+    tuple recorded is the caller's own and passing it again is a hit by
+    identity, with no entry check.  The witness is m_Y · m_X⁻¹, formed
+    from the columns of m_X⁻¹ that X's record keeps once X has been a
+    source; each witness matrix is validated once per space and kept in a
+    table, and every call checks that it is special and sends x_j to y_j.
 
     Returns g in SO(V) with g(x_j) = y_j for every basis vector; raises
     InvariantViolationError if no special isometry exists, which is when
@@ -775,8 +774,12 @@ def witt_extension(
     wrong = "subspace basis vector has wrong dimension"
     rx = _record_of(records, w1_basis)
     X = _vectors(V, w1_basis, wrong) if rx is None else rx[4]
+    if rx is None and X == w1_basis:
+        X = w1_basis
     ry = _record_of(records, w2_basis)
     Y = _vectors(V, w2_basis, wrong) if ry is None else ry[4]
+    if ry is None and Y == w2_basis:
+        Y = w2_basis
     k = len(X)
     if len(Y) != k:
         raise PreconditionError("subspace bases have different sizes")

@@ -4,6 +4,9 @@ This module is the single home of the mod-p primitives the rest of the
 package is built on: row reduction, rank, kernels, determinants, matrix
 products, linear solves and inverses, Legendre symbols and the primality
 test, together with the enumeration guard every command defaults to.
+The one pivot search is the forward elimination ``_echelon``: ``rank``,
+``det`` and ``rref`` read it, and ``kernel_basis``, ``solve`` and
+``inverse`` read ``rref``.
 
 Vectors are sequences of ints and matrices are sequences of rows.  Inputs
 may hold any ints; every function reduces them mod p before it works, and
@@ -17,6 +20,7 @@ PreconditionError, never truncated.
 
 from __future__ import annotations
 
+import math
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -92,53 +96,18 @@ def mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], p: int) -> M
     return tuple([tuple([sum(map(mul, row, col)) % p for col in Bt]) for row in A])
 
 
-def rref(rows: Iterable[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form mod p and its pivot columns.
+def _echelon(rows: Iterable[Sequence[int]], p: int) -> tuple[list[list[int]], list[int], int]:
+    """Forward elimination mod p: ``(m, pivots, swaps)``, m in row echelon form.
 
-    Returns ``(m, pivots)``: ``m`` has as many rows as the input, its first
-    ``len(pivots)`` rows carry a leading 1 in the pivot columns (zero
-    elsewhere in those columns), and the remaining rows are zero.
+    Reduces mod p once, clears only below each pivot, stops once every row
+    holds a pivot, and counts in ``swaps`` the exchanges of distinct rows.
     """
     m = [[x % p for x in r] for r in rows]
     pivots: list[int] = []
-    if not m:
-        return m, pivots
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    for c in range(n_cols):
-        for piv in range(r, n_rows):
-            if m[piv][c]:
-                break
-        else:
-            continue
-        row = m[piv]
-        m[piv] = m[r]
-        if row[c] != 1:
-            inv = pow(row[c], -1, p)
-            row = [(x * inv) % p for x in row]
-        m[r] = row
-        for i in range(n_rows):
-            f = m[i][c]
-            if f and i != r:
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots
-
-
-def rank(rows: Iterable[Sequence[int]], p: int) -> int:
-    """Rank mod p of the matrix with the given rows.
-
-    Forward elimination only: the entries are reduced mod p once, a pivot
-    is any nonzero reduced entry, only the rows below a pivot are cleared,
-    and the sweep stops as soon as every row holds a pivot.
-    """
-    m = [[x % p for x in r] for r in rows]
+    swaps = 0
     n_rows = len(m)
     if not n_rows:
-        return 0
+        return m, pivots, swaps
     r = 0
     for c in range(len(m[0])):
         for piv in range(r, n_rows):
@@ -147,8 +116,11 @@ def rank(rows: Iterable[Sequence[int]], p: int) -> int:
         else:
             continue
         row = m[piv]
-        m[piv] = m[r]
-        m[r] = row
+        if piv != r:
+            m[piv] = m[r]
+            m[r] = row
+            swaps += 1
+        pivots.append(c)
         r += 1
         if r == n_rows:
             break
@@ -158,7 +130,33 @@ def rank(rows: Iterable[Sequence[int]], p: int) -> int:
             if f:
                 f = f * inv % p
                 m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
-    return r
+    return m, pivots, swaps
+
+
+def rref(rows: Iterable[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form mod p and its pivot columns.
+
+    Returns ``(m, pivots)``: ``m`` has as many rows as the input, its first
+    ``len(pivots)`` rows carry a leading 1 in the pivot columns (zero
+    elsewhere in those columns), and the remaining rows are zero: ``_echelon``
+    with each pivot row scaled to 1 and cleared above it, last pivot first.
+    """
+    m, pivots, _ = _echelon(rows, p)
+    for r in reversed(range(len(pivots))):
+        c, row = pivots[r], m[r]
+        if row[c] != 1:
+            inv = pow(row[c], -1, p)
+            row = m[r] = [(x * inv) % p for x in row]
+        for i in range(r):
+            f = m[i][c]
+            if f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
+    return m, pivots
+
+
+def rank(rows: Iterable[Sequence[int]], p: int) -> int:
+    """Rank mod p of the matrix with the given rows: the pivots of ``_echelon``."""
+    return len(_echelon(rows, p)[1])
 
 
 def kernel_basis(rows: Iterable[Sequence[int]], p: int, n_cols: int) -> list[Vector]:
@@ -203,28 +201,12 @@ def inverse(M: Sequence[Sequence[int]], p: int) -> Matrix:
 
 
 def det(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Determinant mod p of a square matrix."""
-    m = [[x % p for x in r] for r in rows]
-    n = len(m)
-    d = 1
-    for col in range(n):
-        for piv in range(col, n):
-            if m[piv][col]:
-                break
-        else:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            d = -d
-        row = m[col]
-        d = (d * row[col]) % p
-        inv = pow(row[col], -1, p)
-        for i in range(col + 1, n):
-            f = m[i][col]
-            if f:
-                f = (f * inv) % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
-    return d % p
+    """Determinant mod p of a square matrix: 0 below full rank, else the
+    diagonal product of ``_echelon``, negated for an odd number of swaps."""
+    m, pivots, swaps = _echelon(rows, p)
+    if len(pivots) < len(m):
+        return 0
+    return (-1) ** swaps * math.prod(row[i] for i, row in enumerate(m)) % p
 
 
 def legendre(a: int, p: int) -> int:

@@ -6,11 +6,11 @@ and exchange index p with N in both directions ("p-neighbors") correspond
 bijectively to isotropic lines of the reduction N/pN.  This module builds
 both directions of that correspondence explicitly:
 
-* ``lattice_from_line`` lifts an isotropic line to a vector v with
-  Q(v) ≡ 0 mod p², and forms  Ñ = Z·(v/p) + {x ∈ N : [x, v] ≡ 0 mod p}.
-  It writes the Hermite basis of pÑ down in closed form, as the kernel
-  (``kernel_mod_p``) of φ(x) = ([x, v]/p) mod p on M = Z·v̄ + pZⁿ, with no
-  integer elimination.
+* ``lattice_from_line`` forms  Ñ = Z·(v/p) + {x ∈ N : [x, v] ≡ 0 mod p}
+  for any lift v of an isotropic line ⟨v̄⟩ with Q(v) ≡ 0 mod p².  It
+  writes the Hermite basis of pÑ down in closed form, as the kernel
+  (``kernel_mod_p``) of φ(x) = ([x, v]/p) mod p on M = Z·v̄ + pZⁿ; φ is
+  read off v̄ alone, so no lift is formed and no integer elimination runs.
 * ``line_from_lattice`` recovers the line as the image of pÑ ∩ N in N/pN.
 
 On top of the correspondence sit the typed-line filters (genericity with
@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 from . import modp
@@ -91,21 +92,16 @@ class PLattice:
     is re-normalized by ``hnf_basis``.  Removing a common factor p keeps a
     Hermite basis canonical, so that step needs no second normalization.
 
-    ``_half_gram`` is the half-Gram of Q/p^(2·power) on the numerator
-    basis, given by a builder that has already certified it
-    (:func:`lattice_from_line`); :func:`plattice_quadlattice` reads it
-    instead of forming it again.  The lattice is frozen, so the kept form
-    stays the form of its fields; it is dropped when the basis given is
-    re-normalized, and equality, hashing and ``repr`` do not see it.
+    ``_half_gram`` is the half-Gram of Q/p^(2·power) on the canonical
+    numerator basis, formed on first use and kept: the lattice is frozen,
+    so the kept form stays the form of its fields, and equality, hashing
+    and ``repr`` do not see it.
     """
 
     ambient: QuadLattice
     p: int
     power: int
     numerator_basis: IntMatrix
-    _half_gram: tuple[tuple[int, ...], ...] | None = field(
-        default=None, kw_only=True, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         modp.check_int(self.p, self.power)
@@ -113,7 +109,6 @@ class PLattice:
             raise PreconditionError("negative power in lattice denominator")
         n = self.ambient.rank
         numer = self.numerator_basis
-        given = numer
         if not is_square_hnf(numer):
             numer = hnf_basis(numer)
         if numer.cols != n or numer.rows != n:
@@ -122,14 +117,17 @@ class PLattice:
         while power > 0 and all(x % p == 0 for row in numer.entries for x in row):
             numer = IntMatrix.from_rows([[x // p for x in row] for row in numer.entries])
             power -= 1
-        if numer is not given:
-            object.__setattr__(self, "_half_gram", None)
         object.__setattr__(self, "numerator_basis", numer)
         object.__setattr__(self, "power", power)
 
     @property
     def rank(self) -> int:
         return self.ambient.rank
+
+    @cached_property
+    def _half_gram(self) -> tuple[tuple[int, ...], ...] | None:
+        """Q/p^(2·power) on the basis, or None when not integral (see the class)."""
+        return basis_half_gram(self.ambient, self.numerator_basis.columns(), self.scale_denominator() ** 2)
 
     def scale_denominator(self) -> int:
         return self.p**self.power
@@ -178,17 +176,13 @@ def plattice_quadlattice(L: PLattice) -> QuadLattice:
     Its half-Gram is that of Q/d on the numerator basis, d = p^(2·power)
     (:func:`~qlat.quad_lattice.basis_half_gram`); PreconditionError unless
     every entry is an integer, i.e. unless Q is integral on the lattice.
-    A lattice that keeps the half-Gram its builder certified (a neighbor
-    from :func:`lattice_from_line`) is not formed again; one built any
-    other way, from a document or mapped back by :func:`neighbors_of`, is
-    formed here on each call.
+    The lattice forms that half-Gram once and keeps it (``_half_gram``), so
+    a neighbor that :func:`lattice_from_line` has certified, or whose line
+    :func:`line_from_lattice` has read, is not formed again.
     """
-    hg = L._half_gram
-    if hg is None:
-        hg = basis_half_gram(L.ambient, L.numerator_basis.columns(), L.scale_denominator() ** 2)
-        if hg is None:
-            raise PreconditionError("lattice quadratic form is not integral")
-    return QuadLattice(hg)
+    if L._half_gram is None:
+        raise PreconditionError("lattice quadratic form is not integral")
+    return QuadLattice(L._half_gram)
 
 
 # ---------------------------------------------------------------------------
@@ -255,27 +249,28 @@ def lattice_from_line(N: QuadLattice, line: ProjLine) -> PLattice:
 
     pÑ is the kernel of φ(x) = ([x, v]/p) mod p on M = Z·v̄ + pZⁿ, whose
     canonical basis C has v̄ in the column of v̄'s leading 1 and p·e_j in
-    every other column j.  :func:`~qlat.exact_linalg.kernel_mod_p` of
-    φ(C) combines C's columns into a lower triangular basis of pÑ with
-    pivots in {1, p, p²}; reducing the entries left of each pivot, top row
-    first, gives its canonical Hermite basis S.  S is checked before
-    returning: its pivot product is pⁿ (self-dual), and the half-Gram of
-    Q/p² on it (:func:`~qlat.quad_lattice.basis_half_gram`) is integral,
-    so Ñ is integral and even.  The returned lattice keeps that half-Gram,
-    so :func:`plattice_quadlattice` and :func:`line_from_lattice` do not
-    form it again.
+    every other column j.  No lift is formed: φ(p·e_j) = [e_j, v̄] mod p,
+    and for v = v̄ + p·w with Q(v) ≡ 0 mod p², [v̄, v] = 2Q(v̄) + p·[v̄, w]
+    ≡ Q(v̄) mod p², so φ(v̄) = (Q(v̄)/p) mod p.
+    :func:`~qlat.exact_linalg.kernel_mod_p` of φ(C) combines C's columns
+    into a lower triangular basis of pÑ with pivots in {1, p, p²}; reducing
+    the entries left of each pivot, top row first, gives its canonical
+    Hermite basis S.  S is checked before returning: its pivot product is
+    pⁿ (self-dual), and the half-Gram of Q/p² on it, which the returned
+    lattice forms and keeps (``PLattice._half_gram``), is integral, so Ñ
+    is integral and even.
     """
     p = _check_line(N, line)
     if not is_self_dual_at(N, p):
         raise PreconditionError("lattice is not self-dual at p")
+    if not line.is_isotropic():
+        raise PreconditionError("line is not isotropic")
     n = N.rank
-    v = hensel_lift_line(N, line)
     vbar = line.generator
     i0 = next(i for i, x in enumerate(vbar) if x)
     B = N.gram().entries
-    bv = [sum(map(mul, g, v)) for g in B]  # [e_j, v]
-    phi = [x % p for x in bv]  # φ(p·e_j)
-    phi[i0] = sum(map(mul, vbar, bv)) // p % p  # φ(v̄)
+    phi = [sum(map(mul, g, vbar)) % p for g in B]  # φ(p·e_j)
+    phi[i0] = quad_value(N, vbar) // p % p  # φ(v̄)
     C = [[0] * n for _ in range(n)]  # columns of M's basis
     for j in range(n):
         C[j][j] = p
@@ -300,10 +295,10 @@ def lattice_from_line(N: QuadLattice, line: ProjLine) -> PLattice:
                 cols[j] = cj[:i] + [x - q * y for x, y in zip(cj[i:], ci[i:])]
     if math.prod(c[i] for i, c in enumerate(cols)) != p**n:
         raise InvariantViolationError("neighbor lattice is not self-dual (determinant)")
-    hg = basis_half_gram(N, cols, p * p)
-    if hg is None:
+    Nt = PLattice(N, p, 1, IntMatrix.from_columns(cols))
+    if Nt._half_gram is None:
         raise InvariantViolationError("neighbor lattice is not integral")
-    return PLattice(N, p, 1, IntMatrix.from_columns(cols), _half_gram=hg)
+    return Nt
 
 
 def line_from_lattice(Nt: PLattice) -> ProjLine:
@@ -312,9 +307,10 @@ def line_from_lattice(Nt: PLattice) -> ProjLine:
     Validates that the input genuinely is a p-neighbor of its ambient
     lattice (index p in both directions, integral, even, self-dual); the
     ambient lattice itself and lattices further away than one p-step are
-    rejected.  Integrality is :func:`plattice_quadlattice`'s check, made
-    only when the lattice keeps no certified half-Gram: a neighbor from
-    :func:`lattice_from_line` is not certified a second time.
+    rejected.  Integrality is read off the half-Gram the lattice keeps
+    (``PLattice._half_gram``): a neighbor from :func:`lattice_from_line` is
+    not certified a second time, and one rebuilt from its basis forms it
+    once, here.
     """
     N, p = Nt.ambient, Nt.p
     if not is_self_dual_at(N, p):
@@ -327,7 +323,7 @@ def line_from_lattice(Nt: PLattice) -> ProjLine:
     if math.prod(S.entries[i][i] for i in range(n)) != p**n:
         raise PreconditionError("lattice is not self-dual (determinant)")
     if Nt._half_gram is None:
-        plattice_quadlattice(Nt)  # integral and even
+        raise PreconditionError("lattice quadratic form is not integral")
     V = reduction(N, p)
     red = [[x % p for x in col] for col in S.columns()]
     if modp.rank(red, p) != 1:

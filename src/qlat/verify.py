@@ -586,13 +586,16 @@ def _sweep_witt_images(report, name, V, witt_index, by_q, group) -> None:
     Every X of ``group`` has the same form (``half_gram_on``), so the
     tuples Y that match it, and whether the pairs are Lagrangian, are
     worked out once from the first X and then checked against each X in turn.
+    Each X is handed over as the equal tuple among its images, so
+    ``witt_extension`` finds every recorded tuple by identity.
     """
     first = group[0]
     p, n, k = V.p, V.dim, len(first)
     form = half_gram_on(V, first)
     lagrangian = 2 * k == n and k == witt_index and not any(map(any, form))
     images = list(_gram_matching_tuples(V, form, by_q, p))
-    for X in group:
+    as_image = {Y: Y for Y in images}
+    for X in map(as_image.__getitem__, group):
         for Y in images:
             if lagrangian:
                 meet = 2 * k - rank(X + Y, p)

@@ -526,7 +526,9 @@ def test_neighbor_checks_keep_their_error_classes(capsys, tmp_path, monkeypatch)
     member.write_text(json.dumps(doc), encoding="utf-8")
     rc, out, err = run_cli(capsys, "grow", str(member), "[[1],[0],[0],[0],[0],[0]]")
     assert (rc, out, err) == (2, "", "error: lattice quadratic form is not integral\n")
-    monkeypatch.setattr(qlat.padic_lattice, "hensel_lift_line", lambda N, line: line.generator)
+    # φ(v̄) read as [v̄, v̄]/p, as from an unlifted line
+    quad_value = qlat.padic_lattice.quad_value
+    monkeypatch.setattr(qlat.padic_lattice, "quad_value", lambda N, x: 2 * quad_value(N, x))
     rc, out, err = run_cli(capsys, "neighbors", "H⊥H⊥H", "--p", "2")
     assert (rc, out) == (1, "")
     assert re.fullmatch(r"invariant violated: neighbor lattice is not (integral|even)\n", err)

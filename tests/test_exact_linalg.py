@@ -580,3 +580,67 @@ def test_integer_kernel_is_a_saturated_kernel_of_snf_size(n, m, data):
 def test_rank_matches_snf(n, m, data):
     M = data.draw(matrices(n, m))
     assert M.rank() == _determinantal_rank(M)
+
+
+# ---------------------------------------------------------------------------
+# the determinant from the Hermite eliminator
+# ---------------------------------------------------------------------------
+
+
+def _seeded_integer_matrices(seed, count, max_n=7):
+    """Seeded square matrices up to ``max_n`` × ``max_n``, about a third of
+    them singular (a product through a smaller dimension)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        k = n if rng.random() < 0.66 else rng.randint(0, n - 1)
+        A = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(n)]
+        B = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
+        yield [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(n)] for i in range(n)]
+
+
+def test_integer_det_matches_bareiss_and_reads_the_hermite_eliminator(monkeypatch):
+    from qlat import e8_lattice, k3_lattice
+    from qlat import exact_linalg
+
+    from det_oracle import bareiss_det
+
+    real, calls = exact_linalg._row_hnf, []
+
+    def counted(A, m):
+        calls.append(m)
+        return real(A, m)
+
+    monkeypatch.setattr(exact_linalg, "_row_hnf", counted)
+    cases = list(_seeded_integer_matrices(0, 600))
+    cases += [k3_lattice().gram().entries, e8_lattice().gram().entries, [[0, 1], [1, 0]], [[-3]]]
+    signs = set()
+    for rows in cases:
+        d = IntMatrix.from_rows(rows).det()
+        assert d == bareiss_det(rows), rows
+        signs.add((d > 0) - (d < 0))
+    assert signs == {-1, 0, 1}
+    assert IntMatrix.from_rows(k3_lattice().gram().entries).det() == -1
+    assert IntMatrix(()).det() == 1
+    assert len(calls) == len(cases) + 2
+    for M in (IntMatrix.zero(2, 3), IntMatrix.zero(3, 2), IntMatrix.zero(0, 2), IntMatrix.zero(2, 0)):
+        with pytest.raises(PreconditionError, match="^determinant of a non-square matrix$"):
+            M.det()
+
+
+def test_row_hnf_returns_the_determinant_of_its_row_operations():
+    """Rows (a_i, e_i) end as (h_i, t_i), so T = (t_ij) is the product of the
+    row operations and ``_row_hnf`` returns det T, ±1."""
+    from qlat.exact_linalg import _row_hnf
+
+    from det_oracle import leibniz_det
+
+    seen = set()
+    for rows in _seeded_integer_matrices(1, 400, max_n=5):
+        n = len(rows)
+        for m_cols in (n, n - 1):  # square, and one column short of it
+            A = [list(r[:m_cols]) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+            sign = _row_hnf(A, m_cols)
+            assert sign == leibniz_det([r[m_cols:] for r in A]) and sign in (1, -1)
+            seen.add(sign)
+    assert seen == {1, -1}

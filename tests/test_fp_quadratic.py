@@ -1576,3 +1576,88 @@ def test_witt_type_closed_forms_keep_their_degenerate_space_messages(p):
         assert str(exc.value) == "count formula requires a nondegenerate space"
     empty = FpQuadSpace(p, ())
     assert (so_order(empty), closed_form_line_count(empty)) == (1, 0)
+
+
+def _degenerate_spaces(p, seed):
+    """Seeded spaces of dim 1–5 whose form factors through F_p^k, k < dim,
+    by seeded columns: the kernel of that map lies in the radical."""
+    rng = random.Random(seed)
+    for n in range(1, 6):
+        for k in range(n):
+            for _ in range(4):
+                U = FpQuadSpace(p, [[rng.randrange(p) if j >= i else 0 for j in range(k)] for i in range(k)])
+                cols = [tuple(rng.randrange(p) for _ in range(k)) for _ in range(n)]
+                yield FpQuadSpace(p, [
+                    [0] * i + [U.q(cols[i])] + [U.b(cols[i], cols[j]) for j in range(i + 1, n)]
+                    for i in range(n)
+                ])
+
+
+def _greedy_complement(V):
+    """The unit vectors e_i, in order, that raise the rank of the radical and
+    the e_j kept so far: the complement the Witt decomposition once built."""
+    p, n = V.p, V.dim
+    stack = list(modp.kernel_basis(V.gram(), p, n))
+    comp = []
+    for i in range(n):
+        e = tuple(1 if k == i else 0 for k in range(n))
+        if modp.rank(stack + [e], p) > len(stack):
+            stack.append(e)
+            comp.append(e)
+    return comp
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_radical_complement_is_the_greedy_one_with_no_rank_call(monkeypatch, p):
+    from qlat import fp_quadratic
+
+    spaces = list(_degenerate_spaces(p, p))
+    greedy = [_greedy_complement(V) for V in spaces]
+    assert all(not V.is_nondegenerate() for V in spaces)
+    assert {0, 2, 4} <= {len(c) for c in greedy}  # B has even rank at p = 2
+
+    def refuse(rows, p):
+        raise AssertionError("the Witt decomposition counted a rank")
+
+    half_gram, first = fp_quadratic._half_gram, []
+
+    def recording(V, S):
+        first.append(list(S))
+        return half_gram(V, S)
+
+    monkeypatch.setattr(modp, "rank", refuse)
+    monkeypatch.setattr(fp_quadratic, "_half_gram", recording)
+    for V, comp in zip(spaces, greedy):
+        first.clear()
+        pairs, aniso, rad = fp_quadratic._witt_decomposition(V)
+        assert first[:1] == ([comp] if comp else []), V.half_gram
+        assert 2 * len(pairs) + len(aniso) == len(comp)
+        assert list(rad) == modp.kernel_basis(V.gram(), p, V.dim)
+
+
+def test_every_record_hit_of_the_suite_is_by_identity(monkeypatch):
+    """The suite hands ``witt_extension`` each X as the equal tuple among its
+    images, and a canonical tuple is recorded as the caller's own object, so
+    a hit never pays the entry check."""
+    from qlat import fp_quadratic, verify
+
+    record_of, hits = fp_quadratic._record_of, []
+
+    def recording(records, basis):
+        record = record_of(records, basis)
+        if record is not None:
+            hits.append(record[4] is basis)
+        return record
+
+    monkeypatch.setattr(fp_quadratic, "_record_of", recording)
+    monkeypatch.setattr(verify, "_usable_cores", lambda: 1)
+    report = verify.run_suite("witt-extension", primes=(2, 3), max_rank=3)
+    assert report.failures == 0 and report.instances > 0
+    assert hits and all(hits)
+    V = hyperbolic(3, 2)
+    X, Y = ((1, 0, 0, 0),), ((0, 0, 1, 0),)
+    witt_extension(V, X, Y)
+    assert V._witt_cache["tuples"][X][4] is X and V._witt_cache["tuples"][Y][4] is Y
+    assert V._witt_cache["tuples"][((1, 0, 0, 0),)][4] is X
+    witt_extension(V, [[4, 0, 0, 0]], Y)  # a list is reduced, never kept
+    assert all(type(S) is tuple for S in V._witt_cache["tuples"])

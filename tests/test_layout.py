@@ -27,8 +27,8 @@
   ``so_order`` and ``closed_form_line_count``.  Only ``modp`` and
   ``fp_quadratic`` refer to ``kernel_basis``, and no module defines
   ``_restrict``, ``_tuple_type_key`` or ``pairing_rows``, at any depth.
-* That form has one home: ``lattice_from_line``, ``plattice_quadlattice``,
-  ``restricted_lattice`` and ``shrink_fiber`` refer to
+* That form has one home: ``PLattice`` (which keeps the form on its
+  basis), ``restricted_lattice`` and ``shrink_fiber`` refer to
   ``basis_half_gram``, and no function of ``padic_lattice`` or
   ``hecke_k3`` refers to ``transpose``.
 * The brute-force line count of ``verify`` stays independent of the
@@ -52,6 +52,13 @@
   ``_add_col``, ``_two_col_transform``).  The Smith form serves
   ``exact_linalg`` alone: no other module calls it, only the package root
   re-exports it, and ``saturate`` does not call it either.
+* Each ring has one eliminator.  Mod p it is ``modp._echelon``, the one
+  function of ``modp`` that searches for a pivot, and ``rref``, ``rank``
+  and ``det`` refer to it.  Over Z it is the Hermite form:
+  ``IntMatrix.det`` refers to ``_row_hnf``, and no module takes a
+  fraction-free (Bareiss) step, (a·b − c·d) // e.
+  ``fp_quadratic._witt_decomposition`` finds the radical's complement
+  with no ``rank`` call.
 * The Hermite eliminator carries its transform in the rows it reduces:
   ``_row_hnf(A, m)`` takes no transform list, and no module defines
   ``integral_coefficients``, a transform helper (``_swap_rows``,
@@ -103,6 +110,7 @@ PRIMITIVES = {
     "legendre": ("_legendre",),
     "is_prime": ("_is_prime", "_primes_up_to"),
     "check_prime": ("_check_prime",),
+    "_echelon": (),
     "MAX_PROJ_POINTS": ("_MAX_PROJ_POINTS", "_DEF_MAX_POINTS", "_MAX_POINTS_DEFAULT"),
 }
 
@@ -272,11 +280,11 @@ def test_witt_map_has_one_caller():
 
 
 def _function(module, name):
-    """The top-level function ``name`` of ``qlat.<module>``."""
+    """The top-level function or class ``name`` of ``qlat.<module>``."""
     return next(
         node
         for node in _tree(PACKAGE / f"{module}.py").body
-        if isinstance(node, ast.FunctionDef) and node.name == name
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
     )
 
 
@@ -307,8 +315,7 @@ def test_the_line_count_oracle_uses_no_kernel(name):
 @pytest.mark.parametrize(
     "module, name",
     [
-        ("padic_lattice", "lattice_from_line"),
-        ("padic_lattice", "plattice_quadlattice"),
+        ("padic_lattice", "PLattice"),
         ("quad_lattice", "restricted_lattice"),
         ("hecke_k3", "shrink_fiber"),
     ],
@@ -330,6 +337,99 @@ def test_no_second_eliminator_remains():
     for path in MODULES:
         defined = _defined_anywhere(path)
         assert not defined & set(SECOND_ELIMINATOR), path.name
+
+
+def _pivot_searches(node):
+    """Lines of each search for a pivot under ``node``: a loop or
+    comprehension over i whose condition reads an entry m[i][j]."""
+
+    def reads_entry(test, names):
+        return any(
+            isinstance(n, ast.Subscript)
+            and isinstance(n.value, ast.Subscript)
+            and names & _names_in(n.value.slice)
+            for n in ast.walk(test)
+        )
+
+    found = []
+    for loop in ast.walk(node):
+        if isinstance(loop, ast.For):
+            names = _names_in(loop.target)
+            tests = [n.test for stmt in loop.body for n in ast.walk(stmt) if isinstance(n, ast.If)]
+        elif isinstance(loop, ast.comprehension):
+            names, tests = _names_in(loop.target), loop.ifs
+        else:
+            continue
+        if any(reads_entry(test, names) for test in tests):
+            found.append(loop.target.lineno)
+    return sorted(found)
+
+
+def test_each_ring_has_one_eliminator_mod_p():
+    searches = {
+        node.name: _pivot_searches(node)
+        for node in _tree(PACKAGE / "modp.py").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert [name for name, lines in searches.items() if lines] == ["_echelon"]
+    for name in ("rref", "rank", "det"):
+        assert "_echelon" in _names_in(_function("modp", name)), name
+
+
+def test_pivot_rule_sees_each_form():
+    source = (
+        "def f(m, r, c, n):\n"
+        "    for piv in range(r, n):\n"
+        "        if m[piv][c]:\n"
+        "            break\n"
+        "    k = next(i for i in range(r, n) if m[i][c])\n"
+        "    nz = [i for i in range(r, n) if m[i][c] != 0]\n"
+        "    for i in range(r):\n"
+        "        f = m[i][c]\n"
+        "        if f:\n"
+        "            m[i] = [x - f * y for x, y in zip(m[i], m[r])]\n"
+        "    for x in m[r]:\n"
+        "        if x:\n"
+        "            break\n"
+    )
+    assert _pivot_searches(ast.parse(source)) == [2, 5, 6]
+
+
+def _bareiss_steps(tree):
+    """Lines of each fraction-free elimination step (a·b − c·d) // e."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.FloorDiv)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Sub)
+        and all(
+            isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+            for side in (node.left.left, node.left.right)
+        )
+    ]
+
+
+def test_the_integer_determinant_comes_from_the_hermite_eliminator():
+    int_matrix = _function("exact_linalg", "IntMatrix")
+    det = next(n for n in int_matrix.body if isinstance(n, ast.FunctionDef) and n.name == "det")
+    assert "_row_hnf" in _names_in(det)
+    for path in MODULES:
+        assert _bareiss_steps(_tree(path)) == [], path.name
+
+
+def test_bareiss_rule_sees_the_step():
+    source = (
+        "a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev\n"
+        "q = (x - y) // d\n"
+        "r = (x * y - z) // d\n"
+    )
+    assert _bareiss_steps(ast.parse(source)) == [1]
+
+
+def test_the_witt_decomposition_counts_no_rank():
+    assert "rank" not in _names_in(_function("fp_quadratic", "_witt_decomposition"))
 
 
 def test_smith_form_stays_in_exact_linalg():

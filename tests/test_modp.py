@@ -1,6 +1,7 @@
 """Linear algebra and primality over F_p against brute-force oracles, and
 the package's one integer check at every entry point that takes integers."""
 
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import prod
@@ -232,3 +233,71 @@ def test_int_tuples_checks_the_shape_before_the_entries():
     assert modp.int_tuples([], "ragged") == ()
     with pytest.raises(PreconditionError, match="^ragged$"):
         modp.int_tuples([[1, 2], [1.5]], "ragged")
+
+
+# ---------------------------------------------------------------------------
+# the one forward elimination, against brute force
+# ---------------------------------------------------------------------------
+
+
+def _seeded_matrices(p, seed):
+    """The empty, zero-column and zero matrices, then seeded matrices of every
+    shape up to 4 × 4 (wide and tall), of every rank they can have."""
+    rng = random.Random(seed)
+    cases = [[], [[]], [[], []], [[0, 0, 0]], [[0, 0], [0, 0], [0, 0]]]
+    for n_rows in range(1, 5):
+        for n_cols in range(1, 5):
+            for k in range(min(n_rows, n_cols) + 1):
+                for _ in range(3):
+                    A = [[rng.randrange(p) for _ in range(k)] for _ in range(n_rows)]
+                    B = [[rng.randrange(p) for _ in range(n_cols)] for _ in range(k)]
+                    cases.append([
+                        [sum(A[i][t] * B[t][j] for t in range(k)) + p * rng.randint(-2, 2)
+                         for j in range(n_cols)]
+                        for i in range(n_rows)
+                    ])
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_counts_the_row_space(p):
+    for rows in _seeded_matrices(p, p):
+        n_cols = len(rows[0]) if rows else 1
+        r = modp.rank(rows, p)
+        assert p**r == len(_row_space(rows, p, n_cols)), rows
+        assert r == len(modp._echelon(rows, p)[1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_echelon_and_rref_keep_the_row_space_in_their_shapes(p):
+    for rows in _seeded_matrices(p, p + 10):
+        n_cols = len(rows[0]) if rows else 0
+        span = _row_space(rows, p, n_cols)
+        e, e_pivots, swaps = modp._echelon(rows, p)
+        m, pivots = modp.rref(rows, p)
+        assert pivots == e_pivots == sorted(set(pivots)) and swaps >= 0
+        r = len(pivots)
+        for out in (e, m):
+            assert len(out) == len(rows)
+            assert all(0 <= x < p for row in out for x in row)
+            assert all(not any(row) for row in out[r:])
+            assert _row_space(out, p, n_cols) == span
+        for i, c in enumerate(pivots):
+            assert e[i][c] and not any(e[i][:c])
+            assert not any(m[i][:c])
+            assert [row[c] for row in m] == [int(k == i) for k in range(len(m))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_det_matches_leibniz_and_the_echelon_diagonal(p):
+    square = [rows for rows in _seeded_matrices(p, p + 20) if len(rows) == len(rows[0] if rows else [])]
+    square += [list(map(list, (r[:2], r[2:]))) for r in product(range(min(p, 3)), repeat=4)]
+    for rows in square:
+        d = modp.det(rows, p)
+        assert d == _leibniz(rows, p), rows
+        m, pivots, swaps = modp._echelon(rows, p)
+        if d:
+            assert (-1) ** swaps * prod(row[i] for i, row in enumerate(m)) % p == d
+        else:
+            assert len(pivots) < len(rows)
+    assert {modp.det(rows, p) for rows in square} == set(range(p))

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import product
 from operator import mul
 
 import pytest
@@ -44,6 +45,7 @@ import qlat.padic_lattice as padic_lattice
 from qlat.exact_linalg import kernel_mod_p
 from qlat.fp_quadratic import isotropic_lines_in
 from qlat.kernels import proj_reps
+from qlat.quad_lattice import basis_half_gram
 
 from index_oracle import integral_coefficients
 
@@ -193,12 +195,12 @@ def test_the_neighbor_form_is_formed_once_across_phi_and_psi(monkeypatch, N, p):
     assert [line_from_lattice(Nt) for Nt in neighbors] == list(lines)
     forms = [plattice_quadlattice(Nt) for Nt in neighbors]
     assert len(calls) == len(lines)
-    # rebuilt from its basis, a neighbor keeps no form: ψ and the form form it
+    # rebuilt from its basis, a neighbor forms its form once, in ψ, and keeps it
     rebuilt = [PLattice(N, p, 1, Nt.numerator_basis) for Nt in neighbors]
     assert rebuilt == neighbors
     assert [line_from_lattice(Nt) for Nt in rebuilt] == list(lines)
     assert [plattice_quadlattice(Nt) for Nt in rebuilt] == forms
-    assert len(calls) == 3 * len(lines)
+    assert len(calls) == 2 * len(lines)
 
 
 def test_line_from_a_lattice_rebuilt_from_a_basis_still_rejects_a_non_integral_form():
@@ -216,18 +218,25 @@ def test_line_from_a_lattice_rebuilt_from_a_basis_still_rejects_a_non_integral_f
         line_from_lattice(moved)
 
 
-def test_a_kept_form_is_dropped_when_the_basis_is_renormalized():
+def test_a_renormalized_or_rebuilt_lattice_keeps_the_form_on_its_canonical_basis():
+    """A neighbor, and the same lattice given by a reordered basis, by its
+    basis times p at a higher power or by its basis again, each keep the
+    half-Gram of Q/p² on the canonical basis, formed once; a lattice on
+    which Q is not integral keeps None."""
     p = 2
+    assert PLattice(H2, p, 0, IntMatrix.identity(4))._half_gram == H2.half_gram.entries
     for Nt in enumerate_neighbors(H2, p):
-        assert Nt._half_gram is not None
-        cols = Nt.numerator_basis.columns()[::-1]
-        again = PLattice(H2, p, 1, IntMatrix.from_columns(cols), _half_gram=Nt._half_gram)
-        assert again == Nt and again._half_gram is None
-        doubled = PLattice(H2, p, 2, Nt.numerator_basis.scale(p), _half_gram=Nt._half_gram)
-        assert doubled == Nt and doubled._half_gram is None
-        kept = PLattice(H2, p, 1, Nt.numerator_basis, _half_gram=Nt._half_gram)
-        assert kept._half_gram is Nt._half_gram
-        assert plattice_quadlattice(again) == plattice_quadlattice(Nt)
+        want = basis_half_gram(H2, Nt.numerator_basis.columns(), p * p)
+        assert want is not None
+        again = PLattice(H2, p, 1, IntMatrix.from_columns(Nt.numerator_basis.columns()[::-1]))
+        doubled = PLattice(H2, p, 2, Nt.numerator_basis.scale(p))
+        rebuilt = PLattice(H2, p, 1, Nt.numerator_basis)
+        for L in (Nt, again, doubled, rebuilt):
+            assert L == Nt and L.numerator_basis == Nt.numerator_basis and L.power == 1
+            assert L._half_gram == want and L._half_gram is L._half_gram
+            assert plattice_quadlattice(L) == plattice_quadlattice(Nt)
+    moved = PLattice(H, 3, 1, IntMatrix.from_rows([[1, 0], [1, 9]]))
+    assert moved._half_gram is None
 
 
 def test_neighbors_of_ambient_match_enumeration():
@@ -656,16 +665,16 @@ def test_closed_form_neighbor_matches_the_hermite_route_on_k3(p):
 
 @pytest.mark.parametrize("name, p", [("H3", 2), ("H3", 3), ("HE8", 2), ("E8", 5)])
 def test_neighbor_checks_reject_an_unlifted_line(name, p, monkeypatch):
-    """With the bare generator in place of the Hensel lift, Q(v̄) ≢ 0 mod p²
-    and the lattice built is not a self-dual neighbor: the output checks
-    must say so."""
+    """With φ(v̄) read as [v̄, v̄]/p = 2Q(v̄)/p, as from the bare generator in
+    place of a lift (Q(v̄) ≢ 0 mod p²), the lattice built is not a self-dual
+    neighbor: the output checks must say so."""
     N = LATTICES[name]
     lines = [
         line for line in _spread(enumerate_isotropic_lines(reduction(N, p)), 300)
         if quad_value(N, line.generator) % (p * p)
     ]
     assert lines
-    monkeypatch.setattr(padic_lattice, "hensel_lift_line", lambda N, line: line.generator)
+    monkeypatch.setattr(padic_lattice, "quad_value", lambda N, x: 2 * quad_value(N, x))
     for line in lines:
         with pytest.raises(InvariantViolationError, match="neighbor lattice is not (integral|even)"):
             lattice_from_line(N, line)
@@ -685,3 +694,21 @@ def test_lattice_from_line_runs_no_hermite_elimination(monkeypatch):
     for N, p, lines in cases:
         for line in lines:
             assert lattice_from_line(N, line).power == 1
+
+
+@pytest.mark.parametrize("name, p", [("H3", 3), ("HE8", 2), ("E8", 3)])
+def test_lattice_from_line_forms_no_lift(name, p, monkeypatch):
+    """φ is read off the line's generator alone: with ``hensel_lift_line``
+    refused, every neighbor still equals the Hermite route's, which lifts."""
+    N = LATTICES[name]
+    lines = _spread(enumerate_isotropic_lines(reduction(N, p)), 200)
+    want = [_neighbor_basis_by_hnf(N, line) for line in lines]
+
+    def refuse(N, line):
+        raise AssertionError("a lift was formed")
+
+    monkeypatch.setattr(padic_lattice, "hensel_lift_line", refuse)
+    assert [lattice_from_line(N, line).numerator_basis for line in lines] == want
+    off = next(v for v in product(range(p), repeat=N.rank) if any(v) and quad_value(N, v) % p)
+    with pytest.raises(PreconditionError, match="^line is not isotropic$"):
+        lattice_from_line(N, ProjLine(reduction(N, p), off))
