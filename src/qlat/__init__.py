@@ -88,7 +88,6 @@ from .padic_lattice import (
 from .hecke_k3 import (
     MinimalPair,
     PolarizedK3Lattice,
-    grow_unique,
     k3_isogeny,
     shrink_fiber,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "enumerate_isotropic_lines",
     "enumerate_neighbors",
     "find_isotropic_vector",
-    "grow_unique",
     "hensel_lift_line",
     "hermite_normal_form",
     "hnf_basis",

@@ -25,10 +25,10 @@ from itertools import chain
 from . import kernels
 from .errors import InvariantViolationError, PreconditionError, SizeGuardError
 from .fp_quadratic import isotropic_generators
-from .hecke_k3 import grow_unique, k3_isogeny, shrink_fiber
+from .hecke_k3 import k3_isogeny, shrink_fiber
 from .modp import MAX_PROJ_POINTS, is_prime
-from .padic_lattice import enumerate_neighbors, reduction
-from .quad_lattice import discriminant_group, is_self_dual_at, signature
+from .padic_lattice import enumerate_neighbors, recover_lattice, reduction
+from .quad_lattice import Sublattice, discriminant_group, is_self_dual_at, signature
 from .serialize import (
     load_lattice_arg,
     load_matrix_arg,
@@ -213,7 +213,7 @@ def _cmd_grow(args) -> int:
     embedding = load_matrix_arg(args.embedding)
     if args.p is not None and args.p != Nt.p:
         raise PreconditionError(f"--p {args.p} does not match the lattice prime {Nt.p}")
-    grown = grow_unique(Nt, embedding, args.max_points)
+    grown = recover_lattice(Nt, Sublattice(Nt.ambient, embedding))
     _emit({"p": Nt.p, "lattice": plattice_to_dict(grown)})
     return 0
 
@@ -317,12 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sh)
     sh.set_defaults(func=_cmd_shrink)
 
-    gr = sub.add_parser("grow", help="unique neighbor lattice growing W-tilde back to W")
+    gr = sub.add_parser("grow", help="unique neighbor lattice meeting span(W) in W")
     gr.add_argument("lattice", help="p-power-denominator lattice document")
-    gr.add_argument("embedding", help="matrix whose columns span W-tilde")
+    gr.add_argument("embedding", help="matrix whose columns span W, as shrink takes it")
     gr.add_argument("--p", type=int, default=None,
                     help="cross-check against the lattice's prime")
-    _add_common(gr)
     gr.set_defaults(func=_cmd_grow)
 
     k3 = sub.add_parser("k3-isogeny", help="polarization change of degree p²d on the K3 lattice")

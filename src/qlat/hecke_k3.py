@@ -10,8 +10,11 @@ to ξ' = p(e + d·f), which in the rescaled basis has coordinates
 (1, p²·d, 0, ..., 0) and degree Q(ξ') = p²·d.
 
 Around this sit minimal pairs (a sublattice of prime index) and the
-fiber/uniqueness constructions that transport a shrunk sublattice pair
-through the p-neighbor correspondence.
+shrinking construction ``shrink_fiber``, which transports a minimal pair
+through the p-neighbor correspondence.  Its inverse is
+``padic_lattice.recover_lattice`` on the same W: growing from W̃ alone is
+many-valued, since W̃ can have several integral index-p enlargements and
+each is met by a different neighbor of a fiber member.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvariantViolationError, PreconditionError
-from .exact_linalg import IntMatrix, hnf_basis, saturate
+from .errors import PreconditionError
+from .exact_linalg import IntMatrix
 from .modp import MAX_PROJ_POINTS, check_int, check_prime, is_prime
-from .padic_lattice import PLattice, neighbors_of, shrink_set
+from .padic_lattice import PLattice, shrink_set
 from .quad_lattice import (
     QuadLattice,
     Sublattice,
@@ -37,7 +40,6 @@ __all__ = [
     "PolarizedK3Lattice",
     "k3_isogeny",
     "shrink_fiber",
-    "grow_unique",
 ]
 
 
@@ -125,10 +127,11 @@ def shrink_fiber(
     """Neighbors of N whose intersection with span(Λ) is the shrunk Λ̃.
 
     ``embedding`` columns give an isometric embedding of the pair's
-    lattice Λ onto a direct summand of N, with
-    rank(Λ) ≤ (rank(N) - 4)/2; the neighbor prime is the pair's index.
-    Delegates the fiber computation to the typed-line construction, whose
-    preconditions include the direct-summand check.
+    lattice Λ onto a direct summand W of N; the neighbor prime is the
+    pair's index.  Delegates the fiber computation to the typed-line
+    construction ``shrink_set``, whose preconditions hold the
+    direct-summand check and the one rank bound,
+    2·rank(Λ) ≤ rank(N) - 3.
     """
     embedding = IntMatrix.from_rows(embedding)
     lam = pair.lattice
@@ -145,66 +148,7 @@ def shrink_fiber(
             raise PreconditionError("embedding does not preserve the quadratic form")
         if j is not None:
             raise PreconditionError("embedding does not preserve the bilinear form")
-    if 2 * r > N.rank - 4:
-        raise PreconditionError("pair rank too large for the ambient lattice")
     W = Sublattice(N, embedding)
     Wt = Sublattice(N, embedding @ pair.tilde_basis)
     return shrink_set(N, W, Wt, p, max_points)
 
-
-def grow_unique(
-    Nt: PLattice, tilde_embedding: IntMatrix, max_points: int = MAX_PROJ_POINTS
-) -> PLattice:
-    """The unique neighbor of Ñ meeting span(Λ̃) in an index-p enlargement.
-
-    ``tilde_embedding`` embeds Λ̃ onto a direct summand W̃ = image(Λ̃) of Ñ
-    (ambient integer coordinates).  The neighbors L of Ñ are filtered on
-    L ∩ span(W̃) being an index-p superlattice of W̃, and exactly one may
-    survive; any other count raises InvariantViolationError.  Only the
-    isotropic lines of Ñ/pÑ in the reduction of W̃ are swept, and only
-    their neighbors are built (``neighbors_of(..., line_within=W̃)``), so
-    ``max_points`` bounds the projective points of that span, at most
-    p^rank(W̃), not those of Ñ/pÑ.
-
-    That condition is necessary.  Proof: let L be the neighbor at the line
-    ℓ, and W′ = L ∩ span(W̃) an index-p enlargement of W̃.  As below,
-    pW′ ⊂ W̃.  Take w′ ∈ W′ ∖ W̃.  W̃ is saturated in Ñ, so w′ ∉ Ñ and
-    p·w′ ∉ pÑ.  But p·w′ lies in pL, whose image in Ñ/pÑ is ℓ, so the
-    reduction of p·w′ ∈ W̃ spans ℓ.
-
-    The filter is ``L.span_excess(W̃) == 1``.  Proof: L and Ñ are
-    p-neighbors, so pL ⊂ Ñ, and W̃ is saturated in Ñ, so
-    p·(L ∩ span W̃) ⊂ Ñ ∩ span W̃ = W̃, i.e. L ∩ span(W̃) ⊂ p⁻¹W̃.  If
-    W̃ ⊂ L, then (L ∩ span W̃)/W̃ ≅ ker(W̃/pW̃ → L/pL) through
-    multiplication by p, so L ∩ span(W̃) is an index-p enlargement of W̃
-    exactly when W̃ ⊂ L and that kernel is a line.
-    """
-    tilde_embedding = IntMatrix.from_rows(tilde_embedding)
-    N, p = Nt.ambient, Nt.p
-    n = N.rank
-    if tilde_embedding.rows != n:
-        raise PreconditionError("embedding matrix has wrong ambient dimension")
-    rt = tilde_embedding.cols
-    if rt == 0:
-        raise PreconditionError("embedded sublattice must be nonzero")
-    if 2 * rt > n - 4:
-        raise PreconditionError("embedded rank too large for the ambient lattice")
-    Wt = hnf_basis(tilde_embedding)
-    if Wt.cols != rt:
-        raise PreconditionError("embedding columns are dependent")
-    # membership and direct-summand check inside Ñ, in Ñ's coordinates
-    coeffs = [Nt.coordinates(w) for w in Wt.columns()]
-    if None in coeffs:
-        raise PreconditionError("embedded sublattice must lie in Ñ")
-    _, summand = saturate(n, IntMatrix.from_columns(coeffs))
-    if not summand:
-        raise PreconditionError("embedded sublattice is not a direct summand")
-    wcols = Wt.columns()
-    survivors = [
-        L for L in neighbors_of(Nt, max_points, line_within=wcols) if L.span_excess(wcols) == 1
-    ]
-    if len(survivors) != 1:
-        raise InvariantViolationError(
-            f"expected a unique enlargement, found {len(survivors)}"
-        )
-    return survivors[0]

@@ -202,7 +202,12 @@ def inverse(M: Sequence[Sequence[int]], p: int) -> Matrix:
 
 def det(rows: Sequence[Sequence[int]], p: int) -> int:
     """Determinant mod p of a square matrix: 0 below full rank, else the
-    diagonal product of ``_echelon``, negated for an odd number of swaps."""
+    diagonal product of ``_echelon``, negated for an odd number of swaps.
+    A row whose length is not the number of rows raises PreconditionError."""
+    n = len(rows)
+    for r in rows:
+        if len(r) != n:
+            raise PreconditionError("determinant of a non-square matrix")
     m, pivots, swaps = _echelon(rows, p)
     if len(pivots) < len(m):
         return 0

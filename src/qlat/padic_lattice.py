@@ -156,6 +156,7 @@ class PLattice:
         coordinates (:meth:`coordinates`).  A kernel vector is a w ∈ W ∖ pW
         with w ∈ pL, that is w/p ∈ L ∩ span(W) ∖ W; so for W ⊂ L with
         L ∩ span(W) ⊂ p⁻¹W the excess e gives [L ∩ span(W) : W] = p^e.
+        ``recover_lattice`` reads excess 0, that is L ∩ span(W) = W.
         """
         coords = []
         for w in cols:
@@ -518,7 +519,8 @@ def recover_lattice(Nt: PLattice, W: Sublattice) -> PLattice:
     line of Ñ/pÑ that passes a necessary condition, filters those on the
     intersection condition, and insists on exactly one survivor — any
     other count falsifies the uniqueness this package is built around and
-    raises InvariantViolationError.
+    raises InvariantViolationError.  It inverts ``shrink_set`` on the same
+    W, and ``qlat grow`` runs it on the embedding ``qlat shrink`` takes.
 
     The necessary condition: the neighbor L at the line ℓ of Ñ/pÑ can
     contain W only if ℓ is the span of the reductions of p·w, w ∈ W, mod

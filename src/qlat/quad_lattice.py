@@ -12,8 +12,8 @@ rank-22 lattice H³ ⊕ E8², rank-one forms, and direct sums.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -139,45 +139,36 @@ def is_self_dual_at(L: QuadLattice, p: int) -> bool:
 def signature(L: QuadLattice) -> tuple[int, int]:
     """(positive, negative) inertia indices of the Gram form over Q.
 
-    Raises for a degenerate form.  Computed by exact congruence
-    diagonalization over Fraction.
+    Raises for a degenerate form.  Computed by congruence over Z: split
+    off a nonzero diagonal entry d and replace the rest by
+    sign(d)·(d·a_ij − a_ik·a_jk), which is |d| times its Schur complement,
+    divided by the gcd of its entries.  With no nonzero diagonal entry,
+    x_i ↦ x_i + x_j for some a_ij ≠ 0 makes a_ii = 2·a_ij; a block with
+    every entry 0 is the radical of a degenerate form.
     """
-    B = L.gram()
-    n = L.rank
-    if n == 0:
-        return (0, 0)
-    if B.det() == 0:
-        raise PreconditionError("signature of a degenerate form")
-    a = [[Fraction(B.entries[i][j]) for j in range(n)] for i in range(n)]
+    a = [list(row) for row in L.gram().entries]
     pos = neg = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            pivot = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if pivot is not None:
-                a[k], a[pivot] = a[pivot], a[k]
-                for row in a:
-                    row[k], row[pivot] = row[pivot], row[k]
-            else:
-                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if j is None:
-                    raise PreconditionError("degenerate block in signature computation")
-                # x_k <- x_k + x_j makes the diagonal entry 2*a[k][j] != 0
-                for col in range(n):
-                    a[k][col] += a[j][col]
-                for row in a:
-                    row[k] += row[j]
+    while a:
+        k = next((i for i, row in enumerate(a) if row[i]), None)
+        if k is None:
+            ij = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x), None)
+            if ij is None:
+                raise PreconditionError("signature of a degenerate form")
+            k, j = ij
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += row[j]
         d = a[k][k]
         if d > 0:
-            pos += 1
+            pos, s = pos + 1, 1
         else:
-            neg += 1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / d
-                for col in range(n):
-                    a[i][col] -= f * a[k][col]
-                for row in a:
-                    row[i] -= f * row[k]
+            neg, s = neg + 1, -1
+        col = [row[k] for row in a]
+        del col[k], a[k]
+        a = [[s * (d * x - ci * cj) for x, cj in zip(row[:k] + row[k + 1:], col)] for row, ci in zip(a, col)]
+        g = math.gcd(*(x for row in a for x in row))
+        if g > 1:
+            a = [[x // g for x in row] for row in a]
     return pos, neg
 
 

@@ -815,7 +815,7 @@ def suite_k3_degree(primes, max_rank, seed, max_points) -> VerifyReport:
         gram = L.gram()
         unimodular = abs(gram.det()) == 1
         even = all(gram.entries[i][i] % 2 == 0 for i in range(L.rank))
-        sig_ok = signature(L) == target_sig
+        sig = signature(L)
         degree_ok = pol.degree == p * p * d
         primitive = math.gcd(*pol.xi) == 1
         comp = orthogonal_complement(
@@ -823,7 +823,7 @@ def suite_k3_degree(primes, max_rank, seed, max_points) -> VerifyReport:
         )
         disc = discriminant_group(restricted_lattice(comp))
         disc_ok = disc.free_rank == 0 and disc.torsion == (2 * p * p * d,)
-        ok = unimodular and even and sig_ok and degree_ok and primitive and disc_ok
+        ok = unimodular and even and sig == target_sig and degree_ok and primitive and disc_ok
         report.record(
             desc,
             ok,
@@ -838,7 +838,7 @@ def suite_k3_degree(primes, max_rank, seed, max_points) -> VerifyReport:
             {
                 "unimodular": unimodular,
                 "even": even,
-                "signature": list(signature(L)),
+                "signature": list(sig),
                 "degree": pol.degree,
                 "primitive": primitive,
                 "complement_disc": list(disc.torsion),

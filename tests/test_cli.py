@@ -120,9 +120,7 @@ def test_shrink_then_grow_round_trip(capsys, tmp_path, shrink_args):
     assert doc["count"] >= 1
     member = tmp_path / "member.json"
     member.write_text(json.dumps(doc["fiber"][0]), encoding="utf-8")
-    tilde = tmp_path / "tilde.json"
-    tilde.write_text(json.dumps([[2], [2], [0], [0], [0], [0]]), encoding="utf-8")
-    grown = run_json(capsys, "grow", str(member), str(tilde), "--p", "2")
+    grown = run_json(capsys, "grow", str(member), emb, "--p", "2")
     assert grown["p"] == 2
     assert grown["lattice"]["power"] == 0
     basis = grown["lattice"]["numerator_basis"]
@@ -155,11 +153,55 @@ def test_grow_rejects_mismatched_prime(capsys, tmp_path, shrink_args):
     doc = run_json(capsys, "shrink", "H⊥H⊥H", emb, pair)
     member = tmp_path / "member.json"
     member.write_text(json.dumps(doc["fiber"][0]), encoding="utf-8")
-    tilde = tmp_path / "tilde.json"
-    tilde.write_text(json.dumps([[2], [2], [0], [0], [0], [0]]), encoding="utf-8")
-    rc, out, err = run_cli(capsys, "grow", str(member), str(tilde), "--p", "5")
+    rc, out, err = run_cli(capsys, "grow", str(member), emb, "--p", "5")
     assert rc == 2
     assert "does not match" in err
+
+
+def _matrix(cols):
+    return [list(row) for row in zip(*cols)]
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_grow_inverts_shrink_on_the_embedding_shrink_takes(capsys, tmp_path):
+    """A minimal pair of H⊥E8 at p = 2 whose W̃ has two integral index-2
+    enlargements, each met by a neighbor of a fiber member: grown from W̃
+    alone, the member had no unique enlargement.  Grown on the W that
+    ``shrink`` took, it gives H⊥E8 back."""
+    a, b = (2, 0, 0, 2, -2, 1, -1, -2, -1, -2), (0, 1, -1, 1, 2, -2, 2, -1, -2, -1)
+    emb = tmp_path / "emb.json"
+    emb.write_text(json.dumps(_matrix([a, b])), encoding="utf-8")
+    pair = tmp_path / "pair.json"
+    pair.write_text(
+        json.dumps({"lambda": {"rank": 2, "half_gram": [[20, -7], [0, 29]]}, "tilde_basis": [[1, 0], [0, 2]]}),
+        encoding="utf-8",
+    )
+    doc = run_json(capsys, "shrink", "H⊥E8", str(emb), str(pair))
+    assert (doc["p"], doc["count"]) == (2, 135)
+    member = tmp_path / "member.json"
+    member.write_text(json.dumps(doc["fiber"][0]), encoding="utf-8")
+    grown = run_json(capsys, "grow", str(member), str(emb), "--p", "2")
+    assert grown["lattice"]["ambient"] == doc["fiber"][0]["ambient"]
+    assert (grown["lattice"]["power"], grown["lattice"]["numerator_basis"]) == (0, _identity(10))
+    # an embedding of W̃ in place of W is an unmet precondition, not a violated invariant
+    tilde = json.dumps(_matrix([a, [2 * x for x in b]]))
+    rc, out, err = run_cli(capsys, "grow", str(member), tilde, "--p", "2")
+    assert (rc, out, err) == (2, "", "error: W is not a direct summand\n")
+
+
+def test_grow_returns_the_ambient_from_every_member_of_a_positive_definite_fiber(capsys):
+    """Every member of a fiber of H⁴ at p = 3 grows back to H⁴; W̃ alone has
+    two enlargements met by neighbors of each member."""
+    emb = json.dumps(_matrix([(1, 1, 0, 0, 2, 1, 0, 0), (0, 0, 1, -1, -3, -2, 0, 1)]))
+    pair = json.dumps({"lambda": {"rank": 2, "half_gram": [[3, -7], [0, 5]]}, "tilde_basis": [[1, 0], [0, 3]]})
+    doc = run_json(capsys, "shrink", "H⊥H⊥H⊥H", emb, pair)
+    assert (doc["p"], doc["count"]) == (3, 260)
+    for member in doc["fiber"]:
+        grown = run_json(capsys, "grow", json.dumps(member), emb)
+        assert (grown["lattice"]["power"], grown["lattice"]["numerator_basis"]) == (0, _identity(8))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +352,7 @@ def test_shrink_and_grow_write_canonical_json(capsys, tmp_path, shrink_args):
     assert out == canonical(out)
     member = tmp_path / "member.json"
     member.write_text(json.dumps(json.loads(out)["fiber"][0]), encoding="utf-8")
-    rc, out, err = run_cli(capsys, "grow", str(member), "[[2],[2],[0],[0],[0],[0]]", "--p", "2")
+    rc, out, err = run_cli(capsys, "grow", str(member), "[[1],[1],[0],[0],[0],[0]]", "--p", "2")
     assert rc == 0, err
     assert out == canonical(out)
 
@@ -426,7 +468,6 @@ _GUARDED_COMMANDS = {
     "quadric lines": ["quadric", "lines", "H⊥H", "--p", "3"],
     "neighbors": ["neighbors", "H⊥H", "--p", "3"],
     "shrink": ["shrink", "H⊥H⊥H", "[[1], [1], [0], [0], [0], [0]]", "{}"],
-    "grow": ["grow", "{}", "[[2], [2], [0], [0], [0], [0]]"],
     "verify": ["verify", "cokernel-m"],
 }
 
@@ -442,6 +483,16 @@ def test_max_points_below_one_is_rejected_by_the_parser(capsys, command, value):
         f"error: argument --max-points: must be at least 1, not {value}"
     )
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_grow_takes_no_max_points(capsys, value):
+    # grow sweeps one projective point, so it has no guard to set
+    with pytest.raises(SystemExit) as exc:
+        main(["grow", "{}", "[[1], [1], [0], [0], [0], [0]]", "--max-points", value])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"error: unrecognized arguments: --max-points {value}")
 
 
 def test_max_points_below_one_exits_two_from_a_process():
@@ -520,7 +571,7 @@ def test_neighbor_checks_keep_their_error_classes(capsys, tmp_path, monkeypatch)
     hg = [[0] * 6 for _ in range(6)]
     for i in (0, 2, 4):
         hg[i][i + 1] = 1  # H⊥H⊥H
-    numer = [[2 if i == j == 0 else int(i == j) for j in range(6)] for i in range(6)]
+    numer = [[4 if i == j == 0 else int(i == j) for j in range(6)] for i in range(6)]
     doc = {"ambient": {"rank": 6, "half_gram": hg}, "p": 2, "power": 1, "numerator_basis": numer}
     member = tmp_path / "member.json"
     member.write_text(json.dumps(doc), encoding="utf-8")

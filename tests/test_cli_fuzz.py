@@ -107,7 +107,6 @@ def argvs(draw):
         return (
             ["grow", draw(plattice_args), draw(matrix_args)]
             + draw(_flag("--p", PRIMES))
-            + draw(_flag("--max-points", GUARDS))
         )
     if command == "k3-isogeny":
         return ["k3-isogeny", "--d", draw(st.sampled_from(["-2", "0", "1", "3"])), "--p", draw(PRIMES)]

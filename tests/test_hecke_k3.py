@@ -20,7 +20,6 @@ from qlat import (
     Sublattice,
     direct_sum,
     discriminant_group,
-    grow_unique,
     hnf_basis,
     hyperbolic_plane,
     k3_isogeny,
@@ -36,6 +35,7 @@ from qlat import (
     restricted_lattice,
     shrink_fiber,
     shrink_set,
+    shrink_set_bruteforce,
     signature,
     sublattice_in_span,
 )
@@ -156,7 +156,7 @@ def test_isogeny_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# shrink fiber and unique growth
+# shrink fiber and unique recovery
 # ---------------------------------------------------------------------------
 
 
@@ -225,14 +225,43 @@ def test_shrink_fiber_rejects_oversized_pair():
         shrink_fiber(H2, emb, _pair(2))
 
 
+# H³ ⊥ ⟨1⟩ has odd rank n = 7, where 2·rank(W) ≤ n - 3 admits a rank-2 W
+# that 2·rank(W) ≤ n - 4 would refuse
+H3_ONE = direct_sum(H3, rank_one(1))
+
+
+def test_the_rank_bound_admits_its_odd_rank_edge():
+    emb = IntMatrix.from_columns([(1, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)])
+    pair = MinimalPair(QuadLattice([[1, 0], [0, 1]]), IntMatrix.from_rows([[1, 0], [0, 3]]))
+    W, Wt = Sublattice(H3_ONE, emb), Sublattice(H3_ONE, emb @ pair.tilde_basis)
+    fiber = shrink_fiber(H3_ONE, emb, pair)
+    assert len(fiber) == 90
+    assert fiber == shrink_set(H3_ONE, W, Wt, 3) == shrink_set_bruteforce(H3_ONE, W, Wt, 3)
+    N0 = PLattice(H3_ONE, 3, 0, IntMatrix.identity(7))
+    assert all(recover_lattice(Nt, W) == N0 for Nt in fiber)
+
+
+def test_one_rank_past_the_bound_is_rejected():
+    emb = IntMatrix.from_columns(
+        [(1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)]
+    )
+    unit_form = QuadLattice([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    pair = MinimalPair(unit_form, IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 3]]))
+    W, Wt = Sublattice(H3_ONE, emb), Sublattice(H3_ONE, emb @ pair.tilde_basis)
+    message = "^W has rank too large for the construction$"
+    with pytest.raises(PreconditionError, match=message):
+        shrink_set(H3_ONE, W, Wt, 3)
+    with pytest.raises(PreconditionError, match=message):
+        shrink_fiber(H3_ONE, emb, pair)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_grow_recovers_ambient_from_every_member(p):
     emb = _embedding_column()
-    pair = _pair(p)
-    tilde_embedding = emb @ pair.tilde_basis
+    W = Sublattice(H3, emb)
     N0 = PLattice(H3, p, 0, IntMatrix.identity(6))
-    fiber = shrink_fiber(H3, emb, pair)
-    grown = {grow_unique(Nt, tilde_embedding) for Nt in fiber}
+    fiber = shrink_fiber(H3, emb, _pair(p))
+    grown = {recover_lattice(Nt, W) for Nt in fiber}
     assert grown == {N0}
 
 
@@ -265,20 +294,21 @@ def test_grow_criterion_matches_enlargement_filter(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_grow_line_filter_keeps_the_full_sweep_survivor(p):
-    """The filtered sweep of grow_unique against the full sweep.
+    """The one-point sweep of recover_lattice, on the embedding
+    ``shrink_fiber`` takes, against the full sweep.
 
     The oracle builds every neighbor and keeps those with
-    ``span_excess(W̃) == 1``, which equals the lattice-level enlargement
-    filter on these members (``test_grow_criterion_matches_enlargement_filter``).
+    ``span_excess(W) == 0``, that is L ∩ span(W) = W.
     """
     emb = _embedding_column()
-    tilde_embedding = emb @ _pair(p).tilde_basis
-    wcols = hnf_basis(tilde_embedding).columns()
+    W = Sublattice(H3, emb)
+    wcols = W.basis.columns()
+    pw = [tuple(p * x for x in w) for w in wcols]
     for Nt in shrink_fiber(H3, emb, _pair(p)):
-        kept = [L for L in neighbors_of(Nt) if L.span_excess(wcols) == 1]
+        kept = [L for L in neighbors_of(Nt) if L.span_excess(wcols) == 0]
         assert len(kept) == 1
-        assert set(kept) <= set(neighbors_of(Nt, line_within=wcols))
-        assert grow_unique(Nt, tilde_embedding) == kept[0]
+        assert set(kept) <= set(neighbors_of(Nt, line_within=pw))
+        assert recover_lattice(Nt, W) == kept[0]
 
 
 def _k3_hecke_step(p):
@@ -297,25 +327,19 @@ def test_recover_lattice_at_the_k3_rank(p):
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_grow_unique_at_the_k3_rank(p):
-    N, W, Nt = _k3_hecke_step(p)
-    start = time.perf_counter()
-    assert grow_unique(Nt, W.basis.scale(p)) == PLattice(N, p, 0, IntMatrix.identity(22))
-    assert time.perf_counter() - start < 1.0
-
-
 def test_grow_rejects_dependent_embedding():
     fiber = shrink_fiber(H3, _embedding_column(), _pair(2))
     bad = IntMatrix.from_columns([(2, 2, 0, 0, 0, 0), (4, 4, 0, 0, 0, 0)])
-    with pytest.raises(PreconditionError):
-        grow_unique(fiber[0], bad)
+    with pytest.raises(PreconditionError, match="^sublattice basis columns are dependent$"):
+        recover_lattice(fiber[0], Sublattice(H3, bad))
 
 
-def test_grow_rejects_an_embedding_outside_the_lattice():
-    Nt = PLattice(H3, 2, 0, IntMatrix.identity(6).scale(2))
-    with pytest.raises(PreconditionError, match="^embedded sublattice must lie in Ñ$"):
-        grow_unique(Nt, IntMatrix.from_columns([(1, 0, 0, 0, 0, 0)]))
+def test_grow_rejects_an_embedding_of_w_tilde():
+    # W̃ = 2·W lies in every fiber member, but it is no direct summand
+    emb = _embedding_column()
+    fiber = shrink_fiber(H3, emb, _pair(2))
+    with pytest.raises(PreconditionError, match="^W is not a direct summand$"):
+        recover_lattice(fiber[0], Sublattice(H3, emb.scale(2)))
 
 
 @pytest.mark.parametrize(
@@ -341,13 +365,4 @@ def test_pairs_and_embeddings_reject_non_integer_entries(bad):
         shrink_fiber(H3, rows, _pair(2))
     fiber = shrink_fiber(H3, _embedding_column(), _pair(2))
     with pytest.raises(PreconditionError, match=message):
-        grow_unique(fiber[0], rows)
-
-
-def test_grow_rejects_oversized_embedding():
-    fiber = shrink_fiber(H3, _embedding_column(), _pair(2))
-    too_big = IntMatrix.from_columns(
-        [(2, 2, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]
-    )
-    with pytest.raises(PreconditionError):
-        grow_unique(fiber[0], too_big)
+        recover_lattice(fiber[0], Sublattice(H3, rows))

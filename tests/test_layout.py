@@ -6,8 +6,8 @@
 * Each mod-p primitive is defined once, in ``qlat.modp``: no other module
   defines it under its own name or under a name an earlier copy used.
 * Nothing refers to the deleted compiled backend.
-* ``exact_linalg`` eliminates over the integers only: it imports nothing
-  from ``fractions``.
+* The package computes over the integers only: no module imports
+  anything from ``fractions``.
 * Each shared construction has one home: the index-p lattice
   {x : r·x ≡ 0 mod p} is ``exact_linalg.kernel_mod_p``, a map of one
   tuple onto another is ``fp_quadratic._witt_map``, the matrices of a
@@ -35,6 +35,9 @@
   enumeration kernels: ``_brute_line_count`` and its scan
   ``_quadric_value_counts`` name neither ``kernels`` nor any of its
   functions.
+* The p-Hecke step has one inverse, ``padic_lattice.recover_lattice``: no
+  module defines or names ``grow_unique``, and ``recover_lattice`` is the
+  one top-level definition that refers to ``PLattice.span_excess``.
 * A p-neighbor's basis is written down, not eliminated:
   ``padic_lattice.lattice_from_line`` refers to ``kernel_mod_p`` and to
   neither ``hnf_basis`` nor ``hermite_normal_form``.
@@ -197,14 +200,14 @@ def test_no_compiled_backend_remains():
 
 
 def test_exact_linalg_uses_no_fractions():
-    tree = _tree(PACKAGE / "exact_linalg.py")
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.add(node.module)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-    assert "fractions" not in imported
+    for path in MODULES:
+        imported = set()
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert "fractions" not in imported, path.name
 
 
 # each shared construction -> the names earlier copies of it went by
@@ -292,6 +295,18 @@ def test_stabilizer_orbit_builds_no_isometry_of_its_own():
     orbit = _function("fp_quadratic", "stabilizer_orbit")
     assert "witt_extension" in _names_in(orbit)
     assert not {"_witt_map", "FpIsometry"} & _names_in(orbit)
+
+
+def test_the_hecke_step_has_one_inverse():
+    for path in MODULES:
+        assert "grow_unique" not in _defined_anywhere(path) | _names_in(_tree(path)), path.name
+    callers = sorted(
+        (path.stem, node.name)
+        for path in MODULES
+        for node in _tree(path).body
+        if "span_excess" in _names_in(node)
+    )
+    assert callers == [("padic_lattice", "recover_lattice")]
 
 
 def test_lattice_from_line_eliminates_nothing():

@@ -301,3 +301,14 @@ def test_det_matches_leibniz_and_the_echelon_diagonal(p):
         else:
             assert len(pivots) < len(rows)
     assert {modp.det(rows, p) for rows in square} == set(range(p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_det_rejects_a_non_square_matrix(p):
+    wide_or_tall = [rows for rows in _seeded_matrices(p, p + 30) if any(len(r) != len(rows) for r in rows)]
+    assert {len(rows) < len(rows[0]) for rows in wide_or_tall} == {True, False}
+    ragged = [[[1, 2], [3]], [[1], [2, 3]], [[1, 2, 3], [4, 5], [6, 7, 8]]]
+    for rows in wide_or_tall + ragged:
+        with pytest.raises(PreconditionError, match="^determinant of a non-square matrix$"):
+            modp.det(rows, p)
+    assert modp.det([], p) == 1

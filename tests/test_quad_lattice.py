@@ -136,6 +136,58 @@ def test_signature_rejects_degenerate():
         signature(degenerate)
 
 
+def _descartes_signature(gram):
+    """(positive, negative) eigenvalue counts of a symmetric integer matrix, or
+    None when it is singular.  Descartes' rule of signs on the characteristic
+    polynomial, computed by Faddeev–LeVerrier, is exact since every root is
+    real."""
+    n = len(gram)
+    c = [0] * n + [1]  # c[k] is the coefficient of x^k in det(x·I - A)
+    M = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        M = [
+            [sum(gram[i][t] * M[t][j] for t in range(n)) + (c[n - k + 1] if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        c[n - k] = -sum(gram[i][t] * M[t][i] for i in range(n) for t in range(n)) // k
+    if c[0] == 0:
+        return None
+
+    def changes(coeffs):
+        signs = [x > 0 for x in coeffs if x]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(c), changes([x * (-1) ** k for k, x in enumerate(c)])
+
+
+def test_signature_matches_descartes_rule_on_the_characteristic_polynomial():
+    rng = random.Random(11)
+    forms = [direct_sum(H, H), QuadLattice([[0, 1, 1], [0, 0, 1], [0, 0, 0]])]
+    for n in range(10):
+        for _ in range(30):
+            hollow = rng.random() < 0.3  # every diagonal entry 0
+            forms.append(QuadLattice([
+                [0 if j < i or (hollow and i == j) else rng.randint(-3, 3) for j in range(n)]
+                for i in range(n)
+            ]))
+        # degenerate: the form of r < n vectors, S·D·Sᵀ
+        r = rng.randrange(n) if n else 0
+        S = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+        D = [rng.choice([-2, -1, 1, 3]) for _ in range(r)]
+        G = [[sum(S[i][t] * D[t] * S[j][t] for t in range(r)) for j in range(n)] for i in range(n)]
+        forms.append(QuadLattice([[G[i][j] if i == j else 2 * G[i][j] if j > i else 0 for j in range(n)] for i in range(n)]))
+    degenerate = 0
+    for L in forms:
+        expected = _descartes_signature(L.gram().entries)
+        if expected is None:
+            degenerate += 1
+            with pytest.raises(PreconditionError, match="^signature of a degenerate form$"):
+                signature(L)
+        else:
+            assert signature(L) == expected, L.half_gram.entries
+    assert degenerate > 10 and len(forms) - degenerate > 200
+
+
 def _random_unimodular(n, rng):
     T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(4 * n):
