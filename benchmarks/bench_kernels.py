@@ -7,9 +7,15 @@ the p-neighbor construction (``lattice_from_line``), its inverse
 (``plattice_quadlattice``), the integer layer under unique recovery
 (``saturate``, ``sublattice_in_span`` and ``recover_lattice`` itself), the
 cokernel M with its comparison maps (``cokernel_M``), the Witt witness
-path (``witt_extension``) and the two eliminators (``modp.rank``,
+path (``witt_extension``), the two eliminators (``modp.rank``,
 ``modp.kernel_basis`` and ``modp.det`` mod p, ``IntMatrix.det`` over Z)
-on fixed workloads, and prints a table of best-of-N wall times.
+and the start of a suite's shares (``verify._run_shares``: one fork,
+pipe and reaped child) on fixed workloads, and prints a table of best-of-N
+wall times.
+
+A basis matrix keeps the annihilator of its span once ``saturate`` or
+``sublattice_in_span`` has formed it, so their rows build each W's basis
+inside the timing and time the computation they name.
 
 A lattice forms the half-Gram of its form once, on first use, and keeps
 it; a neighbor built by ``lattice_from_line`` has formed it already, so
@@ -56,7 +62,13 @@ from qlat import (
 )
 from qlat.fp_quadratic import isotropic_lines_in
 from qlat.modp import det, kernel_basis, mat_vec, rank
-from qlat.verify import _brute_line_count, _cochar_instances, _hyperbolic_power, _subspace_bases
+from qlat.verify import (
+    _brute_line_count,
+    _cochar_instances,
+    _hyperbolic_power,
+    _run_shares,
+    _subspace_bases,
+)
 
 
 def _hyperbolic(n):
@@ -136,6 +148,10 @@ def _extend_all(p, half_gram, pairs):
             witt_extension(V, X, Y)
         except InvariantViolationError:
             pass
+
+
+def _no_op(share):
+    return share
 
 
 def _workloads():
@@ -225,16 +241,17 @@ def _workloads():
             lambda: [line_from_lattice(PLattice(k3, 2, 1, Nt.numerator_basis)) for Nt in k3_neighbors],
         ),
         (
-            # the W of each recovery in `qlat verify nice-cochar --p 2`
+            # the W of each recovery in `qlat verify nice-cochar --p 2`, built in
+            # the call: a basis keeps its annihilator, so a built W forms it again
             f"saturate nice-cochar p=2, {len(recoveries)} recoveries",
-            lambda: [saturate(W.ambient.rank, W.basis) for W, _ in recoveries],
+            lambda: [saturate(W.ambient.rank, IntMatrix(W.basis.entries)) for W, _ in recoveries],
         ),
         (
-            # the meets of the suite's filter-all-neighbors route
+            # the meets of the suite's filter-all-neighbors route, each W built in the call
             f"sublattice_in_span nice-cochar p=2, {len(cochar_neighbors)} neighbors"
             f" x {len(cochar_ws)} W",
             lambda: [
-                sublattice_in_span(Nt.numerator_basis, W.basis)
+                sublattice_in_span(Nt.numerator_basis, IntMatrix(W.basis.entries))
                 for W in cochar_ws
                 for Nt in cochar_neighbors
             ],
@@ -265,6 +282,11 @@ def _workloads():
         (
             f"modp.det H⊥H, p=3, {len(witnesses)} witness matrices",
             lambda: [det(m, 3) for m in witnesses],
+        ),
+        (
+            # one fork, pipe and reaped child: what a suite pays to start its shares
+            "_run_shares, 2 shares of a no-op task",
+            lambda: _run_shares(_no_op, 2),
         ),
     ] + [
         (

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -168,6 +169,18 @@ class IntMatrix:
 
     def rank(self) -> int:
         return hnf_basis(self).cols
+
+    @cached_property
+    def _annihilator(self) -> "IntMatrix":
+        """Basis of the integral covectors vanishing on the column span.
+
+        Formed on first use and kept, the way ``PLattice`` keeps its form:
+        the matrix is frozen, so the kept basis stays that of its entries,
+        and equality, hashing and ``repr`` do not see it.  ``saturate`` and
+        ``sublattice_in_span`` read it, so a sublattice basis that both
+        meet many times is eliminated once.
+        """
+        return integer_kernel(self.transpose())
 
 
 @dataclass(frozen=True)
@@ -466,14 +479,15 @@ def saturate(ambient_rank: int, gens: IntMatrix) -> tuple[IntMatrix, bool]:
 
     Returns ``(basis, is_direct_summand)`` where ``basis`` is the canonical
     (HNF) basis of ``(span ⊗ Q) ∩ Z^n``, the integer kernel of the span's
-    integral annihilator, and ``is_direct_summand`` is True iff the span
-    already equals its saturation (``hnf_basis(gens) == basis``).
+    integral annihilator (which ``gens`` forms once and keeps), and
+    ``is_direct_summand`` is True iff the span already equals its
+    saturation (``hnf_basis(gens) == basis``).
     """
     if gens.rows != ambient_rank:
         raise PreconditionError("ambient rank mismatch")
     if gens.cols == 0:
         return IntMatrix.zero(ambient_rank, 0), True
-    ann = integer_kernel(gens.transpose())  # covectors vanishing on the span
+    ann = gens._annihilator  # covectors vanishing on the span
     basis = hnf_basis(integer_kernel(ann.transpose()))
     return basis, hnf_basis(gens) == basis
 
@@ -482,15 +496,16 @@ def sublattice_in_span(basis: IntMatrix, span_gens: IntMatrix) -> IntMatrix:
     """Canonical basis of {x in span_Z(basis) : x in span_Q(span_gens)}.
 
     ``basis`` must have full column rank.  The rational span of
-    ``span_gens`` is cut out by its integral annihilator A, so the result
-    is exact: the span of the columns (Aᵀ·b, b), b in ``basis``, meets the
-    last n coordinates in the answer, read off its Hermite basis by
-    :func:`split_hnf`.  That Hermite basis has as many columns as
+    ``span_gens`` is cut out by its integral annihilator A, which
+    ``span_gens`` forms once and keeps (``saturate`` reads it too), so the
+    result is exact: the span of the columns (Aᵀ·b, b), b in ``basis``,
+    meets the last n coordinates in the answer, read off its Hermite basis
+    by :func:`split_hnf`.  That Hermite basis has as many columns as
     ``basis`` has rank, which checks the precondition.
     """
     if basis.rows != span_gens.rows:
         raise PreconditionError("ambient dimension mismatch")
-    ann = integer_kernel(span_gens.transpose())  # covectors vanishing on the span
+    ann = span_gens._annihilator  # covectors vanishing on the span
     top = ann.transpose() @ basis
     H = hnf_basis(IntMatrix(top.entries + basis.entries, _trusted=True, cols=basis.cols))
     if H.cols != basis.cols:

@@ -39,6 +39,7 @@ from .errors import SizeGuardError
 from .modp import identity, mat_mul
 
 __all__ = [
+    "check_projective_points",
     "isotropic_lines",
     "quadric_points_mod",
     "group_closure",
@@ -117,6 +118,14 @@ def _zeros(modulus, half_gram, choices):
     return out
 
 
+def check_projective_points(p, n, limit):
+    """The guard of a sweep over P^(n-1)(F_p): SizeGuardError when its
+    (p^n - 1)/(p - 1) points are more than ``limit``."""
+    count = (p**n - 1) // (p - 1)
+    if count > limit:
+        raise SizeGuardError(f"projective space has {count} points, exceeds limit {limit}")
+
+
 def isotropic_lines(p, n, half_gram, limit):
     """Normalized generators of isotropic lines of Q over F_p, sorted.
 
@@ -126,9 +135,7 @@ def isotropic_lines(p, n, half_gram, limit):
     that order.  Raises SizeGuardError if the projective space has more
     than ``limit`` points.
     """
-    count = (p**n - 1) // (p - 1)
-    if count > limit:
-        raise SizeGuardError(f"projective space has {count} points, exceeds limit {limit}")
+    check_projective_points(p, n, limit)
     out = []
     tail = range(p)
     for lead in range(n):

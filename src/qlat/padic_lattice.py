@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from . import modp
+from . import kernels, modp
 from .errors import InvariantViolationError, PreconditionError
 from .exact_linalg import (
     IntMatrix,
@@ -339,8 +339,26 @@ def line_from_lattice(Nt: PLattice) -> ProjLine:
 def enumerate_neighbors(
     N: QuadLattice, p: int, max_points: int = MAX_PROJ_POINTS
 ) -> tuple[PLattice, ...]:
-    """All p-neighbors of N, one per isotropic line of the reduction, sorted."""
-    return neighbors_of(PLattice(N, p, 0, IntMatrix.identity(N.rank)), max_points)
+    """All p-neighbors of N, one per isotropic line of the reduction, sorted.
+
+    The tuple is kept on N, one per p, the way :func:`reduction` keeps
+    N/pN, so each (N, p) is swept once and every later call returns the
+    same tuple.  A later call checks the sweep's own size guard first (the
+    projective points of N/pN against ``max_points``,
+    ``kernels.check_projective_points``), so a call raises SizeGuardError
+    exactly where a fresh sweep would; a sweep that raises keeps nothing.
+    :func:`lattice_from_line` keeps nothing, so a neighbor rebuilt from its
+    line is built again.
+    """
+    modp.check_int(p)  # 2.0 == 2 would find the entry of p = 2
+    table = N._neighbors
+    neighbors = table.get(p)
+    if neighbors is None:
+        identity = IntMatrix.identity(N.rank)
+        neighbors = table[p] = neighbors_of(PLattice(N, p, 0, identity), max_points)
+    else:
+        kernels.check_projective_points(p, N.rank, max_points)
+    return neighbors
 
 
 def neighbors_of(
@@ -433,6 +451,21 @@ def w_generic_lines(
     return tuple(out)
 
 
+def _check_summand(W: Sublattice) -> None:
+    """PreconditionError unless W is a nonzero direct summand of its ambient lattice.
+
+    The one W check of :func:`shrink_set`, :func:`shrink_set_bruteforce`
+    and :func:`recover_lattice`.  ``saturate`` reads the annihilator of
+    W's span that ``W.basis`` keeps, so a W checked again, or met again by
+    ``sublattice_in_span``, is not eliminated again.
+    """
+    if W.rank == 0:
+        raise PreconditionError("W must be nonzero")
+    _, summand = saturate(W.ambient.rank, W.basis)
+    if not summand:
+        raise PreconditionError("W is not a direct summand")
+
+
 def _shrink_preconditions(N: QuadLattice, W: Sublattice, Wt: Sublattice, p: int) -> None:
     """Validate a minimal pair (W, W̃); W̃ is then its own type subgroup.
 
@@ -448,13 +481,8 @@ def _shrink_preconditions(N: QuadLattice, W: Sublattice, Wt: Sublattice, p: int)
         raise PreconditionError("lattice is not self-dual at p")
     if W.ambient != N or Wt.ambient != N:
         raise PreconditionError("sublattice belongs to a different lattice")
-    r = W.rank
-    if r == 0:
-        raise PreconditionError("W must be nonzero")
-    _, summand = saturate(N.rank, W.basis)
-    if not summand:
-        raise PreconditionError("W is not a direct summand")
-    if 2 * r > N.rank - 3:
+    _check_summand(W)
+    if 2 * W.rank > N.rank - 3:
         raise PreconditionError("W has rank too large for the construction")
     if restricted_lattice(W).gram().det() == 0:
         raise PreconditionError("form restricted to W is degenerate")
@@ -511,7 +539,7 @@ def shrink_set_bruteforce(
 def recover_lattice(Nt: PLattice, W: Sublattice) -> PLattice:
     """The unique p-neighbor L of Ñ with L ∩ span(W) = W.
 
-    Preconditions: W is a direct summand of the ambient lattice and
+    Preconditions: W is a nonzero direct summand of the ambient lattice and
     Ñ ∩ span(W) lies in W with index exactly p (in particular Ñ itself,
     whose intersection is all of W, is rejected); the intersection comes
     from ``sublattice_in_span`` and its index from the pivots of Hermite
@@ -539,9 +567,7 @@ def recover_lattice(Nt: PLattice, W: Sublattice) -> PLattice:
     N, p = Nt.ambient, Nt.p
     if W.ambient != N:
         raise PreconditionError("sublattice belongs to a different lattice")
-    _, summand = saturate(N.rank, W.basis)
-    if not summand:
-        raise PreconditionError("W is not a direct summand")
+    _check_summand(W)
     T = sublattice_in_span(Nt.numerator_basis, W.basis)
     idx = sublattice_index(W.basis.scale(Nt.scale_denominator()), T)
     if idx is None:

@@ -82,6 +82,11 @@ class QuadLattice:
         """N/pN per prime p, kept by :func:`qlat.padic_lattice.reduction`."""
         return {}
 
+    @cached_property
+    def _neighbors(self) -> dict:
+        """The p-neighbors per prime p, kept by :func:`qlat.padic_lattice.enumerate_neighbors`."""
+        return {}
+
     def q(self, x: Sequence[int]) -> int:
         return quad_value(self, x)
 

@@ -35,8 +35,15 @@ Processes
 Every suite builds its list of instances in the calling process, together
 with whatever work the instances share, and then deals the instances
 round-robin to one share per usable core (the process's CPU affinity, else
-``os.cpu_count()``): the caller runs share 0 and forked children run the
-others, and the caller merges their counts and failure details.
+``os.cpu_count()``): the caller runs share 0 and children of ``os.fork``
+run the others, and the caller merges their counts and failure details.
+Each child pickles its report, or the exception its share raised, into a
+pipe of its own and ends in ``os._exit``, so it never flushes the stdio
+it inherited; the caller reads the pipes in share order, reaps each
+child, and raises a share's exception with its type and message.  A child
+that ends without reporting is a RuntimeError naming the share and its
+exit code, and however the call ends no child is left running or
+unreaped.
 ``neighbor-bijection`` deals by weight instead: each instance in turn goes
 to the share with the least estimated time so far.  With one
 core, or where the platform cannot fork, the caller runs every instance
@@ -307,58 +314,78 @@ def _deal(name: str, items: list, check, weights: list[int] | None = None) -> Ve
 def _run_shares(task, jobs: int) -> list:
     """``[task(0), …, task(jobs - 1)]``, computed concurrently.
 
-    The caller computes share 0 itself; shares 1 … jobs − 1 run in forked
-    children, which send their result back through a pipe and end in
-    ``os._exit``, so a child never flushes the stdio buffers it inherited.
-    An exception raised by a share is raised here with its type and
-    message (the lowest-numbered failing share's).  No child outlives the
-    call, whether it returns or raises.  With ``jobs`` = 1 nothing is forked
-    and ``multiprocessing`` is not imported.
+    The caller computes share 0 itself; shares 1 … jobs − 1 run in children
+    of ``os.fork``, one pipe each.  A child pickles ``(ok, result or
+    exception)`` into its pipe and ends in ``os._exit``: exit code 0 once
+    the whole pickle is written, 1 otherwise, and it never flushes the
+    stdio buffers it inherited.  After share 0 the caller reads each pipe
+    to its end, in share order, and reaps that child.  An exception raised
+    by a share is raised here with its type and message (the
+    lowest-numbered failing share's); a child that ends without a full
+    report, by a nonzero exit code or a signal, raises RuntimeError naming
+    the share and its exit code (−n for signal n).  However the call
+    ends, every child not yet reaped is killed (SIGKILL) and reaped, so no
+    child outlives it, running or zombie.  With ``jobs`` = 1 nothing is
+    forked.
     """
     if jobs == 1:
         return [task(0)]
-    import multiprocessing
+    import pickle
 
-    context = multiprocessing.get_context("fork")
-    children = []
+    children = []  # (share, pid, its pipe's read end) of each child not yet reaped
     try:
         for share in range(1, jobs):
-            receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_share_child, args=(task, share, sender))
-            child.start()
-            sender.close()
-            children.append((child, receiver))
-        results = [task(0)]
-        for share, (child, receiver) in enumerate(children, 1):
+            read, write = os.pipe()
             try:
-                ok, value = receiver.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(
-                    f"share {share} ended with exit code {child.exitcode} before reporting"
-                ) from None
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _share_child(task, share, read, write)
+            os.close(write)
+            children.append((share, pid, open(read, "rb")))
+        results = [task(0)]
+        while children:
+            share, pid, pipe = children[0]
+            with pipe:
+                blob = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code or not blob:
+                raise RuntimeError(f"share {share} ended with exit code {code} before reporting")
+            ok, value = pickle.loads(blob)
             if not ok:
                 raise value
             results.append(value)
         return results
     finally:
-        for child, receiver in children:
-            receiver.close()
-            if child.is_alive():
-                child.terminate()
-            child.join()
+        if children:
+            import signal  # only a call that ends early has a child to kill
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # a no-op on a child that has ended
+            os.waitpid(pid, 0)
 
 
-def _share_child(task, share: int, sender) -> None:
-    """Run one share in a forked child and send ``(ok, result or exception)``."""
+def _share_child(task, share: int, read: int, write: int) -> None:
+    """Run one share in a forked child, pickle ``(ok, result or exception)``
+    into the pipe's write end, and end the process (see :func:`_run_shares`)."""
+    import pickle
+
+    code = 1
     try:
+        os.close(read)
         try:
             result = (True, task(share))
         except BaseException as exc:  # the caller re-raises it
             result = (False, exc)
-        sender.send(result)
+        with open(write, "wb") as pipe:
+            pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
     finally:
-        os._exit(0)
+        os._exit(code)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +479,17 @@ def suite_nice_cochar(primes, max_rank, seed, max_points) -> VerifyReport:
     first typed line under SO_W, the special isometries fixing W
     (``stabilizer_orbit``, each member certified by ``witt_extension``),
     must equal the full typed set, which proves SO_W transitive on it.
+
+    The filter route sweeps all p-neighbors of N.  The caller sweeps them
+    once per p, before the instances are dealt, and N keeps them
+    (``enumerate_neighbors``): every share inherits the table, and its
+    size guard trips before anything forks.
     """
     primes = tuple(primes) if primes else (2, 3)
     N, instances = _cochar_instances(primes, max_rank)
     n = N.rank
+    for p in dict.fromkeys(p for p, _ in instances):
+        enumerate_neighbors(N, p, max_points)
 
     def check(report: VerifyReport, item) -> None:
         p, q = item

@@ -20,6 +20,8 @@ from qlat import SizeGuardError
 from qlat.cli import _WRITE_CHARS, _emit, main
 from qlat.verify import VerifyReport
 
+from children import assert_no_child_left
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -202,6 +204,16 @@ def test_grow_returns_the_ambient_from_every_member_of_a_positive_definite_fiber
     for member in doc["fiber"]:
         grown = run_json(capsys, "grow", json.dumps(member), emb)
         assert (grown["lattice"]["power"], grown["lattice"]["numerator_basis"]) == (0, _identity(8))
+
+
+def test_grow_rejects_an_empty_embedding(capsys, tmp_path, shrink_args):
+    emb, pair = shrink_args
+    doc = run_json(capsys, "shrink", "H⊥H⊥H", emb, pair, "--p", "2")
+    member = tmp_path / "member.json"
+    member.write_text(json.dumps(doc["fiber"][0]), encoding="utf-8")
+    rc, out, err = run_cli(capsys, "grow", str(member), json.dumps([[]] * 6), "--p", "2")
+    assert (rc, out) == (2, "")
+    assert err.endswith("error: W must be nonzero\n")
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +687,6 @@ def test_verify_witt_extension_guard_trip_is_input_error(capsys, monkeypatch):
 
 
 def test_verify_witt_extension_guard_trip_in_a_child_share_exits_2(capsys, monkeypatch):
-    import multiprocessing
-
     import qlat.verify as verify_module
 
     caller, extension = os.getpid(), verify_module.witt_extension
@@ -691,7 +701,7 @@ def test_verify_witt_extension_guard_trip_in_a_child_share_exits_2(capsys, monke
     rc, out, err = run_cli(capsys, "verify", "witt-extension", "--p", "2")
     assert (rc, out) == (2, "")
     assert err.splitlines()[-1] == "error: orbit exceeds the guard 7"
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("cores, banner", [(1, "1 process"), (2, "2 processes")])
@@ -737,8 +747,6 @@ def test_verify_dealt_suite_stdout_does_not_depend_on_the_cores(capsys, monkeypa
 
 
 def test_verify_guard_trip_in_a_child_share_of_a_dealt_suite_exits_2(capsys, monkeypatch):
-    import multiprocessing
-
     import qlat.verify as verify_module
 
     caller, isogeny = os.getpid(), verify_module.k3_isogeny
@@ -753,7 +761,21 @@ def test_verify_guard_trip_in_a_child_share_of_a_dealt_suite_exits_2(capsys, mon
     rc, out, err = run_cli(capsys, "verify", "k3-degree", "--p", "2")
     assert (rc, out) == (2, "")
     assert err.splitlines()[-1] == "error: isogeny exceeds the guard 7"
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def test_verify_nice_cochar_guard_trips_before_anything_forks(capsys, monkeypatch):
+    import qlat.verify as verify_module
+
+    def no_fork():
+        raise AssertionError("forked before the guard")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(verify_module, "_usable_cores", lambda: 2)
+    rc, out, err = run_cli(capsys, "verify", "nice-cochar", "--max-points", "5")
+    assert (rc, out) == (2, "")
+    # the neighbor table of H⊥H⊥H at p = 2, swept in the caller, meets P^5(F_2)
+    assert err.splitlines()[-1] == "error: projective space has 63 points, exceeds limit 5"
 
 
 def test_verify_stderr_names_backend(capsys):

@@ -21,7 +21,9 @@ from qlat import (
     quotient_structure,
     saturate,
     smith_normal_form,
+    sublattice_in_span,
 )
+from qlat import exact_linalg
 from qlat.exact_linalg import is_square_hnf, sublattice_index
 
 from cokernel_oracle import lattice_intersection
@@ -383,6 +385,31 @@ def test_saturate_matches_determinantal_divisors(n, k, data):
     assert _determinantal_factors(sat) == [1] * sat.cols
     if sat.cols:
         assert sat @ integral_coefficients(sat, gens) == gens
+
+
+def test_a_span_s_annihilator_is_formed_once_per_matrix_and_read_by_both(monkeypatch):
+    real, kernels = exact_linalg.integer_kernel, []
+
+    def counting(M):
+        kernels.append(M)
+        return real(M)
+
+    monkeypatch.setattr(exact_linalg, "integer_kernel", counting)
+    W = IntMatrix.from_columns([(1, 2, 0, 0), (0, 2, 2, 0)])
+    basis = IntMatrix.from_columns([(2, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1)])
+    sat, summand = saturate(4, W)  # the annihilator and the saturation's kernel
+    assert len(kernels) == 2 and not summand
+    meet = sublattice_in_span(basis, W)  # reads the kept annihilator
+    assert len(kernels) == 2
+    assert saturate(4, W) == (sat, summand) and len(kernels) == 3
+    # a fresh copy of the same entries forms its own, with the same results
+    fresh = IntMatrix(W.entries)
+    assert sublattice_in_span(basis, fresh) == meet and len(kernels) == 4
+    assert saturate(4, fresh) == (sat, summand) and len(kernels) == 5
+    # the basis spans {x : x_1 ≡ x_2 mod 2}, and (1, 2, 0, 0) − (0, 2, 2, 0)/2 lies in it
+    assert lattices_equal(meet, IntMatrix.from_columns([(1, 1, -1, 0), (0, 2, 2, 0)]))
+    # the kept basis is no field: equality, hashing and repr do not see it
+    assert fresh == W and hash(fresh) == hash(W) and repr(fresh) == repr(IntMatrix(W.entries))
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,10 @@
   ``isinstance(…, IntMatrix)`` (``IntMatrix.from_rows`` returns a matrix
   as it is), and ``fp_quadratic`` calls ``int()`` only on a comparison, so
   it truncates no caller value.
-* Processes are started in ``qlat.verify`` alone, and lazily: no other
-  module imports ``multiprocessing`` or ``concurrent.futures`` or names
-  ``os.fork``, and ``qlat.verify`` does so only inside a function body.
+* Processes are started by ``os.fork`` in ``qlat.verify`` alone, and
+  lazily: no module imports ``multiprocessing`` or
+  ``concurrent.futures``, at any depth, no other module names
+  ``os.fork``, and ``qlat.verify`` names it only inside a function body.
 * Every name in an ``__all__`` (the package root's and each module's) has a
   library or CLI caller: the package's top-level statements, such as the
   ``main()`` call of ``python -m qlat``, reach it through the top-level
@@ -568,7 +569,7 @@ PROCESS_MODULES = ("multiprocessing", "concurrent.futures")
 
 
 def _process_uses(tree):
-    """(line, inside a function) of each process-starting import or ``os.fork``."""
+    """(name, line, inside a function) of each process-starting import or ``os.fork``."""
     found = []
 
     def visit(node, in_function):
@@ -580,11 +581,9 @@ def _process_uses(tree):
             names = [f"{node.value.id}.{node.attr}"]
         else:
             names = []
-        if any(
-            name == "os.fork" or any(name == m or name.startswith(m + ".") for m in PROCESS_MODULES)
-            for name in names
-        ):
-            found.append((node.lineno, in_function))
+        for name in names:
+            if name == "os.fork" or any(name == m or name.startswith(m + ".") for m in PROCESS_MODULES):
+                found.append((name, node.lineno, in_function))
         inner = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
         for child in ast.iter_child_nodes(node):
             visit(child, inner)
@@ -596,9 +595,10 @@ def _process_uses(tree):
 def test_processes_start_lazily_in_verify_alone():
     for path in MODULES:
         uses = _process_uses(_tree(path))
+        assert [use for use in uses if use[0] != "os.fork"] == [], path.name
         if path.stem == "verify":
             assert uses, "verify no longer starts processes"
-            assert all(inside for _, inside in uses), uses
+            assert all(inside for _, _, inside in uses), uses
         else:
             assert uses == [], path.name
 
@@ -612,7 +612,13 @@ def test_process_rule_sees_each_form():
         "    import multiprocessing.pool\n"
         "    return os.fork()\n"
     )
-    assert _process_uses(ast.parse(source)) == [(1, False), (2, False), (3, False), (5, True), (6, True)]
+    assert _process_uses(ast.parse(source)) == [
+        ("multiprocessing", 1, False),
+        ("concurrent.futures.ProcessPoolExecutor", 2, False),
+        ("concurrent.futures", 3, False),
+        ("multiprocessing.pool", 5, True),
+        ("os.fork", 6, True),
+    ]
 
 
 def _names_in(node):

@@ -15,6 +15,7 @@ from qlat import (
     PLattice,
     PreconditionError,
     ProjLine,
+    SizeGuardError,
     Sublattice,
     direct_sum,
     e8_lattice,
@@ -433,6 +434,21 @@ def test_recover_rejects_non_summand():
         recover_lattice(Nt, W)
 
 
+@pytest.mark.parametrize(
+    "cols, message",
+    [([], "W must be nonzero"), ([(2, 2, 0, 0, 0, 0)], "W is not a direct summand")],
+    ids=["rank-0", "non-summand"],
+)
+def test_shrink_and_recover_share_one_w_check(cols, message):
+    W = Sublattice(H3, IntMatrix.from_columns(cols, rows=6))
+    Wt = Sublattice(H3, W.basis.scale(2))
+    for shrink in (shrink_set, shrink_set_bruteforce):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            shrink(H3, W, Wt, 2)
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        recover_lattice(enumerate_neighbors(H3, 2)[0], W)
+
+
 # ---------------------------------------------------------------------------
 # fast paths against the general routes
 # ---------------------------------------------------------------------------
@@ -603,6 +619,47 @@ def test_lines_are_checked_against_the_reduction_kept_per_prime():
             with pytest.raises(PreconditionError, match="is not prime"):
                 reduction(N, q)
     assert sorted(N._reductions) == [3, 5]  # a rejected p is never kept
+
+
+@pytest.mark.parametrize("build, p", [(lambda: direct_sum(H, H, H), 2), (lambda: direct_sum(H, H), 5)])
+def test_the_neighbors_of_each_prime_are_swept_once_and_kept(monkeypatch, build, p):
+    real, built = padic_lattice.lattice_from_line, []
+
+    def counting(N, line):
+        built.append(line)
+        return real(N, line)
+
+    monkeypatch.setattr(padic_lattice, "lattice_from_line", counting)
+    N = build()
+    points = (p**N.rank - 1) // (p - 1)
+    first = enumerate_neighbors(N, p)
+    assert len(built) == len(first)
+    hit = enumerate_neighbors(N, p, points)
+    assert hit == first and len(built) == len(first)  # no second sweep
+    assert hit == enumerate_neighbors(build(), p)  # a fresh lattice sweeps its own
+    assert len(built) == 2 * len(first)
+    # a hit trips the guard where a fresh sweep does, with the same message
+    with pytest.raises(SizeGuardError) as fresh:
+        enumerate_neighbors(build(), p, points - 1)
+    with pytest.raises(SizeGuardError) as kept:
+        enumerate_neighbors(N, p, points - 1)
+    assert str(kept.value) == str(fresh.value) == (
+        f"projective space has {points} points, exceeds limit {points - 1}"
+    )
+    assert sorted(N._neighbors) == [p]
+
+
+def test_a_guarded_or_rejected_sweep_keeps_nothing():
+    N = direct_sum(H, H)
+    with pytest.raises(SizeGuardError):
+        enumerate_neighbors(N, 2, 14)  # P^3(F_2) has 15 points
+    with pytest.raises(PreconditionError, match="is not prime"):
+        enumerate_neighbors(N, 4)
+    assert N._neighbors == {}
+    first = enumerate_neighbors(N, 2, 15)
+    with pytest.raises(PreconditionError, match="^non-integer entry 2.0$"):
+        enumerate_neighbors(N, 2.0)  # equal to the kept p = 2, but no prime
+    assert N._neighbors == {2: first}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The verification harness itself: formulas, report bookkeeping, dispatch."""
 
-import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -29,6 +29,7 @@ from qlat.modp import rank
 from qlat.verify import SUITES, VerifyReport, _digest, closed_form_line_count, run_suite
 
 import quadric_oracle
+from children import assert_no_child_left
 
 
 def _hyperbolic_space(p, copies):
@@ -263,7 +264,7 @@ def test_witt_extension_report_does_not_depend_on_the_cores(monkeypatch, params)
         docs.append(run_suite("witt-extension", **params).to_dict())
     assert docs[0] == docs[1] == docs[2]
     assert docs[0]["instances"] > 0 and docs[0]["failures"] == 0
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 # (space, p, X, Y) of instances the sweep visits: the X of the first two
@@ -454,7 +455,7 @@ def test_a_guard_tripped_in_a_child_share_reaches_the_caller(monkeypatch):
     _cores(monkeypatch, 2)
     with pytest.raises(SizeGuardError, match="^orbit exceeds the guard 7$"):
         run_suite("witt-extension", primes=(2,))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_one_core_forks_nothing(monkeypatch):
@@ -525,7 +526,7 @@ def test_dealt_report_does_not_depend_on_the_cores(monkeypatch, name, params):
     docs = _reports_under(monkeypatch, (1, 2, 3), name, **params)
     assert docs[0] == docs[1] == docs[2]
     assert docs[0]["instances"] >= 3 and docs[0]["failures"] == 0
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_cokernel_m_failure_details_do_not_depend_on_the_cores(monkeypatch):
@@ -601,7 +602,56 @@ def test_a_guard_tripped_in_a_child_of_a_dealt_suite_reaches_the_caller(monkeypa
     _cores(monkeypatch, 2)
     with pytest.raises(SizeGuardError, match="^isogeny exceeds the guard 7$"):
         run_suite("k3-degree", primes=(2,))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def _exit_three():
+    os._exit(3)
+
+
+def _kill_myself():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "end, code", [(_exit_three, 3), (_kill_myself, -9)], ids=["exit-3", "sigkill"]
+)
+def test_a_child_share_that_ends_without_reporting_is_named_with_its_exit_code(
+    monkeypatch, capsys, end, code
+):
+    caller, isogeny = os.getpid(), verify_module.k3_isogeny
+
+    def ends_in_children(d, p):
+        if os.getpid() != caller:
+            end()
+        return isogeny(d, p)
+
+    monkeypatch.setattr(verify_module, "k3_isogeny", ends_in_children)
+    _cores(monkeypatch, 2)
+    message = f"^share 1 ended with exit code {code} before reporting$"
+    with pytest.raises(RuntimeError, match=message):
+        run_suite("k3-degree", primes=(2,))
+    assert capsys.readouterr().out == ""
+    assert_no_child_left()
+
+
+def test_a_caller_share_that_raises_kills_and_reaps_the_children(monkeypatch):
+    caller, isogeny, started = os.getpid(), verify_module.k3_isogeny, []
+
+    def hangs_in_children(d, p):
+        if os.getpid() != caller:
+            time.sleep(120)
+        started.append(d)
+        raise InvariantViolationError("the caller's share fails")
+
+    monkeypatch.setattr(verify_module, "k3_isogeny", hangs_in_children)
+    _cores(monkeypatch, 2)
+    t0 = time.perf_counter()
+    with pytest.raises(InvariantViolationError, match="^the caller's share fails$"):
+        run_suite("k3-degree", primes=(2,))
+    assert time.perf_counter() - t0 < 60
+    assert started == [1]
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize(
