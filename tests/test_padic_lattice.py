@@ -621,7 +621,11 @@ def test_lines_are_checked_against_the_reduction_kept_per_prime():
     assert sorted(N._reductions) == [3, 5]  # a rejected p is never kept
 
 
-@pytest.mark.parametrize("build, p", [(lambda: direct_sum(H, H, H), 2), (lambda: direct_sum(H, H), 5)])
+@pytest.mark.parametrize(
+    "build, p",
+    [(lambda: direct_sum(H, H, H), 2), (lambda: direct_sum(H, H), 5)],
+    ids=["H3-p2", "H2-p5"],
+)
 def test_the_neighbors_of_each_prime_are_swept_once_and_kept(monkeypatch, build, p):
     real, built = padic_lattice.lattice_from_line, []
 
