@@ -31,7 +31,9 @@ the Witt decomposition, and for ``witt_extension`` and
 ``stabilizer_orbit`` one record per tuple met so far, holding its Gram
 type, one map from the root of that type to it, the columns of that
 map's inverse once the tuple has been a source, and the canonical tuple
-itself, with the root per Gram type and the witnesses validated so far.
+itself, with the root per Gram type, the row table of the last source
+only (each row r met so far mapped to r times that source's inverse) and
+the witnesses validated so far.
 A tuple's rank and Gram type are thus computed once per space, and a
 caller's tuple equal to a recorded one is found as given, with no
 normalization.  No group is materialized.
@@ -188,10 +190,13 @@ class FpQuadSpace:
         S]`` with key the type's own key object (the form on S,
         ``half_gram_on``), m a map root → S of Dickson parity ``parity``
         (see ``_witt_record``) and cols the columns of m⁻¹, kept once S has
-        been a source, else None; ``witnesses``: each witness matrix built
-        so far, mapped to its validated ``FpIsometry``.
+        been a source, else None; ``rows``: ``(record, table)`` for the
+        last source's record only, the table mapping each row r of a
+        target's m met since that source came to r · m⁻¹ (replaced when the
+        source changes); ``witnesses``: each witness matrix built so far,
+        mapped to its validated ``FpIsometry``.
         """
-        return {"types": {}, "tuples": {}, "witnesses": {}}
+        return {"types": {}, "tuples": {}, "rows": (None, {}), "witnesses": {}}
 
 
 @dataclass(frozen=True, init=False)
@@ -714,6 +719,11 @@ def _witt_record(V: FpQuadSpace, S: tuple[Vector, ...], key) -> list:
     return record
 
 
+def _row_product(row: Vector, cols: Matrix, p: int) -> Vector:
+    """The row vector ``row`` times the matrix with columns ``cols``, mod p."""
+    return tuple([sum(map(mul, row, col)) % p for col in cols])
+
+
 def _record_of(records: dict, basis) -> list | None:
     """The record of the tuple ``basis`` equals as given, or None."""
     try:
@@ -750,10 +760,16 @@ def witt_extension(
     p and checked as ever, X before Y is looked up; one that equals its
     reduction (a tuple of int tuples in [0, p)) is kept as given, so the
     tuple recorded is the caller's own and passing it again is a hit by
-    identity, with no entry check.  The witness is m_Y · m_X⁻¹, formed
-    from the columns of m_X⁻¹ that X's record keeps once X has been a
-    source; each witness matrix is validated once per space and kept in a
-    table, and every call checks that it is special and sends x_j to y_j.
+    identity, with no entry check.  The witness is m_Y · m_X⁻¹, read row
+    by row through the row table of the last source: a row r of m_Y maps
+    to r · m_X⁻¹, and a row not met since X became the source is formed
+    from the columns of m_X⁻¹ that X's record keeps (``_row_product``).
+    A new source replaces the table, so it holds at most p^n − 1 rows.
+    Each witness matrix is validated once per space by ``FpIsometry`` and
+    kept in a table; a witness that fails that validation raises
+    InvariantViolationError, as the caller's tuples have passed every
+    input check by then.  Every call checks that the witness is special
+    and sends x_j to y_j.
 
     Returns g in SO(V) with g(x_j) = y_j for every basis vector; raises
     InvariantViolationError if no special isometry exists, which is when
@@ -805,14 +821,27 @@ def witt_extension(
         ry = rx if same else _witt_record(V, Y, ky)
     if rx[2] != ry[2]:
         raise InvariantViolationError("isometric tuples lie in different special-orthogonal orbits")
-    cols = rx[3]
-    if cols is None:
-        cols = rx[3] = tuple(zip(*modp.inverse(rx[1], p)))
-    m = tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in ry[1]])
-    witnesses = V._witt_cache["witnesses"]
+    cache = V._witt_cache
+    held, table = cache["rows"]
+    if held is not rx:
+        if rx[3] is None:
+            rx[3] = tuple(zip(*modp.inverse(rx[1], p)))
+        table = {}
+        cache["rows"] = (rx, table)
+    rows = []
+    for r in ry[1]:
+        row = table.get(r)
+        if row is None:
+            row = table[r] = _row_product(r, rx[3], p)
+        rows.append(row)
+    m = tuple(rows)
+    witnesses = cache["witnesses"]
     iso = witnesses.get(m)
     if iso is None:
-        iso = FpIsometry(V, m)
+        try:
+            iso = FpIsometry(V, m)
+        except PreconditionError as exc:  # the caller's tuples passed every check above
+            raise InvariantViolationError(f"witness fails validation: {exc}") from exc
         witnesses[iso.matrix] = iso
     if not iso.is_special():
         raise InvariantViolationError("witness is not special")

@@ -198,6 +198,7 @@ def reduction(N: QuadLattice, p: int) -> FpQuadSpace:
     one space and its per-space invariants; a p that is not prime raises
     on every call and is never kept.
     """
+    modp.check_int(p)  # 2.0 == 2 would find the space kept for p = 2
     spaces = N._reductions
     V = spaces.get(p)
     if V is None:

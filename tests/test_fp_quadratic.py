@@ -1229,6 +1229,157 @@ def test_suite_validates_each_witness_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the row table of the current source
+# ---------------------------------------------------------------------------
+
+
+def _row_table_spaces(p):
+    """H⊥H and the non-split space of dimension 4 over F_p."""
+    from qlat.verify import _nondegenerate_spaces
+
+    nonsplit = [V for name, V in _nondegenerate_spaces(p, 4) if name in ("nonsplit-4", "diag-4-nonsq")]
+    return [hyperbolic(p, 2)] + nonsplit
+
+
+def _source_runs(V):
+    """(X, Ys) for X the first two canonical bases of each Gram type of
+    dimension 1 or 2, and Ys every independent tuple with the Gram data of X."""
+    return _source_runs_of(V.p, V.half_gram)
+
+
+@lru_cache(maxsize=None)
+def _source_runs_of(p, half_gram):
+    from qlat.verify import _subspace_bases
+
+    V = FpQuadSpace(p, half_gram)
+    n = V.dim
+    vectors = [v for v in product(range(p), repeat=n) if any(v)]
+    runs = []
+    for k in (1, 2):
+        images = {}
+        for Y in product(vectors, repeat=k):
+            if modp.rank(Y, p) == k:
+                images.setdefault(_gram_data(V, Y), []).append(Y)
+        sources = {}
+        for X in _subspace_bases(p, n, k):
+            sources.setdefault(_gram_data(V, X), []).append(X)
+        runs += [(X, images[key]) for key, Xs in sources.items() for X in Xs[:2]]
+    return runs
+
+
+def _extensions(V, X, Ys):
+    """The witness of each (X, Y) that has one, and the Ys that have it."""
+    out = []
+    for Y in Ys:
+        try:
+            out.append((Y, witt_extension(V, X, Y)))
+        except InvariantViolationError:  # across the rulings of two Lagrangians
+            pass
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_every_witness_is_m_y_times_the_inverse_of_m_x(p):
+    for V in _row_table_spaces(p):
+        records = V._witt_cache["tuples"]
+        for X, Ys in _source_runs(V):
+            extensions = _extensions(V, X, Ys)
+            inverse = modp.inverse(records[X][1], p)
+            for Y, g in extensions:
+                assert g.matrix == modp.mat_mul(records[Y][1], inverse, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_each_source_row_product_is_formed_once_per_run(monkeypatch, p):
+    """A run is the calls with one source X in a row; a source met again
+    after another starts a new run and forms its products again."""
+    from qlat import fp_quadratic
+
+    product_of, formed = fp_quadratic._row_product, {}
+    source = [None]
+
+    def counted(row, cols, q):
+        formed[source[0], row] = formed.get((source[0], row), 0) + 1
+        return product_of(row, cols, q)
+
+    monkeypatch.setattr(fp_quadratic, "_row_product", counted)
+    for V in _row_table_spaces(p):
+        formed.clear()
+        records = V._witt_cache["tuples"]
+        runs = _source_runs(V)
+        runs += runs[:1]  # the first source again, after every other
+        expected = {}
+        for X, Ys in runs:
+            source[0] = (id(V), X)
+            rows = {r for Y, _ in _extensions(V, X, Ys) for r in records[Y][1]}
+            for r in rows:
+                expected[source[0], r] = expected.get((source[0], r), 0) + 1
+            assert V._witt_cache["rows"][0] is records[X]
+        assert max(expected.values()) == 2  # the first source's second run
+        assert formed == expected
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_row_table_holds_at_most_the_nonzero_vectors(p):
+    for V in _row_table_spaces(p):
+        cache, bound = V._witt_cache, p**V.dim - 1
+        assert cache["rows"] == (None, {})
+        for X, Ys in _source_runs(V):
+            for Y in Ys:
+                try:
+                    witt_extension(V, X, Y)
+                except InvariantViolationError:
+                    pass
+                held, table = cache["rows"]
+                assert len(table) <= bound
+                assert all(any(r) and any(w) for r, w in table.items())
+        assert held is cache["tuples"][X]
+
+
+def _zero_first_product(monkeypatch):
+    """Make the first row product ``witt_extension`` forms the zero row."""
+    from qlat import fp_quadratic
+
+    product_of, calls = fp_quadratic._row_product, [0]
+
+    def corrupt(row, cols, p):
+        calls[0] += 1
+        if calls[0] == 1:
+            return (0,) * len(cols)
+        return product_of(row, cols, p)
+
+    monkeypatch.setattr(fp_quadratic, "_row_product", corrupt)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_corrupt_witness_is_an_invariant_violation(monkeypatch, p):
+    _zero_first_product(monkeypatch)
+    V = hyperbolic(p, 2)
+    X, Y = ((1, 0, 0, 0),), ((0, 0, 1, 0),)
+    with pytest.raises(InvariantViolationError, match="^witness fails validation: isometry matrix is singular$"):
+        witt_extension(V, X, Y)
+    assert V._witt_cache["witnesses"] == {}
+    with pytest.raises(InvariantViolationError):  # the corrupt entry stays in the table
+        witt_extension(V, X, Y)
+
+
+def test_a_corrupt_table_entry_fails_verify_witt_extension(monkeypatch, capsys):
+    import json
+
+    from qlat import verify
+    from qlat.cli import main
+
+    _zero_first_product(monkeypatch)
+    monkeypatch.setattr(verify, "_usable_cores", lambda: 1)  # one process forms one entry
+    assert main(["verify", "witt-extension", "--p", "2"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["failures"] >= 1
+    assert {d["actual"] for d in report["details"]} == {
+        "InvariantViolationError: witness fails validation: isometry matrix is singular"
+    }
+
+
+# ---------------------------------------------------------------------------
 # the per-tuple records kept on the space instance
 # ---------------------------------------------------------------------------
 
@@ -1272,7 +1423,7 @@ def test_suite_checks_each_tuple_once_per_space(monkeypatch):
     assert set(ranks) <= set(keys)
     for V in spaces.values():
         cache = V._witt_cache
-        assert set(cache) == {"types", "tuples", "witnesses"}
+        assert set(cache) == {"types", "tuples", "rows", "witnesses"}
         assert {(id(V), S) for S in cache["tuples"]} <= set(keys)
         for key, entry in cache["types"].items():
             assert len(entry) == 3 and entry[0] == key  # (key, root, flip): no maps

@@ -621,6 +621,20 @@ def test_lines_are_checked_against_the_reduction_kept_per_prime():
     assert sorted(N._reductions) == [3, 5]  # a rejected p is never kept
 
 
+@pytest.mark.parametrize("q", [2.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("kept_first", [False, True], ids=["fresh", "after-p2"])
+def test_reduction_checks_p_before_the_kept_spaces(q, kept_first):
+    # 2.0 == 2, so a lookup before the check would find the space kept for p = 2
+    N = direct_sum(H, H)
+    if kept_first:
+        V2 = reduction(N, 2)
+    with pytest.raises(PreconditionError, match=f"^non-integer entry {q!r}$"):
+        reduction(N, q)
+    assert sorted(N._reductions) == ([2] if kept_first else [])
+    if kept_first:
+        assert reduction(N, 2) is V2
+
+
 @pytest.mark.parametrize(
     "build, p",
     [(lambda: direct_sum(H, H, H), 2), (lambda: direct_sum(H, H), 5)],
